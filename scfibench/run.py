@@ -15,17 +15,28 @@ from __future__ import annotations
 
 import argparse
 import compileall
+import contextlib
 import json
 import os
 import shutil
+import signal
+import subprocess
 import sys
+import time
 
 from common import (
-    BENCH_DIR, PINNED_ENV, SRC, WORK_ROOT, BenchError, environment_record, pin_to_one_cpu,
+    BENCH_DIR, PINNED_ENV, SRC, WORK_ROOT, BenchError, descendants, environment_record,
+    pin_to_one_cpu,
 )
 from suite import DEFAULT_SEED, INPUTS
 
 WORKLOADS = ("cli-cold", "campaign-suite", "service-mix")
+
+#: Marks the measuring process that :func:`supervise` starts.
+INNER_ENV = "SCFIBENCH_INNER"
+#: How long descendants may outlive the measuring process before SIGKILL.
+ORPHAN_GRACE_S = 10.0
+PR_SET_CHILD_SUBREAPER = 36
 
 #: End-to-end metric -> unit, in BENCHMARK.json order.
 E2E_UNITS = {
@@ -52,6 +63,51 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
+def become_subreaper() -> None:
+    """Make orphaned descendants re-parent to this process (Linux prctl)."""
+    try:
+        import ctypes
+
+        ctypes.CDLL(None, use_errno=True).prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0)
+    except (OSError, AttributeError):
+        pass
+
+
+def supervise(argv) -> int:
+    """Run the benchmark in a child and wait for every process it leaves.
+
+    The child measures; this process is a child subreaper, so helpers that
+    outlive their parent (multiprocessing resource trackers, fleet workers,
+    a server) re-parent here and are reaped -- killed after
+    ``ORPHAN_GRACE_S`` -- before the run ends, on every path out of it.
+    """
+    become_subreaper()
+    env = dict(os.environ, **PINNED_ENV)
+    env[INNER_ENV] = "1"
+    inner = subprocess.Popen([sys.executable, os.path.abspath(__file__)] + list(argv), env=env)
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda sig, _frame: inner.poll() is None and inner.send_signal(sig))
+    code, deadline, killed = None, None, set()
+    while True:
+        try:
+            pid, status = os.waitpid(-1, 0 if code is None else os.WNOHANG)
+        except ChildProcessError:
+            break
+        if pid == inner.pid:
+            code = inner.returncode = os.waitstatus_to_exitcode(status)
+            deadline = time.monotonic() + ORPHAN_GRACE_S
+        elif pid == 0:
+            if time.monotonic() > deadline:
+                for child in descendants(os.getpid()):
+                    if child not in killed:
+                        print(f"scfibench: killing leftover process {child}", file=sys.stderr)
+                        killed.add(child)
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(child, signal.SIGKILL)
+            time.sleep(0.01)
+    return code
+
+
 def run_workload(args, work: str) -> dict:
     with open(args.pins) as handle:
         pins = json.load(handle)
@@ -76,10 +132,8 @@ def main(argv=None) -> int:
     if not os.path.isdir(os.path.join(SRC, "repro")):
         print(f"scfibench: no program sources under {SRC}", file=sys.stderr)
         return 2
-    if any(os.environ.get(key) != value for key, value in PINNED_ENV.items()):
-        # Re-exec so this process and every child see the pinned environment.
-        env = dict(os.environ, **PINNED_ENV)
-        os.execve(sys.executable, [sys.executable] + sys.argv, env)
+    if os.environ.get(INNER_ENV) != "1":
+        return supervise(sys.argv[1:] if argv is None else argv)
     pin_to_one_cpu()
     sys.path.insert(0, SRC)
     # Bytecode is compiled before anything is timed.

@@ -34,8 +34,9 @@ POLL_S = 0.001
 #: How long fleet processes may take to exit after the server has.
 EXIT_GRACE_S = 5.0
 HITS_PER_CYCLE = 3
-#: ``--fleet min(2, nproc)``, counting the machine's CPUs (a run is pinned to one).
-FLEET_SIZE = min(2, os.cpu_count() or 1)
+#: ``--fleet 1``: a run is pinned to one CPU, where a second worker only
+#: time-slices with the first and makes op latency follow the scheduler.
+FLEET_SIZE = 1
 SHM_DIR = "/dev/shm"
 
 
