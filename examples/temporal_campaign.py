@@ -15,7 +15,7 @@ SCFI-protected ``ibex_lsu_fsm`` and shows how the classification shifts:
 * a **multi-shot glitch** schedule fires `(cycle, net, effect)` shots at
   different depths of the trace.
 
-Counters are bit-identical across all four engines and any worker count;
+Counters are bit-identical across every engine and any worker count;
 the same campaigns are spec-addressable (``scenario="temporal"`` /
 ``"glitch"`` with ``cycles``, ``fault_duration``, ``glitch_schedule``) and
 replayed by CI from ``examples/temporal_experiment.json``.

@@ -149,7 +149,7 @@ class ExperimentResult:
         Records the *effective* engine and lane budget: run-time overrides
         applied, a ``lane_width`` of ``None`` resolved through the engine's
         registered default, and the engine's machine word width (``None`` for
-        the arbitrary-precision bignum engines, 64 for ``parallel-numpy``).
+        the arbitrary-precision bignum and scalar engines, 64 for ``parallel-numpy``).
         """
         campaign = self.spec.campaign
         if campaign is None:

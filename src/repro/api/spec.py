@@ -23,6 +23,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
+from repro.fi.executor import DEFAULT_ENGINE
 from repro.fi.model import FaultEffect
 
 #: Bumped whenever the on-disk spec format changes incompatibly.
@@ -151,12 +152,15 @@ class CampaignSpec:
     ``scenario`` resolves through :data:`repro.api.registry.SCENARIO_REGISTRY`
     ("exhaustive", "random", "effects", "regions", "behavioral"); ``engine``
     through :data:`repro.api.registry.ENGINE_REGISTRY` (wrapping
-    ``FaultCampaign.ENGINES``).  ``target``/``effects``/``faults``/``trials``/
-    ``seed`` parameterize the scenario with the same defaults the historical
-    ``scfi-fi`` modes used, so spec-driven runs reproduce legacy counters bit
-    for bit.  ``lane_width=None`` (the default) resolves to the engine's own
-    default lane budget at run time (256 for the bignum engines, 4096 for
-    ``parallel-numpy``); pin it explicitly for hash-stable specs.
+    ``FaultCampaign.ENGINES``) and is checked against it on construction, so
+    a spec naming an unregistered engine fails to parse; omitting it selects
+    :data:`~repro.fi.executor.DEFAULT_ENGINE`.  ``target``/``effects``/
+    ``faults``/``trials``/``seed`` parameterize the scenario with the same
+    defaults the historical ``scfi-fi`` modes used, so spec-driven runs
+    reproduce legacy counters bit for bit.  ``lane_width=None`` (the
+    default) resolves to the engine's own default lane budget at run time
+    (256 for the bignum engine, 4096 for ``parallel-numpy``); pin it
+    explicitly for hash-stable specs.
     ``compare=True`` additionally replays the campaign on the cross-check
     engine and records whether the counters agree.
 
@@ -175,7 +179,7 @@ class CampaignSpec:
     faults: int = 2
     trials: int = 1000
     seed: int = 0
-    engine: str = "parallel"
+    engine: str = DEFAULT_ENGINE
     lane_width: Optional[int] = None
     workers: int = 1
     pack_contexts: bool = True
@@ -187,6 +191,14 @@ class CampaignSpec:
     spot_trials: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # Lazy: the registry imports this module.
+        from repro.api.registry import available_engines
+
+        if self.engine not in available_engines():
+            raise ValueError(
+                f"unknown engine {self.engine!r} "
+                f"(registered: {', '.join(available_engines())})"
+            )
         if self.effects is not None:
             object.__setattr__(self, "effects", tuple(self.effects))
             if not self.effects:
@@ -324,8 +336,8 @@ class CampaignSpec:
 
         A pinned ``lane_width`` is returned as-is; otherwise the engine's
         default budget is resolved from the orchestrator's engine table so
-        that e.g. ``parallel`` and ``parallel-compiled`` (both 256 lanes)
-        share plan artifacts.  Engines registered outside that table resolve
+        that e.g. ``parallel`` and ``scalar`` (both 256 lanes) share plan
+        artifacts.  Engines registered outside that table resolve
         to an engine-tagged marker, so their plans never collide with the
         built-ins'.
         """

@@ -43,6 +43,7 @@ from repro.api import (
     available_scenarios,
 )
 from repro.api.spec import EFFECT_NAMES
+from repro.fi.executor import DEFAULT_ENGINE
 from repro.fsmlib import available_fsms
 
 
@@ -92,11 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
         # An engine the registry does not know must die here as an argparse
         # error, not as a deep ValueError.
         choices=available_engines(),
-        default="parallel",
-        help="bignum bit-parallel lane engine (default), the same lanes on "
-        "the source-compiled evaluator (netlist exec'd as generated Python), "
-        "the word-sliced numpy engine (parallel-numpy, fastest on wide "
-        "campaigns), or the scalar reference simulator",
+        default=DEFAULT_ENGINE,
+        help="word-sliced numpy lane engine (parallel-numpy, the default), "
+        "bignum bit-parallel lanes (parallel), or the scalar reference "
+        "simulator",
     )
     parser.add_argument(
         "--workers",
@@ -113,14 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault lanes packed per bit-parallel pass; lanes are filled "
         "across transition contexts, so sweeps over few nets but many "
         "transitions still use the full width (default: the engine's own "
-        "budget -- 256 for the bignum engines, 4096 for parallel-numpy)",
+        "budget -- 256 for parallel and scalar, 4096 for parallel-numpy)",
     )
     parser.add_argument(
         "--compare",
         action="store_true",
         help="also run the scalar reference oracle (or, from --engine scalar, "
-        "the parallel engine), assert identical classification counters and "
-        "exit non-zero on divergence",
+        "the bignum parallel engine), assert identical classification counters "
+        "and exit non-zero on divergence",
     )
     parser.add_argument("--faults", type=int, default=2, help="simultaneous faults (random/behavioral)")
     parser.add_argument("--trials", type=int, default=1000, help="trials (random/behavioral)")
@@ -192,7 +192,7 @@ def main(argv=None) -> int:
     if args.mode == "behavioral":
         for flag, given in (
             ("--compare", args.compare),
-            ("--engine", args.engine != "parallel"),
+            ("--engine", args.engine != DEFAULT_ENGINE),
             ("--workers", args.workers != 1),
             ("--target", args.target is not None),
             ("--effects", args.effects is not None),

@@ -16,14 +16,14 @@ sweeps executed on the bit-parallel campaign layer
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.api.session import Session
 from repro.api.spec import CampaignSpec
 from repro.core.hardened import HardenedFsm
 from repro.core.structure import ScfiNetlist
 from repro.fi.model import FaultEffect
-from repro.fi.orchestrator import DEFAULT_LANE_WIDTH, CampaignResult
+from repro.fi.orchestrator import DEFAULT_ENGINE, CampaignResult
 from repro.fi.behavioral import (
     TARGET_CONTROL,
     TARGET_DIFFUSION,
@@ -99,8 +99,8 @@ def attack_success_probability(
 def structural_fault_target_sweep(
     structure: ScfiNetlist,
     effects: Sequence[FaultEffect] = (FaultEffect.TRANSIENT_FLIP,),
-    engine: str = "parallel",
-    lane_width: int = DEFAULT_LANE_WIDTH,
+    engine: str = DEFAULT_ENGINE,
+    lane_width: Optional[int] = None,
     workers: int = 1,
     store=None,
     cache_scope=None,
@@ -112,8 +112,9 @@ def structural_fault_target_sweep(
     word and diffusion internals) and returns the per-region classification
     counters.  These sweeps are exactly the few-nets/many-transitions shape
     the context-batched lane packing was built for: every pass mixes
-    transition contexts, so ``engine="parallel"`` (or ``"parallel-compiled"``)
-    fills its ``lane_width`` budget instead of paying one pass per edge;
+    transition contexts, so the bit-parallel engines fill their
+    ``lane_width`` budget (the engine default when ``None``) instead of
+    paying one pass per edge;
     ``engine="scalar"`` remains the cross-check oracle.  ``workers=N``
     dispatches the planned batches of every region to a process pool (shared
     across the regions of the sweep); counters are bit-identical to the

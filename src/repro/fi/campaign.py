@@ -13,14 +13,14 @@ functions below keep the historical API of the Section 6.4 experiments:
   simultaneous flips at random locations, used to study the multi-fault
   scaling claims of the threat model.
 
-Both accept ``engine="scalar"`` to replay the campaign on the reference
-:class:`~repro.netlist.simulate.NetlistSimulator` and
-``engine="parallel-compiled"`` to run the bit-parallel batches on the
-source-compiled evaluator; counters are identical across all engines by
-construction and asserted in the tests and benchmarks.  Explicit
-``target_nets`` lists are validated up front -- naming a net the netlist does
-not contain raises :class:`ValueError` instead of silently counting the
-injection as masked.
+Both run on :data:`~repro.fi.executor.DEFAULT_ENGINE` unless told
+otherwise: ``engine="parallel"`` runs the bit-parallel batches on bignum lane
+words and ``engine="scalar"`` replays the campaign on the reference
+:class:`~repro.netlist.simulate.NetlistSimulator`; counters are identical
+across all engines by construction and asserted in the tests and benchmarks.
+Explicit ``target_nets`` lists are validated up front -- naming a net the
+netlist does not contain raises :class:`ValueError` instead of silently
+counting the injection as masked.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from repro.core.structure import ScfiNetlist
 from repro.fi.model import FaultEffect
 from repro.fi.orchestrator import (
-    DEFAULT_LANE_WIDTH,
+    DEFAULT_ENGINE,
     CampaignResult,
     ExhaustiveSingleFault,
     FaultCampaign,
@@ -49,8 +49,8 @@ def exhaustive_single_fault_campaign(
     target_nets: Optional[Sequence[str]] = None,
     effects: Sequence[FaultEffect] = (FaultEffect.TRANSIENT_FLIP,),
     keep_outcomes: bool = False,
-    engine: str = "parallel",
-    lane_width: int = DEFAULT_LANE_WIDTH,
+    engine: str = DEFAULT_ENGINE,
+    lane_width: Optional[int] = None,
 ) -> CampaignResult:
     """Flip every target net once for every valid transition (Section 6.4).
 
@@ -71,8 +71,8 @@ def random_multi_fault_campaign(
     target_nets: Optional[Sequence[str]] = None,
     seed: int = 0,
     keep_outcomes: bool = False,
-    engine: str = "parallel",
-    lane_width: int = DEFAULT_LANE_WIDTH,
+    engine: str = DEFAULT_ENGINE,
+    lane_width: Optional[int] = None,
 ) -> CampaignResult:
     """Inject ``num_faults`` simultaneous random flips, ``trials`` times."""
     if num_faults < 1:

@@ -1,23 +1,29 @@
 """Fault-campaign execution over the bit-parallel engines.
 
 :class:`FaultCampaign` is bound to one :class:`ScfiNetlist` and owns the
-compiled bit-parallel engine (lane 0 golden, lanes 1..W one fault group
-each), the per-edge activation contexts and the batch classifier.  Every
+compiled bit-parallel engine (golden lanes first, then one fault group per
+lane), the per-edge activation contexts and the batch classifier.  Every
 scenario (:mod:`repro.fi.scenarios`) is lowered to the group-aware
 :class:`~repro.fi.scenarios.JobArrays` IR first -- either natively
 (``jobs_arrays``) or through the :meth:`JobArrays.from_jobs` adapter -- and
 the IR is the only currency between the executor, the lane planner
-(:mod:`repro.fi.planner`), the four engines and the shm/pickle transports.
+(:mod:`repro.fi.planner`), the three engines and the shm/pickle transports.
 The object :data:`~repro.fi.scenarios.InjectionJob` stream is re-materialised
 from the IR (:meth:`JobArrays.to_jobs`) only where objects are genuinely
 needed: the scalar reference oracle and ``keep_outcomes`` hydration.
 
+There is one execution path.  Every job is a bounded trace of ``cycles``
+clock edges with register feedback, classified on its final state against
+the analytic fault-free trajectory of its transition context; a classic
+single-cycle campaign is a trace of one cycle.
+
 Per run, :attr:`FaultCampaign.last_dispatch` records whether the fault groups
 were applied *array-native* (the numpy engine scattering flat fault arrays
 straight onto lane words) or via the generic per-group *spec-stream*
-(:class:`~repro.netlist.simulate.FaultSet` overrides); counters are
-bit-identical either way, and ``dispatch="spec-stream"`` forces the generic
-path for A/B benchmarking.  :attr:`FaultCampaign.last_transport` records the
+(:class:`~repro.netlist.simulate.FaultSet` overrides).  The executor picks
+the path from what it can observe -- the engine, ``keep_outcomes``, stuck-at
+conflicts inside a group and the state width -- and counters are
+bit-identical either way.  :attr:`FaultCampaign.last_transport` records the
 shm/pickle transport of sharded runs the same way.
 
 Campaign execution is split into an explicit *plan* phase (cached, see
@@ -74,13 +80,17 @@ from repro.netlist.parallel_np import MODE_STUCK0, MODE_STUCK1, NumpyCompiledNet
 from repro.netlist.simulate import FaultSet
 
 #: Fault groups packed into one bit-parallel pass (plus the golden lane 0)
-#: on the bignum engines, where each extra lane lengthens every big-int op.
+#: on the bignum engine, where each extra lane lengthens every big-int op.
 DEFAULT_LANE_WIDTH = 256
 
 #: Default lane budget of the word-sliced numpy engine: lanes cost 1/64 of a
 #: machine word each, so wide passes amortise the per-batch overhead instead
 #: of inflating per-op cost.
 DEFAULT_NUMPY_LANE_WIDTH = 4096
+
+#: Engine a campaign runs on when the caller names none (specs, the library
+#: wrappers, the evaluation harnesses and the service fleet alike).
+DEFAULT_ENGINE = "parallel-numpy"
 
 
 @dataclass(frozen=True)
@@ -100,15 +110,10 @@ class EngineInfo:
 #: the (sorted) keys, so CLI choices and the API registry track this table.
 ENGINE_INFO: Dict[str, EngineInfo] = {
     "parallel": EngineInfo(word_width=None, default_lane_width=DEFAULT_LANE_WIDTH),
-    "parallel-compiled": EngineInfo(word_width=None, default_lane_width=DEFAULT_LANE_WIDTH),
     "parallel-numpy": EngineInfo(word_width=64, default_lane_width=DEFAULT_NUMPY_LANE_WIDTH),
     "scalar": EngineInfo(word_width=None, default_lane_width=DEFAULT_LANE_WIDTH),
 }
 
-#: ``FaultCampaign(dispatch=...)`` choices: ``"auto"`` applies fault groups
-#: array-native whenever the engine supports it, ``"spec-stream"`` forces the
-#: generic per-group FaultSet path (for A/B benchmarks and cross-checks).
-DISPATCH_MODES = ("auto", "spec-stream")
 
 @dataclass
 class CampaignResult:
@@ -268,10 +273,6 @@ _JobRow = Tuple[Classification, int, Optional[str]]
 _CLASSIFICATIONS = tuple(Classification)
 _CLASSIFICATION_INDEX = {cls: i for i, cls in enumerate(_CLASSIFICATIONS)}
 
-#: Wire format of one fault group: ((net, effect value), ...).
-_FaultSpec = Tuple[Tuple[str, str], ...]
-#: Wire format of one job: (context index, fault group spec).
-_JobSpec = Tuple[int, _FaultSpec]
 #: Worker batch reply: per-classification counters in ``_CLASSIFICATIONS``
 #: order plus, with keep_outcomes, per-job (classification index, observed
 #: code, observed state) rows.  Both sides index via ``_CLASSIFICATIONS``, so
@@ -283,46 +284,12 @@ _BatchReply = Tuple[Tuple[int, ...], Optional[List[Tuple[int, int, Optional[str]
 _WORKER_CAMPAIGN: Optional["FaultCampaign"] = None
 
 
-def _job_specs(jobs: Sequence[InjectionJob]) -> List[_JobSpec]:
-    """Lower jobs to the compact wire format shipped to scalar pool workers."""
-    return [
-        (index, tuple((fault.net, fault.effect._value_) for fault in faults))
-        for index, faults in jobs
-    ]
-
-
-#: Wire format of one temporal fault group: ((cycle-or-None, net, effect), ...).
-_TemporalFaultSpec = Tuple[Tuple[Optional[int], str, str], ...]
-#: Wire format of one temporal job: (context index, temporal fault group).
-_TemporalJobSpec = Tuple[int, _TemporalFaultSpec]
-
-
-def _temporal_job_specs(jobs: Sequence[InjectionJob]) -> List[_TemporalJobSpec]:
-    """Lower temporal jobs (cycle-annotated faults) to the wire format."""
-    return [
-        (
-            index,
-            tuple((fault.cycle, fault.net, fault.effect._value_) for fault in faults),
-        )
-        for index, faults in jobs
-    ]
-
-
-def _spec_temporal_faults(spec: _TemporalFaultSpec) -> Tuple[Fault, ...]:
-    """Rebuild the cycle-annotated fault group of one temporal wire spec."""
-    return tuple(
-        Fault(net=net, effect=FaultEffect(effect), cycle=cycle)
-        for cycle, net, effect in spec
-    )
-
-
 def _worker_init(
     structure: ScfiNetlist,
     engine: str,
     lane_width: int,
     pack_contexts: bool,
     keep_outcomes: bool,
-    dispatch: str = "auto",
 ) -> None:
     """Pool initializer: build this worker's campaign executor exactly once."""
     global _WORKER_CAMPAIGN
@@ -332,12 +299,9 @@ def _worker_init(
         lane_width=lane_width,
         keep_outcomes=keep_outcomes,
         pack_contexts=pack_contexts,
-        dispatch=dispatch,
     )
     if engine != "scalar":
-        compiled = _WORKER_CAMPAIGN.compiled  # compile the op list up front
-        if engine == "parallel-compiled":
-            compiled.source_evaluator()
+        _WORKER_CAMPAIGN.compiled  # compile the op list up front
 
 
 def _reply_from_rows(campaign: "FaultCampaign", rows: List[_JobRow]) -> _BatchReply:
@@ -362,7 +326,7 @@ def _resolve_worker_batch(handle) -> Tuple[PlannedBatch, Optional[ShmBatchRef]]:
     Pickled tasks carry the :class:`PlannedBatch` itself; shared-memory tasks
     carry a :class:`~repro.fi.shm_transport.ShmBatchRef` whose lane words are
     read in place -- zero-copy uint64 rows for the numpy engine, rebuilt
-    bignum ints for the others.
+    bignum ints for the bignum engine.
     """
     if not isinstance(handle, ShmBatchRef):
         return handle, None
@@ -390,81 +354,41 @@ def _resolve_worker_batch(handle) -> Tuple[PlannedBatch, Optional[ShmBatchRef]]:
 def _worker_run_batch(task) -> _BatchReply:
     """Evaluate one planned batch in a worker process.
 
-    ``task`` is ``(handle, payload)``: the handle is a :class:`PlannedBatch`
-    (pickled transport) or :class:`ShmBatchRef` (shared-memory transport);
-    the payload carries the batch's slice of the :class:`JobArrays` IR --
-    ``("ir", native, arrays)`` for single-cycle campaigns or
-    ``("ir-temporal", native, cycles, arrays)`` for multi-cycle traces.
-    ``native`` is the parent's dispatch decision (uniform across batches, so
-    workers and parent agree by construction): array-native slices the flat
-    fault arrays straight onto grouped lanes, spec-stream rebuilds per-group
+    ``task`` is ``(handle, (native, cycles, arrays))``: the handle is a
+    :class:`PlannedBatch` (pickled transport) or :class:`ShmBatchRef`
+    (shared-memory transport) and ``arrays`` the batch's slice of the
+    :class:`JobArrays` IR, traced over ``cycles`` clock edges.  ``native`` is
+    the parent's dispatch decision (uniform across batches, so workers and
+    parent agree by construction): array-native slices the flat fault arrays
+    straight onto grouped lanes, spec-stream rebuilds per-group
     :class:`~repro.netlist.simulate.FaultSet` overrides through the IR's
     object adapter.  With shared memory the per-job observed codes are
     written back into the segment's code slots and the reply carries only
     counters -- the parent re-derives outcome rows with the same memoised
     classifier.
     """
-    handle, payload = task
+    handle, (native, cycles, arrays) = task
     campaign = _WORKER_CAMPAIGN
     batch, ref = _resolve_worker_batch(handle)
-    num_golden = len(batch.golden_contexts)
-    if payload[0] == "ir-temporal":
-        _, native, cycles, arrays = payload
-        if native:
-            codes = campaign._evaluate_temporal_batch_arrays(batch, cycles, arrays)
-            if ref is not None:
-                shm_transport.write_codes(ref, codes)
-            return (
-                tuple(campaign._classified_counts_temporal(cycles, arrays.contexts, codes)),
-                None,
-            )
-        batch_jobs = arrays.to_jobs(campaign._net_names())
-        rows = campaign._evaluate_temporal_batch(batch, cycles, batch_jobs)
-        if ref is not None and ref.codes_offset is not None:
-            shm_transport.write_codes(ref, [observed for _, observed, _ in rows])
-            counters, _ = _reply_from_rows(campaign, rows)
-            return counters, None
-        return _reply_from_rows(campaign, rows)
-    _, native, arrays = payload
     if native:
-        codes = campaign._evaluate_batch_arrays(batch, arrays)
+        codes = campaign._evaluate_batch_arrays(batch, cycles, arrays)
         if ref is not None:
             shm_transport.write_codes(ref, codes)
-        return tuple(campaign._classified_counts(arrays.contexts, codes)), None
-    batch_jobs = arrays.to_jobs(campaign._net_names())
-    fault_lanes: List[Optional[FaultSet]] = [None] * num_golden
-    fault_lanes.extend(fault_set(faults) for _, faults in batch_jobs)
-    codes, goldens = campaign._evaluate_batch_codes(batch, fault_lanes)
-    rows: List[_JobRow] = []
-    for lane, (index, _) in enumerate(batch_jobs, start=num_golden):
-        classification, observed_state = campaign._classify(index, goldens[index], codes[lane])
-        rows.append((classification, codes[lane], observed_state))
+        return tuple(campaign._classified_counts(cycles, arrays.contexts, codes)), None
+    rows = campaign._evaluate_batch(batch, cycles, arrays.to_jobs(campaign._net_names()))
+    reply = _reply_from_rows(campaign, rows)
     if ref is not None and ref.codes_offset is not None:
-        shm_transport.write_codes(ref, codes[num_golden : num_golden + len(batch_jobs)])
-        counters, _ = _reply_from_rows(campaign, rows)
-        return counters, None
-    return _reply_from_rows(campaign, rows)
+        shm_transport.write_codes(ref, [observed for _, observed, _ in rows])
+        return reply[0], None
+    return reply
 
 
-def _worker_run_scalar(specs: List[_JobSpec]) -> _BatchReply:
-    """Replay one job chunk on the worker's scalar reference injector."""
+def _worker_run_scalar(task: Tuple[int, JobArrays]) -> _BatchReply:
+    """Replay one ``(cycles, IR slice)`` job chunk on the scalar oracle."""
+    cycles, arrays = task
     campaign = _WORKER_CAMPAIGN
-    jobs = [
-        (
-            index,
-            tuple(Fault(net=net, effect=FaultEffect(effect)) for net, effect in spec),
-        )
-        for index, spec in specs
-    ]
-    return _reply_from_rows(campaign, campaign._evaluate_scalar(jobs))
-
-
-def _worker_run_temporal_scalar(task: Tuple[int, List[_TemporalJobSpec]]) -> _BatchReply:
-    """Replay one temporal job chunk on the worker's scalar reference injector."""
-    cycles, specs = task
-    campaign = _WORKER_CAMPAIGN
-    jobs = [(index, _spec_temporal_faults(spec)) for index, spec in specs]
-    return _reply_from_rows(campaign, campaign._evaluate_temporal_scalar(cycles, jobs))
+    jobs = arrays.to_jobs(campaign._net_names())
+    return _reply_from_rows(campaign, campaign._evaluate_scalar(cycles, jobs))
 
 
 # ----------------------------------------------------------------------
@@ -473,17 +397,16 @@ def _worker_run_temporal_scalar(task: Tuple[int, List[_TemporalJobSpec]]) -> _Ba
 class FaultCampaign:
     """Executes fault scenarios against one SCFI-protected netlist.
 
-    ``engine`` selects the evaluation backend: ``"parallel"`` compiles the
-    netlist once and evaluates batches of fault groups per pass on the
-    interpreted op list, ``"parallel-compiled"`` uses the source-compiled
-    evaluator generated by
-    :meth:`~repro.netlist.parallel.CompiledNetlist.compile_to_source` for the
-    same batches, and ``"scalar"`` replays every injection through the
-    reference :class:`~repro.fi.injector.ScfiFaultInjector`.
+    ``engine`` selects the evaluation backend: ``"parallel-numpy"`` (the
+    default) evaluates word-sliced uint64 lanes with vectorised numpy
+    kernels, ``"parallel"`` compiles the netlist once and evaluates batches
+    of fault groups per pass on Python bignum lane words, and ``"scalar"``
+    replays every injection through the reference
+    :class:`~repro.fi.injector.ScfiFaultInjector`.
 
     The bit-parallel engines pack lanes **across transition contexts** (one
     golden lane per distinct context in a pass, each asserted against the
-    analytic next-state code) so that campaigns over few nets but many
+    analytic fault-free trajectory) so that campaigns over few nets but many
     transitions still fill the lane budget; ``pack_contexts=False`` restores
     the one-context-per-pass batching for comparison benchmarks.
 
@@ -501,20 +424,15 @@ class FaultCampaign:
     def __init__(
         self,
         structure: ScfiNetlist,
-        engine: str = "parallel",
+        engine: str = DEFAULT_ENGINE,
         lane_width: Optional[int] = None,
         keep_outcomes: bool = False,
         pack_contexts: bool = True,
         workers: int = 1,
         use_shared_memory: bool = True,
-        dispatch: str = "auto",
     ):
         if engine not in self.ENGINES:
             raise ValueError(f"unknown engine {engine!r} (choose from {self.ENGINES})")
-        if dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"unknown dispatch {dispatch!r} (choose from {DISPATCH_MODES})"
-            )
         if lane_width is None:
             lane_width = ENGINE_INFO[engine].default_lane_width
         if not isinstance(lane_width, int) or isinstance(lane_width, bool) or lane_width < 1:
@@ -533,7 +451,6 @@ class FaultCampaign:
         self.pack_contexts = pack_contexts
         self.workers = workers
         self.use_shared_memory = use_shared_memory
-        self.dispatch = dispatch
         #: Transport of the most recent sharded execution ("shm"/"pickle"),
         #: None until one ran -- introspection for tests and diagnostics.
         self.last_transport: Optional[str] = None
@@ -542,7 +459,6 @@ class FaultCampaign:
         #: results, mirroring :attr:`last_transport`.
         self.last_dispatch: Optional[str] = None
         self.injector = ScfiFaultInjector(structure)
-        self._use_source = engine == "parallel-compiled"
         self._is_numpy = engine == "parallel-numpy"
         self._successors = cfg_successor_map(self.hardened.fsm)
         self._error_states = frozenset([self.hardened.error_state])
@@ -559,13 +475,11 @@ class FaultCampaign:
         self._registers: Dict[int, Dict[str, int]] = {}
         # Nets that read 1 in a context (lane-word assembly skips the zeros).
         self._ones: Dict[int, Tuple[List[str], List[str]]] = {}
-        # Classification is a pure function of (context, observed code).
-        self._classify_cache: Dict[Tuple[int, int], Tuple[Classification, Optional[str]]] = {}
         # Analytic fault-free trajectories per context: (state, code) at each
         # cycle, extended lazily as longer traces are requested.
         self._trajectories: Dict[int, List[Tuple[str, int]]] = {}
-        # Temporal classification memo: (context, cycles, observed code).
-        self._classify_temporal_cache: Dict[
+        # Classification is a pure function of (context, cycles, observed code).
+        self._classify_cache: Dict[
             Tuple[int, int, int], Tuple[Classification, Optional[str]]
         ] = {}
         # Plans keyed by job shape; contexts are fixed per campaign instance.
@@ -582,8 +496,7 @@ class FaultCampaign:
 
         ``fork`` lets workers inherit the netlist instead of re-importing and
         unpickling it; on platforms without it the default start method is
-        used and the initializer arguments travel by pickle (which
-        :class:`~repro.netlist.parallel.CompiledNetlist` supports).
+        used and the initializer arguments travel by pickle.
         """
         if self._pool is None:
             methods = multiprocessing.get_all_start_methods()
@@ -597,7 +510,6 @@ class FaultCampaign:
                     self.lane_width,
                     self.pack_contexts,
                     self.keep_outcomes,
-                    self.dispatch,
                 ),
             )
         return self._pool
@@ -697,10 +609,7 @@ class FaultCampaign:
         if not arrays.num_jobs:
             return result
         result.transitions_evaluated = int(np.unique(arrays.contexts).size)
-        if cycles > 1:
-            self._run_temporal_ir(arrays, cycles, result)
-        else:
-            self._run_single_ir(arrays, result)
+        self._run_ir(arrays, cycles, result)
         return result
 
     def lower_scenario(self, scenario, cycles: int = 1) -> JobArrays:
@@ -732,7 +641,7 @@ class FaultCampaign:
         array scatter OR-combines stuck values, and the fallback keeps
         counters identical to the oracle in that corner.
         """
-        if not self._is_numpy or self.keep_outcomes or self.dispatch == "spec-stream":
+        if not self._is_numpy or self.keep_outcomes:
             return False
         state_bits = len(self.structure.state_d)
         if not 0 < state_bits < 64 or len(self.contexts) > (1 << (63 - state_bits)):
@@ -756,26 +665,6 @@ class FaultCampaign:
         order = np.argsort(keys, kind="stable")
         keys, modes = keys[order], modes[order]
         return bool(np.any((keys[1:] == keys[:-1]) & (modes[1:] != modes[:-1])))
-
-    def _run_single_ir(self, arrays: JobArrays, result: CampaignResult) -> None:
-        """Execute a lowered single-cycle job stream."""
-        if self.engine == "scalar":
-            self.last_dispatch = "spec-stream"
-            jobs = arrays.to_jobs(self._net_names())
-            if self.workers > 1:
-                self._execute_scalar_sharded(jobs, result)
-            else:
-                self._record_rows(jobs, self._evaluate_scalar(jobs), result)
-            return
-        plan = self.plan_jobs(arrays.contexts.tolist())
-        native = self._use_array_native(arrays)
-        self.last_dispatch = "array-native" if native else "spec-stream"
-        if self.workers > 1:
-            self._execute_plan_sharded(plan, arrays, native, result)
-        elif native:
-            self._execute_plan_arrays(plan, arrays, result)
-        else:
-            self._execute_plan(plan, arrays.to_jobs(self._net_names()), result)
 
     def run_sweep(self, scenarios: Mapping[str, object]) -> Dict[str, CampaignResult]:
         """Execute several named scenarios.
@@ -938,25 +827,71 @@ class FaultCampaign:
     # ------------------------------------------------------------------
     # Execute phase
     # ------------------------------------------------------------------
-    def _execute_plan(self, plan: CampaignPlan, jobs: List[InjectionJob], result: CampaignResult) -> None:
-        for batch in plan.batches:
-            self._record_rows(jobs[batch.start : batch.stop], self._evaluate_batch(batch, jobs), result)
+    def _run_ir(self, arrays: JobArrays, cycles: int, result: CampaignResult) -> None:
+        """Execute a lowered job stream: one bounded trace per job.
 
-    def _execute_plan_arrays(
-        self, plan: CampaignPlan, arrays: JobArrays, result: CampaignResult
-    ) -> None:
-        """In-process array-native execution (numpy engine, counters only)."""
-        for batch in plan.batches:
-            codes = self._evaluate_batch_arrays(
-                batch, arrays.slice(batch.start, batch.stop)
-            )
-            counts = self._classified_counts(arrays.contexts[batch.start : batch.stop], codes)
-            for classification, count in zip(_CLASSIFICATIONS, counts):
-                if count:
-                    result.tally_bulk(classification, count)
+        Every job steps the compiled netlist ``cycles`` times with register
+        feedback (:meth:`~repro.netlist.parallel.CompiledNetlist.step_cycles`)
+        and is classified on its final state against the analytic fault-free
+        trajectory of its context; single-cycle scenarios are traces of one
+        cycle.  Plans depend only on the job shape, never on the trace
+        length, and sharded runs ship IR slices over the shared-memory (or
+        pickled) transport.  The array-native path handles arbitrary
+        per-fault cycle annotations (transient shots, persistent spots, mixed
+        schedules) at any worker count.
+        """
+        self._validate_ir_cycles(arrays, cycles)
+        if self.engine == "scalar":
+            self.last_dispatch = "spec-stream"
+            if self.workers > 1:
+                self._execute_scalar_sharded(cycles, arrays, result)
+            else:
+                jobs = arrays.to_jobs(self._net_names())
+                self._record_rows(jobs, self._evaluate_scalar(cycles, jobs), result)
+            return
+        plan = self.plan_jobs(arrays.contexts.tolist())
+        native = self._use_array_native(arrays)
+        self.last_dispatch = "array-native" if native else "spec-stream"
+        if self.workers > 1:
+            self._execute_plan_sharded(plan, cycles, arrays, native, result)
+        elif native:
+            for batch in plan.batches:
+                codes = self._evaluate_batch_arrays(
+                    batch, cycles, arrays.slice(batch.start, batch.stop)
+                )
+                counts = self._classified_counts(
+                    cycles, arrays.contexts[batch.start : batch.stop], codes
+                )
+                for classification, count in zip(_CLASSIFICATIONS, counts):
+                    if count:
+                        result.tally_bulk(classification, count)
+        else:
+            jobs = arrays.to_jobs(self._net_names())
+            for batch in plan.batches:
+                batch_jobs = jobs[batch.start : batch.stop]
+                self._record_rows(
+                    batch_jobs, self._evaluate_batch(batch, cycles, batch_jobs), result
+                )
+
+    @staticmethod
+    def _validate_ir_cycles(arrays: JobArrays, cycles: int) -> None:
+        """Reject fault cycles outside the trace (mirrors the object path)."""
+        if arrays.cycles is None:
+            return
+        bad = (arrays.cycles != EVERY_CYCLE) & (
+            (arrays.cycles < 0) | (arrays.cycles >= cycles)
+        )
+        if bool(np.any(bad)):
+            cycle = int(arrays.cycles[np.argmax(bad)])
+            raise ValueError(f"fault cycle {cycle} outside the {cycles}-cycle trace")
 
     def _execute_plan_sharded(
-        self, plan: CampaignPlan, arrays: JobArrays, native: bool, result: CampaignResult
+        self,
+        plan: CampaignPlan,
+        cycles: int,
+        arrays: JobArrays,
+        native: bool,
+        result: CampaignResult,
     ) -> None:
         """Dispatch planned IR batches to the pool; merge replies in plan order.
 
@@ -972,7 +907,8 @@ class FaultCampaign:
         """
         pool = self._ensure_pool()
         payloads = [
-            ("ir", native, arrays.slice(batch.start, batch.stop)) for batch in plan.batches
+            (native, cycles, arrays.slice(batch.start, batch.stop))
+            for batch in plan.batches
         ]
         segment = self._plan_segment(plan, want_codes=self.keep_outcomes)
         handles = segment.refs if segment is not None else list(plan.batches)
@@ -987,7 +923,9 @@ class FaultCampaign:
                 if self.keep_outcomes and rows is None and segment is not None:
                     self._record_rows(
                         batch_jobs,
-                        self._rows_from_codes(batch_jobs, segment.codes_for(handle)),
+                        self._rows_from_codes(
+                            cycles, batch_jobs, segment.codes_for(handle)
+                        ),
                         result,
                     )
                 else:
@@ -1011,7 +949,7 @@ class FaultCampaign:
         return segment
 
     def _rows_from_codes(
-        self, batch_jobs: Sequence[InjectionJob], codes: "np.ndarray"
+        self, cycles: int, batch_jobs: Sequence[InjectionJob], codes: "np.ndarray"
     ) -> List[_JobRow]:
         """Rebuild per-job outcome rows from shared-memory code slots.
 
@@ -1019,83 +957,50 @@ class FaultCampaign:
         rebuilt rows are identical to pickled ones."""
         rows: List[_JobRow] = []
         for (index, _), code in zip(batch_jobs, codes.tolist()):
-            classification, observed_state = self._classify(index, self._golden_code(index), code)
+            classification, observed_state = self._classify(index, cycles, code)
             rows.append((classification, code, observed_state))
         return rows
 
-    def _execute_scalar_sharded(self, jobs: List[InjectionJob], result: CampaignResult) -> None:
-        """Shard scalar-oracle jobs into contiguous chunks across the pool."""
-        pool = self._ensure_pool()
-        specs = _job_specs(jobs)
-        chunk = max(1, -(-len(jobs) // (self.workers * 4)))
-        bounds = range(0, len(jobs), chunk)
-        chunks = [specs[i : i + chunk] for i in bounds]
-        for start, reply in zip(bounds, pool.imap(_worker_run_scalar, chunks)):
-            self._merge_reply(jobs[start : start + chunk], reply, result)
-
-    # ------------------------------------------------------------------
-    # Temporal (multi-cycle) execution
-    # ------------------------------------------------------------------
-    def _run_temporal_ir(
-        self, arrays: JobArrays, cycles: int, result: CampaignResult
+    def _execute_scalar_sharded(
+        self, cycles: int, arrays: JobArrays, result: CampaignResult
     ) -> None:
-        """Execute a lowered multi-cycle job stream: bounded traces per job.
+        """Shard scalar-oracle traces into contiguous IR chunks across the pool."""
+        pool = self._ensure_pool()
+        total = arrays.num_jobs
+        chunk = max(1, -(-total // (self.workers * 4)))
+        bounds = range(0, total, chunk)
+        tasks = [(cycles, arrays.slice(i, min(i + chunk, total))) for i in bounds]
+        jobs = arrays.to_jobs(self._net_names()) if self.keep_outcomes else None
+        for start, reply in zip(bounds, pool.imap(_worker_run_scalar, tasks)):
+            batch_jobs = jobs[start : start + chunk] if jobs is not None else ()
+            self._merge_reply(batch_jobs, reply, result)
 
-        Every job steps the compiled netlist ``cycles`` times with register
-        feedback (:meth:`~repro.netlist.parallel.CompiledNetlist.step_cycles`)
-        and is classified on its final state against the analytic fault-free
-        trajectory of its context.  Plans are shared with the single-cycle
-        paths -- the lane packing depends only on the job shape, never on the
-        trace length -- and sharded runs ship IR slices over the same
-        shared-memory (or pickled) transport.  The array-native path handles
-        arbitrary per-fault cycle annotations (transient shots, persistent
-        spots, mixed schedules) at any worker count.
+    def _merge_reply(
+        self, jobs: Sequence[InjectionJob], reply: _BatchReply, result: CampaignResult
+    ) -> None:
+        """Fold one worker reply into the result, preserving job order.
+
+        Counters are merged as-is (the worker classified every job with the
+        same memoised rule the parent would apply); with ``keep_outcomes`` the
+        per-job rows are re-hydrated into :class:`FaultOutcome` records.
         """
-        self._validate_ir_cycles(arrays, cycles)
-        if self.engine == "scalar":
-            self.last_dispatch = "spec-stream"
-            jobs = arrays.to_jobs(self._net_names())
-            if self.workers > 1:
-                self._execute_temporal_scalar_sharded(cycles, jobs, result)
-            else:
-                self._record_rows(jobs, self._evaluate_temporal_scalar(cycles, jobs), result)
+        counters, rows = reply
+        if result.keep_outcomes:
+            if rows is None:
+                raise RuntimeError("worker returned no rows for a keep_outcomes campaign")
+            hydrated: List[_JobRow] = [
+                (_CLASSIFICATIONS[cls_index], observed, observed_state)
+                for cls_index, observed, observed_state in rows
+            ]
+            self._record_rows(jobs, hydrated, result)
             return
-        plan = self.plan_jobs(arrays.contexts.tolist())
-        native = self._use_array_native(arrays)
-        self.last_dispatch = "array-native" if native else "spec-stream"
-        if self.workers > 1:
-            self._execute_temporal_plan_sharded(plan, cycles, arrays, native, result)
-            return
-        if native:
-            for batch in plan.batches:
-                codes = self._evaluate_temporal_batch_arrays(
-                    batch, cycles, arrays.slice(batch.start, batch.stop)
-                )
-                counts = self._classified_counts_temporal(
-                    cycles, arrays.contexts[batch.start : batch.stop], codes
-                )
-                for classification, count in zip(_CLASSIFICATIONS, counts):
-                    if count:
-                        result.tally_bulk(classification, count)
-            return
-        jobs = arrays.to_jobs(self._net_names())
-        for batch in plan.batches:
-            batch_jobs = jobs[batch.start : batch.stop]
-            rows = self._evaluate_temporal_batch(batch, cycles, batch_jobs)
-            self._record_rows(batch_jobs, rows, result)
+        for classification, count in zip(_CLASSIFICATIONS, counters):
+            if count:
+                result.tally_bulk(classification, count)
 
-    @staticmethod
-    def _validate_ir_cycles(arrays: JobArrays, cycles: int) -> None:
-        """Reject fault cycles outside the trace (mirrors the object path)."""
-        if arrays.cycles is None:
-            return
-        bad = (arrays.cycles != EVERY_CYCLE) & (
-            (arrays.cycles < 0) | (arrays.cycles >= cycles)
-        )
-        if bool(np.any(bad)):
-            cycle = int(arrays.cycles[np.argmax(bad)])
-            raise ValueError(f"fault cycle {cycle} outside the {cycles}-cycle trace")
-
+    # ------------------------------------------------------------------
+    # Batch evaluation
+    # ------------------------------------------------------------------
     def _cycle_fault_lanes(
         self, batch_jobs: Sequence[InjectionJob], cycles: int, num_golden: int
     ) -> List[List[Optional[FaultSet]]]:
@@ -1117,131 +1022,50 @@ class FaultCampaign:
             per_cycle.append(lanes)
         return per_cycle
 
-    def _evaluate_temporal_batch(
+    def _evaluate_batch(
         self, batch: PlannedBatch, cycles: int, batch_jobs: Sequence[InjectionJob]
     ) -> List[_JobRow]:
-        """One multi-cycle pass over a planned batch: rows in job order.
+        """One spec-stream pass over a planned batch: rows in job order.
 
         Golden lanes are asserted against the analytic trajectory after the
         final cycle; error/invalid states are sticky in the SCFI netlist, so
-        the final-state check subsumes the per-cycle ones.
+        the final-state check subsumes the per-cycle ones.  Runs identically
+        in the parent (``workers=1``) and in pool workers.
         """
         num_golden = len(batch.golden_contexts)
         cycle_lanes = self._cycle_fault_lanes(batch_jobs, cycles, num_golden)
         if batch.input_words is None:
+            # Single-context batch: broadcast the context vectors to all lanes.
             encoded, registers = self._context_vectors(batch.golden_contexts[0])
-            values = self.compiled.step_cycles(
-                encoded, cycle_lanes, registers=registers, use_source=self._use_source
-            )
+            values = self.compiled.step_cycles(encoded, cycle_lanes, registers=registers)
         else:
             values = self.compiled.step_cycles(
                 batch.input_words,
                 cycle_lanes,
                 registers=batch.register_words,
                 lane_words=True,
-                use_source=self._use_source,
             )
         codes = values.read_words_by_id(self._state_d())
         for lane, index in enumerate(batch.golden_contexts):
-            self._check_golden_temporal(index, cycles, codes[lane])
+            self._check_golden(index, cycles, codes[lane])
         rows: List[_JobRow] = []
         for lane, (index, _) in enumerate(batch_jobs, start=num_golden):
             observed = codes[lane]
-            classification, observed_state = self._classify_temporal(index, cycles, observed)
+            classification, observed_state = self._classify(index, cycles, observed)
             rows.append((classification, observed, observed_state))
         return rows
 
-    def _execute_temporal_plan_sharded(
-        self,
-        plan: CampaignPlan,
-        cycles: int,
-        arrays: JobArrays,
-        native: bool,
-        result: CampaignResult,
-    ) -> None:
-        """Dispatch temporal IR batches to the pool (shm or pickled transport)."""
-        pool = self._ensure_pool()
-        payloads = [
-            ("ir-temporal", native, cycles, arrays.slice(batch.start, batch.stop))
-            for batch in plan.batches
-        ]
-        segment = self._plan_segment(plan, want_codes=self.keep_outcomes)
-        handles = segment.refs if segment is not None else list(plan.batches)
-        jobs = arrays.to_jobs(self._net_names()) if self.keep_outcomes else None
-        try:
-            tasks = list(zip(handles, payloads))
-            for batch, handle, reply in zip(
-                plan.batches, handles, pool.imap(_worker_run_batch, tasks)
-            ):
-                batch_jobs = jobs[batch.start : batch.stop] if jobs is not None else ()
-                counters, rows = reply
-                if self.keep_outcomes and rows is None and segment is not None:
-                    self._record_rows(
-                        batch_jobs,
-                        self._temporal_rows_from_codes(
-                            cycles, batch_jobs, segment.codes_for(handle)
-                        ),
-                        result,
-                    )
-                else:
-                    self._merge_reply(batch_jobs, reply, result)
-        finally:
-            if segment is not None:
-                segment.close()
-
-    def _temporal_rows_from_codes(
-        self, cycles: int, batch_jobs: Sequence[InjectionJob], codes: "np.ndarray"
-    ) -> List[_JobRow]:
-        """Rebuild temporal outcome rows from shared-memory code slots."""
-        rows: List[_JobRow] = []
-        for (index, _), code in zip(batch_jobs, codes.tolist()):
-            classification, observed_state = self._classify_temporal(index, cycles, code)
-            rows.append((classification, code, observed_state))
-        return rows
-
-    def _execute_temporal_scalar_sharded(
-        self, cycles: int, jobs: List[InjectionJob], result: CampaignResult
-    ) -> None:
-        """Shard temporal scalar-oracle traces into contiguous chunks."""
-        pool = self._ensure_pool()
-        specs = _temporal_job_specs(jobs)
-        chunk = max(1, -(-len(jobs) // (self.workers * 4)))
-        bounds = range(0, len(jobs), chunk)
-        chunks = [(cycles, specs[i : i + chunk]) for i in bounds]
-        for start, reply in zip(bounds, pool.imap(_worker_run_temporal_scalar, chunks)):
-            self._merge_reply(jobs[start : start + chunk], reply, result)
-
-    def _evaluate_temporal_scalar(
-        self, cycles: int, jobs: Sequence[InjectionJob]
-    ) -> List[_JobRow]:
-        """Replay temporal jobs one trace at a time on the reference injector."""
-        rows: List[_JobRow] = []
-        for index, faults in jobs:
-            edge, inputs = self.contexts[index]
-            cycle_faults = [
-                tuple(
-                    fault
-                    for fault in faults
-                    if fault.cycle is None or fault.cycle == cycle
-                )
-                for cycle in range(cycles)
-            ]
-            observed = self.injector.trace_code(edge, inputs, cycle_faults)
-            classification, observed_state = self._classify_temporal(index, cycles, observed)
-            rows.append((classification, observed, observed_state))
-        return rows
-
-    def _evaluate_temporal_batch_arrays(
+    def _evaluate_batch_arrays(
         self, batch: PlannedBatch, cycles: int, arrays: JobArrays
     ) -> "np.ndarray":
-        """One array-native multi-cycle pass (numpy engine): per-job codes.
+        """One array-native pass (numpy engine): per-job observed codes.
 
-        ``arrays`` is the batch's IR slice; fault groups become grouped lanes
-        (every fault of job ``i`` lands on lane ``num_golden + i``), and the
-        per-fault cycle annotations select which faults are live in each
-        cycle of the trace -- transient shots, persistent spots and mixed
-        schedules all lower to the same per-cycle triples.  Runs identically
-        in the parent and in pool workers.
+        ``arrays`` is the batch's IR slice; fault *groups* become grouped
+        lanes -- every fault of job ``i`` lands on lane ``num_golden + i``,
+        so a multi-net laser-spot group occupies a single fault lane, exactly
+        like ``FaultSet.apply`` on the object path -- and the per-fault cycle
+        annotations select which faults are live in each cycle of the trace.
+        Runs identically in the parent and in pool workers.
         """
         num_golden = len(batch.golden_contexts)
         num_jobs = arrays.num_jobs
@@ -1274,13 +1098,18 @@ class FaultCampaign:
             )
         codes = values.code_array_by_id(self._state_d())
         for lane, index in enumerate(batch.golden_contexts):
-            self._check_golden_temporal(index, cycles, int(codes[lane]))
+            self._check_golden(index, cycles, int(codes[lane]))
         return codes[num_golden:]
 
-    def _classified_counts_temporal(
+    def _classified_counts(
         self, cycles: int, job_contexts: "np.ndarray", codes: "np.ndarray"
     ) -> List[int]:
-        """Vectorised per-classification counts of one temporal batch."""
+        """Per-classification counts of one batch, classified vectorially.
+
+        ``(context, code)`` pairs collapse into one uint64 key (the array
+        path only activates for sub-64-bit state codes), and only the unique
+        pairs go through the memoised scalar classifier.
+        """
         state_bits = len(self.structure.state_d)
         keys = (job_contexts.astype(np.uint64) << np.uint64(state_bits)) | codes
         unique, inverse = np.unique(keys, return_inverse=True)
@@ -1288,104 +1117,32 @@ class FaultCampaign:
         class_index = np.empty(unique.size, dtype=np.intp)
         for i, key in enumerate(unique.tolist()):
             index = key >> state_bits
-            classification, _ = self._classify_temporal(index, cycles, key & code_mask)
+            classification, _ = self._classify(index, cycles, key & code_mask)
             class_index[i] = _CLASSIFICATION_INDEX[classification]
         counts = np.bincount(class_index[inverse], minlength=len(_CLASSIFICATIONS))
         return counts.tolist()
 
-    def _trajectory(self, index: int, cycles: int) -> List[Tuple[str, int]]:
-        """The analytic fault-free trajectory of one context, ``cycles`` deep.
-
-        Entry ``t`` is the (state, encoded code) the golden lane holds after
-        ``t`` clock edges with the context's activating inputs held constant;
-        entry 1 is the context edge's destination by construction, and later
-        entries follow :meth:`HardenedFsm.next_state` (stay edges / guard
-        priority included), which the netlist implements gate for gate.
-        """
-        trajectory = self._trajectories.get(index)
-        if trajectory is None:
-            edge, _ = self.contexts[index]
-            encoding = self.hardened.state_encoding
-            trajectory = [(edge.src, encoding[edge.src]), (edge.dst, encoding[edge.dst])]
-            self._trajectories[index] = trajectory
-        if len(trajectory) <= cycles:
-            _, inputs = self.contexts[index]
-            while len(trajectory) <= cycles:
-                step = self.hardened.next_state(trajectory[-1][0], inputs)
-                trajectory.append((step.next_state, step.next_code))
-        return trajectory
-
-    def _temporal_golden(self, index: int, cycles: int) -> Tuple[int, frozenset]:
-        """(analytic final code, CFG successors of the pre-final state)."""
-        trajectory = self._trajectory(index, cycles)
-        prev_state = trajectory[cycles - 1][0]
-        return trajectory[cycles][1], self._successors.get(prev_state, frozenset())
-
-    def _check_golden_temporal(self, index: int, cycles: int, observed: int) -> int:
-        """Assert one golden lane against the analytic trajectory code."""
-        golden, _ = self._temporal_golden(index, cycles)
-        if observed != golden:
-            edge, _ = self.contexts[index]
-            raise RuntimeError(
-                f"bit-parallel golden lane diverged after {cycles} cycles on edge "
-                f"{edge.src}->{edge.dst}: expected {golden:#x}, simulated {observed:#x}"
-            )
-        return golden
-
-    def _classify_temporal(
-        self, index: int, cycles: int, observed: int
-    ) -> Tuple[Classification, Optional[str]]:
-        """Classify one trace's final code (memoised per context/length/code)."""
-        key = (index, cycles, observed)
-        cached = self._classify_temporal_cache.get(key)
-        if cached is None:
-            golden, successors = self._temporal_golden(index, cycles)
-            observed_state = self.hardened.decode_state(observed)
-            classification = classify_observation(
-                golden,
-                observed,
-                observed_state,
-                error_states=self._error_states,
-                cfg_successors=successors,
-            )
-            cached = (classification, observed_state)
-            self._classify_temporal_cache[key] = cached
-        return cached
-
-    def _merge_reply(
-        self, jobs: Sequence[InjectionJob], reply: _BatchReply, result: CampaignResult
-    ) -> None:
-        """Fold one worker reply into the result, preserving job order.
-
-        Counters are merged as-is (the worker classified every job with the
-        same memoised rule the parent would apply); with ``keep_outcomes`` the
-        per-job rows are re-hydrated into :class:`FaultOutcome` records.
-        """
-        counters, rows = reply
-        if result.keep_outcomes:
-            if rows is None:
-                raise RuntimeError("worker returned no rows for a keep_outcomes campaign")
-            hydrated: List[_JobRow] = [
-                (_CLASSIFICATIONS[cls_index], observed, observed_state)
-                for cls_index, observed, observed_state in rows
-            ]
-            self._record_rows(jobs, hydrated, result)
-            return
-        for classification, count in zip(_CLASSIFICATIONS, counters):
-            if count:
-                result.tally_bulk(classification, count)
-
-    def _evaluate_scalar(self, jobs: Sequence[InjectionJob]) -> List[_JobRow]:
-        """Replay jobs one at a time on the reference injector."""
+    def _evaluate_scalar(self, cycles: int, jobs: Sequence[InjectionJob]) -> List[_JobRow]:
+        """Replay jobs one trace at a time on the reference injector."""
         rows: List[_JobRow] = []
         for index, faults in jobs:
             edge, inputs = self.contexts[index]
-            golden = self.hardened.state_encoding[edge.dst]
-            observed = self.injector.next_code(edge, inputs, faults=faults)
-            classification, observed_state = self._classify(index, golden, observed)
+            cycle_faults = [
+                tuple(
+                    fault
+                    for fault in faults
+                    if fault.cycle is None or fault.cycle == cycle
+                )
+                for cycle in range(cycles)
+            ]
+            observed = self.injector.trace_code(edge, inputs, cycle_faults)
+            classification, observed_state = self._classify(index, cycles, observed)
             rows.append((classification, observed, observed_state))
         return rows
 
+    # ------------------------------------------------------------------
+    # Contexts, golden trajectories and classification
+    # ------------------------------------------------------------------
     def _context_vectors(self, index: int) -> Tuple[Dict[str, int], Dict[str, int]]:
         encoded = self._encoded_inputs.get(index)
         if encoded is None:
@@ -1417,137 +1174,59 @@ class FaultCampaign:
             self._state_d_ids = [net_id[net] for net in self.structure.state_d]
         return self._state_d_ids
 
-    def _golden_code(self, index: int) -> int:
-        """The analytic next-state code of one transition context."""
-        edge, _ = self.contexts[index]
-        return self.hardened.state_encoding[edge.dst]
+    def _trajectory(self, index: int, cycles: int) -> List[Tuple[str, int]]:
+        """The analytic fault-free trajectory of one context, ``cycles`` deep.
 
-    def _check_golden(self, index: int, observed: int) -> int:
-        """Assert one golden lane against the analytic next-state code."""
-        golden = self._golden_code(index)
+        Entry ``t`` is the (state, encoded code) the golden lane holds after
+        ``t`` clock edges with the context's activating inputs held constant;
+        entry 1 is the context edge's destination by construction, and later
+        entries follow :meth:`HardenedFsm.next_state` (stay edges / guard
+        priority included), which the netlist implements gate for gate.
+        """
+        trajectory = self._trajectories.get(index)
+        if trajectory is None:
+            edge, _ = self.contexts[index]
+            encoding = self.hardened.state_encoding
+            trajectory = [(edge.src, encoding[edge.src]), (edge.dst, encoding[edge.dst])]
+            self._trajectories[index] = trajectory
+        if len(trajectory) <= cycles:
+            _, inputs = self.contexts[index]
+            while len(trajectory) <= cycles:
+                step = self.hardened.next_state(trajectory[-1][0], inputs)
+                trajectory.append((step.next_state, step.next_code))
+        return trajectory
+
+    def _golden(self, index: int, cycles: int) -> Tuple[int, frozenset]:
+        """(analytic final code, CFG successors of the pre-final state)."""
+        trajectory = self._trajectory(index, cycles)
+        prev_state = trajectory[cycles - 1][0]
+        return trajectory[cycles][1], self._successors.get(prev_state, frozenset())
+
+    def _check_golden(self, index: int, cycles: int, observed: int) -> None:
+        """Assert one golden lane against the analytic trajectory code."""
+        golden, _ = self._golden(index, cycles)
         if observed != golden:
             edge, _ = self.contexts[index]
             raise RuntimeError(
-                f"bit-parallel golden lane diverged on edge {edge.src}->{edge.dst}: "
-                f"expected {golden:#x}, simulated {observed:#x}"
+                f"bit-parallel golden lane diverged after {cycles} cycle(s) on edge "
+                f"{edge.src}->{edge.dst}: expected {golden:#x}, simulated {observed:#x}"
             )
-        return golden
 
-    def _evaluate_batch(self, batch: PlannedBatch, jobs: Sequence[InjectionJob]) -> List[_JobRow]:
-        """One pass over the compiled netlist: goldens first, then job lanes.
-
-        Returns one row per job of the batch, in job order.  Runs identically
-        in the parent (``workers=1``) and in pool workers; the golden-lane
-        divergence check raises :class:`RuntimeError` from either side.
-        """
-        batch_jobs = jobs[batch.start : batch.stop]
-        num_golden = len(batch.golden_contexts)
-        fault_lanes: List[Optional[FaultSet]] = [None] * num_golden
-        fault_lanes.extend(fault_set(faults) for _, faults in batch_jobs)
-        codes, goldens = self._evaluate_batch_codes(batch, fault_lanes)
-        rows: List[_JobRow] = []
-        for lane, (index, _) in enumerate(batch_jobs, start=num_golden):
-            observed = codes[lane]
-            classification, observed_state = self._classify(index, goldens[index], observed)
-            rows.append((classification, observed, observed_state))
-        return rows
-
-    def _evaluate_batch_codes(
-        self, batch: PlannedBatch, fault_lanes: List[Optional[FaultSet]]
-    ) -> Tuple[List[int], Dict[int, int]]:
-        """Evaluate one planned batch: (per-lane codes, per-context goldens)."""
-        if batch.input_words is None:
-            # Single-context batch: broadcast the context vectors to all lanes.
-            encoded, registers = self._context_vectors(batch.golden_contexts[0])
-            values = self.compiled.evaluate(
-                encoded, fault_lanes=fault_lanes, registers=registers, use_source=self._use_source
-            )
-        else:
-            values = self.compiled.evaluate(
-                batch.input_words,
-                fault_lanes=fault_lanes,
-                registers=batch.register_words,
-                lane_words=True,
-                use_source=self._use_source,
-            )
-        codes = values.read_words_by_id(self._state_d())
-        goldens = {
-            index: self._check_golden(index, codes[lane])
-            for lane, index in enumerate(batch.golden_contexts)
-        }
-        return codes, goldens
-
-    def _evaluate_batch_arrays(
-        self, batch: PlannedBatch, arrays: JobArrays
-    ) -> "np.ndarray":
-        """One array-native pass (numpy engine): per-job observed codes.
-
-        ``arrays`` is the batch's IR slice; fault *groups* become grouped
-        lanes -- every fault of job ``i`` lands on lane ``num_golden + i``,
-        so a multi-net laser-spot group occupies a single fault lane, exactly
-        like ``FaultSet.apply`` on the object path.  Golden lanes are checked
-        against the analytic next state exactly like the generic path.
-        """
-        num_golden = len(batch.golden_contexts)
-        num_jobs = arrays.num_jobs
-        num_lanes = num_golden + num_jobs
-        lanes = (
-            num_golden + np.repeat(np.arange(num_jobs, dtype=np.intp), arrays.group_sizes())
-        ).astype(np.uint64)
-        if batch.input_words is None:
-            encoded, registers = self._context_vectors(batch.golden_contexts[0])
-            values = self.compiled.evaluate_fault_arrays(
-                encoded, arrays.net_rows, lanes, arrays.modes, num_lanes, registers=registers
-            )
-        else:
-            values = self.compiled.evaluate_fault_arrays(
-                batch.input_words,
-                arrays.net_rows,
-                lanes,
-                arrays.modes,
-                num_lanes,
-                registers=batch.register_words,
-                lane_words=True,
-            )
-        codes = values.code_array_by_id(self._state_d())
-        for lane, index in enumerate(batch.golden_contexts):
-            self._check_golden(index, int(codes[lane]))
-        return codes[num_golden:]
-
-    def _classified_counts(self, job_contexts: "np.ndarray", codes: "np.ndarray") -> List[int]:
-        """Per-classification counts of one batch, classified vectorially.
-
-        ``(context, code)`` pairs collapse into one uint64 key (the array
-        path only activates for sub-64-bit state codes), and only the unique
-        pairs go through the memoised scalar classifier.
-        """
-        state_bits = len(self.structure.state_d)
-        keys = (job_contexts.astype(np.uint64) << np.uint64(state_bits)) | codes
-        unique, inverse = np.unique(keys, return_inverse=True)
-        code_mask = (1 << state_bits) - 1
-        class_index = np.empty(unique.size, dtype=np.intp)
-        for i, key in enumerate(unique.tolist()):
-            index = key >> state_bits
-            classification, _ = self._classify(index, self._golden_code(index), key & code_mask)
-            class_index[i] = _CLASSIFICATION_INDEX[classification]
-        counts = np.bincount(class_index[inverse], minlength=len(_CLASSIFICATIONS))
-        return counts.tolist()
-
-    # ------------------------------------------------------------------
-    def _classify(self, index: int, golden: int, observed: int) -> Tuple[Classification, Optional[str]]:
-        # Classification only depends on (context, observed code): memoise it
-        # so dense campaigns do not re-derive the same verdict per injection.
-        key = (index, observed)
+    def _classify(
+        self, index: int, cycles: int, observed: int
+    ) -> Tuple[Classification, Optional[str]]:
+        """Classify one trace's final code (memoised per context/length/code)."""
+        key = (index, cycles, observed)
         cached = self._classify_cache.get(key)
         if cached is None:
-            edge, _ = self.contexts[index]
+            golden, successors = self._golden(index, cycles)
             observed_state = self.hardened.decode_state(observed)
             classification = classify_observation(
                 golden,
                 observed,
                 observed_state,
                 error_states=self._error_states,
-                cfg_successors=self._successors.get(edge.src, frozenset()),
+                cfg_successors=successors,
             )
             cached = (classification, observed_state)
             self._classify_cache[key] = cached
@@ -1573,4 +1252,3 @@ class FaultCampaign:
         else:
             for classification, _, _ in rows:
                 result.tally(classification)
-

@@ -55,6 +55,7 @@ class ScfiFaultInjector:
         self.hardened = structure.hardened
         self.simulator = NetlistSimulator(structure.netlist)
         self._successors = cfg_successor_map(structure.hardened.fsm)
+        self._flops = structure.netlist.flops()
 
     # ------------------------------------------------------------------
     def _context(self, edge: CfgEdge, inputs: Mapping[str, int]) -> Dict[str, int]:
@@ -98,13 +99,13 @@ class ScfiFaultInjector:
         registers = {
             net: (state_code >> i) & 1 for i, net in enumerate(self.structure.state_q)
         }
-        flops = self.structure.netlist.flops()
         values: Mapping[str, int] = {}
-        for faults in cycle_faults:
+        for cycle, faults in enumerate(cycle_faults):
+            if cycle:
+                registers = {flop.output: values[flop.inputs[0]] for flop in self._flops}
             values = self.simulator.evaluate(
                 encoded_inputs, faults=fault_set(faults), registers=registers
             )
-            registers = {flop.output: values[flop.inputs[0]] for flop in flops}
         return self.simulator.read_word(values, self.structure.state_d)
 
     def classify(

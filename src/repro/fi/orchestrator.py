@@ -41,28 +41,24 @@ from repro.fi.planner import (
     PlannedBatch,
 )
 from repro.fi.executor import (
+    DEFAULT_ENGINE,
     DEFAULT_LANE_WIDTH,
     DEFAULT_NUMPY_LANE_WIDTH,
-    DISPATCH_MODES,
     ENGINE_INFO,
     CampaignResult,
     EngineInfo,
     FaultCampaign,
     _CLASSIFICATIONS,
-    _job_specs,
-    _spec_temporal_faults,
-    _temporal_job_specs,
     _worker_init,
     _worker_run_batch,
     _worker_run_scalar,
-    _worker_run_temporal_scalar,
     fault_set,
 )
 
 __all__ = [
+    "DEFAULT_ENGINE",
     "DEFAULT_LANE_WIDTH",
     "DEFAULT_NUMPY_LANE_WIDTH",
-    "DISPATCH_MODES",
     "ENGINE_INFO",
     "EVERY_CYCLE",
     "FAULT_DURATIONS",

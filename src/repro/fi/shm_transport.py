@@ -14,7 +14,7 @@ pickling big Python ints over the pool pipe:
   :class:`ShmBatchRef` naming the segment and the offsets;
 * **workers** attach the segment once per name (cached;
   :func:`attach_segment`), read the lane words in place -- the numpy engine
-  consumes the rows zero-copy, the bignum engines rebuild their ints -- and
+  consumes the rows zero-copy, the bignum engine rebuilds its ints -- and
   write per-job observed codes back into the batch's code slots;
 * the parent reads each batch's codes as its pool reply arrives, and
   **unlinks the segment deterministically** in a ``finally`` block, so
@@ -239,7 +239,7 @@ def batch_words(ref: ShmBatchRef) -> Tuple[Optional[np.ndarray], Optional[np.nda
     """One batch's (input rows, register rows) as 2D uint64 views.
 
     Returns ``(None, None)`` for broadcast batches.  Rows alias the shared
-    segment -- zero-copy for the numpy engine; bignum engines convert via
+    segment -- zero-copy for the numpy engine; the bignum engine converts via
     :func:`rows_to_ints`.
     """
     if ref.input_nets is None:

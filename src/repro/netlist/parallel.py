@@ -21,35 +21,26 @@ every lane (the common single-context case) or, with ``lane_words=True``, as
 ready-made ``W``-bit lane words so that different lanes can simulate
 *different transition contexts* in the same pass -- that is what lets the
 campaign layer pack few-nets/many-transitions sweeps densely into lanes.
-
-Two evaluators share the op list:
-
-* the interpreted loop dispatches on small int opcodes per op; and
-* :meth:`CompiledNetlist.compile_to_source` generates the straight-line Python
-  source of the whole op list (one function, ``exec``'d once and cached per
-  netlist), which removes the dispatch/loop overhead for another constant
-  factor -- selected with ``evaluate(..., use_source=True)`` and exposed as
-  ``engine="parallel-compiled"`` by the campaign layer.
+:meth:`CompiledNetlist.step_cycles` chains passes with register feedback for
+multi-cycle traces.
 
 One pass over the op list simulates up to ``W`` evaluations, which is where
-the 10-50x campaign speedups come from: the Python interpreter overhead per
-gate is paid once per *batch* instead of once per *injection*.  The scalar
-simulator remains available as a cross-check oracle (see
+the 10-50x campaign speedups over the scalar simulator come from: the Python
+interpreter overhead per gate is paid once per *batch* instead of once per
+*injection*.  The op list is also the compile front end of the word-sliced
+numpy engine (:mod:`repro.netlist.parallel_np`).  The scalar simulator
+remains available as a cross-check oracle (see
 ``tests/test_parallel_sim.py``).
 
-Compiled netlists are also the per-worker unit of the process-sharded
-campaign executor (:mod:`repro.fi.orchestrator`, ``workers=N``): every worker
-process compiles its own instance once from the netlist it receives at pool
-startup (only the netlist crosses the process boundary, not the compiled
-form).  Instances nevertheless survive pickling -- the ``exec``'d source
-evaluator is dropped on ``__getstate__`` and lazily rebuilt from the
-(deterministic) generated source on the other side -- so embedding one in an
-object that *is* shipped to a worker does not crash on the code object.
+Compiled netlists are the per-worker unit of the process-sharded campaign
+executor (:mod:`repro.fi.executor`, ``workers=N``): every worker process
+compiles its own instance once from the netlist it receives at pool startup
+(only the netlist crosses the process boundary, not the compiled form).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 try:  # numpy accelerates the lane-word transposes; the engines work without it
     import numpy as _np
@@ -87,23 +78,6 @@ _OPCODE = {
     GateType.MUX2: _OP_MUX2,
 }
 
-#: Straight-line source of one op, keyed by opcode (``{o}``/``{a}``/``{b}``/
-#: ``{s}`` are the dense net ids of output, operands and mux select).
-_OP_SOURCE = {
-    _OP_TIE0: "v{o} = 0",
-    _OP_TIE1: "v{o} = mask",
-    _OP_BUF: "v{o} = v{a}",
-    _OP_INV: "v{o} = v{a} ^ mask",
-    _OP_AND2: "v{o} = v{a} & v{b}",
-    _OP_NAND2: "v{o} = (v{a} & v{b}) ^ mask",
-    _OP_OR2: "v{o} = v{a} | v{b}",
-    _OP_NOR2: "v{o} = (v{a} | v{b}) ^ mask",
-    _OP_XOR2: "v{o} = v{a} ^ v{b}",
-    _OP_XNOR2: "v{o} = (v{a} ^ v{b}) ^ mask",
-    _OP_MUX2: "v{o} = v{a} ^ ((v{a} ^ v{b}) & v{s})",
-}
-
-
 #: Below this many (lanes x bits) cells the plain shift loop beats the numpy
 #: transpose (array setup dominates); above it the byte-level path wins by an
 #: order of magnitude on wide batches.
@@ -120,7 +94,7 @@ def lane_codes_from_byte_rows(rows, num_lanes: int) -> List[int]:
     exactly what the O(lanes x bits) shift loop of
     :meth:`LaneValues.read_words_by_id` used to produce, but vectorised: one
     ``unpackbits`` plus either a weighted column sum (codes below 64 bits) or
-    a ``packbits`` re-pack (arbitrary width).  Shared by the bignum engines
+    a ``packbits`` re-pack (arbitrary width).  Shared by the bignum engine
     and :mod:`repro.netlist.parallel_np`.
     """
     num_bits = rows.shape[0]
@@ -245,27 +219,6 @@ class CompiledNetlist:
         ]
         self._d_id_of: Dict[str, int] = dict(self.flop_d_ids)
         self.num_nets = len(self.net_id)
-        self._source: Optional[str] = None
-        self._source_fn: Optional[Callable] = None
-
-    # ------------------------------------------------------------------
-    # Pickling (process-sharded campaigns)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        """Drop the ``exec``'d evaluator: code objects do not pickle.
-
-        The sharded campaign executor itself only ships the *netlist* to its
-        workers (each compiles its own instance), but a compiled netlist
-        embedded in any object that does cross a process boundary must not
-        crash the pickle; the generated source is deterministic, so the
-        receiving side simply re-``exec``'s it on first use.
-        """
-        state = dict(self.__dict__)
-        state["_source_fn"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # Fault-lane compilation
@@ -316,65 +269,6 @@ class CompiledNetlist:
         return flips, stuck
 
     # ------------------------------------------------------------------
-    # Source compilation
-    # ------------------------------------------------------------------
-    def compile_to_source(self) -> str:
-        """The straight-line Python source of the op list.
-
-        The generated module defines one function ``_evaluate_ops(values,
-        mask, stuck, flips)`` that reads sourced input/register words from
-        ``values``, evaluates every op into a local variable (no dispatch, no
-        loop, no tuple indexing) with the per-net fault words applied in
-        place, and writes every op output back into ``values``.  The source is
-        deterministic and cached; :meth:`source_evaluator` ``exec``'s it once
-        per netlist.
-        """
-        if self._source is not None:
-            return self._source
-        lines = [
-            "def _evaluate_ops(values, mask, stuck, flips):",
-            "    stuck_get = stuck.get",
-            "    flips_get = flips.get",
-            "    faulted = True if stuck or flips else False",
-        ]
-        for _, net_id in self.input_ids:
-            lines.append(f"    v{net_id} = values[{net_id}]")
-        for _, net_id in self.register_ids:
-            lines.append(f"    v{net_id} = values[{net_id}]")
-        for op in self.ops:
-            code, out = op[0], op[1]
-            operands = {"o": out}
-            if len(op) > 2:
-                operands["a"] = op[2]
-            if len(op) > 3:
-                operands["b"] = op[3]
-            if len(op) > 4:
-                operands["s"] = op[4]
-            lines.append("    " + _OP_SOURCE[code].format(**operands))
-            lines.append("    if faulted:")
-            lines.append(f"        e = stuck_get({out})")
-            lines.append("        if e is not None:")
-            lines.append(f"            v{out} = (v{out} & ~e[0]) | e[1]")
-            lines.append(f"        f = flips_get({out})")
-            lines.append("        if f:")
-            lines.append(f"            v{out} ^= f")
-        for op in self.ops:
-            lines.append(f"    values[{op[1]}] = v{op[1]}")
-        self._source = "\n".join(lines) + "\n"
-        return self._source
-
-    def source_evaluator(self) -> Callable:
-        """The ``exec``'d (and per-netlist cached) form of :meth:`compile_to_source`."""
-        if self._source_fn is None:
-            namespace: Dict[str, object] = {}
-            code = compile(
-                self.compile_to_source(), f"<compiled netlist {self.netlist.name}>", "exec"
-            )
-            exec(code, {"__builtins__": {}}, namespace)
-            self._source_fn = namespace["_evaluate_ops"]
-        return self._source_fn
-
-    # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
     def evaluate(
@@ -383,7 +277,6 @@ class CompiledNetlist:
         fault_lanes: Sequence[Optional[FaultSet]] = (None,),
         registers: Optional[Mapping[str, int]] = None,
         lane_words: bool = False,
-        use_source: bool = False,
     ) -> LaneValues:
         """Evaluate every lane in one pass over the op list.
 
@@ -392,9 +285,8 @@ class CompiledNetlist:
         zero).  With ``lane_words=True`` they are instead ``W``-bit lane words
         (bit ``k`` = the net's value in lane ``k``), which lets different
         lanes evaluate different input/state contexts in the same pass.  Lane
-        ``k`` additionally applies ``fault_lanes[k]``.  ``use_source=True``
-        runs the source-compiled evaluator instead of the interpreted op loop.
-        Returns :class:`LaneValues` with ``len(fault_lanes)`` lanes.
+        ``k`` additionally applies ``fault_lanes[k]``.  Returns
+        :class:`LaneValues` with ``len(fault_lanes)`` lanes.
         """
         num_lanes = len(fault_lanes)
         if num_lanes < 1:
@@ -421,10 +313,6 @@ class CompiledNetlist:
             source(net_id, int(inputs.get(net, 0)))
         for net, net_id in self.register_ids:
             source(net_id, int(registers.get(net, 0)))
-
-        if use_source:
-            self.source_evaluator()(values, mask, stuck, flips)
-            return LaneValues(self.net_id, values, num_lanes)
 
         flips_get = flips.get
         stuck_get = stuck.get
@@ -481,7 +369,6 @@ class CompiledNetlist:
         cycle_fault_lanes: Sequence[Sequence[Optional[FaultSet]]],
         registers: Optional[Mapping[str, int]] = None,
         lane_words: bool = False,
-        use_source: bool = False,
     ) -> LaneValues:
         """Evaluate ``len(cycle_fault_lanes)`` clock cycles with register feedback.
 
@@ -521,7 +408,6 @@ class CompiledNetlist:
                 fault_lanes=fault_lanes,
                 registers=registers,
                 lane_words=True,
-                use_source=use_source,
             )
             registers = self.register_feedback(values)
         return values
@@ -533,7 +419,6 @@ class CompiledNetlist:
         fault_lanes: Sequence[Optional[FaultSet]] = (None,),
         registers: Optional[Mapping[str, int]] = None,
         lane_words: bool = False,
-        use_source: bool = False,
     ) -> List[int]:
         """Per-lane next-state words the given flop bank would capture.
 
@@ -555,6 +440,5 @@ class CompiledNetlist:
             fault_lanes=fault_lanes,
             registers=registers,
             lane_words=lane_words,
-            use_source=use_source,
         )
         return lanes.read_words_by_id(d_ids)

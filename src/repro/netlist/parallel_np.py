@@ -1,7 +1,7 @@
 """Word-sliced ``numpy`` netlist evaluation engine (``engine="parallel-numpy"``).
 
-The bignum engines of :mod:`repro.netlist.parallel` hold each net's fault
-lanes in one arbitrary-precision Python ``int`` and pay the CPython
+The bignum engine of :mod:`repro.netlist.parallel` holds each net's fault
+lanes in one arbitrary-precision Python ``int`` and pays the CPython
 interpreter (dispatch, big-int allocation, digit loops) once per *gate* per
 pass.  This module re-slices the same lanes onto fixed-width machine words:
 every net owns a ``(num_words,)``-shaped ``uint64`` array (lane ``k`` lives
@@ -31,15 +31,14 @@ Three compile/run-time structures make the wide case fast:
 
 Because lanes cost ``1/64`` of a machine word each instead of a bignum digit
 chain, lane counts are no longer tied to ``DEFAULT_LANE_WIDTH=256``: wide
-campaigns run thousands of lanes per pass (the orchestrator defaults this
+campaigns run thousands of lanes per pass (the executor defaults this
 engine to ``DEFAULT_NUMPY_LANE_WIDTH`` lanes).  Lane words entering and
 leaving the engine remain plain Python ints (or little-endian ``uint64``
-arrays), so planned batches, the shared-memory transport and the existing
-bignum engines interoperate without conversion layers.
+arrays), so planned batches, the shared-memory transport and the bignum
+engine interoperate without conversion layers.
 
-``NumpyCompiledNetlist`` is cross-checked lane-for-lane against the
-interpreted, source-compiled and scalar engines in
-``tests/test_parallel_np.py``.
+``NumpyCompiledNetlist`` is cross-checked lane-for-lane against the bignum
+and scalar engines in ``tests/test_parallel_np.py``.
 """
 
 from __future__ import annotations
@@ -316,7 +315,7 @@ class NumpyCompiledNetlist(CompiledNetlist):
         self, fault_lanes: Sequence[Optional[FaultSet]]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Lower per-lane :class:`FaultSet` objects to flat fault triples,
-        raising the same :class:`ValueError` as the bignum engines for
+        raising the same :class:`ValueError` as the bignum engine for
         faults on nets the netlist does not contain."""
         net_id = self.net_id
         rows: List[int] = []
@@ -362,7 +361,6 @@ class NumpyCompiledNetlist(CompiledNetlist):
         fault_lanes: Sequence[Optional[FaultSet]] = (None,),
         registers: Optional[Mapping[str, object]] = None,
         lane_words: bool = False,
-        use_source: bool = False,
     ) -> NumpyLaneValues:
         """Evaluate every lane in one vectorised pass over the level groups.
 
@@ -370,9 +368,7 @@ class NumpyCompiledNetlist(CompiledNetlist):
         inputs/registers broadcast to every lane, or (``lane_words=True``)
         per-net lane words -- Python ints *or* ready-made little-endian
         ``uint64`` arrays (the shared-memory transport hands arrays straight
-        in).  ``use_source`` is accepted for interface compatibility and
-        ignored: the levelised group evaluation is this engine's only (and
-        fastest) mode.
+        in).
         """
         num_lanes = len(fault_lanes)
         rows, lanes, modes = self._fault_arrays_from_sets(fault_lanes)

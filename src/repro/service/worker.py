@@ -42,10 +42,10 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.api.spec import canonical_json
 from repro.core.structure import ScfiNetlist
 from repro.fi import executor as _executor
-from repro.fi.executor import FaultCampaign
+from repro.fi.executor import DEFAULT_ENGINE, FaultCampaign
 
 #: Worker entry points a fleet task may name (the pool's batch evaluators).
-TASK_FUNCS = ("_worker_run_batch", "_worker_run_scalar", "_worker_run_temporal_scalar")
+TASK_FUNCS = ("_worker_run_batch", "_worker_run_scalar")
 
 #: How long the collector waits on the result queue before polling liveness.
 _PUMP_TIMEOUT = 0.2
@@ -73,7 +73,6 @@ def fleet_config_id(
     lane_width: Optional[int],
     keep_outcomes: bool,
     pack_contexts: bool,
-    dispatch: str = "auto",
 ) -> str:
     """Identity of one warm executor: harden-stage scope + execution params."""
     doc = {
@@ -82,7 +81,6 @@ def fleet_config_id(
         "lane_width": lane_width,
         "keep_outcomes": keep_outcomes,
         "pack_contexts": pack_contexts,
-        "dispatch": dispatch,
     }
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
@@ -107,9 +105,7 @@ def _fleet_worker_main(worker_id: int, task_queue, result_queue) -> None:
                 if config_id not in campaigns:
                     campaign = FaultCampaign(structure, workers=1, **params)
                     if campaign.engine != "scalar":
-                        compiled = campaign.compiled  # compile up front
-                        if campaign.engine == "parallel-compiled":
-                            compiled.source_evaluator()
+                        campaign.compiled  # compile up front
                     campaigns[config_id] = campaign
                 result_queue.put(("config-ok", worker_id, config_id))
             elif kind == "task":
@@ -229,7 +225,10 @@ class WorkerFleet:
         """Deterministically stop every worker: stop message, join, escalate.
 
         After close() returns no fleet process survives -- the service-level
-        twin of the executor's no-surviving-pool guarantee.
+        twin of the executor's no-surviving-pool guarantee.  Replies are
+        discarded while the workers wind down: a cancelled run leaves results
+        unread, and a worker cannot exit while its queue feeder is blocked
+        flushing them into a full pipe.
         """
         with self._lock:
             if self._closed:
@@ -242,6 +241,14 @@ class WorkerFleet:
                     handle.task_queue.put(("stop",))
                 except (OSError, ValueError):  # queue already broken
                     pass
+        joined = threading.Event()
+        drainer = threading.Thread(
+            target=self._discard_results,
+            args=(joined,),
+            name="scfi-fleet-drain",
+            daemon=True,
+        )
+        drainer.start()
         deadline = time.monotonic() + timeout
         for handle in handles:
             handle.process.join(max(0.0, deadline - time.monotonic()))
@@ -254,10 +261,24 @@ class WorkerFleet:
             handle.process.close()
             handle.task_queue.close()
             handle.task_queue.cancel_join_thread()
+        joined.set()
+        # Bounded: a worker killed mid-write can leave a partial reply the
+        # drainer would wait on forever; it is a daemon, so abandon it.
+        drainer.join(timeout)
         self._result_queue.close()
         self._result_queue.cancel_join_thread()
         with self._lock:
             self._handles = []
+
+    def _discard_results(self, joined: threading.Event) -> None:
+        """Read and drop replies until every worker has been joined."""
+        while not joined.is_set():
+            try:
+                self._result_queue.get(timeout=0.05)
+            except queue_module.Empty:
+                continue
+            except (OSError, EOFError, ValueError):  # pragma: no cover - queue broken
+                return
 
     def __enter__(self) -> "WorkerFleet":
         return self
@@ -477,7 +498,7 @@ class FleetCampaign(FaultCampaign):
         scope: str,
         structure: ScfiNetlist,
         *,
-        engine: str = "parallel",
+        engine: str = DEFAULT_ENGINE,
         lane_width: Optional[int] = None,
         keep_outcomes: bool = False,
         pack_contexts: bool = True,

@@ -5,7 +5,7 @@ Covers the staged ``Session`` contract end to end:
 * pre-existing ``content_hash`` values (the committed ``examples/*.json``
   goldens) are byte-identical after the per-stage sub-hash refactor;
 * a warm re-run of the committed example specs performs zero netlist
-  compiles and zero campaign batches on all four engines, with counters
+  compiles and zero campaign batches on every engine, with counters
   bit-identical to the cold run (the tentpole's correctness bar);
 * a single-field spec mutation invalidates exactly the downstream stages;
 * corrupted artifacts are recomputed, never replayed;
@@ -41,7 +41,7 @@ PINNED_CONTENT_HASHES = {
     "temporal_experiment.json": "a0c8059b025a336fba54af45bd6a65058fd768671fe413e602c971b6a67075dc",
 }
 
-ALL_ENGINES = ("parallel", "parallel-compiled", "parallel-numpy", "scalar")
+ALL_ENGINES = ("parallel", "parallel-numpy", "scalar")
 
 
 def _statuses(result):
@@ -113,7 +113,7 @@ class TestStageHashes:
     def base(self):
         return ExperimentSpec(
             fsm=FsmSpec(name="traffic_light"),
-            campaign=CampaignSpec(scenario="random", faults=2, trials=50),
+            campaign=CampaignSpec(scenario="random", faults=2, trials=50, engine="parallel"),
         )
 
     def _diff(self, base, mutated):
@@ -125,8 +125,8 @@ class TestStageHashes:
         assert self._diff(base, mutated) == ["campaign", "plan", "report"]
 
     def test_engine_swap_at_same_lane_budget_keeps_the_plan(self, base):
-        # parallel and parallel-compiled share the 256-lane default.
-        mutated = replace(base, campaign=replace(base.campaign, engine="parallel-compiled"))
+        # parallel and scalar share the 256-lane default.
+        mutated = replace(base, campaign=replace(base.campaign, engine="scalar"))
         assert self._diff(base, mutated) == ["campaign", "report"]
 
     def test_engine_swap_with_different_default_lanes_replans(self, base):
@@ -232,7 +232,7 @@ class TestWarmRunReplaysEverything:
         session = Session(store=store)
         cold = session.run(spec)
         swapped = session.run(
-            replace(spec, campaign=replace(spec.campaign, engine="parallel-compiled"))
+            replace(spec, campaign=replace(spec.campaign, engine="scalar"))
         )
         assert _statuses(swapped) == {
             "harden": "hit", "plan": "hit", "campaign": "miss", "report": "miss",

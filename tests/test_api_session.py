@@ -19,7 +19,7 @@ from repro.api import (
 )
 from repro.api.registry import ENGINE_REGISTRY, SCENARIO_REGISTRY
 from repro.core.scfi import ScfiOptions, protect_fsm
-from repro.fi.orchestrator import ExhaustiveSingleFault, FaultCampaign
+from repro.fi.orchestrator import DEFAULT_ENGINE, ExhaustiveSingleFault, FaultCampaign
 from repro.fsm.encoding import binary_encoding
 from repro.fsmlib import FSM_REGISTRY, register_fsm, traffic_light_fsm
 from repro.rtl.verilog_writer import emit_fsm
@@ -130,7 +130,7 @@ class TestExperimentResultDict:
         result = Session().run(exhaustive_spec(compare=True))
         data = json.loads(json.dumps(result.to_dict()))
         assert data["spec_hash"] == result.spec_hash
-        assert data["provenance"]["engine"] == "parallel"
+        assert data["provenance"]["engine"] == DEFAULT_ENGINE
         assert data["provenance"]["workers"] == 1
         assert data["harden"]["fsm"] == "traffic_light"
         assert data["harden"]["area"]["total_ge"] > 0
@@ -284,7 +284,7 @@ class TestDispatchProvenance:
         assert result.provenance()["dispatch"] == {"exhaustive": "array-native"}
 
     def test_bignum_engine_reports_spec_stream(self):
-        result = Session().run(exhaustive_spec())
+        result = Session().run(exhaustive_spec(engine="parallel"))
         assert result.dispatch == {"exhaustive": "spec-stream"}
 
     def test_cached_replay_reports_cached(self, tmp_path):
@@ -293,7 +293,7 @@ class TestDispatchProvenance:
         store = open_store(tmp_path / "cache")
         spec = exhaustive_spec()
         cold = Session(store=store).run(spec)
-        assert cold.dispatch == {"exhaustive": "spec-stream"}
+        assert cold.dispatch == {"exhaustive": "array-native"}
         warm = Session(store=store).run(spec)
         assert warm.cache["campaign"]["status"] == "hit"
         assert warm.dispatch == {"exhaustive": "cached"}

@@ -10,8 +10,11 @@ from repro.api import (
     FsmSpec,
     ProtectSpec,
     ReportSpec,
+    register_engine,
 )
+from repro.api.registry import ENGINE_REGISTRY
 from repro.api.spec import SPEC_VERSION
+from repro.fi.executor import DEFAULT_ENGINE
 
 
 def full_spec() -> ExperimentSpec:
@@ -120,6 +123,33 @@ class TestValidation:
             CampaignSpec(faults=0)
         with pytest.raises(ValueError):
             ProtectSpec(protection_level=0)
+
+    def test_unknown_engine_rejected_with_registered_names(self):
+        with pytest.raises(
+            ValueError,
+            match=r"unknown engine 'bogus-engine' \(registered: parallel, parallel-numpy, scalar\)",
+        ):
+            CampaignSpec(engine="bogus-engine")
+
+    def test_saved_spec_naming_parallel_compiled_fails_to_parse(self):
+        data = full_spec().to_dict()
+        data["campaign"]["engine"] = "parallel-compiled"
+        with pytest.raises(ValueError, match="unknown engine 'parallel-compiled'"):
+            ExperimentSpec.from_dict(data)
+
+    def test_registered_engine_accepted(self):
+        register_engine("spec_test_engine", lambda *args, **kwargs: None)
+        try:
+            data = full_spec().to_dict()
+            data["campaign"]["engine"] = "spec_test_engine"
+            assert ExperimentSpec.from_dict(data).campaign.engine == "spec_test_engine"
+        finally:
+            del ENGINE_REGISTRY["spec_test_engine"]
+        with pytest.raises(ValueError, match="unknown engine"):
+            ExperimentSpec.from_dict(data)
+
+    def test_default_engine_is_the_executor_default(self):
+        assert CampaignSpec().engine == DEFAULT_ENGINE == "parallel-numpy"
 
     def test_future_version_rejected(self):
         data = full_spec().to_dict()

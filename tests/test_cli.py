@@ -149,34 +149,34 @@ class TestFaultCampaignCli:
         assert exit_code == 0
         assert "engines agree" in captured.out
 
-    def test_parallel_compiled_engine(self, capsys):
+    def test_bignum_parallel_engine(self, capsys):
         exit_code = fi_main(
-            ["--fsm", "traffic_light", "--mode", "regions", "--engine", "parallel-compiled"]
+            ["--fsm", "traffic_light", "--mode", "regions", "--engine", "parallel"]
         )
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "FT1_state" in captured.out
 
-    def test_parallel_compiled_compare_uses_scalar_oracle(self, capsys):
+    def test_default_engine_compare_uses_scalar_oracle(self, capsys):
         exit_code = fi_main(
             [
                 "--fsm",
                 "traffic_light",
                 "--mode",
                 "exhaustive",
-                "--engine",
-                "parallel-compiled",
                 "--compare",
             ]
         )
         captured = capsys.readouterr()
         assert exit_code == 0
-        assert "engines agree (parallel-compiled vs scalar)" in captured.out
+        assert "engines agree (parallel-numpy vs scalar)" in captured.out
 
     def test_engine_choice_listed_in_help(self, capsys):
         with pytest.raises(SystemExit):
             fi_main(["--help"])
-        assert "parallel-compiled" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "parallel-numpy" in out
+        assert "parallel-compiled" not in out
 
     def test_scalar_engine_and_comb_target(self, capsys):
         exit_code = fi_main(
@@ -255,6 +255,21 @@ class TestScfiRunCli:
         captured = capsys.readouterr()
         assert exit_code == 2
         assert "cannot load spec" in captured.err
+
+    @pytest.mark.parametrize("engine", ["bogus-engine", "parallel-compiled"])
+    def test_run_rejects_unknown_engine_before_hardening(self, tmp_path, capsys, engine):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps({"fsm": {"name": "traffic_light"}, "campaign": {"engine": engine}})
+        )
+        exit_code = scfi_main(["run", str(bad)])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1  # one clean line: no progress, no traceback
+        assert f"unknown engine {engine!r}" in lines[0]
+        assert "parallel, parallel-numpy, scalar" in lines[0]
 
     def test_run_rejects_bad_spec_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -158,9 +158,9 @@ class TestDispatchProvenance:
         with FaultCampaign(protected_traffic_light.structure) as campaign:
             assert campaign.last_dispatch is None
 
-    def test_unknown_dispatch_rejected(self, protected_traffic_light):
-        with pytest.raises(ValueError, match="unknown dispatch"):
-            FaultCampaign(protected_traffic_light.structure, dispatch="bogus")
+    def test_dispatch_is_observed_not_configured(self, protected_traffic_light):
+        with pytest.raises(TypeError, match="dispatch"):
+            FaultCampaign(protected_traffic_light.structure, dispatch="spec-stream")
 
     def test_numpy_effect_sweep_is_array_native(self, protected_traffic_light):
         structure = protected_traffic_light.structure
@@ -175,8 +175,9 @@ class TestDispatchProvenance:
         with FaultCampaign(structure, engine="parallel-numpy") as campaign:
             native = campaign.run(scenario)
             assert campaign.last_dispatch == "array-native"
+        # Kept outcomes route the same engine through the generic path.
         with FaultCampaign(
-            structure, engine="parallel-numpy", dispatch="spec-stream"
+            structure, engine="parallel-numpy", keep_outcomes=True
         ) as campaign:
             generic = campaign.run(scenario)
             assert campaign.last_dispatch == "spec-stream"
@@ -184,7 +185,7 @@ class TestDispatchProvenance:
 
     def test_bignum_engines_report_spec_stream(self, protected_traffic_light):
         structure = protected_traffic_light.structure
-        for engine in ("parallel", "parallel-compiled", "scalar"):
+        for engine in ("parallel", "scalar"):
             with FaultCampaign(structure, engine=engine) as campaign:
                 campaign.run(ExhaustiveSingleFault())
                 assert campaign.last_dispatch == "spec-stream", engine

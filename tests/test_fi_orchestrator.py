@@ -15,7 +15,7 @@ from repro.fi.orchestrator import (
 )
 from repro.fsm.random_fsm import random_fsm
 
-ENGINES = ("parallel", "parallel-compiled", "scalar")
+ENGINES = ("parallel", "parallel-numpy", "scalar")
 
 
 class TestFaultCampaignExecutor:
@@ -61,16 +61,16 @@ class TestFaultCampaignExecutor:
         )
         assert results["a"].counters() == results["b"].counters()
 
-    def test_parallel_compiled_engine_matches_oracle(self, protected_traffic_light):
+    def test_numpy_engine_matches_oracle(self, protected_traffic_light):
         structure = protected_traffic_light.structure
         scenario = ExhaustiveSingleFault(target_nets="comb")
-        compiled = FaultCampaign(structure, engine="parallel-compiled").run(scenario)
+        numpy_result = FaultCampaign(structure, engine="parallel-numpy").run(scenario)
         scalar = FaultCampaign(structure, engine="scalar").run(scenario)
-        assert compiled.counters() == scalar.counters()
+        assert numpy_result.counters() == scalar.counters()
 
     def test_context_packing_toggle_preserves_counters(self, protected_traffic_light):
         structure = protected_traffic_light.structure
-        for engine in ("parallel", "parallel-compiled"):
+        for engine in ("parallel", "parallel-numpy"):
             packed = FaultCampaign(structure, engine=engine).run(
                 ExhaustiveSingleFault(target_nets="comb")
             )
@@ -244,7 +244,7 @@ class TestRandomFsmEngineEquivalence:
             for engine in ENGINES
         }
         reference = results["scalar"]
-        for engine in ("parallel", "parallel-compiled"):
+        for engine in ("parallel", "parallel-numpy"):
             assert results[engine].counters() == reference.counters(), engine
             assert results[engine].total_injections == reference.total_injections
 
@@ -255,9 +255,9 @@ class TestRandomFsmEngineEquivalence:
             fsm, ScfiOptions(protection_level=2, generate_verilog=False)
         ).structure
         scenario = ExhaustiveSingleFault(target_nets="comb")
-        wide = FaultCampaign(structure, engine="parallel-compiled").run(scenario)
+        wide = FaultCampaign(structure, engine="parallel-numpy").run(scenario)
         narrow = FaultCampaign(
-            structure, engine="parallel-compiled", lane_width=lane_width
+            structure, engine="parallel-numpy", lane_width=lane_width
         ).run(scenario)
         assert wide.counters() == narrow.counters()
 

@@ -3,9 +3,9 @@
 The sharded executor must be invisible in the results: ``workers=N`` may only
 change wall-clock time, never a counter, an outcome, or a rate.  These tests
 pin that property on random FSMs and on the ``ibex_lsu_fsm`` regression
-netlist across all three engines, plus the satellite fixes of ISSUE 4
-(per-scenario ``transitions_evaluated``, plan caching across ``run_sweep``,
-CLI validation of ``--engine``/``--workers``).
+netlist across every engine, plus the reporting and validation fixes
+that go with it (per-scenario ``transitions_evaluated``, plan caching
+across ``run_sweep``, CLI validation of ``--engine``/``--workers``).
 """
 
 import pytest
@@ -23,7 +23,7 @@ from repro.fi.orchestrator import (
 from repro.fsm.random_fsm import random_fsm
 from repro.fsmlib.opentitan import ibex_lsu_fsm
 
-ENGINES = ("parallel", "parallel-compiled", "parallel-numpy", "scalar")
+ENGINES = ("parallel", "parallel-numpy", "scalar")
 
 ALL_EFFECTS = (FaultEffect.TRANSIENT_FLIP, FaultEffect.STUCK_AT_0, FaultEffect.STUCK_AT_1)
 
@@ -125,6 +125,57 @@ class TestShardedEqualsSingleProcess:
             assert campaign._pool is pool
         assert campaign._pool is None  # context exit released it
         assert first.counters() == second.counters()
+
+
+#: (workers, use_shared_memory) execution modes: in-process, and a pool over
+#: each transport.
+EXECUTION_MODES = ((1, True), (2, True), (2, False))
+
+#: Single-cycle scenario shapes: the natively lowered exhaustive sweep and
+#: the object-lowered multi-fault groups (stuck-at pairs included).
+SINGLE_CYCLE_SCENARIOS = {
+    "exhaustive": lambda: ExhaustiveSingleFault(target_nets="diffusion", effects=ALL_EFFECTS),
+    "random": lambda: RandomMultiFault(num_faults=3, trials=80, seed=4, effects=ALL_EFFECTS),
+}
+
+
+class TestSingleCycleEquivalenceMatrix:
+    """Single-cycle campaigns run as one-cycle traces on every engine: counters
+    and kept outcome rows match the in-process scalar oracle across worker
+    counts and transports."""
+
+    @pytest.fixture(scope="class")
+    def structure(self):
+        return _protect(random_fsm(61, num_states=5))
+
+    @pytest.fixture(scope="class")
+    def oracle(self, structure):
+        return {
+            name: FaultCampaign(structure, engine="scalar", keep_outcomes=True).run(make())
+            for name, make in SINGLE_CYCLE_SCENARIOS.items()
+        }
+
+    @pytest.mark.parametrize("scenario", sorted(SINGLE_CYCLE_SCENARIOS))
+    @pytest.mark.parametrize("workers, shared_memory", EXECUTION_MODES)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_counters_and_outcomes_match_oracle(
+        self, structure, oracle, engine, workers, shared_memory, scenario
+    ):
+        make = SINGLE_CYCLE_SCENARIOS[scenario]
+        expected = oracle[scenario]
+        for keep_outcomes in (False, True):
+            with FaultCampaign(
+                structure,
+                engine=engine,
+                workers=workers,
+                use_shared_memory=shared_memory,
+                keep_outcomes=keep_outcomes,
+            ) as campaign:
+                result = campaign.run(make())
+            assert result.counters() == expected.counters()
+            assert result.total_injections == expected.total_injections
+            if keep_outcomes:
+                assert result.outcomes == expected.outcomes
 
 
 class TestPlanCaching:

@@ -1,12 +1,12 @@
 """The word-sliced numpy engine: lane-for-lane equality with the bignum
-engines, wide-lane campaigns past the 256-lane budget, and the array-native
+engine, wide-lane campaigns past the 256-lane budget, and the array-native
 fault plumbing (ISSUE 6 tentpole).
 
 The property at the heart of this file: for ANY netlist, ANY lane count and
 ANY mix of flip/stuck-at fault lanes, ``NumpyCompiledNetlist.evaluate``
-produces bit-identical per-net lane words to ``CompiledNetlist.evaluate``
-(interpreted and source-compiled).  Campaign-level counter equality across
-all four engines then follows and is pinned separately, including on the
+produces bit-identical per-net lane words to ``CompiledNetlist.evaluate``.
+Campaign-level counter equality across every engine then follows and is
+pinned separately, including on the
 ``ibex_lsu_fsm`` regression netlist.
 """
 
@@ -92,21 +92,6 @@ class TestLaneForLaneEquality:
         state_ids = [vector.net_id[net] for net in structure.state_d]
         assert out.read_words_by_id(state_ids) == ref.read_words_by_id(state_ids)
 
-    def test_matches_source_compiled_engine(self):
-        structure = _protect(random_fsm(33, num_states=5))
-        netlist = structure.netlist
-        bignum = CompiledNetlist(netlist)
-        vector = NumpyCompiledNetlist(netlist)
-        rng = random.Random(7)
-        nets = sorted(gate.output for gate in netlist.gates.values())
-        inputs = {net: rng.randrange(2) for net in netlist.primary_inputs}
-        registers = {net: rng.randrange(2) for net in structure.state_q}
-        lanes = _random_fault_lanes(rng, nets, 130)
-        ref = bignum.evaluate(inputs, fault_lanes=lanes, registers=registers, use_source=True)
-        out = vector.evaluate(inputs, fault_lanes=lanes, registers=registers)
-        for net in nets:
-            assert out.word(net) == ref.word(net), net
-
     def test_code_array_matches_read_words(self):
         structure = _protect(random_fsm(5, num_states=4))
         vector = NumpyCompiledNetlist(structure.netlist)
@@ -134,7 +119,7 @@ class TestLaneForLaneEquality:
 
 
 class TestWideCampaigns:
-    """Lane counts past the bignum engines' 256-lane budget."""
+    """Lane counts past the bignum engine's 256-lane budget."""
 
     def test_numpy_default_lane_width(self):
         assert ENGINE_INFO["parallel-numpy"].default_lane_width == DEFAULT_NUMPY_LANE_WIDTH
@@ -156,7 +141,7 @@ class TestWideCampaigns:
 class TestCampaignCounterEquality:
     """The numpy engine through the full campaign stack, vs every engine."""
 
-    @pytest.mark.parametrize("engine", ["parallel", "parallel-compiled", "scalar"])
+    @pytest.mark.parametrize("engine", ["parallel", "scalar"])
     @pytest.mark.parametrize("seed", [3, 17])
     def test_exhaustive_all_effects(self, engine, seed):
         structure = _protect(random_fsm(seed, num_states=4))

@@ -2,12 +2,12 @@
 
 Hypothesis-style: seeded random netlists (random DAGs over every supported
 cell type, with flip-flop feedback) and random per-lane fault sets are thrown
-at the interpreted and the source-compiled bit-parallel evaluators -- with
+at the bignum and the word-sliced numpy bit-parallel evaluators -- with
 scalar-broadcast and with per-lane lane-word inputs -- and every net of every
 lane must match the scalar ``NetlistSimulator`` evaluation with the same
 ``FaultSet``.  A regression block pins the ``ibex_lsu_fsm`` campaign counters
-to the values produced by the pre-refactor scalar implementation on all three
-campaign engines.
+to the values produced by the pre-refactor scalar implementation on every
+campaign engine.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.fsmlib.opentitan import ibex_lsu_fsm
 from repro.netlist.gates import Gate, GateType
 from repro.netlist.netlist import Netlist
 from repro.netlist.parallel import CompiledNetlist
+from repro.netlist.parallel_np import NumpyCompiledNetlist
 from repro.netlist.simulate import FaultSet, NetlistSimulator, injectable_nets
 
 _COMB_TYPES = [
@@ -37,6 +38,9 @@ _COMB_TYPES = [
     GateType.XNOR2,
     GateType.MUX2,
 ]
+
+#: Bit-parallel evaluators sharing the ``CompiledNetlist`` interface.
+ENGINE_CLASSES = (CompiledNetlist, NumpyCompiledNetlist)
 
 
 def random_netlist(rng: random.Random, name: str, min_flops: int = 0) -> Netlist:
@@ -72,22 +76,20 @@ def random_fault_set(rng: random.Random, nets) -> FaultSet:
 
 
 class TestRandomNetlistEquivalence:
-    @pytest.mark.parametrize("use_source", [False, True])
+    @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     @pytest.mark.parametrize("seed", range(25))
-    def test_all_nets_match_lane_for_lane(self, seed, use_source):
+    def test_all_nets_match_lane_for_lane(self, seed, engine_cls):
         rng = random.Random(seed)
         netlist = random_netlist(rng, f"rand{seed}")
         simulator = NetlistSimulator(netlist)
-        compiled = CompiledNetlist(netlist)
+        compiled = engine_cls(netlist)
         targets = injectable_nets(netlist, include_inputs=True)
 
         inputs = {net: rng.randint(0, 1) for net in netlist.primary_inputs}
         registers = {net: rng.randint(0, 1) for net in simulator.registers}
         lanes = [None] + [random_fault_set(rng, targets) for _ in range(rng.randint(1, 33))]
 
-        lane_values = compiled.evaluate(
-            inputs, fault_lanes=lanes, registers=registers, use_source=use_source
-        )
+        lane_values = compiled.evaluate(inputs, fault_lanes=lanes, registers=registers)
         assert lane_values.num_lanes == len(lanes)
         for lane, fault_set in enumerate(lanes):
             reference = simulator.evaluate(
@@ -95,14 +97,14 @@ class TestRandomNetlistEquivalence:
             )
             assert lane_values.lane_values(lane) == reference
 
-    @pytest.mark.parametrize("use_source", [False, True])
+    @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     @pytest.mark.parametrize("seed", range(40, 50))
-    def test_lane_word_inputs_evaluate_distinct_contexts(self, seed, use_source):
+    def test_lane_word_inputs_evaluate_distinct_contexts(self, seed, engine_cls):
         """With ``lane_words=True`` every lane may carry its own input/state."""
         rng = random.Random(seed)
         netlist = random_netlist(rng, f"randctx{seed}", min_flops=1)
         simulator = NetlistSimulator(netlist)
-        compiled = CompiledNetlist(netlist)
+        compiled = engine_cls(netlist)
         targets = injectable_nets(netlist, include_inputs=True)
 
         num_lanes = rng.randint(2, 40)
@@ -131,7 +133,6 @@ class TestRandomNetlistEquivalence:
             fault_lanes=lanes,
             registers=register_words,
             lane_words=True,
-            use_source=use_source,
         )
         for lane, fault_set in enumerate(lanes):
             reference = simulator.evaluate(
@@ -141,13 +142,13 @@ class TestRandomNetlistEquivalence:
             )
             assert lane_values.lane_values(lane) == reference
 
-    @pytest.mark.parametrize("use_source", [False, True])
+    @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     @pytest.mark.parametrize("seed", range(25, 35))
-    def test_next_register_codes_match(self, seed, use_source):
+    def test_next_register_codes_match(self, seed, engine_cls):
         rng = random.Random(seed)
         netlist = random_netlist(rng, f"randreg{seed}", min_flops=1)
         simulator = NetlistSimulator(netlist)
-        compiled = CompiledNetlist(netlist)
+        compiled = engine_cls(netlist)
         q_bits = sorted(simulator.registers)
         targets = injectable_nets(netlist, include_inputs=True)
 
@@ -155,7 +156,7 @@ class TestRandomNetlistEquivalence:
         registers = {net: rng.randint(0, 1) for net in simulator.registers}
         lanes = [None] + [random_fault_set(rng, targets) for _ in range(8)]
         codes = compiled.next_register_codes(
-            inputs, q_bits, fault_lanes=lanes, registers=registers, use_source=use_source
+            inputs, q_bits, fault_lanes=lanes, registers=registers
         )
         for lane, fault_set in enumerate(lanes):
             next_values = simulator.next_register_values(
@@ -231,38 +232,19 @@ class TestNextRegisterCodes:
         assert compiled.next_register_codes({"a": 0}, ["q"]) == [0]
 
 
-class TestSourceCompilation:
-    def test_source_is_deterministic_and_cached(self):
-        compiled = CompiledNetlist(_buffer_netlist())
-        source = compiled.compile_to_source()
-        assert "def _evaluate_ops(" in source
-        assert compiled.compile_to_source() is source
-
-    def test_evaluator_is_cached_per_netlist(self):
-        compiled = CompiledNetlist(_buffer_netlist())
-        assert compiled.source_evaluator() is compiled.source_evaluator()
-
-    def test_source_covers_every_op(self):
-        rng = random.Random(7)
-        netlist = random_netlist(rng, "srccover")
-        compiled = CompiledNetlist(netlist)
-        source = compiled.compile_to_source()
-        for op in compiled.ops:
-            assert f"values[{op[1]}] = v{op[1]}" in source
-
-    def test_pickle_round_trip_drops_and_rebuilds_evaluator(self):
-        """The exec'd evaluator must not break pickling (spawn-pool safety)."""
+class TestPickling:
+    @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
+    def test_pickle_round_trip_preserves_evaluation(self, engine_cls):
+        """Compiled netlists survive pickling (spawn-pool safety)."""
         import pickle
 
         rng = random.Random(13)
         netlist = random_netlist(rng, "pickled")
-        compiled = CompiledNetlist(netlist)
-        compiled.source_evaluator()  # force the unpicklable code object
+        compiled = engine_cls(netlist)
         restored = pickle.loads(pickle.dumps(compiled))
-        assert restored._source_fn is None
         inputs = {net: rng.randrange(2) for net in netlist.primary_inputs}
-        original = compiled.evaluate(inputs, use_source=True)
-        rebuilt = restored.evaluate(inputs, use_source=True)
+        original = compiled.evaluate(inputs)
+        rebuilt = restored.evaluate(inputs)
         for net in compiled.net_id:
             assert rebuilt.word(net) == original.word(net)
 
@@ -301,31 +283,35 @@ class TestIbexLsuRegression:
         ).structure
 
     def test_diffusion_counters_all_engines(self, ibex_structure):
-        parallel = exhaustive_single_fault_campaign(ibex_structure)
-        compiled = exhaustive_single_fault_campaign(ibex_structure, engine="parallel-compiled")
+        parallel = exhaustive_single_fault_campaign(ibex_structure, engine="parallel")
+        vector = exhaustive_single_fault_campaign(ibex_structure, engine="parallel-numpy")
         scalar = exhaustive_single_fault_campaign(ibex_structure, engine="scalar")
-        assert parallel.counters() == compiled.counters() == scalar.counters() == (0, 238, 0, 0)
+        assert parallel.counters() == vector.counters() == scalar.counters() == (0, 238, 0, 0)
 
     def test_comb_cloud_counters_all_engines(self, ibex_structure):
-        parallel = exhaustive_single_fault_campaign(ibex_structure, target_nets="comb")
-        compiled = exhaustive_single_fault_campaign(
-            ibex_structure, target_nets="comb", engine="parallel-compiled"
+        parallel = exhaustive_single_fault_campaign(
+            ibex_structure, target_nets="comb", engine="parallel"
+        )
+        vector = exhaustive_single_fault_campaign(
+            ibex_structure, target_nets="comb", engine="parallel-numpy"
         )
         scalar = exhaustive_single_fault_campaign(ibex_structure, target_nets="comb", engine="scalar")
         assert (
             parallel.counters()
-            == compiled.counters()
+            == vector.counters()
             == scalar.counters()
             == (1369, 1479, 74, 88)
         )
 
     def test_random_campaign_counters_engine_independent(self, ibex_structure):
-        parallel = random_multi_fault_campaign(ibex_structure, num_faults=2, trials=400, seed=11)
-        compiled = random_multi_fault_campaign(
-            ibex_structure, num_faults=2, trials=400, seed=11, engine="parallel-compiled"
+        parallel = random_multi_fault_campaign(
+            ibex_structure, num_faults=2, trials=400, seed=11, engine="parallel"
+        )
+        vector = random_multi_fault_campaign(
+            ibex_structure, num_faults=2, trials=400, seed=11, engine="parallel-numpy"
         )
         scalar = random_multi_fault_campaign(
             ibex_structure, num_faults=2, trials=400, seed=11, engine="scalar"
         )
-        assert parallel.counters() == compiled.counters() == scalar.counters()
+        assert parallel.counters() == vector.counters() == scalar.counters()
         assert parallel.total_injections == 400

@@ -59,7 +59,7 @@ def _scenario():
 
 
 class TestFleetEqualsInProcess:
-    @pytest.mark.parametrize("engine", ("parallel", "parallel-compiled", "parallel-numpy"))
+    @pytest.mark.parametrize("engine", ("parallel", "parallel-numpy"))
     def test_counters_bit_identical(self, structure, engine):
         single = FaultCampaign(structure, engine=engine).run(_scenario()).counters()
         with WorkerFleet(2) as fleet:
@@ -182,6 +182,46 @@ class TestDeterministicClose:
         FleetCampaign(fleet, SCOPE, structure).run(_scenario())
         fleet.close()
         assert fleet.alive_count() == 0
+        assert multiprocessing.active_children() == []
+
+    def test_workers_leave_on_stop_after_a_cancelled_run(self, structure):
+        """A cancelled run stops reading replies; close() must still let every
+        worker exit through its stop message instead of terminating it."""
+        terminated, exit_codes = [], []
+
+        def watch(process):
+            terminate, close = process.terminate, process.close
+
+            def recording_terminate():
+                terminated.append(process.name)
+                terminate()
+
+            def recording_close():
+                exit_codes.append(process.exitcode)
+                close()
+
+            process.terminate = recording_terminate
+            process.close = recording_close
+
+        cancel = threading.Event()
+        fleet = WorkerFleet(2)
+        for handle in fleet.live_handles():
+            watch(handle.process)
+        # Narrow lanes give over a thousand batches: far more replies than a
+        # pipe buffers once the cancelled run stops reading them.
+        campaign = FleetCampaign(
+            fleet,
+            SCOPE,
+            structure,
+            lane_width=8,
+            batch_progress=lambda done, total: cancel.set(),
+            cancel=cancel,
+        )
+        with pytest.raises(ServiceShutdown):
+            campaign.run(_scenario())
+        fleet.close()
+        assert terminated == []
+        assert exit_codes == [0, 0]
         assert multiprocessing.active_children() == []
 
     def test_close_is_idempotent(self):

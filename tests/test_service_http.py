@@ -133,6 +133,17 @@ class TestHttpErrors:
             client.submit({"not": "a spec"})
         assert excinfo.value.status == 400
 
+    def test_unknown_engine_is_400_and_queues_nothing(self, service_client, spec_data):
+        client, service = service_client
+        bad = json.loads(json.dumps(spec_data))
+        bad["campaign"]["engine"] = "bogus-engine"
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(bad)
+        assert excinfo.value.status == 400
+        assert "unknown engine 'bogus-engine'" in excinfo.value.document["error"]
+        assert sum(service.health()["jobs"].values()) == 0  # no job record at all
+        assert service.scheduler.jobs_failed == 0
+
     def test_unknown_job_is_404(self, service_client):
         client, _service = service_client
         for method in (client.status, client.result):
