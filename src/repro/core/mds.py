@@ -98,21 +98,15 @@ class WordMatrix:
                         return False
         return True
 
-    def branch_number(self, exhaustive_limit: int = 16) -> int:
+    def branch_number(self) -> int:
         """Differential branch number ``min(wt(x) + wt(Mx))`` over non-zero x.
 
         The word-level weight ``wt`` counts non-zero words.  For a ``k x k``
         MDS matrix the result is ``k + 1``.  The search space is restricted to
-        inputs with at most two non-zero words, which is sufficient to witness
+        inputs with a single non-zero word, which is sufficient to witness
         any branch-number deficiency of small matrices and keeps the check
         cheap (the full space of a 32-bit block is 2^32).
         """
-        width = self.ring.width
-        if width > exhaustive_limit:
-            return self._branch_number_sparse()
-        return self._branch_number_sparse()
-
-    def _branch_number_sparse(self) -> int:
         width = self.ring.width
         best = self.size + 1
         nonzero_words = range(1, 1 << width)

@@ -608,7 +608,7 @@ class FaultCampaign:
         arrays = self.lower_scenario(scenario, cycles)
         if not arrays.num_jobs:
             return result
-        result.transitions_evaluated = int(np.unique(arrays.contexts).size)
+        result.transitions_evaluated = int(np.count_nonzero(np.bincount(arrays.contexts)))
         self._run_ir(arrays, cycles, result)
         return result
 

@@ -1,7 +1,7 @@
 """Finite-state machine substrate: model, CFG analysis, simulation, encodings."""
 
 from repro.fsm.model import Fsm, FsmBuilder, Guard, Signal, Transition
-from repro.fsm.cfg import CfgEdge, build_cfg, control_flow_edges, reachable_states, unreachable_states
+from repro.fsm.cfg import CfgEdge, control_flow_edges, reachable_states, unreachable_states
 from repro.fsm.encoding import binary_encoding, gray_encoding, one_hot_encoding
 from repro.fsm.simulate import FsmSimulator, SimulationTrace, TraceStep
 
@@ -12,7 +12,6 @@ __all__ = [
     "Signal",
     "Transition",
     "CfgEdge",
-    "build_cfg",
     "control_flow_edges",
     "reachable_states",
     "unreachable_states",

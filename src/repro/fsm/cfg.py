@@ -3,16 +3,14 @@
 The SCFI pass needs the full list of control-flow edges ``t in CFG`` --
 including the *implicit stay* edge of every state whose guard chain is not
 exhaustive -- because each edge receives its own transition modifier.  The
-helpers here build that edge list and a ``networkx`` graph for reachability
-and structural queries.
+helpers here build that edge list and answer reachability and structural
+queries over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set
-
-import networkx as nx
+from typing import Dict, List, Set
 
 from repro.fsm.model import Fsm, Guard, Transition
 
@@ -66,23 +64,18 @@ def control_flow_edges(fsm: Fsm) -> List[CfgEdge]:
     return edges
 
 
-def build_cfg(fsm: Fsm) -> nx.DiGraph:
-    """Directed control-flow graph with edge attributes ``guard`` and ``kind``."""
-    graph = nx.DiGraph(name=fsm.name)
-    graph.add_nodes_from(fsm.states)
-    for edge in control_flow_edges(fsm):
-        if graph.has_edge(edge.src, edge.dst):
-            graph[edge.src][edge.dst]["edges"].append(edge)
-        else:
-            graph.add_edge(edge.src, edge.dst, edges=[edge])
-    return graph
-
-
 def reachable_states(fsm: Fsm) -> Set[str]:
     """States reachable from the reset state along CFG edges."""
-    graph = build_cfg(fsm)
-    reached = nx.descendants(graph, fsm.reset_state)
-    reached.add(fsm.reset_state)
+    successors: Dict[str, Set[str]] = {}
+    for edge in control_flow_edges(fsm):
+        successors.setdefault(edge.src, set()).add(edge.dst)
+    reached = {fsm.reset_state}
+    frontier = [fsm.reset_state]
+    while frontier:
+        for dst in successors.get(frontier.pop(), ()):
+            if dst not in reached:
+                reached.add(dst)
+                frontier.append(dst)
     return reached
 
 

@@ -1,6 +1,10 @@
 """Tests for the command-line entry points."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +14,8 @@ from repro.cli.harden import FSM_REGISTRY, main as harden_main
 from repro.cli.main import main as scfi_main
 from repro.cli.report import main as report_main
 
-EXAMPLE_SPEC = Path(__file__).resolve().parent.parent / "examples" / "experiment.json"
+REPO = Path(__file__).resolve().parent.parent
+EXAMPLE_SPEC = REPO / "examples" / "experiment.json"
 
 
 class TestHardenCli:
@@ -396,3 +401,33 @@ class TestServiceCli:
         rc = scfi_main(["submit", str(tmp_path / "absent.json")])
         assert rc == 2
         assert "cannot load spec" in capsys.readouterr().err
+
+
+class TestColdRunPath:
+    def test_cold_run_skips_heavy_modules_and_replays_golden(self, tmp_path):
+        """A fresh ``scfi run`` loads neither networkx nor numpy.ma and still
+        reproduces the committed golden counters."""
+        spec = tmp_path / "experiment.json"
+        shutil.copy(EXAMPLE_SPEC, spec)
+        out = tmp_path / "result.json"
+        script = (
+            "import json, sys\n"
+            "from repro.cli.main import main\n"
+            f"code = main(['run', {str(spec)!r}, '--quiet', '--out', {str(out)!r}])\n"
+            "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "SCFI_CACHE_DIR"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report["code"] == 0
+        loaded = set(report["modules"])
+        assert not {m for m in loaded if m == "networkx" or m.startswith("networkx.")}
+        assert "numpy.ma" not in loaded
+        golden = json.loads((REPO / "examples" / "experiment.golden.json").read_text())
+        campaigns = json.loads(out.read_text())["campaigns"]
+        assert set(campaigns) == set(golden["campaigns"])
+        for name, expected in golden["campaigns"].items():
+            for key, value in expected.items():
+                assert campaigns[name][key] == value, (name, key)

@@ -42,6 +42,32 @@ class TestRank:
         assert gf2_rank(m) == gf2_rank(m.transpose())
 
 
+def reference_rref(rows):
+    """Textbook Gauss-Jordan elimination over GF(2) on a list of bit lists."""
+    m = [list(row) for row in rows]
+    cols = len(m[0]) if m else 0
+    pivots = []
+    top = 0
+    for col in range(cols):
+        found = next((r for r in range(top, len(m)) if m[r][col]), None)
+        if found is None:
+            continue
+        m[top], m[found] = m[found], m[top]
+        for r in range(len(m)):
+            if r != top and m[r][col]:
+                m[r] = [a ^ b for a, b in zip(m[r], m[top])]
+        pivots.append(col)
+        top += 1
+    return m, pivots
+
+
+def random_bits(rng, rows, cols, density=0.5, zero_prefix=0):
+    """Random rows whose first ``zero_prefix`` columns are all zero."""
+    return [
+        [int(c >= zero_prefix and rng.random() < density) for c in range(cols)] for _ in range(rows)
+    ]
+
+
 class TestRowReduce:
     def test_pivots_are_increasing(self):
         m = BitMatrix([[0, 1, 1], [1, 1, 0], [1, 0, 1]])
@@ -55,6 +81,25 @@ class TestRowReduce:
             assert reduced.data[row_index, col] == 1
             # The pivot column is zero everywhere else.
             assert sum(reduced.column(col)) == 1
+
+    @given(
+        rows=st.integers(min_value=1, max_value=40),
+        cols=st.integers(min_value=1, max_value=70),
+        density=st.sampled_from([0.05, 0.5, 0.95]),
+        zero_prefix=st.integers(min_value=0, max_value=69),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_elimination(self, rows, cols, density, zero_prefix, seed):
+        """Rows wider than 64 bits cross the packed-int word boundary, and a
+        zero column prefix pushes pivots past it."""
+        import random
+
+        data = random_bits(random.Random(seed), rows, cols, density, zero_prefix)
+        reduced, pivots = gf2_row_reduce(BitMatrix(data))
+        expected, expected_pivots = reference_rref(data)
+        assert pivots == expected_pivots
+        assert reduced.to_lists() == expected
 
 
 class TestSolve:
@@ -107,6 +152,24 @@ class TestInverse:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             gf2_inverse(BitMatrix.zeros(2, 3))
+
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_random_32x32_inverse(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        size = 32
+        # A row permutation of unit lower times unit upper triangular is
+        # always invertible, and the permutation forces row swaps.
+        lower = [[1 if i == j else (rng.randint(0, 1) if j < i else 0) for j in range(size)] for i in range(size)]
+        upper = [[1 if i == j else (rng.randint(0, 1) if j > i else 0) for j in range(size)] for i in range(size)]
+        rows = (BitMatrix(lower) @ BitMatrix(upper)).to_lists()
+        rng.shuffle(rows)
+        m = BitMatrix(rows)
+        inverse = gf2_inverse(m)
+        assert inverse is not None
+        assert inverse @ m == BitMatrix.identity(size)
 
     def test_is_invertible_helper(self):
         assert gf2_is_invertible(BitMatrix.identity(3))
