@@ -254,7 +254,8 @@ def register_engine(name: str, factory: EngineFactory, *, overwrite: bool = Fals
     The factory must return a context-manager executor with the
     :class:`~repro.fi.orchestrator.FaultCampaign` ``run``/``run_sweep``
     interface; it receives ``(structure, lane_width, workers, keep_outcomes,
-    pack_contexts)``.
+    pack_contexts)``.  A :class:`~repro.api.session.Session` re-enters the
+    same executor for later campaigns with the same arguments.
     """
     if not overwrite and name in ENGINE_REGISTRY:
         raise ValueError(f"engine {name!r} is already registered (pass overwrite=True)")

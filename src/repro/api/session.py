@@ -39,8 +39,9 @@ only needs to ship the JSON spec and share the store.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.api.registry import BEHAVIORAL, build_scenarios, make_executor
 from repro.api.spec import (
@@ -63,6 +64,11 @@ from repro.synth.serialize import (
     deserialize_scfi_result,
     serialize_scfi_result,
 )
+
+#: Warm executors one :class:`Session` keeps across ``run_campaign`` calls.
+#: A campaign suite touches a few structures; ``run_table1`` walks many
+#: through one session, so the least recently used executor is dropped.
+EXECUTOR_CACHE_LIMIT = 4
 
 #: Progress callback: ``(stage, detail)`` -- e.g. ``("campaign", "exhaustive")``
 #: or, replaying a memoised stage, ``("campaign", "cache hit 3f2a…")``.
@@ -201,8 +207,10 @@ class Session:
     silently skipping.  ``store`` is an optional
     :class:`~repro.store.ArtifactStore` that persists each stage's artifact
     under its input hash; without one every run recomputes everything (the
-    pre-incremental behaviour).  Sessions are stateless between runs; one
-    session may execute many specs against one shared store.
+    pre-incremental behaviour).  Between runs a session keeps only up to
+    :data:`EXECUTOR_CACHE_LIMIT` warm executors, one per structure and
+    execution params, so repeated campaigns on one structure reuse its
+    compiled netlists, plans and classification memo.
     """
 
     def __init__(
@@ -214,10 +222,25 @@ class Session:
         self._progress = progress
         self.store = store
         self._executor_factory = executor_factory
+        # (id(structure), execution params) -> (structure, executor), least
+        # recently used first.  Holding the structure keeps its id unique.
+        self._executors: "OrderedDict[tuple, Tuple[ScfiNetlist, Any]]" = OrderedDict()
 
     def _emit(self, stage: str, detail: str = "") -> None:
         if self._progress is not None:
             self._progress(stage, detail)
+
+    def _executor(self, campaign: CampaignSpec, structure: ScfiNetlist, keep_outcomes: bool):
+        """The session's warm executor for this structure and execution params."""
+        key = (id(structure), campaign.engine, campaign.lane_width, campaign.workers,
+               keep_outcomes, campaign.pack_contexts)
+        entry = self._executors.pop(key, None)
+        if entry is None:
+            entry = (structure, make_executor(campaign, structure, keep_outcomes=keep_outcomes))
+            while len(self._executors) >= EXECUTOR_CACHE_LIMIT:
+                self._executors.popitem(last=False)
+        self._executors[key] = entry
+        return entry[1]
 
     # ------------------------------------------------------------------
     # Stages
@@ -339,9 +362,9 @@ class Session:
                 campaign, structure, report.keep_outcomes, cache_scope
             )
         else:
-            executor_cm = make_executor(
-                campaign, structure, keep_outcomes=report.keep_outcomes
-            )
+            executor_cm = self._executor(campaign, structure, report.keep_outcomes)
+        # Leaving the block closes the executor, which releases a workers>1
+        # pool; a reused executor starts a new pool on its next sharded run.
         with executor_cm as executor:
             # Custom registered engines may not speak the plan import/export
             # interface; plan persistence degrades gracefully for them.

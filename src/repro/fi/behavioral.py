@@ -13,12 +13,13 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.core.hardened import HardenedFsm
 from repro.fi.activate import activating_inputs
-from repro.fi.model import Classification, Fault, FaultEffect
+from repro.fi.scenarios import JobArrays, drawn_fault_groups
 from repro.fsm.cfg import control_flow_edges
+from repro.netlist.parallel_np import MODE_FLIP
 
 #: Fault-target groups selectable in behavioural campaigns.
 #:
@@ -295,25 +296,18 @@ class BehavioralBitFlip:
                 nets.append(structure.control_nets[where])
         return nets
 
-    def jobs(self, campaign) -> Iterator[Tuple[int, Tuple[Fault, ...]]]:
+    def jobs_arrays(self, campaign) -> JobArrays:
         nets = self._position_nets(campaign)
         if len(nets) < self.num_faults:
             raise ValueError("not enough fault positions for the requested fault count")
         if not campaign.contexts:
             raise ValueError("the FSM has no reachable transitions")
         # Draw for draw the behavioural protocol: transition index, then the
-        # fault positions -- sampled over *positions* so the stream matches
-        # behavioral_fault_campaign at equal seeds.
-        positions = list(range(len(nets)))
-        rng = random.Random(self.seed)
-        drawn: List[Tuple[int, Tuple[Fault, ...]]] = []
-        for _ in range(self.trials):
-            index = rng.randrange(len(campaign.contexts))
-            chosen = rng.sample(positions, self.num_faults)
-            faults = tuple(
-                Fault(net=nets[position], effect=FaultEffect.TRANSIENT_FLIP)
-                for position in chosen
-            )
-            drawn.append((index, faults))
-        drawn.sort(key=lambda job: job[0])
-        return iter(drawn)
+        # fault positions -- so the stream matches behavioral_fault_campaign
+        # at equal seeds.
+        positions = range(len(nets))
+        return drawn_fault_groups(
+            campaign, nets, self.trials, self.seed, (MODE_FLIP,),
+            lambda rng: rng.sample(positions, self.num_faults),
+            num_cycles=self.cycles,
+        )

@@ -3,9 +3,8 @@
 :class:`FaultCampaign` is bound to one :class:`ScfiNetlist` and owns the
 compiled bit-parallel engine (golden lanes first, then one fault group per
 lane), the per-edge activation contexts and the batch classifier.  Every
-scenario (:mod:`repro.fi.scenarios`) is lowered to the group-aware
-:class:`~repro.fi.scenarios.JobArrays` IR first -- either natively
-(``jobs_arrays``) or through the :meth:`JobArrays.from_jobs` adapter -- and
+scenario (:mod:`repro.fi.scenarios`) lowers itself to the group-aware
+:class:`~repro.fi.scenarios.JobArrays` IR first (its ``jobs_arrays``), and
 the IR is the only currency between the executor, the lane planner
 (:mod:`repro.fi.planner`), the three engines and the shm/pickle transports.
 The object :data:`~repro.fi.scenarios.InjectionJob` stream is re-materialised
@@ -36,8 +35,9 @@ deterministic job order, so counters -- and kept outcomes -- are
 bit-identical to single-process runs on every engine.
 
 Fault targets are validated up front: a scenario naming a net the netlist
-does not contain raises :class:`ValueError` (on every engine) instead of
-silently reporting the fault as masked.
+does not contain, or emitting an IR row outside the netlist, raises
+:class:`ValueError` (on every engine) instead of silently reporting the
+fault as masked.
 
 Everything here is re-exported from :mod:`repro.fi.orchestrator`, the
 historical single-module home, so imports and pickles keep working.
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -486,6 +486,9 @@ class FaultCampaign:
         self._plan_cache: Dict[Tuple, CampaignPlan] = {}
         self._plan_cache_jobs = 0
         self.plan_cache_hits = 0
+        #: Tables scenarios derive from this netlist while lowering (the
+        #: laser-spot placement and spot members), kept across runs.
+        self.lowering_cache: Dict[object, object] = {}
         self._pool = None
 
     # ------------------------------------------------------------------
@@ -587,15 +590,6 @@ class FaultCampaign:
                 + ", ".join(unknown)
             )
 
-    def _validated_jobs(self, jobs: Iterable[InjectionJob]) -> Iterator[InjectionJob]:
-        """Pass jobs through, rejecting faults on nets the netlist lacks."""
-        known = self._known_nets
-        for job in jobs:
-            for fault in job[1]:
-                if fault.net not in known:
-                    self.validate_target_nets(f.net for f in job[1])
-            yield job
-
     # ------------------------------------------------------------------
     def run(self, scenario) -> CampaignResult:
         """Execute one scenario: lower to the IR, plan, execute, merge."""
@@ -604,31 +598,34 @@ class FaultCampaign:
             keep_outcomes=self.keep_outcomes,
         )
         scenario.annotate(result, self)
-        cycles = int(getattr(scenario, "cycles", 1) or 1)
-        arrays = self.lower_scenario(scenario, cycles)
+        arrays = self.lower_scenario(scenario)
         if not arrays.num_jobs:
             return result
         result.transitions_evaluated = int(np.count_nonzero(np.bincount(arrays.contexts)))
-        self._run_ir(arrays, cycles, result)
+        self._run_ir(arrays, result)
         return result
 
-    def lower_scenario(self, scenario, cycles: int = 1) -> JobArrays:
+    def lower_scenario(self, scenario) -> JobArrays:
         """Lower one scenario to the group-aware :class:`JobArrays` IR.
 
-        Scenarios with a native ``jobs_arrays`` lowering (the exhaustive
-        sweep family) synthesise their arrays directly; everything else goes
-        through the generic :meth:`JobArrays.from_jobs` adapter over the
-        validated object job stream.  Either way the IR preserves scenario
-        order exactly, so plans and counters are independent of the lowering
-        route.
+        Every scenario builds its IR in ``jobs_arrays``.  The IR is checked
+        against this netlist and its trace: a net row outside the netlist
+        (numpy would silently wrap a negative one onto another net) or a
+        fault cycle outside the trace raises :class:`ValueError`.
         """
-        maker = getattr(scenario, "jobs_arrays", None)
-        if maker is not None:
-            arrays = maker(self)
-            if arrays is not None:
-                return arrays
-        jobs = list(self._validated_jobs(scenario.jobs(self)))
-        return JobArrays.from_jobs(jobs, self.net_index, num_cycles=cycles)
+        arrays = scenario.jobs_arrays(self)
+        rows, cycles, num_cycles = arrays.net_rows, arrays.cycles, arrays.num_cycles
+        if rows.size and (int(rows.min()) < 0 or int(rows.max()) >= len(self.net_index)):
+            raise ValueError(
+                f"scenario {scenario.describe()!r} emitted fault net rows outside "
+                f"[0, {len(self.net_index)}) of netlist {self.structure.netlist.name!r}"
+            )
+        if cycles is not None:
+            bad = (cycles != EVERY_CYCLE) & ((cycles < 0) | (cycles >= num_cycles))
+            if bool(np.any(bad)):
+                cycle = int(cycles[np.argmax(bad)])
+                raise ValueError(f"fault cycle {cycle} outside the {num_cycles}-cycle trace")
+        return arrays
 
     def _use_array_native(self, arrays: JobArrays) -> bool:
         """Whether the IR can be applied array-native on this campaign.
@@ -827,10 +824,10 @@ class FaultCampaign:
     # ------------------------------------------------------------------
     # Execute phase
     # ------------------------------------------------------------------
-    def _run_ir(self, arrays: JobArrays, cycles: int, result: CampaignResult) -> None:
+    def _run_ir(self, arrays: JobArrays, result: CampaignResult) -> None:
         """Execute a lowered job stream: one bounded trace per job.
 
-        Every job steps the compiled netlist ``cycles`` times with register
+        Every job steps the compiled netlist ``num_cycles`` times with register
         feedback (:meth:`~repro.netlist.parallel.CompiledNetlist.step_cycles`)
         and is classified on its final state against the analytic fault-free
         trajectory of its context; single-cycle scenarios are traces of one
@@ -840,7 +837,7 @@ class FaultCampaign:
         per-fault cycle annotations (transient shots, persistent spots, mixed
         schedules) at any worker count.
         """
-        self._validate_ir_cycles(arrays, cycles)
+        cycles = arrays.num_cycles
         if self.engine == "scalar":
             self.last_dispatch = "spec-stream"
             if self.workers > 1:
@@ -872,18 +869,6 @@ class FaultCampaign:
                 self._record_rows(
                     batch_jobs, self._evaluate_batch(batch, cycles, batch_jobs), result
                 )
-
-    @staticmethod
-    def _validate_ir_cycles(arrays: JobArrays, cycles: int) -> None:
-        """Reject fault cycles outside the trace (mirrors the object path)."""
-        if arrays.cycles is None:
-            return
-        bad = (arrays.cycles != EVERY_CYCLE) & (
-            (arrays.cycles < 0) | (arrays.cycles >= cycles)
-        )
-        if bool(np.any(bad)):
-            cycle = int(arrays.cycles[np.argmax(bad)])
-            raise ValueError(f"fault cycle {cycle} outside the {cycles}-cycle trace")
 
     def _execute_plan_sharded(
         self,

@@ -13,19 +13,21 @@ arrays where ``group_offsets`` delimits each job's slice of the flat
 IR (:meth:`JobArrays.to_jobs`), preserved for the scalar oracle and for
 outcome hydration.
 
-Scenarios with regular structure (:class:`ExhaustiveSingleFault` and its
-temporal subclass) synthesise their IR directly with ``repeat``/``tile`` --
-no per-job Python objects -- while irregular scenarios lower via
-:meth:`JobArrays.from_jobs`.  Either way the IR preserves scenario order
-exactly, so plans, batch boundaries and counters match the historical object
-stream bit for bit.
+Every scenario builds its IR directly in ``jobs_arrays`` -- no per-job
+Python objects.  Regular scenarios (:class:`ExhaustiveSingleFault` and its
+temporal subclass, :class:`MultiShotGlitch`) synthesise it with
+``repeat``/``tile``; sampled ones (:class:`RandomMultiFault`,
+:class:`LaserSpot`) collect the drawn ints in the historical
+``random.Random(seed)`` call order and regroup them stably by transition
+context, so plans, batch boundaries and counters match the historical
+object stream bit for bit.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +65,14 @@ def _require_effects(effects: Sequence[FaultEffect]) -> Tuple[FaultEffect, ...]:
     if not resolved:
         raise ValueError("effects must be non-empty")
     return resolved
+
+
+def _require_trace(cycles: object, duration: str) -> None:
+    """Reject a trace shorter than one cycle or an unknown fault duration."""
+    if not isinstance(cycles, int) or isinstance(cycles, bool) or cycles < 1:
+        raise ValueError("cycles must be an integer >= 1")
+    if duration not in FAULT_DURATIONS:
+        raise ValueError(f"unknown fault duration {duration!r} (choose from {FAULT_DURATIONS})")
 
 
 @dataclass(frozen=True)
@@ -121,50 +131,6 @@ class JobArrays:
             num_cycles=num_cycles,
         )
 
-    @classmethod
-    def from_jobs(
-        cls,
-        jobs: Sequence[InjectionJob],
-        net_id: Mapping[str, int],
-        num_cycles: int = 1,
-    ) -> "JobArrays":
-        """Lower an object job stream to the IR (total: every effect maps).
-
-        ``cycles`` is dropped to ``None`` when every fault is persistent
-        (``Fault.cycle is None``), so single-cycle scenarios keep the compact
-        three-array form.
-        """
-        contexts = np.empty(len(jobs), dtype=np.intp)
-        offsets = np.zeros(len(jobs) + 1, dtype=np.intp)
-        rows: List[int] = []
-        modes: List[int] = []
-        cycles: List[int] = []
-        any_cycle = False
-        for i, (index, faults) in enumerate(jobs):
-            contexts[i] = index
-            offsets[i + 1] = offsets[i] + len(faults)
-            for fault in faults:
-                rows.append(net_id[fault.net])
-                modes.append(_EFFECT_MODES[fault.effect])
-                if fault.cycle is None:
-                    cycles.append(EVERY_CYCLE)
-                else:
-                    if fault.cycle < 0:
-                        raise ValueError(
-                            f"fault cycle {fault.cycle} outside the "
-                            f"{num_cycles}-cycle trace"
-                        )
-                    cycles.append(fault.cycle)
-                    any_cycle = True
-        return cls(
-            contexts=contexts,
-            group_offsets=offsets,
-            net_rows=np.array(rows, dtype=np.intp),
-            modes=np.array(modes, dtype=np.uint8),
-            cycles=np.array(cycles, dtype=np.int64) if any_cycle else None,
-            num_cycles=num_cycles,
-        )
-
     def to_jobs(self, net_names: Sequence[str]) -> List[InjectionJob]:
         """Replay the IR as the equivalent object job stream.
 
@@ -208,6 +174,120 @@ class JobArrays:
         )
 
 
+def _effect_modes(effects: Sequence[FaultEffect]) -> List[int]:
+    return [_EFFECT_MODES[effect] for effect in effects]
+
+
+def _resolve_target_nets(scenario, campaign: "FaultCampaign", default: str) -> List[str]:
+    """A scenario's target-net pool on ``campaign``, memoised per campaign.
+
+    ``target_nets`` is ``"diffusion"``, ``"comb"``, ``None`` (``default``)
+    or an explicit net list, which is validated against the netlist.
+    """
+    if scenario._resolved is not None and scenario._resolved[0] is campaign:
+        return scenario._resolved[1]
+    target = default if scenario.target_nets is None else scenario.target_nets
+    if target == "diffusion":
+        nets = campaign.injector.diffusion_nets()
+    elif target == "comb":
+        nets = campaign.injector.all_comb_nets()
+    elif isinstance(target, str):
+        raise ValueError(f"unknown target-net alias {target!r}")
+    else:
+        nets = list(target)
+        campaign.validate_target_nets(nets)
+    scenario._resolved = (campaign, nets)
+    return nets
+
+
+def _pool_rows(campaign: "FaultCampaign", nets: Sequence[str]) -> np.ndarray:
+    """The IR rows of ``nets`` on ``campaign``, in pool order."""
+    net_id = campaign.net_index
+    return np.array([net_id[net] for net in nets], dtype=np.intp)
+
+
+def drawn_fault_groups(
+    campaign: "FaultCampaign",
+    nets: Sequence[str],
+    trials: int,
+    seed: int,
+    effect_modes: Sequence[int],
+    pick: Callable[[random.Random], Sequence[int]],
+    cycle: Optional[int] = None,
+    num_cycles: int = 1,
+) -> JobArrays:
+    """``trials`` randomly drawn fault groups over the pool ``nets``, as IR.
+
+    Per trial the ``random.Random(seed)`` stream draws a context, then
+    ``pick(rng)`` draws the group's pool positions, then -- only with several
+    effects -- one effect per fault.  The groups are then regrouped stably by
+    context (lanes of one pass share it), which is exactly
+    ``sort(key=context)`` over the drawn jobs.  Every fault fires in
+    ``cycle``, or in every cycle when it is ``None``.
+    """
+    rng = random.Random(seed)
+    num_contexts, num_effects = len(campaign.contexts), len(effect_modes)
+    contexts: List[int] = []
+    sizes: List[int] = []
+    picks: List[int] = []
+    modes: List[int] = []
+    for _ in range(trials):
+        contexts.append(rng.randrange(num_contexts))
+        group = pick(rng)
+        sizes.append(len(group))
+        picks.extend(group)
+        if num_effects > 1:
+            modes.extend(effect_modes[rng.randrange(num_effects)] for _ in group)
+    order = np.argsort(np.array(contexts, dtype=np.intp), kind="stable")
+    size = np.array(sizes, dtype=np.intp)
+    offsets = np.zeros(trials + 1, dtype=np.intp)
+    np.cumsum(size[order], out=offsets[1:])
+    total = int(offsets[-1])
+    # Flat index of every fault of the regrouped jobs in the draw order.
+    take = np.repeat((np.cumsum(size) - size)[order] - offsets[:-1], size[order])
+    take += np.arange(total, dtype=np.intp)
+    return JobArrays(
+        contexts=np.array(contexts, dtype=np.intp)[order],
+        group_offsets=offsets,
+        net_rows=_pool_rows(campaign, nets)[np.array(picks, dtype=np.intp)[take]],
+        modes=np.array(modes, dtype=np.uint8)[take]
+        if num_effects > 1
+        else np.full(total, effect_modes[0], dtype=np.uint8),
+        cycles=None if cycle is None else np.full(total, cycle, dtype=np.int64),
+        num_cycles=num_cycles,
+    )
+
+
+def _spot_members(
+    campaign: "FaultCampaign", nets: Sequence[str], radius: float
+) -> Callable[[int], np.ndarray]:
+    """Centre position -> pool positions of the nets inside its laser spot.
+
+    The placement and each centre's members are computed once per (pool,
+    radius) and kept in ``campaign.lowering_cache``, so repeated runs on one
+    executor skip them.
+    """
+    key = ("laser-spot", tuple(nets), radius)
+    members = campaign.lowering_cache.get(key)
+    if members is not None:
+        return members
+    placement = net_placement(campaign.structure)
+    xs = np.array([placement[net][0] for net in nets])
+    ys = np.array([placement[net][1] for net in nets])
+    radius_sq = radius**2
+    table: Dict[int, np.ndarray] = {}
+
+    def members(center: int) -> np.ndarray:
+        group = table.get(center)
+        if group is None:
+            inside = (xs - xs[center]) ** 2 + (ys - ys[center]) ** 2 <= radius_sq
+            group = table[center] = np.flatnonzero(inside)
+        return group
+
+    campaign.lowering_cache[key] = members
+    return members
+
+
 # ----------------------------------------------------------------------
 # Scenarios
 # ----------------------------------------------------------------------
@@ -234,38 +314,15 @@ class ExhaustiveSingleFault:
         return "exhaustive single-fault"
 
     def resolved_nets(self, campaign: "FaultCampaign") -> List[str]:
-        if self._resolved is not None and self._resolved[0] is campaign:
-            return self._resolved[1]
-        if self.target_nets is None or self.target_nets == "diffusion":
-            nets = campaign.injector.diffusion_nets()
-        elif self.target_nets == "comb":
-            nets = campaign.injector.all_comb_nets()
-        elif isinstance(self.target_nets, str):
-            raise ValueError(f"unknown target-net alias {self.target_nets!r}")
-        else:
-            nets = list(self.target_nets)
-            campaign.validate_target_nets(nets)
-        self._resolved = (campaign, nets)
-        return nets
+        return _resolve_target_nets(self, campaign, default="diffusion")
 
     def annotate(self, result: "CampaignResult", campaign: "FaultCampaign") -> None:
         result.target_nets = len(self.resolved_nets(campaign))
 
-    def jobs(self, campaign: "FaultCampaign") -> Iterator[InjectionJob]:
-        nets = self.resolved_nets(campaign)
-        for index in range(len(campaign.contexts)):
-            for net in nets:
-                for effect in self.effects:
-                    yield index, (Fault(net=net, effect=effect),)
-
     def _cross_product(self, campaign: "FaultCampaign") -> Tuple[np.ndarray, ...]:
         """(contexts, net_rows, modes) of the (context x net x effect) grid."""
-        nets = self.resolved_nets(campaign)
-        net_id = campaign.net_index
-        net_ids = np.array([net_id[net] for net in nets], dtype=np.intp)
-        effect_modes = np.array(
-            [_EFFECT_MODES[effect] for effect in self.effects], dtype=np.uint8
-        )
+        net_ids = _pool_rows(campaign, self.resolved_nets(campaign))
+        effect_modes = np.array(_effect_modes(self.effects), dtype=np.uint8)
         num_contexts = len(campaign.contexts)
         per_context = net_ids.size * effect_modes.size
         return (
@@ -275,12 +332,11 @@ class ExhaustiveSingleFault:
         )
 
     def jobs_arrays(self, campaign: "FaultCampaign") -> JobArrays:
-        """The :meth:`jobs` stream as the array IR, in identical order.
+        """One single-fault job per (context, net, effect), in that order.
 
-        The cross product (context x net x effect) is synthesised with
-        ``repeat``/``tile`` instead of one Python object pair per job, which
-        is what lets the numpy engine run wide campaigns without per-job
-        interpreter overhead.
+        The cross product is synthesised with ``repeat``/``tile`` instead of
+        one Python object pair per job, which is what lets the numpy engine
+        run wide campaigns without per-job interpreter overhead.
         """
         contexts, net_rows, modes = self._cross_product(campaign)
         return JobArrays.single_fault(contexts, net_rows, modes)
@@ -319,28 +375,14 @@ class RandomMultiFault:
         return f"random {self.num_faults}-fault"
 
     def resolved_nets(self, campaign: "FaultCampaign") -> List[str]:
-        if self._resolved is not None and self._resolved[0] is campaign:
-            return self._resolved[1]
-        if self.target_nets is None or self.target_nets == "comb":
-            nets = campaign.injector.all_comb_nets()
-        elif self.target_nets == "diffusion":
-            nets = campaign.injector.diffusion_nets()
-        elif isinstance(self.target_nets, str):
-            raise ValueError(f"unknown target-net alias {self.target_nets!r}")
-        else:
-            nets = list(self.target_nets)
-            campaign.validate_target_nets(nets)
-        self._resolved = (campaign, nets)
-        return nets
+        return _resolve_target_nets(self, campaign, default="comb")
 
     def annotate(self, result: "CampaignResult", campaign: "FaultCampaign") -> None:
         result.target_nets = len(self.resolved_nets(campaign))
 
-    def jobs(self, campaign: "FaultCampaign") -> Iterator[InjectionJob]:
+    def jobs_arrays(self, campaign: "FaultCampaign") -> JobArrays:
         if self.num_faults < 1:
             raise ValueError("num_faults must be >= 1")
-        if not self.effects:
-            raise ValueError("effects must be non-empty")
         if not campaign.contexts:
             raise ValueError("the FSM has no reachable transitions")
         nets = self.resolved_nets(campaign)
@@ -349,24 +391,11 @@ class RandomMultiFault:
                 f"num_faults={self.num_faults} exceeds the {len(nets)} available "
                 f"target nets; a truncated draw would silently weaken the campaign"
             )
-        rng = random.Random(self.seed)
-        drawn: List[InjectionJob] = []
-        for _ in range(self.trials):
-            index = rng.randrange(len(campaign.contexts))
-            chosen = rng.sample(nets, self.num_faults)
-            faults = tuple(
-                Fault(
-                    net=net,
-                    effect=self.effects[0]
-                    if len(self.effects) == 1
-                    else self.effects[rng.randrange(len(self.effects))],
-                )
-                for net in chosen
-            )
-            drawn.append((index, faults))
-        # Stable regroup by transition: lanes of one pass share the context.
-        drawn.sort(key=lambda job: job[0])
-        return iter(drawn)
+        positions = range(len(nets))
+        return drawn_fault_groups(
+            campaign, nets, self.trials, self.seed, _effect_modes(self.effects),
+            lambda rng: rng.sample(positions, self.num_faults),
+        )
 
 
 #: Durations a temporal single-fault scenario understands: ``"transient"``
@@ -395,12 +424,7 @@ class TemporalSingleFault(ExhaustiveSingleFault):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not isinstance(self.cycles, int) or isinstance(self.cycles, bool) or self.cycles < 1:
-            raise ValueError("cycles must be an integer >= 1")
-        if self.duration not in FAULT_DURATIONS:
-            raise ValueError(
-                f"unknown fault duration {self.duration!r} (choose from {FAULT_DURATIONS})"
-            )
+        _require_trace(self.cycles, self.duration)
         if not 0 <= self.inject_cycle < self.cycles:
             raise ValueError(
                 f"inject_cycle {self.inject_cycle} outside the {self.cycles}-cycle trace"
@@ -414,15 +438,6 @@ class TemporalSingleFault(ExhaustiveSingleFault):
         if self.duration == "persistent":
             return tuple(range(self.cycles))
         return (self.inject_cycle,)
-
-    def jobs(self, campaign: "FaultCampaign") -> Iterator[InjectionJob]:
-        nets = self.resolved_nets(campaign)
-        # ``cycle=None`` marks a fault active in every cycle of the trace.
-        cycle = None if self.duration == "persistent" else self.inject_cycle
-        for index in range(len(campaign.contexts)):
-            for net in nets:
-                for effect in self.effects:
-                    yield index, (Fault(net=net, effect=effect, cycle=cycle),)
 
     def jobs_arrays(self, campaign: "FaultCampaign") -> JobArrays:
         contexts, net_rows, modes = self._cross_product(campaign)
@@ -474,16 +489,21 @@ class MultiShotGlitch:
         return f"multi-shot glitch ({len(self.glitches)} shots / {self.cycles} cycles)"
 
     def annotate(self, result: "CampaignResult", campaign: "FaultCampaign") -> None:
-        campaign.validate_target_nets(net for _, net, _ in self.glitches)
         result.target_nets = len({net for _, net, _ in self.glitches})
 
-    def jobs(self, campaign: "FaultCampaign") -> Iterator[InjectionJob]:
-        faults = tuple(
-            Fault(net=net, effect=effect, cycle=cycle)
-            for cycle, net, effect in self.glitches
+    def jobs_arrays(self, campaign: "FaultCampaign") -> JobArrays:
+        """One group per context holding every shot, in schedule order."""
+        campaign.validate_target_nets(net for _, net, _ in self.glitches)
+        num_contexts = len(campaign.contexts)
+        shot_cycles, shot_nets, shot_effects = zip(*self.glitches)
+        return JobArrays(
+            contexts=np.arange(num_contexts, dtype=np.intp),
+            group_offsets=np.arange(num_contexts + 1, dtype=np.intp) * len(shot_nets),
+            net_rows=np.tile(_pool_rows(campaign, shot_nets), num_contexts),
+            modes=np.tile(np.array(_effect_modes(shot_effects), dtype=np.uint8), num_contexts),
+            cycles=np.tile(np.array(shot_cycles, dtype=np.int64), num_contexts),
+            num_cycles=self.cycles,
         )
-        for index in range(len(campaign.contexts)):
-            yield index, faults
 
 
 @dataclass
@@ -514,7 +534,6 @@ class LaserSpot:
     cycles: int = 1
     duration: str = "persistent"
     _resolved: object = field(default=None, init=False, repr=False, compare=False)
-    _drawn: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.target_nets is not None and not isinstance(self.target_nets, str):
@@ -532,72 +551,29 @@ class LaserSpot:
             or self.spot_trials < 0
         ):
             raise ValueError("spot_trials must be an integer >= 0")
-        if not isinstance(self.cycles, int) or isinstance(self.cycles, bool) or self.cycles < 1:
-            raise ValueError("cycles must be an integer >= 1")
-        if self.duration not in FAULT_DURATIONS:
-            raise ValueError(
-                f"unknown fault duration {self.duration!r} (choose from {FAULT_DURATIONS})"
-            )
+        _require_trace(self.cycles, self.duration)
 
     def describe(self) -> str:
         return f"laser spot (r={self.spot_radius:g}, {self.spot_trials} trials)"
 
     def resolved_nets(self, campaign: "FaultCampaign") -> List[str]:
-        if self._resolved is not None and self._resolved[0] is campaign:
-            return self._resolved[1]
-        if self.target_nets is None or self.target_nets == "comb":
-            nets = campaign.injector.all_comb_nets()
-        elif self.target_nets == "diffusion":
-            nets = campaign.injector.diffusion_nets()
-        elif isinstance(self.target_nets, str):
-            raise ValueError(f"unknown target-net alias {self.target_nets!r}")
-        else:
-            nets = list(self.target_nets)
-            campaign.validate_target_nets(nets)
-        self._resolved = (campaign, nets)
-        return nets
+        return _resolve_target_nets(self, campaign, default="comb")
 
     def annotate(self, result: "CampaignResult", campaign: "FaultCampaign") -> None:
         result.target_nets = len(self.resolved_nets(campaign))
 
-    def _draw(self, campaign: "FaultCampaign") -> List[InjectionJob]:
-        if self._drawn is not None and self._drawn[0] is campaign:
-            return self._drawn[1]
+    def jobs_arrays(self, campaign: "FaultCampaign") -> JobArrays:
         if not campaign.contexts:
             raise ValueError("the FSM has no reachable transitions")
         nets = self.resolved_nets(campaign)
-        coords = net_placement(campaign.structure)
-        xs = np.array([coords[net][0] for net in nets])
-        ys = np.array([coords[net][1] for net in nets])
-        radius_sq = float(self.spot_radius) ** 2
-        # ``cycle=None`` marks a fault active in every cycle of the trace.
-        cycle = None if self.duration == "persistent" else 0
-        rng = random.Random(self.seed)
-        drawn: List[InjectionJob] = []
-        for _ in range(self.spot_trials):
-            index = rng.randrange(len(campaign.contexts))
-            center = rng.randrange(len(nets))
-            members = np.flatnonzero(
-                (xs - xs[center]) ** 2 + (ys - ys[center]) ** 2 <= radius_sq
-            )
-            faults = tuple(
-                Fault(
-                    net=nets[int(member)],
-                    effect=self.effects[0]
-                    if len(self.effects) == 1
-                    else self.effects[rng.randrange(len(self.effects))],
-                    cycle=cycle,
-                )
-                for member in members
-            )
-            drawn.append((index, faults))
-        # Stable regroup by transition: lanes of one pass share the context.
-        drawn.sort(key=lambda job: job[0])
-        self._drawn = (campaign, drawn)
-        return drawn
-
-    def jobs(self, campaign: "FaultCampaign") -> Iterator[InjectionJob]:
-        return iter(self._draw(campaign))
+        spot = _spot_members(campaign, nets, float(self.spot_radius))
+        return drawn_fault_groups(
+            campaign, nets, self.spot_trials, self.seed, _effect_modes(self.effects),
+            lambda rng: spot(rng.randrange(len(nets))),
+            # A transient spot fires in cycle 0; a persistent one in every cycle.
+            cycle=None if self.duration == "persistent" else 0,
+            num_cycles=self.cycles,
+        )
 
 
 def effect_sweep_scenarios(

@@ -370,3 +370,96 @@ class TestExecutorFactory:
         # register_engine (pinned elsewhere); here just check it still runs.
         result = Session().run(self._spec())
         assert result.to_dict()["campaigns"]
+
+
+class TestExecutorReuse:
+    """One warm executor per (structure, execution params) inside a Session."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every executor the default factory builds, in build order."""
+        import repro.api.session as session_mod
+
+        built = []
+        original = session_mod.make_executor
+
+        def counting(campaign, structure, keep_outcomes):
+            executor = original(campaign, structure, keep_outcomes=keep_outcomes)
+            built.append(executor)
+            return executor
+
+        monkeypatch.setattr(session_mod, "make_executor", counting)
+        return built
+
+    @staticmethod
+    def _dicts(results):
+        return {name: result.to_dict() for name, result in results.items()}
+
+    def test_equal_params_build_one_executor(self, built, protected_traffic_light):
+        structure = protected_traffic_light.structure
+        specs = (
+            CampaignSpec(scenario="effects"),
+            CampaignSpec(scenario="laser", spot_radius=2.0, spot_trials=60, cycles=2),
+            CampaignSpec(scenario="laser", spot_radius=2.0, spot_trials=60, cycles=2),
+            CampaignSpec(scenario="random", faults=2, trials=300, seed=4),
+        )
+        session = Session()
+        reused = [self._dicts(session.run_campaign(structure, spec)) for spec in specs]
+        assert len(built) == 1
+        fresh = [self._dicts(Session().run_campaign(structure, spec)) for spec in specs]
+        assert reused == fresh
+
+    def test_other_params_or_structure_build_another(self, built, protected_traffic_light):
+        structure = protected_traffic_light.structure
+        spec = CampaignSpec(scenario="exhaustive")
+        session = Session()
+        session.run_campaign(structure, spec)
+        session.run_campaign(structure, spec, ReportSpec(keep_outcomes=True))
+        assert len(built) == 2
+        session.run_campaign(structure, CampaignSpec(scenario="exhaustive", lane_width=64))
+        assert len(built) == 3
+        # An equal but distinct structure is another structure.
+        twin = protect_fsm(
+            traffic_light_fsm(), ScfiOptions(protection_level=2, generate_verilog=False)
+        ).structure
+        session.run_campaign(twin, spec)
+        assert len(built) == 4
+        session.run_campaign(structure, spec)
+        session.run_campaign(structure, spec, ReportSpec(keep_outcomes=True))
+        assert len(built) == 4
+
+    def test_worker_pool_released_after_each_call(self, built, protected_traffic_light):
+        import multiprocessing
+
+        structure = protected_traffic_light.structure
+        spec = CampaignSpec(scenario="random", faults=2, trials=300, seed=4, workers=2)
+        before = set(multiprocessing.active_children())
+        session = Session()
+        first = self._dicts(session.run_campaign(structure, spec))
+        assert built[0]._pool is None
+        assert set(multiprocessing.active_children()) <= before
+        # The reused executor starts a new pool and releases it again.
+        assert self._dicts(session.run_campaign(structure, spec)) == first
+        assert len(built) == 1
+        assert built[0]._pool is None
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_cache_is_bounded(self, built, traffic_light):
+        from repro.api.session import EXECUTOR_CACHE_LIMIT
+
+        options = ScfiOptions(protection_level=2, generate_verilog=False)
+        structures = [
+            protect_fsm(traffic_light, options).structure
+            for _ in range(EXECUTOR_CACHE_LIMIT + 2)
+        ]
+        spec = CampaignSpec(scenario="exhaustive", engine="parallel")
+        session = Session()
+        for structure in structures:
+            session.run_campaign(structure, spec)
+        assert len(built) == EXECUTOR_CACHE_LIMIT + 2
+        assert len(session._executors) == EXECUTOR_CACHE_LIMIT
+        session.run_campaign(structures[-1], spec)  # still warm
+        assert len(built) == EXECUTOR_CACHE_LIMIT + 2
+        session.run_campaign(structures[0], spec)  # evicted first
+        assert len(built) == EXECUTOR_CACHE_LIMIT + 3
+        assert len(session._executors) == EXECUTOR_CACHE_LIMIT
