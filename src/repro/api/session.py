@@ -65,9 +65,9 @@ from repro.synth.serialize import (
     serialize_scfi_result,
 )
 
-#: Warm executors one :class:`Session` keeps across ``run_campaign`` calls.
-#: A campaign suite touches a few structures; ``run_table1`` walks many
-#: through one session, so the least recently used executor is dropped.
+#: Warm executors (and, with a store, hardened FSMs) one :class:`Session` keeps
+#: across runs.  A campaign suite touches a few structures; ``run_table1``
+#: walks many through one session, so the least recently used is dropped.
 EXECUTOR_CACHE_LIMIT = 4
 
 #: Progress callback: ``(stage, detail)`` -- e.g. ``("campaign", "exhaustive")``
@@ -76,18 +76,27 @@ ProgressCallback = Callable[[str, str], None]
 
 #: Campaign-executor factory: ``(campaign_spec, structure, keep_outcomes,
 #: cache_scope) -> context-manager executor`` with the
-#: :class:`~repro.fi.orchestrator.FaultCampaign` ``run`` interface.
-#: ``cache_scope`` is the harden-stage input hash (``None`` without a store),
-#: which lets alternative executors -- the campaign service's persistent
-#: worker fleet keys its warm compiled netlists by exactly this hash -- know
-#: *which* hardened netlist they are executing against.  The default factory
+#: :class:`~repro.fi.orchestrator.FaultCampaign` ``run`` interface, which the
+#: session keeps warm and enters once per run.  ``cache_scope`` is the
+#: harden-stage input hash (``None`` without a store), which lets alternative
+#: executors -- the campaign service's persistent worker fleet keys its warm
+#: compiled netlists by exactly this hash -- know *which* hardened netlist
+#: they are executing against.  The default factory
 #: resolves through the engine registry (:func:`repro.api.registry.make_executor`),
 #: so the hook composes with :func:`repro.api.registry.register_engine` rather
 #: than replacing it.
 ExecutorFactory = Callable[[CampaignSpec, ScfiNetlist, bool, Optional[str]], Any]
 
 
-def _load_json_artifact(store: ArtifactStore, stage: str, key: str) -> Optional[Dict]:
+def _lru_put(cache: "OrderedDict", key, value) -> None:
+    """Insert ``key`` as most recently used, evicting down to the limit."""
+    cache.pop(key, None)
+    while len(cache) >= EXECUTOR_CACHE_LIMIT:
+        cache.popitem(last=False)
+    cache[key] = value
+
+
+def load_json_artifact(store: ArtifactStore, stage: str, key: str) -> Optional[Dict]:
     """Load + parse one JSON artifact; an unparsable payload is evicted and
     treated as a miss (the store already handled byte-level corruption)."""
     artifact = store.load(stage, key)
@@ -208,9 +217,11 @@ class Session:
     :class:`~repro.store.ArtifactStore` that persists each stage's artifact
     under its input hash; without one every run recomputes everything (the
     pre-incremental behaviour).  Between runs a session keeps only up to
-    :data:`EXECUTOR_CACHE_LIMIT` warm executors, one per structure and
-    execution params, so repeated campaigns on one structure reuse its
-    compiled netlists, plans and classification memo.
+    :data:`EXECUTOR_CACHE_LIMIT` warm executors (default or factory-built),
+    one per structure, execution params and cache scope, so repeated
+    campaigns on one structure reuse its compiled netlists, plans and
+    classification memo.  With a store it also keeps as many hardened FSMs,
+    by harden-stage key, so a repeat harden returns the same structure.
     """
 
     def __init__(
@@ -222,24 +233,29 @@ class Session:
         self._progress = progress
         self.store = store
         self._executor_factory = executor_factory
-        # (id(structure), execution params) -> (structure, executor), least
+        # (id(structure), params, cache scope) -> (structure, executor), least
         # recently used first.  Holding the structure keeps its id unique.
         self._executors: "OrderedDict[tuple, Tuple[ScfiNetlist, Any]]" = OrderedDict()
+        # Harden-stage key -> hardened FSM, least recently used first.
+        self._hardened: "OrderedDict[str, ScfiResult]" = OrderedDict()
 
     def _emit(self, stage: str, detail: str = "") -> None:
         if self._progress is not None:
             self._progress(stage, detail)
 
-    def _executor(self, campaign: CampaignSpec, structure: ScfiNetlist, keep_outcomes: bool):
+    def _executor(self, campaign: CampaignSpec, structure: ScfiNetlist, keep_outcomes: bool,
+                  cache_scope: Optional[str]):
         """The session's warm executor for this structure and execution params."""
         key = (id(structure), campaign.engine, campaign.lane_width, campaign.workers,
-               keep_outcomes, campaign.pack_contexts)
-        entry = self._executors.pop(key, None)
+               keep_outcomes, campaign.pack_contexts, cache_scope)
+        entry = self._executors.get(key)
         if entry is None:
-            entry = (structure, make_executor(campaign, structure, keep_outcomes=keep_outcomes))
-            while len(self._executors) >= EXECUTOR_CACHE_LIMIT:
-                self._executors.popitem(last=False)
-        self._executors[key] = entry
+            if self._executor_factory is None:
+                executor = make_executor(campaign, structure, keep_outcomes=keep_outcomes)
+            else:
+                executor = self._executor_factory(campaign, structure, keep_outcomes, cache_scope)
+            entry = (structure, executor)
+        _lru_put(self._executors, key, entry)
         return entry[1]
 
     # ------------------------------------------------------------------
@@ -263,31 +279,36 @@ class Session:
         hit the pickled :class:`~repro.core.scfi.ScfiResult` is restored
         without resolving or compiling anything; ``fsm`` lets trusted library
         callers that already hold the resolved machine skip the registry
-        lookup on a miss.  ``cache`` (when given) receives the stage's
+        lookup on a miss.  A hardened FSM the session already holds is a hit
+        with no store read.  ``cache`` (when given) receives the stage's
         hit/miss record under ``"harden"``.
         """
         key = harden_stage_key(fsm_spec, protect, emit_verilog)
         record = {"key": key, "status": "disabled" if self.store is None else "miss"}
         if cache is not None:
             cache["harden"] = record
+        scfi = None
         if self.store is not None:
-            artifact = self.store.load("harden", key)
+            scfi = self._hardened.get(key)
+            artifact = self.store.load("harden", key) if scfi is None else None
             if artifact is not None:
                 try:
                     scfi = deserialize_scfi_result(artifact.payload)
                 except ScfiCodecError:
                     # Produced by an incompatible build: evict and recompute.
                     self.store.delete("harden", key)
-                else:
-                    record["status"] = "hit"
-                    self._emit("harden", f"cache hit {key[:12]}")
-                    return scfi
-        if fsm is None:
-            fsm = fsm_spec.resolve()
-        self._emit("harden", f"{fsm.name} N={protect.protection_level}")
-        scfi = protect_fsm(fsm, protect.to_options(generate_verilog=emit_verilog))
+            if scfi is not None:
+                record["status"] = "hit"
+                self._emit("harden", f"cache hit {key[:12]}")
+        if scfi is None:
+            if fsm is None:
+                fsm = fsm_spec.resolve()
+            self._emit("harden", f"{fsm.name} N={protect.protection_level}")
+            scfi = protect_fsm(fsm, protect.to_options(generate_verilog=emit_verilog))
+            if self.store is not None:
+                self.store.save("harden", key, serialize_scfi_result(scfi), CODEC_PICKLE)
         if self.store is not None:
-            self.store.save("harden", key, serialize_scfi_result(scfi), CODEC_PICKLE)
+            _lru_put(self._hardened, key, scfi)
         return scfi
 
     def run_campaign(
@@ -338,7 +359,7 @@ class Session:
             cache.update(records)
 
         if cached:
-            doc = _load_json_artifact(self.store, "campaign", campaign_key)
+            doc = load_json_artifact(self.store, "campaign", campaign_key)
             if doc is not None:
                 try:
                     results = {
@@ -357,15 +378,9 @@ class Session:
                     return results
 
         results: Dict[str, CampaignResult] = {}
-        if self._executor_factory is not None:
-            executor_cm = self._executor_factory(
-                campaign, structure, report.keep_outcomes, cache_scope
-            )
-        else:
-            executor_cm = self._executor(campaign, structure, report.keep_outcomes)
         # Leaving the block closes the executor, which releases a workers>1
         # pool; a reused executor starts a new pool on its next sharded run.
-        with executor_cm as executor:
+        with self._executor(campaign, structure, report.keep_outcomes, cache_scope) as executor:
             # Custom registered engines may not speak the plan import/export
             # interface; plan persistence degrades gracefully for them.
             plans_cached = (
@@ -373,10 +388,13 @@ class Session:
                 and plan_key is not None
                 and hasattr(executor, "import_plans")
                 and hasattr(executor, "export_plans")
+                and hasattr(executor, "plan_lookups")
             )
+            # A reused executor also caches earlier runs' plans; export this run's.
+            lookups_before = executor.plan_lookups if plans_cached else 0
             plan_hit = False
             if plans_cached:
-                doc = _load_json_artifact(self.store, "plan", plan_key)
+                doc = load_json_artifact(self.store, "plan", plan_key)
                 if doc is not None:
                     try:
                         imported = executor.import_plans(doc["plans"])
@@ -393,7 +411,8 @@ class Session:
                     dispatch[name] = getattr(executor, "last_dispatch", None)
             if plans_cached and not plan_hit:
                 _save_json_artifact(
-                    self.store, "plan", plan_key, {"plans": executor.export_plans()}
+                    self.store, "plan", plan_key,
+                    {"plans": executor.export_plans(since=lookups_before)},
                 )
         if cached:
             _save_json_artifact(
@@ -454,7 +473,7 @@ class Session:
         }
         report_doc = None
         if store is not None:
-            report_doc = _load_json_artifact(store, "report", keys["report"])
+            report_doc = load_json_artifact(store, "report", keys["report"])
             if report_doc is not None:
                 report_record["status"] = "hit"
                 self._emit("report", f"cache hit {keys['report'][:12]}")
@@ -533,7 +552,7 @@ class Session:
         }
         cache["campaign"] = record
         if self.store is not None and campaign_key is not None:
-            doc = _load_json_artifact(self.store, "campaign", campaign_key)
+            doc = load_json_artifact(self.store, "campaign", campaign_key)
             if doc is not None:
                 try:
                     behavioral = BehavioralCampaignResult.from_dict(doc["behavioral"])

@@ -482,10 +482,13 @@ class FaultCampaign:
         self._classify_cache: Dict[
             Tuple[int, int, int], Tuple[Classification, Optional[str]]
         ] = {}
-        # Plans keyed by job shape; contexts are fixed per campaign instance.
-        self._plan_cache: Dict[Tuple, CampaignPlan] = {}
+        # Plans keyed by job shape, each with the :attr:`plan_lookups` count at
+        # its latest lookup or import; contexts are fixed per campaign instance.
+        self._plan_cache: Dict[Tuple, Tuple[CampaignPlan, int]] = {}
         self._plan_cache_jobs = 0
         self.plan_cache_hits = 0
+        #: :meth:`plan_jobs` calls so far: the mark :meth:`export_plans` takes.
+        self.plan_lookups = 0
         #: Tables scenarios derive from this netlist while lowering (the
         #: laser-spot placement and spot members), kept across runs.
         self.lowering_cache: Dict[object, object] = {}
@@ -688,13 +691,13 @@ class FaultCampaign:
         the PR 1 one-context-per-pass behaviour.
         """
         key = (tuple(job_contexts), self.lane_width, self.pack_contexts)
-        plan = self._plan_cache.get(key)
-        if plan is not None:
+        self.plan_lookups += 1
+        cached = self._plan_cache.pop(key, None)
+        if cached is not None:
             self.plan_cache_hits += 1
             # LRU: re-insert so sweeps cycling through shapes keep them alive.
-            del self._plan_cache[key]
-            self._plan_cache[key] = plan
-            return plan
+            self._plan_cache[key] = (cached[0], self.plan_lookups)
+            return cached[0]
         if self.pack_contexts:
             plan = self._plan_packed(key[0])
         else:
@@ -710,21 +713,25 @@ class FaultCampaign:
             len(self._plan_cache) >= PLAN_CACHE_LIMIT
             or self._plan_cache_jobs + plan.num_jobs > PLAN_CACHE_MAX_JOBS
         ):
-            evicted = self._plan_cache.pop(next(iter(self._plan_cache)))
+            evicted, _ = self._plan_cache.pop(next(iter(self._plan_cache)))
             self._plan_cache_jobs -= evicted.num_jobs
-        self._plan_cache[key] = plan
+        self._plan_cache[key] = (plan, self.plan_lookups)
         self._plan_cache_jobs += plan.num_jobs
 
-    def export_plans(self) -> List[Dict[str, object]]:
-        """Serialize every cached plan (with its shape key) for persistence.
+    def export_plans(self, since: Optional[int] = None) -> List[Dict[str, object]]:
+        """Serialize cached plans (with their shape keys) for persistence.
 
-        The payloads are plain JSON-able dicts; :meth:`import_plans` on a
-        fresh campaign over the same netlist pre-seeds its plan cache from
-        them, turning the plan phase of a warm pipeline run into pure
-        deserialization.
+        With ``since`` (an earlier :attr:`plan_lookups`), only plans looked up
+        after it are exported: a run on a reused campaign persists its own
+        plans, not the ones earlier runs left in the cache.  The payloads are
+        plain JSON-able dicts; :meth:`import_plans` on a fresh campaign over
+        the same netlist pre-seeds its plan cache from them, turning the plan
+        phase of a warm pipeline run into pure deserialization.
         """
         payloads: List[Dict[str, object]] = []
-        for (job_contexts, lane_width, pack_contexts), plan in self._plan_cache.items():
+        for (job_contexts, lane_width, pack_contexts), (plan, used) in self._plan_cache.items():
+            if since is not None and used <= since:
+                continue
             payloads.append({
                 "job_contexts": list(job_contexts),
                 "lane_width": lane_width,

@@ -4,8 +4,8 @@ A long-running front end over the staged pipeline: a durable job queue
 (:mod:`repro.service.jobs`), a persistent worker fleet with warm compiled
 netlists (:mod:`repro.service.worker`), a scheduler wiring jobs through the
 ordinary :class:`~repro.api.session.Session` (:mod:`repro.service.scheduler`),
-a spec-hash result tier (:mod:`repro.service.results`) and a stdlib-only HTTP
-surface (:mod:`repro.service.http`).  Everything durable lives in the same
+a result tier over the report stage (:mod:`repro.service.results`) and a
+stdlib-only HTTP surface (:mod:`repro.service.http`).  Everything durable lives in the same
 content-addressed :class:`~repro.store.ArtifactStore` the CLI caches into, so
 ``scfi serve`` and ``scfi run`` share one cache and one notion of identity.
 """
@@ -25,7 +25,6 @@ from repro.service.jobs import (
     split_job_id,
 )
 from repro.service.results import (
-    RESULT_STAGE,
     RESULT_TIER_COMPUTED,
     RESULT_TIER_HIT,
     ResultTier,
@@ -60,7 +59,6 @@ __all__ = [
     "JobQueue",
     "new_nonce",
     "split_job_id",
-    "RESULT_STAGE",
     "RESULT_TIER_COMPUTED",
     "RESULT_TIER_HIT",
     "ResultTier",

@@ -8,13 +8,13 @@ through the service:
 Its identity is ``<spec content_hash><submit nonce>`` -- 64 hex characters of
 spec identity plus 8 hex characters distinguishing this submission -- which
 doubles as the job's artifact key in the store (keys must be hex digests).
-Every state transition is persisted as a JSON artifact under the ``job``
-stage of the same content-addressed :class:`~repro.store.ArtifactStore` the
-pipeline memoises into, so there is **no in-memory-only job registry**: a
-restarted server calls :meth:`JobQueue.recover`, reloads every job record,
-and re-queues whatever was in flight when the previous process died
-(``queued``/``planning``/``running`` jobs, plus ``failed`` jobs explicitly
-marked *resumable* by a graceful shutdown).
+The record is persisted as a JSON artifact under the ``job`` stage of the
+pipeline's :class:`~repro.store.ArtifactStore` at submit and at its terminal
+state only; ``planning``/``running`` and progress live in memory, where
+``GET /jobs/<id>`` reads them.  Recovery needs no more: a restarted server
+calls :meth:`JobQueue.recover`, reloads every job record, and re-queues the
+ones still reading ``queued`` (in flight when the previous process died),
+plus ``failed`` jobs explicitly marked *resumable* by a graceful shutdown.
 
 Submissions are **single-flight by spec hash**: while a job for a given
 ``content_hash`` is active, further submissions of the same spec coalesce
@@ -85,6 +85,9 @@ class Job:
     recovered: bool = False
     result_source: Optional[str] = None
     progress: Dict[str, Any] = field(default_factory=dict)
+    #: The spec's report-stage key, where its result lives.  Set at submit,
+    #: not persisted: a reloaded record derives it from ``spec``.
+    report_key: Optional[str] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.state not in JOB_STATES:
@@ -111,7 +114,7 @@ class Job:
             "resumable": self.resumable,
             "recovered": self.recovered,
             "result_source": self.result_source,
-            "progress": self.progress,
+            "progress": dict(self.progress),  # copied: the scheduler mutates it
         }
 
     @classmethod
@@ -148,9 +151,8 @@ class JobQueue:
     """Durable FIFO of jobs, persisted through the artifact store.
 
     Thread-safe: HTTP handler threads submit and read while the scheduler
-    thread consumes.  The in-memory dict is a *mirror* of the store -- every
-    mutation goes through :meth:`persist` first, so a crash at any point
-    leaves a record the next server recovers from.
+    thread consumes.  The in-memory dict runs ahead of the store only while
+    a job is active, so a crash leaves a ``queued`` or terminal record.
     """
 
     def __init__(self, store: ArtifactStore) -> None:
@@ -259,12 +261,13 @@ class JobQueue:
                 return None
             return self._jobs[self._pending.popleft()]
 
-    def transition(self, job: Job, state: str, *, persist: bool = True, **fields) -> None:
-        """Move a job to ``state`` (and set extra record fields), persisting.
+    def transition(self, job: Job, state: str, **fields) -> None:
+        """Move a job to ``state`` (and set extra record fields).
 
-        Leaving an active state releases the job's single-flight slot, so the
-        next submission of the same spec starts a fresh computation (or hits
-        the result tier).
+        Only a terminal state is persisted: an active one changes nothing
+        recovery acts on.  Leaving an active state releases the job's
+        single-flight slot, so the next submission of the same spec starts a
+        fresh computation (or hits the result tier).
         """
         if state not in JOB_STATES:
             raise ValueError(f"unknown job state {state!r} (known: {JOB_STATES})")
@@ -272,9 +275,9 @@ class JobQueue:
             job.state = state
             for name, value in fields.items():
                 setattr(job, name, value)
-            if not job.active and self._active_by_hash.get(job.spec_hash) == job.job_id:
-                del self._active_by_hash[job.spec_hash]
-            if persist:
+            if not job.active:
+                if self._active_by_hash.get(job.spec_hash) == job.job_id:
+                    del self._active_by_hash[job.spec_hash]
                 self.persist(job)
 
     # -- introspection ---------------------------------------------------

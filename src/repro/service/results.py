@@ -1,12 +1,14 @@
-"""The service's result tier: finished experiments memoised by spec hash.
+"""The service's result tier: finished experiments served from the report stage.
 
-The incremental pipeline (PR 8) memoises *stages* by their input hashes; the
-result tier adds the service-level index on top: one complete
-``ExperimentResult.to_dict()`` document per spec ``content_hash``, stored
-under the ``result`` stage of the same :class:`~repro.store.ArtifactStore`.
-A re-submitted spec is answered straight from here -- no job dispatch, no
-worker touched -- and because it lives in the store, a warm result tier
-survives restarts and ships between hosts with ``scfi cache export``.
+The incremental pipeline (PR 8) memoises *stages* by their input hashes, and
+its last stage, ``report``, already holds one complete
+``ExperimentResult.to_dict()`` document per spec under
+``spec.stage_hashes()["report"]``.  The result tier is a read-only view of
+that artifact: a re-submitted spec whose report artifact is in the store is
+answered straight from it -- no job dispatch, no worker touched -- and
+because it lives in the store, a warm result tier survives restarts and
+ships between hosts with ``scfi cache export``.  Nothing writes a second
+copy; a computed job's session run writes the report artifact itself.
 
 Every served document is stamped with **cache provenance** under a
 ``"service"`` key: whether it came from the result tier (``"hit"``) or from
@@ -16,13 +18,10 @@ recognisable as one, never silently indistinguishable from fresh work.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Optional
 
-from repro.store import CODEC_JSON, ArtifactStore
-
-#: Store stage holding finished result documents, keyed by spec content_hash.
-RESULT_STAGE = "result"
+from repro.api.session import load_json_artifact
+from repro.store import ArtifactStore
 
 #: ``service.result_tier`` values: a memoised answer vs a fresh computation.
 RESULT_TIER_HIT = "hit"
@@ -30,41 +29,26 @@ RESULT_TIER_COMPUTED = "computed"
 
 
 class ResultTier:
-    """Spec-hash -> finished-result memo over the artifact store."""
+    """Report-key -> finished-result lookup over the artifact store."""
 
     def __init__(self, store: ArtifactStore) -> None:
         self.store = store
         self.hits = 0
         self.misses = 0
 
-    def get(self, spec_hash: str) -> Optional[Dict[str, Any]]:
-        """The memoised result document for ``spec_hash``, or ``None``.
+    def get(self, report_key: str) -> Optional[Dict[str, Any]]:
+        """The result document stored under ``report_key``, or ``None``.
 
         Byte-level corruption is already a store-level miss; an unparsable
-        payload is evicted here the same way, so the tier degrades to a
-        recompute, never to a wrong answer.
+        payload is evicted the same way, so the tier degrades to a recompute,
+        never to a wrong answer.
         """
-        artifact = self.store.load(RESULT_STAGE, spec_hash)
-        if artifact is None:
+        doc = load_json_artifact(self.store, "report", report_key)
+        if doc is None:
             self.misses += 1
-            return None
-        try:
-            doc = json.loads(artifact.payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            doc = None
-        if not isinstance(doc, dict):
-            self.store.delete(RESULT_STAGE, spec_hash)
-            self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return doc
-
-    def put(self, spec_hash: str, doc: Dict[str, Any]) -> None:
-        payload = json.dumps(doc, sort_keys=True).encode("utf-8")
-        self.store.save(RESULT_STAGE, spec_hash, payload, CODEC_JSON)
-
-    def __contains__(self, spec_hash: str) -> bool:
-        return self.store.load(RESULT_STAGE, spec_hash) is not None
 
 
 def stamp_provenance(

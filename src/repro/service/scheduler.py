@@ -2,19 +2,20 @@
 
 The :class:`Scheduler` is a single background thread that pulls jobs off the
 durable :class:`~repro.service.jobs.JobQueue` and executes each one through
-the ordinary staged :class:`~repro.api.session.Session` pipeline -- the same
+one long-lived staged :class:`~repro.api.session.Session` -- the same
 harden/plan/campaign/report chain ``scfi run`` uses, against the same store
 -- with one substitution: the campaign executor is a
 :class:`~repro.service.worker.FleetCampaign` bound to the persistent worker
 fleet, keyed by the job's harden-stage hash so repeat netlists hit warm
-compiled state.  Per-stage session progress and per-batch fleet progress
-stream into the job record (persisted, so ``GET /jobs/<id>`` survives
-restarts mid-run).
+compiled state; the session outlives its jobs, so the next job on the same
+hardened FSM reuses the netlist and ``FleetCampaign`` the last one built.
+Session and fleet progress update the running job's in-memory record, which
+``GET /jobs/<id>`` reads.
 
 A fully warm spec never touches the fleet at all: the session's campaign
-stage hits the store before the executor factory is even called, and a spec
-already in the :class:`~repro.service.results.ResultTier` is answered at
-submit time without creating any scheduler work.
+stage hits the store before any executor is built, and a spec whose report
+artifact is already in the :class:`~repro.service.results.ResultTier` is
+answered at submit time without creating any scheduler work.
 
 :class:`CampaignService` wires queue + fleet + scheduler + result tier over
 one store and is what the HTTP frontend and the tests drive.  Shutdown is
@@ -61,14 +62,11 @@ class Scheduler:
         self,
         store: ArtifactStore,
         queue: JobQueue,
-        results: ResultTier,
         fleet: WorkerFleet,
         *,
         log: Optional[ServiceLog] = None,
     ) -> None:
-        self.store = store
         self.queue = queue
-        self.results = results
         self.fleet = fleet
         self._log = log
         self._stop = threading.Event()
@@ -78,6 +76,11 @@ class Scheduler:
         self._anon_scope = 0
         self.jobs_executed = 0
         self.jobs_failed = 0
+        self.session = Session(
+            progress=self._session_progress,
+            store=store,
+            executor_factory=self._fleet_executor,
+        )
 
     def _emit(self, event: str, detail: str = "") -> None:
         if self._log is not None:
@@ -120,25 +123,15 @@ class Scheduler:
     def _run_forever(self) -> None:
         while not self._stop.is_set():
             job = self.queue.next_job(timeout=0.2)
-            if job is None:
-                continue
-            self._current_job = job
-            try:
+            if job is not None:
                 self._execute(job)
-            finally:
-                self._current_job = None
 
     def _execute(self, job: Job) -> None:
         self.queue.transition(job, STATE_PLANNING)
         self._emit("job", f"{job.job_id[:12]} planning")
+        self._current_job = job
         try:
-            spec = ExperimentSpec.from_dict(job.spec)
-            result = Session(
-                progress=self._session_progress(job),
-                store=self.store,
-                executor_factory=self._executor_factory(job),
-            ).run(spec)
-            doc = result.to_dict()
+            result = self.session.run(ExperimentSpec.from_dict(job.spec))
         except ServiceShutdown:
             self.queue.transition(
                 job,
@@ -160,10 +153,10 @@ class Scheduler:
                 f"{job.job_id[:12]} failed: {traceback.format_exc(limit=3)}",
             )
             return
-        self.results.put(job.spec_hash, doc)
-        cache = doc.get("cache") or {}
+        finally:
+            self._current_job = None
         job.progress["cache"] = {
-            stage: record.get("status") for stage, record in cache.items()
+            stage: record.get("status") for stage, record in result.cache.items()
         }
         self.queue.transition(job, STATE_DONE, result_source=RESULT_TIER_COMPUTED)
         self.jobs_executed += 1
@@ -171,57 +164,46 @@ class Scheduler:
 
     # -- session wiring ---------------------------------------------------
 
-    def _session_progress(self, job: Job):
-        def progress(stage: str, detail: str) -> None:
+    def _session_progress(self, stage: str, detail: str) -> None:
+        job = self._current_job
+        if job is not None:
             job.progress["stage"] = stage
             job.progress["detail"] = detail
-            # Stage transitions are worth a durable write; per-batch progress
-            # below persists on its own cadence.
-            self.queue.persist(job)
 
-        return progress
+    def _batch_progress(self, done: int, total: int) -> None:
+        job = self._current_job
+        if job is None:
+            return
+        if job.state != STATE_RUNNING:
+            self.queue.transition(job, STATE_RUNNING)
+        job.progress["batches_done"] = done
+        job.progress["batches_total"] = total
 
-    def _executor_factory(self, job: Job):
-        """An executor factory binding this job to the fleet.
+    def _fleet_executor(self, campaign: CampaignSpec, structure: ScfiNetlist,
+                        keep_outcomes: bool, cache_scope: Optional[str]) -> FleetCampaign:
+        """An executor bound to the fleet, which the session keeps warm.
 
         Only called by the session on a campaign-stage *miss* -- warm specs
         never construct an executor, which is what makes "answered without
         touching a worker" literally true.
         """
-
-        def factory(
-            campaign: CampaignSpec,
-            structure: ScfiNetlist,
-            keep_outcomes: bool,
-            cache_scope: Optional[str],
-        ) -> FleetCampaign:
-            if cache_scope is None:
-                # No harden hash (e.g. the --compare oracle replay, which is
-                # deliberately uncached): give the config a unique scope so it
-                # can never alias another netlist's warm executor.
-                self._anon_scope += 1
-                cache_scope = f"{'0' * 56}{self._anon_scope:08x}"
-
-            def batch_progress(done: int, total: int) -> None:
-                if job.state != STATE_RUNNING:
-                    self.queue.transition(job, STATE_RUNNING, persist=False)
-                job.progress["batches_done"] = done
-                job.progress["batches_total"] = total
-                self.queue.persist(job)
-
-            return FleetCampaign(
-                self.fleet,
-                cache_scope,
-                structure,
-                engine=campaign.engine,
-                lane_width=campaign.lane_width,
-                keep_outcomes=keep_outcomes,
-                pack_contexts=campaign.pack_contexts,
-                batch_progress=batch_progress,
-                cancel=self._cancel,
-            )
-
-        return factory
+        if cache_scope is None:
+            # No harden hash (e.g. the --compare oracle replay, which is
+            # deliberately uncached): give the config a unique scope so it
+            # can never alias another netlist's warm executor.
+            self._anon_scope += 1
+            cache_scope = f"{'0' * 56}{self._anon_scope:08x}"
+        return FleetCampaign(
+            self.fleet,
+            cache_scope,
+            structure,
+            engine=campaign.engine,
+            lane_width=campaign.lane_width,
+            keep_outcomes=keep_outcomes,
+            pack_contexts=campaign.pack_contexts,
+            batch_progress=self._batch_progress,
+            cancel=self._cancel,
+        )
 
 
 class CampaignService:
@@ -253,7 +235,7 @@ class CampaignService:
         self.queue = JobQueue(store)
         self.results = ResultTier(store)
         self.fleet = WorkerFleet(fleet_size)
-        self.scheduler = Scheduler(store, self.queue, self.results, self.fleet, log=log)
+        self.scheduler = Scheduler(store, self.queue, self.fleet, log=log)
         self._log = log
         self._submit_lock = threading.Lock()
         self.recovered: Dict[str, int] = {}
@@ -290,20 +272,23 @@ class CampaignService:
         spec = ExperimentSpec.from_dict(spec_data)
         spec_hash = spec.content_hash()
         spec_doc = spec.to_dict()
+        report_key = spec.stage_hashes()["report"]
         with self._submit_lock:
             # Result tier first: an already-computed spec never creates work.
-            if self.results.get(spec_hash) is not None:
+            if self.results.get(report_key) is not None:
                 job = Job(
                     spec_hash=spec_hash,
                     nonce=new_nonce(),
                     spec=spec_doc,
                     state=STATE_DONE,
                     result_source=RESULT_TIER_HIT,
+                    report_key=report_key,
                 )
                 self.queue.record(job)
                 self._emit("submit", f"{job.job_id[:12]} result-tier hit")
                 return job, "cached"
             job, coalesced = self.queue.submit(spec_hash, spec_doc)
+            job.report_key = report_key
         if coalesced:
             self._emit("submit", f"{job.job_id[:12]} coalesced (single-flight)")
             return job, "coalesced"
@@ -334,7 +319,9 @@ class CampaignService:
             return None, "unknown"
         if job.state != STATE_DONE:
             return None, job.state
-        doc = self.results.get(job.spec_hash)
+        if job.report_key is None:  # a record reloaded after a restart
+            job.report_key = ExperimentSpec.from_dict(job.spec).stage_hashes()["report"]
+        doc = self.results.get(job.report_key)
         if doc is None:  # store lost the result between done and fetch
             return None, "missing"
         return (

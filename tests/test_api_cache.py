@@ -353,6 +353,26 @@ class TestSerializationRoundTrips:
             assert fresh.plan_jobs(contexts) == plan
             assert fresh.plan_cache_hits == before + 1
 
+    def test_plan_artifact_holds_only_its_runs_plans(self, protected_traffic_light):
+        """One session reuses its executor across seeds; each run's plan
+        artifact must carry that run's plan, not the whole plan cache."""
+        store = MemoryStore()
+        session = Session(store=store)
+        scope = harden_stage_key(
+            FsmSpec(name="traffic_light"), ProtectSpec(protection_level=2), False
+        )
+        for seed in (1, 2, 3):
+            cache = {}
+            session.run_campaign(
+                protected_traffic_light.structure,
+                CampaignSpec(scenario="random", faults=3, trials=200, seed=seed),
+                cache_scope=scope,
+                cache=cache,
+            )
+            assert cache["plan"]["status"] == "miss"
+            artifact = store.load("plan", cache["plan"]["key"])
+            assert len(json.loads(artifact.payload)["plans"]) == 1, seed
+
     def test_import_plans_skips_foreign_lane_budgets(self, protected_traffic_light):
         structure = protected_traffic_light.structure
         with FaultCampaign(structure, lane_width=8) as campaign:

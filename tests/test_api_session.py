@@ -1,6 +1,7 @@
 """Session execution: registry resolution, engine equality, serializable results."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -427,6 +428,20 @@ class TestExecutorReuse:
         session.run_campaign(structure, spec)
         session.run_campaign(structure, spec, ReportSpec(keep_outcomes=True))
         assert len(built) == 4
+
+    def test_repeat_run_with_a_store_reuses_structure_and_executor(self, built):
+        from repro.store import MemoryStore
+
+        spec = ExperimentSpec(
+            fsm=FsmSpec(name="traffic_light"),
+            campaign=CampaignSpec(scenario="random", faults=2, trials=200, seed=5),
+        )
+        session = Session(store=MemoryStore())
+        first = session.run(spec)
+        second = session.run(replace(spec, campaign=replace(spec.campaign, seed=6)))
+        assert second.scfi.structure is first.scfi.structure
+        assert second.cache["harden"]["status"] == "hit"
+        assert len(built) == 1
 
     def test_worker_pool_released_after_each_call(self, built, protected_traffic_light):
         import multiprocessing
