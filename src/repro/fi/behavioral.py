@@ -19,7 +19,7 @@ from repro.core.hardened import HardenedFsm
 from repro.fi.activate import activating_inputs
 from repro.fi.scenarios import JobArrays, drawn_fault_groups
 from repro.fsm.cfg import control_flow_edges
-from repro.netlist.parallel_np import MODE_FLIP
+from repro.netlist.parallel import MODE_FLIP
 
 #: Fault-target groups selectable in behavioural campaigns.
 #:

@@ -9,30 +9,33 @@ the IR is the only currency between the executor, the lane planner
 (:mod:`repro.fi.planner`), the three engines and the shm/pickle transports.
 The object :data:`~repro.fi.scenarios.InjectionJob` stream is re-materialised
 from the IR (:meth:`JobArrays.to_jobs`) only where objects are genuinely
-needed: the scalar reference oracle and ``keep_outcomes`` hydration.
+needed: the scalar reference oracle and ``keep_outcomes`` records.
 
 There is one execution path.  Every job is a bounded trace of ``cycles``
 clock edges with register feedback, classified on its final state against
 the analytic fault-free trajectory of its transition context; a classic
-single-cycle campaign is a trace of one cycle.
+single-cycle campaign is a trace of one cycle.  Both compiled engines take
+the batch's flat fault arrays straight onto grouped lanes
+(:meth:`~repro.netlist.parallel.CompiledNetlist.step_cycles_fault_arrays`)
+and hand back one observed state code per job; counters and kept outcomes
+are classified from those codes, in the parent or in a pool worker alike.
 
-Per run, :attr:`FaultCampaign.last_dispatch` records whether the fault groups
-were applied *array-native* (the numpy engine scattering flat fault arrays
-straight onto lane words) or via the generic per-group *spec-stream*
-(:class:`~repro.netlist.simulate.FaultSet` overrides).  The executor picks
-the path from what it can observe -- the engine, ``keep_outcomes``, stuck-at
-conflicts inside a group and the state width -- and counters are
-bit-identical either way.  :attr:`FaultCampaign.last_transport` records the
-shm/pickle transport of sharded runs the same way.
+:attr:`FaultCampaign.last_dispatch` records the fault-application path of
+the latest run: ``"array-native"`` on both compiled engines, and
+``"spec-stream"`` on the scalar oracle, which replays each job's
+:class:`~repro.fi.model.Fault` objects through the reference injector.
+:attr:`FaultCampaign.last_transport` records the shm/pickle transport of
+sharded runs the same way.
 
 Campaign execution is split into an explicit *plan* phase (cached, see
 :mod:`repro.fi.planner`) and an *execute* phase.  Execution binds the per-job
 fault groups to the planned lanes and either runs every batch in-process
 (``workers=1``, the default) or dispatches batches to a ``multiprocessing``
 pool (``workers=N``): each worker process builds its own compiled engine once
-and returns raw per-lane classifications that the parent merges back in
-deterministic job order, so counters -- and kept outcomes -- are
-bit-identical to single-process runs on every engine.
+and replies with per-classification counts, plus the per-job observed codes
+when outcomes are kept and no shared-memory code slots carry them.  The
+parent merges replies in deterministic job order, so counters -- and kept
+outcomes -- are bit-identical to single-process runs on every engine.
 
 Fault targets are validated up front: a scenario naming a net the netlist
 does not contain, or emitting an IR row outside the netlist, raises
@@ -52,7 +55,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.structure import ScfiNetlist
-from repro.fi.injector import ScfiFaultInjector, cfg_successor_map, fault_set
+from repro.fi.injector import ScfiFaultInjector, cfg_successor_map
 from repro.fi.model import (
     Classification,
     Fault,
@@ -76,8 +79,7 @@ from repro.fi.scenarios import (
 from repro.fi.shm_transport import ShmBatchRef
 from repro.fsm.cfg import CfgEdge
 from repro.netlist.parallel import CompiledNetlist
-from repro.netlist.parallel_np import MODE_STUCK0, MODE_STUCK1, NumpyCompiledNetlist
-from repro.netlist.simulate import FaultSet
+from repro.netlist.parallel_np import NumpyCompiledNetlist
 
 #: Fault groups packed into one bit-parallel pass (plus the golden lane 0)
 #: on the bignum engine, where each extra lane lengthens every big-int op.
@@ -273,11 +275,12 @@ _JobRow = Tuple[Classification, int, Optional[str]]
 _CLASSIFICATIONS = tuple(Classification)
 _CLASSIFICATION_INDEX = {cls: i for i, cls in enumerate(_CLASSIFICATIONS)}
 
-#: Worker batch reply: per-classification counters in ``_CLASSIFICATIONS``
-#: order plus, with keep_outcomes, per-job (classification index, observed
-#: code, observed state) rows.  Both sides index via ``_CLASSIFICATIONS``, so
-#: the format survives enum reordering or extension.
-_BatchReply = Tuple[Tuple[int, ...], Optional[List[Tuple[int, int, Optional[str]]]]]
+#: Worker batch reply: per-classification counts in ``_CLASSIFICATIONS``
+#: order plus, for ``keep_outcomes`` campaigns whose codes did not go back
+#: through shared-memory code slots, the per-job observed state codes.  Both
+#: sides index via ``_CLASSIFICATIONS``, so the format survives enum
+#: reordering or extension.
+_BatchReply = Tuple[Tuple[int, ...], Optional[Sequence[int]]]
 
 #: Worker-process campaign state, built once per process by the pool
 #: initializer (each worker compiles its own bit-parallel netlist).
@@ -302,22 +305,6 @@ def _worker_init(
     )
     if engine != "scalar":
         _WORKER_CAMPAIGN.compiled  # compile the op list up front
-
-
-def _reply_from_rows(campaign: "FaultCampaign", rows: List[_JobRow]) -> _BatchReply:
-    """Aggregate worker rows into counters (plus rows when outcomes are kept)."""
-    counters = [0] * len(_CLASSIFICATIONS)
-    for classification, _, _ in rows:
-        counters[_CLASSIFICATION_INDEX[classification]] += 1
-    if not campaign.keep_outcomes:
-        return tuple(counters), None
-    return (
-        tuple(counters),
-        [
-            (_CLASSIFICATION_INDEX[classification], observed, observed_state)
-            for classification, observed, observed_state in rows
-        ],
-    )
 
 
 def _resolve_worker_batch(handle) -> Tuple[PlannedBatch, Optional[ShmBatchRef]]:
@@ -354,41 +341,30 @@ def _resolve_worker_batch(handle) -> Tuple[PlannedBatch, Optional[ShmBatchRef]]:
 def _worker_run_batch(task) -> _BatchReply:
     """Evaluate one planned batch in a worker process.
 
-    ``task`` is ``(handle, (native, cycles, arrays))``: the handle is a
+    ``task`` is ``(handle, (cycles, arrays))``: the handle is a
     :class:`PlannedBatch` (pickled transport) or :class:`ShmBatchRef`
     (shared-memory transport) and ``arrays`` the batch's slice of the
-    :class:`JobArrays` IR, traced over ``cycles`` clock edges.  ``native`` is
-    the parent's dispatch decision (uniform across batches, so workers and
-    parent agree by construction): array-native slices the flat fault arrays
-    straight onto grouped lanes, spec-stream rebuilds per-group
-    :class:`~repro.netlist.simulate.FaultSet` overrides through the IR's
-    object adapter.  With shared memory the per-job observed codes are
-    written back into the segment's code slots and the reply carries only
-    counters -- the parent re-derives outcome rows with the same memoised
-    classifier.
+    :class:`JobArrays` IR, traced over ``cycles`` clock edges.  With shared
+    memory the per-job observed codes of a ``keep_outcomes`` campaign are
+    written back into the segment's code slots instead of the reply.
     """
-    handle, (native, cycles, arrays) = task
+    handle, (cycles, arrays) = task
     campaign = _WORKER_CAMPAIGN
     batch, ref = _resolve_worker_batch(handle)
-    if native:
-        codes = campaign._evaluate_batch_arrays(batch, cycles, arrays)
-        if ref is not None:
-            shm_transport.write_codes(ref, codes)
-        return tuple(campaign._classified_counts(cycles, arrays.contexts, codes)), None
-    rows = campaign._evaluate_batch(batch, cycles, arrays.to_jobs(campaign._net_names()))
-    reply = _reply_from_rows(campaign, rows)
-    if ref is not None and ref.codes_offset is not None:
-        shm_transport.write_codes(ref, [observed for _, observed, _ in rows])
-        return reply[0], None
-    return reply
+    codes = campaign._evaluate_batch_arrays(batch, cycles, arrays)
+    counts, codes = campaign._batch_reply(cycles, arrays.contexts, codes)
+    if codes is not None and ref is not None and ref.codes_offset is not None:
+        shm_transport.write_codes(ref, codes)
+        codes = None
+    return counts, codes
 
 
 def _worker_run_scalar(task: Tuple[int, JobArrays]) -> _BatchReply:
     """Replay one ``(cycles, IR slice)`` job chunk on the scalar oracle."""
     cycles, arrays = task
     campaign = _WORKER_CAMPAIGN
-    jobs = arrays.to_jobs(campaign._net_names())
-    return _reply_from_rows(campaign, campaign._evaluate_scalar(cycles, jobs))
+    codes = campaign._evaluate_scalar(cycles, arrays.to_jobs(campaign._net_names()))
+    return campaign._batch_reply(cycles, arrays.contexts, codes)
 
 
 # ----------------------------------------------------------------------
@@ -454,15 +430,21 @@ class FaultCampaign:
         #: Transport of the most recent sharded execution ("shm"/"pickle"),
         #: None until one ran -- introspection for tests and diagnostics.
         self.last_transport: Optional[str] = None
-        #: Fault-application path of the most recent run ("array-native"/
-        #: "spec-stream"), None until one ran -- provenance for experiment
-        #: results, mirroring :attr:`last_transport`.
+        #: Fault-application path of the most recent run ("array-native" on
+        #: the compiled engines, "spec-stream" on the scalar oracle), None
+        #: until one ran -- provenance for experiment results.
         self.last_dispatch: Optional[str] = None
         self.injector = ScfiFaultInjector(structure)
         self._is_numpy = engine == "parallel-numpy"
         self._successors = cfg_successor_map(self.hardened.fsm)
         self._error_states = frozenset([self.hardened.error_state])
         self.contexts: List[Tuple[CfgEdge, Dict[str, int]]] = transition_contexts(structure)
+        state_bits = len(structure.state_d)
+        #: Whether (context, state code) pairs pack into one uint64 key, so a
+        #: batch is classified vectorially (see :meth:`_classified_counts`).
+        self._packs_keys = 0 < state_bits < 64 and len(self.contexts) <= 1 << (
+            63 - state_bits
+        )
         self._compiled: Optional[CompiledNetlist] = None
         self._state_d_ids: Optional[List[int]] = None
         self._scalar_net_index: Optional[Dict[str, int]] = None
@@ -629,42 +611,6 @@ class FaultCampaign:
                 cycle = int(cycles[np.argmax(bad)])
                 raise ValueError(f"fault cycle {cycle} outside the {num_cycles}-cycle trace")
         return arrays
-
-    def _use_array_native(self, arrays: JobArrays) -> bool:
-        """Whether the IR can be applied array-native on this campaign.
-
-        Only the numpy engine scatters flat fault arrays, and only for
-        counters-only campaigns whose state code fits one machine word (the
-        vectorised classifier packs ``(context, code)`` into a uint64 key).
-        Groups sticking the *same* net at 0 and 1 fall back to the generic
-        FaultSet path: the object semantics are last-fault-wins while the
-        array scatter OR-combines stuck values, and the fallback keeps
-        counters identical to the oracle in that corner.
-        """
-        if not self._is_numpy or self.keep_outcomes:
-            return False
-        state_bits = len(self.structure.state_d)
-        if not 0 < state_bits < 64 or len(self.contexts) > (1 << (63 - state_bits)):
-            return False
-        return not self._stuck_conflicts(arrays)
-
-    @staticmethod
-    def _stuck_conflicts(arrays: JobArrays) -> bool:
-        """True when any group sticks one net at both 0 and 1."""
-        if arrays.num_jobs == 0 or arrays.num_faults <= arrays.num_jobs:
-            return False  # single-fault groups cannot conflict
-        stuck = (arrays.modes == MODE_STUCK0) | (arrays.modes == MODE_STUCK1)
-        if not bool(stuck.any()):
-            return False
-        job_of = np.repeat(
-            np.arange(arrays.num_jobs, dtype=np.int64), arrays.group_sizes()
-        )[stuck]
-        rows = arrays.net_rows[stuck].astype(np.int64)
-        modes = arrays.modes[stuck]
-        keys = job_of * (int(arrays.net_rows.max()) + 1) + rows
-        order = np.argsort(keys, kind="stable")
-        keys, modes = keys[order], modes[order]
-        return bool(np.any((keys[1:] == keys[:-1]) & (modes[1:] != modes[:-1])))
 
     def run_sweep(self, scenarios: Mapping[str, object]) -> Dict[str, CampaignResult]:
         """Execute several named scenarios.
@@ -835,93 +781,78 @@ class FaultCampaign:
         """Execute a lowered job stream: one bounded trace per job.
 
         Every job steps the compiled netlist ``num_cycles`` times with register
-        feedback (:meth:`~repro.netlist.parallel.CompiledNetlist.step_cycles`)
+        feedback (:meth:`~repro.netlist.parallel.CompiledNetlist.step_cycles_fault_arrays`)
         and is classified on its final state against the analytic fault-free
         trajectory of its context; single-cycle scenarios are traces of one
         cycle.  Plans depend only on the job shape, never on the trace
         length, and sharded runs ship IR slices over the shared-memory (or
-        pickled) transport.  The array-native path handles arbitrary
-        per-fault cycle annotations (transient shots, persistent spots, mixed
-        schedules) at any worker count.
+        pickled) transport.  Per-fault cycle annotations (transient shots,
+        persistent spots, mixed schedules) select the faults live in each
+        cycle.
         """
         cycles = arrays.num_cycles
+        jobs = arrays.to_jobs(self._net_names()) if self.keep_outcomes else None
         if self.engine == "scalar":
             self.last_dispatch = "spec-stream"
             if self.workers > 1:
-                self._execute_scalar_sharded(cycles, arrays, result)
+                self._execute_scalar_sharded(cycles, arrays, jobs, result)
             else:
-                jobs = arrays.to_jobs(self._net_names())
-                self._record_rows(jobs, self._evaluate_scalar(cycles, jobs), result)
+                codes = self._evaluate_scalar(
+                    cycles, jobs if jobs is not None else arrays.to_jobs(self._net_names())
+                )
+                self._merge_reply(
+                    cycles, jobs, self._batch_reply(cycles, arrays.contexts, codes), result
+                )
             return
+        self.last_dispatch = "array-native"
         plan = self.plan_jobs(arrays.contexts.tolist())
-        native = self._use_array_native(arrays)
-        self.last_dispatch = "array-native" if native else "spec-stream"
         if self.workers > 1:
-            self._execute_plan_sharded(plan, cycles, arrays, native, result)
-        elif native:
-            for batch in plan.batches:
-                codes = self._evaluate_batch_arrays(
-                    batch, cycles, arrays.slice(batch.start, batch.stop)
-                )
-                counts = self._classified_counts(
-                    cycles, arrays.contexts[batch.start : batch.stop], codes
-                )
-                for classification, count in zip(_CLASSIFICATIONS, counts):
-                    if count:
-                        result.tally_bulk(classification, count)
-        else:
-            jobs = arrays.to_jobs(self._net_names())
-            for batch in plan.batches:
-                batch_jobs = jobs[batch.start : batch.stop]
-                self._record_rows(
-                    batch_jobs, self._evaluate_batch(batch, cycles, batch_jobs), result
-                )
+            self._execute_plan_sharded(plan, cycles, arrays, jobs, result)
+            return
+        for batch in plan.batches:
+            batch_arrays = arrays.slice(batch.start, batch.stop)
+            codes = self._evaluate_batch_arrays(batch, cycles, batch_arrays)
+            self._merge_reply(
+                cycles,
+                None if jobs is None else jobs[batch.start : batch.stop],
+                self._batch_reply(cycles, batch_arrays.contexts, codes),
+                result,
+            )
 
     def _execute_plan_sharded(
         self,
         plan: CampaignPlan,
         cycles: int,
         arrays: JobArrays,
-        native: bool,
+        jobs: Optional[List[InjectionJob]],
         result: CampaignResult,
     ) -> None:
         """Dispatch planned IR batches to the pool; merge replies in plan order.
 
-        Every payload carries the batch's slice of the IR plus the parent's
-        dispatch decision (``native``), so parent and workers take the same
-        fault-application path.  Batch lane words travel through one
-        shared-memory segment when possible (and per-job observed codes ride
-        back the same way for ``keep_outcomes`` runs); otherwise -- no
-        ``shared_memory`` support, segment creation failure, state codes
-        wider than one machine word, or ``use_shared_memory=False`` -- the
-        pickled wire format is used.  The segment is unlinked in ``finally``,
-        so worker exceptions cannot leak ``/dev/shm`` entries.
+        Every payload carries the batch's slice of the IR.  Batch lane words
+        travel through one shared-memory segment when possible (and per-job
+        observed codes ride back the same way for ``keep_outcomes`` runs);
+        otherwise -- no ``shared_memory`` support, segment creation failure,
+        kept state codes wider than one machine word, or
+        ``use_shared_memory=False`` -- the pickled wire format is used.  The
+        segment is unlinked in ``finally``, so worker exceptions cannot leak
+        ``/dev/shm`` entries.
         """
         pool = self._ensure_pool()
-        payloads = [
-            (native, cycles, arrays.slice(batch.start, batch.stop))
-            for batch in plan.batches
-        ]
+        payloads = [(cycles, arrays.slice(batch.start, batch.stop)) for batch in plan.batches]
         segment = self._plan_segment(plan, want_codes=self.keep_outcomes)
         handles = segment.refs if segment is not None else list(plan.batches)
-        jobs = arrays.to_jobs(self._net_names()) if self.keep_outcomes else None
         try:
             tasks = list(zip(handles, payloads))
-            for batch, handle, reply in zip(
+            for batch, handle, (counts, codes) in zip(
                 plan.batches, handles, pool.imap(_worker_run_batch, tasks)
             ):
-                batch_jobs = jobs[batch.start : batch.stop] if jobs is not None else ()
-                counters, rows = reply
-                if self.keep_outcomes and rows is None and segment is not None:
-                    self._record_rows(
-                        batch_jobs,
-                        self._rows_from_codes(
-                            cycles, batch_jobs, segment.codes_for(handle)
-                        ),
-                        result,
-                    )
-                else:
-                    self._merge_reply(batch_jobs, reply, result)
+                batch_jobs = None
+                if jobs is not None:
+                    batch_jobs = jobs[batch.start : batch.stop]
+                    if codes is None:
+                        codes = segment.codes_for(handle)
+                self._merge_reply(cycles, batch_jobs, (counts, codes), result)
         finally:
             if segment is not None:
                 segment.close()
@@ -941,20 +872,24 @@ class FaultCampaign:
         return segment
 
     def _rows_from_codes(
-        self, cycles: int, batch_jobs: Sequence[InjectionJob], codes: "np.ndarray"
+        self, cycles: int, batch_jobs: Sequence[InjectionJob], codes: Sequence[int]
     ) -> List[_JobRow]:
-        """Rebuild per-job outcome rows from shared-memory code slots.
+        """Per-job outcome rows from observed codes (reply or shm code slots).
 
         The parent applies the same memoised classifier the worker used, so
-        rebuilt rows are identical to pickled ones."""
+        rows are identical whichever side evaluated the batch."""
         rows: List[_JobRow] = []
-        for (index, _), code in zip(batch_jobs, codes.tolist()):
+        for (index, _), code in zip(batch_jobs, map(int, codes)):
             classification, observed_state = self._classify(index, cycles, code)
             rows.append((classification, code, observed_state))
         return rows
 
     def _execute_scalar_sharded(
-        self, cycles: int, arrays: JobArrays, result: CampaignResult
+        self,
+        cycles: int,
+        arrays: JobArrays,
+        jobs: Optional[List[InjectionJob]],
+        result: CampaignResult,
     ) -> None:
         """Shard scalar-oracle traces into contiguous IR chunks across the pool."""
         pool = self._ensure_pool()
@@ -962,109 +897,63 @@ class FaultCampaign:
         chunk = max(1, -(-total // (self.workers * 4)))
         bounds = range(0, total, chunk)
         tasks = [(cycles, arrays.slice(i, min(i + chunk, total))) for i in bounds]
-        jobs = arrays.to_jobs(self._net_names()) if self.keep_outcomes else None
         for start, reply in zip(bounds, pool.imap(_worker_run_scalar, tasks)):
-            batch_jobs = jobs[start : start + chunk] if jobs is not None else ()
-            self._merge_reply(batch_jobs, reply, result)
+            batch_jobs = None if jobs is None else jobs[start : start + chunk]
+            self._merge_reply(cycles, batch_jobs, reply, result)
+
+    def _batch_reply(
+        self, cycles: int, job_contexts: "np.ndarray", codes: Sequence[int]
+    ) -> _BatchReply:
+        """Classify one batch's observed codes into a reply: counts, plus the
+        codes themselves when outcomes are kept."""
+        counts = tuple(self._classified_counts(cycles, job_contexts, codes))
+        return counts, codes if self.keep_outcomes else None
 
     def _merge_reply(
-        self, jobs: Sequence[InjectionJob], reply: _BatchReply, result: CampaignResult
+        self,
+        cycles: int,
+        batch_jobs: Optional[Sequence[InjectionJob]],
+        reply: _BatchReply,
+        result: CampaignResult,
     ) -> None:
-        """Fold one worker reply into the result, preserving job order.
+        """Fold one batch reply into the result, preserving job order.
 
-        Counters are merged as-is (the worker classified every job with the
-        same memoised rule the parent would apply); with ``keep_outcomes`` the
-        per-job rows are re-hydrated into :class:`FaultOutcome` records.
+        Counters are merged as-is (the batch was classified with the same
+        memoised rule everywhere); with ``keep_outcomes`` (``batch_jobs``
+        given) the per-job codes become :class:`FaultOutcome` records.
         """
-        counters, rows = reply
-        if result.keep_outcomes:
-            if rows is None:
-                raise RuntimeError("worker returned no rows for a keep_outcomes campaign")
-            hydrated: List[_JobRow] = [
-                (_CLASSIFICATIONS[cls_index], observed, observed_state)
-                for cls_index, observed, observed_state in rows
-            ]
-            self._record_rows(jobs, hydrated, result)
+        counts, codes = reply
+        if batch_jobs is not None:
+            if codes is None:
+                raise RuntimeError("worker returned no codes for a keep_outcomes campaign")
+            self._record_rows(batch_jobs, self._rows_from_codes(cycles, batch_jobs, codes), result)
             return
-        for classification, count in zip(_CLASSIFICATIONS, counters):
+        for classification, count in zip(_CLASSIFICATIONS, counts):
             if count:
                 result.tally_bulk(classification, count)
 
     # ------------------------------------------------------------------
     # Batch evaluation
     # ------------------------------------------------------------------
-    def _cycle_fault_lanes(
-        self, batch_jobs: Sequence[InjectionJob], cycles: int, num_golden: int
-    ) -> List[List[Optional[FaultSet]]]:
-        """Per-cycle fault lane lists of one batch (golden lanes fault-free).
-
-        A fault with ``cycle=None`` is persistent (active every cycle);
-        otherwise it is active in its named cycle only.
-        """
-        per_cycle: List[List[Optional[FaultSet]]] = []
-        for cycle in range(cycles):
-            lanes: List[Optional[FaultSet]] = [None] * num_golden
-            for _, faults in batch_jobs:
-                active = [
-                    fault
-                    for fault in faults
-                    if fault.cycle is None or fault.cycle == cycle
-                ]
-                lanes.append(fault_set(active) if active else None)
-            per_cycle.append(lanes)
-        return per_cycle
-
-    def _evaluate_batch(
-        self, batch: PlannedBatch, cycles: int, batch_jobs: Sequence[InjectionJob]
-    ) -> List[_JobRow]:
-        """One spec-stream pass over a planned batch: rows in job order.
-
-        Golden lanes are asserted against the analytic trajectory after the
-        final cycle; error/invalid states are sticky in the SCFI netlist, so
-        the final-state check subsumes the per-cycle ones.  Runs identically
-        in the parent (``workers=1``) and in pool workers.
-        """
-        num_golden = len(batch.golden_contexts)
-        cycle_lanes = self._cycle_fault_lanes(batch_jobs, cycles, num_golden)
-        if batch.input_words is None:
-            # Single-context batch: broadcast the context vectors to all lanes.
-            encoded, registers = self._context_vectors(batch.golden_contexts[0])
-            values = self.compiled.step_cycles(encoded, cycle_lanes, registers=registers)
-        else:
-            values = self.compiled.step_cycles(
-                batch.input_words,
-                cycle_lanes,
-                registers=batch.register_words,
-                lane_words=True,
-            )
-        codes = values.read_words_by_id(self._state_d())
-        for lane, index in enumerate(batch.golden_contexts):
-            self._check_golden(index, cycles, codes[lane])
-        rows: List[_JobRow] = []
-        for lane, (index, _) in enumerate(batch_jobs, start=num_golden):
-            observed = codes[lane]
-            classification, observed_state = self._classify(index, cycles, observed)
-            rows.append((classification, observed, observed_state))
-        return rows
-
     def _evaluate_batch_arrays(
         self, batch: PlannedBatch, cycles: int, arrays: JobArrays
-    ) -> "np.ndarray":
-        """One array-native pass (numpy engine): per-job observed codes.
+    ) -> Sequence[int]:
+        """One pass over a planned batch: per-job observed state codes.
 
         ``arrays`` is the batch's IR slice; fault *groups* become grouped
         lanes -- every fault of job ``i`` lands on lane ``num_golden + i``,
         so a multi-net laser-spot group occupies a single fault lane, exactly
-        like ``FaultSet.apply`` on the object path -- and the per-fault cycle
-        annotations select which faults are live in each cycle of the trace.
-        Runs identically in the parent and in pool workers.
+        like ``FaultSet.apply`` -- and the per-fault cycle annotations select
+        which faults are live in each cycle of the trace.  Codes come back as
+        one uint64 array, or as Python ints for state codes of 64 bits or
+        more.  Runs identically in the parent and in pool workers.
         """
         num_golden = len(batch.golden_contexts)
         num_jobs = arrays.num_jobs
         num_lanes = num_golden + num_jobs
-        lanes = (
-            num_golden + np.repeat(np.arange(num_jobs, dtype=np.intp), arrays.group_sizes())
-        ).astype(np.uint64)
+        lanes = num_golden + np.repeat(
+            np.arange(num_jobs, dtype=np.intp), arrays.group_sizes()
+        )
         if arrays.cycles is None:
             # Every fault persistent: one triple serves every cycle.
             cycle_faults = [(arrays.net_rows, lanes, arrays.modes)] * cycles
@@ -1088,22 +977,34 @@ class FaultCampaign:
                 registers=batch.register_words,
                 lane_words=True,
             )
-        codes = values.code_array_by_id(self._state_d())
+        state_d = self._state_d()
+        codes = values.code_array_by_id(state_d)
+        if codes is None:
+            codes = values.read_words_by_id(state_d)
         for lane, index in enumerate(batch.golden_contexts):
             self._check_golden(index, cycles, int(codes[lane]))
         return codes[num_golden:]
 
     def _classified_counts(
-        self, cycles: int, job_contexts: "np.ndarray", codes: "np.ndarray"
+        self, cycles: int, job_contexts: "np.ndarray", codes: Sequence[int]
     ) -> List[int]:
-        """Per-classification counts of one batch, classified vectorially.
+        """Per-classification counts of one batch.
 
-        ``(context, code)`` pairs collapse into one uint64 key (the array
-        path only activates for sub-64-bit state codes), and only the unique
-        pairs go through the memoised scalar classifier.
+        When ``(context, code)`` pairs fit one uint64 key (state codes below
+        64 bits and few enough contexts), the batch is classified vectorially
+        and only the unique pairs go through the memoised scalar classifier;
+        wider codes are classified job by job.
         """
+        if not self._packs_keys:
+            counts = [0] * len(_CLASSIFICATIONS)
+            for index, code in zip(job_contexts.tolist(), map(int, codes)):
+                classification, _ = self._classify(index, cycles, code)
+                counts[_CLASSIFICATION_INDEX[classification]] += 1
+            return counts
         state_bits = len(self.structure.state_d)
-        keys = (job_contexts.astype(np.uint64) << np.uint64(state_bits)) | codes
+        keys = (job_contexts.astype(np.uint64) << np.uint64(state_bits)) | np.asarray(
+            codes, dtype=np.uint64
+        )
         unique, inverse = np.unique(keys, return_inverse=True)
         code_mask = (1 << state_bits) - 1
         class_index = np.empty(unique.size, dtype=np.intp)
@@ -1114,9 +1015,9 @@ class FaultCampaign:
         counts = np.bincount(class_index[inverse], minlength=len(_CLASSIFICATIONS))
         return counts.tolist()
 
-    def _evaluate_scalar(self, cycles: int, jobs: Sequence[InjectionJob]) -> List[_JobRow]:
-        """Replay jobs one trace at a time on the reference injector."""
-        rows: List[_JobRow] = []
+    def _evaluate_scalar(self, cycles: int, jobs: Sequence[InjectionJob]) -> List[int]:
+        """Replay jobs one trace at a time on the reference injector: codes."""
+        codes: List[int] = []
         for index, faults in jobs:
             edge, inputs = self.contexts[index]
             cycle_faults = [
@@ -1127,10 +1028,8 @@ class FaultCampaign:
                 )
                 for cycle in range(cycles)
             ]
-            observed = self.injector.trace_code(edge, inputs, cycle_faults)
-            classification, observed_state = self._classify(index, cycles, observed)
-            rows.append((classification, observed, observed_state))
-        return rows
+            codes.append(self.injector.trace_code(edge, inputs, cycle_faults))
+        return codes
 
     # ------------------------------------------------------------------
     # Contexts, golden trajectories and classification

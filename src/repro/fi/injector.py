@@ -89,8 +89,8 @@ class ScfiFaultInjector:
         active and feeds every flop's D-net value back as the next cycle's
         register state; inputs are held constant across cycles.  This is the
         scalar reference for the bit-parallel
-        :meth:`~repro.netlist.parallel.CompiledNetlist.step_cycles` path and
-        reduces to :meth:`next_code` at one cycle.
+        :meth:`~repro.netlist.parallel.CompiledNetlist.step_cycles_fault_arrays`
+        path and reduces to :meth:`next_code` at one cycle.
         """
         if not cycle_faults:
             raise ValueError("at least one cycle is required")

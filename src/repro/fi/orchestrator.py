@@ -52,7 +52,6 @@ from repro.fi.executor import (
     _worker_init,
     _worker_run_batch,
     _worker_run_scalar,
-    fault_set,
 )
 
 __all__ = [

@@ -36,12 +36,12 @@ from repro.fi.activate import activating_inputs
 from repro.fi.model import Fault, FaultEffect
 from repro.fi.placement import net_placement
 from repro.fsm.cfg import CfgEdge, control_flow_edges
-from repro.netlist.parallel_np import MODE_FLIP, MODE_STUCK0, MODE_STUCK1
+from repro.netlist.parallel import MODE_FLIP, MODE_STUCK0, MODE_STUCK1
 
 #: A job: (context index, faults injected together during that transition).
 InjectionJob = Tuple[int, Tuple[Fault, ...]]
 
-#: FaultEffect -> array-native fault mode of the numpy engine.
+#: FaultEffect -> fault mode of the flat fault arrays both compiled engines take.
 _EFFECT_MODES = {
     FaultEffect.TRANSIENT_FLIP: MODE_FLIP,
     FaultEffect.STUCK_AT_0: MODE_STUCK0,
@@ -82,7 +82,7 @@ class JobArrays:
     CSR layout: job ``i`` simulates transition context ``contexts[i]`` and
     injects the fault group ``group_offsets[i]:group_offsets[i + 1]`` of the
     flat per-fault arrays -- ``net_rows`` (dense net ids), ``modes``
-    (array-native fault modes :data:`~repro.netlist.parallel_np.MODE_FLIP` /
+    (array-native fault modes :data:`~repro.netlist.parallel.MODE_FLIP` /
     ``MODE_STUCK0`` / ``MODE_STUCK1``) and optionally ``cycles`` (the trace
     cycle each fault is active in, :data:`EVERY_CYCLE` for persistent faults;
     ``None`` when every fault of the stream is persistent/single-cycle).

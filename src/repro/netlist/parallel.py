@@ -9,28 +9,30 @@ to ``W`` *fault lanes* per pass using Python bignum bitwise operations:
 
 * every net holds a ``W``-bit integer whose bit ``k`` is the net's value in
   lane ``k``;
-* lanes carrying no fault set are *golden* lanes; by convention campaigns put
-  at least one golden lane in every pass and assert it against the analytic
+* lanes carrying no fault are *golden* lanes; by convention campaigns put at
+  least one golden lane in every pass and assert it against the analytic
   next state;
-* each lane carries its own :class:`~repro.netlist.simulate.FaultSet`,
-  compiled into per-net flip/stuck mask words that are applied right after the
-  driving op, exactly mirroring ``FaultSet.apply`` (stuck-at wins over flip).
+* faults arrive as three flat arrays -- dense net id, lane, effect mode
+  (:data:`MODE_FLIP` / :data:`MODE_STUCK0` / :data:`MODE_STUCK1`) -- and are
+  scattered by :func:`fault_word_planes` into per-net flip/stuck mask words
+  that are applied right after the driving op, with the semantics of
+  ``FaultSet.apply``.
 
 Inputs and registers may be supplied either as scalar 0/1 values broadcast to
 every lane (the common single-context case) or, with ``lane_words=True``, as
 ready-made ``W``-bit lane words so that different lanes can simulate
 *different transition contexts* in the same pass -- that is what lets the
 campaign layer pack few-nets/many-transitions sweeps densely into lanes.
-:meth:`CompiledNetlist.step_cycles` chains passes with register feedback for
-multi-cycle traces.
+:meth:`CompiledNetlist.step_cycles_fault_arrays` chains passes with register
+feedback for multi-cycle traces.
 
 One pass over the op list simulates up to ``W`` evaluations, which is where
 the 10-50x campaign speedups over the scalar simulator come from: the Python
 interpreter overhead per gate is paid once per *batch* instead of once per
-*injection*.  The op list is also the compile front end of the word-sliced
-numpy engine (:mod:`repro.netlist.parallel_np`).  The scalar simulator
-remains available as a cross-check oracle (see
-``tests/test_parallel_sim.py``).
+*injection*.  The op list, the fault scatter and the multi-cycle driver are
+shared with the word-sliced numpy engine (:mod:`repro.netlist.parallel_np`),
+so both engines apply faults on one path.  The scalar simulator remains the
+cross-check oracle (see ``tests/test_parallel_sim.py``).
 
 Compiled netlists are the per-worker unit of the process-sharded campaign
 executor (:mod:`repro.fi.executor`, ``workers=N``): every worker process
@@ -42,14 +44,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-try:  # numpy accelerates the lane-word transposes; the engines work without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a package dependency
-    _np = None
+import numpy as np
 
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
-from repro.netlist.simulate import FaultSet
 
 # Opcodes of the flat op list (small ints dispatch faster than enum members).
 _OP_TIE0 = 0
@@ -83,6 +81,107 @@ _OPCODE = {
 #: order of magnitude on wide batches.
 _TRANSPOSE_THRESHOLD = 512
 
+#: Lanes per machine word of the fault scatter (and of the numpy engine).
+WORD_BITS = 64
+
+#: Explicit little-endian words so lane <-> byte positions are stable across
+#: hosts (on the common little-endian platforms this is the native dtype).
+WORD_DTYPE = np.dtype("<u8")
+
+#: Fault effect modes of the flat fault arrays (the campaign layer lowers
+#: :class:`~repro.fi.model.FaultEffect` onto these).
+MODE_FLIP = 0
+MODE_STUCK0 = 1
+MODE_STUCK1 = 2
+
+
+def _scatter_or(size: int, flat_index: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """OR-scatter ``bits`` into a zeroed flat uint64 array of ``size``.
+
+    Duplicate indices (several lanes faulting the same net inside one word)
+    are combined by sorting and ``bitwise_or.reduceat``.
+    """
+    out = np.zeros(size, dtype=WORD_DTYPE)
+    if flat_index.size:
+        order = np.argsort(flat_index, kind="stable")
+        sorted_index = flat_index[order]
+        sorted_bits = bits[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], sorted_index[1:] != sorted_index[:-1]))
+        )
+        out[sorted_index[starts]] = np.bitwise_or.reduceat(sorted_bits, starts)
+    return out
+
+
+def _last_stuck_wins(
+    rows: np.ndarray, lanes: np.ndarray, modes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drop every stuck-at a later stuck-at on the same (net, lane) overrides.
+
+    A group that sticks one net at 0 and then at 1 behaves like the
+    ``FaultSet`` built from it, whose ``stuck_at`` dict keeps the last value.
+    Passes with one fault per lane cannot conflict and return unchanged.
+    """
+    if lanes.size < 2 or int(np.bincount(lanes).max()) < 2:
+        return rows, lanes, modes
+    stuck = np.flatnonzero(modes != MODE_FLIP)
+    keys = rows[stuck].astype(np.int64) * (int(lanes.max()) + 1) + lanes[stuck]
+    # The first hit in reversed order is the last stuck-at in group order.
+    _, last = np.unique(keys[::-1], return_index=True)
+    keep = np.ones(rows.size, dtype=bool)
+    keep[stuck] = False
+    keep[stuck[stuck.size - 1 - last]] = True
+    return rows[keep], lanes[keep], modes[keep]
+
+
+def fault_word_planes(
+    fault_rows: np.ndarray,
+    fault_lanes: np.ndarray,
+    fault_modes: np.ndarray,
+    num_words: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Scatter flat ``(net id, lane, mode)`` fault triples into fault words.
+
+    Returns the sorted faulted net ids and a ``(3, len(ids), num_words)``
+    uint64 array of their flip, stuck-mask and stuck-value lane words.  The
+    triples of one lane form one fault group with ``FaultSet.apply``
+    semantics: stuck-at beats flip, the last stuck-at on a net wins, and a
+    repeated flip is one flip.  Dense net ids are trusted (the campaign layer
+    resolves and bounds-checks them).
+    """
+    lanes = np.asarray(fault_lanes, dtype=np.intp)
+    rows, lanes, modes = _last_stuck_wins(fault_rows, lanes, fault_modes)
+    net_ids, inverse = np.unique(rows, return_inverse=True)
+    lanes = lanes.astype(np.uint64)
+    flat = inverse * num_words + (lanes >> np.uint64(6)).astype(np.intp)
+    bits = np.left_shift(np.uint64(1), lanes & np.uint64(63))
+    size = net_ids.size * num_words
+    # One scatter over three stacked planes (flip / stuck mask / stuck
+    # value): stuck-at of either polarity sets the mask plane, STUCK1
+    # additionally sets the value plane, so the plane index doubles as the
+    # mode decoder and one sort covers all three.
+    plane = np.where(modes == MODE_FLIP, 0, 1).astype(np.intp)
+    stuck1 = modes == MODE_STUCK1
+    planes = _scatter_or(
+        3 * size,
+        np.concatenate((plane * size + flat, flat[stuck1] + 2 * size)),
+        np.concatenate((bits, bits[stuck1])),
+    ).reshape(3, net_ids.size, num_words)
+    planes[0] &= ~planes[1]  # stuck-at beats flip on the same net/lane
+    return net_ids, planes
+
+
+def lane_code_array(rows: np.ndarray, num_lanes: int) -> np.ndarray:
+    """Per-lane codes of fewer than 64 bits from a byte-level bit matrix.
+
+    ``rows`` is laid out as in :func:`lane_codes_from_byte_rows`; the codes
+    come back as one uint64 array (one weighted column sum).
+    """
+    bits = np.unpackbits(rows, axis=1, count=num_lanes, bitorder="little")
+    weights = np.left_shift(np.uint64(1), np.arange(rows.shape[0], dtype=np.uint64))
+    return (bits * weights[:, None]).sum(axis=0, dtype=np.uint64)
+
+
 
 def lane_codes_from_byte_rows(rows, num_lanes: int) -> List[int]:
     """Per-lane integers from a byte-level bit matrix (the shared transpose).
@@ -100,14 +199,10 @@ def lane_codes_from_byte_rows(rows, num_lanes: int) -> List[int]:
     num_bits = rows.shape[0]
     if num_bits == 0:
         return [0] * num_lanes
-    bits = _np.unpackbits(rows, axis=1, count=num_lanes, bitorder="little")
     if num_bits < 64:
-        weights = _np.left_shift(
-            _np.uint64(1), _np.arange(num_bits, dtype=_np.uint64)
-        )
-        codes = (bits * weights[:, None]).sum(axis=0, dtype=_np.uint64)
-        return codes.tolist()
-    packed = _np.packbits(bits.T, axis=1, bitorder="little")
+        return lane_code_array(rows, num_lanes).tolist()
+    bits = np.unpackbits(rows, axis=1, count=num_lanes, bitorder="little")
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
     stride = packed.shape[1]
     data = packed.tobytes()
     return [
@@ -117,7 +212,8 @@ def lane_codes_from_byte_rows(rows, num_lanes: int) -> List[int]:
 
 
 class LaneValues:
-    """Per-net lane words produced by one :meth:`CompiledNetlist.evaluate` pass."""
+    """Per-net lane words produced by one
+    :meth:`CompiledNetlist.evaluate_fault_arrays` pass."""
 
     def __init__(self, net_id: Mapping[str, int], words: List[int], num_lanes: int):
         self._net_id = net_id
@@ -160,16 +256,11 @@ class LaneValues:
         to its little-endian bytes once and the per-lane codes come out of two
         vectorised bit passes, replacing the O(lanes x bits) shift loop that
         used to dominate batch classification at large lane counts.  Tiny
-        reads (and numpy-less installs) keep the plain loop.
+        reads keep the plain loop.
         """
+        if self.num_lanes * len(ids) >= _TRANSPOSE_THRESHOLD:
+            return lane_codes_from_byte_rows(self._byte_rows(ids), self.num_lanes)
         words = [self._words[net_id] for net_id in ids]
-        if _np is not None and self.num_lanes * len(words) >= _TRANSPOSE_THRESHOLD:
-            num_bytes = (self.num_lanes + 7) // 8
-            rows = _np.frombuffer(
-                b"".join(word.to_bytes(num_bytes, "little") for word in words),
-                dtype=_np.uint8,
-            ).reshape(len(words), num_bytes)
-            return lane_codes_from_byte_rows(rows, self.num_lanes)
         codes = []
         for lane in range(self.num_lanes):
             code = 0
@@ -178,6 +269,21 @@ class LaneValues:
             codes.append(code)
         return codes
 
+    def code_array_by_id(self, ids: Sequence[int]) -> Optional[np.ndarray]:
+        """Per-lane codes as one uint64 array, or ``None`` unless
+        ``0 < len(ids) < 64`` (wider codes go through :meth:`read_words_by_id`)."""
+        if not 0 < len(ids) < 64:
+            return None
+        return lane_code_array(self._byte_rows(ids), self.num_lanes)
+
+    def _byte_rows(self, ids: Sequence[int]) -> np.ndarray:
+        """The little-endian byte form of the selected lane words, one row each."""
+        num_bytes = (self.num_lanes + 7) // 8
+        return np.frombuffer(
+            b"".join(self._words[net_id].to_bytes(num_bytes, "little") for net_id in ids),
+            dtype=np.uint8,
+        ).reshape(len(ids), num_bytes)
+
 
 class CompiledNetlist:
     """A netlist compiled for bit-parallel multi-lane evaluation.
@@ -185,8 +291,8 @@ class CompiledNetlist:
     Compilation assigns every net a dense integer id and flattens the
     combinational cloud into ``(opcode, out_id, in_ids...)`` tuples in
     topological order.  The compiled form is immutable and stateless: register
-    values are inputs to :meth:`evaluate`, so one compiled netlist can serve
-    any number of concurrent campaigns.
+    values are inputs to :meth:`evaluate_fault_arrays`, so one compiled
+    netlist can serve any number of concurrent campaigns.
     """
 
     def __init__(self, netlist: Netlist):
@@ -217,82 +323,61 @@ class CompiledNetlist:
         self.flop_d_ids: List[Tuple[str, int]] = [
             (flop.output, intern(flop.inputs[0])) for flop in self._flops
         ]
-        self._d_id_of: Dict[str, int] = dict(self.flop_d_ids)
         self.num_nets = len(self.net_id)
-
-    # ------------------------------------------------------------------
-    # Fault-lane compilation
-    # ------------------------------------------------------------------
-    def _compile_faults(
-        self, fault_lanes: Sequence[Optional[FaultSet]]
-    ) -> Tuple[Dict[int, int], Dict[int, Tuple[int, int]]]:
-        """Per-net flip words and (stuck mask, stuck value) words over all lanes.
-
-        Raises :class:`ValueError` when a fault targets a net the netlist does
-        not contain -- silently skipping it would report the lane as fault-free
-        (and therefore MASKED) to the campaign layer.
-        """
-        flips: Dict[int, int] = {}
-        stuck: Dict[int, Tuple[int, int]] = {}
-        unknown: set = set()
-        for lane, fault_set in enumerate(fault_lanes):
-            if fault_set is None or fault_set.is_empty:
-                continue
-            bit = 1 << lane
-            for net in fault_set.flips:
-                net_id = self.net_id.get(net)
-                if net_id is None:
-                    unknown.add(net)
-                    continue
-                flips[net_id] = flips.get(net_id, 0) | bit
-            for net, value in fault_set.stuck_at.items():
-                net_id = self.net_id.get(net)
-                if net_id is None:
-                    unknown.add(net)
-                    continue
-                mask, val = stuck.get(net_id, (0, 0))
-                mask |= bit
-                if value & 1:
-                    val |= bit
-                stuck[net_id] = (mask, val)
-        if unknown:
-            raise ValueError(
-                f"fault target nets not in netlist {self.netlist.name!r}: "
-                + ", ".join(sorted(unknown))
-            )
-        # Stuck-at beats flip on the same net/lane, like FaultSet.apply.
-        for net_id, (mask, _) in stuck.items():
-            if net_id in flips:
-                flips[net_id] &= ~mask
-                if not flips[net_id]:
-                    del flips[net_id]
-        return flips, stuck
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluate(
+    def _fault_words(
+        self, fault_rows: np.ndarray, fault_lanes: np.ndarray, fault_modes: np.ndarray,
+        num_lanes: int,
+    ) -> Tuple[Dict[int, int], Dict[int, Tuple[int, int]]]:
+        """Per-net flip words and (stuck mask, stuck value) words over all lanes."""
+        if not fault_rows.size:
+            return {}, {}
+        num_words = -(-num_lanes // WORD_BITS)
+        net_ids, planes = fault_word_planes(fault_rows, fault_lanes, fault_modes, num_words)
+        data = planes.tobytes()
+        stride = num_words * 8
+        words = [
+            int.from_bytes(data[i : i + stride], "little")
+            for i in range(0, len(data), stride)
+        ]
+        count = net_ids.size
+        flip, stuck_mask, stuck_val = words[:count], words[count : 2 * count], words[2 * count :]
+        ids = net_ids.tolist()
+        flips = {net_id: word for net_id, word in zip(ids, flip) if word}
+        stuck = {
+            net_id: (mask, value)
+            for net_id, mask, value in zip(ids, stuck_mask, stuck_val)
+            if mask
+        }
+        return flips, stuck
+
+    def evaluate_fault_arrays(
         self,
         inputs: Mapping[str, int],
-        fault_lanes: Sequence[Optional[FaultSet]] = (None,),
+        fault_rows: np.ndarray,
+        fault_lanes: np.ndarray,
+        fault_modes: np.ndarray,
+        num_lanes: int,
         registers: Optional[Mapping[str, int]] = None,
         lane_words: bool = False,
     ) -> LaneValues:
-        """Evaluate every lane in one pass over the op list.
+        """Evaluate ``num_lanes`` lanes in one pass over the op list.
 
-        By default ``inputs`` and ``registers`` are scalar 0/1 assignments
-        broadcast to every lane (missing inputs and registers default to
-        zero).  With ``lane_words=True`` they are instead ``W``-bit lane words
-        (bit ``k`` = the net's value in lane ``k``), which lets different
-        lanes evaluate different input/state contexts in the same pass.  Lane
-        ``k`` additionally applies ``fault_lanes[k]``.  Returns
-        :class:`LaneValues` with ``len(fault_lanes)`` lanes.
+        Faults arrive as flat ``(dense net id, lane, effect mode)`` triples
+        (see :func:`fault_word_planes` for their semantics).  By default
+        ``inputs`` and ``registers`` are scalar 0/1 assignments broadcast to
+        every lane (missing inputs and registers default to zero).  With
+        ``lane_words=True`` they are instead ``W``-bit lane words (bit ``k`` =
+        the net's value in lane ``k``), which lets different lanes evaluate
+        different input/state contexts in the same pass.
         """
-        num_lanes = len(fault_lanes)
         if num_lanes < 1:
             raise ValueError("at least one lane is required")
         mask = (1 << num_lanes) - 1
-        flips, stuck = self._compile_faults(fault_lanes)
+        flips, stuck = self._fault_words(fault_rows, fault_lanes, fault_modes, num_lanes)
 
         values = [0] * self.num_nets
         registers = registers or {}
@@ -359,86 +444,47 @@ class CompiledNetlist:
 
         Feeding the returned mapping back as ``registers`` (with
         ``lane_words=True``) advances the sequential state of every lane by
-        one clock edge -- the primitive behind :meth:`step_cycles`.
+        one clock edge -- the primitive behind :meth:`step_cycles_fault_arrays`.
         """
         return {q_net: values._words[d_id] for q_net, d_id in self.flop_d_ids}
 
-    def step_cycles(
+    def step_cycles_fault_arrays(
         self,
-        inputs: Mapping[str, int],
-        cycle_fault_lanes: Sequence[Sequence[Optional[FaultSet]]],
-        registers: Optional[Mapping[str, int]] = None,
+        inputs: Mapping[str, object],
+        cycle_faults: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+        num_lanes: int,
+        registers: Optional[Mapping[str, object]] = None,
         lane_words: bool = False,
-    ) -> LaneValues:
-        """Evaluate ``len(cycle_fault_lanes)`` clock cycles with register feedback.
+    ):
+        """Evaluate ``len(cycle_faults)`` clock cycles with register feedback.
 
-        ``cycle_fault_lanes[t]`` is the per-lane fault assignment active during
-        cycle ``t`` (every cycle must carry the same lane count); inputs are
-        held constant across cycles while registers advance through each
-        cycle's captured D-net words.  A *transient* fault appears in exactly
-        one cycle's lane list, a *persistent* stuck-at in all of them, and a
-        multi-shot glitch schedule in the cycles it names.  Returns the
-        :class:`LaneValues` of the final cycle, whose D nets hold the state
-        each lane would enter after the last clock edge.
+        ``cycle_faults[t]`` is the flat ``(net ids, lanes, modes)`` fault
+        triple active during cycle ``t`` (empty arrays for a fault-free
+        cycle).  Inputs are held constant across cycles while registers
+        advance through each cycle's captured D-net words.  A *transient*
+        fault appears in exactly one cycle's triple, a *persistent* stuck-at
+        in all of them, and a multi-shot glitch schedule in the cycles it
+        names.  Returns the lane values of the final cycle, whose D nets hold
+        the state each lane would enter after the last clock edge.
         """
-        if not cycle_fault_lanes:
+        if not cycle_faults:
             raise ValueError("at least one cycle is required")
-        num_lanes = len(cycle_fault_lanes[0])
         if num_lanes < 1:
             raise ValueError("at least one lane is required")
         if not lane_words:
             # Broadcast scalar contexts to lane words once so every cycle --
             # including the register-feedback cycles, whose register values
-            # are always lane words -- can run with ``lane_words=True``.
-            mask = (1 << num_lanes) - 1
-            inputs = {
-                net: (mask if int(value) & 1 else 0) for net, value in inputs.items()
-            }
+            # are always lane words -- runs with ``lane_words=True``.
+            word = (1 << num_lanes) - 1
+            inputs = {net: (word if int(value) & 1 else 0) for net, value in inputs.items()}
             if registers:
                 registers = {
-                    net: (mask if int(value) & 1 else 0)
-                    for net, value in registers.items()
+                    net: (word if int(value) & 1 else 0) for net, value in registers.items()
                 }
-        values: Optional[LaneValues] = None
-        for fault_lanes in cycle_fault_lanes:
-            if len(fault_lanes) != num_lanes:
-                raise ValueError("every cycle must carry the same lane count")
-            values = self.evaluate(
-                inputs,
-                fault_lanes=fault_lanes,
-                registers=registers,
-                lane_words=True,
+        values = None
+        for rows, lanes, modes in cycle_faults:
+            values = self.evaluate_fault_arrays(
+                inputs, rows, lanes, modes, num_lanes, registers=registers, lane_words=True
             )
             registers = self.register_feedback(values)
         return values
-
-    def next_register_codes(
-        self,
-        inputs: Mapping[str, int],
-        q_bits: Sequence[str],
-        fault_lanes: Sequence[Optional[FaultSet]] = (None,),
-        registers: Optional[Mapping[str, int]] = None,
-        lane_words: bool = False,
-    ) -> List[int]:
-        """Per-lane next-state words the given flop bank would capture.
-
-        ``q_bits`` selects an ordered (LSB first) subset of flip-flop outputs;
-        the returned integers assemble the corresponding D-net values (from
-        the ``flop_d_ids`` precomputed at compile time).  Raises
-        :class:`ValueError` when a ``q_bits`` entry is not a flop output.
-        """
-        d_ids = []
-        for q_net in q_bits:
-            d_id = self._d_id_of.get(q_net)
-            if d_id is None:
-                raise ValueError(
-                    f"{q_net!r} is not a flip-flop output of netlist {self.netlist.name!r}"
-                )
-            d_ids.append(d_id)
-        lanes = self.evaluate(
-            inputs,
-            fault_lanes=fault_lanes,
-            registers=registers,
-            lane_words=lane_words,
-        )
-        return lanes.read_words_by_id(d_ids)

@@ -17,12 +17,12 @@ Three compile/run-time structures make the wide case fast:
   values[b]`` over index arrays), collapsing thousands of per-gate ops into a
   few dozen array calls per pass.
 * **Vectorised fault words.**  Fault lanes enter as three flat arrays --
-  faulted net id, lane, effect mode -- and are scattered into compact
-  per-faulted-net flip/stuck word matrices with a sort +
-  ``bitwise_or.reduceat`` pass (no per-lane Python loop, no bignum masks).
-  The matrices are applied between levels in one fused expression per level,
-  preserving the ``FaultSet.apply`` semantics (stuck-at wins over flip) of
-  the scalar and bignum engines bit for bit.
+  faulted net id, lane, effect mode -- and the shared
+  :func:`~repro.netlist.parallel.fault_word_planes` scatter turns them into
+  compact per-faulted-net flip/stuck word matrices (no per-lane Python
+  loop, no bignum masks).  The matrices are applied between levels in one
+  fused expression per level; the bignum engine consumes the same scatter,
+  so both engines apply faults with one set of ``FaultSet.apply`` semantics.
 * **Byte-view transposes.**  ``read_words`` / ``read_words_by_id`` view the
   selected rows as bytes and run the shared
   :func:`~repro.netlist.parallel.lane_codes_from_byte_rows` transpose, so
@@ -38,7 +38,8 @@ arrays), so planned batches, the shared-memory transport and the bignum
 engine interoperate without conversion layers.
 
 ``NumpyCompiledNetlist`` is cross-checked lane-for-lane against the bignum
-and scalar engines in ``tests/test_parallel_np.py``.
+and scalar engines in ``tests/test_parallel_np.py`` and
+``tests/test_parallel_sim.py``.
 """
 
 from __future__ import annotations
@@ -59,23 +60,13 @@ from repro.netlist.parallel import (
     _OP_TIE0,
     _OP_XNOR2,
     _OP_XOR2,
+    WORD_BITS,
+    WORD_DTYPE,
     CompiledNetlist,
+    fault_word_planes,
+    lane_code_array,
     lane_codes_from_byte_rows,
 )
-from repro.netlist.simulate import FaultSet
-
-#: Lanes per machine word: the engine's word slice width.
-WORD_BITS = 64
-
-#: Explicit little-endian words so lane <-> byte positions are stable across
-#: hosts (on the common little-endian platforms this is the native dtype).
-WORD_DTYPE = np.dtype("<u8")
-
-#: Fault effect modes of the array-native fault interface (the orchestrator
-#: lowers :class:`~repro.fi.model.FaultEffect` onto these).
-MODE_FLIP = 0
-MODE_STUCK0 = 1
-MODE_STUCK1 = 2
 
 
 def int_to_words(value: int, num_words: int) -> np.ndarray:
@@ -91,27 +82,8 @@ def words_to_int(words: np.ndarray) -> int:
     return int.from_bytes(np.ascontiguousarray(words, dtype=WORD_DTYPE).tobytes(), "little")
 
 
-def _scatter_or(size: int, flat_index: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """OR-scatter ``bits`` into a zeroed flat uint64 array of ``size``.
-
-    Duplicate indices (several lanes faulting the same net inside one word)
-    are combined by sorting and ``bitwise_or.reduceat`` -- the vectorised
-    equivalent of the bignum engine's per-lane ``mask |= 1 << lane`` loop.
-    """
-    out = np.zeros(size, dtype=WORD_DTYPE)
-    if flat_index.size:
-        order = np.argsort(flat_index, kind="stable")
-        sorted_index = flat_index[order]
-        sorted_bits = bits[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_index[1:] != sorted_index[:-1]))
-        )
-        out[sorted_index[starts]] = np.bitwise_or.reduceat(sorted_bits, starts)
-    return out
-
-
 class NumpyLaneValues:
-    """Per-net lane words of one :meth:`NumpyCompiledNetlist.evaluate` pass.
+    """Per-net lane words of one :meth:`NumpyCompiledNetlist.evaluate_fault_arrays` pass.
 
     Mirrors the :class:`~repro.netlist.parallel.LaneValues` read interface
     over a ``(num_nets, num_words)`` uint64 array instead of per-net bignums;
@@ -172,10 +144,8 @@ class NumpyLaneValues:
         """
         if not 0 < len(ids) < 64:
             return None
-        rows = self._values[np.asarray(ids, dtype=np.intp)].view(np.uint8)
-        bits = np.unpackbits(rows, axis=1, count=self.num_lanes, bitorder="little")
-        weights = np.left_shift(np.uint64(1), np.arange(len(ids), dtype=np.uint64))
-        return (bits * weights[:, None]).sum(axis=0, dtype=np.uint64)
+        rows = self._values[np.asarray(ids, dtype=np.intp)]
+        return lane_code_array(rows.view(np.uint8), self.num_lanes)
 
 
 #: One levelised op group: (opcode, out ids, operand ids...) as index arrays.
@@ -219,11 +189,12 @@ class _FaultPlan:
 class NumpyCompiledNetlist(CompiledNetlist):
     """A netlist compiled for word-sliced multi-lane ``numpy`` evaluation.
 
-    Shares the flat op list, dense net ids and fault validation semantics of
-    :class:`~repro.netlist.parallel.CompiledNetlist` and adds the levelised
-    (level, opcode) gate groups that vectorised evaluation runs on.  The
-    compiled form stays immutable and stateless; register values are inputs
-    to :meth:`evaluate`.
+    Shares the flat op list, dense net ids, fault scatter and multi-cycle
+    driver (:meth:`~repro.netlist.parallel.CompiledNetlist.step_cycles_fault_arrays`)
+    of :class:`~repro.netlist.parallel.CompiledNetlist` and adds the
+    levelised (level, opcode) gate groups that vectorised evaluation runs on.
+    The compiled form stays immutable and stateless; register values are
+    inputs to :meth:`evaluate_fault_arrays`.
     """
 
     def __init__(self, netlist: Netlist):
@@ -271,34 +242,11 @@ class NumpyCompiledNetlist(CompiledNetlist):
         num_words: int,
     ) -> Optional[_FaultPlan]:
         """Scatter flat (net id, lane, mode) fault triples into a
-        :class:`_FaultPlan` -- the array-native analogue of
-        :meth:`CompiledNetlist._compile_faults`.
-
-        Dense net ids are trusted (the orchestrator resolves and validates
-        names); stuck-at beats flip on the same net/lane, like
-        ``FaultSet.apply``.
-        """
+        :class:`_FaultPlan` (the shared :func:`fault_word_planes` scatter
+        plus the level slices evaluation patches by)."""
         if fault_rows.size == 0:
             return None
-        rows, inverse = np.unique(fault_rows, return_inverse=True)
-        lanes = fault_lanes.astype(np.uint64, copy=False)
-        flat = inverse * num_words + (lanes >> np.uint64(6)).astype(np.intp)
-        bits = np.left_shift(np.uint64(1), lanes & np.uint64(63))
-        size = rows.size * num_words
-        shape = (rows.size, num_words)
-        # One scatter over three stacked planes (flip / stuck mask / stuck
-        # value): stuck-at of either polarity sets the mask plane, STUCK1
-        # additionally sets the value plane, so the plane index doubles as
-        # the mode decoder and one sort covers all three matrices.
-        plane = np.where(fault_modes == MODE_FLIP, 0, 1).astype(np.intp)
-        stuck1 = fault_modes == MODE_STUCK1
-        planes = _scatter_or(
-            3 * size,
-            np.concatenate((plane * size + flat, flat[stuck1] + 2 * size)),
-            np.concatenate((bits, bits[stuck1])),
-        ).reshape(3, *shape)
-        flip, stuck_mask, stuck_val = planes[0], planes[1], planes[2]
-        flip &= ~stuck_mask  # stuck-at beats flip on the same net/lane
+        rows, planes = fault_word_planes(fault_rows, fault_lanes, fault_modes, num_words)
         levels = self._net_level_arr[rows]
         order = np.argsort(levels, kind="stable")
         ordered = levels[order]
@@ -309,131 +257,19 @@ class NumpyCompiledNetlist(CompiledNetlist):
         by_level = {
             int(ordered[lo]): order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
         }
-        return _FaultPlan(rows, flip, stuck_mask, stuck_val, by_level)
-
-    def _fault_arrays_from_sets(
-        self, fault_lanes: Sequence[Optional[FaultSet]]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Lower per-lane :class:`FaultSet` objects to flat fault triples,
-        raising the same :class:`ValueError` as the bignum engine for
-        faults on nets the netlist does not contain."""
-        net_id = self.net_id
-        rows: List[int] = []
-        lanes: List[int] = []
-        modes: List[int] = []
-        unknown: set = set()
-        for lane, fault_set in enumerate(fault_lanes):
-            if fault_set is None or fault_set.is_empty:
-                continue
-            for net in fault_set.flips:
-                row = net_id.get(net)
-                if row is None:
-                    unknown.add(net)
-                    continue
-                rows.append(row)
-                lanes.append(lane)
-                modes.append(MODE_FLIP)
-            for net, value in fault_set.stuck_at.items():
-                row = net_id.get(net)
-                if row is None:
-                    unknown.add(net)
-                    continue
-                rows.append(row)
-                lanes.append(lane)
-                modes.append(MODE_STUCK1 if value & 1 else MODE_STUCK0)
-        if unknown:
-            raise ValueError(
-                f"fault target nets not in netlist {self.netlist.name!r}: "
-                + ", ".join(sorted(unknown))
-            )
-        return (
-            np.array(rows, dtype=np.intp),
-            np.array(lanes, dtype=np.uint64),
-            np.array(modes, dtype=np.uint8),
-        )
+        return _FaultPlan(rows, planes[0], planes[1], planes[2], by_level)
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluate(
-        self,
-        inputs: Mapping[str, object],
-        fault_lanes: Sequence[Optional[FaultSet]] = (None,),
-        registers: Optional[Mapping[str, object]] = None,
-        lane_words: bool = False,
-    ) -> NumpyLaneValues:
-        """Evaluate every lane in one vectorised pass over the level groups.
-
-        The contract matches :meth:`CompiledNetlist.evaluate`: scalar 0/1
-        inputs/registers broadcast to every lane, or (``lane_words=True``)
-        per-net lane words -- Python ints *or* ready-made little-endian
-        ``uint64`` arrays (the shared-memory transport hands arrays straight
-        in).
-        """
-        num_lanes = len(fault_lanes)
-        rows, lanes, modes = self._fault_arrays_from_sets(fault_lanes)
-        return self.evaluate_fault_arrays(
-            inputs,
-            rows,
-            lanes,
-            modes,
-            num_lanes=num_lanes,
-            registers=registers,
-            lane_words=lane_words,
-        )
-
     def register_feedback(self, values: NumpyLaneValues) -> Dict[str, np.ndarray]:
         """Next-cycle register lane rows captured from every flop's D net.
 
         The returned rows are views into the pass's value matrix; each
-        :meth:`evaluate` allocates a fresh matrix, so feeding them into the
-        next cycle is safe without copying.
+        :meth:`evaluate_fault_arrays` allocates a fresh matrix, so feeding
+        them into the next cycle is safe without copying.
         """
         return {q_net: values._values[d_id] for q_net, d_id in self.flop_d_ids}
-
-    def step_cycles_fault_arrays(
-        self,
-        inputs: Mapping[str, object],
-        cycle_faults: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-        num_lanes: int,
-        registers: Optional[Mapping[str, object]] = None,
-        lane_words: bool = False,
-    ) -> NumpyLaneValues:
-        """Array-native multi-cycle evaluation with register feedback.
-
-        ``cycle_faults[t]`` is the flat ``(net ids, lanes, modes)`` fault
-        triple active during cycle ``t`` (empty arrays for a fault-free
-        cycle).  Matches :meth:`CompiledNetlist.step_cycles` semantics --
-        inputs held constant, registers advanced through each cycle's D-net
-        rows -- without any per-lane Python objects.
-        """
-        if not cycle_faults:
-            raise ValueError("at least one cycle is required")
-        if num_lanes < 1:
-            raise ValueError("at least one lane is required")
-        if not lane_words:
-            word = (1 << num_lanes) - 1
-            inputs = {
-                net: (word if int(value) & 1 else 0) for net, value in inputs.items()
-            }
-            if registers:
-                registers = {
-                    net: (word if int(value) & 1 else 0)
-                    for net, value in registers.items()
-                }
-        values: Optional[NumpyLaneValues] = None
-        for rows, lanes, modes in cycle_faults:
-            values = self.evaluate_fault_arrays(
-                inputs,
-                rows,
-                lanes,
-                modes,
-                num_lanes=num_lanes,
-                registers=registers,
-                lane_words=True,
-            )
-            registers = self.register_feedback(values)
-        return values
 
     def evaluate_fault_arrays(
         self,
@@ -445,9 +281,15 @@ class NumpyCompiledNetlist(CompiledNetlist):
         registers: Optional[Mapping[str, object]] = None,
         lane_words: bool = False,
     ) -> NumpyLaneValues:
-        """Array-native evaluation: faults arrive as flat (net id, lane,
-        effect mode) triples, so wide campaign batches are evaluated without
-        any per-lane Python objects."""
+        """Evaluate ``num_lanes`` lanes in one vectorised pass over the level
+        groups.
+
+        The contract matches
+        :meth:`~repro.netlist.parallel.CompiledNetlist.evaluate_fault_arrays`;
+        with ``lane_words=True`` the per-net lane words may be Python ints
+        *or* ready-made little-endian ``uint64`` arrays (the shared-memory
+        transport hands arrays straight in).
+        """
         if num_lanes < 1:
             raise ValueError("at least one lane is required")
         num_words = -(-num_lanes // WORD_BITS)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.scfi import ScfiOptions, protect_fsm
@@ -12,6 +13,39 @@ from repro.fsmlib import (
     traffic_light_fsm,
     uart_rx_fsm,
 )
+from repro.netlist.parallel import MODE_FLIP, MODE_STUCK0, MODE_STUCK1
+
+
+def _fault_triples(net_id, fault_lanes):
+    """Flat ``(net ids, lanes, modes)`` arrays of per-lane ``FaultSet`` lists.
+
+    ``None`` (or an empty set) is a golden lane.  Flips and stuck-ats of one
+    lane become that lane's triples, in ``FaultSet`` order, which is the
+    input format of the compiled engines' ``evaluate_fault_arrays``.
+    """
+    rows, lanes, modes = [], [], []
+    for lane, fault_set in enumerate(fault_lanes):
+        if fault_set is None:
+            continue
+        for net in sorted(fault_set.flips):
+            rows.append(net_id[net])
+            lanes.append(lane)
+            modes.append(MODE_FLIP)
+        for net, value in fault_set.stuck_at.items():
+            rows.append(net_id[net])
+            lanes.append(lane)
+            modes.append(MODE_STUCK1 if value else MODE_STUCK0)
+    return (
+        np.array(rows, dtype=np.intp),
+        np.array(lanes, dtype=np.intp),
+        np.array(modes, dtype=np.uint8),
+    )
+
+
+@pytest.fixture
+def fault_triples():
+    """The ``FaultSet``-lanes-to-fault-triples converter of the engine tests."""
+    return _fault_triples
 
 
 @pytest.fixture

@@ -284,9 +284,15 @@ class TestDispatchProvenance:
         assert result.dispatch == {"exhaustive": "array-native"}
         assert result.provenance()["dispatch"] == {"exhaustive": "array-native"}
 
-    def test_bignum_engine_reports_spec_stream(self):
+    def test_bignum_engine_reports_array_native(self):
         result = Session().run(exhaustive_spec(engine="parallel"))
-        assert result.dispatch == {"exhaustive": "spec-stream"}
+        assert result.dispatch == {"exhaustive": "array-native"}
+        oracle = Session().run(exhaustive_spec(engine="scalar"))
+        assert oracle.dispatch == {"exhaustive": "spec-stream"}
+        assert (
+            result.campaigns["exhaustive"].counters()
+            == oracle.campaigns["exhaustive"].counters()
+        )
 
     def test_cached_replay_reports_cached(self, tmp_path):
         from repro.store import open_store

@@ -4,9 +4,10 @@ Every registered scenario must lower to exactly the IR of a short reference
 lowering kept here: the object job streams the scenarios used to generate
 (same ``random.Random(seed)`` draws, same order, same fault groups), pushed
 through a reference object-to-IR adapter.  The dispatch tests pin which
-execution path each engine takes (:attr:`FaultCampaign.last_dispatch`): the
-numpy engine must run the per-effect sweep and random multi-fault campaigns
-array-native, everything else reports the generic spec-stream path.
+execution path each engine takes (:attr:`FaultCampaign.last_dispatch`):
+both compiled engines run every campaign array-native -- kept outcomes and
+stuck-at-0/1 conflicts inside one group included -- with counters and
+outcomes equal to the scalar oracle, which reports the spec-stream path.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.fi.injector import ScfiFaultInjector
 from repro.fi.model import Fault, FaultEffect
 from repro.fi.orchestrator import (
     ENGINE_INFO,
+    EVERY_CYCLE,
     ExhaustiveSingleFault,
     FaultCampaign,
     JobArrays,
@@ -38,7 +40,7 @@ from repro.fi.orchestrator import (
 )
 from repro.fi.placement import net_placement
 from repro.fsm.random_fsm import random_fsm
-from repro.netlist.parallel_np import MODE_FLIP, MODE_STUCK0, MODE_STUCK1
+from repro.netlist.parallel import MODE_FLIP, MODE_STUCK0, MODE_STUCK1
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 
@@ -353,20 +355,89 @@ class TestEmptyEffectsRejected:
             CampaignSpec(effects=())
 
 
-class _StuckConflictScenario(_ArrayScenario):
-    """One job whose group holds stuck-at-0 AND stuck-at-1 on the same net."""
+def _conflict_groups(modes, cycles=None, num_cycles=1):
+    """IR builder: one job per (context, diffusion net) whose group puts every
+    mode of ``modes`` on that net, in order (``cycles`` per fault, if given)."""
 
-    def __init__(self, net):
-        super().__init__("stuck conflict", build=None)
-        self.net = net
-
-    def jobs_arrays(self, campaign):
-        row = campaign.net_index[self.net]
+    def build(campaign):
+        nets = campaign.injector.diffusion_nets()
+        rows = np.array([campaign.net_index[net] for net in nets], dtype=np.intp)
+        num_contexts = len(campaign.contexts)
+        num_jobs = num_contexts * rows.size
         return JobArrays(
-            contexts=np.array([0], dtype=np.intp),
-            group_offsets=np.array([0, 2], dtype=np.intp),
-            net_rows=np.array([row, row], dtype=np.intp),
-            modes=np.array([MODE_STUCK0, MODE_STUCK1], dtype=np.uint8),
+            contexts=np.repeat(np.arange(num_contexts, dtype=np.intp), rows.size),
+            group_offsets=np.arange(num_jobs + 1, dtype=np.intp) * len(modes),
+            net_rows=np.repeat(np.tile(rows, num_contexts), len(modes)),
+            modes=np.tile(np.array(modes, dtype=np.uint8), num_jobs),
+            cycles=None
+            if cycles is None
+            else np.tile(np.array(cycles, dtype=np.int64), num_jobs),
+            num_cycles=num_cycles,
+        )
+
+    return build
+
+
+#: Stuck-at-0/1 conflicts on one net inside one group: (modes, cycles, trace).
+STUCK_CONFLICTS = {
+    "stuck0-then-stuck1": ((MODE_STUCK0, MODE_STUCK1), None, 1),
+    "stuck1-then-stuck0": ((MODE_STUCK1, MODE_STUCK0), None, 1),
+    "persistent0-then-cycle1-stuck1": ((MODE_STUCK0, MODE_STUCK1), (EVERY_CYCLE, 1), 3),
+    "cycle1-stuck1-then-persistent0": ((MODE_STUCK1, MODE_STUCK0), (1, EVERY_CYCLE), 3),
+}
+
+
+def _assert_compiled_engines_match_oracle(structure, make_scenario):
+    """Both compiled engines, counters-only and with kept outcomes, run
+    array-native and equal the scalar oracle; returns the oracle result."""
+    with FaultCampaign(structure, engine="scalar", keep_outcomes=True) as campaign:
+        expected = campaign.run(make_scenario())
+        assert campaign.last_dispatch == "spec-stream"
+    for engine in ("parallel", "parallel-numpy"):
+        for keep_outcomes in (False, True):
+            with FaultCampaign(
+                structure, engine=engine, keep_outcomes=keep_outcomes
+            ) as campaign:
+                result = campaign.run(make_scenario())
+                assert campaign.last_dispatch == "array-native", (engine, keep_outcomes)
+            assert result.counters() == expected.counters(), (engine, keep_outcomes)
+            if keep_outcomes:
+                assert result.outcomes == expected.outcomes, engine
+    return expected
+
+
+class TestStuckConflictSemantics:
+    """Within one cycle the last stuck-at on a net wins (``FaultSet``
+    semantics), on the flat fault arrays of both compiled engines."""
+
+    @pytest.mark.parametrize("case", sorted(STUCK_CONFLICTS))
+    def test_compiled_engines_match_oracle(self, protected_traffic_light, case):
+        modes, cycles, num_cycles = STUCK_CONFLICTS[case]
+        _assert_compiled_engines_match_oracle(
+            protected_traffic_light.structure,
+            lambda: _ArrayScenario(case, _conflict_groups(modes, cycles, num_cycles)),
+        )
+
+    def test_group_order_is_observable(self, protected_traffic_light):
+        structure = protected_traffic_light.structure
+        counters = {}
+        for case in ("stuck0-then-stuck1", "stuck1-then-stuck0"):
+            modes, cycles, num_cycles = STUCK_CONFLICTS[case]
+            scenario = _ArrayScenario(case, _conflict_groups(modes, cycles, num_cycles))
+            with FaultCampaign(structure, engine="parallel-numpy") as campaign:
+                counters[case] = campaign.run(scenario).counters()
+        assert counters == {
+            "stuck0-then-stuck1": (52, 32, 0, 0),
+            "stuck1-then-stuck0": (32, 52, 0, 0),
+        }
+
+    def test_multi_shot_glitch_sticks_one_net_both_ways(self, protected_traffic_light):
+        """Stuck at 0 in cycle 0 and at 1 in cycle 2: never live together."""
+        structure = protected_traffic_light.structure
+        net = ScfiFaultInjector(structure).diffusion_nets()[0]
+        _assert_compiled_engines_match_oracle(
+            structure,
+            lambda: MultiShotGlitch(glitches=[(0, net, "stuck0"), (2, net, "stuck1")]),
         )
 
 
@@ -386,45 +457,35 @@ class TestDispatchProvenance:
                 campaign.run(scenario)
                 assert campaign.last_dispatch == "array-native"
 
-    def test_numpy_random_multi_fault_is_array_native(self, protected_traffic_light):
-        structure = protected_traffic_light.structure
-        scenario = RandomMultiFault(num_faults=2, trials=50, seed=1)
-        with FaultCampaign(structure, engine="parallel-numpy") as campaign:
-            native = campaign.run(scenario)
-            assert campaign.last_dispatch == "array-native"
-        # Kept outcomes route the same engine through the generic path.
-        with FaultCampaign(
-            structure, engine="parallel-numpy", keep_outcomes=True
-        ) as campaign:
-            generic = campaign.run(scenario)
-            assert campaign.last_dispatch == "spec-stream"
-        assert native.counters() == generic.counters()
+    def test_random_multi_fault_is_array_native(self, protected_traffic_light):
+        _assert_compiled_engines_match_oracle(
+            protected_traffic_light.structure,
+            lambda: RandomMultiFault(num_faults=2, trials=50, seed=1),
+        )
 
-    def test_bignum_engines_report_spec_stream(self, protected_traffic_light):
+    def test_bignum_engine_is_array_native_scalar_is_spec_stream(
+        self, protected_traffic_light
+    ):
+        _assert_compiled_engines_match_oracle(
+            protected_traffic_light.structure, ExhaustiveSingleFault
+        )
+
+    def test_keep_outcomes_is_array_native(self, protected_traffic_light):
+        _assert_compiled_engines_match_oracle(
+            protected_traffic_light.structure,
+            lambda: ExhaustiveSingleFault(target_nets="comb", effects=tuple(EFFECT_MODES)),
+        )
+
+    def test_per_job_classification_matches_packed_keys(self, protected_traffic_light):
+        """Codes too wide for one uint64 (context, code) key are classified
+        job by job, with the vectorised classifier's counters."""
         structure = protected_traffic_light.structure
-        for engine in ("parallel", "scalar"):
+        scenario = RandomMultiFault(
+            num_faults=3, trials=200, seed=5, effects=tuple(EFFECT_MODES)
+        )
+        for engine in ("parallel", "parallel-numpy"):
             with FaultCampaign(structure, engine=engine) as campaign:
-                campaign.run(ExhaustiveSingleFault())
-                assert campaign.last_dispatch == "spec-stream", engine
-
-    def test_stuck_conflict_falls_back_to_spec_stream(self, protected_traffic_light):
-        """stuck0+stuck1 on one net in one group: dict semantics (last wins)
-        differ from the numpy OR-combine, so the conservative conflict check
-        must route the campaign through the generic path."""
-        structure = protected_traffic_light.structure
-        net = ScfiFaultInjector(structure).diffusion_nets()[0]
-        scenario = _StuckConflictScenario(net)
-        with FaultCampaign(structure, engine="parallel-numpy") as campaign:
-            numpy_result = campaign.run(scenario)
-            assert campaign.last_dispatch == "spec-stream"
-        with FaultCampaign(structure, engine="parallel") as campaign:
-            reference = campaign.run(_StuckConflictScenario(net))
-        assert numpy_result.counters() == reference.counters()
-
-    def test_keep_outcomes_uses_spec_stream(self, protected_traffic_light):
-        structure = protected_traffic_light.structure
-        with FaultCampaign(
-            structure, engine="parallel-numpy", keep_outcomes=True
-        ) as campaign:
-            campaign.run(ExhaustiveSingleFault())
-            assert campaign.last_dispatch == "spec-stream"
+                expected = campaign.run(scenario)
+            with FaultCampaign(structure, engine=engine) as campaign:
+                campaign._packs_keys = False
+                assert campaign.run(scenario).counters() == expected.counters()

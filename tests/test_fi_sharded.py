@@ -17,7 +17,10 @@ from repro.fi.model import FaultEffect
 from repro.fi.orchestrator import (
     ExhaustiveSingleFault,
     FaultCampaign,
+    LaserSpot,
+    MultiShotGlitch,
     RandomMultiFault,
+    TemporalSingleFault,
     effect_sweep_scenarios,
 )
 from repro.fsm.random_fsm import random_fsm
@@ -131,18 +134,38 @@ class TestShardedEqualsSingleProcess:
 #: each transport.
 EXECUTION_MODES = ((1, True), (2, True), (2, False))
 
-#: Single-cycle scenario shapes: the natively lowered exhaustive sweep and
-#: the object-lowered multi-fault groups (stuck-at pairs included).
-SINGLE_CYCLE_SCENARIOS = {
-    "exhaustive": lambda: ExhaustiveSingleFault(target_nets="diffusion", effects=ALL_EFFECTS),
-    "random": lambda: RandomMultiFault(num_faults=3, trials=80, seed=4, effects=ALL_EFFECTS),
+#: Scenario shapes of the equivalence matrix, built per structure: the
+#: exhaustive sweep, multi-fault groups (stuck-at pairs included), and the
+#: multi-cycle shapes -- persistent temporal faults, a multi-shot glitch
+#: schedule and laser spots held over a 2-cycle trace.
+MATRIX_SCENARIOS = {
+    "exhaustive": lambda structure: ExhaustiveSingleFault(
+        target_nets="diffusion", effects=ALL_EFFECTS
+    ),
+    "random": lambda structure: RandomMultiFault(
+        num_faults=3, trials=80, seed=4, effects=ALL_EFFECTS
+    ),
+    "temporal-persistent": lambda structure: TemporalSingleFault(
+        target_nets="diffusion", effects=ALL_EFFECTS, cycles=3, duration="persistent"
+    ),
+    "multi-shot": lambda structure: MultiShotGlitch(
+        glitches=[
+            (0, structure.diffusion_nets[0], "flip"),
+            (1, structure.diffusion_nets[1], "stuck1"),
+            (2, structure.diffusion_nets[0], "stuck0"),
+        ]
+    ),
+    "laser": lambda structure: LaserSpot(
+        spot_trials=60, seed=3, effects=ALL_EFFECTS, cycles=2
+    ),
 }
 
 
-class TestSingleCycleEquivalenceMatrix:
-    """Single-cycle campaigns run as one-cycle traces on every engine: counters
-    and kept outcome rows match the in-process scalar oracle across worker
-    counts and transports."""
+class TestEquivalenceMatrix:
+    """Every scenario shape, single- and multi-cycle, on every engine:
+    counters and kept outcome rows match the in-process scalar oracle across
+    worker counts and transports, so the compiled engines' one fault path
+    and the oracle's sharded replies are pinned together."""
 
     @pytest.fixture(scope="class")
     def structure(self):
@@ -151,17 +174,19 @@ class TestSingleCycleEquivalenceMatrix:
     @pytest.fixture(scope="class")
     def oracle(self, structure):
         return {
-            name: FaultCampaign(structure, engine="scalar", keep_outcomes=True).run(make())
-            for name, make in SINGLE_CYCLE_SCENARIOS.items()
+            name: FaultCampaign(structure, engine="scalar", keep_outcomes=True).run(
+                make(structure)
+            )
+            for name, make in MATRIX_SCENARIOS.items()
         }
 
-    @pytest.mark.parametrize("scenario", sorted(SINGLE_CYCLE_SCENARIOS))
+    @pytest.mark.parametrize("scenario", sorted(MATRIX_SCENARIOS))
     @pytest.mark.parametrize("workers, shared_memory", EXECUTION_MODES)
     @pytest.mark.parametrize("engine", ENGINES)
     def test_counters_and_outcomes_match_oracle(
         self, structure, oracle, engine, workers, shared_memory, scenario
     ):
-        make = SINGLE_CYCLE_SCENARIOS[scenario]
+        make = MATRIX_SCENARIOS[scenario]
         expected = oracle[scenario]
         for keep_outcomes in (False, True):
             with FaultCampaign(
@@ -171,7 +196,9 @@ class TestSingleCycleEquivalenceMatrix:
                 use_shared_memory=shared_memory,
                 keep_outcomes=keep_outcomes,
             ) as campaign:
-                result = campaign.run(make())
+                result = campaign.run(make(structure))
+                expected_dispatch = "spec-stream" if engine == "scalar" else "array-native"
+                assert campaign.last_dispatch == expected_dispatch
             assert result.counters() == expected.counters()
             assert result.total_injections == expected.total_injections
             if keep_outcomes:

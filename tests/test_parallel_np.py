@@ -3,8 +3,10 @@ engine, wide-lane campaigns past the 256-lane budget, and the array-native
 fault plumbing (ISSUE 6 tentpole).
 
 The property at the heart of this file: for ANY netlist, ANY lane count and
-ANY mix of flip/stuck-at fault lanes, ``NumpyCompiledNetlist.evaluate``
-produces bit-identical per-net lane words to ``CompiledNetlist.evaluate``.
+ANY mix of flip/stuck-at fault lanes, ``NumpyCompiledNetlist`` produces
+bit-identical per-net lane words to ``CompiledNetlist`` through the shared
+``evaluate_fault_arrays`` entry (fault lanes converted to flat triples by the
+``fault_triples`` fixture).
 Campaign-level counter equality across every engine then follows and is
 pinned separately, including on the
 ``ibex_lsu_fsm`` regression netlist.
@@ -75,7 +77,7 @@ class TestLaneForLaneEquality:
 
     @pytest.mark.parametrize("seed", [1, 8, 21])
     @pytest.mark.parametrize("num_lanes", [1, 63, 64, 65, 200])
-    def test_random_netlist_random_faults(self, seed, num_lanes):
+    def test_random_netlist_random_faults(self, seed, num_lanes, fault_triples):
         structure = _protect(random_fsm(seed, num_states=4))
         netlist = structure.netlist
         bignum = CompiledNetlist(netlist)
@@ -84,38 +86,36 @@ class TestLaneForLaneEquality:
         nets = sorted(gate.output for gate in netlist.gates.values())
         inputs = {net: rng.randrange(2) for net in netlist.primary_inputs}
         registers = {net: rng.randrange(2) for net in structure.state_q}
-        lanes = _random_fault_lanes(rng, nets, num_lanes)
-        ref = bignum.evaluate(inputs, fault_lanes=lanes, registers=registers)
-        out = vector.evaluate(inputs, fault_lanes=lanes, registers=registers)
+        triples = fault_triples(vector.net_id, _random_fault_lanes(rng, nets, num_lanes))
+        ref = bignum.evaluate_fault_arrays(inputs, *triples, num_lanes, registers=registers)
+        out = vector.evaluate_fault_arrays(inputs, *triples, num_lanes, registers=registers)
         for net in nets:
             assert out.word(net) == ref.word(net), net
         state_ids = [vector.net_id[net] for net in structure.state_d]
         assert out.read_words_by_id(state_ids) == ref.read_words_by_id(state_ids)
 
-    def test_code_array_matches_read_words(self):
+    @pytest.mark.parametrize("engine_cls", [CompiledNetlist, NumpyCompiledNetlist])
+    def test_code_array_matches_read_words(self, engine_cls, fault_triples):
         structure = _protect(random_fsm(5, num_states=4))
-        vector = NumpyCompiledNetlist(structure.netlist)
+        compiled = engine_cls(structure.netlist)
         rng = random.Random(9)
         nets = sorted(gate.output for gate in structure.netlist.gates.values())
         inputs = {net: rng.randrange(2) for net in structure.netlist.primary_inputs}
         registers = {net: rng.randrange(2) for net in structure.state_q}
-        lanes = _random_fault_lanes(rng, nets, 90)
-        out = vector.evaluate(inputs, fault_lanes=lanes, registers=registers)
-        ids = [vector.net_id[net] for net in structure.state_d]
+        triples = fault_triples(compiled.net_id, _random_fault_lanes(rng, nets, 90))
+        out = compiled.evaluate_fault_arrays(inputs, *triples, 90, registers=registers)
+        ids = [compiled.net_id[net] for net in structure.state_d]
         codes = out.code_array_by_id(ids)
         assert codes is not None and codes.dtype == np.uint64
         assert codes.tolist() == out.read_words_by_id(ids)
-
-    def test_unknown_fault_net_raises_like_bignum(self):
-        structure = _protect(random_fsm(2, num_states=3))
-        vector = NumpyCompiledNetlist(structure.netlist)
-        bignum = CompiledNetlist(structure.netlist)
-        bad = [FaultSet(flips=frozenset({"no_such_net"}))]
-        with pytest.raises(ValueError) as np_err:
-            vector.evaluate({}, fault_lanes=bad)
-        with pytest.raises(ValueError) as big_err:
-            bignum.evaluate({}, fault_lanes=bad)
-        assert str(np_err.value) == str(big_err.value)
+        assert out.code_array_by_id([]) is None
+        # 64 bits or more: no uint64 array, exact Python ints instead.
+        repeats = -(-64 // len(ids))
+        assert out.code_array_by_id(ids * repeats) is None
+        width = len(ids)
+        assert out.read_words_by_id(ids * repeats) == [
+            sum(code << (width * k) for k in range(repeats)) for code in codes.tolist()
+        ]
 
 
 class TestWideCampaigns:
@@ -153,9 +153,9 @@ class TestCampaignCounterEquality:
         assert out.total_injections == ref.total_injections
         assert out.transitions_evaluated == ref.transitions_evaluated
 
-    def test_random_multi_fault_falls_back_to_generic_path(self):
-        """Multi-fault jobs have no array form; the generic stream must serve
-        the numpy engine with identical counters."""
+    def test_random_multi_fault_matches_bignum(self):
+        """Multi-fault groups share one lane on both engines, with identical
+        counters."""
         structure = _protect(random_fsm(29, num_states=4))
         scenario = RandomMultiFault(num_faults=2, trials=80, seed=5, effects=ALL_EFFECTS)
         ref = FaultCampaign(structure, engine="parallel").run(scenario)

@@ -3,17 +3,20 @@
 Hypothesis-style: seeded random netlists (random DAGs over every supported
 cell type, with flip-flop feedback) and random per-lane fault sets are thrown
 at the bignum and the word-sliced numpy bit-parallel evaluators -- with
-scalar-broadcast and with per-lane lane-word inputs -- and every net of every
-lane must match the scalar ``NetlistSimulator`` evaluation with the same
-``FaultSet``.  A regression block pins the ``ibex_lsu_fsm`` campaign counters
-to the values produced by the pre-refactor scalar implementation on every
-campaign engine.
+scalar-broadcast and with per-lane lane-word inputs, over one cycle and over
+multi-cycle traces -- and every net of every lane must match the scalar
+``NetlistSimulator`` evaluation with the same ``FaultSet``.  The engines take
+faults as flat ``(net id, lane, mode)`` triples; the ``fault_triples``
+fixture converts each lane's ``FaultSet`` into them.  A regression block
+pins the ``ibex_lsu_fsm`` campaign counters to the values produced by the
+pre-refactor scalar implementation on every campaign engine.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.scfi import ScfiOptions, protect_fsm
@@ -21,7 +24,7 @@ from repro.fi.campaign import exhaustive_single_fault_campaign, random_multi_fau
 from repro.fsmlib.opentitan import ibex_lsu_fsm
 from repro.netlist.gates import Gate, GateType
 from repro.netlist.netlist import Netlist
-from repro.netlist.parallel import CompiledNetlist
+from repro.netlist.parallel import MODE_FLIP, MODE_STUCK0, MODE_STUCK1, CompiledNetlist
 from repro.netlist.parallel_np import NumpyCompiledNetlist
 from repro.netlist.simulate import FaultSet, NetlistSimulator, injectable_nets
 
@@ -75,10 +78,14 @@ def random_fault_set(rng: random.Random, nets) -> FaultSet:
     )
 
 
+def _no_faults():
+    return (np.array([], dtype=np.intp),) * 2 + (np.array([], dtype=np.uint8),)
+
+
 class TestRandomNetlistEquivalence:
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     @pytest.mark.parametrize("seed", range(25))
-    def test_all_nets_match_lane_for_lane(self, seed, engine_cls):
+    def test_all_nets_match_lane_for_lane(self, seed, engine_cls, fault_triples):
         rng = random.Random(seed)
         netlist = random_netlist(rng, f"rand{seed}")
         simulator = NetlistSimulator(netlist)
@@ -89,7 +96,9 @@ class TestRandomNetlistEquivalence:
         registers = {net: rng.randint(0, 1) for net in simulator.registers}
         lanes = [None] + [random_fault_set(rng, targets) for _ in range(rng.randint(1, 33))]
 
-        lane_values = compiled.evaluate(inputs, fault_lanes=lanes, registers=registers)
+        lane_values = compiled.evaluate_fault_arrays(
+            inputs, *fault_triples(compiled.net_id, lanes), len(lanes), registers=registers
+        )
         assert lane_values.num_lanes == len(lanes)
         for lane, fault_set in enumerate(lanes):
             reference = simulator.evaluate(
@@ -99,7 +108,7 @@ class TestRandomNetlistEquivalence:
 
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     @pytest.mark.parametrize("seed", range(40, 50))
-    def test_lane_word_inputs_evaluate_distinct_contexts(self, seed, engine_cls):
+    def test_lane_word_inputs_evaluate_distinct_contexts(self, seed, engine_cls, fault_triples):
         """With ``lane_words=True`` every lane may carry its own input/state."""
         rng = random.Random(seed)
         netlist = random_netlist(rng, f"randctx{seed}", min_flops=1)
@@ -128,9 +137,10 @@ class TestRandomNetlistEquivalence:
             net: sum(per_lane_registers[k][net] << k for k in range(num_lanes))
             for net in simulator.registers
         }
-        lane_values = compiled.evaluate(
+        lane_values = compiled.evaluate_fault_arrays(
             input_words,
-            fault_lanes=lanes,
+            *fault_triples(compiled.net_id, lanes),
+            num_lanes,
             registers=register_words,
             lane_words=True,
         )
@@ -144,92 +154,86 @@ class TestRandomNetlistEquivalence:
 
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     @pytest.mark.parametrize("seed", range(25, 35))
-    def test_next_register_codes_match(self, seed, engine_cls):
+    def test_step_cycles_match_scalar_trace(self, seed, engine_cls, fault_triples):
+        """Multi-cycle traces: per-cycle fault lanes, register feedback, and
+        the final cycle's D-net codes (the next register state per lane)."""
         rng = random.Random(seed)
         netlist = random_netlist(rng, f"randreg{seed}", min_flops=1)
         simulator = NetlistSimulator(netlist)
         compiled = engine_cls(netlist)
-        q_bits = sorted(simulator.registers)
+        flops = netlist.flops()
         targets = injectable_nets(netlist, include_inputs=True)
 
         inputs = {net: rng.randint(0, 1) for net in netlist.primary_inputs}
         registers = {net: rng.randint(0, 1) for net in simulator.registers}
-        lanes = [None] + [random_fault_set(rng, targets) for _ in range(8)]
-        codes = compiled.next_register_codes(
-            inputs, q_bits, fault_lanes=lanes, registers=registers
+        num_lanes = 9
+        cycle_lanes = [
+            [None]
+            + [
+                random_fault_set(rng, targets) if rng.random() < 0.7 else None
+                for _ in range(num_lanes - 1)
+            ]
+            for _ in range(3)
+        ]
+        values = compiled.step_cycles_fault_arrays(
+            inputs,
+            [fault_triples(compiled.net_id, lanes) for lanes in cycle_lanes],
+            num_lanes,
+            registers=registers,
         )
-        for lane, fault_set in enumerate(lanes):
-            next_values = simulator.next_register_values(
-                inputs, faults=fault_set or FaultSet(), registers=registers
-            )
-            expected = sum(next_values[q] << i for i, q in enumerate(q_bits))
+        codes = values.read_words_by_id([d_id for _, d_id in compiled.flop_d_ids])
+        for lane in range(num_lanes):
+            state = dict(registers)
+            for lanes in cycle_lanes:
+                reference = simulator.evaluate(
+                    inputs, faults=lanes[lane] or FaultSet(), registers=state
+                )
+                state = {flop.output: reference[flop.inputs[0]] for flop in flops}
+            assert values.lane_values(lane) == reference
+            expected = sum(state[q] << i for i, (q, _) in enumerate(compiled.flop_d_ids))
             assert codes[lane] == expected
 
-    def test_stuck_at_beats_flip_on_same_net(self):
+    @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
+    def test_stuck_at_beats_flip_on_same_net(self, engine_cls, fault_triples):
         netlist = Netlist("prio")
         a = netlist.add_input("a")
         netlist.add_gate(Gate(name="g", gate_type=GateType.BUF, inputs=[a], output="y"))
-        compiled = CompiledNetlist(netlist)
+        compiled = engine_cls(netlist)
         fault = FaultSet(flips=frozenset(["y"]), stuck_at={"y": 1})
-        values = compiled.evaluate({"a": 0}, fault_lanes=[None, fault])
+        values = compiled.evaluate_fault_arrays(
+            {"a": 0}, *fault_triples(compiled.net_id, [None, fault]), 2
+        )
         reference = NetlistSimulator(netlist).evaluate({"a": 0}, faults=fault)
         assert values.lane_value("y", 1) == reference["y"] == 1
         assert values.lane_value("y", 0) == 0
 
-    def test_requires_at_least_one_lane(self):
+    @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
+    def test_last_stuck_at_wins_and_repeated_flip_is_one(self, engine_cls):
+        """Fault groups keep ``FaultSet`` semantics: of two stuck-ats on one
+        net in one lane the later one wins, and a repeated flip flips once."""
+        netlist = Netlist("order")
+        a = netlist.add_input("a")
+        netlist.add_gate(Gate(name="g", gate_type=GateType.BUF, inputs=[a], output="y"))
+        compiled = engine_cls(netlist)
+        y = compiled.net_id["y"]
+        rows = np.array([y, y, y, y, y, y], dtype=np.intp)
+        lanes = np.array([1, 1, 2, 2, 3, 3], dtype=np.intp)
+        modes = np.array(
+            [MODE_STUCK0, MODE_STUCK1, MODE_STUCK1, MODE_STUCK0, MODE_FLIP, MODE_FLIP],
+            dtype=np.uint8,
+        )
+        values = compiled.evaluate_fault_arrays({"a": 0}, rows, lanes, modes, 4)
+        assert [values.lane_value("y", lane) for lane in range(4)] == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
+    def test_requires_at_least_one_lane(self, engine_cls):
         netlist = Netlist("empty_lanes")
         netlist.add_input("a")
-        compiled = CompiledNetlist(netlist)
-        with pytest.raises(ValueError):
-            compiled.evaluate({"a": 1}, fault_lanes=[])
-
-
-def _buffer_netlist() -> Netlist:
-    netlist = Netlist("tiny")
-    a = netlist.add_input("a")
-    netlist.add_gate(Gate(name="g", gate_type=GateType.BUF, inputs=[a], output="y"))
-    netlist.add_gate(Gate(name="ff", gate_type=GateType.DFF, inputs=["y"], output="q"))
-    return netlist
-
-
-class TestFaultTargetValidation:
-    """Faults on nonexistent nets must raise, not silently report MASKED."""
-
-    def test_flip_on_unknown_net_raises(self):
-        compiled = CompiledNetlist(_buffer_netlist())
-        with pytest.raises(ValueError, match="no_such_net"):
-            compiled.evaluate({"a": 1}, fault_lanes=[None, FaultSet.single_flip("no_such_net")])
-
-    def test_stuck_on_unknown_net_raises(self):
-        compiled = CompiledNetlist(_buffer_netlist())
-        with pytest.raises(ValueError, match="missing"):
-            compiled.evaluate({"a": 1}, fault_lanes=[None, FaultSet.stuck("missing", 1)])
-
-    def test_error_names_every_unknown_net(self):
-        compiled = CompiledNetlist(_buffer_netlist())
-        bad = FaultSet(flips=frozenset(["ghost1"]), stuck_at={"ghost2": 0})
-        with pytest.raises(ValueError) as excinfo:
-            compiled.evaluate({"a": 1}, fault_lanes=[None, bad])
-        assert "ghost1" in str(excinfo.value)
-        assert "ghost2" in str(excinfo.value)
-
-
-class TestNextRegisterCodes:
-    def test_rejects_non_flop_net(self):
-        compiled = CompiledNetlist(_buffer_netlist())
-        with pytest.raises(ValueError, match="not a flip-flop output"):
-            compiled.next_register_codes({"a": 1}, ["y"])
-
-    def test_rejects_primary_input(self):
-        """A q net with no driver used to crash with AttributeError."""
-        compiled = CompiledNetlist(_buffer_netlist())
-        with pytest.raises(ValueError, match="not a flip-flop output"):
-            compiled.next_register_codes({"a": 1}, ["a"])
-
-    def test_uses_precomputed_d_ids(self):
-        compiled = CompiledNetlist(_buffer_netlist())
-        assert compiled.next_register_codes({"a": 1}, ["q"]) == [1]
-        assert compiled.next_register_codes({"a": 0}, ["q"]) == [0]
+        compiled = engine_cls(netlist)
+        with pytest.raises(ValueError, match="lane"):
+            compiled.evaluate_fault_arrays({"a": 1}, *_no_faults(), 0)
+        with pytest.raises(ValueError, match="cycle"):
+            compiled.step_cycles_fault_arrays({"a": 1}, [], 1)
 
 
 class TestPickling:
@@ -243,24 +247,29 @@ class TestPickling:
         compiled = engine_cls(netlist)
         restored = pickle.loads(pickle.dumps(compiled))
         inputs = {net: rng.randrange(2) for net in netlist.primary_inputs}
-        original = compiled.evaluate(inputs)
-        rebuilt = restored.evaluate(inputs)
+        original = compiled.evaluate_fault_arrays(inputs, *_no_faults(), 1)
+        rebuilt = restored.evaluate_fault_arrays(inputs, *_no_faults(), 1)
         for net in compiled.net_id:
             assert rebuilt.word(net) == original.word(net)
 
 
 class TestProtectedNetlistEquivalence:
-    def test_lanes_match_on_scfi_netlist(self, protected_traffic_light):
+    @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
+    def test_lanes_match_on_scfi_netlist(
+        self, protected_traffic_light, engine_cls, fault_triples
+    ):
         structure = protected_traffic_light.structure
         simulator = NetlistSimulator(structure.netlist)
-        compiled = CompiledNetlist(structure.netlist)
+        compiled = engine_cls(structure.netlist)
         rng = random.Random(99)
         targets = injectable_nets(structure.netlist, include_inputs=True)
         reset_code = structure.hardened.state_encoding[structure.hardened.fsm.reset_state]
         registers = {net: (reset_code >> i) & 1 for i, net in enumerate(structure.state_q)}
         inputs = {net: rng.randint(0, 1) for net in structure.netlist.primary_inputs}
         lanes = [None] + [random_fault_set(rng, targets) for _ in range(64)]
-        lane_values = compiled.evaluate(inputs, fault_lanes=lanes, registers=registers)
+        lane_values = compiled.evaluate_fault_arrays(
+            inputs, *fault_triples(compiled.net_id, lanes), len(lanes), registers=registers
+        )
         for lane, fault_set in enumerate(lanes):
             reference = simulator.evaluate(
                 inputs, faults=fault_set or FaultSet(), registers=registers
