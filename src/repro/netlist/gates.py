@@ -58,6 +58,27 @@ _NUM_INPUTS = {
     GateType.DFF: 1,  # input is d; clock is implicit
 }
 
+#: Boolean function of every cell, called as ``function(values, a, b, c)``:
+#: ``values`` maps operand keys to 0/1 and ``a``/``b``/``c`` are the keys of
+#: the gate's operands in :class:`GateType` order (unused ones are ignored).
+#: :meth:`Gate.evaluate` indexes a value list by position; the scalar
+#: simulator indexes its net-value dict by net name, with the cell resolved
+#: once per gate instead of once per evaluation.
+CELL_FUNCTIONS = {
+    GateType.TIE0: lambda v, a, b, c: 0,
+    GateType.TIE1: lambda v, a, b, c: 1,
+    GateType.BUF: lambda v, a, b, c: v[a],
+    GateType.INV: lambda v, a, b, c: 1 - v[a],
+    GateType.AND2: lambda v, a, b, c: v[a] & v[b],
+    GateType.NAND2: lambda v, a, b, c: 1 - (v[a] & v[b]),
+    GateType.OR2: lambda v, a, b, c: v[a] | v[b],
+    GateType.NOR2: lambda v, a, b, c: 1 - (v[a] | v[b]),
+    GateType.XOR2: lambda v, a, b, c: v[a] ^ v[b],
+    GateType.XNOR2: lambda v, a, b, c: 1 - (v[a] ^ v[b]),
+    GateType.MUX2: lambda v, a, b, c: v[b] if v[c] else v[a],
+    GateType.DFF: lambda v, a, b, c: v[a],
+}
+
 #: Discrete drive strengths available for sizing.
 DRIVE_STRENGTHS = (1, 2, 4)
 
@@ -91,29 +112,4 @@ class Gate:
 
     def evaluate(self, values: List[int]) -> int:
         """Combinational function of the cell (DFF/TIE handled by the caller)."""
-        gate_type = self.gate_type
-        if gate_type is GateType.TIE0:
-            return 0
-        if gate_type is GateType.TIE1:
-            return 1
-        if gate_type is GateType.BUF:
-            return values[0]
-        if gate_type is GateType.INV:
-            return 1 - values[0]
-        if gate_type is GateType.AND2:
-            return values[0] & values[1]
-        if gate_type is GateType.NAND2:
-            return 1 - (values[0] & values[1])
-        if gate_type is GateType.OR2:
-            return values[0] | values[1]
-        if gate_type is GateType.NOR2:
-            return 1 - (values[0] | values[1])
-        if gate_type is GateType.XOR2:
-            return values[0] ^ values[1]
-        if gate_type is GateType.XNOR2:
-            return 1 - (values[0] ^ values[1])
-        if gate_type is GateType.MUX2:
-            return values[1] if values[2] else values[0]
-        if gate_type is GateType.DFF:
-            return values[0]
-        raise NotImplementedError(f"unhandled gate type {gate_type}")
+        return CELL_FUNCTIONS[self.gate_type](values, 0, 1, 2)

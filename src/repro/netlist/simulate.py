@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.netlist.gates import CELL_FUNCTIONS
 from repro.netlist.netlist import Netlist
 
 
@@ -59,6 +60,14 @@ class NetlistSimulator:
         netlist.validate()
         self.netlist = netlist
         self._order = netlist.topological_order()
+        #: ``(output, cell function, operand nets a, b, c)`` per gate, in
+        #: topological order (unused operands are ``None``), so evaluation
+        #: skips the per-gate type dispatch.
+        self._program = [
+            (gate.output, CELL_FUNCTIONS[gate.gate_type], *gate.inputs)
+            + (None,) * (3 - len(gate.inputs))
+            for gate in self._order
+        ]
         self._flops = netlist.flops()
         self.registers: Dict[str, int] = {flop.output: 0 for flop in self._flops}
 
@@ -95,18 +104,21 @@ class NetlistSimulator:
         this evaluation only.
         """
         faults = faults or FaultSet(frozenset(), {})
+        apply = faults.apply
         values: Dict[str, int] = {}
         reg_values = dict(self.registers)
         if registers:
             reg_values.update({k: int(v) & 1 for k, v in registers.items()})
         for net in self.netlist.primary_inputs:
-            values[net] = faults.apply(net, int(inputs.get(net, 0)) & 1)
+            values[net] = apply(net, int(inputs.get(net, 0)) & 1)
         for net, value in reg_values.items():
-            values[net] = faults.apply(net, value)
-        for gate in self._order:
-            operand_values = [values[n] for n in gate.inputs]
-            result = gate.evaluate(operand_values)
-            values[gate.output] = faults.apply(gate.output, result)
+            values[net] = apply(net, value)
+        if faults.is_empty:
+            for output, function, a, b, c in self._program:
+                values[output] = function(values, a, b, c)
+        else:
+            for output, function, a, b, c in self._program:
+                values[output] = apply(output, function(values, a, b, c))
         return values
 
     def next_register_values(
