@@ -13,10 +13,11 @@ to ``W`` *fault lanes* per pass using Python bignum bitwise operations:
   least one golden lane in every pass and assert it against the analytic
   next state;
 * faults arrive as three flat arrays -- dense net id, lane, effect mode
-  (:data:`MODE_FLIP` / :data:`MODE_STUCK0` / :data:`MODE_STUCK1`) -- and are
-  scattered by :func:`fault_word_planes` into per-net flip/stuck mask words
-  that are applied right after the driving op, with the semantics of
-  ``FaultSet.apply``.
+  (:data:`MODE_FLIP` / :data:`MODE_STUCK0` / :data:`MODE_STUCK1`).  One
+  unsorted ``ufunc.at`` scatter, :func:`fault_keep_xor`, turns them into
+  dense keep/xor word planes with the semantics of ``FaultSet.apply``; this
+  engine lifts the faulted rows into per-net ``(keep, xor)`` bignum pairs and
+  applies ``word = (word & keep) ^ xor`` right after the driving op.
 
 Inputs and registers may be supplied either as scalar 0/1 values broadcast to
 every lane (the common single-context case) or, with ``lane_words=True``, as
@@ -95,24 +96,6 @@ MODE_STUCK0 = 1
 MODE_STUCK1 = 2
 
 
-def _scatter_or(size: int, flat_index: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """OR-scatter ``bits`` into a zeroed flat uint64 array of ``size``.
-
-    Duplicate indices (several lanes faulting the same net inside one word)
-    are combined by sorting and ``bitwise_or.reduceat``.
-    """
-    out = np.zeros(size, dtype=WORD_DTYPE)
-    if flat_index.size:
-        order = np.argsort(flat_index, kind="stable")
-        sorted_index = flat_index[order]
-        sorted_bits = bits[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_index[1:] != sorted_index[:-1]))
-        )
-        out[sorted_index[starts]] = np.bitwise_or.reduceat(sorted_bits, starts)
-    return out
-
-
 def _last_stuck_wins(
     rows: np.ndarray, lanes: np.ndarray, modes: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -120,10 +103,7 @@ def _last_stuck_wins(
 
     A group that sticks one net at 0 and then at 1 behaves like the
     ``FaultSet`` built from it, whose ``stuck_at`` dict keeps the last value.
-    Passes with one fault per lane cannot conflict and return unchanged.
     """
-    if lanes.size < 2 or int(np.bincount(lanes).max()) < 2:
-        return rows, lanes, modes
     stuck = np.flatnonzero(modes != MODE_FLIP)
     keys = rows[stuck].astype(np.int64) * (int(lanes.max()) + 1) + lanes[stuck]
     # The first hit in reversed order is the last stuck-at in group order.
@@ -134,41 +114,50 @@ def _last_stuck_wins(
     return rows[keep], lanes[keep], modes[keep]
 
 
-def fault_word_planes(
+def fault_keep_xor(
     fault_rows: np.ndarray,
     fault_lanes: np.ndarray,
     fault_modes: np.ndarray,
+    num_rows: int,
     num_words: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Scatter flat ``(net id, lane, mode)`` fault triples into fault words.
+    """Scatter flat ``(row, lane, mode)`` fault triples into keep/xor planes.
 
-    Returns the sorted faulted net ids and a ``(3, len(ids), num_words)``
-    uint64 array of their flip, stuck-mask and stuck-value lane words.  The
-    triples of one lane form one fault group with ``FaultSet.apply``
+    Returns two dense ``(num_rows, num_words)`` uint64 arrays: applying
+    ``v = (v & keep[row]) ^ xor[row]`` to a row's lane words right after its
+    driver runs injects every fault.  A stuck-at clears the lane's ``keep``
+    bit (and sets its ``xor`` bit for stuck-at-1); a flip sets its ``xor``
+    bit.  The triples of one lane form one fault group with ``FaultSet.apply``
     semantics: stuck-at beats flip, the last stuck-at on a net wins, and a
-    repeated flip is one flip.  Dense net ids are trusted (the campaign layer
-    resolves and bounds-checks them).
+    repeated flip is one flip.  Rows are trusted (the campaign layer resolves
+    and bounds-checks them).
     """
+    rows = np.asarray(fault_rows, dtype=np.intp)
     lanes = np.asarray(fault_lanes, dtype=np.intp)
-    rows, lanes, modes = _last_stuck_wins(fault_rows, lanes, fault_modes)
-    net_ids, inverse = np.unique(rows, return_inverse=True)
-    lanes = lanes.astype(np.uint64)
-    flat = inverse * num_words + (lanes >> np.uint64(6)).astype(np.intp)
-    bits = np.left_shift(np.uint64(1), lanes & np.uint64(63))
-    size = net_ids.size * num_words
-    # One scatter over three stacked planes (flip / stuck mask / stuck
-    # value): stuck-at of either polarity sets the mask plane, STUCK1
-    # additionally sets the value plane, so the plane index doubles as the
-    # mode decoder and one sort covers all three.
-    plane = np.where(modes == MODE_FLIP, 0, 1).astype(np.intp)
-    stuck1 = modes == MODE_STUCK1
-    planes = _scatter_or(
-        3 * size,
-        np.concatenate((plane * size + flat, flat[stuck1] + 2 * size)),
-        np.concatenate((bits, bits[stuck1])),
-    ).reshape(3, net_ids.size, num_words)
-    planes[0] &= ~planes[1]  # stuck-at beats flip on the same net/lane
-    return net_ids, planes
+    modes = np.asarray(fault_modes)
+    # Conflicts need two faults in one lane; single-fault passes skip both
+    # conflict checks.
+    crowded = lanes.size > 1 and int(np.bincount(lanes).max()) > 1
+    if crowded:
+        rows, lanes, modes = _last_stuck_wins(rows, lanes, modes)
+    flat = rows * num_words + (lanes >> 6)
+    bits = np.left_shift(np.uint64(1), (lanes & 63).astype(np.uint64))
+    # Both planes share one block: two separate blocks of this size, freed
+    # after every pass, make glibc's malloc return them to the OS and
+    # page-fault them back in on the next pass.
+    keep, xor = np.empty((2, num_rows * num_words), dtype=WORD_DTYPE)
+    keep.fill(~np.uint64(0))
+    xor.fill(0)
+    flips = modes == MODE_FLIP
+    stuck = ~flips
+    if stuck.any():
+        np.bitwise_and.at(keep, flat[stuck], ~bits[stuck])
+        if crowded:
+            # A flip whose keep bit a stuck-at cleared is overridden.
+            flips &= (keep[flat] & bits) != 0
+    toggles = flips | (modes == MODE_STUCK1)
+    np.bitwise_or.at(xor, flat[toggles], bits[toggles])
+    return keep.reshape(num_rows, num_words), xor.reshape(num_rows, num_words)
 
 
 def lane_code_array(rows: np.ndarray, num_lanes: int) -> np.ndarray:
@@ -328,31 +317,37 @@ class CompiledNetlist:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _fault_words(
-        self, fault_rows: np.ndarray, fault_lanes: np.ndarray, fault_modes: np.ndarray,
+    def compile_fault_arrays(
+        self,
+        fault_rows: np.ndarray,
+        fault_lanes: np.ndarray,
+        fault_modes: np.ndarray,
         num_lanes: int,
-    ) -> Tuple[Dict[int, int], Dict[int, Tuple[int, int]]]:
-        """Per-net flip words and (stuck mask, stuck value) words over all lanes."""
+    ) -> Dict[int, Tuple[int, int]]:
+        """Per-faulted-net (keep, xor) lane words of one pass.
+
+        The shared :func:`fault_keep_xor` scatter fills dense planes; only
+        the faulted rows are turned into bignum words.
+        """
         if not fault_rows.size:
-            return {}, {}
+            return {}
         num_words = -(-num_lanes // WORD_BITS)
-        net_ids, planes = fault_word_planes(fault_rows, fault_lanes, fault_modes, num_words)
-        data = planes.tobytes()
+        keep, xor = fault_keep_xor(
+            fault_rows, fault_lanes, fault_modes, self.num_nets, num_words
+        )
+        hit = np.zeros(self.num_nets, dtype=bool)
+        hit[fault_rows] = True
+        ids = np.flatnonzero(hit)
         stride = num_words * 8
-        words = [
-            int.from_bytes(data[i : i + stride], "little")
-            for i in range(0, len(data), stride)
-        ]
-        count = net_ids.size
-        flip, stuck_mask, stuck_val = words[:count], words[count : 2 * count], words[2 * count :]
-        ids = net_ids.tolist()
-        flips = {net_id: word for net_id, word in zip(ids, flip) if word}
-        stuck = {
-            net_id: (mask, value)
-            for net_id, mask, value in zip(ids, stuck_mask, stuck_val)
-            if mask
+        keep_data = keep[ids].tobytes()
+        xor_data = xor[ids].tobytes()
+        return {
+            net_id: (
+                int.from_bytes(keep_data[i : i + stride], "little"),
+                int.from_bytes(xor_data[i : i + stride], "little"),
+            )
+            for net_id, i in zip(ids.tolist(), range(0, len(keep_data), stride))
         }
-        return flips, stuck
 
     def evaluate_fault_arrays(
         self,
@@ -367,7 +362,7 @@ class CompiledNetlist:
         """Evaluate ``num_lanes`` lanes in one pass over the op list.
 
         Faults arrive as flat ``(dense net id, lane, effect mode)`` triples
-        (see :func:`fault_word_planes` for their semantics).  By default
+        (see :func:`fault_keep_xor` for their semantics).  By default
         ``inputs`` and ``registers`` are scalar 0/1 assignments broadcast to
         every lane (missing inputs and registers default to zero).  With
         ``lane_words=True`` they are instead ``W``-bit lane words (bit ``k`` =
@@ -376,8 +371,21 @@ class CompiledNetlist:
         """
         if num_lanes < 1:
             raise ValueError("at least one lane is required")
+        faults = self.compile_fault_arrays(fault_rows, fault_lanes, fault_modes, num_lanes)
+        return self.evaluate_compiled(
+            inputs, faults, num_lanes, registers=registers, lane_words=lane_words
+        )
+
+    def evaluate_compiled(
+        self,
+        inputs: Mapping[str, int],
+        faults: Dict[int, Tuple[int, int]],
+        num_lanes: int,
+        registers: Optional[Mapping[str, int]] = None,
+        lane_words: bool = False,
+    ) -> LaneValues:
+        """One pass with faults already compiled by :meth:`compile_fault_arrays`."""
         mask = (1 << num_lanes) - 1
-        flips, stuck = self._fault_words(fault_rows, fault_lanes, fault_modes, num_lanes)
 
         values = [0] * self.num_nets
         registers = registers or {}
@@ -387,11 +395,9 @@ class CompiledNetlist:
                 word = int(value) & mask
             else:
                 word = mask if value & 1 else 0
-            entry = stuck.get(net_id)
+            entry = faults.get(net_id)
             if entry is not None:
-                s_mask, s_val = entry
-                word = (word & ~s_mask) | s_val
-            word ^= flips.get(net_id, 0)
+                word = (word & entry[0]) ^ entry[1]
             values[net_id] = word
 
         for net, net_id in self.input_ids:
@@ -399,9 +405,8 @@ class CompiledNetlist:
         for net, net_id in self.register_ids:
             source(net_id, int(registers.get(net, 0)))
 
-        flips_get = flips.get
-        stuck_get = stuck.get
-        faulted = bool(flips) or bool(stuck)
+        faults_get = faults.get
+        faulted = bool(faults)
         for op in self.ops:
             code = op[0]
             if code == _OP_AND2:
@@ -429,13 +434,9 @@ class CompiledNetlist:
                 word = mask
             out = op[1]
             if faulted:
-                entry = stuck_get(out)
+                entry = faults_get(out)
                 if entry is not None:
-                    s_mask, s_val = entry
-                    word = (word & ~s_mask) | s_val
-                flip = flips_get(out)
-                if flip:
-                    word ^= flip
+                    word = (word & entry[0]) ^ entry[1]
             values[out] = word
         return LaneValues(self.net_id, values, num_lanes)
 
@@ -464,8 +465,11 @@ class CompiledNetlist:
         advance through each cycle's captured D-net words.  A *transient*
         fault appears in exactly one cycle's triple, a *persistent* stuck-at
         in all of them, and a multi-shot glitch schedule in the cycles it
-        names.  Returns the lane values of the final cycle, whose D nets hold
-        the state each lane would enter after the last clock edge.
+        names.  Each distinct triple is compiled once and reused while the
+        following cycles pass the same triple object, so a persistent fault
+        set handed to every cycle is scattered once per trace.  Returns the
+        lane values of the final cycle, whose D nets hold the state each lane
+        would enter after the last clock edge.
         """
         if not cycle_faults:
             raise ValueError("at least one cycle is required")
@@ -481,10 +485,13 @@ class CompiledNetlist:
                 registers = {
                     net: (word if int(value) & 1 else 0) for net, value in registers.items()
                 }
-        values = None
-        for rows, lanes, modes in cycle_faults:
-            values = self.evaluate_fault_arrays(
-                inputs, rows, lanes, modes, num_lanes, registers=registers, lane_words=True
+        values = compiled = previous = None
+        for triple in cycle_faults:
+            if triple is not previous:
+                compiled = self.compile_fault_arrays(*triple, num_lanes)
+                previous = triple
+            values = self.evaluate_compiled(
+                inputs, compiled, num_lanes, registers=registers, lane_words=True
             )
             registers = self.register_feedback(values)
         return values

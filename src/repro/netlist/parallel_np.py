@@ -11,18 +11,22 @@ is amortised over the whole word vector.
 
 Three compile/run-time structures make the wide case fast:
 
-* **Levelised op groups.**  Gates are grouped by (topological level, opcode)
-  at compile time; evaluation gathers every same-shaped gate of a level into
-  one fancy-indexed ``numpy`` expression (``values[out] = values[a] &
-  values[b]`` over index arrays), collapsing thousands of per-gate ops into a
-  few dozen array calls per pass.
-* **Vectorised fault words.**  Fault lanes enter as three flat arrays --
-  faulted net id, lane, effect mode -- and the shared
-  :func:`~repro.netlist.parallel.fault_word_planes` scatter turns them into
-  compact per-faulted-net flip/stuck word matrices (no per-lane Python
-  loop, no bignum masks).  The matrices are applied between levels in one
-  fused expression per level; the bignum engine consumes the same scatter,
-  so both engines apply faults with one set of ``FaultSet.apply`` semantics.
+* **Level-contiguous rows.**  The value matrix's rows follow a private
+  layout ordered by (topological level, driving opcode), so every level and
+  every (level, opcode) gate group is one contiguous row range.  A gate group
+  gathers its operand rows and writes its outputs straight into its slice
+  (``np.bitwise_and(values[a], values[b], out=values[lo:hi])``), collapsing
+  thousands of per-gate ops into a few dozen array calls per pass.  The
+  shared dense net ids stay the public currency; the engine maps them to
+  rows internally.
+* **Dense keep/xor fault planes.**  Fault lanes enter as three flat arrays
+  -- faulted net id, lane, effect mode -- and the shared
+  :func:`~repro.netlist.parallel.fault_keep_xor` scatter (one unsorted
+  ``ufunc.at`` per plane, no per-lane Python loop) turns them into two
+  dense ``(num_nets, num_words)`` word planes in row order.  A faulted level
+  is patched in place with two ops on views (``v &= keep; v ^= xor``); the
+  bignum engine consumes the same scatter, so both engines apply faults
+  with one set of ``FaultSet.apply`` semantics.
 * **Byte-view transposes.**  ``read_words`` / ``read_words_by_id`` view the
   selected rows as bytes and run the shared
   :func:`~repro.netlist.parallel.lane_codes_from_byte_rows` transpose, so
@@ -62,8 +66,10 @@ from repro.netlist.parallel import (
     _OP_XOR2,
     WORD_BITS,
     WORD_DTYPE,
+    MODE_FLIP,
+    MODE_STUCK0,
     CompiledNetlist,
-    fault_word_planes,
+    fault_keep_xor,
     lane_code_array,
     lane_codes_from_byte_rows,
 )
@@ -88,21 +94,30 @@ class NumpyLaneValues:
     Mirrors the :class:`~repro.netlist.parallel.LaneValues` read interface
     over a ``(num_nets, num_words)`` uint64 array instead of per-net bignums;
     ``word`` converts back to the bignum form so existing cross-checks compare
-    engines bit for bit.
+    engines bit for bit.  The array's rows follow the engine's private
+    level-contiguous layout: ``net_slot`` maps net names and ``id_slot`` dense
+    net ids to rows, so callers keep using the shared ids.
     """
 
-    def __init__(self, net_id: Mapping[str, int], values: np.ndarray, num_lanes: int):
-        self._net_id = net_id
+    def __init__(
+        self,
+        net_slot: Mapping[str, int],
+        id_slot: np.ndarray,
+        values: np.ndarray,
+        num_lanes: int,
+    ):
+        self._net_slot = net_slot
+        self._id_slot = id_slot
         self._values = values
         self.num_lanes = num_lanes
 
     def word(self, net: str) -> int:
         """The raw ``W``-bit lane word of one net (bit ``k`` = lane ``k``)."""
-        return words_to_int(self._values[self._net_id[net]])
+        return words_to_int(self._values[self._net_slot[net]])
 
     def lane_value(self, net: str, lane: int) -> int:
         """The scalar 0/1 value of ``net`` in one lane."""
-        word = int(self._values[self._net_id[net], lane // WORD_BITS])
+        word = int(self._values[self._net_slot[net], lane // WORD_BITS])
         return (word >> (lane % WORD_BITS)) & 1
 
     def lane_values(self, lane: int) -> Dict[str, int]:
@@ -110,7 +125,7 @@ class NumpyLaneValues:
         column = (
             self._values[:, lane // WORD_BITS] >> np.uint64(lane % WORD_BITS)
         ) & np.uint64(1)
-        return {net: int(column[i]) for net, i in self._net_id.items()}
+        return {net: int(column[i]) for net, i in self._net_slot.items()}
 
     def read_word(self, bits: Sequence[str], lane: int) -> int:
         """Assemble an integer from per-bit nets (LSB first) for one lane."""
@@ -121,7 +136,10 @@ class NumpyLaneValues:
 
     def read_words(self, bits: Sequence[str]) -> List[int]:
         """Per-lane integers assembled from per-bit nets (LSB first)."""
-        return self.read_words_by_id([self._net_id[bit] for bit in bits])
+        if not bits:
+            return [0] * self.num_lanes
+        rows = self._values[[self._net_slot[bit] for bit in bits]]
+        return lane_codes_from_byte_rows(rows.view(np.uint8), self.num_lanes)
 
     def read_words_by_id(self, ids: Sequence[int]) -> List[int]:
         """Like :meth:`read_words` but over pre-resolved dense net ids.
@@ -132,7 +150,7 @@ class NumpyLaneValues:
         """
         if not ids:
             return [0] * self.num_lanes
-        rows = self._values[np.asarray(ids, dtype=np.intp)]
+        rows = self._values[self._id_slot[np.asarray(ids, dtype=np.intp)]]
         return lane_codes_from_byte_rows(rows.view(np.uint8), self.num_lanes)
 
     def code_array_by_id(self, ids: Sequence[int]) -> Optional[np.ndarray]:
@@ -144,46 +162,18 @@ class NumpyLaneValues:
         """
         if not 0 < len(ids) < 64:
             return None
-        rows = self._values[np.asarray(ids, dtype=np.intp)]
+        rows = self._values[self._id_slot[np.asarray(ids, dtype=np.intp)]]
         return lane_code_array(rows.view(np.uint8), self.num_lanes)
 
 
-#: One levelised op group: (opcode, out ids, operand ids...) as index arrays.
-_OpGroup = Tuple[int, np.ndarray, Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]
+#: One (level, opcode) gate group: opcode, its output rows ``lo:hi`` and the
+#: operand row index arrays (``None`` past the opcode's arity).
+_OpGroup = Tuple[int, int, int, Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]
 
-
-class _FaultPlan:
-    """Compiled fault words of one pass: compact matrices plus level slices.
-
-    ``rows[i]`` is a faulted dense net id; ``flip``/``stuck_mask``/
-    ``stuck_val`` hold that net's fault words across all lanes.  ``by_level``
-    maps each topological level (0 = inputs/registers) to the slice of
-    ``rows`` it must patch, so evaluation applies every fault of a level in
-    one fused expression.
-    """
-
-    __slots__ = ("rows", "flip", "stuck_mask", "stuck_val", "by_level")
-
-    def __init__(
-        self,
-        rows: np.ndarray,
-        flip: np.ndarray,
-        stuck_mask: np.ndarray,
-        stuck_val: np.ndarray,
-        by_level: Dict[int, np.ndarray],
-    ):
-        self.rows = rows
-        self.flip = flip
-        self.stuck_mask = stuck_mask
-        self.stuck_val = stuck_val
-        self.by_level = by_level
-
-    def apply(self, values: np.ndarray, selection: np.ndarray) -> None:
-        """Patch one level's faulted nets in ``values`` (stuck beats flip)."""
-        idx = self.rows[selection]
-        patched = values[idx]
-        patched = (patched & ~self.stuck_mask[selection]) | self.stuck_val[selection]
-        values[idx] = patched ^ self.flip[selection]
+#: Compiled faults of one pass: the dense keep/xor planes (rows in slot order)
+#: and, per topological level, whether it holds a stuck-at (needs ``&= keep``)
+#: and whether it holds a flip or stuck-at-1 (needs ``^= xor``).
+_CompiledFaults = Tuple[np.ndarray, np.ndarray, List[bool], List[bool]]
 
 
 class NumpyCompiledNetlist(CompiledNetlist):
@@ -191,10 +181,14 @@ class NumpyCompiledNetlist(CompiledNetlist):
 
     Shares the flat op list, dense net ids, fault scatter and multi-cycle
     driver (:meth:`~repro.netlist.parallel.CompiledNetlist.step_cycles_fault_arrays`)
-    of :class:`~repro.netlist.parallel.CompiledNetlist` and adds the
-    levelised (level, opcode) gate groups that vectorised evaluation runs on.
-    The compiled form stays immutable and stateless; register values are
-    inputs to :meth:`evaluate_fault_arrays`.
+    of :class:`~repro.netlist.parallel.CompiledNetlist`.  On top it orders
+    the rows of its value matrix by (topological level, driving opcode), a
+    private layout: every level and every (level, opcode) gate group is one
+    contiguous row range.  ``net_id``, ``ops``, ``input_ids``,
+    ``register_ids`` and ``flop_d_ids`` keep the shared dense ids; the engine
+    maps them to rows (``_slot``) internally.  The compiled form stays
+    immutable and stateless; register values are inputs to
+    :meth:`evaluate_fault_arrays`.
     """
 
     def __init__(self, netlist: Netlist):
@@ -204,32 +198,43 @@ class NumpyCompiledNetlist(CompiledNetlist):
         # topologically ordered, so one forward pass suffices.
         level = [0] * self.num_nets
         for op in self.ops:
-            out = op[1]
-            operands = op[2:]
-            level[out] = 1 + max((level[i] for i in operands), default=0)
+            level[op[1]] = 1 + max((level[i] for i in op[2:]), default=0)
         self.net_level: Tuple[int, ...] = tuple(level)
-        self._net_level_arr = np.array(level, dtype=np.intp)
+        self.num_levels = max(level, default=0)
 
+        # Rows: level-0 nets in id order, then each level's gate groups in
+        # opcode order, each group's gates in op-list order.
         grouped: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
         for op in self.ops:
             grouped.setdefault((level[op[1]], op[0]), []).append(op)
-        self._levels: List[List[_OpGroup]] = []
-        self.num_levels = max(level, default=0)
-        for depth in range(1, self.num_levels + 1):
-            groups: List[_OpGroup] = []
-            for (lvl, code), ops in grouped.items():
-                if lvl != depth:
-                    continue
-                outs = np.array([op[1] for op in ops], dtype=np.intp)
-                a = b = s = None
-                if len(ops[0]) > 2:
-                    a = np.array([op[2] for op in ops], dtype=np.intp)
-                if len(ops[0]) > 3:
-                    b = np.array([op[3] for op in ops], dtype=np.intp)
-                if len(ops[0]) > 4:
-                    s = np.array([op[4] for op in ops], dtype=np.intp)
-                groups.append((code, outs, a, b, s))
-            self._levels.append(groups)
+        order = [net_id for net_id in range(self.num_nets) if level[net_id] == 0]
+        placed = []
+        for depth, code in sorted(grouped):
+            ops = grouped[depth, code]
+            placed.append((depth, code, len(order), ops))
+            order.extend(op[1] for op in ops)
+        self._slot = np.empty(self.num_nets, dtype=np.intp)
+        self._slot[order] = np.arange(self.num_nets, dtype=np.intp)
+        self._slot_level = np.array(level, dtype=np.intp)[order]
+        edges = np.searchsorted(self._slot_level, np.arange(self.num_levels + 2)).tolist()
+        #: Row range ``lo:hi`` of every level, level 0 (inputs/registers) first.
+        self._level_bounds: List[Tuple[int, int]] = list(zip(edges[:-1], edges[1:]))
+        slot = self._slot.tolist()
+        self._net_slot: Dict[str, int] = {net: slot[i] for net, i in self.net_id.items()}
+        self._input_slots = [(net, slot[i]) for net, i in self.input_ids]
+        self._register_slots = [(net, slot[i]) for net, i in self.register_ids]
+        self._feedback_slots = [(q_net, slot[d_id]) for q_net, d_id in self.flop_d_ids]
+
+        def operand(ops: List[Tuple[int, ...]], index: int) -> Optional[np.ndarray]:
+            if len(ops[0]) <= index:
+                return None
+            return self._slot[[op[index] for op in ops]]
+
+        self._levels: List[List[_OpGroup]] = [[] for _ in range(self.num_levels)]
+        for depth, code, lo, ops in placed:
+            self._levels[depth - 1].append(
+                (code, lo, lo + len(ops), operand(ops, 2), operand(ops, 3), operand(ops, 4))
+            )
 
     # ------------------------------------------------------------------
     # Fault compilation
@@ -239,25 +244,23 @@ class NumpyCompiledNetlist(CompiledNetlist):
         fault_rows: np.ndarray,
         fault_lanes: np.ndarray,
         fault_modes: np.ndarray,
-        num_words: int,
-    ) -> Optional[_FaultPlan]:
-        """Scatter flat (net id, lane, mode) fault triples into a
-        :class:`_FaultPlan` (the shared :func:`fault_word_planes` scatter
-        plus the level slices evaluation patches by)."""
+        num_lanes: int,
+    ) -> Optional[_CompiledFaults]:
+        """Scatter flat (net id, lane, mode) fault triples into dense keep/xor
+        planes in row order (the shared :func:`fault_keep_xor`) and flag the
+        levels they patch."""
         if fault_rows.size == 0:
             return None
-        rows, planes = fault_word_planes(fault_rows, fault_lanes, fault_modes, num_words)
-        levels = self._net_level_arr[rows]
-        order = np.argsort(levels, kind="stable")
-        ordered = levels[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        slots = self._slot[fault_rows]
+        keep, xor = fault_keep_xor(
+            slots, fault_lanes, fault_modes, self.num_nets, -(-num_lanes // WORD_BITS)
         )
-        bounds = np.append(starts, ordered.size)
-        by_level = {
-            int(ordered[lo]): order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
-        }
-        return _FaultPlan(rows, planes[0], planes[1], planes[2], by_level)
+        levels = self._slot_level[slots]
+        stuck_levels = np.zeros(self.num_levels + 1, dtype=bool)
+        stuck_levels[levels[fault_modes != MODE_FLIP]] = True
+        xor_levels = np.zeros(self.num_levels + 1, dtype=bool)
+        xor_levels[levels[fault_modes != MODE_STUCK0]] = True
+        return keep, xor, stuck_levels.tolist(), xor_levels.tolist()
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -266,92 +269,99 @@ class NumpyCompiledNetlist(CompiledNetlist):
         """Next-cycle register lane rows captured from every flop's D net.
 
         The returned rows are views into the pass's value matrix; each
-        :meth:`evaluate_fault_arrays` allocates a fresh matrix, so feeding
-        them into the next cycle is safe without copying.
+        pass allocates a fresh matrix, so feeding them into the next cycle
+        is safe without copying.
         """
-        return {q_net: values._values[d_id] for q_net, d_id in self.flop_d_ids}
+        return {q_net: values._values[row] for q_net, row in self._feedback_slots}
 
-    def evaluate_fault_arrays(
+    def evaluate_compiled(
         self,
         inputs: Mapping[str, object],
-        fault_rows: np.ndarray,
-        fault_lanes: np.ndarray,
-        fault_modes: np.ndarray,
+        faults: Optional[_CompiledFaults],
         num_lanes: int,
         registers: Optional[Mapping[str, object]] = None,
         lane_words: bool = False,
     ) -> NumpyLaneValues:
-        """Evaluate ``num_lanes`` lanes in one vectorised pass over the level
-        groups.
+        """One pass over the level groups with faults already compiled by
+        :meth:`compile_fault_arrays`.
 
         The contract matches
-        :meth:`~repro.netlist.parallel.CompiledNetlist.evaluate_fault_arrays`;
+        :meth:`~repro.netlist.parallel.CompiledNetlist.evaluate_compiled`;
         with ``lane_words=True`` the per-net lane words may be Python ints
         *or* ready-made little-endian ``uint64`` arrays (the shared-memory
         transport hands arrays straight in).
         """
-        if num_lanes < 1:
-            raise ValueError("at least one lane is required")
         num_words = -(-num_lanes // WORD_BITS)
         mask = np.full(num_words, ~np.uint64(0), dtype=WORD_DTYPE)
         tail = num_lanes % WORD_BITS
         if tail:
             mask[-1] = (np.uint64(1) << np.uint64(tail)) - np.uint64(1)
 
-        plan = self.compile_fault_arrays(fault_rows, fault_lanes, fault_modes, num_words)
         values = np.zeros((self.num_nets, num_words), dtype=WORD_DTYPE)
         registers = registers or {}
 
-        def source(net_id: int, value: object) -> None:
+        def source(row: int, value: object) -> None:
             if lane_words:
                 if isinstance(value, np.ndarray):
-                    values[net_id] = value.view(WORD_DTYPE) & mask
+                    values[row] = value.view(WORD_DTYPE) & mask
                 else:
-                    values[net_id] = int_to_words(int(value), num_words) & mask
+                    values[row] = int_to_words(int(value), num_words) & mask
             elif int(value) & 1:
-                values[net_id] = mask
+                values[row] = mask
 
-        for net, net_id in self.input_ids:
-            source(net_id, inputs.get(net, 0))
-        for net, net_id in self.register_ids:
-            source(net_id, registers.get(net, 0))
+        for net, row in self._input_slots:
+            source(row, inputs.get(net, 0))
+        for net, row in self._register_slots:
+            source(row, registers.get(net, 0))
 
-        # Faults patch a net as soon as its driver has run -- inputs and
-        # registers right after sourcing, op outputs at the end of their
-        # level, always before any deeper gate reads the net.
-        if plan is not None:
-            selection = plan.by_level.get(0)
-            if selection is not None:
-                plan.apply(values, selection)
+        # Faults patch a level as soon as it is written -- inputs and
+        # registers right after sourcing, gate outputs at the end of their
+        # level, always before any deeper gate reads them.
+        if faults is not None:
+            keep, xor, stuck_levels, xor_levels = faults
+
+            def patch(depth: int) -> None:
+                lo, hi = self._level_bounds[depth]
+                if stuck_levels[depth]:
+                    values[lo:hi] &= keep[lo:hi]
+                if xor_levels[depth]:
+                    values[lo:hi] ^= xor[lo:hi]
+
+            patch(0)
 
         for depth, groups in enumerate(self._levels, start=1):
-            for code, outs, a, b, s in groups:
+            for code, lo, hi, a, b, s in groups:
+                out = values[lo:hi]
                 if code == _OP_AND2:
-                    values[outs] = values[a] & values[b]
+                    np.bitwise_and(values[a], values[b], out=out)
                 elif code == _OP_NAND2:
-                    values[outs] = (values[a] & values[b]) ^ mask
+                    np.bitwise_and(values[a], values[b], out=out)
+                    out ^= mask
                 elif code == _OP_OR2:
-                    values[outs] = values[a] | values[b]
+                    np.bitwise_or(values[a], values[b], out=out)
                 elif code == _OP_NOR2:
-                    values[outs] = (values[a] | values[b]) ^ mask
+                    np.bitwise_or(values[a], values[b], out=out)
+                    out ^= mask
                 elif code == _OP_XOR2:
-                    values[outs] = values[a] ^ values[b]
+                    np.bitwise_xor(values[a], values[b], out=out)
                 elif code == _OP_XNOR2:
-                    values[outs] = (values[a] ^ values[b]) ^ mask
+                    np.bitwise_xor(values[a], values[b], out=out)
+                    out ^= mask
                 elif code == _OP_INV:
-                    values[outs] = values[a] ^ mask
+                    np.bitwise_xor(values[a], mask, out=out)
                 elif code == _OP_BUF:
-                    values[outs] = values[a]
+                    out[...] = values[a]
                 elif code == _OP_MUX2:
-                    av = values[a]
-                    values[outs] = av ^ ((av ^ values[b]) & values[s])
+                    low = values[a]
+                    diff = values[b]
+                    diff ^= low
+                    diff &= values[s]
+                    np.bitwise_xor(low, diff, out=out)
                 elif code == _OP_TIE0:
-                    values[outs] = 0
+                    out.fill(0)
                 else:  # _OP_TIE1
-                    values[outs] = mask
-            if plan is not None:
-                selection = plan.by_level.get(depth)
-                if selection is not None:
-                    plan.apply(values, selection)
+                    out[...] = mask
+            if faults is not None:
+                patch(depth)
 
-        return NumpyLaneValues(self.net_id, values, num_lanes)
+        return NumpyLaneValues(self._net_slot, self._slot, values, num_lanes)

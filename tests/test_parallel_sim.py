@@ -7,8 +7,12 @@ scalar-broadcast and with per-lane lane-word inputs, over one cycle and over
 multi-cycle traces -- and every net of every lane must match the scalar
 ``NetlistSimulator`` evaluation with the same ``FaultSet``.  The engines take
 faults as flat ``(net id, lane, mode)`` triples; the ``fault_triples``
-fixture converts each lane's ``FaultSet`` into them.  A regression block
-pins the ``ibex_lsu_fsm`` campaign counters to the values produced by the
+fixture converts each lane's ``FaultSet`` into them.  Lane counts cross the
+64-lane word boundaries, and raw triples that no ``FaultSet`` lane list can
+produce (conflicting or repeated faults on one net and lane) are checked on
+both engines against each other and the oracle.  The numpy engine's private
+row layout must leave every shared id unchanged.  A regression block pins
+the ``ibex_lsu_fsm`` campaign counters to the values produced by the
 pre-refactor scalar implementation on every campaign engine.
 """
 
@@ -100,6 +104,48 @@ class TestRandomNetlistEquivalence:
             inputs, *fault_triples(compiled.net_id, lanes), len(lanes), registers=registers
         )
         assert lane_values.num_lanes == len(lanes)
+        for lane, fault_set in enumerate(lanes):
+            reference = simulator.evaluate(
+                inputs, faults=fault_set or FaultSet(), registers=registers
+            )
+            assert lane_values.lane_values(lane) == reference
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_numpy_engine_keeps_the_shared_ids(self, seed):
+        """The numpy engine's row layout is private: every id it exposes is
+        the bignum engine's."""
+        netlist = random_netlist(random.Random(seed), f"ids{seed}", min_flops=seed % 2)
+        bignum = CompiledNetlist(netlist)
+        vector = NumpyCompiledNetlist(netlist)
+        assert vector.net_id == bignum.net_id
+        assert vector.ops == bignum.ops
+        assert vector.input_ids == bignum.input_ids
+        assert vector.register_ids == bignum.register_ids
+        assert vector.flop_d_ids == bignum.flop_d_ids
+
+    @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
+    @pytest.mark.parametrize("num_lanes", [1, 64, 65, 130])
+    @pytest.mark.parametrize("seed", range(60, 66))
+    def test_lane_counts_across_word_boundaries(
+        self, seed, num_lanes, engine_cls, fault_triples
+    ):
+        rng = random.Random(seed * 1000 + num_lanes)
+        netlist = random_netlist(rng, f"randwide{seed}", min_flops=1)
+        simulator = NetlistSimulator(netlist)
+        compiled = engine_cls(netlist)
+        targets = injectable_nets(netlist, include_inputs=True)
+
+        inputs = {net: rng.randint(0, 1) for net in netlist.primary_inputs}
+        registers = {net: rng.randint(0, 1) for net in simulator.registers}
+        lanes = [
+            random_fault_set(rng, targets) if rng.random() < 0.8 else None
+            for _ in range(num_lanes)
+        ]
+        lane_values = compiled.evaluate_fault_arrays(
+            inputs, *fault_triples(compiled.net_id, lanes), num_lanes, registers=registers
+        )
+        for net in compiled.net_id:
+            assert lane_values.word(net) >> num_lanes == 0, net
         for lane, fault_set in enumerate(lanes):
             reference = simulator.evaluate(
                 inputs, faults=fault_set or FaultSet(), registers=registers
@@ -234,6 +280,158 @@ class TestRandomNetlistEquivalence:
             compiled.evaluate_fault_arrays({"a": 1}, *_no_faults(), 0)
         with pytest.raises(ValueError, match="cycle"):
             compiled.step_cycles_fault_arrays({"a": 1}, [], 1)
+
+
+def _triple_fault_sets(names, rows, lanes, modes, num_lanes):
+    """The ``FaultSet`` of every lane that raw fault triples define.
+
+    Flips collect into a set (a repeated flip is one flip) and stuck-ats into
+    a dict in triple order (the last one on a net wins); ``FaultSet.apply``
+    then lets a stuck-at beat a flip on the same net.
+    """
+    flips = [set() for _ in range(num_lanes)]
+    stuck = [{} for _ in range(num_lanes)]
+    for row, lane, mode in zip(rows.tolist(), lanes.tolist(), modes.tolist()):
+        if mode == MODE_FLIP:
+            flips[lane].add(names[row])
+        else:
+            stuck[lane][names[row]] = int(mode == MODE_STUCK1)
+    return [FaultSet(flips=frozenset(f), stuck_at=s) for f, s in zip(flips, stuck)]
+
+
+def _triple_arrays(entries):
+    rows, lanes, modes = zip(*entries)
+    return (
+        np.array(rows, dtype=np.intp),
+        np.array(lanes, dtype=np.intp),
+        np.array(modes, dtype=np.uint8),
+    )
+
+
+def _edge_netlist() -> Netlist:
+    """Inputs, registers, both tie cells and a deep buffer chain."""
+    netlist = Netlist("edges")
+    a = netlist.add_input("a")
+    b = netlist.add_input("b")
+    gates = [
+        ("t0", GateType.TIE0, []),
+        ("t1", GateType.TIE1, []),
+        ("x", GateType.AND2, [a, "t1"]),
+        ("y", GateType.OR2, ["x", "t0"]),
+        ("z", GateType.XOR2, ["y", "q0"]),
+        ("m", GateType.MUX2, ["z", b, "q1"]),
+        ("c0", GateType.BUF, ["m"]),
+        ("c1", GateType.INV, ["c0"]),
+        ("c2", GateType.NAND2, ["c1", "q1"]),
+        ("deep", GateType.XNOR2, ["c2", b]),
+        ("nq1", GateType.NOR2, [a, "q0"]),
+    ]
+    for out, gate_type, operands in gates:
+        netlist.add_gate(Gate(name=f"g_{out}", gate_type=gate_type, inputs=operands, output=out))
+    netlist.add_gate(Gate(name="ff0", gate_type=GateType.DFF, inputs=["deep"], output="q0"))
+    netlist.add_gate(Gate(name="ff1", gate_type=GateType.DFF, inputs=["nq1"], output="q1"))
+    netlist.add_output("deep")
+    netlist.validate()
+    return netlist
+
+
+class TestRawFaultTriples:
+    """Fault triples no ``FaultSet`` lane list can produce -- conflicting and
+    repeated faults on one (net, lane) -- and faults on every kind of net,
+    checked on both engines against each other and the scalar oracle."""
+
+    @staticmethod
+    def _check(netlist, triples, num_lanes, inputs, registers):
+        simulator = NetlistSimulator(netlist)
+        bignum = CompiledNetlist(netlist)
+        vector = NumpyCompiledNetlist(netlist)
+        names = {i: net for net, i in bignum.net_id.items()}
+        ref = bignum.evaluate_fault_arrays(inputs, *triples, num_lanes, registers=registers)
+        out = vector.evaluate_fault_arrays(inputs, *triples, num_lanes, registers=registers)
+        for net in bignum.net_id:
+            assert out.word(net) == ref.word(net), net
+        for lane, fault_set in enumerate(_triple_fault_sets(names, *triples, num_lanes)):
+            reference = simulator.evaluate(inputs, faults=fault_set, registers=registers)
+            assert out.lane_values(lane) == reference, lane
+
+    @pytest.mark.parametrize("num_lanes", [64, 65, 130])
+    def test_conflicts_and_every_net_kind(self, num_lanes):
+        netlist = _edge_netlist()
+        net_id = CompiledNetlist(netlist).net_id
+        cases = [
+            [("y", MODE_FLIP), ("y", MODE_STUCK0)],  # flip, then stuck on one net
+            [("y", MODE_STUCK1), ("y", MODE_FLIP)],  # stuck, then flip
+            [("z", MODE_FLIP), ("z", MODE_FLIP)],  # a repeated flip is one flip
+            [("z", MODE_FLIP)] * 3,
+            [("m", MODE_STUCK0), ("m", MODE_STUCK1)],  # the last stuck-at wins
+            [("m", MODE_STUCK1), ("m", MODE_STUCK0)],
+            [("a", MODE_FLIP)],  # primary input
+            [("b", MODE_STUCK1), ("b", MODE_FLIP)],
+            [("q0", MODE_FLIP)],  # register
+            [("q1", MODE_STUCK0), ("q1", MODE_STUCK1), ("q1", MODE_FLIP)],
+            [("t0", MODE_FLIP)],  # tie cells
+            [("t1", MODE_STUCK0)],
+            [("deep", MODE_FLIP), ("deep", MODE_FLIP)],  # deepest level
+            [("deep", MODE_STUCK1), ("a", MODE_FLIP), ("c1", MODE_FLIP), ("c1", MODE_STUCK0)],
+        ]
+        stride = max(1, (num_lanes - 1) // len(cases))
+        entries = [
+            (net_id[net], min(1 + k * stride, num_lanes - 1), mode)
+            for k, case in enumerate(cases)
+            for net, mode in case
+        ]
+        for inputs in ({"a": 0, "b": 1}, {"a": 1, "b": 0}):
+            for registers in ({"q0": 0, "q1": 1}, {"q0": 1, "q1": 0}):
+                self._check(netlist, _triple_arrays(entries), num_lanes, inputs, registers)
+
+    @pytest.mark.parametrize("num_lanes", [1, 65, 130])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_conflicting_triples(self, seed, num_lanes):
+        rng = random.Random(seed * 7 + num_lanes)
+        netlist = random_netlist(rng, f"rawrand{seed}", min_flops=1)
+        net_id = CompiledNetlist(netlist).net_id
+        rows = list(net_id.values())
+        # Few nets, many faults: (net, lane) collisions of every kind.
+        hot = rng.sample(rows, min(4, len(rows)))
+        modes = (MODE_FLIP, MODE_STUCK0, MODE_STUCK1)
+        entries = [
+            (rng.choice(hot), rng.randrange(num_lanes), rng.choice(modes))
+            for _ in range(3 * num_lanes)
+        ]
+        inputs = {net: rng.randint(0, 1) for net in netlist.primary_inputs}
+        registers = {flop.output: rng.randint(0, 1) for flop in netlist.flops()}
+        self._check(netlist, _triple_arrays(entries), num_lanes, inputs, registers)
+
+    @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
+    def test_trace_reuses_a_repeated_triple_object(self, engine_cls):
+        """A persistent triple handed to every cycle and a schedule that
+        switches triples both match the scalar oracle cycle by cycle."""
+        netlist = _edge_netlist()
+        simulator = NetlistSimulator(netlist)
+        compiled = engine_cls(netlist)
+        names = {i: net for net, i in compiled.net_id.items()}
+        net_id = compiled.net_id
+        num_lanes = 66
+        first = _triple_arrays(
+            [
+                (net_id["z"], 1, MODE_STUCK1),
+                (net_id["q0"], 65, MODE_FLIP),
+                (net_id["c1"], 64, MODE_STUCK0),
+            ]
+        )
+        second = _triple_arrays([(net_id["deep"], 1, MODE_FLIP), (net_id["a"], 65, MODE_STUCK1)])
+        inputs = {"a": 1, "b": 0}
+        for schedule in ([first] * 4, [first, first, second, first]):
+            values = compiled.step_cycles_fault_arrays(
+                inputs, schedule, num_lanes, registers={"q0": 0, "q1": 0}
+            )
+            per_cycle = [_triple_fault_sets(names, *t, num_lanes) for t in schedule]
+            for lane in range(num_lanes):
+                state = {"q0": 0, "q1": 0}
+                for fault_sets in per_cycle:
+                    reference = simulator.evaluate(inputs, faults=fault_sets[lane], registers=state)
+                    state = {flop.output: reference[flop.inputs[0]] for flop in netlist.flops()}
+                assert values.lane_values(lane) == reference, lane
 
 
 class TestPickling:
