@@ -12,7 +12,8 @@ from __future__ import annotations
 from repro.core.hardened import HardenedFsm
 from repro.core.structure import build_scfi_netlist
 from repro.eval.ablations import error_bits_ablation, mds_matrix_ablation, xor_sharing_ablation
-from repro.fi.campaign import exhaustive_single_fault_campaign
+from repro.fi.executor import FaultCampaign
+from repro.fi.scenarios import ExhaustiveSingleFault
 from repro.fsmlib.opentitan import aes_control_fsm
 from repro.netlist.area import area_report
 
@@ -99,7 +100,7 @@ def test_bench_repair_pass_ablation(benchmark, once):
         for repair in (False, True):
             hardened = HardenedFsm.from_fsm(aes_control_fsm(), protection_level=2, error_bits=3)
             structure = build_scfi_netlist(hardened, share_xors=True, repair_diffusion=repair)
-            campaign = exhaustive_single_fault_campaign(structure)
+            campaign = FaultCampaign(structure).run(ExhaustiveSingleFault())
             outcomes[repair] = (area_report(structure.netlist).total_ge, campaign)
         return outcomes
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from repro.core.hardened import HardenedFsm
 from repro.core.structure import build_scfi_netlist
 from repro.eval.formal import PAPER_FORMAL_RESULT, run_formal_analysis
-from repro.fi.campaign import exhaustive_single_fault_campaign
+from repro.fi.executor import FaultCampaign
+from repro.fi.scenarios import ExhaustiveSingleFault
 from repro.fsmlib.formal import formal_analysis_fsm
 
 
@@ -31,7 +32,7 @@ def test_bench_formal_analysis_unrepaired(benchmark, once):
     def campaign():
         hardened = HardenedFsm.from_fsm(formal_analysis_fsm(), protection_level=2, error_bits=3)
         structure = build_scfi_netlist(hardened, share_xors=True, repair_diffusion=False)
-        return exhaustive_single_fault_campaign(structure)
+        return FaultCampaign(structure).run(ExhaustiveSingleFault())
 
     result = once(benchmark, campaign)
     print()

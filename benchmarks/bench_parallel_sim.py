@@ -47,14 +47,9 @@ import time
 import pytest
 
 from repro.core.scfi import ScfiOptions, protect_fsm
-from repro.fi.campaign import exhaustive_single_fault_campaign
 from repro.fi.model import FaultEffect
-from repro.fi.orchestrator import (
-    ExhaustiveSingleFault,
-    FaultCampaign,
-    region_sweep_scenarios,
-    scfi_fault_regions,
-)
+from repro.fi.executor import FaultCampaign
+from repro.fi.scenarios import ExhaustiveSingleFault, region_sweep_scenarios, scfi_fault_regions
 from repro.fsmlib.opentitan import ibex_lsu_fsm
 
 
@@ -142,12 +137,15 @@ def test_bench_parallel_vs_scalar_comb_cloud(benchmark, once, ibex_structure):
     # Scalar oracle first (timed manually -- pytest-benchmark owns the
     # parallel run so the stored benchmark series tracks the fast path).
     start = time.perf_counter()
-    scalar = exhaustive_single_fault_campaign(ibex_structure, target_nets="comb", engine="scalar")
+    scalar = FaultCampaign(ibex_structure, engine="scalar").run(
+        ExhaustiveSingleFault(target_nets="comb")
+    )
     scalar_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     parallel = once(
-        benchmark, exhaustive_single_fault_campaign, ibex_structure, target_nets="comb"
+        benchmark,
+        lambda: FaultCampaign(ibex_structure).run(ExhaustiveSingleFault(target_nets="comb")),
     )
     parallel_seconds = time.perf_counter() - start
 
@@ -361,7 +359,7 @@ def test_bench_temporal_cycle_scaling(benchmark, once, ibex_structure):
     bignum and numpy engines is asserted on every machine, and the measured
     cycle-scaling lands in ``BENCH_parallel.json``.
     """
-    from repro.fi.orchestrator import TemporalSingleFault
+    from repro.fi.scenarios import TemporalSingleFault
 
     effects = (FaultEffect.STUCK_AT_0, FaultEffect.STUCK_AT_1)
 

@@ -22,9 +22,10 @@ from repro.core.structure import build_scfi_netlist
 from repro.eval.formal import PAPER_FORMAL_RESULT, run_formal_analysis
 from repro.eval.security import fault_target_sweep
 from repro.fi.activate import activating_inputs
-from repro.fi.campaign import exhaustive_single_fault_campaign
+from repro.fi.executor import FaultCampaign
 from repro.fi.injector import RedundantFaultInjector, ScfiFaultInjector, UnprotectedFaultInjector
 from repro.fi.model import Classification, Fault
+from repro.fi.scenarios import ExhaustiveSingleFault
 from repro.fsm.cfg import control_flow_edges
 from repro.fsmlib.formal import formal_analysis_fsm
 from repro.fsmlib.opentitan import ibex_lsu_fsm
@@ -38,7 +39,7 @@ def formal_experiment():
 
     hardened = HardenedFsm.from_fsm(formal_analysis_fsm(), protection_level=2, error_bits=3)
     structure = build_scfi_netlist(hardened, share_xors=True, repair_diffusion=False)
-    unrepaired = exhaustive_single_fault_campaign(structure)
+    unrepaired = FaultCampaign(structure).run(ExhaustiveSingleFault())
     print(f"  shared network (repair OFF)   : {unrepaired.format()}")
     print(
         f"  paper reference               : {PAPER_FORMAL_RESULT['hijacks']}/"

@@ -28,7 +28,8 @@ Run with::
 from repro.api import CampaignSpec, ExperimentSpec, FsmSpec, Session
 from repro.core.scfi import ScfiOptions, protect_fsm
 from repro.fi.model import FaultEffect
-from repro.fi.orchestrator import FaultCampaign, MultiShotGlitch, TemporalSingleFault
+from repro.fi.executor import FaultCampaign
+from repro.fi.scenarios import MultiShotGlitch, TemporalSingleFault
 from repro.fsmlib.opentitan import ibex_lsu_fsm
 
 STUCK = (FaultEffect.STUCK_AT_0, FaultEffect.STUCK_AT_1)

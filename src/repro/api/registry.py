@@ -5,13 +5,13 @@ strings; these registries turn the names into runnable objects:
 
 * the **scenario registry** maps a name to a builder
   ``(spec, structure) -> {result_name: scenario}`` producing the pluggable
-  scenario objects of :mod:`repro.fi.orchestrator`
-  (:class:`~repro.fi.orchestrator.ExhaustiveSingleFault`,
-  :class:`~repro.fi.orchestrator.RandomMultiFault`, the per-effect and
-  per-region sweeps).  The builders encode the historical ``scfi-fi`` mode
-  defaults (exhaustive/effects target the diffusion layer, random targets the
-  whole comb cloud, effects mode defaults to all three effects), so spec
-  replays are counter-identical to the legacy CLI invocations.
+  scenario objects of :mod:`repro.fi.scenarios`
+  (:class:`~repro.fi.scenarios.ExhaustiveSingleFault`,
+  :class:`~repro.fi.scenarios.RandomMultiFault`, the per-effect and
+  per-region sweeps).  The builders encode the ``scfi fi`` mode defaults
+  (exhaustive/effects target the diffusion layer, random targets the whole
+  comb cloud, effects mode defaults to all three effects), so spec replays
+  are counter-identical to the matching ``scfi fi`` invocations.
 * the **engine registry** wraps ``FaultCampaign.ENGINES`` with one factory
   per engine name; :func:`register_engine` lets alternative executors (e.g. a
   future distributed backend speaking the same plan/execute split) plug in
@@ -29,9 +29,9 @@ from typing import Callable, Dict, List, Mapping
 from repro.core.structure import ScfiNetlist
 from repro.fi.behavioral import BehavioralBitFlip
 from repro.fi.model import FaultEffect
-from repro.fi.orchestrator import (
+from repro.fi.executor import FaultCampaign
+from repro.fi.scenarios import (
     ExhaustiveSingleFault,
-    FaultCampaign,
     LaserSpot,
     MultiShotGlitch,
     RandomMultiFault,
@@ -242,7 +242,7 @@ def _campaign_factory(engine_name: str) -> EngineFactory:
 
 
 #: name -> executor factory.  Seeded from ``FaultCampaign.ENGINES`` so a new
-#: orchestrator engine is automatically spec-addressable.
+#: executor engine is automatically spec-addressable.
 ENGINE_REGISTRY: Dict[str, EngineFactory] = {
     name: _campaign_factory(name) for name in FaultCampaign.ENGINES
 }
@@ -252,7 +252,7 @@ def register_engine(name: str, factory: EngineFactory, *, overwrite: bool = Fals
     """Publish an executor factory under ``name`` for spec resolution.
 
     The factory must return a context-manager executor with the
-    :class:`~repro.fi.orchestrator.FaultCampaign` ``run``/``run_sweep``
+    :class:`~repro.fi.executor.FaultCampaign` ``run``/``run_sweep``
     interface; it receives ``(structure, lane_width, workers, keep_outcomes,
     pack_contexts)``.  A :class:`~repro.api.session.Session` re-enters the
     same executor for later campaigns with the same arguments.

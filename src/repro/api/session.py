@@ -57,7 +57,7 @@ from repro.api.spec import (
 from repro.core.scfi import ScfiResult, protect_fsm
 from repro.core.structure import ScfiNetlist
 from repro.fi.behavioral import BehavioralCampaignResult, behavioral_fault_campaign
-from repro.fi.orchestrator import ENGINE_INFO, CampaignResult
+from repro.fi.executor import ENGINE_INFO, CampaignResult
 from repro.store import CODEC_JSON, CODEC_PICKLE, ArtifactStore
 from repro.synth.serialize import (
     ScfiCodecError,
@@ -76,7 +76,7 @@ ProgressCallback = Callable[[str, str], None]
 
 #: Campaign-executor factory: ``(campaign_spec, structure, keep_outcomes,
 #: cache_scope) -> context-manager executor`` with the
-#: :class:`~repro.fi.orchestrator.FaultCampaign` ``run`` interface, which the
+#: :class:`~repro.fi.executor.FaultCampaign` ``run`` interface, which the
 #: session keeps warm and enters once per run.  ``cache_scope`` is the
 #: harden-stage input hash (``None`` without a store), which lets alternative
 #: executors -- the campaign service's persistent worker fleet keys its warm
@@ -122,7 +122,7 @@ class ExperimentResult:
     """Everything one spec execution produced.
 
     The live result objects (:class:`~repro.core.scfi.ScfiResult`,
-    :class:`~repro.fi.orchestrator.CampaignResult`) stay accessible for
+    :class:`~repro.fi.executor.CampaignResult`) stay accessible for
     library callers; :meth:`to_dict` lowers the whole bundle -- spec, spec
     hash, hardening summary, campaign counters, engine provenance -- to plain
     JSON-able data for persistence and golden-snapshot comparisons.
@@ -332,7 +332,7 @@ class Session:
         on, so memoisation only engages when both a store and a scope are
         present.  On a campaign-stage hit the stored counters are replayed
         and the plan stage is skipped; on a miss a stored
-        :class:`~repro.fi.orchestrator.CampaignPlan` (same shape, lane budget
+        :class:`~repro.fi.planner.CampaignPlan` (same shape, lane budget
         and packing) still pre-seeds the executor, so only the execute phase
         runs.  ``cache`` (when given) receives the ``"plan"``/``"campaign"``
         hit/miss records; ``dispatch`` (when given) receives each scenario's
@@ -378,8 +378,8 @@ class Session:
                     return results
 
         results: Dict[str, CampaignResult] = {}
-        # Leaving the block closes the executor, which releases a workers>1
-        # pool; a reused executor starts a new pool on its next sharded run.
+        # Leaving the block closes the executor, which stops a workers>1
+        # fleet; a reused executor starts a new fleet on its next sharded run.
         with self._executor(campaign, structure, report.keep_outcomes, cache_scope) as executor:
             # Custom registered engines may not speak the plan import/export
             # interface; plan persistence degrades gracefully for them.

@@ -156,7 +156,7 @@ class CampaignSpec:
     a spec naming an unregistered engine fails to parse; omitting it selects
     :data:`~repro.fi.executor.DEFAULT_ENGINE`.  ``target``/``effects``/
     ``faults``/``trials``/``seed`` parameterize the scenario with the same
-    defaults the historical ``scfi-fi`` modes used, so spec-driven runs
+    defaults the ``scfi fi`` modes use, so spec-driven runs
     reproduce legacy counters bit for bit.  ``lane_width=None`` (the
     default) resolves to the engine's own default lane budget at run time
     (256 for the bignum engine, 4096 for ``parallel-numpy``); pin it
@@ -335,7 +335,7 @@ class CampaignSpec:
         """The lane budget that shapes a campaign plan's batches.
 
         A pinned ``lane_width`` is returned as-is; otherwise the engine's
-        default budget is resolved from the orchestrator's engine table so
+        default budget is resolved from the executor's engine table so
         that e.g. ``parallel`` and ``scalar`` (both 256 lanes) share plan
         artifacts.  Engines registered outside that table resolve
         to an engine-tagged marker, so their plans never collide with the
@@ -343,7 +343,7 @@ class CampaignSpec:
         """
         if self.lane_width is not None:
             return self.lane_width
-        from repro.fi.orchestrator import ENGINE_INFO
+        from repro.fi.executor import ENGINE_INFO
 
         info = ENGINE_INFO.get(self.engine)
         if info is not None:
@@ -414,7 +414,7 @@ def campaign_stage_keys(
 class ExperimentSpec:
     """One complete experiment: harden -> campaign -> report.
 
-    ``campaign=None`` describes a pure hardening run (the ``scfi-harden``
+    ``campaign=None`` describes a pure hardening run (the ``scfi harden``
     shape).  The spec is hashable content: :meth:`content_hash` is stable
     across dict ordering and across processes, so schedulers can deduplicate
     and result stores can key on it.

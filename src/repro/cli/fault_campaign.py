@@ -1,4 +1,4 @@
-"""``scfi-fi``: run fault-injection campaigns against a protected benchmark FSM.
+"""``scfi fi``: run fault-injection campaigns against a protected benchmark FSM.
 
 A thin argparse -> :class:`~repro.api.spec.ExperimentSpec` adapter over the
 declarative API: the flags are lowered to a spec (mode -> scenario name,
@@ -49,7 +49,7 @@ from repro.fsmlib import available_fsms
 
 def _positive_int(text: str) -> int:
     """Argparse type for >= 1 integer flags (``--workers``): clean CLI errors
-    instead of deep ``ValueError`` tracebacks from the orchestrator."""
+    instead of deep ``ValueError`` tracebacks from the executor."""
     try:
         value = int(text)
     except ValueError:
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         help="worker processes for campaign execution: planned batches are "
-        "dispatched to a process pool and merged deterministically (default "
+        "dispatched to a worker fleet and merged deterministically (default "
         "1 = in-process)",
     )
     parser.add_argument(

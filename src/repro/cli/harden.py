@@ -1,10 +1,10 @@
-"""``scfi-harden``: protect a benchmark FSM and print the resulting artefacts.
+"""``scfi harden``: protect a benchmark FSM and print the resulting artefacts.
 
 This is a thin argparse -> :class:`~repro.api.spec.ExperimentSpec` adapter:
 the flags are lowered to a declarative spec and executed through
 :class:`~repro.api.session.Session`, the same path the library API and
 ``scfi run`` take.  The FSM choices come from the shared registry in
-:mod:`repro.fsmlib.registry` (also consumed by ``scfi-fi``).
+:mod:`repro.fsmlib.registry` (also consumed by ``scfi fi``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import sys
 
 from repro.api import ExperimentSpec, FsmSpec, ProtectSpec, ReportSpec, Session
 from repro.fsmlib import available_fsms
-from repro.fsmlib import FSM_REGISTRY  # noqa: F401 -- historical import location
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,9 +17,9 @@ tarball whose entries re-verify their payload digests on the way in).
 ``scfi serve`` runs the campaign service (:mod:`repro.service`) -- durable
 job queue, persistent worker fleet with warm compiled netlists, spec-hash
 result tier -- over the same store, and ``scfi submit``/``status``/``result``
-are the matching HTTP client commands.  The classic subcommands (``harden``,
-``fi``, ``report``) delegate to their dedicated CLIs, so
-``scfi harden --fsm uart_rx`` equals ``scfi-harden --fsm uart_rx``.
+are the matching HTTP client commands.  The classic subcommands
+(``harden``, ``fi``, ``report``) delegate verbatim to their modules under
+:mod:`repro.cli`, which own their full flag surface.
 """
 
 from __future__ import annotations
@@ -161,9 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     for name, help_text in (
-        ("harden", "protect an FSM (same flags as scfi-harden)"),
-        ("fi", "run a fault campaign (same flags as scfi-fi)"),
-        ("report", "regenerate paper artefacts (same flags as scfi-report)"),
+        ("harden", "protect an FSM (see scfi harden --help)"),
+        ("fi", "run a fault campaign (see scfi fi --help)"),
+        ("report", "regenerate paper artefacts (see scfi report --help)"),
     ):
         sub.add_parser(name, help=help_text, add_help=False)
     return parser
@@ -297,7 +297,7 @@ def _cache(args) -> int:
         if not args.path:
             print(f"scfi cache {args.action}: a tarball path is required", file=sys.stderr)
             return 2
-        from repro.store import export_store, import_store
+        from repro.store.transfer import export_store, import_store
 
         if args.action == "export":
             stats = export_store(store, args.path)

@@ -1,4 +1,4 @@
-"""``scfi-report``: regenerate the paper's Table 1 and Figure 8 from the CLI."""
+"""``scfi report``: regenerate the paper's Table 1 and Figure 8 from the CLI."""
 
 from __future__ import annotations
 

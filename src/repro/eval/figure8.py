@@ -18,7 +18,7 @@ from repro.api.session import Session
 from repro.api.spec import CampaignSpec, FsmSpec, ProtectSpec, harden_stage_key
 from repro.core.redundancy import RedundancyOptions, protect_fsm_redundant
 from repro.core.structure import ScfiNetlist
-from repro.fi.orchestrator import CampaignResult
+from repro.fi.executor import CampaignResult
 from repro.netlist.area import area_report
 from repro.netlist.celllib import CellLibrary, DEFAULT_LIBRARY
 from repro.netlist.generic import pad_netlist_to

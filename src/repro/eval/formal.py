@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.scfi import ScfiOptions, protect_fsm
-from repro.fi.campaign import CampaignResult, exhaustive_single_fault_campaign
+from repro.fi.executor import CampaignResult, FaultCampaign
 from repro.fi.model import FaultEffect
+from repro.fi.scenarios import ExhaustiveSingleFault
 from repro.fsm.model import Fsm
 from repro.fsmlib.formal import formal_analysis_fsm
 
@@ -77,11 +78,8 @@ def run_formal_analysis(
             generate_verilog=False,
         ),
     )
-    campaign = exhaustive_single_fault_campaign(
-        result.structure,
-        effects=effects,
-        keep_outcomes=keep_outcomes,
-    )
+    with FaultCampaign(result.structure, keep_outcomes=keep_outcomes) as executor:
+        campaign = executor.run(ExhaustiveSingleFault(effects=effects))
     return FormalAnalysisResult(
         campaign=campaign,
         protection_level=protection_level,

@@ -23,7 +23,7 @@ from repro.api.spec import CampaignSpec
 from repro.core.hardened import HardenedFsm
 from repro.core.structure import ScfiNetlist
 from repro.fi.model import FaultEffect
-from repro.fi.orchestrator import DEFAULT_ENGINE, CampaignResult
+from repro.fi.executor import DEFAULT_ENGINE, CampaignResult
 from repro.fi.behavioral import (
     TARGET_CONTROL,
     TARGET_DIFFUSION,

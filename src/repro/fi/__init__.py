@@ -3,10 +3,9 @@
 from repro.fi.model import Fault, FaultEffect, FaultOutcome, Classification
 from repro.fi.activate import activating_inputs
 from repro.fi.injector import ScfiFaultInjector, UnprotectedFaultInjector, RedundantFaultInjector
-from repro.fi.orchestrator import (
-    CampaignResult,
+from repro.fi.executor import CampaignResult, FaultCampaign
+from repro.fi.scenarios import (
     ExhaustiveSingleFault,
-    FaultCampaign,
     JobArrays,
     LaserSpot,
     MultiShotGlitch,
@@ -15,10 +14,6 @@ from repro.fi.orchestrator import (
     effect_sweep_scenarios,
     region_sweep_scenarios,
     scfi_fault_regions,
-)
-from repro.fi.campaign import (
-    exhaustive_single_fault_campaign,
-    random_multi_fault_campaign,
 )
 from repro.fi.behavioral import (
     BehavioralBitFlip,
@@ -47,8 +42,6 @@ __all__ = [
     "effect_sweep_scenarios",
     "region_sweep_scenarios",
     "scfi_fault_regions",
-    "exhaustive_single_fault_campaign",
-    "random_multi_fault_campaign",
     "behavioral_fault_campaign",
     "BehavioralCampaignResult",
 ]

@@ -18,7 +18,7 @@ single-cycle campaign is a trace of one cycle.  Both compiled engines take
 the batch's flat fault arrays straight onto grouped lanes
 (:meth:`~repro.netlist.parallel.CompiledNetlist.step_cycles_fault_arrays`)
 and hand back one observed state code per job; counters and kept outcomes
-are classified from those codes, in the parent or in a pool worker alike.
+are classified from those codes, in the parent or in a fleet worker alike.
 
 :attr:`FaultCampaign.last_dispatch` records the fault-application path of
 the latest run: ``"array-native"`` on both compiled engines, and
@@ -30,10 +30,15 @@ sharded runs the same way.
 Campaign execution is split into an explicit *plan* phase (cached, see
 :mod:`repro.fi.planner`) and an *execute* phase.  Execution binds the per-job
 fault groups to the planned lanes and either runs every batch in-process
-(``workers=1``, the default) or dispatches batches to a ``multiprocessing``
-pool (``workers=N``): each worker process builds its own compiled engine once
-and replies with per-classification counts, plus the per-job observed codes
-when outcomes are kept and no shared-memory code slots carry them.  The
+(``workers=1``, the default) or shards the run over a
+:class:`~repro.fi.fleet.WorkerFleet`, the one process pool: an owned fleet of
+``workers=N`` processes, or the shared fleet a
+:class:`~repro.service.worker.FleetCampaign` supplies.  Consecutive batches
+(scalar oracle: job ranges) travel in contiguous chunks over the
+shared-memory or pickled transport (:mod:`repro.fi.shm_transport`, imported
+only by sharded runs); each worker builds its own compiled engine once and
+replies per batch with per-classification counts, plus the per-job observed
+codes when outcomes are kept and no shared-memory code slots carry them.  The
 parent merges replies in deterministic job order, so counters -- and kept
 outcomes -- are bit-identical to single-process runs on every engine.
 
@@ -41,16 +46,12 @@ Fault targets are validated up front: a scenario naming a net the netlist
 does not contain, or emitting an IR row outside the netlist, raises
 :class:`ValueError` (on every engine) instead of silently reporting the
 fault as masked.
-
-Everything here is re-exported from :mod:`repro.fi.orchestrator`, the
-historical single-module home, so imports and pickles keep working.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +64,6 @@ from repro.fi.model import (
     FaultOutcome,
     classify_observation,
 )
-from repro.fi import shm_transport
 from repro.fi.planner import (
     PLAN_CACHE_LIMIT,
     PLAN_CACHE_MAX_JOBS,
@@ -76,10 +76,12 @@ from repro.fi.scenarios import (
     JobArrays,
     transition_contexts,
 )
-from repro.fi.shm_transport import ShmBatchRef
 from repro.fsm.cfg import CfgEdge
 from repro.netlist.parallel import CompiledNetlist
 from repro.netlist.parallel_np import NumpyCompiledNetlist
+
+if TYPE_CHECKING:  # the fleet loads only when a run shards
+    from repro.fi.fleet import WorkerFleet
 
 #: Fault groups packed into one bit-parallel pass (plus the golden lane 0)
 #: on the bignum engine, where each extra lane lengthens every big-int op.
@@ -191,7 +193,7 @@ class CampaignResult:
 
         Enums are lowered to their wire values -- faults as ``[net, effect]``
         pairs and classifications as strings, the same compact conventions the
-        process-pool wire format uses -- so results persist without pickling.
+        worker wire format uses -- so results persist without pickling.
         """
         data: Dict[str, object] = {
             "name": self.name,
@@ -282,89 +284,16 @@ _CLASSIFICATION_INDEX = {cls: i for i, cls in enumerate(_CLASSIFICATIONS)}
 #: reordering or extension.
 _BatchReply = Tuple[Tuple[int, ...], Optional[Sequence[int]]]
 
-#: Worker-process campaign state, built once per process by the pool
-#: initializer (each worker compiles its own bit-parallel netlist).
-_WORKER_CAMPAIGN: Optional["FaultCampaign"] = None
 
+def _chunk_bounds(total: int, workers: int) -> List[Tuple[int, int]]:
+    """Cut ``range(total)`` into at most ``workers * 4`` contiguous spans.
 
-def _worker_init(
-    structure: ScfiNetlist,
-    engine: str,
-    lane_width: int,
-    pack_contexts: bool,
-    keep_outcomes: bool,
-) -> None:
-    """Pool initializer: build this worker's campaign executor exactly once."""
-    global _WORKER_CAMPAIGN
-    _WORKER_CAMPAIGN = FaultCampaign(
-        structure,
-        engine=engine,
-        lane_width=lane_width,
-        keep_outcomes=keep_outcomes,
-        pack_contexts=pack_contexts,
-    )
-    if engine != "scalar":
-        _WORKER_CAMPAIGN.compiled  # compile the op list up front
-
-
-def _resolve_worker_batch(handle) -> Tuple[PlannedBatch, Optional[ShmBatchRef]]:
-    """Materialise a task handle into a planned batch.
-
-    Pickled tasks carry the :class:`PlannedBatch` itself; shared-memory tasks
-    carry a :class:`~repro.fi.shm_transport.ShmBatchRef` whose lane words are
-    read in place -- zero-copy uint64 rows for the numpy engine, rebuilt
-    bignum ints for the bignum engine.
+    The one task-chunking rule of sharded runs: it cuts the scalar oracle's
+    jobs into job ranges and the compiled engines' planned batches into
+    batch ranges, so a fleet of ``workers`` gets a few tasks each.
     """
-    if not isinstance(handle, ShmBatchRef):
-        return handle, None
-    input_words = register_words = None
-    input_rows, register_rows = shm_transport.batch_words(handle)
-    if input_rows is not None:
-        if _WORKER_CAMPAIGN.engine == "parallel-numpy":
-            input_words = {net: input_rows[i] for i, net in enumerate(handle.input_nets)}
-            register_words = {
-                net: register_rows[i] for i, net in enumerate(handle.register_nets)
-            }
-        else:
-            input_words = shm_transport.rows_to_ints(handle.input_nets, input_rows)
-            register_words = shm_transport.rows_to_ints(handle.register_nets, register_rows)
-    batch = PlannedBatch(
-        start=handle.start,
-        stop=handle.stop,
-        golden_contexts=handle.golden_contexts,
-        input_words=input_words,
-        register_words=register_words,
-    )
-    return batch, handle
-
-
-def _worker_run_batch(task) -> _BatchReply:
-    """Evaluate one planned batch in a worker process.
-
-    ``task`` is ``(handle, (cycles, arrays))``: the handle is a
-    :class:`PlannedBatch` (pickled transport) or :class:`ShmBatchRef`
-    (shared-memory transport) and ``arrays`` the batch's slice of the
-    :class:`JobArrays` IR, traced over ``cycles`` clock edges.  With shared
-    memory the per-job observed codes of a ``keep_outcomes`` campaign are
-    written back into the segment's code slots instead of the reply.
-    """
-    handle, (cycles, arrays) = task
-    campaign = _WORKER_CAMPAIGN
-    batch, ref = _resolve_worker_batch(handle)
-    codes = campaign._evaluate_batch_arrays(batch, cycles, arrays)
-    counts, codes = campaign._batch_reply(cycles, arrays.contexts, codes)
-    if codes is not None and ref is not None and ref.codes_offset is not None:
-        shm_transport.write_codes(ref, codes)
-        codes = None
-    return counts, codes
-
-
-def _worker_run_scalar(task: Tuple[int, JobArrays]) -> _BatchReply:
-    """Replay one ``(cycles, IR slice)`` job chunk on the scalar oracle."""
-    cycles, arrays = task
-    campaign = _WORKER_CAMPAIGN
-    codes = campaign._evaluate_scalar(cycles, arrays.to_jobs(campaign._net_names()))
-    return campaign._batch_reply(cycles, arrays.contexts, codes)
+    chunk = max(1, -(-total // (workers * 4)))
+    return [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
 
 
 # ----------------------------------------------------------------------
@@ -386,13 +315,14 @@ class FaultCampaign:
     transitions still fill the lane budget; ``pack_contexts=False`` restores
     the one-context-per-pass batching for comparison benchmarks.
 
-    ``workers=N`` (default 1) dispatches the planned batches to a process
-    pool: every worker builds its own compiled netlist once and streams raw
-    per-lane classifications back to the parent, which merges them in job
-    order -- counters and outcomes are bit-identical to ``workers=1`` on
-    every engine.  The pool is created lazily on first use and reused across
+    ``workers=N`` (default 1) shards every run over a
+    :class:`~repro.fi.fleet.WorkerFleet` of ``N`` processes: every worker
+    builds its own compiled netlist once and replies with per-batch
+    classification counts, which the parent merges in job order -- counters
+    and outcomes are bit-identical to ``workers=1`` on every engine.  The
+    fleet is started on the first sharded run and reused across
     :meth:`run`/:meth:`run_sweep` calls; call :meth:`close` (or use the
-    campaign as a context manager) to release it.
+    campaign as a context manager) to stop it.
     """
 
     ENGINES = tuple(sorted(ENGINE_INFO))
@@ -474,40 +404,42 @@ class FaultCampaign:
         #: Tables scenarios derive from this netlist while lowering (the
         #: laser-spot placement and spot members), kept across runs.
         self.lowering_cache: Dict[object, object] = {}
-        self._pool = None
+        #: Worker fleet of sharded runs: owned and started on the first one
+        #: when ``workers > 1``, or shared and supplied by a subclass.
+        self._fleet: Optional["WorkerFleet"] = None
+        #: The key this executor's warm twin has in the fleet's workers.
+        self.config_id = "local"
+        # Sharded-run hooks: per-batch progress ``(done, total)`` reported as
+        # replies merge, and an event that cancels between fleet replies.
+        self._batch_progress = None
+        self._cancel = None
 
     # ------------------------------------------------------------------
-    # Process-pool lifecycle
+    # Worker-fleet lifecycle
     # ------------------------------------------------------------------
-    def _ensure_pool(self):
-        """The lazily created worker pool (``fork`` start method where available).
+    def _worker_params(self) -> Dict[str, object]:
+        """The parameters a fleet worker builds this executor's twin with."""
+        return {
+            "engine": self.engine,
+            "lane_width": self.lane_width,
+            "keep_outcomes": self.keep_outcomes,
+            "pack_contexts": self.pack_contexts,
+        }
 
-        ``fork`` lets workers inherit the netlist instead of re-importing and
-        unpickling it; on platforms without it the default start method is
-        used and the initializer arguments travel by pickle.
-        """
-        if self._pool is None:
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context("fork" if "fork" in methods else None)
-            self._pool = context.Pool(
-                processes=self.workers,
-                initializer=_worker_init,
-                initargs=(
-                    self.structure,
-                    self.engine,
-                    self.lane_width,
-                    self.pack_contexts,
-                    self.keep_outcomes,
-                ),
-            )
-        return self._pool
+    def _ensure_fleet(self) -> "WorkerFleet":
+        """The fleet of sharded runs; an owned one starts here on first use."""
+        if self._fleet is None:
+            from repro.fi.fleet import WorkerFleet
+
+            self._fleet = WorkerFleet(self.workers)
+            self._fleet.ensure_config(self.config_id, self.structure, self._worker_params())
+        return self._fleet
 
     def close(self) -> None:
-        """Release the worker pool (no-op for ``workers=1`` / unused pools)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        """Stop the owned worker fleet (no-op for ``workers=1`` / unused fleets)."""
+        if self._fleet is not None:
+            self._fleet.close()
+            self._fleet = None
 
     def __enter__(self) -> "FaultCampaign":
         return self
@@ -615,7 +547,7 @@ class FaultCampaign:
     def run_sweep(self, scenarios: Mapping[str, object]) -> Dict[str, CampaignResult]:
         """Execute several named scenarios.
 
-        The compiled netlist, the worker pool and the plan cache are all
+        The compiled netlist, the worker fleet and the plan cache are all
         shared: scenarios whose jobs touch the same context sequence (e.g.
         the per-effect sweeps of :func:`effect_sweep_scenarios`) reuse one
         plan instead of re-packing per scenario.
@@ -792,22 +724,22 @@ class FaultCampaign:
         """
         cycles = arrays.num_cycles
         jobs = arrays.to_jobs(self._net_names()) if self.keep_outcomes else None
+        plan = None
         if self.engine == "scalar":
             self.last_dispatch = "spec-stream"
-            if self.workers > 1:
-                self._execute_scalar_sharded(cycles, arrays, jobs, result)
-            else:
-                codes = self._evaluate_scalar(
-                    cycles, jobs if jobs is not None else arrays.to_jobs(self._net_names())
-                )
-                self._merge_reply(
-                    cycles, jobs, self._batch_reply(cycles, arrays.contexts, codes), result
-                )
+        else:
+            self.last_dispatch = "array-native"
+            plan = self.plan_jobs(arrays.contexts.tolist())
+        if self.workers > 1 or self._fleet is not None:
+            self._execute_sharded(cycles, arrays, jobs, result, plan)
             return
-        self.last_dispatch = "array-native"
-        plan = self.plan_jobs(arrays.contexts.tolist())
-        if self.workers > 1:
-            self._execute_plan_sharded(plan, cycles, arrays, jobs, result)
+        if plan is None:
+            codes = self._evaluate_scalar(
+                cycles, jobs if jobs is not None else arrays.to_jobs(self._net_names())
+            )
+            self._merge_reply(
+                cycles, jobs, self._batch_reply(cycles, arrays.contexts, codes), result
+            )
             return
         for batch in plan.batches:
             batch_arrays = arrays.slice(batch.start, batch.stop)
@@ -819,46 +751,120 @@ class FaultCampaign:
                 result,
             )
 
-    def _execute_plan_sharded(
+    def _execute_sharded(
         self,
-        plan: CampaignPlan,
         cycles: int,
         arrays: JobArrays,
         jobs: Optional[List[InjectionJob]],
         result: CampaignResult,
+        plan: Optional[CampaignPlan],
     ) -> None:
-        """Dispatch planned IR batches to the pool; merge replies in plan order.
+        """Ship the run to the worker fleet in contiguous chunks; merge in order.
 
-        Every payload carries the batch's slice of the IR.  Batch lane words
+        The shipped units are the plan's batches on the compiled engines and
+        contiguous job ranges on the scalar oracle (``plan is None``).
+        :func:`_chunk_bounds` groups consecutive units into tasks, and each
+        task replies with its units' replies in order, so merging stays in
+        job order.  Every unit carries its slice of the IR.  Batch lane words
         travel through one shared-memory segment when possible (and per-job
         observed codes ride back the same way for ``keep_outcomes`` runs);
         otherwise -- no ``shared_memory`` support, segment creation failure,
         kept state codes wider than one machine word, or
         ``use_shared_memory=False`` -- the pickled wire format is used.  The
-        segment is unlinked in ``finally``, so worker exceptions cannot leak
+        segment is unlinked in ``finally``, so worker failures cannot leak
         ``/dev/shm`` entries.
         """
-        pool = self._ensure_pool()
-        payloads = [(cycles, arrays.slice(batch.start, batch.stop)) for batch in plan.batches]
-        segment = self._plan_segment(plan, want_codes=self.keep_outcomes)
-        handles = segment.refs if segment is not None else list(plan.batches)
+        fleet = self._ensure_fleet()
+        segment = None
+        if plan is None:
+            spans = _chunk_bounds(arrays.num_jobs, fleet.size)
+            handles: Sequence[object] = [None] * len(spans)
+        else:
+            spans = [(batch.start, batch.stop) for batch in plan.batches]
+            segment = self._plan_segment(plan, want_codes=self.keep_outcomes)
+            handles = segment.refs if segment is not None else plan.batches
         try:
-            tasks = list(zip(handles, payloads))
-            for batch, handle, (counts, codes) in zip(
-                plan.batches, handles, pool.imap(_worker_run_batch, tasks)
-            ):
-                batch_jobs = None
-                if jobs is not None:
-                    batch_jobs = jobs[batch.start : batch.stop]
-                    if codes is None:
-                        codes = segment.codes_for(handle)
-                self._merge_reply(cycles, batch_jobs, (counts, codes), result)
+            tasks = [
+                (cycles, [(handles[i], arrays.slice(*spans[i])) for i in range(lo, hi)])
+                for lo, hi in _chunk_bounds(len(spans), fleet.size)
+            ]
+            done = 0
+            for replies in fleet.run(self.config_id, tasks, cancel=self._cancel):
+                for counts, codes in replies:
+                    start, stop = spans[done]
+                    batch_jobs = None
+                    if jobs is not None:
+                        batch_jobs = jobs[start:stop]
+                        if codes is None:
+                            codes = segment.codes_for(handles[done])
+                    self._merge_reply(cycles, batch_jobs, (counts, codes), result)
+                    done += 1
+                    if self._batch_progress is not None:
+                        self._batch_progress(done, len(spans))
         finally:
             if segment is not None:
                 segment.close()
 
+    def _task_replies(self, task) -> List[_BatchReply]:
+        """Evaluate one fleet task in a worker: one reply per shipped unit.
+
+        ``task`` is ``(cycles, units)``, each unit ``(handle, arrays)`` with
+        ``arrays`` its slice of the :class:`JobArrays` IR, traced over
+        ``cycles`` clock edges.  On the scalar oracle ``handle`` is ``None``
+        and the slice is replayed job by job.  Otherwise it is a
+        :class:`PlannedBatch` (pickled transport) or a
+        :class:`~repro.fi.shm_transport.ShmBatchRef` whose lane words are
+        read in place -- zero-copy uint64 rows for the numpy engine, rebuilt
+        bignum ints for the bignum engine -- and the per-job observed codes
+        of a ``keep_outcomes`` campaign are written back into the segment's
+        code slots instead of the reply.
+        """
+        from repro.fi import shm_transport
+
+        cycles, units = task
+        replies: List[_BatchReply] = []
+        for handle, arrays in units:
+            if handle is None:
+                codes = self._evaluate_scalar(cycles, arrays.to_jobs(self._net_names()))
+                replies.append(self._batch_reply(cycles, arrays.contexts, codes))
+                continue
+            ref = handle if isinstance(handle, shm_transport.ShmBatchRef) else None
+            batch = handle if ref is None else self._shipped_batch(ref)
+            codes = self._evaluate_batch_arrays(batch, cycles, arrays)
+            counts, codes = self._batch_reply(cycles, arrays.contexts, codes)
+            if codes is not None and ref is not None and ref.codes_offset is not None:
+                shm_transport.write_codes(ref, codes)
+                codes = None
+            replies.append((counts, codes))
+        return replies
+
+    def _shipped_batch(self, ref) -> PlannedBatch:
+        """Materialise a shared-memory batch reference into a planned batch."""
+        from repro.fi import shm_transport
+
+        input_words = register_words = None
+        input_rows, register_rows = shm_transport.batch_words(ref)
+        if input_rows is not None:
+            if self._is_numpy:
+                input_words = {net: input_rows[i] for i, net in enumerate(ref.input_nets)}
+                register_words = {
+                    net: register_rows[i] for i, net in enumerate(ref.register_nets)
+                }
+            else:
+                input_words = shm_transport.rows_to_ints(ref.input_nets, input_rows)
+                register_words = shm_transport.rows_to_ints(ref.register_nets, register_rows)
+        return PlannedBatch(
+            start=ref.start,
+            stop=ref.stop,
+            golden_contexts=ref.golden_contexts,
+            input_words=input_words,
+            register_words=register_words,
+        )
+
     def _plan_segment(self, plan: CampaignPlan, want_codes: bool):
         """The plan's shared segment, or ``None`` for the pickled format."""
+        from repro.fi import shm_transport
+
         if (
             not self.use_shared_memory
             or not shm_transport.available()
@@ -883,23 +889,6 @@ class FaultCampaign:
             classification, observed_state = self._classify(index, cycles, code)
             rows.append((classification, code, observed_state))
         return rows
-
-    def _execute_scalar_sharded(
-        self,
-        cycles: int,
-        arrays: JobArrays,
-        jobs: Optional[List[InjectionJob]],
-        result: CampaignResult,
-    ) -> None:
-        """Shard scalar-oracle traces into contiguous IR chunks across the pool."""
-        pool = self._ensure_pool()
-        total = arrays.num_jobs
-        chunk = max(1, -(-total // (self.workers * 4)))
-        bounds = range(0, total, chunk)
-        tasks = [(cycles, arrays.slice(i, min(i + chunk, total))) for i in bounds]
-        for start, reply in zip(bounds, pool.imap(_worker_run_scalar, tasks)):
-            batch_jobs = None if jobs is None else jobs[start : start + chunk]
-            self._merge_reply(cycles, batch_jobs, reply, result)
 
     def _batch_reply(
         self, cycles: int, job_contexts: "np.ndarray", codes: Sequence[int]
@@ -946,7 +935,7 @@ class FaultCampaign:
         like ``FaultSet.apply`` -- and the per-fault cycle annotations select
         which faults are live in each cycle of the trace.  Codes come back as
         one uint64 array, or as Python ints for state codes of 64 bits or
-        more.  Runs identically in the parent and in pool workers.
+        more.  Runs identically in the parent and in fleet workers.
         """
         num_golden = len(batch.golden_contexts)
         num_jobs = arrays.num_jobs

@@ -8,7 +8,7 @@ This mirrors what the SYNFI flow does on the Yosys netlist in Section 6.4.
 
 The injectors evaluate one injection at a time on the scalar
 :class:`~repro.netlist.simulate.NetlistSimulator` and serve as the reference
-oracle; bulk campaigns go through :class:`~repro.fi.orchestrator.FaultCampaign`,
+oracle; bulk campaigns go through :class:`~repro.fi.executor.FaultCampaign`,
 which packs many injections per pass on the bit-parallel
 :class:`~repro.netlist.parallel.CompiledNetlist` engine.
 """

@@ -7,8 +7,7 @@ assignment and the pre-assembled per-context input/register lane words --
 and depends only on the *shape* of the jobs (the sequence of transition
 contexts they touch), so plans are cached on the campaign and reused across
 scenarios with the same shape (e.g. the per-effect sweeps, which differ only
-in the injected effect).  The executor lives in :mod:`repro.fi.executor`;
-both are re-exported from :mod:`repro.fi.orchestrator`.
+in the injected effect).  The executor lives in :mod:`repro.fi.executor`.
 """
 
 from __future__ import annotations

@@ -159,7 +159,7 @@ class JobArrays:
     def slice(self, start: int, stop: int) -> "JobArrays":
         """The IR of jobs ``[start, stop)`` (offsets re-based to zero).
 
-        Batches ship their slice of the IR to pool workers, so the flat
+        Batches ship their slice of the IR to fleet workers, so the flat
         fault arrays are cut at the group boundaries the offsets name.
         """
         lo = int(self.group_offsets[start])

@@ -1,12 +1,13 @@
 """Shared-memory transport for process-sharded campaign batches.
 
-The sharded executor of :mod:`repro.fi.orchestrator` ships one
-:class:`~repro.fi.orchestrator.PlannedBatch` per pool task.  Its payload is
+The sharded executor of :mod:`repro.fi.executor` ships planned batches
+(:class:`~repro.fi.planner.PlannedBatch`) to its worker fleet
+(:mod:`repro.fi.fleet`).  Their payload is
 dominated by the pre-assembled per-net input/register lane words -- for wide
 campaigns thousands of lanes per net -- and, for ``keep_outcomes`` runs, by
 the per-job observed state codes coming back.  This module moves both through
 one ``multiprocessing.shared_memory`` segment per plan execution instead of
-pickling big Python ints over the pool pipe:
+pickling big Python ints over the worker queues:
 
 * the **parent** packs every batch's input/register lane words into one
   segment as little-endian uint64 rows (:meth:`PlanSegment.pack`) plus one
@@ -16,7 +17,7 @@ pickling big Python ints over the pool pipe:
   :func:`attach_segment`), read the lane words in place -- the numpy engine
   consumes the rows zero-copy, the bignum engine rebuilds its ints -- and
   write per-job observed codes back into the batch's code slots;
-* the parent reads each batch's codes as its pool reply arrives, and
+* the parent reads each batch's codes as its worker reply arrives, and
   **unlinks the segment deterministically** in a ``finally`` block, so
   neither a worker exception nor a parent-side error leaks ``/dev/shm``
   entries (``tests/test_shm_transport.py`` kills an attached process mid-use
@@ -95,7 +96,7 @@ class PlanSegment:
     ) -> Optional["PlanSegment"]:
         """Pack every batch's lane words (and code slots) into one segment.
 
-        ``batches`` are :class:`~repro.fi.orchestrator.PlannedBatch` objects;
+        ``batches`` are :class:`~repro.fi.planner.PlannedBatch` objects;
         ``num_goldens[i]`` is the golden-lane count of batch ``i`` (the lane
         count of the pass is goldens + jobs).  Returns ``None`` when shared
         memory is unavailable, there is nothing to share, or segment creation
@@ -155,7 +156,7 @@ class PlanSegment:
     def codes_for(self, ref: ShmBatchRef) -> np.ndarray:
         """Copy one batch's observed-code slots out of the segment.
 
-        Only valid after the batch's pool reply arrived (the worker has
+        Only valid after the batch's worker reply arrived (the worker has
         finished writing its slots by then); the copy keeps the row alive
         past :meth:`close`.
         """

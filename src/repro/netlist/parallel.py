@@ -37,7 +37,7 @@ cross-check oracle (see ``tests/test_parallel_sim.py``).
 
 Compiled netlists are the per-worker unit of the process-sharded campaign
 executor (:mod:`repro.fi.executor`, ``workers=N``): every worker process
-compiles its own instance once from the netlist it receives at pool startup
+compiles its own instance once from the netlist its fleet config ships
 (only the netlist crosses the process boundary, not the compiled form).
 """
 

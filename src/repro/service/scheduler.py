@@ -33,6 +33,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.api.session import Session
 from repro.api.spec import CampaignSpec, ExperimentSpec
 from repro.core.structure import ScfiNetlist
+from repro.fi.fleet import ServiceShutdown, WorkerFleet
 from repro.service.jobs import (
     STATE_DONE,
     STATE_FAILED,
@@ -48,7 +49,7 @@ from repro.service.results import (
     ResultTier,
     stamp_provenance,
 )
-from repro.service.worker import FleetCampaign, ServiceShutdown, WorkerFleet
+from repro.service.worker import FleetCampaign
 from repro.store import ArtifactStore
 
 #: Optional service-level logger: ``(event, detail)`` pairs.
@@ -100,7 +101,7 @@ class Scheduler:
         """Stop the loop: drain the in-flight job, then cancel if it overruns.
 
         The cancel event aborts fleet collection between batches
-        (:class:`~repro.service.worker.ServiceShutdown`), which the execute
+        (:class:`~repro.fi.fleet.ServiceShutdown`), which the execute
         path turns into a ``failed`` + ``resumable`` job record -- recovery
         re-queues it on the next start.
         """

@@ -1,69 +1,31 @@
-"""Persistent worker fleet: long-lived processes with warm compiled netlists.
+"""Fleet-bound campaign executors for the campaign service.
 
-The process-sharded executor (PR 4/6) spins a pool up per campaign and tears
-it down after; the *fleet* inverts that lifetime.  Each fleet worker is a
-long-lived process holding a cache of warm :class:`~repro.fi.executor.FaultCampaign`
-executors keyed by a **config id** -- a hash of the harden-stage key plus the
-execution parameters (engine, lane budget, context packing, outcome
-retention).  The first job against a given hardened netlist ships the
-:class:`~repro.core.structure.ScfiNetlist` once and the worker compiles it;
-every later job with the same config id reuses the compiled netlist without
-any shipping or compiling ("warm netlist" in the ROADMAP's sense).
+The service keeps one long-lived :class:`~repro.fi.fleet.WorkerFleet` for its
+whole lifetime.  Each fleet worker caches warm
+:class:`~repro.fi.executor.FaultCampaign` executors keyed by a **config id**
+-- a hash of the harden-stage key plus the execution parameters (engine, lane
+budget, context packing, outcome retention).  The first job against a given
+hardened netlist ships the :class:`~repro.core.structure.ScfiNetlist` once
+and the workers compile it; every later job with the same config id reuses
+the compiled netlists without any shipping or compiling ("warm netlist" in
+the ROADMAP's sense).
 
-Batches travel over the **existing transports**: the scheduler-side
-:class:`FleetCampaign` is a :class:`~repro.fi.executor.FaultCampaign` whose
-process pool is replaced by a :class:`_FleetPoolView` speaking the same
-``imap`` interface, so planned batches arrive as
-:class:`~repro.fi.shm_transport.ShmBatchRef` shared-memory handles (or
-pickled :class:`~repro.fi.planner.PlannedBatch` fallbacks) and are evaluated
-by the very same worker functions the pool uses
-(:func:`repro.fi.executor._worker_run_batch` and friends).  No second wire
-format, no second evaluation path -- counters are bit-identical to ``scfi
-run`` by construction.
-
-Fault handling: task results carry ids, the view tracks which worker owns
-which outstanding task, and a worker that dies mid-batch (crash, OOM kill,
-SIGKILL) is detected by liveness polling -- its outstanding tasks are
-re-dispatched to healthy workers (respawning a replacement when allowed) and
-duplicate late replies are dropped by id.  Shared-memory segments stay owned
-and unlinked by the scheduler side, so a killed worker can never leak
-``/dev/shm`` entries.
+:class:`FleetCampaign` is a :class:`~repro.fi.executor.FaultCampaign` that
+runs its sharded path on that shared fleet instead of starting its own: the
+same planner, the same shm/pickle transports, the same worker evaluation and
+merge order, so counters are bit-identical to ``scfi run`` by construction.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import queue as queue_module
 import threading
-import time
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Optional
 
 from repro.api.spec import canonical_json
 from repro.core.structure import ScfiNetlist
-from repro.fi import executor as _executor
 from repro.fi.executor import DEFAULT_ENGINE, FaultCampaign
-
-#: Worker entry points a fleet task may name (the pool's batch evaluators).
-TASK_FUNCS = ("_worker_run_batch", "_worker_run_scalar")
-
-#: How long the collector waits on the result queue before polling liveness.
-_PUMP_TIMEOUT = 0.2
-
-#: Give up on a task after this many re-dispatches to fresh workers.
-_MAX_TASK_RETRIES = 3
-
-
-class FleetError(RuntimeError):
-    """The fleet cannot make progress (no healthy workers / retries exhausted)."""
-
-
-class FleetTaskError(RuntimeError):
-    """A worker raised while evaluating a task (deterministic failure)."""
-
-
-class ServiceShutdown(RuntimeError):
-    """Execution was cancelled by a service shutdown drain."""
+from repro.fi.fleet import WorkerFleet
 
 
 def fleet_config_id(
@@ -85,411 +47,15 @@ def fleet_config_id(
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
-def _fleet_worker_main(worker_id: int, task_queue, result_queue) -> None:
-    """Worker-process loop: configure warm executors, evaluate tasks.
-
-    The per-worker task queue is FIFO, so a ``config`` message enqueued
-    before a ``task`` is always applied first -- the scheduler never has to
-    wait for a configuration acknowledgement before dispatching (the ack only
-    feeds the warm-set bookkeeping that avoids re-shipping netlists).
-    """
-    campaigns: Dict[str, FaultCampaign] = {}
-    while True:
-        message = task_queue.get()
-        kind = message[0]
-        if kind == "stop":
-            break
-        try:
-            if kind == "config":
-                _, config_id, structure, params = message
-                if config_id not in campaigns:
-                    campaign = FaultCampaign(structure, workers=1, **params)
-                    if campaign.engine != "scalar":
-                        campaign.compiled  # compile up front
-                    campaigns[config_id] = campaign
-                result_queue.put(("config-ok", worker_id, config_id))
-            elif kind == "task":
-                _, task_id, config_id, func_name, payload = message
-                if func_name not in TASK_FUNCS:
-                    raise ValueError(f"unknown fleet task function {func_name!r}")
-                # The pool evaluators read the module-global campaign the pool
-                # initializer would have set; point it at this config's warm
-                # executor so the exact same code path runs.
-                _executor._WORKER_CAMPAIGN = campaigns[config_id]
-                reply = getattr(_executor, func_name)(payload)
-                result_queue.put(("result", worker_id, task_id, reply))
-            else:  # pragma: no cover - protocol violation
-                raise ValueError(f"unknown fleet message kind {kind!r}")
-        except Exception as error:  # noqa: BLE001 - forwarded to the scheduler
-            task_id = message[1] if kind == "task" else None
-            result_queue.put(
-                ("error", worker_id, task_id, f"{type(error).__name__}: {error}")
-            )
-
-
-class _WorkerHandle:
-    """Parent-side view of one fleet worker process."""
-
-    def __init__(self, worker_id: int, process, task_queue) -> None:
-        self.worker_id = worker_id
-        self.process = process
-        self.task_queue = task_queue
-        #: Config ids already shipped to this worker (send-once bookkeeping).
-        self.configs: Set[str] = set()
-
-    @property
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-
-class WorkerFleet:
-    """A fixed-size fleet of persistent workers plus its dispatch machinery.
-
-    Single-consumer by design: one scheduler thread dispatches and collects
-    (the lock only protects the stats and lifecycle against concurrent
-    health/shutdown queries from HTTP threads).
-    """
-
-    def __init__(self, size: int = 2, *, respawn: bool = True) -> None:
-        if size < 1:
-            raise ValueError("fleet size must be >= 1")
-        self.size = size
-        self.respawn = respawn
-        methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        self._result_queue = self._context.Queue()
-        self._lock = threading.RLock()
-        self._handles: List[_WorkerHandle] = []
-        self._next_worker_id = 0
-        self._next_task_id = 0
-        self._closed = False
-        #: config_id -> (structure, params): replayed onto respawned workers.
-        self._config_cache: Dict[str, Tuple[ScfiNetlist, Dict[str, Any]]] = {}
-        #: Results that arrived while their run was not collecting (stale).
-        self._stats = {
-            "tasks_dispatched": 0,
-            "tasks_completed": 0,
-            "tasks_retried": 0,
-            "workers_lost": 0,
-            "workers_respawned": 0,
-            "configs_shipped": 0,
-        }
-        for _ in range(size):
-            self._spawn_locked()
-
-    # -- lifecycle -------------------------------------------------------
-
-    def _spawn_locked(self) -> _WorkerHandle:
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
-        task_queue = self._context.Queue()
-        process = self._context.Process(
-            target=_fleet_worker_main,
-            args=(worker_id, task_queue, self._result_queue),
-            name=f"scfi-fleet-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        handle = _WorkerHandle(worker_id, process, task_queue)
-        self._handles.append(handle)
-        return handle
-
-    def _respawn_locked(self) -> Optional[_WorkerHandle]:
-        if not self.respawn or self._closed:
-            return None
-        handle = self._spawn_locked()
-        self._stats["workers_respawned"] += 1
-        # A replacement starts cold: replay every cached config so any
-        # redispatched task finds its executor (FIFO makes this safe).
-        for config_id, (structure, params) in self._config_cache.items():
-            self._ship_config_locked(handle, config_id, structure, params)
-        return handle
-
-    def live_handles(self) -> List[_WorkerHandle]:
-        with self._lock:
-            return [handle for handle in self._handles if handle.alive]
-
-    def alive_count(self) -> int:
-        return len(self.live_handles())
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            stats = dict(self._stats)
-        stats["workers_alive"] = self.alive_count()
-        stats["workers_total"] = self.size
-        return stats
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Deterministically stop every worker: stop message, join, escalate.
-
-        After close() returns no fleet process survives -- the service-level
-        twin of the executor's no-surviving-pool guarantee.  Replies are
-        discarded while the workers wind down: a cancelled run leaves results
-        unread, and a worker cannot exit while its queue feeder is blocked
-        flushing them into a full pipe.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            handles = list(self._handles)
-        for handle in handles:
-            if handle.alive:
-                try:
-                    handle.task_queue.put(("stop",))
-                except (OSError, ValueError):  # queue already broken
-                    pass
-        joined = threading.Event()
-        drainer = threading.Thread(
-            target=self._discard_results,
-            args=(joined,),
-            name="scfi-fleet-drain",
-            daemon=True,
-        )
-        drainer.start()
-        deadline = time.monotonic() + timeout
-        for handle in handles:
-            handle.process.join(max(0.0, deadline - time.monotonic()))
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(1.0)
-            if handle.process.is_alive():  # pragma: no cover - last resort
-                handle.process.kill()
-                handle.process.join(1.0)
-            handle.process.close()
-            handle.task_queue.close()
-            handle.task_queue.cancel_join_thread()
-        joined.set()
-        # Bounded: a worker killed mid-write can leave a partial reply the
-        # drainer would wait on forever; it is a daemon, so abandon it.
-        drainer.join(timeout)
-        self._result_queue.close()
-        self._result_queue.cancel_join_thread()
-        with self._lock:
-            self._handles = []
-
-    def _discard_results(self, joined: threading.Event) -> None:
-        """Read and drop replies until every worker has been joined."""
-        while not joined.is_set():
-            try:
-                self._result_queue.get(timeout=0.05)
-            except queue_module.Empty:
-                continue
-            except (OSError, EOFError, ValueError):  # pragma: no cover - queue broken
-                return
-
-    def __enter__(self) -> "WorkerFleet":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- configuration ---------------------------------------------------
-
-    def _ship_config_locked(
-        self,
-        handle: _WorkerHandle,
-        config_id: str,
-        structure: ScfiNetlist,
-        params: Dict[str, Any],
-    ) -> None:
-        handle.task_queue.put(("config", config_id, structure, params))
-        handle.configs.add(config_id)
-        self._stats["configs_shipped"] += 1
-
-    def ensure_config(
-        self, config_id: str, structure: ScfiNetlist, params: Dict[str, Any]
-    ) -> None:
-        """Ship ``(structure, params)`` to every live worker lacking it.
-
-        Idempotent per worker: a config id a worker already received is never
-        re-shipped, which is exactly the warm-netlist reuse -- the second job
-        against the same hardened netlist sends no netlist at all.
-        """
-        with self._lock:
-            if self._closed:
-                raise FleetError("worker fleet is closed")
-            self._config_cache.setdefault(config_id, (structure, dict(params)))
-            for handle in self._handles:
-                if handle.alive and config_id not in handle.configs:
-                    self._ship_config_locked(handle, config_id, structure, params)
-
-    # -- dispatch/collection ---------------------------------------------
-
-    def executor_view(
-        self,
-        config_id: str,
-        *,
-        progress: Optional[Callable[[int, int], None]] = None,
-        cancel: Optional[threading.Event] = None,
-    ) -> "_FleetPoolView":
-        return _FleetPoolView(self, config_id, progress=progress, cancel=cancel)
-
-    def _run_tasks(
-        self,
-        config_id: str,
-        func_name: str,
-        tasks: List[Any],
-        progress: Optional[Callable[[int, int], None]],
-        cancel: Optional[threading.Event],
-    ):
-        """Dispatch ``tasks`` round-robin; yield replies in task order.
-
-        The heart of the fault handling: ``outstanding`` maps live task ids
-        to ``(index, worker, attempts)``; on a result-queue timeout every
-        outstanding task whose worker died is re-dispatched to a healthy
-        worker (respawning one when the policy allows), and late duplicate
-        replies -- a worker that died *after* answering -- are dropped by id.
-        """
-        total = len(tasks)
-        if total == 0:
-            return
-        with self._lock:
-            if self._closed:
-                raise FleetError("worker fleet is closed")
-            task_ids = list(range(self._next_task_id, self._next_task_id + total))
-            self._next_task_id += total
-        outstanding: Dict[int, Tuple[int, _WorkerHandle, int]] = {}
-        results: Dict[int, Any] = {}
-        index_of = {task_id: index for index, task_id in enumerate(task_ids)}
-
-        def dispatch(task_id: int, handle: _WorkerHandle, attempts: int) -> None:
-            handle.task_queue.put(
-                ("task", task_id, config_id, func_name, tasks[index_of[task_id]])
-            )
-            outstanding[task_id] = (index_of[task_id], handle, attempts)
-            with self._lock:
-                self._stats["tasks_dispatched"] += 1
-
-        workers = self.live_handles()
-        if not workers:
-            with self._lock:
-                replacement = self._respawn_locked()
-            if replacement is None:
-                raise FleetError("no live fleet workers")
-            workers = [replacement]
-        for position, task_id in enumerate(task_ids):
-            dispatch(task_id, workers[position % len(workers)], 0)
-
-        done = 0
-        next_yield = 0
-        while next_yield < total:
-            if cancel is not None and cancel.is_set():
-                raise ServiceShutdown("fleet execution cancelled by shutdown")
-            try:
-                message = self._result_queue.get(timeout=_PUMP_TIMEOUT)
-            except queue_module.Empty:
-                self._recover_lost(outstanding, dispatch)
-                continue
-            kind = message[0]
-            if kind == "config-ok":
-                continue
-            if kind == "error":
-                _, _, task_id, detail = message
-                if task_id is not None and task_id in outstanding:
-                    raise FleetTaskError(detail)
-                continue  # stale config failure / task of a cancelled run
-            _, _, task_id, reply = message
-            entry = outstanding.pop(task_id, None)
-            if entry is None:
-                continue  # duplicate after a retry, or a cancelled run's task
-            index = entry[0]
-            results[index] = reply
-            done += 1
-            with self._lock:
-                self._stats["tasks_completed"] += 1
-            if progress is not None:
-                progress(done, total)
-            while next_yield in results:
-                yield results.pop(next_yield)
-                next_yield += 1
-
-    def _recover_lost(
-        self,
-        outstanding: Dict[int, Tuple[int, _WorkerHandle, int]],
-        dispatch: Callable[[int, "_WorkerHandle", int], None],
-    ) -> None:
-        """Re-dispatch every outstanding task whose worker died."""
-        lost = [
-            (task_id, attempts)
-            for task_id, (_, handle, attempts) in outstanding.items()
-            if not handle.alive
-        ]
-        if not lost:
-            return
-        with self._lock:
-            dead = [h for h in self._handles if not h.alive]
-            for handle in dead:
-                self._handles.remove(handle)
-                self._stats["workers_lost"] += 1
-                # Reap the dead worker's plumbing now: without
-                # cancel_join_thread the abandoned queue's feeder thread --
-                # possibly blocked mid-write into a pipe nobody will ever
-                # drain again -- would deadlock interpreter shutdown.
-                handle.process.join(1.0)
-                handle.task_queue.cancel_join_thread()
-                handle.task_queue.close()
-                try:
-                    handle.process.close()
-                except ValueError:  # pragma: no cover - still closing
-                    pass
-            while len(self._handles) < self.size:
-                if self._respawn_locked() is None:
-                    break
-        workers = self.live_handles()
-        if not workers:
-            raise FleetError("every fleet worker died; cannot re-dispatch")
-        for position, (task_id, attempts) in enumerate(lost):
-            if attempts + 1 > _MAX_TASK_RETRIES:
-                raise FleetError(
-                    f"fleet task retried {attempts} times without a surviving worker"
-                )
-            with self._lock:
-                self._stats["tasks_retried"] += 1
-            dispatch(task_id, workers[position % len(workers)], attempts + 1)
-
-
-class _FleetPoolView:
-    """Adapter giving the fleet the process-pool ``imap`` surface.
-
-    :class:`~repro.fi.executor.FaultCampaign` drives its sharded execution
-    exclusively through ``pool.imap(worker_func, tasks)``; this view routes
-    those calls onto the fleet, keyed to one warm config.
-    """
-
-    def __init__(
-        self,
-        fleet: WorkerFleet,
-        config_id: str,
-        *,
-        progress: Optional[Callable[[int, int], None]] = None,
-        cancel: Optional[threading.Event] = None,
-    ) -> None:
-        self._fleet = fleet
-        self._config_id = config_id
-        self._progress = progress
-        self._cancel = cancel
-
-    def imap(self, func, iterable):
-        name = getattr(func, "__name__", None)
-        if name not in TASK_FUNCS:
-            raise ValueError(f"fleet cannot run {func!r} (known: {TASK_FUNCS})")
-        return self._fleet._run_tasks(
-            self._config_id, name, list(iterable), self._progress, self._cancel
-        )
-
-
 class FleetCampaign(FaultCampaign):
-    """A campaign executor whose worker pool is the persistent fleet.
+    """A campaign executor whose worker pool is the service's shared fleet.
 
     Behaves exactly like ``FaultCampaign(workers=N)`` -- same planner, same
     transports, same merge order, bit-identical counters -- but dispatches to
     fleet workers that outlive the campaign.  ``close()`` therefore detaches
     instead of terminating anything: the session's ``with`` block must not
     tear the fleet down.  ``batch_progress(done, total)`` streams per-batch
-    completion; ``cancel`` aborts between batches for shutdown drains.
+    completion; ``cancel`` aborts between fleet replies for shutdown drains.
     """
 
     def __init__(
@@ -505,44 +71,20 @@ class FleetCampaign(FaultCampaign):
         batch_progress: Optional[Callable[[int, int], None]] = None,
         cancel: Optional[threading.Event] = None,
     ) -> None:
-        # workers >= 2 keeps every execution on the sharded (pool.imap)
-        # paths, which is where the fleet plugs in; the real parallelism is
-        # the fleet's worker count, not this number.
         super().__init__(
             structure,
             engine=engine,
             lane_width=lane_width,
             keep_outcomes=keep_outcomes,
             pack_contexts=pack_contexts,
-            workers=max(2, fleet.size),
         )
+        # A supplied fleet is what makes every run of this executor shard.
         self._fleet = fleet
-        self._scope = scope
         self._batch_progress = batch_progress
         self._cancel = cancel
-        self.config_id = fleet_config_id(
-            scope,
-            engine=engine,
-            lane_width=lane_width,
-            keep_outcomes=keep_outcomes,
-            pack_contexts=pack_contexts,
-        )
-        fleet.ensure_config(
-            self.config_id,
-            structure,
-            {
-                "engine": engine,
-                "lane_width": lane_width,
-                "keep_outcomes": keep_outcomes,
-                "pack_contexts": pack_contexts,
-            },
-        )
-
-    def _ensure_pool(self):
-        return self._fleet.executor_view(
-            self.config_id, progress=self._batch_progress, cancel=self._cancel
-        )
+        params = self._worker_params()
+        self.config_id = fleet_config_id(scope, **params)
+        fleet.ensure_config(self.config_id, structure, params)
 
     def close(self) -> None:
         """Detach from the fleet (which outlives every campaign)."""
-        self._pool = None

@@ -4,7 +4,9 @@ The staged experiment pipeline (:class:`repro.api.session.Session`) memoises
 harden / plan / campaign / report outputs here, keyed by the per-stage input
 hashes of :meth:`repro.api.spec.ExperimentSpec.stage_hashes`.  See
 :mod:`repro.store.base` for the self-verifying envelope format and
-:mod:`repro.store.filestore` for the on-disk layout.
+:mod:`repro.store.filestore` for the on-disk layout.  Tarball export/import
+lives in :mod:`repro.store.transfer`, which callers import directly so that
+``tarfile`` stays off the import path of a plain run.
 """
 
 from repro.store.base import (
@@ -22,7 +24,6 @@ from repro.store.base import (
     validate_address,
 )
 from repro.store.filestore import FileStore
-from repro.store.transfer import export_store, import_store
 
 
 def open_store(cache_dir) -> ArtifactStore:
@@ -42,8 +43,6 @@ __all__ = [
     "decode_artifact",
     "decode_header",
     "encode_artifact",
-    "export_store",
-    "import_store",
     "open_store",
     "payload_sha256",
     "validate_address",

@@ -21,7 +21,7 @@ import pytest
 
 from repro.api import CampaignSpec, ExperimentSpec, FsmSpec, ProtectSpec, ReportSpec, Session
 from repro.api.spec import campaign_stage_keys, harden_stage_key
-from repro.fi.orchestrator import CampaignResult, FaultCampaign
+from repro.fi.executor import CampaignResult, FaultCampaign
 from repro.store import MemoryStore
 from repro.synth.serialize import (
     ScfiCodecError,
@@ -338,7 +338,7 @@ class TestSerializationRoundTrips:
         assert restored.keep_outcomes and len(restored.outcomes) == len(original.outcomes)
 
     def test_campaign_plan_roundtrip_and_import(self, protected_traffic_light):
-        from repro.fi.orchestrator import CampaignPlan
+        from repro.fi.planner import CampaignPlan
 
         structure = protected_traffic_light.structure
         with FaultCampaign(structure) as campaign:

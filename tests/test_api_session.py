@@ -20,7 +20,8 @@ from repro.api import (
 )
 from repro.api.registry import ENGINE_REGISTRY, SCENARIO_REGISTRY
 from repro.core.scfi import ScfiOptions, protect_fsm
-from repro.fi.orchestrator import DEFAULT_ENGINE, ExhaustiveSingleFault, FaultCampaign
+from repro.fi.executor import DEFAULT_ENGINE, FaultCampaign
+from repro.fi.scenarios import ExhaustiveSingleFault
 from repro.fsm.encoding import binary_encoding
 from repro.fsmlib import FSM_REGISTRY, register_fsm, traffic_light_fsm
 from repro.rtl.verilog_writer import emit_fsm
@@ -192,7 +193,7 @@ class TestCommittedExample:
     def test_example_spec_matches_legacy_orchestrator_invocation(self):
         """The committed example reproduces the pre-API code path (direct
         protect_fsm + FaultCampaign effect sweep) counter for counter."""
-        from repro.fi.orchestrator import effect_sweep_scenarios
+        from repro.fi.scenarios import effect_sweep_scenarios
 
         spec = ExperimentSpec.load(EXAMPLES / "experiment.json")
         legacy_scfi = protect_fsm(
@@ -457,12 +458,12 @@ class TestExecutorReuse:
         before = set(multiprocessing.active_children())
         session = Session()
         first = self._dicts(session.run_campaign(structure, spec))
-        assert built[0]._pool is None
+        assert built[0]._fleet is None
         assert set(multiprocessing.active_children()) <= before
-        # The reused executor starts a new pool and releases it again.
+        # The reused executor starts a new fleet and stops it again.
         assert self._dicts(session.run_campaign(structure, spec)) == first
         assert len(built) == 1
-        assert built[0]._pool is None
+        assert built[0]._fleet is None
         assert set(multiprocessing.active_children()) <= before
 
     def test_cache_is_bounded(self, built, traffic_light):

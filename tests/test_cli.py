@@ -1,6 +1,7 @@
 """Tests for the command-line entry points."""
 
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -10,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from repro.cli.fault_campaign import main as fi_main
-from repro.cli.harden import FSM_REGISTRY, main as harden_main
+from repro.cli.harden import main as harden_main
 from repro.cli.main import main as scfi_main
 from repro.cli.report import main as report_main
+from repro.fsmlib import FSM_REGISTRY
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE_SPEC = REPO / "examples" / "experiment.json"
@@ -405,8 +407,10 @@ class TestServiceCli:
 
 class TestColdRunPath:
     def test_cold_run_skips_heavy_modules_and_replays_golden(self, tmp_path):
-        """A fresh ``scfi run`` loads neither networkx nor numpy.ma and still
-        reproduces the committed golden counters."""
+        """A fresh ``scfi run`` loads neither networkx nor numpy.ma -- nor,
+        at ``workers=1``, the worker fleet's ``multiprocessing``, the
+        shared-memory transport or ``tarfile`` -- and still reproduces the
+        committed golden counters."""
         spec = tmp_path / "experiment.json"
         shutil.copy(EXAMPLE_SPEC, spec)
         out = tmp_path / "result.json"
@@ -425,6 +429,76 @@ class TestColdRunPath:
         loaded = set(report["modules"])
         assert not {m for m in loaded if m == "networkx" or m.startswith("networkx.")}
         assert "numpy.ma" not in loaded
+        assert not loaded & {"multiprocessing", "repro.fi.shm_transport", "tarfile"}
+        golden = json.loads((REPO / "examples" / "experiment.golden.json").read_text())
+        campaigns = json.loads(out.read_text())["campaigns"]
+        assert set(campaigns) == set(golden["campaigns"])
+        for name, expected in golden["campaigns"].items():
+            for key, value in expected.items():
+                assert campaigns[name][key] == value, (name, key)
+
+
+def _shm_names():
+    try:
+        return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+    except FileNotFoundError:  # pragma: no cover - non-Linux
+        return set()
+
+
+#: Child of the kill-a-worker test: the first fleet task any worker picks up
+#: SIGKILLs that worker (claimed through an ``O_EXCL`` marker, so exactly one
+#: dies), then a plain ``scfi run --workers 2`` runs to completion.
+_KILL_ONE_WORKER = """
+import json, multiprocessing, os, signal, sys
+from repro.cli.main import main
+from repro.fi.executor import FaultCampaign
+
+spec, out, marker = sys.argv[1:]
+parent = os.getpid()
+evaluate = FaultCampaign._task_replies
+
+def first_task_kills_its_worker(self, task):
+    if os.getpid() != parent:
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            pass
+        else:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return evaluate(self, task)
+
+FaultCampaign._task_replies = first_task_kills_its_worker
+code = main(["run", spec, "--workers", "2", "--quiet", "--out", out])
+print(json.dumps({
+    "code": code,
+    "killed": os.path.exists(marker),
+    "children": [child.name for child in multiprocessing.active_children()],
+}))
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the worker wrapper reaches the workers by fork inheritance",
+)
+class TestKilledWorker:
+    def test_run_survives_a_sigkilled_worker(self, tmp_path):
+        """A worker SIGKILLed on its first task is replaced and its task
+        re-run: ``scfi run --workers 2`` exits 0 with the golden counters,
+        leaves no child process and no shared-memory segment."""
+        out = tmp_path / "result.json"
+        env = {k: v for k, v in os.environ.items() if k != "SCFI_CACHE_DIR"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        shm_before = _shm_names()
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILL_ONE_WORKER, str(EXAMPLE_SPEC), str(out),
+             str(tmp_path / "killed")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report == {"code": 0, "killed": True, "children": []}
+        assert _shm_names() <= shm_before
         golden = json.loads((REPO / "examples" / "experiment.golden.json").read_text())
         campaigns = json.loads(out.read_text())["campaigns"]
         assert set(campaigns) == set(golden["campaigns"])

@@ -26,11 +26,10 @@ from repro.core.scfi import ScfiOptions, protect_fsm
 from repro.fi.behavioral import BehavioralBitFlip
 from repro.fi.injector import ScfiFaultInjector
 from repro.fi.model import Fault, FaultEffect
-from repro.fi.orchestrator import (
-    ENGINE_INFO,
+from repro.fi.executor import ENGINE_INFO, FaultCampaign
+from repro.fi.scenarios import (
     EVERY_CYCLE,
     ExhaustiveSingleFault,
-    FaultCampaign,
     JobArrays,
     LaserSpot,
     MultiShotGlitch,

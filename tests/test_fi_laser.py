@@ -15,7 +15,8 @@ import pytest
 
 from repro.core.scfi import ScfiOptions, protect_fsm
 from repro.fi.model import FaultEffect
-from repro.fi.orchestrator import ENGINE_INFO, FaultCampaign, LaserSpot
+from repro.fi.executor import ENGINE_INFO, FaultCampaign
+from repro.fi.scenarios import LaserSpot
 from repro.fi.placement import net_placement
 from repro.fsmlib import traffic_light_fsm
 

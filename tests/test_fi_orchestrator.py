@@ -5,9 +5,9 @@ import pytest
 from repro.core.scfi import ScfiOptions, protect_fsm
 from repro.eval.security import structural_fault_target_sweep
 from repro.fi.model import Classification, Fault, FaultEffect, FaultOutcome
-from repro.fi.orchestrator import (
+from repro.fi.executor import FaultCampaign
+from repro.fi.scenarios import (
     ExhaustiveSingleFault,
-    FaultCampaign,
     RandomMultiFault,
     effect_sweep_scenarios,
     region_sweep_scenarios,

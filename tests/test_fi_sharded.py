@@ -14,9 +14,9 @@ from repro.cli.fault_campaign import main as fi_main
 from repro.core.scfi import ScfiOptions, protect_fsm
 from repro.eval.security import structural_fault_target_sweep
 from repro.fi.model import FaultEffect
-from repro.fi.orchestrator import (
+from repro.fi.executor import FaultCampaign
+from repro.fi.scenarios import (
     ExhaustiveSingleFault,
-    FaultCampaign,
     LaserSpot,
     MultiShotGlitch,
     RandomMultiFault,
@@ -123,10 +123,10 @@ class TestShardedEqualsSingleProcess:
         structure = _protect(random_fsm(71, num_states=4))
         with FaultCampaign(structure, workers=2) as campaign:
             first = campaign.run(ExhaustiveSingleFault(target_nets="comb"))
-            pool = campaign._pool
+            fleet = campaign._fleet
             second = campaign.run(ExhaustiveSingleFault(target_nets="comb"))
-            assert campaign._pool is pool
-        assert campaign._pool is None  # context exit released it
+            assert campaign._fleet is fleet
+        assert campaign._fleet is None  # context exit stopped it
         assert first.counters() == second.counters()
 
 
@@ -232,7 +232,7 @@ class TestPlanCaching:
 
     def test_cache_is_bounded(self, protected_traffic_light):
         """Long-lived campaigns over many shapes must not grow without bound."""
-        from repro.fi.orchestrator import PLAN_CACHE_LIMIT
+        from repro.fi.planner import PLAN_CACHE_LIMIT
 
         campaign = FaultCampaign(protected_traffic_light.structure)
         for trials in range(1, PLAN_CACHE_LIMIT + 10):

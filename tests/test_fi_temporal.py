@@ -29,12 +29,8 @@ from repro.fi.behavioral import (
     sweep_seed,
 )
 from repro.fi.model import FaultEffect
-from repro.fi.orchestrator import (
-    ExhaustiveSingleFault,
-    FaultCampaign,
-    MultiShotGlitch,
-    TemporalSingleFault,
-)
+from repro.fi.executor import FaultCampaign
+from repro.fi.scenarios import ExhaustiveSingleFault, MultiShotGlitch, TemporalSingleFault
 from repro.fsm.random_fsm import random_fsm
 from repro.fsmlib.opentitan import ibex_lsu_fsm
 

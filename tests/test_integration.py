@@ -9,7 +9,8 @@ import pytest
 
 from repro.core.redundancy import RedundancyOptions, protect_fsm_redundant
 from repro.core.scfi import ScfiOptions, protect_fsm
-from repro.fi.campaign import exhaustive_single_fault_campaign
+from repro.fi.executor import FaultCampaign
+from repro.fi.scenarios import ExhaustiveSingleFault
 from repro.fi.injector import ScfiFaultInjector
 from repro.fi.model import Fault
 from repro.fsm.simulate import FsmSimulator, random_input_sequence
@@ -107,8 +108,8 @@ class TestProtectionComparison:
         dominated by the selection logic the paper flags in Section 7."""
         fsm = uart_rx_fsm()
         scfi = protect_fsm(fsm, ScfiOptions(protection_level=2, generate_verilog=False))
-        campaign = exhaustive_single_fault_campaign(
-            scfi.structure, target_nets=ScfiFaultInjector(scfi.structure).all_comb_nets()
+        campaign = FaultCampaign(scfi.structure).run(
+            ExhaustiveSingleFault(target_nets=ScfiFaultInjector(scfi.structure).all_comb_nets())
         )
         assert campaign.hijack_rate < 0.05
         assert campaign.undetected_deviation_rate < 0.10
@@ -119,7 +120,7 @@ class TestProtectionComparison:
         the verify-and-repair pass leaves no hijack-capable fault at all."""
         fsm = uart_rx_fsm()
         scfi = protect_fsm(fsm, ScfiOptions(protection_level=2, generate_verilog=False))
-        campaign = exhaustive_single_fault_campaign(scfi.structure)
+        campaign = FaultCampaign(scfi.structure).run(ExhaustiveSingleFault())
         assert campaign.hijacked == 0
         assert campaign.redirected == 0
 

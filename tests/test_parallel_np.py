@@ -19,13 +19,8 @@ import pytest
 
 from repro.core.scfi import ScfiOptions, protect_fsm
 from repro.fi.model import FaultEffect
-from repro.fi.orchestrator import (
-    DEFAULT_NUMPY_LANE_WIDTH,
-    ENGINE_INFO,
-    ExhaustiveSingleFault,
-    FaultCampaign,
-    RandomMultiFault,
-)
+from repro.fi.executor import DEFAULT_NUMPY_LANE_WIDTH, ENGINE_INFO, FaultCampaign
+from repro.fi.scenarios import ExhaustiveSingleFault, RandomMultiFault
 from repro.fsm.random_fsm import random_fsm
 from repro.fsmlib.opentitan import ibex_lsu_fsm
 from repro.netlist.parallel import CompiledNetlist

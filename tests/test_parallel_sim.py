@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 from repro.core.scfi import ScfiOptions, protect_fsm
-from repro.fi.campaign import exhaustive_single_fault_campaign, random_multi_fault_campaign
+from repro.fi.executor import FaultCampaign
+from repro.fi.scenarios import ExhaustiveSingleFault, RandomMultiFault
 from repro.fsmlib.opentitan import ibex_lsu_fsm
 from repro.netlist.gates import Gate, GateType
 from repro.netlist.netlist import Netlist
@@ -490,19 +491,21 @@ class TestIbexLsuRegression:
         ).structure
 
     def test_diffusion_counters_all_engines(self, ibex_structure):
-        parallel = exhaustive_single_fault_campaign(ibex_structure, engine="parallel")
-        vector = exhaustive_single_fault_campaign(ibex_structure, engine="parallel-numpy")
-        scalar = exhaustive_single_fault_campaign(ibex_structure, engine="scalar")
+        parallel = FaultCampaign(ibex_structure, engine="parallel").run(ExhaustiveSingleFault())
+        vector = FaultCampaign(ibex_structure, engine="parallel-numpy").run(ExhaustiveSingleFault())
+        scalar = FaultCampaign(ibex_structure, engine="scalar").run(ExhaustiveSingleFault())
         assert parallel.counters() == vector.counters() == scalar.counters() == (0, 238, 0, 0)
 
     def test_comb_cloud_counters_all_engines(self, ibex_structure):
-        parallel = exhaustive_single_fault_campaign(
-            ibex_structure, target_nets="comb", engine="parallel"
+        parallel = FaultCampaign(ibex_structure, engine="parallel").run(
+            ExhaustiveSingleFault(target_nets="comb")
         )
-        vector = exhaustive_single_fault_campaign(
-            ibex_structure, target_nets="comb", engine="parallel-numpy"
+        vector = FaultCampaign(ibex_structure, engine="parallel-numpy").run(
+            ExhaustiveSingleFault(target_nets="comb")
         )
-        scalar = exhaustive_single_fault_campaign(ibex_structure, target_nets="comb", engine="scalar")
+        scalar = FaultCampaign(ibex_structure, engine="scalar").run(
+            ExhaustiveSingleFault(target_nets="comb")
+        )
         assert (
             parallel.counters()
             == vector.counters()
@@ -511,14 +514,14 @@ class TestIbexLsuRegression:
         )
 
     def test_random_campaign_counters_engine_independent(self, ibex_structure):
-        parallel = random_multi_fault_campaign(
-            ibex_structure, num_faults=2, trials=400, seed=11, engine="parallel"
+        parallel = FaultCampaign(ibex_structure, engine="parallel").run(
+            RandomMultiFault(num_faults=2, trials=400, seed=11)
         )
-        vector = random_multi_fault_campaign(
-            ibex_structure, num_faults=2, trials=400, seed=11, engine="parallel-numpy"
+        vector = FaultCampaign(ibex_structure, engine="parallel-numpy").run(
+            RandomMultiFault(num_faults=2, trials=400, seed=11)
         )
-        scalar = random_multi_fault_campaign(
-            ibex_structure, num_faults=2, trials=400, seed=11, engine="scalar"
+        scalar = FaultCampaign(ibex_structure, engine="scalar").run(
+            RandomMultiFault(num_faults=2, trials=400, seed=11)
         )
         assert parallel.counters() == vector.counters() == scalar.counters()
         assert parallel.total_injections == 400

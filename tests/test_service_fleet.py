@@ -22,16 +22,12 @@ import threading
 import pytest
 
 from repro.core.scfi import ScfiOptions, protect_fsm
+from repro.fi.executor import FaultCampaign
+from repro.fi.fleet import FleetError, ServiceShutdown, WorkerFleet
 from repro.fi.model import FaultEffect
-from repro.fi.orchestrator import ExhaustiveSingleFault, FaultCampaign
+from repro.fi.scenarios import ExhaustiveSingleFault
 from repro.fsm.random_fsm import random_fsm
-from repro.service.worker import (
-    FleetCampaign,
-    FleetError,
-    ServiceShutdown,
-    WorkerFleet,
-    fleet_config_id,
-)
+from repro.service.worker import FleetCampaign, fleet_config_id
 
 ALL_EFFECTS = (FaultEffect.TRANSIENT_FLIP, FaultEffect.STUCK_AT_0, FaultEffect.STUCK_AT_1)
 
@@ -207,16 +203,19 @@ class TestDeterministicClose:
         fleet = WorkerFleet(2)
         for handle in fleet.live_handles():
             watch(handle.process)
-        # Narrow lanes give over a thousand batches: far more replies than a
-        # pipe buffers once the cancelled run stops reading them.
+        # Kept outcomes on the pickled wire put every observed code in the
+        # replies: far more bytes than a pipe buffers once the cancelled run
+        # stops reading them.
         campaign = FleetCampaign(
             fleet,
             SCOPE,
             structure,
             lane_width=8,
+            keep_outcomes=True,
             batch_progress=lambda done, total: cancel.set(),
             cancel=cancel,
         )
+        campaign.use_shared_memory = False
         with pytest.raises(ServiceShutdown):
             campaign.run(_scenario())
         fleet.close()

@@ -18,7 +18,9 @@ import pytest
 from repro.core.scfi import ScfiOptions, protect_fsm
 from repro.fi import shm_transport
 from repro.fi.model import FaultEffect
-from repro.fi.orchestrator import ExhaustiveSingleFault, FaultCampaign, PlannedBatch
+from repro.fi.executor import FaultCampaign
+from repro.fi.planner import PlannedBatch
+from repro.fi.scenarios import ExhaustiveSingleFault
 from repro.fi.shm_transport import PlanSegment
 from repro.fsm.random_fsm import random_fsm
 

@@ -13,7 +13,8 @@ import tarfile
 import pytest
 
 from repro.cli.main import main as scfi_main
-from repro.store import FileStore, MemoryStore, export_store, import_store
+from repro.store import FileStore, MemoryStore
+from repro.store.transfer import export_store, import_store
 
 KEY = hashlib.sha256(b"alpha").hexdigest()
 KEY2 = hashlib.sha256(b"beta").hexdigest()
