@@ -4,7 +4,7 @@ A session resolves a declarative spec through the registries (FSMs in
 :mod:`repro.fsmlib.registry`, scenarios and engines in
 :mod:`repro.api.registry`) and executes it as an explicit **staged pipeline**
 
-    harden -> plan -> campaign -> report
+    harden -> campaign -> report
 
 where every stage declares its inputs as a content hash
 (:meth:`~repro.api.spec.ExperimentSpec.stage_hashes`) and its output as a
@@ -146,9 +146,9 @@ class ExperimentResult:
     #: counters were replayed from the store without executing anything.
     dispatch: Dict[str, Optional[str]] = field(default_factory=dict)
     #: Per-stage cache provenance: ``{stage: {"key": <input hash>, "status":
-    #: "hit" | "miss" | "skipped" | "disabled"}}``.  ``skipped`` marks a stage
-    #: whose work a downstream hit made unnecessary (e.g. the plan stage under
-    #: a campaign-stage hit); ``disabled`` marks runs without a store.  This
+    #: "hit" | "miss" | "skipped" | "disabled"}}``.  ``skipped`` marks a
+    #: campaign that ran uncached although a store was present (no harden key
+    #: scoped it); ``disabled`` marks runs without a store.  This
     #: is what makes cached results auditable: a warm run is recognisable by
     #: its all-``hit`` record, never by silently absent work.
     cache: Dict[str, Dict[str, Any]] = field(default_factory=dict)
@@ -211,7 +211,7 @@ class Session:
     """Resolves and executes experiment specs as a staged pipeline.
 
     ``progress`` receives ``(stage, detail)`` pairs as the run advances
-    ("resolve", "harden", "plan", "campaign", "compare", "report", "done");
+    ("resolve", "harden", "campaign", "compare", "report", "done");
     memoised stages report ``"cache hit <key prefix>"`` details instead of
     silently skipping.  ``store`` is an optional
     :class:`~repro.store.ArtifactStore` that persists each stage's artifact
@@ -219,8 +219,8 @@ class Session:
     pre-incremental behaviour).  Between runs a session keeps only up to
     :data:`EXECUTOR_CACHE_LIMIT` warm executors (default or factory-built),
     one per structure, execution params and cache scope, so repeated
-    campaigns on one structure reuse its compiled netlists, plans and
-    classification memo.  With a store it also keeps as many hardened FSMs,
+    campaigns on one structure reuse its compiled netlists, lowering tables
+    and classification memo.  With a store it also keeps as many hardened FSMs,
     by harden-stage key, so a repeat harden returns the same structure.
     """
 
@@ -321,22 +321,19 @@ class Session:
         cache: Optional[Dict[str, Dict[str, Any]]] = None,
         dispatch: Optional[Dict[str, Optional[str]]] = None,
     ) -> Dict[str, CampaignResult]:
-        """The plan + campaign stages against an already-hardened netlist.
+        """The campaign stage against an already-hardened netlist.
 
         This is the seam the evaluation harnesses use: they hold a
         :class:`~repro.core.structure.ScfiNetlist` already and only need the
         scenario/engine resolution plus execution, without re-hardening.
 
         ``cache_scope`` is the upstream (harden-stage) input hash; it scopes
-        the plan and campaign keys to the netlist the counters were measured
-        on, so memoisation only engages when both a store and a scope are
-        present.  On a campaign-stage hit the stored counters are replayed
-        and the plan stage is skipped; on a miss a stored
-        :class:`~repro.fi.planner.CampaignPlan` (same shape, lane budget
-        and packing) still pre-seeds the executor, so only the execute phase
-        runs.  ``cache`` (when given) receives the ``"plan"``/``"campaign"``
-        hit/miss records; ``dispatch`` (when given) receives each scenario's
-        execution-path provenance (:attr:`FaultCampaign.last_dispatch`, or
+        the campaign key to the netlist the counters were measured on, so
+        memoisation only engages when both a store and a scope are present.
+        On a campaign-stage hit the stored counters are replayed without
+        building an executor.  ``cache`` (when given) receives the
+        ``"campaign"`` hit/miss record; ``dispatch`` (when given) receives
+        each scenario's execution-path provenance (:attr:`FaultCampaign.last_dispatch`, or
         ``"cached"`` for counters replayed from the store).
         """
         report = report or ReportSpec()
@@ -344,19 +341,16 @@ class Session:
         # cold and warm runs (and BEHAVIORAL is rejected before any lookup).
         scenarios = build_scenarios(campaign, structure)
 
-        plan_key = campaign_key = None
+        campaign_key = None
         if self.store is not None and cache_scope is not None:
-            plan_key, campaign_key = campaign_stage_keys(
-                campaign, report.keep_outcomes, cache_scope
-            )
+            campaign_key = campaign_stage_keys(campaign, report.keep_outcomes, cache_scope)
         cached = self.store is not None and campaign_key is not None
-        status = "disabled" if self.store is None else ("miss" if cached else "skipped")
-        records = {
-            "plan": {"key": plan_key, "status": status},
-            "campaign": {"key": campaign_key, "status": status},
+        record = {
+            "key": campaign_key,
+            "status": "disabled" if self.store is None else ("miss" if cached else "skipped"),
         }
         if cache is not None:
-            cache.update(records)
+            cache["campaign"] = record
 
         if cached:
             doc = load_json_artifact(self.store, "campaign", campaign_key)
@@ -369,8 +363,7 @@ class Session:
                 except (KeyError, TypeError, ValueError):
                     self.store.delete("campaign", campaign_key)
                 else:
-                    records["campaign"]["status"] = "hit"
-                    records["plan"]["status"] = "skipped"
+                    record["status"] = "hit"
                     if dispatch is not None:
                         for name in results:
                             dispatch[name] = "cached"
@@ -381,39 +374,11 @@ class Session:
         # Leaving the block closes the executor, which stops a workers>1
         # fleet; a reused executor starts a new fleet on its next sharded run.
         with self._executor(campaign, structure, report.keep_outcomes, cache_scope) as executor:
-            # Custom registered engines may not speak the plan import/export
-            # interface; plan persistence degrades gracefully for them.
-            plans_cached = (
-                cached
-                and plan_key is not None
-                and hasattr(executor, "import_plans")
-                and hasattr(executor, "export_plans")
-                and hasattr(executor, "plan_lookups")
-            )
-            # A reused executor also caches earlier runs' plans; export this run's.
-            lookups_before = executor.plan_lookups if plans_cached else 0
-            plan_hit = False
-            if plans_cached:
-                doc = load_json_artifact(self.store, "plan", plan_key)
-                if doc is not None:
-                    try:
-                        imported = executor.import_plans(doc["plans"])
-                    except (KeyError, TypeError, ValueError):
-                        self.store.delete("plan", plan_key)
-                    else:
-                        plan_hit = True
-                        records["plan"]["status"] = "hit"
-                        self._emit("plan", f"cache hit {plan_key[:12]} ({imported} plans)")
             for name, scenario in scenarios.items():
                 self._emit("campaign", name)
                 results[name] = executor.run(scenario)
                 if dispatch is not None:
                     dispatch[name] = getattr(executor, "last_dispatch", None)
-            if plans_cached and not plan_hit:
-                _save_json_artifact(
-                    self.store, "plan", plan_key,
-                    {"plans": executor.export_plans(since=lookups_before)},
-                )
         if cached:
             _save_json_artifact(
                 self.store,

@@ -318,8 +318,7 @@ class CampaignSpec:
 
     #: Fields that do not change *which* injections a campaign performs, only
     #: how they are executed or what is additionally replayed.  They are kept
-    #: out of the plan-stage hash so e.g. an engine swap (at the same lane
-    #: budget) reuses the cached plan and a worker-count change reuses the
+    #: out of the campaign shape, so e.g. a worker-count change reuses the
     #: cached campaign counters (which are worker-independent by construction).
     EXECUTION_FIELDS = ("engine", "lane_width", "workers", "pack_contexts", "compare")
 
@@ -332,14 +331,13 @@ class CampaignSpec:
         return data
 
     def lane_budget_id(self) -> Any:
-        """The lane budget that shapes a campaign plan's batches.
+        """The lane budget that shapes a campaign's batches (hashed into its
+        campaign-stage key).
 
         A pinned ``lane_width`` is returned as-is; otherwise the engine's
-        default budget is resolved from the executor's engine table so
-        that e.g. ``parallel`` and ``scalar`` (both 256 lanes) share plan
-        artifacts.  Engines registered outside that table resolve
-        to an engine-tagged marker, so their plans never collide with the
-        built-ins'.
+        default budget is resolved from the executor's engine table.
+        Engines registered outside that table resolve to an engine-tagged
+        marker, so their keys never collide with the built-ins'.
         """
         if self.lane_width is not None:
             return self.lane_width
@@ -379,20 +377,21 @@ def harden_stage_key(fsm: "FsmSpec", protect: "ProtectSpec", emit_verilog: bool)
     })
 
 
-def campaign_stage_keys(
-    campaign: "CampaignSpec", keep_outcomes: bool, harden_key: str
-) -> Tuple[Optional[str], Optional[str]]:
-    """Input hashes ``(plan_key, campaign_key)`` for one campaign downstream
-    of ``harden_key``.
+def campaign_stage_keys(campaign: "CampaignSpec", keep_outcomes: bool, harden_key: str) -> str:
+    """Input hash of the campaign stage for one campaign downstream of
+    ``harden_key``.
 
-    Netlist campaigns chain campaign onto plan onto harden; behavioural
-    campaigns have no plan stage (``plan_key`` is ``None``) and chain their
-    campaign key straight onto the harden key.
+    Netlist campaigns hash an intermediate ``plan`` digest (harden key,
+    campaign shape, lane budget and packing) into the campaign key.  No plan
+    artifact is stored under it any more; it stays in the chain so campaign
+    and report keys keep their values and existing stores keep hitting.
+    Behavioural campaigns chain their campaign key straight onto the harden
+    key.
     """
     # "behavioral" == repro.api.registry.BEHAVIORAL (registry imports this
     # module, so the literal avoids a cycle).
     if campaign.scenario == "behavioral":
-        return None, stage_key("campaign", {
+        return stage_key("campaign", {
             "harden": harden_key,
             "shape": campaign.shape_dict(),
             "keep_outcomes": keep_outcomes,
@@ -403,7 +402,7 @@ def campaign_stage_keys(
         "lane_width": campaign.lane_budget_id(),
         "pack_contexts": campaign.pack_contexts,
     })
-    return plan, stage_key("campaign", {
+    return stage_key("campaign", {
         "plan": plan,
         "engine": campaign.engine,
         "keep_outcomes": keep_outcomes,
@@ -459,41 +458,33 @@ class ExperimentSpec:
         """Per-stage input hashes for the incremental pipeline.
 
         Each stage's key embeds its upstream stage's key, so the keys compose
-        into an invalidation chain ``harden -> plan -> campaign -> report``:
+        into an invalidation chain ``harden -> campaign -> report``:
 
         * **harden** hashes the FSM source, the protection options and
           whether Verilog is emitted (it shapes the hardening artifact).
-        * **plan** (netlist campaigns only) adds the campaign *shape* --
-          scenario and injection parameters -- plus the resolved lane budget
-          and context packing.  The engine itself stays out: every engine at
-          the same lane budget consumes identical plans.
-        * **campaign** adds the engine and ``keep_outcomes`` on top of the
-          plan key (behavioural campaigns skip the plan stage and chain
-          straight onto the harden key).
+        * **campaign** (:func:`campaign_stage_keys`) adds the campaign
+          *shape* -- scenario and injection parameters -- the resolved lane
+          budget, context packing, the engine and ``keep_outcomes``.
         * **report** covers everything via :meth:`content_hash` plus the
           report options, so it keys the complete result document.
 
         Mutating a single spec field therefore invalidates exactly the stages
-        downstream of it: a seed change recomputes plan/campaign/report but
-        reuses the hardened netlist; a worker-count change (counters are
+        downstream of it: a seed change recomputes campaign/report but reuses
+        the hardened netlist; a worker-count change (counters are
         worker-independent by construction) recomputes only the report.
-        ``plan``/``campaign`` are ``None`` when the spec has no campaign
-        section, ``plan`` also for behavioural campaigns.
+        ``campaign`` is ``None`` when the spec has no campaign section.
         """
         harden = harden_stage_key(self.fsm, self.protect, self.report.emit_verilog)
-        plan: Optional[str] = None
         campaign_key: Optional[str] = None
         if self.campaign is not None:
-            plan, campaign_key = campaign_stage_keys(
-                self.campaign, self.report.keep_outcomes, harden
-            )
+            campaign_key = campaign_stage_keys(self.campaign, self.report.keep_outcomes, harden)
         report = stage_key("report", {
             "harden": harden,
             "campaign": campaign_key,
             "report": self.report.to_dict(),
             "spec_hash": self.content_hash(),
         })
-        return {"harden": harden, "plan": plan, "campaign": campaign_key, "report": report}
+        return {"harden": harden, "campaign": campaign_key, "report": report}
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

@@ -7,8 +7,8 @@ campaign counters, hardening summary and provenance (spec hash, engine,
 workers) included -- which is exactly what a distributed scheduler would do
 with the same file.  ``--cache-dir`` (or the ``SCFI_CACHE_DIR`` environment
 variable) points the run at a persistent content-addressed artifact store
-(:mod:`repro.store`): each pipeline stage -- harden, plan, campaign, report --
-is memoised under its input hash, so an unchanged spec replays stored
+(:mod:`repro.store`): each pipeline stage -- harden, campaign, report -- is
+memoised under its input hash, so an unchanged spec replays stored
 counters without compiling anything and a changed campaign reuses the cached
 hardened netlist.  ``scfi cache {ls,gc,clear,export,import}`` inspects,
 maintains and ships that store (``export``/``import`` move it as a gzipped

@@ -126,7 +126,7 @@ def structural_fault_target_sweep(
     :meth:`~repro.api.session.Session.run_campaign`.  ``store`` (an
     :class:`~repro.store.ArtifactStore`) plus ``cache_scope`` (the harden-stage
     input hash of the hardening that produced ``structure``, see
-    :func:`repro.api.spec.harden_stage_key`) memoise the sweep's plans and
+    :func:`repro.api.spec.harden_stage_key`) memoise the sweep's
     counters across repeat runs; both default to off.
     """
     campaign = CampaignSpec(

@@ -6,7 +6,7 @@ lane), the per-edge activation contexts and the batch classifier.  Every
 scenario (:mod:`repro.fi.scenarios`) lowers itself to the group-aware
 :class:`~repro.fi.scenarios.JobArrays` IR first (its ``jobs_arrays``), and
 the IR is the only currency between the executor, the lane planner
-(:mod:`repro.fi.planner`), the three engines and the shm/pickle transports.
+(:mod:`repro.fi.planner`), the three engines and the worker fleet.
 The object :data:`~repro.fi.scenarios.InjectionJob` stream is re-materialised
 from the IR (:meth:`JobArrays.to_jobs`) only where objects are genuinely
 needed: the scalar reference oracle and ``keep_outcomes`` records.
@@ -24,23 +24,23 @@ are classified from those codes, in the parent or in a fleet worker alike.
 the latest run: ``"array-native"`` on both compiled engines, and
 ``"spec-stream"`` on the scalar oracle, which replays each job's
 :class:`~repro.fi.model.Fault` objects through the reference injector.
-:attr:`FaultCampaign.last_transport` records the shm/pickle transport of
-sharded runs the same way.
 
-Campaign execution is split into an explicit *plan* phase (cached, see
-:mod:`repro.fi.planner`) and an *execute* phase.  Execution binds the per-job
-fault groups to the planned lanes and either runs every batch in-process
-(``workers=1``, the default) or shards the run over a
-:class:`~repro.fi.fleet.WorkerFleet`, the one process pool: an owned fleet of
-``workers=N`` processes, or the shared fleet a
+Campaign execution is split into a *plan* phase (:mod:`repro.fi.planner`:
+cut points and golden-lane contexts, nothing else) and an *execute* phase.
+Execution builds each batch's lane words from one per-context bit matrix
+(built once per executor): a gather of the lanes' context columns and a
+little-endian ``packbits``, read as uint64 rows by the numpy engine and as
+ints by the bignum engine.  It binds the per-job fault groups to the planned
+lanes and either runs every batch in-process (``workers=1``, the default) or
+shards the run over a :class:`~repro.fi.fleet.WorkerFleet`, the one process
+pool: an owned fleet of ``workers=N`` processes, or the shared fleet a
 :class:`~repro.service.worker.FleetCampaign` supplies.  Consecutive batches
-(scalar oracle: job ranges) travel in contiguous chunks over the
-shared-memory or pickled transport (:mod:`repro.fi.shm_transport`, imported
-only by sharded runs); each worker builds its own compiled engine once and
-replies per batch with per-classification counts, plus the per-job observed
-codes when outcomes are kept and no shared-memory code slots carry them.  The
-parent merges replies in deterministic job order, so counters -- and kept
-outcomes -- are bit-identical to single-process runs on every engine.
+(scalar oracle: job ranges) travel in contiguous chunks as small pickles --
+each batch's cut points and its slice of the IR; each worker builds its own
+compiled engine once and replies per batch with per-classification counts,
+plus the per-job observed codes when outcomes are kept.  The parent merges
+replies in deterministic job order, so counters -- and kept outcomes -- are
+bit-identical to single-process runs on every engine.
 
 Fault targets are validated up front: a scenario naming a net the netlist
 does not contain, or emitting an IR row outside the netlist, raises
@@ -64,12 +64,7 @@ from repro.fi.model import (
     FaultOutcome,
     classify_observation,
 )
-from repro.fi.planner import (
-    PLAN_CACHE_LIMIT,
-    PLAN_CACHE_MAX_JOBS,
-    CampaignPlan,
-    PlannedBatch,
-)
+from repro.fi.planner import CampaignPlan, PlannedBatch, plan_batches
 from repro.fi.scenarios import (
     EVERY_CYCLE,
     InjectionJob,
@@ -77,7 +72,7 @@ from repro.fi.scenarios import (
     transition_contexts,
 )
 from repro.fsm.cfg import CfgEdge
-from repro.netlist.parallel import CompiledNetlist
+from repro.netlist.parallel import WORD_DTYPE, CompiledNetlist
 from repro.netlist.parallel_np import NumpyCompiledNetlist
 
 if TYPE_CHECKING:  # the fleet loads only when a run shards
@@ -278,10 +273,9 @@ _CLASSIFICATIONS = tuple(Classification)
 _CLASSIFICATION_INDEX = {cls: i for i, cls in enumerate(_CLASSIFICATIONS)}
 
 #: Worker batch reply: per-classification counts in ``_CLASSIFICATIONS``
-#: order plus, for ``keep_outcomes`` campaigns whose codes did not go back
-#: through shared-memory code slots, the per-job observed state codes.  Both
-#: sides index via ``_CLASSIFICATIONS``, so the format survives enum
-#: reordering or extension.
+#: order plus, for ``keep_outcomes`` campaigns, the per-job observed state
+#: codes.  Both sides index via ``_CLASSIFICATIONS``, so the format survives
+#: enum reordering or extension.
 _BatchReply = Tuple[Tuple[int, ...], Optional[Sequence[int]]]
 
 
@@ -335,7 +329,6 @@ class FaultCampaign:
         keep_outcomes: bool = False,
         pack_contexts: bool = True,
         workers: int = 1,
-        use_shared_memory: bool = True,
     ):
         if engine not in self.ENGINES:
             raise ValueError(f"unknown engine {engine!r} (choose from {self.ENGINES})")
@@ -356,10 +349,6 @@ class FaultCampaign:
         self.keep_outcomes = keep_outcomes
         self.pack_contexts = pack_contexts
         self.workers = workers
-        self.use_shared_memory = use_shared_memory
-        #: Transport of the most recent sharded execution ("shm"/"pickle"),
-        #: None until one ran -- introspection for tests and diagnostics.
-        self.last_transport: Optional[str] = None
         #: Fault-application path of the most recent run ("array-native" on
         #: the compiled engines, "spec-stream" on the scalar oracle), None
         #: until one ran -- provenance for experiment results.
@@ -385,8 +374,9 @@ class FaultCampaign:
         # Per-context encoded inputs / register loads, built on first use.
         self._encoded_inputs: Dict[int, Dict[str, int]] = {}
         self._registers: Dict[int, Dict[str, int]] = {}
-        # Nets that read 1 in a context (lane-word assembly skips the zeros).
-        self._ones: Dict[int, Tuple[List[str], List[str]]] = {}
+        # The (input + register nets) x contexts 0/1 matrix lane words are
+        # gathered from, with its input and register net names; built once.
+        self._lane_table: Optional[Tuple[np.ndarray, List[str], List[str]]] = None
         # Analytic fault-free trajectories per context: (state, code) at each
         # cycle, extended lazily as longer traces are requested.
         self._trajectories: Dict[int, List[Tuple[str, int]]] = {}
@@ -394,15 +384,9 @@ class FaultCampaign:
         self._classify_cache: Dict[
             Tuple[int, int, int], Tuple[Classification, Optional[str]]
         ] = {}
-        # Plans keyed by job shape, each with the :attr:`plan_lookups` count at
-        # its latest lookup or import; contexts are fixed per campaign instance.
-        self._plan_cache: Dict[Tuple, Tuple[CampaignPlan, int]] = {}
-        self._plan_cache_jobs = 0
-        self.plan_cache_hits = 0
-        #: :meth:`plan_jobs` calls so far: the mark :meth:`export_plans` takes.
-        self.plan_lookups = 0
         #: Tables scenarios derive from this netlist while lowering (the
-        #: laser-spot placement and spot members), kept across runs.
+        #: target-net pools, the laser-spot placement and spot members), kept
+        #: across runs.
         self.lowering_cache: Dict[object, object] = {}
         #: Worker fleet of sharded runs: owned and started on the first one
         #: when ``workers > 1``, or shared and supplied by a subclass.
@@ -547,10 +531,8 @@ class FaultCampaign:
     def run_sweep(self, scenarios: Mapping[str, object]) -> Dict[str, CampaignResult]:
         """Execute several named scenarios.
 
-        The compiled netlist, the worker fleet and the plan cache are all
-        shared: scenarios whose jobs touch the same context sequence (e.g.
-        the per-effect sweeps of :func:`effect_sweep_scenarios`) reuse one
-        plan instead of re-packing per scenario.
+        The compiled netlist, the lowering tables and the worker fleet are
+        shared across the scenarios.
         """
         return {name: self.run(scenario) for name, scenario in scenarios.items()}
 
@@ -558,153 +540,13 @@ class FaultCampaign:
     # Plan phase
     # ------------------------------------------------------------------
     def plan_jobs(self, job_contexts: Sequence[int]) -> CampaignPlan:
-        """Plan the lane packing for one job-shape (cached per shape).
+        """Cut one job stream (a context index per job) into lane batches.
 
-        A pass holds at most ``lane_width + 1`` lanes: one golden lane per
-        distinct transition context in the batch plus one fault lane per job.
-        With ``pack_contexts`` (the default) jobs from different contexts
-        share a pass -- admitting a job costs one lane, or two when it brings
-        a context the batch has not seen yet; the batch is cut when the
-        budget would overflow.  Without it every context change cuts, i.e.
-        the PR 1 one-context-per-pass behaviour.
+        The rule is :func:`~repro.fi.planner.plan_batches` under this
+        campaign's ``lane_width`` and ``pack_contexts``; it walks runs of
+        equal context, so planning costs microseconds and is not cached.
         """
-        key = (tuple(job_contexts), self.lane_width, self.pack_contexts)
-        self.plan_lookups += 1
-        cached = self._plan_cache.pop(key, None)
-        if cached is not None:
-            self.plan_cache_hits += 1
-            # LRU: re-insert so sweeps cycling through shapes keep them alive.
-            self._plan_cache[key] = (cached[0], self.plan_lookups)
-            return cached[0]
-        if self.pack_contexts:
-            plan = self._plan_packed(key[0])
-        else:
-            plan = self._plan_per_context(key[0])
-        self._cache_plan(key, plan)
-        return plan
-
-    def _cache_plan(self, key: Tuple, plan: CampaignPlan) -> None:
-        """Admit one plan into the LRU cache, honouring both budget bounds."""
-        if plan.num_jobs > PLAN_CACHE_MAX_JOBS:
-            return
-        while self._plan_cache and (
-            len(self._plan_cache) >= PLAN_CACHE_LIMIT
-            or self._plan_cache_jobs + plan.num_jobs > PLAN_CACHE_MAX_JOBS
-        ):
-            evicted, _ = self._plan_cache.pop(next(iter(self._plan_cache)))
-            self._plan_cache_jobs -= evicted.num_jobs
-        self._plan_cache[key] = (plan, self.plan_lookups)
-        self._plan_cache_jobs += plan.num_jobs
-
-    def export_plans(self, since: Optional[int] = None) -> List[Dict[str, object]]:
-        """Serialize cached plans (with their shape keys) for persistence.
-
-        With ``since`` (an earlier :attr:`plan_lookups`), only plans looked up
-        after it are exported: a run on a reused campaign persists its own
-        plans, not the ones earlier runs left in the cache.  The payloads are
-        plain JSON-able dicts; :meth:`import_plans` on a fresh campaign over
-        the same netlist pre-seeds its plan cache from them, turning the plan
-        phase of a warm pipeline run into pure deserialization.
-        """
-        payloads: List[Dict[str, object]] = []
-        for (job_contexts, lane_width, pack_contexts), (plan, used) in self._plan_cache.items():
-            if since is not None and used <= since:
-                continue
-            payloads.append({
-                "job_contexts": list(job_contexts),
-                "lane_width": lane_width,
-                "pack_contexts": pack_contexts,
-                "plan": plan.to_dict(),
-            })
-        return payloads
-
-    def import_plans(self, payloads: Sequence[Mapping[str, object]]) -> int:
-        """Pre-seed the plan cache from :meth:`export_plans` payloads.
-
-        Entries planned under a different lane budget or packing mode are
-        skipped (their batches would not fit this campaign's lanes); returns
-        the number of plans admitted.
-        """
-        imported = 0
-        for payload in payloads:
-            if (
-                payload.get("lane_width") != self.lane_width
-                or payload.get("pack_contexts") != self.pack_contexts
-            ):
-                continue
-            key = (tuple(payload["job_contexts"]), self.lane_width, self.pack_contexts)
-            self._cache_plan(key, CampaignPlan.from_dict(payload["plan"]))
-            imported += 1
-        return imported
-
-    def _plan_packed(self, job_contexts: Tuple[int, ...]) -> CampaignPlan:
-        batches: List[PlannedBatch] = []
-        budget = self.lane_width + 1
-        start = 0
-        seen: Dict[int, None] = {}  # insertion-ordered golden-lane contexts
-        for position, index in enumerate(job_contexts):
-            cost = 1 if index in seen else 2
-            if position > start and (position - start) + len(seen) + cost > budget:
-                batches.append(self._packed_batch(start, position, tuple(seen), job_contexts))
-                start = position
-                seen = {}
-            seen[index] = None
-        if start < len(job_contexts):
-            batches.append(self._packed_batch(start, len(job_contexts), tuple(seen), job_contexts))
-        return CampaignPlan(batches=tuple(batches), num_jobs=len(job_contexts))
-
-    def _packed_batch(
-        self, start: int, stop: int, golden_contexts: Tuple[int, ...], job_contexts: Tuple[int, ...]
-    ) -> PlannedBatch:
-        """Assemble the lane words of one multi-context batch.
-
-        The bit of every lane carries that lane's own transition context, so
-        one evaluation covers every (context, fault group) pair of the batch.
-        """
-        context_mask: Dict[int, int] = {
-            index: 1 << lane for lane, index in enumerate(golden_contexts)
-        }
-        lane = len(golden_contexts)
-        for index in job_contexts[start:stop]:
-            context_mask[index] |= 1 << lane
-            lane += 1
-        input_words: Dict[str, int] = {}
-        register_words: Dict[str, int] = {}
-        input_get = input_words.get
-        register_get = register_words.get
-        for index, mask in context_mask.items():
-            one_inputs, one_registers = self._context_ones(index)
-            for net in one_inputs:
-                input_words[net] = input_get(net, 0) | mask
-            for net in one_registers:
-                register_words[net] = register_get(net, 0) | mask
-        return PlannedBatch(
-            start=start,
-            stop=stop,
-            golden_contexts=golden_contexts,
-            input_words=input_words,
-            register_words=register_words,
-        )
-
-    def _plan_per_context(self, job_contexts: Tuple[int, ...]) -> CampaignPlan:
-        """One-context-per-pass batches (``pack_contexts=False``)."""
-        batches: List[PlannedBatch] = []
-        start = 0
-        for position, index in enumerate(job_contexts):
-            if position > start and (
-                index != job_contexts[start] or position - start >= self.lane_width
-            ):
-                batches.append(
-                    PlannedBatch(start=start, stop=position, golden_contexts=(job_contexts[start],))
-                )
-                start = position
-        if start < len(job_contexts):
-            batches.append(
-                PlannedBatch(
-                    start=start, stop=len(job_contexts), golden_contexts=(job_contexts[start],)
-                )
-            )
-        return CampaignPlan(batches=tuple(batches), num_jobs=len(job_contexts))
+        return plan_batches(job_contexts, self.lane_width, self.pack_contexts)
 
     # ------------------------------------------------------------------
     # Execute phase
@@ -716,9 +558,9 @@ class FaultCampaign:
         feedback (:meth:`~repro.netlist.parallel.CompiledNetlist.step_cycles_fault_arrays`)
         and is classified on its final state against the analytic fault-free
         trajectory of its context; single-cycle scenarios are traces of one
-        cycle.  Plans depend only on the job shape, never on the trace
-        length, and sharded runs ship IR slices over the shared-memory (or
-        pickled) transport.  Per-fault cycle annotations (transient shots,
+        cycle.  Plans depend only on the job contexts, never on the trace
+        length, and sharded runs ship each batch with its IR slice.
+        Per-fault cycle annotations (transient shots,
         persistent spots, mixed schedules) select the faults live in each
         cycle.
         """
@@ -729,7 +571,7 @@ class FaultCampaign:
             self.last_dispatch = "spec-stream"
         else:
             self.last_dispatch = "array-native"
-            plan = self.plan_jobs(arrays.contexts.tolist())
+            plan = self.plan_jobs(arrays.contexts)
         if self.workers > 1 or self._fleet is not None:
             self._execute_sharded(cycles, arrays, jobs, result, plan)
             return
@@ -765,122 +607,53 @@ class FaultCampaign:
         contiguous job ranges on the scalar oracle (``plan is None``).
         :func:`_chunk_bounds` groups consecutive units into tasks, and each
         task replies with its units' replies in order, so merging stays in
-        job order.  Every unit carries its slice of the IR.  Batch lane words
-        travel through one shared-memory segment when possible (and per-job
-        observed codes ride back the same way for ``keep_outcomes`` runs);
-        otherwise -- no ``shared_memory`` support, segment creation failure,
-        kept state codes wider than one machine word, or
-        ``use_shared_memory=False`` -- the pickled wire format is used.  The
-        segment is unlinked in ``finally``, so worker failures cannot leak
-        ``/dev/shm`` entries.
+        job order.  Every unit is its batch (cut points and golden contexts,
+        ``None`` on the scalar oracle) plus its slice of the IR.
         """
         fleet = self._ensure_fleet()
-        segment = None
         if plan is None:
             spans = _chunk_bounds(arrays.num_jobs, fleet.size)
-            handles: Sequence[object] = [None] * len(spans)
+            units: Sequence[Optional[PlannedBatch]] = [None] * len(spans)
         else:
             spans = [(batch.start, batch.stop) for batch in plan.batches]
-            segment = self._plan_segment(plan, want_codes=self.keep_outcomes)
-            handles = segment.refs if segment is not None else plan.batches
-        try:
-            tasks = [
-                (cycles, [(handles[i], arrays.slice(*spans[i])) for i in range(lo, hi)])
-                for lo, hi in _chunk_bounds(len(spans), fleet.size)
-            ]
-            done = 0
-            for replies in fleet.run(self.config_id, tasks, cancel=self._cancel):
-                for counts, codes in replies:
-                    start, stop = spans[done]
-                    batch_jobs = None
-                    if jobs is not None:
-                        batch_jobs = jobs[start:stop]
-                        if codes is None:
-                            codes = segment.codes_for(handles[done])
-                    self._merge_reply(cycles, batch_jobs, (counts, codes), result)
-                    done += 1
-                    if self._batch_progress is not None:
-                        self._batch_progress(done, len(spans))
-        finally:
-            if segment is not None:
-                segment.close()
+            units = plan.batches
+        tasks = [
+            (cycles, [(units[i], arrays.slice(*spans[i])) for i in range(lo, hi)])
+            for lo, hi in _chunk_bounds(len(spans), fleet.size)
+        ]
+        done = 0
+        for replies in fleet.run(self.config_id, tasks, cancel=self._cancel):
+            for reply in replies:
+                start, stop = spans[done]
+                batch_jobs = None if jobs is None else jobs[start:stop]
+                self._merge_reply(cycles, batch_jobs, reply, result)
+                done += 1
+                if self._batch_progress is not None:
+                    self._batch_progress(done, len(spans))
 
     def _task_replies(self, task) -> List[_BatchReply]:
         """Evaluate one fleet task in a worker: one reply per shipped unit.
 
-        ``task`` is ``(cycles, units)``, each unit ``(handle, arrays)`` with
+        ``task`` is ``(cycles, units)``, each unit ``(batch, arrays)`` with
         ``arrays`` its slice of the :class:`JobArrays` IR, traced over
-        ``cycles`` clock edges.  On the scalar oracle ``handle`` is ``None``
-        and the slice is replayed job by job.  Otherwise it is a
-        :class:`PlannedBatch` (pickled transport) or a
-        :class:`~repro.fi.shm_transport.ShmBatchRef` whose lane words are
-        read in place -- zero-copy uint64 rows for the numpy engine, rebuilt
-        bignum ints for the bignum engine -- and the per-job observed codes
-        of a ``keep_outcomes`` campaign are written back into the segment's
-        code slots instead of the reply.
+        ``cycles`` clock edges.  On the scalar oracle ``batch`` is ``None``
+        and the slice is replayed job by job; otherwise it is the
+        :class:`PlannedBatch` whose lanes the slice fills.
         """
-        from repro.fi import shm_transport
-
         cycles, units = task
         replies: List[_BatchReply] = []
-        for handle, arrays in units:
-            if handle is None:
+        for batch, arrays in units:
+            if batch is None:
                 codes = self._evaluate_scalar(cycles, arrays.to_jobs(self._net_names()))
-                replies.append(self._batch_reply(cycles, arrays.contexts, codes))
-                continue
-            ref = handle if isinstance(handle, shm_transport.ShmBatchRef) else None
-            batch = handle if ref is None else self._shipped_batch(ref)
-            codes = self._evaluate_batch_arrays(batch, cycles, arrays)
-            counts, codes = self._batch_reply(cycles, arrays.contexts, codes)
-            if codes is not None and ref is not None and ref.codes_offset is not None:
-                shm_transport.write_codes(ref, codes)
-                codes = None
-            replies.append((counts, codes))
-        return replies
-
-    def _shipped_batch(self, ref) -> PlannedBatch:
-        """Materialise a shared-memory batch reference into a planned batch."""
-        from repro.fi import shm_transport
-
-        input_words = register_words = None
-        input_rows, register_rows = shm_transport.batch_words(ref)
-        if input_rows is not None:
-            if self._is_numpy:
-                input_words = {net: input_rows[i] for i, net in enumerate(ref.input_nets)}
-                register_words = {
-                    net: register_rows[i] for i, net in enumerate(ref.register_nets)
-                }
             else:
-                input_words = shm_transport.rows_to_ints(ref.input_nets, input_rows)
-                register_words = shm_transport.rows_to_ints(ref.register_nets, register_rows)
-        return PlannedBatch(
-            start=ref.start,
-            stop=ref.stop,
-            golden_contexts=ref.golden_contexts,
-            input_words=input_words,
-            register_words=register_words,
-        )
-
-    def _plan_segment(self, plan: CampaignPlan, want_codes: bool):
-        """The plan's shared segment, or ``None`` for the pickled format."""
-        from repro.fi import shm_transport
-
-        if (
-            not self.use_shared_memory
-            or not shm_transport.available()
-            or (want_codes and len(self.structure.state_d) > 64)
-        ):
-            self.last_transport = "pickle"
-            return None
-        num_goldens = [len(batch.golden_contexts) for batch in plan.batches]
-        segment = shm_transport.PlanSegment.pack(plan.batches, num_goldens, want_codes)
-        self.last_transport = "shm" if segment is not None else "pickle"
-        return segment
+                codes = self._evaluate_batch_arrays(batch, cycles, arrays)
+            replies.append(self._batch_reply(cycles, arrays.contexts, codes))
+        return replies
 
     def _rows_from_codes(
         self, cycles: int, batch_jobs: Sequence[InjectionJob], codes: Sequence[int]
     ) -> List[_JobRow]:
-        """Per-job outcome rows from observed codes (reply or shm code slots).
+        """Per-job outcome rows from a batch reply's observed codes.
 
         The parent applies the same memoised classifier the worker used, so
         rows are identical whichever side evaluated the batch."""
@@ -953,18 +726,16 @@ class FaultCampaign:
                 cycle_faults.append(
                     (arrays.net_rows[live], lanes[live], arrays.modes[live])
                 )
-        if batch.input_words is None:
+        if num_golden == 1:
+            # Every lane shares one context: broadcast its vectors.
             encoded, registers = self._context_vectors(batch.golden_contexts[0])
             values = self.compiled.step_cycles_fault_arrays(
                 encoded, cycle_faults, num_lanes, registers=registers
             )
         else:
+            inputs, registers = self._lane_words(batch.golden_contexts, arrays.contexts)
             values = self.compiled.step_cycles_fault_arrays(
-                batch.input_words,
-                cycle_faults,
-                num_lanes,
-                registers=batch.register_words,
-                lane_words=True,
+                inputs, cycle_faults, num_lanes, registers=registers, lane_words=True
             )
         state_d = self._state_d()
         codes = values.code_array_by_id(state_d)
@@ -1035,17 +806,55 @@ class FaultCampaign:
             }
         return encoded, self._registers[index]
 
-    def _context_ones(self, index: int) -> Tuple[List[str], List[str]]:
-        """The input/register nets that read 1 in one transition context."""
-        ones = self._ones.get(index)
-        if ones is None:
-            encoded, registers = self._context_vectors(index)
-            ones = (
-                [net for net, value in encoded.items() if value],
-                [net for net, value in registers.items() if value],
-            )
-            self._ones[index] = ones
-        return ones
+    def _lane_words(
+        self, golden_contexts: Sequence[int], job_contexts: "np.ndarray"
+    ) -> Tuple[Dict[str, object], Dict[str, object]]:
+        """Input and register lane words of one multi-context pass.
+
+        Lane ``k`` carries the transition context of its golden or fault
+        lane: one gather of the lanes' context columns from the per-context
+        bit matrix and one little-endian ``packbits`` yield every net's word
+        at once -- uint64 rows on the numpy engine, ints on the bignum one.
+        Job lanes come in runs of equal context, so the gather repeats one
+        column per run instead of indexing every lane.
+        """
+        table, input_nets, register_nets = self._context_bits()
+        lanes = np.concatenate((np.asarray(golden_contexts, dtype=np.intp), job_contexts))
+        starts = np.flatnonzero(np.diff(lanes, prepend=-1))
+        bits = np.repeat(table[:, lanes[starts]], np.diff(starts, append=lanes.size), axis=1)
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        if self._is_numpy:
+            rows = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), np.uint8)
+            rows[:, : packed.shape[1]] = packed
+            words: List[object] = list(rows.view(WORD_DTYPE))
+        else:
+            stride = packed.shape[1]
+            data = packed.tobytes()
+            words = [
+                int.from_bytes(data[i : i + stride], "little")
+                for i in range(0, len(data), stride)
+            ]
+        split = len(input_nets)
+        return dict(zip(input_nets, words[:split])), dict(zip(register_nets, words[split:]))
+
+    def _context_bits(self) -> Tuple[np.ndarray, List[str], List[str]]:
+        """The ``(input + register nets) x contexts`` 0/1 matrix (built once).
+
+        Rows follow the compiled netlist's input nets, then its register
+        nets; column ``c`` holds the values transition context ``c`` drives.
+        """
+        if self._lane_table is None:
+            compiled = self.compiled
+            input_nets = [net for net, _ in compiled.input_ids]
+            register_nets = [net for net, _ in compiled.register_ids]
+            bits = np.zeros((len(input_nets) + len(register_nets), len(self.contexts)), np.uint8)
+            for index in range(len(self.contexts)):
+                encoded, registers = self._context_vectors(index)
+                bits[:, index] = [bool(encoded.get(net)) for net in input_nets] + [
+                    bool(registers.get(net)) for net in register_nets
+                ]
+            self._lane_table = (bits, input_nets, register_nets)
+        return self._lane_table
 
     def _state_d(self) -> List[int]:
         """Dense net ids of the state-register D nets (resolved once)."""

@@ -21,10 +21,9 @@ Fault handling: task replies carry ids, the fleet tracks which worker owns
 which outstanding task, and a worker that dies mid-task (crash, OOM kill,
 SIGKILL) is detected by liveness polling.  Its outstanding tasks are
 re-dispatched to healthy workers (a replacement is respawned with the config
-cache replayed) and late duplicate replies are dropped by id.  Shared-memory
-segments stay owned and unlinked by the dispatching side, so a killed worker
-can never leak ``/dev/shm`` entries, and :meth:`WorkerFleet.close` leaves no
-surviving process.
+cache replayed) and late duplicate replies are dropped by id.  Tasks and
+replies are plain pickles on the worker queues, and :meth:`WorkerFleet.close`
+leaves no surviving process.
 """
 
 from __future__ import annotations

@@ -1,111 +1,93 @@
-"""Campaign planning: lane assignment and the cached plan representation.
+"""Campaign planning: the lane-packing rule.
 
-Campaign execution is split into an explicit *plan* phase and an *execute*
-phase.  Planning turns a scenario's job stream into a :class:`CampaignPlan`
--- a list of self-contained :class:`PlannedBatch` entries carrying the lane
-assignment and the pre-assembled per-context input/register lane words --
-and depends only on the *shape* of the jobs (the sequence of transition
-contexts they touch), so plans are cached on the campaign and reused across
-scenarios with the same shape (e.g. the per-effect sweeps, which differ only
-in the injected effect).  The executor lives in :mod:`repro.fi.executor`.
+Campaign execution is split into a *plan* phase and an *execute* phase.
+Planning cuts a scenario's job stream into :class:`PlannedBatch` entries --
+nothing but cut points and the golden-lane contexts of each pass -- and
+depends only on the sequence of transition contexts the jobs touch.
+:func:`plan_batches` is the one planning rule; it walks *runs* of equal
+context rather than single jobs (lowering sorts jobs by context, so runs are
+few), which makes a plan cost microseconds.  The engines build each batch's
+lane words themselves at execute time (see :mod:`repro.fi.executor`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Tuple
 
-#: Plans retained per campaign (LRU): bounds memory for long-lived campaigns
-#: that run many differently-shaped scenarios (e.g. varying random seeds).
-#: Entries are also bounded by total cached *jobs* (keys and lane words are
-#: O(num_jobs) each), so a few huge scenarios cannot pin gigabytes.
-PLAN_CACHE_LIMIT = 32
-
-#: Total jobs across all cached plans; a single plan larger than this is
-#: returned uncached.
-PLAN_CACHE_MAX_JOBS = 1_000_000
+import numpy as np
 
 
 @dataclass(frozen=True)
 class PlannedBatch:
-    """One self-contained unit of bit-parallel work.
+    """One unit of bit-parallel work.
 
-    ``[start, stop)`` slices the campaign's materialised job list; the lanes
-    of the pass are ``golden_contexts`` first (one golden lane per distinct
-    transition context, in first-appearance order) followed by one fault lane
-    per job.  ``input_words``/``register_words`` are the pre-assembled lane
-    words over all lanes of the pass; ``None`` marks a single-context batch
-    (``pack_contexts=False``) whose context vectors are broadcast to every
-    lane at evaluation time instead.
+    ``[start, stop)`` slices the campaign's job list; the lanes of the pass
+    are ``golden_contexts`` first (one golden lane per distinct transition
+    context, in first-appearance order) followed by one fault lane per job.
     """
 
     start: int
     stop: int
     golden_contexts: Tuple[int, ...]
-    input_words: Optional[Dict[str, int]] = None
-    register_words: Optional[Dict[str, int]] = None
 
     @property
     def num_jobs(self) -> int:
         return self.stop - self.start
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-able form; lane words (arbitrary-width bignums) go out as hex."""
-        return {
-            "start": self.start,
-            "stop": self.stop,
-            "golden_contexts": list(self.golden_contexts),
-            "input_words": (
-                {net: format(word, "x") for net, word in self.input_words.items()}
-                if self.input_words is not None else None
-            ),
-            "register_words": (
-                {net: format(word, "x") for net, word in self.register_words.items()}
-                if self.register_words is not None else None
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PlannedBatch":
-        input_words = data.get("input_words")
-        register_words = data.get("register_words")
-        return cls(
-            start=data["start"],
-            stop=data["stop"],
-            golden_contexts=tuple(data["golden_contexts"]),
-            input_words=(
-                {net: int(text, 16) for net, text in input_words.items()}
-                if input_words is not None else None
-            ),
-            register_words=(
-                {net: int(text, 16) for net, text in register_words.items()}
-                if register_words is not None else None
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class CampaignPlan:
-    """The planned batches of one job stream.
-
-    A plan depends only on the *shape* of the jobs -- the sequence of
-    transition-context indices -- never on the injected faults, so one plan
-    serves every scenario with the same shape (the cross-scenario cache in
-    :class:`FaultCampaign` exploits exactly that).
-    """
+    """The planned batches of one job stream."""
 
     batches: Tuple[PlannedBatch, ...]
-    num_jobs: int
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "batches": [batch.to_dict() for batch in self.batches],
-            "num_jobs": self.num_jobs,
-        }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CampaignPlan":
-        return cls(
-            batches=tuple(PlannedBatch.from_dict(entry) for entry in data["batches"]),
-            num_jobs=data["num_jobs"],
-        )
+def plan_batches(job_contexts: np.ndarray, lane_width: int, pack_contexts: bool) -> CampaignPlan:
+    """Cut a job stream (one context index per job) into batches.
+
+    A pass holds at most ``lane_width + 1`` lanes: one golden lane per
+    distinct transition context in the batch plus one fault lane per job.
+    With ``pack_contexts`` jobs from different contexts share a pass --
+    admitting a job costs one lane, or two when it brings a context the batch
+    has not seen yet; the batch is cut when the budget would overflow.
+    Without it every context change cuts, and so does every ``lane_width``
+    jobs (one context per pass).
+    """
+    contexts = np.asarray(job_contexts)
+    num_jobs = int(contexts.size)
+    if not num_jobs:
+        return CampaignPlan(batches=())
+    # Runs of equal context: [starts[i], stops[i]) all hold run_contexts[i].
+    bounds = (np.flatnonzero(np.diff(contexts)) + 1).tolist()
+    starts = [0] + bounds
+    stops = bounds + [num_jobs]
+    run_contexts = contexts[starts].tolist()
+    batches: List[PlannedBatch] = []
+    if not pack_contexts:
+        for run_start, run_stop, index in zip(starts, stops, run_contexts):
+            for start in range(run_start, run_stop, lane_width):
+                batches.append(PlannedBatch(start, min(start + lane_width, run_stop), (index,)))
+        return CampaignPlan(batches=tuple(batches))
+
+    budget = lane_width + 1
+    start = 0
+    seen: Dict[int, None] = {}  # insertion-ordered golden-lane contexts
+    for position, stop, index in zip(starts, stops, run_contexts):
+        while position < stop:
+            used = (position - start) + len(seen)
+            if index not in seen:
+                if position > start and used + 2 > budget:
+                    batches.append(PlannedBatch(start, position, tuple(seen)))
+                    start, seen = position, {}
+                seen[index] = None
+                position += 1
+                continue
+            take = min(budget - used, stop - position)
+            if take <= 0:
+                batches.append(PlannedBatch(start, position, tuple(seen)))
+                start, seen = position, {}
+                continue
+            position += take
+    batches.append(PlannedBatch(start, num_jobs, tuple(seen)))
+    return CampaignPlan(batches=tuple(batches))

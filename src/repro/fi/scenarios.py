@@ -26,7 +26,7 @@ object stream bit for bit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -179,24 +179,28 @@ def _effect_modes(effects: Sequence[FaultEffect]) -> List[int]:
 
 
 def _resolve_target_nets(scenario, campaign: "FaultCampaign", default: str) -> List[str]:
-    """A scenario's target-net pool on ``campaign``, memoised per campaign.
+    """A scenario's target-net pool on ``campaign``.
 
     ``target_nets`` is ``"diffusion"``, ``"comb"``, ``None`` (``default``)
-    or an explicit net list, which is validated against the netlist.
+    or an explicit net list.  The two alias pools are built once per
+    campaign and kept in ``campaign.lowering_cache``; an explicit list is
+    validated against the netlist on every call.
     """
-    if scenario._resolved is not None and scenario._resolved[0] is campaign:
-        return scenario._resolved[1]
     target = default if scenario.target_nets is None else scenario.target_nets
-    if target == "diffusion":
-        nets = campaign.injector.diffusion_nets()
-    elif target == "comb":
-        nets = campaign.injector.all_comb_nets()
-    elif isinstance(target, str):
-        raise ValueError(f"unknown target-net alias {target!r}")
-    else:
+    if not isinstance(target, str):
         nets = list(target)
         campaign.validate_target_nets(nets)
-    scenario._resolved = (campaign, nets)
+        return nets
+    if target not in ("diffusion", "comb"):
+        raise ValueError(f"unknown target-net alias {target!r}")
+    key = ("target-pool", target)
+    nets = campaign.lowering_cache.get(key)
+    if nets is None:
+        if target == "diffusion":
+            nets = campaign.injector.diffusion_nets()
+        else:
+            nets = campaign.injector.all_comb_nets()
+        campaign.lowering_cache[key] = nets
     return nets
 
 
@@ -303,7 +307,6 @@ class ExhaustiveSingleFault:
 
     target_nets: object = None
     effects: Sequence[FaultEffect] = (FaultEffect.TRANSIENT_FLIP,)
-    _resolved: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.target_nets is not None and not isinstance(self.target_nets, str):
@@ -364,7 +367,6 @@ class RandomMultiFault:
     target_nets: object = None
     seed: int = 0
     effects: Sequence[FaultEffect] = (FaultEffect.TRANSIENT_FLIP,)
-    _resolved: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.target_nets is not None and not isinstance(self.target_nets, str):
@@ -533,7 +535,6 @@ class LaserSpot:
     effects: Sequence[FaultEffect] = (FaultEffect.TRANSIENT_FLIP,)
     cycles: int = 1
     duration: str = "persistent"
-    _resolved: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.target_nets is not None and not isinstance(self.target_nets, str):

@@ -37,9 +37,9 @@ Because lanes cost ``1/64`` of a machine word each instead of a bignum digit
 chain, lane counts are no longer tied to ``DEFAULT_LANE_WIDTH=256``: wide
 campaigns run thousands of lanes per pass (the executor defaults this
 engine to ``DEFAULT_NUMPY_LANE_WIDTH`` lanes).  Lane words entering and
-leaving the engine remain plain Python ints (or little-endian ``uint64``
-arrays), so planned batches, the shared-memory transport and the bignum
-engine interoperate without conversion layers.
+leaving the engine remain plain Python ints or little-endian ``uint64``
+arrays, so the campaign executor hands its packed per-context rows straight
+in and the bignum engine reads the same bytes as ints.
 
 ``NumpyCompiledNetlist`` is cross-checked lane-for-lane against the bignum
 and scalar engines in ``tests/test_parallel_np.py`` and
@@ -288,8 +288,8 @@ class NumpyCompiledNetlist(CompiledNetlist):
         The contract matches
         :meth:`~repro.netlist.parallel.CompiledNetlist.evaluate_compiled`;
         with ``lane_words=True`` the per-net lane words may be Python ints
-        *or* ready-made little-endian ``uint64`` arrays (the shared-memory
-        transport hands arrays straight in).
+        *or* ready-made little-endian ``uint64`` arrays (the campaign
+        executor's packed per-context rows go straight in).
         """
         num_words = -(-num_lanes // WORD_BITS)
         mask = np.full(num_words, ~np.uint64(0), dtype=WORD_DTYPE)

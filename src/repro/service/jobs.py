@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.store import CODEC_JSON, ArtifactStore
 
-#: Store stage that holds job records (sibling of harden/plan/campaign/report).
+#: Store stage that holds job records (sibling of harden/campaign/report).
 JOB_STAGE = "job"
 
 STATE_QUEUED = "queued"

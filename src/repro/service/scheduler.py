@@ -3,7 +3,7 @@
 The :class:`Scheduler` is a single background thread that pulls jobs off the
 durable :class:`~repro.service.jobs.JobQueue` and executes each one through
 one long-lived staged :class:`~repro.api.session.Session` -- the same
-harden/plan/campaign/report chain ``scfi run`` uses, against the same store
+harden/campaign/report chain ``scfi run`` uses, against the same store
 -- with one substitution: the campaign executor is a
 :class:`~repro.service.worker.FleetCampaign` bound to the persistent worker
 fleet, keyed by the job's harden-stage hash so repeat netlists hit warm

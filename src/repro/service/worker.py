@@ -12,8 +12,8 @@ the ROADMAP's sense).
 
 :class:`FleetCampaign` is a :class:`~repro.fi.executor.FaultCampaign` that
 runs its sharded path on that shared fleet instead of starting its own: the
-same planner, the same shm/pickle transports, the same worker evaluation and
-merge order, so counters are bit-identical to ``scfi run`` by construction.
+same planner, the same task format, the same worker evaluation and merge
+order, so counters are bit-identical to ``scfi run`` by construction.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class FleetCampaign(FaultCampaign):
     """A campaign executor whose worker pool is the service's shared fleet.
 
     Behaves exactly like ``FaultCampaign(workers=N)`` -- same planner, same
-    transports, same merge order, bit-identical counters -- but dispatches to
+    tasks, same merge order, bit-identical counters -- but dispatches to
     fleet workers that outlive the campaign.  ``close()`` therefore detaches
     instead of terminating anything: the session's ``with`` block must not
     tear the fleet down.  ``batch_progress(done, total)`` streams per-batch

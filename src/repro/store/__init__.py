@@ -1,7 +1,7 @@
 """Content-addressed artifact store backing the incremental pipeline.
 
 The staged experiment pipeline (:class:`repro.api.session.Session`) memoises
-harden / plan / campaign / report outputs here, keyed by the per-stage input
+harden / campaign / report outputs here, keyed by the per-stage input
 hashes of :meth:`repro.api.spec.ExperimentSpec.stage_hashes`.  See
 :mod:`repro.store.base` for the self-verifying envelope format and
 :mod:`repro.store.filestore` for the on-disk layout.  Tarball export/import

@@ -1,7 +1,7 @@
 """Artifact envelope and the in-memory artifact store.
 
-Every artifact the pipeline persists -- a pickled hardened netlist, a JSON
-campaign plan, a result document -- travels inside one *envelope*: a single
+Every artifact the pipeline persists -- a pickled hardened netlist, JSON
+campaign counters, a result document -- travels inside one *envelope*: a single
 canonical-JSON header line (stage, key, codec, payload size, payload SHA-256,
 creation time) followed by the raw payload bytes.  The header makes every
 entry self-describing for ``scfi cache ls`` and, crucially, self-verifying:

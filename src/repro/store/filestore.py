@@ -5,7 +5,6 @@ Layout::
     <root>/
       store.json                  # format marker, written once
       harden/3f/3f2a…c4           # <stage>/<key[:2]>/<key>, one envelope per file
-      plan/…
       campaign/…
       report/…
 

@@ -41,6 +41,21 @@ PINNED_CONTENT_HASHES = {
     "temporal_experiment.json": "a0c8059b025a336fba54af45bd6a65058fd768671fe413e602c971b6a67075dc",
 }
 
+#: The campaign- and report-stage keys of the committed examples.  The
+#: campaign key still hashes the digest the retired ``plan`` stage was stored
+#: under, so these stay what earlier builds wrote and existing stores keep
+#: hitting.
+PINNED_STAGE_KEYS = {
+    "experiment.json": {
+        "campaign": "6e0fbe692e562ba33f99cf9859540b58fa830169d4d0d1b09f1ca203c76c7c0c",
+        "report": "25b920274d5568e56eea705693b47c58159f8af2bf5b8bac378e0a0bc1a0fae9",
+    },
+    "temporal_experiment.json": {
+        "campaign": "c831ad48972d9f2112d72380fe1b9936327028282061959d959e24628d665d40",
+        "report": "e8a613f232813f2b1d0790d463271c12b3ea22bd8734b498cb743bf5d4e8edb7",
+    },
+}
+
 ALL_ENGINES = ("parallel", "parallel-numpy", "scalar")
 
 
@@ -84,28 +99,37 @@ class TestContentHashRegression:
         spec.stage_hashes()
         assert spec.content_hash() == before
 
+    @pytest.mark.parametrize("name", sorted(PINNED_STAGE_KEYS))
+    def test_committed_example_stage_keys_are_unchanged(self, name):
+        keys = ExperimentSpec.load(EXAMPLES / name).stage_hashes()
+        assert {stage: keys[stage] for stage in ("campaign", "report")} == (
+            PINNED_STAGE_KEYS[name]
+        )
+
 
 class TestStageHashes:
     def test_all_stages_keyed_for_a_campaign_spec(self):
         spec = ExperimentSpec.load(EXAMPLES / "experiment.json")
         keys = spec.stage_hashes()
-        assert sorted(keys) == ["campaign", "harden", "plan", "report"]
+        assert sorted(keys) == ["campaign", "harden", "report"]
         assert all(isinstance(v, str) and len(v) == 64 for v in keys.values())
-        assert len(set(keys.values())) == 4  # stage names are domain-separated
+        assert len(set(keys.values())) == 3  # stage names are domain-separated
 
-    def test_hardening_only_spec_has_no_campaign_stages(self):
+    def test_hardening_only_spec_has_no_campaign_stage(self):
         keys = ExperimentSpec(fsm=FsmSpec(name="traffic_light")).stage_hashes()
-        assert keys["plan"] is None and keys["campaign"] is None
+        assert keys["campaign"] is None
         assert keys["harden"] is not None and keys["report"] is not None
 
-    def test_behavioral_spec_skips_the_plan_stage(self):
+    def test_behavioral_spec_keys_its_campaign_on_the_harden_key(self):
         spec = ExperimentSpec(
             fsm=FsmSpec(name="traffic_light"),
             campaign=CampaignSpec(scenario="behavioral", trials=10),
         )
         keys = spec.stage_hashes()
-        assert keys["plan"] is None
-        assert keys["campaign"] is not None
+        assert keys["campaign"] == campaign_stage_keys(spec.campaign, False, keys["harden"])
+        assert keys["campaign"] != ExperimentSpec(
+            fsm=spec.fsm, campaign=replace(spec.campaign, scenario="random")
+        ).stage_hashes()["campaign"]
 
     # -- the invalidation matrix: one mutated field, exactly the downstream
     # -- stages change key.
@@ -120,22 +144,23 @@ class TestStageHashes:
         a, b = base.stage_hashes(), mutated.stage_hashes()
         return sorted(stage for stage in a if a[stage] != b[stage])
 
-    def test_seed_invalidates_plan_campaign_report(self, base):
+    def test_seed_invalidates_campaign_and_report(self, base):
         mutated = replace(base, campaign=replace(base.campaign, seed=7))
-        assert self._diff(base, mutated) == ["campaign", "plan", "report"]
-
-    def test_engine_swap_at_same_lane_budget_keeps_the_plan(self, base):
-        # parallel and scalar share the 256-lane default.
-        mutated = replace(base, campaign=replace(base.campaign, engine="scalar"))
         assert self._diff(base, mutated) == ["campaign", "report"]
 
-    def test_engine_swap_with_different_default_lanes_replans(self, base):
-        mutated = replace(base, campaign=replace(base.campaign, engine="parallel-numpy"))
-        assert self._diff(base, mutated) == ["campaign", "plan", "report"]
+    # scalar shares parallel's 256-lane default; parallel-numpy does not.
+    @pytest.mark.parametrize("engine", ["scalar", "parallel-numpy"])
+    def test_engine_swap_invalidates_campaign_and_report(self, base, engine):
+        mutated = replace(base, campaign=replace(base.campaign, engine=engine))
+        assert self._diff(base, mutated) == ["campaign", "report"]
 
-    def test_lane_width_invalidates_plan_campaign_report(self, base):
+    def test_lane_width_invalidates_campaign_and_report(self, base):
         mutated = replace(base, campaign=replace(base.campaign, lane_width=64))
-        assert self._diff(base, mutated) == ["campaign", "plan", "report"]
+        assert self._diff(base, mutated) == ["campaign", "report"]
+
+    def test_pack_contexts_invalidates_campaign_and_report(self, base):
+        mutated = replace(base, campaign=replace(base.campaign, pack_contexts=False))
+        assert self._diff(base, mutated) == ["campaign", "report"]
 
     def test_workers_invalidate_only_the_report(self, base):
         mutated = replace(base, campaign=replace(base.campaign, workers=4))
@@ -155,11 +180,11 @@ class TestStageHashes:
 
     def test_emit_verilog_invalidates_everything(self, base):
         mutated = replace(base, report=ReportSpec(emit_verilog=True))
-        assert self._diff(base, mutated) == ["campaign", "harden", "plan", "report"]
+        assert self._diff(base, mutated) == ["campaign", "harden", "report"]
 
     def test_protection_level_invalidates_everything(self, base):
         mutated = replace(base, protect=ProtectSpec(protection_level=3))
-        assert self._diff(base, mutated) == ["campaign", "harden", "plan", "report"]
+        assert self._diff(base, mutated) == ["campaign", "harden", "report"]
 
     def test_pinned_lane_width_keeps_keys_engine_agnostic(self):
         pinned = CampaignSpec(engine="parallel", lane_width=128)
@@ -181,15 +206,11 @@ class TestWarmRunReplaysEverything:
         session = Session(store=store)
 
         cold = session.run(spec)
-        assert _statuses(cold) == {
-            "harden": "miss", "plan": "miss", "campaign": "miss", "report": "miss",
-        }
+        assert _statuses(cold) == {"harden": "miss", "campaign": "miss", "report": "miss"}
 
         _poison_compute(monkeypatch)
         warm = session.run(spec)
-        assert _statuses(warm) == {
-            "harden": "hit", "plan": "skipped", "campaign": "hit", "report": "hit",
-        }
+        assert _statuses(warm) == {"harden": "hit", "campaign": "hit", "report": "hit"}
         assert _counters(warm) == _counters(cold)
         assert warm.to_dict()["campaigns"] == cold.to_dict()["campaigns"]
 
@@ -222,11 +243,9 @@ class TestWarmRunReplaysEverything:
         )
         mutated = replace(spec, campaign=replace(spec.campaign, seed=123, scenario="random"))
         result = session.run(mutated)
-        assert _statuses(result) == {
-            "harden": "hit", "plan": "miss", "campaign": "miss", "report": "miss",
-        }
+        assert _statuses(result) == {"harden": "hit", "campaign": "miss", "report": "miss"}
 
-    def test_engine_swap_reuses_netlist_and_plan(self):
+    def test_engine_swap_reuses_the_netlist(self):
         spec = ExperimentSpec.load(EXAMPLES / "experiment.json")
         store = MemoryStore()
         session = Session(store=store)
@@ -234,10 +253,9 @@ class TestWarmRunReplaysEverything:
         swapped = session.run(
             replace(spec, campaign=replace(spec.campaign, engine="scalar"))
         )
-        assert _statuses(swapped) == {
-            "harden": "hit", "plan": "hit", "campaign": "miss", "report": "miss",
-        }
+        assert _statuses(swapped) == {"harden": "hit", "campaign": "miss", "report": "miss"}
         assert _counters(swapped) == _counters(cold)
+        assert not [key for key in store.blobs if key[0] == "plan"]
 
     def test_workers_override_recomputes_only_the_report(self, monkeypatch):
         spec = ExperimentSpec.load(EXAMPLES / "experiment.json")
@@ -247,9 +265,7 @@ class TestWarmRunReplaysEverything:
         _poison_compute(monkeypatch)
         # Override path (scfi run --workers): campaigns replay from cache.
         warm = session.run(spec, workers=2)
-        assert _statuses(warm) == {
-            "harden": "hit", "plan": "skipped", "campaign": "hit", "report": "miss",
-        }
+        assert _statuses(warm) == {"harden": "hit", "campaign": "hit", "report": "miss"}
         assert _counters(warm) == _counters(cold)
         assert warm.spec_hash == cold.spec_hash  # override stays out of the hash
         assert warm.provenance()["workers"] == 2
@@ -291,8 +307,7 @@ class TestWarmRunReplaysEverything:
         spec = ExperimentSpec.load(EXAMPLES / "experiment.json")
         result = Session().run(spec)
         assert _statuses(result) == {
-            "harden": "disabled", "plan": "disabled",
-            "campaign": "disabled", "report": "disabled",
+            "harden": "disabled", "campaign": "disabled", "report": "disabled",
         }
         assert "cache" in result.to_dict()
 
@@ -337,50 +352,6 @@ class TestSerializationRoundTrips:
         assert restored.to_dict() == original.to_dict()
         assert restored.keep_outcomes and len(restored.outcomes) == len(original.outcomes)
 
-    def test_campaign_plan_roundtrip_and_import(self, protected_traffic_light):
-        from repro.fi.planner import CampaignPlan
-
-        structure = protected_traffic_light.structure
-        with FaultCampaign(structure) as campaign:
-            contexts = tuple(i % 3 for i in range(40))
-            plan = campaign.plan_jobs(contexts)
-            assert CampaignPlan.from_dict(plan.to_dict()) == plan
-            payloads = campaign.export_plans()
-        assert payloads, "planning should leave a cached plan to export"
-        with FaultCampaign(structure) as fresh:
-            assert fresh.import_plans(payloads) == len(payloads)
-            before = fresh.plan_cache_hits
-            assert fresh.plan_jobs(contexts) == plan
-            assert fresh.plan_cache_hits == before + 1
-
-    def test_plan_artifact_holds_only_its_runs_plans(self, protected_traffic_light):
-        """One session reuses its executor across seeds; each run's plan
-        artifact must carry that run's plan, not the whole plan cache."""
-        store = MemoryStore()
-        session = Session(store=store)
-        scope = harden_stage_key(
-            FsmSpec(name="traffic_light"), ProtectSpec(protection_level=2), False
-        )
-        for seed in (1, 2, 3):
-            cache = {}
-            session.run_campaign(
-                protected_traffic_light.structure,
-                CampaignSpec(scenario="random", faults=3, trials=200, seed=seed),
-                cache_scope=scope,
-                cache=cache,
-            )
-            assert cache["plan"]["status"] == "miss"
-            artifact = store.load("plan", cache["plan"]["key"])
-            assert len(json.loads(artifact.payload)["plans"]) == 1, seed
-
-    def test_import_plans_skips_foreign_lane_budgets(self, protected_traffic_light):
-        structure = protected_traffic_light.structure
-        with FaultCampaign(structure, lane_width=8) as campaign:
-            campaign.plan_jobs((0, 1, 2, 0, 1, 2))
-            payloads = campaign.export_plans()
-        with FaultCampaign(structure, lane_width=16) as other:
-            assert other.import_plans(payloads) == 0
-
 
 class TestEvalHarnessSeams:
     def test_run_campaign_cache_scope_memoises(self, protected_traffic_light, monkeypatch):
@@ -414,10 +385,8 @@ class TestEvalHarnessSeams:
     def test_campaign_keys_match_session_stage_hashes(self):
         spec = ExperimentSpec.load(EXAMPLES / "experiment.json")
         keys = spec.stage_hashes()
-        plan, campaign = campaign_stage_keys(
-            spec.campaign, spec.report.keep_outcomes, keys["harden"]
-        )
-        assert (plan, campaign) == (keys["plan"], keys["campaign"])
+        campaign = campaign_stage_keys(spec.campaign, spec.report.keep_outcomes, keys["harden"])
+        assert campaign == keys["campaign"]
 
     def test_run_table1_memoises_hardenings(self, monkeypatch):
         from repro.eval.table1 import run_table1

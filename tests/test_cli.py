@@ -311,7 +311,7 @@ class TestScfiCacheCli:
         warm = capsys.readouterr()
         assert "[scfi] cache harden: hit" in warm.err
         assert "[scfi] cache campaign: hit" in warm.err
-        assert "[scfi] cache plan: skipped" in warm.err
+        assert "cache plan" not in warm.err  # the plan stage is gone
         assert "[scfi] cache report: hit" in warm.err
         # Cache-hit progress is also surfaced through the normal progress feed.
         assert "[scfi] report: cache hit" in warm.err
@@ -328,7 +328,7 @@ class TestScfiCacheCli:
         assert scfi_main(["cache", "ls"]) == 0
         listed = capsys.readouterr()
         stages = {line.split()[0] for line in listed.out.splitlines()}
-        assert stages == {"harden", "plan", "campaign", "report"}
+        assert stages == {"harden", "campaign", "report"}
 
     def test_out_is_written_atomically(self, tmp_path, capsys):
         out = tmp_path / "nested" / "result.json"
@@ -346,17 +346,17 @@ class TestScfiCacheCli:
 
         assert scfi_main(["cache", "ls", "--cache-dir", str(cache)]) == 0
         listed = capsys.readouterr()
-        assert len(listed.out.splitlines()) == 4
-        assert "4 artifact(s)" in listed.err
+        assert len(listed.out.splitlines()) == 3
+        assert "3 artifact(s)" in listed.err
 
         assert scfi_main(["cache", "gc", "--cache-dir", str(cache)]) == 0
         swept = capsys.readouterr()
-        assert "kept=4" in swept.err
+        assert "kept=3" in swept.err
         assert "removed_corrupt=0" in swept.err
 
         assert scfi_main(["cache", "clear", "--cache-dir", str(cache)]) == 0
         cleared = capsys.readouterr()
-        assert "cleared 4 artifact(s)" in cleared.err
+        assert "cleared 3 artifact(s)" in cleared.err
         assert scfi_main(["cache", "ls", "--cache-dir", str(cache)]) == 0
         assert "0 artifact(s)" in capsys.readouterr().err
 

@@ -5,7 +5,7 @@ The paper's threat model is a laser/glitch attacker upsetting a
 centers on a deterministic placement derived from the committed MDS block
 assignment (x = diffusion-block column, y = combinational depth) and lowers
 each spot into one multi-net fault group of the :class:`JobArrays` IR.  The
-counters must stay bit-identical across every engine, both transports and any
+counters must stay bit-identical across every engine and any
 worker count -- a multi-net group occupies exactly one fault lane everywhere.
 """
 
@@ -143,15 +143,15 @@ class TestLaserSpotScenario:
 
     @pytest.mark.parametrize("engine", ["parallel", "parallel-numpy"])
     def test_counters_transport_invariant(self, protected_traffic_light, engine):
+        """Sharded replies -- counts and kept codes -- merge to the in-process result."""
         structure = protected_traffic_light.structure
+        single = FaultCampaign(structure, engine=engine, keep_outcomes=True).run(_golden())
         with FaultCampaign(
-            structure, engine=engine, workers=4, use_shared_memory=False
+            structure, engine=engine, workers=4, keep_outcomes=True
         ) as campaign:
-            pickled = campaign.run(_golden())
-            assert campaign.last_transport == "pickle"
-        with FaultCampaign(structure, engine=engine, workers=4) as campaign:
-            shm = campaign.run(_golden())
-        assert pickled.counters() == shm.counters() == GOLDEN_COUNTERS
+            sharded = campaign.run(_golden())
+        assert sharded.counters() == single.counters() == GOLDEN_COUNTERS
+        assert sharded.outcomes == single.outcomes
 
     def test_numpy_multi_cycle_spot_is_array_native(self, protected_traffic_light):
         structure = protected_traffic_light.structure

@@ -1,11 +1,11 @@
-"""Process-sharded campaign execution: equality, plan caching, reporting.
+"""Process-sharded campaign execution: equality, reporting, validation.
 
 The sharded executor must be invisible in the results: ``workers=N`` may only
 change wall-clock time, never a counter, an outcome, or a rate.  These tests
 pin that property on random FSMs and on the ``ibex_lsu_fsm`` regression
 netlist across every engine, plus the reporting and validation fixes
-that go with it (per-scenario ``transitions_evaluated``, plan caching
-across ``run_sweep``, CLI validation of ``--engine``/``--workers``).
+that go with it (per-scenario ``transitions_evaluated``, CLI validation of
+``--engine``/``--workers``).
 """
 
 import pytest
@@ -21,7 +21,6 @@ from repro.fi.scenarios import (
     MultiShotGlitch,
     RandomMultiFault,
     TemporalSingleFault,
-    effect_sweep_scenarios,
 )
 from repro.fsm.random_fsm import random_fsm
 from repro.fsmlib.opentitan import ibex_lsu_fsm
@@ -77,23 +76,6 @@ class TestShardedEqualsSingleProcess:
             sharded = campaign.run(ExhaustiveSingleFault(target_nets="comb"))
         assert sharded.counters() == IBEX_COMB_COUNTERS
 
-    def test_numpy_sharded_matches_across_transports(self):
-        """workers=N bit-identity for parallel-numpy over both wire formats."""
-        structure = _protect(random_fsm(11, num_states=5))
-        scenario = ExhaustiveSingleFault(target_nets="comb", effects=ALL_EFFECTS)
-        single = FaultCampaign(structure, engine="parallel-numpy").run(scenario)
-        with FaultCampaign(structure, engine="parallel-numpy", workers=4) as campaign:
-            shm = campaign.run(scenario)
-            assert campaign.last_transport == "shm"
-        with FaultCampaign(
-            structure, engine="parallel-numpy", workers=4, use_shared_memory=False
-        ) as campaign:
-            pickled = campaign.run(scenario)
-            assert campaign.last_transport == "pickle"
-        assert shm.counters() == single.counters()
-        assert pickled.counters() == single.counters()
-        assert shm.total_injections == pickled.total_injections == single.total_injections
-
     def test_sharded_outcomes_keep_job_order(self):
         structure = _protect(random_fsm(31, num_states=4))
         scenario = ExhaustiveSingleFault(target_nets="comb")
@@ -130,9 +112,9 @@ class TestShardedEqualsSingleProcess:
         assert first.counters() == second.counters()
 
 
-#: (workers, use_shared_memory) execution modes: in-process, and a pool over
-#: each transport.
-EXECUTION_MODES = ((1, True), (2, True), (2, False))
+#: Worker counts of the matrix: in-process, and a fleet whose replies carry
+#: the counts (and, with kept outcomes, the per-job codes).
+EXECUTION_MODES = (1, 2)
 
 #: Scenario shapes of the equivalence matrix, built per structure: the
 #: exhaustive sweep, multi-fault groups (stuck-at pairs included), and the
@@ -164,7 +146,7 @@ MATRIX_SCENARIOS = {
 class TestEquivalenceMatrix:
     """Every scenario shape, single- and multi-cycle, on every engine:
     counters and kept outcome rows match the in-process scalar oracle across
-    worker counts and transports, so the compiled engines' one fault path
+    worker counts, so the compiled engines' one fault path
     and the oracle's sharded replies are pinned together."""
 
     @pytest.fixture(scope="class")
@@ -181,10 +163,10 @@ class TestEquivalenceMatrix:
         }
 
     @pytest.mark.parametrize("scenario", sorted(MATRIX_SCENARIOS))
-    @pytest.mark.parametrize("workers, shared_memory", EXECUTION_MODES)
+    @pytest.mark.parametrize("workers", EXECUTION_MODES)
     @pytest.mark.parametrize("engine", ENGINES)
     def test_counters_and_outcomes_match_oracle(
-        self, structure, oracle, engine, workers, shared_memory, scenario
+        self, structure, oracle, engine, workers, scenario
     ):
         make = MATRIX_SCENARIOS[scenario]
         expected = oracle[scenario]
@@ -193,7 +175,6 @@ class TestEquivalenceMatrix:
                 structure,
                 engine=engine,
                 workers=workers,
-                use_shared_memory=shared_memory,
                 keep_outcomes=keep_outcomes,
             ) as campaign:
                 result = campaign.run(make(structure))
@@ -203,48 +184,6 @@ class TestEquivalenceMatrix:
             assert result.total_injections == expected.total_injections
             if keep_outcomes:
                 assert result.outcomes == expected.outcomes
-
-
-class TestPlanCaching:
-    """Plans depend only on the job shape and are reused across scenarios."""
-
-    def test_effect_sweep_reuses_one_plan(self, protected_traffic_light):
-        campaign = FaultCampaign(protected_traffic_light.structure)
-        campaign.run_sweep(effect_sweep_scenarios())
-        # Three per-effect scenarios over the same nets and contexts: the
-        # first plans, the other two must hit the cache.
-        assert campaign.plan_cache_hits == 2
-
-    def test_rerun_hits_cache(self, protected_traffic_light):
-        campaign = FaultCampaign(protected_traffic_light.structure)
-        scenario = ExhaustiveSingleFault(target_nets="comb")
-        first = campaign.run(scenario)
-        assert campaign.plan_cache_hits == 0
-        second = campaign.run(scenario)
-        assert campaign.plan_cache_hits == 1
-        assert first.counters() == second.counters()
-
-    def test_different_shapes_plan_separately(self, protected_traffic_light):
-        campaign = FaultCampaign(protected_traffic_light.structure)
-        campaign.run(ExhaustiveSingleFault(target_nets="comb"))
-        campaign.run(ExhaustiveSingleFault())  # diffusion: different shape
-        assert campaign.plan_cache_hits == 0
-
-    def test_cache_is_bounded(self, protected_traffic_light):
-        """Long-lived campaigns over many shapes must not grow without bound."""
-        from repro.fi.planner import PLAN_CACHE_LIMIT
-
-        campaign = FaultCampaign(protected_traffic_light.structure)
-        for trials in range(1, PLAN_CACHE_LIMIT + 10):
-            campaign.run(RandomMultiFault(num_faults=1, trials=trials, seed=trials))
-        assert len(campaign._plan_cache) <= PLAN_CACHE_LIMIT
-
-    def test_lane_width_partitions_cache(self, protected_traffic_light):
-        structure = protected_traffic_light.structure
-        scenario = ExhaustiveSingleFault(target_nets="comb")
-        wide = FaultCampaign(structure, lane_width=64).run(scenario)
-        narrow = FaultCampaign(structure, lane_width=3).run(scenario)
-        assert wide.counters() == narrow.counters()
 
 
 class TestTransitionsEvaluated:

@@ -3,8 +3,8 @@
 The ISSUE 7 tentpole adds bounded cycle traces (transient / persistent /
 multi-shot faults with register feedback) to the campaign pipeline.  The
 temporal path must be invisible along every axis the single-cycle path
-already pins: identical counters across every engine, across worker
-counts, and across the shm/pickle transports, with ``cycles=1`` collapsing
+already pins: identical counters across every engine and across worker
+counts, with ``cycles=1`` collapsing
 bit for bit onto the classic scenarios.  The satellites covered here:
 worker pools never outlive a CLI invocation, ``sweep_fault_counts`` uses
 decorrelated per-count seeds, ``lane_width`` is validated at construction,
@@ -56,7 +56,7 @@ def ibex_structure():
 
 
 class TestTemporalEngineEquality:
-    """Property style: counters are engine-, worker- and transport-invariant."""
+    """Property style: counters are engine- and worker-invariant."""
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("seed", [3, 17])
@@ -69,17 +69,11 @@ class TestTemporalEngineEquality:
         single = FaultCampaign(structure, engine=engine).run(scenario())
         assert single.counters() == reference.counters()
         assert single.total_injections == reference.total_injections
-        for use_shared_memory in (True, False):
-            with FaultCampaign(
-                structure, engine=engine, workers=4, use_shared_memory=use_shared_memory
-            ) as campaign:
-                sharded = campaign.run(scenario())
-            assert sharded.counters() == reference.counters(), (
-                engine,
-                "shm" if use_shared_memory else "pickle",
-            )
-            assert sharded.total_injections == reference.total_injections
-            assert sharded.transitions_evaluated == reference.transitions_evaluated
+        with FaultCampaign(structure, engine=engine, workers=4) as campaign:
+            sharded = campaign.run(scenario())
+        assert sharded.counters() == reference.counters(), engine
+        assert sharded.total_injections == reference.total_injections
+        assert sharded.transitions_evaluated == reference.transitions_evaluated
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_transient_inject_cycle_matters_only_through_state(self, engine):
@@ -162,11 +156,8 @@ class TestIbexPersistentVsTransient:
         # more faults than a one-cycle glitch of the same effect.
         assert persistent.detected > transient.detected
 
-    @pytest.mark.parametrize("use_shared_memory", [True, False])
-    def test_pinned_counters_both_transports(self, ibex_structure, use_shared_memory):
-        with FaultCampaign(
-            ibex_structure, workers=4, use_shared_memory=use_shared_memory
-        ) as campaign:
+    def test_pinned_counters_sharded(self, ibex_structure):
+        with FaultCampaign(ibex_structure, workers=4) as campaign:
             persistent = campaign.run(
                 TemporalSingleFault(
                     target_nets="diffusion",

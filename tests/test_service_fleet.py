@@ -4,7 +4,7 @@ Three load-bearing properties:
 
 * **Invisibility** -- a campaign dispatched through the fleet produces
   counters bit-identical to the plain in-process executor, on every engine,
-  because both sides run the same planner, transports and worker functions.
+  because both sides run the same planner, task format and worker functions.
 * **Warmth** -- the netlist for a given config id is shipped to each worker
   exactly once; a second campaign against the same hardened netlist ships
   nothing.
@@ -203,9 +203,8 @@ class TestDeterministicClose:
         fleet = WorkerFleet(2)
         for handle in fleet.live_handles():
             watch(handle.process)
-        # Kept outcomes on the pickled wire put every observed code in the
-        # replies: far more bytes than a pipe buffers once the cancelled run
-        # stops reading them.
+        # Kept outcomes put every observed code in the replies: far more
+        # bytes than a pipe buffers once the cancelled run stops reading them.
         campaign = FleetCampaign(
             fleet,
             SCOPE,
@@ -215,7 +214,6 @@ class TestDeterministicClose:
             batch_progress=lambda done, total: cancel.set(),
             cancel=cancel,
         )
-        campaign.use_shared_memory = False
         with pytest.raises(ServiceShutdown):
             campaign.run(_scenario())
         fleet.close()
