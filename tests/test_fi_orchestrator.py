@@ -124,6 +124,75 @@ class TestFaultTargetValidation:
         campaign.validate_target_nets(protected_traffic_light.structure.state_q)
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so every call is recorded; returns the call list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestTargetNetPools:
+    """The ``"comb"`` and ``"diffusion"`` pools are built once per campaign;
+    explicit net lists are validated on every run."""
+
+    POOL_BUILDERS = {"comb": "all_comb_nets", "diffusion": "diffusion_nets"}
+
+    @pytest.mark.parametrize("alias", sorted(POOL_BUILDERS))
+    def test_alias_pool_is_built_once_per_campaign(
+        self, protected_traffic_light, monkeypatch, alias
+    ):
+        campaign = FaultCampaign(protected_traffic_light.structure)
+        calls = _count_calls(monkeypatch, campaign.injector, self.POOL_BUILDERS[alias])
+        first = campaign.run(ExhaustiveSingleFault(target_nets=alias))
+        # Fresh scenario objects, as every sweep and service job builds them.
+        campaign.run_sweep(effect_sweep_scenarios(target_nets=alias))
+        campaign.run(RandomMultiFault(num_faults=2, trials=40, target_nets=alias))
+        again = campaign.run(ExhaustiveSingleFault(target_nets=alias))
+        assert len(calls) == 1
+        assert again.counters() == first.counters()
+
+    def test_each_campaign_builds_its_own_pool(self, protected_traffic_light, monkeypatch):
+        structure = protected_traffic_light.structure
+        first, second = FaultCampaign(structure), FaultCampaign(structure)
+        first_calls = _count_calls(monkeypatch, first.injector, "all_comb_nets")
+        second_calls = _count_calls(monkeypatch, second.injector, "all_comb_nets")
+        a = first.run(ExhaustiveSingleFault(target_nets="comb"))
+        b = second.run(ExhaustiveSingleFault(target_nets="comb"))
+        assert (len(first_calls), len(second_calls)) == (1, 1)
+        assert a.counters() == b.counters()
+
+    def test_comb_and_diffusion_pools_stay_apart(self, protected_traffic_light):
+        structure = protected_traffic_light.structure
+        campaign = FaultCampaign(structure)
+        diffusion = campaign.run(ExhaustiveSingleFault(target_nets="diffusion"))
+        comb = campaign.run(ExhaustiveSingleFault(target_nets="comb"))
+        fresh_comb = FaultCampaign(structure).run(ExhaustiveSingleFault(target_nets="comb"))
+        assert comb.counters() == fresh_comb.counters()
+        assert comb.total_injections == fresh_comb.total_injections
+        assert diffusion.total_injections < comb.total_injections
+
+    def test_explicit_net_list_is_validated_on_every_run(
+        self, protected_traffic_light, monkeypatch
+    ):
+        campaign = FaultCampaign(protected_traffic_light.structure)
+        nets = campaign.injector.diffusion_nets()[:3]
+        calls = _count_calls(monkeypatch, campaign, "validate_target_nets")
+        scenario = ExhaustiveSingleFault(target_nets=nets)
+        campaign.run(scenario)
+        per_run = len(calls)
+        assert per_run >= 1
+        campaign.run(scenario)
+        assert len(calls) == 2 * per_run
+        with pytest.raises(ValueError, match="bogus_net"):
+            campaign.run(ExhaustiveSingleFault(target_nets=nets + ["bogus_net"]))
+
+
 class TestScenarios:
     def test_exhaustive_target_aliases(self, protected_traffic_light):
         campaign = FaultCampaign(protected_traffic_light.structure)

@@ -93,6 +93,21 @@ class TestShardedEqualsSingleProcess:
             sharded = campaign.run(scenario)
         assert sharded.counters() == single.counters()
 
+    @pytest.mark.parametrize("engine", ["parallel", "parallel-numpy"])
+    def test_per_context_plans_shard_like_packed_plans(self, engine):
+        """Workers pick broadcast or lane-word evaluation from the shipped
+        batch alone: single-context batches of a per-context plan must give
+        the packed in-process run's outcomes, in job order."""
+        structure = _protect(random_fsm(43, num_states=5))
+        scenario = ExhaustiveSingleFault(target_nets="comb", effects=ALL_EFFECTS)
+        packed = FaultCampaign(structure, engine=engine, keep_outcomes=True).run(scenario)
+        with FaultCampaign(
+            structure, engine=engine, keep_outcomes=True, pack_contexts=False, workers=2
+        ) as campaign:
+            per_context = campaign.run(scenario)
+        assert per_context.counters() == packed.counters()
+        assert per_context.outcomes == packed.outcomes
+
     def test_structural_sweep_workers_param(self, protected_traffic_light):
         structure = protected_traffic_light.structure
         single = structural_fault_target_sweep(structure)
