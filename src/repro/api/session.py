@@ -141,8 +141,8 @@ class ExperimentResult:
     #: and folded into :meth:`provenance` instead.
     overrides: Dict[str, Any] = field(default_factory=dict)
     #: Per-scenario dispatch provenance mirroring
-    #: :attr:`FaultCampaign.last_dispatch`: ``"array-native"`` (compiled
-    #: engines) or ``"spec-stream"`` (scalar oracle), ``"cached"`` when the
+    #: :attr:`FaultCampaign.last_dispatch`: ``"array-native"`` (every engine
+    #: executes its batches from the job arrays), ``"cached"`` when the
     #: counters were replayed from the store without executing anything.
     dispatch: Dict[str, Optional[str]] = field(default_factory=dict)
     #: Per-stage cache provenance: ``{stage: {"key": <input hash>, "status":

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.fi.executor import DEFAULT_ENGINE
 from repro.fi.model import FaultEffect
@@ -55,9 +56,57 @@ def stage_key(stage: str, inputs: Any) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
-def _check_known_keys(cls, data: Dict[str, Any]) -> None:
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list(value: Any, item) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(v, item) for v in value)
+
+
+def _is_number(value: Any) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and not math.isnan(value)
+
+
+#: The JSON kind each field annotation accepts: (predicate, description).
+_KINDS: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    "int": (_is_int, "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "Optional[str]": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "Optional[int]": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "Optional[float]": (lambda v: v is None or _is_number(v), "a number or null"),
+    "Optional[Tuple[str, ...]]": (lambda v: v is None or _is_list(v, str), "a string list or null"),
+    "CampaignTarget": (
+        lambda v: v is None or isinstance(v, str) or _is_list(v, str),
+        "null, a region name or a list of net names",
+    ),
+    "Optional[Tuple[Tuple[int, str, str], ...]]": (
+        lambda v: v is None or _is_list(v, (list, tuple)),
+        "null or a list of [cycle, net, effect] triples",
+    ),
+}
+
+
+def _check_types(spec) -> None:
+    """Raise :class:`ValueError` unless every field of a spec section holds
+    the JSON kind of its annotation (``True`` is not an integer)."""
+    for f in fields(spec):
+        accepts, description = _KINDS[f.type]
+        value = getattr(spec, f.name)
+        if not accepts(value):
+            raise ValueError(
+                f"{type(spec).__name__}.{f.name} must be {description}, got {value!r}"
+            )
+
+
+def _check_keys(cls, data: Any) -> None:
+    """Raise :class:`ValueError` unless ``data`` is a JSON object whose keys
+    are fields of ``cls``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
     known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
+    unknown = sorted(map(str, set(data) - known))
     if unknown:
         raise ValueError(
             f"unknown {cls.__name__} keys: {', '.join(unknown)} "
@@ -79,6 +128,7 @@ class FsmSpec:
     verilog: Optional[str] = None
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if (self.name is None) == (self.verilog is None):
             raise ValueError("FsmSpec needs exactly one of 'name' or 'verilog'")
 
@@ -97,7 +147,7 @@ class FsmSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FsmSpec":
-        _check_known_keys(cls, data)
+        _check_keys(cls, data)
         return cls(name=data.get("name"), verilog=data.get("verilog"))
 
 
@@ -115,6 +165,7 @@ class ProtectSpec:
     repair_diffusion: bool = True
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if self.protection_level < 1:
             raise ValueError("protection_level must be >= 1")
         if self.error_bits < 0:
@@ -136,7 +187,7 @@ class ProtectSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ProtectSpec":
-        _check_known_keys(cls, data)
+        _check_keys(cls, data)
         return cls(**data)
 
 
@@ -191,6 +242,7 @@ class CampaignSpec:
     spot_trials: Optional[int] = None
 
     def __post_init__(self) -> None:
+        _check_types(self)
         # Lazy: the registry imports this module.
         from repro.api.registry import available_engines
 
@@ -218,11 +270,7 @@ class CampaignSpec:
             raise ValueError("faults must be >= 1")
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
-        if self.lane_width is not None and (
-            not isinstance(self.lane_width, int)
-            or isinstance(self.lane_width, bool)
-            or self.lane_width < 1
-        ):
+        if self.lane_width is not None and self.lane_width < 1:
             raise ValueError(
                 f"lane_width must be an integer >= 1, got {self.lane_width!r} "
                 "(every engine accepts any positive lane count; leave it None "
@@ -230,7 +278,7 @@ class CampaignSpec:
             )
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if not isinstance(self.cycles, int) or isinstance(self.cycles, bool) or self.cycles < 1:
+        if self.cycles < 1:
             raise ValueError(f"cycles must be an integer >= 1, got {self.cycles!r}")
         if self.fault_duration not in FAULT_DURATIONS:
             raise ValueError(
@@ -262,22 +310,10 @@ class CampaignSpec:
                     )
                 shots.append((cycle, net, effect))
             object.__setattr__(self, "glitch_schedule", tuple(shots))
-        if self.spot_radius is not None and (
-            isinstance(self.spot_radius, bool)
-            or not isinstance(self.spot_radius, (int, float))
-            or self.spot_radius <= 0
-        ):
-            raise ValueError(
-                f"spot_radius must be a number > 0, got {self.spot_radius!r}"
-            )
-        if self.spot_trials is not None and (
-            not isinstance(self.spot_trials, int)
-            or isinstance(self.spot_trials, bool)
-            or self.spot_trials < 0
-        ):
-            raise ValueError(
-                f"spot_trials must be an integer >= 0, got {self.spot_trials!r}"
-            )
+        if self.spot_radius is not None and self.spot_radius <= 0:
+            raise ValueError(f"spot_radius must be a number > 0, got {self.spot_radius!r}")
+        if self.spot_trials is not None and self.spot_trials < 0:
+            raise ValueError(f"spot_trials must be an integer >= 0, got {self.spot_trials!r}")
 
     def resolved_effects(self, default: Sequence[FaultEffect]) -> Tuple[FaultEffect, ...]:
         """The requested :class:`FaultEffect` tuple, or ``default`` when unset."""
@@ -309,11 +345,7 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CampaignSpec":
-        _check_known_keys(cls, data)
-        data = dict(data)
-        schedule = data.get("glitch_schedule")
-        if schedule is not None:
-            data["glitch_schedule"] = tuple(tuple(shot) for shot in schedule)
+        _check_keys(cls, data)
         return cls(**data)
 
     #: Fields that do not change *which* injections a campaign performs, only
@@ -358,12 +390,15 @@ class ReportSpec:
     include_timing: bool = False
     emit_verilog: bool = False
 
+    def __post_init__(self) -> None:
+        _check_types(self)
+
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ReportSpec":
-        _check_known_keys(cls, data)
+        _check_keys(cls, data)
         return cls(**data)
 
 
@@ -435,19 +470,23 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ExperimentSpec":
+        """Parse a spec document; a malformed one raises :class:`ValueError`
+        naming the field.  A missing or null section takes its defaults."""
+        if not isinstance(data, dict):
+            raise ValueError(f"an experiment spec must be a JSON object, got {data!r}")
         data = dict(data)
         version = data.pop("version", SPEC_VERSION)
-        if version != SPEC_VERSION:
+        if not _is_int(version) or version != SPEC_VERSION:
             raise ValueError(
                 f"unsupported spec version {version!r} (this build reads {SPEC_VERSION})"
             )
-        _check_known_keys(cls, data)
-        campaign = data.get("campaign")
+        _check_keys(cls, data)
+        fsm, protect, campaign, report = map(data.get, ("fsm", "protect", "campaign", "report"))
         return cls(
-            fsm=FsmSpec.from_dict(data.get("fsm") or {}),
-            protect=ProtectSpec.from_dict(data.get("protect") or {}),
-            campaign=CampaignSpec.from_dict(campaign) if campaign is not None else None,
-            report=ReportSpec.from_dict(data.get("report") or {}),
+            fsm=FsmSpec.from_dict({} if fsm is None else fsm),
+            protect=ProtectSpec.from_dict({} if protect is None else protect),
+            campaign=None if campaign is None else CampaignSpec.from_dict(campaign),
+            report=ReportSpec.from_dict({} if report is None else report),
         )
 
     def content_hash(self) -> str:

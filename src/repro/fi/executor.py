@@ -1,45 +1,41 @@
-"""Fault-campaign execution over the bit-parallel engines.
+"""Fault-campaign execution over the bit-parallel engines and the oracle.
 
 :class:`FaultCampaign` is bound to one :class:`ScfiNetlist` and owns the
-compiled bit-parallel engine (golden lanes first, then one fault group per
-lane), the per-edge activation contexts and the batch classifier.  Every
+engine form of its netlist (bit-parallel: golden lanes first, then one fault
+group per lane), the per-edge activation contexts and the batch classifier.  Every
 scenario (:mod:`repro.fi.scenarios`) lowers itself to the group-aware
 :class:`~repro.fi.scenarios.JobArrays` IR first (its ``jobs_arrays``), and
 the IR is the only currency between the executor, the lane planner
 (:mod:`repro.fi.planner`), the three engines and the worker fleet.
 The object :data:`~repro.fi.scenarios.InjectionJob` stream is re-materialised
-from the IR (:meth:`JobArrays.to_jobs`) only where objects are genuinely
-needed: the scalar reference oracle and ``keep_outcomes`` records.
+from the IR (:meth:`JobArrays.to_jobs`) only for ``keep_outcomes`` records.
 
-There is one execution path.  Every job is a bounded trace of ``cycles``
-clock edges with register feedback, classified on its final state against
-the analytic fault-free trajectory of its transition context; a classic
-single-cycle campaign is a trace of one cycle.  Both compiled engines take
-the batch's flat fault arrays straight onto grouped lanes
-(:meth:`~repro.netlist.parallel.CompiledNetlist.step_cycles_fault_arrays`)
-and hand back one observed state code per job; counters and kept outcomes
-are classified from those codes, in the parent or in a fleet worker alike.
+There is one execution path, on every engine: plan -> batch -> reply.
+Every job is a bounded trace of ``cycles`` clock edges with register
+feedback, classified on its final state against the analytic fault-free
+trajectory of its transition context; a classic single-cycle campaign is a
+trace of one cycle.  The *plan* (:mod:`repro.fi.planner`) is cut points and
+golden-lane contexts.  Both compiled engines take a batch's flat fault arrays
+straight onto grouped lanes
+(:meth:`~repro.netlist.parallel.CompiledNetlist.step_cycles_fault_arrays`),
+with lane words gathered from one per-context bit matrix (a little-endian
+``packbits``, read as uint64 rows by numpy and as ints by the bignum
+engine); the ``"scalar"`` oracle walks the batch's IR slice one trace per job
+on the :class:`~repro.netlist.simulate.InstrumentedNetlist`, whose fault
+cells are gates.  Each returns the golden contexts' codes and one observed
+state code per job, and the golden check, the counters and kept outcomes
+come from those codes.  :attr:`FaultCampaign.last_dispatch` therefore reads
+``"array-native"`` on every engine (``"cached"`` marks store replays one
+layer up).
 
-:attr:`FaultCampaign.last_dispatch` records the fault-application path of
-the latest run: ``"array-native"`` on both compiled engines, and
-``"spec-stream"`` on the scalar oracle, which replays each job's
-:class:`~repro.fi.model.Fault` objects through the reference injector.
-
-Campaign execution is split into a *plan* phase (:mod:`repro.fi.planner`:
-cut points and golden-lane contexts, nothing else) and an *execute* phase.
-Execution builds each batch's lane words from one per-context bit matrix
-(built once per executor): a gather of the lanes' context columns and a
-little-endian ``packbits``, read as uint64 rows by the numpy engine and as
-ints by the bignum engine.  It binds the per-job fault groups to the planned
-lanes and either runs every batch in-process (``workers=1``, the default) or
-shards the run over a :class:`~repro.fi.fleet.WorkerFleet`, the one process
-pool: an owned fleet of ``workers=N`` processes, or the shared fleet a
+Batches run in-process (``workers=1``, the default) or on a
+:class:`~repro.fi.fleet.WorkerFleet`, the one process pool: an owned fleet of
+``workers=N`` processes, or the shared fleet a
 :class:`~repro.service.worker.FleetCampaign` supplies.  Consecutive batches
-(scalar oracle: job ranges) travel in contiguous chunks as small pickles --
-each batch's cut points and its slice of the IR; each worker builds its own
-compiled engine once and replies per batch with per-classification counts,
-plus the per-job observed codes when outcomes are kept.  The parent merges
-replies in deterministic job order, so counters -- and kept outcomes -- are
+travel in contiguous chunks as small pickles (cut points plus IR slice);
+each worker builds its engine once and replies per batch with
+per-classification counts, plus the per-job codes when outcomes are kept.
+The parent merges replies in job order, so counters and kept outcomes are
 bit-identical to single-process runs on every engine.
 
 Fault targets are validated up front: a scenario naming a net the netlist
@@ -51,7 +47,7 @@ fault as masked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +70,7 @@ from repro.fi.scenarios import (
 from repro.fsm.cfg import CfgEdge
 from repro.netlist.parallel import WORD_DTYPE, CompiledNetlist
 from repro.netlist.parallel_np import NumpyCompiledNetlist
+from repro.netlist.simulate import InstrumentedNetlist
 
 if TYPE_CHECKING:  # the fleet loads only when a run shards
     from repro.fi.fleet import WorkerFleet
@@ -114,6 +111,14 @@ ENGINE_INFO: Dict[str, EngineInfo] = {
 }
 
 
+#: The netlist form each built-in engine evaluates.
+_ENGINE_FORMS = {
+    "parallel": CompiledNetlist,
+    "parallel-numpy": NumpyCompiledNetlist,
+    "scalar": InstrumentedNetlist,
+}
+
+
 @dataclass
 class CampaignResult:
     """Aggregated outcome of a fault campaign.
@@ -138,10 +143,6 @@ class CampaignResult:
     outcomes: List[FaultOutcome] = field(default_factory=list)
     keep_outcomes: bool = False
 
-    def tally(self, classification: Classification) -> None:
-        """Bump the counter for one classified injection."""
-        self.tally_bulk(classification, 1)
-
     def tally_bulk(self, classification: Classification, count: int) -> None:
         """Bump the counter for ``count`` identically classified injections."""
         self.total_injections += count
@@ -155,7 +156,7 @@ class CampaignResult:
             self.hijacked += count
 
     def record(self, outcome: FaultOutcome) -> None:
-        self.tally(outcome.classification)
+        self.tally_bulk(outcome.classification, 1)
         if self.keep_outcomes:
             self.outcomes.append(outcome)
 
@@ -264,9 +265,6 @@ class CampaignResult:
         )
 
 
-#: Per-job evaluation result: (classification, observed code, observed state).
-_JobRow = Tuple[Classification, int, Optional[str]]
-
 #: Classification by wire index (workers ship the index, not the enum --
 #: pickling 10k enum members costs more than the netlist evaluation).
 _CLASSIFICATIONS = tuple(Classification)
@@ -278,13 +276,15 @@ _CLASSIFICATION_INDEX = {cls: i for i, cls in enumerate(_CLASSIFICATIONS)}
 #: enum reordering or extension.
 _BatchReply = Tuple[Tuple[int, ...], Optional[Sequence[int]]]
 
+#: The unit of execution and of the fleet wire: a batch and its IR slice.
+_Unit = Tuple[PlannedBatch, JobArrays]
+
 
 def _chunk_bounds(total: int, workers: int) -> List[Tuple[int, int]]:
     """Cut ``range(total)`` into at most ``workers * 4`` contiguous spans.
 
-    The one task-chunking rule of sharded runs: it cuts the scalar oracle's
-    jobs into job ranges and the compiled engines' planned batches into
-    batch ranges, so a fleet of ``workers`` gets a few tasks each.
+    The one task-chunking rule of sharded runs: it cuts a plan's batches
+    into batch ranges, so a fleet of ``workers`` gets a few tasks each.
     """
     chunk = max(1, -(-total // (workers * 4)))
     return [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
@@ -300,8 +300,8 @@ class FaultCampaign:
     default) evaluates word-sliced uint64 lanes with vectorised numpy
     kernels, ``"parallel"`` compiles the netlist once and evaluates batches
     of fault groups per pass on Python bignum lane words, and ``"scalar"``
-    replays every injection through the reference
-    :class:`~repro.fi.injector.ScfiFaultInjector`.
+    evaluates one trace per job on the reference
+    :class:`~repro.netlist.simulate.InstrumentedNetlist`.
 
     The bit-parallel engines pack lanes **across transition contexts** (one
     golden lane per distinct context in a pass, each asserted against the
@@ -350,11 +350,12 @@ class FaultCampaign:
         self.pack_contexts = pack_contexts
         self.workers = workers
         #: Fault-application path of the most recent run ("array-native" on
-        #: the compiled engines, "spec-stream" on the scalar oracle), None
-        #: until one ran -- provenance for experiment results.
+        #: every engine), None until one ran -- provenance for experiment
+        #: results.
         self.last_dispatch: Optional[str] = None
         self.injector = ScfiFaultInjector(structure)
         self._is_numpy = engine == "parallel-numpy"
+        self._is_oracle = engine == "scalar"
         self._successors = cfg_successor_map(self.hardened.fsm)
         self._error_states = frozenset([self.hardened.error_state])
         self.contexts: List[Tuple[CfgEdge, Dict[str, int]]] = transition_contexts(structure)
@@ -364,13 +365,8 @@ class FaultCampaign:
         self._packs_keys = 0 < state_bits < 64 and len(self.contexts) <= 1 << (
             63 - state_bits
         )
-        self._compiled: Optional[CompiledNetlist] = None
+        self._compiled = None  # the engine form, built on first use
         self._state_d_ids: Optional[List[int]] = None
-        self._scalar_net_index: Optional[Dict[str, int]] = None
-        self._net_names_cache: Optional[List[str]] = None
-        self._known_nets = frozenset(structure.netlist.primary_inputs) | frozenset(
-            gate.output for gate in structure.netlist.gates.values()
-        )
         # Per-context encoded inputs / register loads, built on first use.
         self._encoded_inputs: Dict[int, Dict[str, int]] = {}
         self._registers: Dict[int, Dict[str, int]] = {}
@@ -438,41 +434,25 @@ class FaultCampaign:
             pass
 
     @property
-    def compiled(self) -> CompiledNetlist:
-        """The lazily compiled bit-parallel form of the protected netlist."""
+    def compiled(self):
+        """The lazily built engine form of the protected netlist: the
+        bit-parallel :class:`CompiledNetlist` (numpy or bignum), or the
+        scalar oracle's :class:`InstrumentedNetlist`."""
         if self._compiled is None:
-            factory = NumpyCompiledNetlist if self._is_numpy else CompiledNetlist
-            self._compiled = factory(self.structure.netlist)
+            self._compiled = _ENGINE_FORMS[self.engine](self.structure.netlist)
         return self._compiled
 
     @property
     def net_index(self) -> Mapping[str, int]:
-        """Dense net -> row mapping the :class:`JobArrays` IR is lowered with.
-
-        The bit-parallel engines use the compiled netlist's row ids (fault
-        rows index the engine's value planes directly); the scalar oracle --
-        which never compiles -- uses a stable sorted index of the known nets,
-        since its rows only round-trip back to names.
-        """
-        if self.engine != "scalar":
-            return self.compiled.net_id
-        if self._scalar_net_index is None:
-            self._scalar_net_index = {
-                net: row for row, net in enumerate(sorted(self._known_nets))
-            }
-        return self._scalar_net_index
+        """Dense net -> row mapping the :class:`JobArrays` IR is lowered with:
+        the engine's ``net_id`` (the compiled engines' fault rows index their
+        value planes directly)."""
+        return self.compiled.net_id
 
     def _net_names(self) -> List[str]:
-        """Inverse of :attr:`net_index` (``names[row] == net``), cached."""
-        if self._net_names_cache is None:
-            index = self.net_index
-            names: List[Optional[str]] = [None] * (
-                max(index.values()) + 1 if index else 0
-            )
-            for net, row in index.items():
-                names[row] = net
-            self._net_names_cache = names
-        return self._net_names_cache
+        """Inverse of :attr:`net_index` (``names[row] == net``; rows are dense)."""
+        index = self.net_index
+        return sorted(index, key=index.__getitem__)
 
     # ------------------------------------------------------------------
     # Fault-target validation
@@ -484,7 +464,7 @@ class FaultCampaign:
         engines and counted as MASKED -- a typo'd ``--nets`` list would
         report perfect security.
         """
-        unknown = sorted(set(nets) - self._known_nets)
+        unknown = sorted(set(nets) - self.net_index.keys())
         if unknown:
             raise ValueError(
                 f"fault target nets not in netlist {self.structure.netlist.name!r}: "
@@ -554,121 +534,59 @@ class FaultCampaign:
     def _run_ir(self, arrays: JobArrays, result: CampaignResult) -> None:
         """Execute a lowered job stream: one bounded trace per job.
 
-        Every job steps the compiled netlist ``num_cycles`` times with register
-        feedback (:meth:`~repro.netlist.parallel.CompiledNetlist.step_cycles_fault_arrays`)
-        and is classified on its final state against the analytic fault-free
-        trajectory of its context; single-cycle scenarios are traces of one
-        cycle.  Plans depend only on the job contexts, never on the trace
-        length, and sharded runs ship each batch with its IR slice.
-        Per-fault cycle annotations (transient shots,
-        persistent spots, mixed schedules) select the faults live in each
-        cycle.
+        Every job steps the engine's netlist ``num_cycles`` times with
+        register feedback and is classified on its final state against the
+        analytic fault-free trajectory of its context; single-cycle
+        scenarios are traces of one cycle.  Per-fault cycle annotations
+        (transient shots, persistent spots, mixed schedules) select the
+        faults live in each cycle.  Plans depend only on the job contexts,
+        never on the trace length; each batch runs with its IR slice, in
+        process or on the fleet, and replies merge in job order.
         """
         cycles = arrays.num_cycles
         jobs = arrays.to_jobs(self._net_names()) if self.keep_outcomes else None
-        plan = None
-        if self.engine == "scalar":
-            self.last_dispatch = "spec-stream"
-        else:
-            self.last_dispatch = "array-native"
-            plan = self.plan_jobs(arrays.contexts)
+        self.last_dispatch = "array-native"
+        batches = self.plan_jobs(arrays.contexts).batches
+        units = [(batch, arrays.slice(batch.start, batch.stop)) for batch in batches]
         if self.workers > 1 or self._fleet is not None:
-            self._execute_sharded(cycles, arrays, jobs, result, plan)
-            return
-        if plan is None:
-            codes = self._evaluate_scalar(
-                cycles, jobs if jobs is not None else arrays.to_jobs(self._net_names())
-            )
-            self._merge_reply(
-                cycles, jobs, self._batch_reply(cycles, arrays.contexts, codes), result
-            )
-            return
-        for batch in plan.batches:
-            batch_arrays = arrays.slice(batch.start, batch.stop)
-            codes = self._evaluate_batch_arrays(batch, cycles, batch_arrays)
-            self._merge_reply(
-                cycles,
-                None if jobs is None else jobs[batch.start : batch.stop],
-                self._batch_reply(cycles, batch_arrays.contexts, codes),
-                result,
-            )
-
-    def _execute_sharded(
-        self,
-        cycles: int,
-        arrays: JobArrays,
-        jobs: Optional[List[InjectionJob]],
-        result: CampaignResult,
-        plan: Optional[CampaignPlan],
-    ) -> None:
-        """Ship the run to the worker fleet in contiguous chunks; merge in order.
-
-        The shipped units are the plan's batches on the compiled engines and
-        contiguous job ranges on the scalar oracle (``plan is None``).
-        :func:`_chunk_bounds` groups consecutive units into tasks, and each
-        task replies with its units' replies in order, so merging stays in
-        job order.  Every unit is its batch (cut points and golden contexts,
-        ``None`` on the scalar oracle) plus its slice of the IR.
-        """
-        fleet = self._ensure_fleet()
-        if plan is None:
-            spans = _chunk_bounds(arrays.num_jobs, fleet.size)
-            units: Sequence[Optional[PlannedBatch]] = [None] * len(spans)
+            replies = self._sharded_replies(cycles, units)
         else:
-            spans = [(batch.start, batch.stop) for batch in plan.batches]
-            units = plan.batches
-        tasks = [
-            (cycles, [(units[i], arrays.slice(*spans[i])) for i in range(lo, hi)])
-            for lo, hi in _chunk_bounds(len(spans), fleet.size)
-        ]
-        done = 0
+            replies = (self._unit_reply(cycles, unit) for unit in units)
+        for done, (batch, reply) in enumerate(zip(batches, replies), 1):
+            batch_jobs = None if jobs is None else jobs[batch.start : batch.stop]
+            self._merge_reply(cycles, batch_jobs, reply, result)
+            if self._batch_progress is not None:
+                self._batch_progress(done, len(batches))
+
+    def _sharded_replies(self, cycles: int, units: List[_Unit]) -> Iterator[_BatchReply]:
+        """Ship the units to the fleet as :func:`_chunk_bounds` tasks of
+        consecutive units; yield their replies in job order."""
+        fleet = self._ensure_fleet()
+        tasks = [(cycles, units[lo:hi]) for lo, hi in _chunk_bounds(len(units), fleet.size)]
         for replies in fleet.run(self.config_id, tasks, cancel=self._cancel):
-            for reply in replies:
-                start, stop = spans[done]
-                batch_jobs = None if jobs is None else jobs[start:stop]
-                self._merge_reply(cycles, batch_jobs, reply, result)
-                done += 1
-                if self._batch_progress is not None:
-                    self._batch_progress(done, len(spans))
+            yield from replies
 
     def _task_replies(self, task) -> List[_BatchReply]:
-        """Evaluate one fleet task in a worker: one reply per shipped unit.
-
-        ``task`` is ``(cycles, units)``, each unit ``(batch, arrays)`` with
-        ``arrays`` its slice of the :class:`JobArrays` IR, traced over
-        ``cycles`` clock edges.  On the scalar oracle ``batch`` is ``None``
-        and the slice is replayed job by job; otherwise it is the
-        :class:`PlannedBatch` whose lanes the slice fills.
-        """
+        """Evaluate one fleet task in a worker: ``task`` is ``(cycles,
+        units)``, and the reply holds one reply per unit, in order."""
         cycles, units = task
-        replies: List[_BatchReply] = []
-        for batch, arrays in units:
-            if batch is None:
-                codes = self._evaluate_scalar(cycles, arrays.to_jobs(self._net_names()))
-            else:
-                codes = self._evaluate_batch_arrays(batch, cycles, arrays)
-            replies.append(self._batch_reply(cycles, arrays.contexts, codes))
-        return replies
+        return [self._unit_reply(cycles, unit) for unit in units]
 
-    def _rows_from_codes(
-        self, cycles: int, batch_jobs: Sequence[InjectionJob], codes: Sequence[int]
-    ) -> List[_JobRow]:
-        """Per-job outcome rows from a batch reply's observed codes.
+    def _unit_reply(self, cycles: int, unit: _Unit) -> _BatchReply:
+        """Evaluate and classify one unit over ``cycles`` clock edges, in the
+        parent or in a fleet worker alike.
 
-        The parent applies the same memoised classifier the worker used, so
-        rows are identical whichever side evaluated the batch."""
-        rows: List[_JobRow] = []
-        for (index, _), code in zip(batch_jobs, map(int, codes)):
-            classification, observed_state = self._classify(index, cycles, code)
-            rows.append((classification, code, observed_state))
-        return rows
-
-    def _batch_reply(
-        self, cycles: int, job_contexts: "np.ndarray", codes: Sequence[int]
-    ) -> _BatchReply:
-        """Classify one batch's observed codes into a reply: counts, plus the
-        codes themselves when outcomes are kept."""
-        counts = tuple(self._classified_counts(cycles, job_contexts, codes))
+        The engine returns the golden contexts' codes, checked against their
+        analytic trajectories, then one code per job.  The reply holds
+        per-classification counts, plus the job codes when outcomes are kept.
+        """
+        batch, arrays = unit
+        evaluate = self._oracle_codes if self._is_oracle else self._compiled_codes
+        codes = evaluate(batch, cycles, arrays)
+        for lane, index in enumerate(batch.golden_contexts):
+            self._check_golden(index, cycles, int(codes[lane]))
+        codes = codes[len(batch.golden_contexts) :]
+        counts = tuple(self._classified_counts(cycles, arrays.contexts, codes))
         return counts, codes if self.keep_outcomes else None
 
     def _merge_reply(
@@ -680,35 +598,46 @@ class FaultCampaign:
     ) -> None:
         """Fold one batch reply into the result, preserving job order.
 
-        Counters are merged as-is (the batch was classified with the same
-        memoised rule everywhere); with ``keep_outcomes`` (``batch_jobs``
-        given) the per-job codes become :class:`FaultOutcome` records.
+        Counters merge as-is; with ``keep_outcomes`` (``batch_jobs`` given)
+        the parent applies the same memoised classifier to the per-job codes
+        to build :class:`FaultOutcome` records.
         """
         counts, codes = reply
-        if batch_jobs is not None:
-            if codes is None:
-                raise RuntimeError("worker returned no codes for a keep_outcomes campaign")
-            self._record_rows(batch_jobs, self._rows_from_codes(cycles, batch_jobs, codes), result)
+        if batch_jobs is None:
+            for classification, count in zip(_CLASSIFICATIONS, counts):
+                if count:
+                    result.tally_bulk(classification, count)
             return
-        for classification, count in zip(_CLASSIFICATIONS, counts):
-            if count:
-                result.tally_bulk(classification, count)
+        if codes is None:
+            raise RuntimeError("worker returned no codes for a keep_outcomes campaign")
+        for (index, faults), code in zip(batch_jobs, map(int, codes)):
+            classification, observed_state = self._classify(index, cycles, code)
+            edge, _ = self.contexts[index]
+            result.record(
+                FaultOutcome.of_faults(
+                    faults,
+                    source_state=edge.src,
+                    expected_state=edge.dst,
+                    observed_code=code,
+                    observed_state=observed_state,
+                    classification=classification,
+                )
+            )
 
     # ------------------------------------------------------------------
     # Batch evaluation
     # ------------------------------------------------------------------
-    def _evaluate_batch_arrays(
+    def _compiled_codes(
         self, batch: PlannedBatch, cycles: int, arrays: JobArrays
     ) -> Sequence[int]:
-        """One pass over a planned batch: per-job observed state codes.
+        """Golden-lane then job-lane codes of one bit-parallel pass.
 
-        ``arrays`` is the batch's IR slice; fault *groups* become grouped
-        lanes -- every fault of job ``i`` lands on lane ``num_golden + i``,
-        so a multi-net laser-spot group occupies a single fault lane, exactly
-        like ``FaultSet.apply`` -- and the per-fault cycle annotations select
-        which faults are live in each cycle of the trace.  Codes come back as
-        one uint64 array, or as Python ints for state codes of 64 bits or
-        more.  Runs identically in the parent and in fleet workers.
+        Fault *groups* become grouped lanes -- every fault of job ``i``
+        lands on lane ``num_golden + i``, so a multi-net laser-spot group
+        occupies a single fault lane -- and the per-fault cycle annotations
+        select which faults are live in each cycle of the trace.  Codes come
+        back as one uint64 array, or as Python ints for state codes of 64
+        bits or more.
         """
         num_golden = len(batch.golden_contexts)
         num_jobs = arrays.num_jobs
@@ -741,9 +670,31 @@ class FaultCampaign:
         codes = values.code_array_by_id(state_d)
         if codes is None:
             codes = values.read_words_by_id(state_d)
-        for lane, index in enumerate(batch.golden_contexts):
-            self._check_golden(index, cycles, int(codes[lane]))
-        return codes[num_golden:]
+        return codes
+
+    def _oracle_codes(self, batch: PlannedBatch, cycles: int, arrays: JobArrays) -> List[int]:
+        """Golden-context then job codes of one batch, one oracle trace each.
+
+        The oracle walks the batch's own IR slice: it selects each cycle's
+        live faults itself and hands them to the instrumented netlist in
+        group order (the order that makes the last stuck-at win), with no
+        lane words and no fault scatter.
+        """
+        oracle = self.compiled
+        offsets = arrays.group_offsets.tolist()
+        faults = list(zip(arrays.net_rows.tolist(), arrays.modes.tolist()))
+        shots = [EVERY_CYCLE] * len(faults) if arrays.cycles is None else arrays.cycles.tolist()
+        groups = [range(0)] * len(batch.golden_contexts) + list(map(range, offsets, offsets[1:]))
+        codes: List[int] = []
+        for index, group in zip(list(batch.golden_contexts) + arrays.contexts.tolist(), groups):
+            cycle_faults = [
+                [faults[k] for k in group if shots[k] in (EVERY_CYCLE, cycle)]
+                for cycle in range(cycles)
+            ]
+            encoded, registers = self._context_vectors(index)
+            values = oracle.trace(encoded, cycle_faults, registers=registers)
+            codes.append(oracle.read_word(values, self.structure.state_d))
+        return codes
 
     def _classified_counts(
         self, cycles: int, job_contexts: "np.ndarray", codes: Sequence[int]
@@ -774,22 +725,6 @@ class FaultCampaign:
             class_index[i] = _CLASSIFICATION_INDEX[classification]
         counts = np.bincount(class_index[inverse], minlength=len(_CLASSIFICATIONS))
         return counts.tolist()
-
-    def _evaluate_scalar(self, cycles: int, jobs: Sequence[InjectionJob]) -> List[int]:
-        """Replay jobs one trace at a time on the reference injector: codes."""
-        codes: List[int] = []
-        for index, faults in jobs:
-            edge, inputs = self.contexts[index]
-            cycle_faults = [
-                tuple(
-                    fault
-                    for fault in faults
-                    if fault.cycle is None or fault.cycle == cycle
-                )
-                for cycle in range(cycles)
-            ]
-            codes.append(self.injector.trace_code(edge, inputs, cycle_faults))
-        return codes
 
     # ------------------------------------------------------------------
     # Contexts, golden trajectories and classification
@@ -897,7 +832,7 @@ class FaultCampaign:
         if observed != golden:
             edge, _ = self.contexts[index]
             raise RuntimeError(
-                f"bit-parallel golden lane diverged after {cycles} cycle(s) on edge "
+                f"golden lane diverged after {cycles} cycle(s) on edge "
                 f"{edge.src}->{edge.dst}: expected {golden:#x}, simulated {observed:#x}"
             )
 
@@ -920,24 +855,3 @@ class FaultCampaign:
             cached = (classification, observed_state)
             self._classify_cache[key] = cached
         return cached
-
-    def _record_rows(
-        self, jobs: Sequence[InjectionJob], rows: Sequence[_JobRow], result: CampaignResult
-    ) -> None:
-        """Merge per-job rows into the result, preserving job order."""
-        if result.keep_outcomes:
-            for (index, faults), (classification, observed, observed_state) in zip(jobs, rows):
-                edge, _ = self.contexts[index]
-                result.record(
-                    FaultOutcome.of_faults(
-                        faults,
-                        source_state=edge.src,
-                        expected_state=edge.dst,
-                        observed_code=observed,
-                        observed_state=observed_state,
-                        classification=classification,
-                    )
-                )
-        else:
-            for classification, _, _ in rows:
-                result.tally(classification)

@@ -74,8 +74,7 @@ def _fleet_worker_main(worker_id: int, task_queue, result_queue) -> None:
                 _, config_id, structure, params = message
                 if config_id not in campaigns:
                     campaign = FaultCampaign(structure, **params)
-                    if campaign.engine != "scalar":
-                        campaign.compiled  # compile up front
+                    campaign.compiled  # compile up front
                     campaigns[config_id] = campaign
             elif kind == "task":
                 _, task_id, config_id, payload = message

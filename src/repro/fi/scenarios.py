@@ -10,8 +10,8 @@ arrays where ``group_offsets`` delimits each job's slice of the flat
 ``net_rows``/``modes``/``cycles`` fault arrays.  The executor
 (:mod:`repro.fi.executor`) plans, batches and classifies the IR; the object
 :data:`InjectionJob` stream survives as a thin compatibility adapter over the
-IR (:meth:`JobArrays.to_jobs`), preserved for the scalar oracle and for
-outcome hydration.
+IR (:meth:`JobArrays.to_jobs`), preserved for outcome hydration only (the
+scalar oracle walks the IR like the compiled engines).
 
 Every scenario builds its IR directly in ``jobs_arrays`` -- no per-job
 Python objects.  Regular scenarios (:class:`ExhaustiveSingleFault` and its
@@ -42,14 +42,14 @@ from repro.netlist.parallel import MODE_FLIP, MODE_STUCK0, MODE_STUCK1
 InjectionJob = Tuple[int, Tuple[Fault, ...]]
 
 #: FaultEffect -> fault mode of the flat fault arrays both compiled engines take.
-_EFFECT_MODES = {
+EFFECT_MODES = {
     FaultEffect.TRANSIENT_FLIP: MODE_FLIP,
     FaultEffect.STUCK_AT_0: MODE_STUCK0,
     FaultEffect.STUCK_AT_1: MODE_STUCK1,
 }
 
-#: Inverse of :data:`_EFFECT_MODES` for replaying the IR as objects.
-_MODE_EFFECTS = {mode: effect for effect, mode in _EFFECT_MODES.items()}
+#: Inverse of :data:`EFFECT_MODES` for replaying the IR as objects.
+_MODE_EFFECTS = {mode: effect for effect, mode in EFFECT_MODES.items()}
 
 #: Sentinel in :attr:`JobArrays.cycles` for a fault active in every cycle.
 EVERY_CYCLE = -1
@@ -135,8 +135,8 @@ class JobArrays:
         """Replay the IR as the equivalent object job stream.
 
         ``net_names`` is the inverse of the ``net_id`` mapping used to lower
-        (``net_names[row] == net``).  The compatibility adapter for the
-        scalar oracle and for ``keep_outcomes`` hydration.
+        (``net_names[row] == net``).  The compatibility adapter for
+        ``keep_outcomes`` hydration.
         """
         offsets = self.group_offsets
         cycles = self.cycles
@@ -175,7 +175,7 @@ class JobArrays:
 
 
 def _effect_modes(effects: Sequence[FaultEffect]) -> List[int]:
-    return [_EFFECT_MODES[effect] for effect in effects]
+    return [EFFECT_MODES[effect] for effect in effects]
 
 
 def _resolve_target_nets(scenario, campaign: "FaultCampaign", default: str) -> List[str]:

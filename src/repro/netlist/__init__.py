@@ -4,7 +4,7 @@ from repro.netlist.gates import Gate, GateType
 from repro.netlist.celllib import CellLibrary, CellSpec, nangate45_like_library
 from repro.netlist.netlist import Netlist
 from repro.netlist.builder import NetlistBuilder
-from repro.netlist.simulate import NetlistSimulator, FaultSet
+from repro.netlist.simulate import InstrumentedNetlist, NetlistSimulator
 from repro.netlist.parallel import CompiledNetlist, LaneValues
 from repro.netlist.parallel_np import NumpyCompiledNetlist, NumpyLaneValues
 from repro.netlist.timing import TimingAnalyzer, TimingReport
@@ -19,7 +19,7 @@ __all__ = [
     "Netlist",
     "NetlistBuilder",
     "NetlistSimulator",
-    "FaultSet",
+    "InstrumentedNetlist",
     "CompiledNetlist",
     "LaneValues",
     "NumpyCompiledNetlist",

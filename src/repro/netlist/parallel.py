@@ -15,7 +15,7 @@ to ``W`` *fault lanes* per pass using Python bignum bitwise operations:
 * faults arrive as three flat arrays -- dense net id, lane, effect mode
   (:data:`MODE_FLIP` / :data:`MODE_STUCK0` / :data:`MODE_STUCK1`).  One
   unsorted ``ufunc.at`` scatter, :func:`fault_keep_xor`, turns them into
-  dense keep/xor word planes with the semantics of ``FaultSet.apply``; this
+  dense keep/xor word planes with the oracle's fault rule; this
   engine lifts the faulted rows into per-net ``(keep, xor)`` bignum pairs and
   applies ``word = (word & keep) ^ xor`` right after the driving op.
 
@@ -101,8 +101,8 @@ def _last_stuck_wins(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Drop every stuck-at a later stuck-at on the same (net, lane) overrides.
 
-    A group that sticks one net at 0 and then at 1 behaves like the
-    ``FaultSet`` built from it, whose ``stuck_at`` dict keeps the last value.
+    A group that sticks one net at 0 and then at 1 behaves like the oracle's
+    fault cell, whose stuck-value input keeps the last value written.
     """
     stuck = np.flatnonzero(modes != MODE_FLIP)
     keys = rows[stuck].astype(np.int64) * (int(lanes.max()) + 1) + lanes[stuck]
@@ -127,9 +127,10 @@ def fault_keep_xor(
     ``v = (v & keep[row]) ^ xor[row]`` to a row's lane words right after its
     driver runs injects every fault.  A stuck-at clears the lane's ``keep``
     bit (and sets its ``xor`` bit for stuck-at-1); a flip sets its ``xor``
-    bit.  The triples of one lane form one fault group with ``FaultSet.apply``
-    semantics: stuck-at beats flip, the last stuck-at on a net wins, and a
-    repeated flip is one flip.  Rows are trusted (the campaign layer resolves
+    bit.  The triples of one lane form one fault group with the rule of the
+    oracle's fault cells (:class:`~repro.netlist.simulate.InstrumentedNetlist`):
+    stuck-at beats flip, the last stuck-at on a net wins, and a repeated
+    flip is one flip.  Rows are trusted (the campaign layer resolves
     and bounds-checks them).
     """
     rows = np.asarray(fault_rows, dtype=np.intp)

@@ -26,7 +26,8 @@ Three compile/run-time structures make the wide case fast:
   dense ``(num_nets, num_words)`` word planes in row order.  A faulted level
   is patched in place with two ops on views (``v &= keep; v ^= xor``); the
   bignum engine consumes the same scatter, so both engines apply faults
-  with one set of ``FaultSet.apply`` semantics.
+  with one rule, the one the scalar oracle's fault cells implement in gates
+  (:class:`~repro.netlist.simulate.InstrumentedNetlist`).
 * **Byte-view transposes.**  ``read_words`` / ``read_words_by_id`` view the
   selected rows as bytes and run the shared
   :func:`~repro.netlist.parallel.lane_codes_from_byte_rows` transpose, so

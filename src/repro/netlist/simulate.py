@@ -1,56 +1,26 @@
-"""Levelised logic simulation with fault-injection hooks.
+"""Levelised logic simulation, and the fault model as a netlist rewrite.
 
-The simulator evaluates the combinational cloud of a netlist given the primary
-inputs and the current flip-flop outputs.  Faults are expressed as
-:class:`FaultSet` overrides on nets: a *flip* inverts whatever value the
-driver produced, a *stuck-at* forces the value.  Both transient (single
-evaluation) and permanent (caller re-applies every cycle) behaviour can be
-modelled, matching the fault model of the paper (Section 2.1).
-
-This scalar simulator is the reference oracle; bulk fault campaigns run on
-the bit-parallel :class:`~repro.netlist.parallel.CompiledNetlist` engine,
-which evaluates many fault lanes per pass and is cross-checked against this
-implementation lane for lane.
+:class:`NetlistSimulator` evaluates the combinational cloud of a netlist
+given the primary inputs and the current flip-flop outputs; it knows nothing
+about faults.  :class:`InstrumentedNetlist` puts the fault model of the paper
+(Section 2.1) into gates, like HARPOON's node rewiring: every reader of a
+faultable net ``n`` reads ``MUX2(XOR2(n, n__f), n__v, n__s)`` with fresh
+flip, stuck-value and stick inputs.  The fault rule -- a stuck-at beats a
+flip, the last stuck-at on a net wins, a repeated flip is one flip -- is then
+a property of the cells and of the order a driver sets their inputs in.  This
+is the reference oracle the bit-parallel engines
+(:mod:`repro.netlist.parallel`, :mod:`repro.netlist.parallel_np`) are
+cross-checked against lane for lane.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.netlist.gates import CELL_FUNCTIONS
+from repro.netlist.gates import CELL_FUNCTIONS, Gate, GateType
 from repro.netlist.netlist import Netlist
-
-
-@dataclass
-class FaultSet:
-    """Net-level fault overrides applied during one combinational evaluation."""
-
-    flips: frozenset = field(default_factory=frozenset)
-    stuck_at: Mapping[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def single_flip(cls, net: str) -> "FaultSet":
-        return cls(flips=frozenset([net]))
-
-    @classmethod
-    def flips_of(cls, nets: Iterable[str]) -> "FaultSet":
-        return cls(flips=frozenset(nets))
-
-    @classmethod
-    def stuck(cls, net: str, value: int) -> "FaultSet":
-        return cls(stuck_at={net: int(value) & 1})
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.flips and not self.stuck_at
-
-    def apply(self, net: str, value: int) -> int:
-        if net in self.stuck_at:
-            return self.stuck_at[net]
-        if net in self.flips:
-            return 1 - value
-        return value
+from repro.netlist.parallel import MODE_FLIP, MODE_STUCK1
 
 
 class NetlistSimulator:
@@ -70,6 +40,7 @@ class NetlistSimulator:
         ]
         self._flops = netlist.flops()
         self.registers: Dict[str, int] = {flop.output: 0 for flop in self._flops}
+        self._no_inputs = dict.fromkeys(netlist.primary_inputs, 0)
 
     # ------------------------------------------------------------------
     # Register state
@@ -94,49 +65,38 @@ class NetlistSimulator:
     def evaluate(
         self,
         inputs: Mapping[str, int],
-        faults: Optional[FaultSet] = None,
         registers: Optional[Mapping[str, int]] = None,
     ) -> Dict[str, int]:
         """Evaluate the combinational logic once and return every net value.
 
         ``inputs`` maps primary-input nets to values; missing inputs default
-        to zero.  ``registers`` overrides the stored flip-flop outputs for
-        this evaluation only.
+        to zero and names that are not primary inputs are ignored.
+        ``registers`` overrides the stored flip-flop outputs for this
+        evaluation only.
         """
-        faults = faults or FaultSet(frozenset(), {})
-        apply = faults.apply
-        values: Dict[str, int] = {}
-        reg_values = dict(self.registers)
+        values = self._no_inputs.copy()
+        for net, value in inputs.items():
+            if net in values:
+                values[net] = int(value) & 1
+        values.update(self.registers)
         if registers:
-            reg_values.update({k: int(v) & 1 for k, v in registers.items()})
-        for net in self.netlist.primary_inputs:
-            values[net] = apply(net, int(inputs.get(net, 0)) & 1)
-        for net, value in reg_values.items():
-            values[net] = apply(net, value)
-        if faults.is_empty:
-            for output, function, a, b, c in self._program:
-                values[output] = function(values, a, b, c)
-        else:
-            for output, function, a, b, c in self._program:
-                values[output] = apply(output, function(values, a, b, c))
+            values.update({k: int(v) & 1 for k, v in registers.items()})
+        for output, function, a, b, c in self._program:
+            values[output] = function(values, a, b, c)
         return values
 
     def next_register_values(
         self,
         inputs: Mapping[str, int],
-        faults: Optional[FaultSet] = None,
         registers: Optional[Mapping[str, int]] = None,
     ) -> Dict[str, int]:
         """Values the flip-flops would capture at the next clock edge."""
-        values = self.evaluate(inputs, faults=faults, registers=registers)
-        next_values: Dict[str, int] = {}
-        for flop in self._flops:
-            next_values[flop.output] = values[flop.inputs[0]]
-        return next_values
+        values = self.evaluate(inputs, registers=registers)
+        return {flop.output: values[flop.inputs[0]] for flop in self._flops}
 
-    def step(self, inputs: Mapping[str, int], faults: Optional[FaultSet] = None) -> Dict[str, int]:
+    def step(self, inputs: Mapping[str, int]) -> Dict[str, int]:
         """Advance one clock cycle (registers updated in place) and return net values."""
-        values = self.evaluate(inputs, faults=faults)
+        values = self.evaluate(inputs)
         for flop in self._flops:
             self.registers[flop.output] = values[flop.inputs[0]]
         return values
@@ -152,6 +112,103 @@ class NetlistSimulator:
     def spread_word(bits: List[str], value: int) -> Dict[str, int]:
         """Split an integer into a per-net input mapping (LSB first)."""
         return {bit: (value >> i) & 1 for i, bit in enumerate(bits)}
+
+
+#: A fault as the oracle takes it: ``(net row, fault mode)``, both as in the
+#: compiled engines' flat fault arrays.
+FaultRow = Tuple[int, int]
+
+
+class InstrumentedNetlist:
+    """A netlist whose every faultable net is read through a fault cell.
+
+    ``net_id`` numbers the faultable nets in the compiled engines' row order
+    (primary inputs, flop outputs, gate outputs in topological order), so
+    the campaign IR lowers onto this oracle exactly as onto them.  A fault
+    group is a sequence of ``(row, mode)`` pairs that :meth:`fault_inputs`
+    turns into control-input values, in group order; the gates do the rest.
+    """
+
+    def __init__(self, netlist: Netlist):
+        netlist.validate()
+        nets = list(netlist.primary_inputs) + netlist.flop_outputs()
+        nets += [gate.output for gate in netlist.topological_order()]
+        self.net_id: Dict[str, int] = {net: row for row, net in enumerate(nets)}
+        #: The net every reader of a faultable net reads instead.
+        self.read: Dict[str, str] = {net: f"{net}__r" for net in nets}
+        #: ``(flip, stick, value)`` control inputs per row.
+        self._controls = [(f"{net}__f", f"{net}__s", f"{net}__v") for net in nets]
+        rewritten = Netlist(f"{netlist.name}__fi")
+        for net in netlist.primary_inputs + [c for cell in self._controls for c in cell]:
+            rewritten.add_input(net)
+        for gate in netlist.gates.values():
+            rewritten.add_gate(replace(gate, inputs=[self.read[net] for net in gate.inputs]))
+        for net, (flip, stick, value) in zip(nets, self._controls):
+            rewritten.add_gate(Gate(f"{net}__fx", GateType.XOR2, [net, flip], f"{net}__x"))
+            rewritten.add_gate(
+                Gate(f"{net}__fm", GateType.MUX2, [f"{net}__x", value, stick], self.read[net])
+            )
+        for net in netlist.primary_outputs:
+            rewritten.add_output(self.read[net])
+        self.netlist = rewritten
+        self.simulator = NetlistSimulator(rewritten)
+        #: ``(flop output, net the flop captures)`` for register feedback.
+        self._feedback = [(flop.output, self.read[flop.inputs[0]]) for flop in netlist.flops()]
+
+    def fault_inputs(self, faults: Iterable[FaultRow]) -> Dict[str, int]:
+        """The control-input values that inject one fault group.
+
+        A flip sets its net's flip input; a stuck-at sets the stick input
+        and writes the stuck value, so of two stuck-ats on one net the later
+        one is what the cell sees.  The MUX2 lets a stuck-at beat a flip, and
+        setting a flip input twice is one flip.
+        """
+        values: Dict[str, int] = {}
+        for row, mode in faults:
+            flip, stick, value = self._controls[row]
+            if mode == MODE_FLIP:
+                values[flip] = 1
+            else:
+                values[stick] = 1
+                values[value] = int(mode == MODE_STUCK1)
+        return values
+
+    def trace(
+        self,
+        inputs: Mapping[str, int],
+        cycle_faults: Sequence[Iterable[FaultRow]],
+        registers: Optional[Mapping[str, int]] = None,
+    ) -> Dict[str, int]:
+        """Step ``len(cycle_faults)`` cycles, holding the inputs, with
+        ``cycle_faults[t]`` active in cycle ``t``; every flop captures what
+        its D net's readers see.  Returns the rewritten netlist's last values
+        (read original nets through :attr:`read` or :meth:`read_word`)."""
+        if not cycle_faults:
+            raise ValueError("at least one cycle is required")
+        evaluate = self.simulator.evaluate
+        values: Dict[str, int] = {}
+        for cycle, faults in enumerate(cycle_faults):
+            if cycle:
+                registers = {q: values[d] for q, d in self._feedback}
+            values = evaluate({**inputs, **self.fault_inputs(faults)}, registers=registers)
+        return values
+
+    def read_word(self, values: Mapping[str, int], bits: Sequence[str]) -> int:
+        """An integer from the values the readers of ``bits`` see (LSB first)."""
+        read = self.read
+        return sum(values[read[bit]] << i for i, bit in enumerate(bits))
+
+    def evaluate(
+        self,
+        inputs: Mapping[str, int],
+        faults: Iterable[FaultRow] = (),
+        registers: Optional[Mapping[str, int]] = None,
+    ) -> Dict[str, int]:
+        """One evaluation with one fault group active: every faultable net's
+        value as its readers see it, in :meth:`NetlistSimulator.evaluate`
+        format."""
+        values = self.trace(inputs, [faults], registers=registers)
+        return {net: values[read] for net, read in self.read.items()}
 
 
 def injectable_nets(netlist: Netlist, include_inputs: bool = False) -> List[str]:

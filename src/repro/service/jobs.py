@@ -162,6 +162,8 @@ class JobQueue:
         self._active_by_hash: Dict[str, str] = {}  # spec_hash -> active job_id
         self._pending: deque = deque()  # job ids awaiting the scheduler
         self._available = threading.Condition(self._lock)
+        #: Notified whenever a job reaches a terminal state.
+        self._settled = threading.Condition(self._lock)
 
     # -- persistence ----------------------------------------------------
 
@@ -249,6 +251,7 @@ class JobQueue:
         with self._lock:
             self.persist(job)
             self._jobs[job.job_id] = job
+            self._settled.notify_all()
 
     # -- scheduler side --------------------------------------------------
 
@@ -279,6 +282,14 @@ class JobQueue:
                 if self._active_by_hash.get(job.spec_hash) == job.job_id:
                     del self._active_by_hash[job.spec_hash]
                 self.persist(job)
+                self._settled.notify_all()
+
+    def wait_settled(self, job_id: str, timeout: Optional[float] = None) -> Optional[Job]:
+        """Block until job ``job_id`` is in a terminal state or ``timeout``
+        seconds pass; return the job as it then stands (``None`` if unknown)."""
+        with self._settled:
+            self._settled.wait_for(lambda: not getattr(self._jobs.get(job_id), "active", True), timeout)
+        return self.get(job_id)
 
     # -- introspection ---------------------------------------------------
 

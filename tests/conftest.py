@@ -13,28 +13,21 @@ from repro.fsmlib import (
     traffic_light_fsm,
     uart_rx_fsm,
 )
-from repro.netlist.parallel import MODE_FLIP, MODE_STUCK0, MODE_STUCK1
 
 
 def _fault_triples(net_id, fault_lanes):
-    """Flat ``(net ids, lanes, modes)`` arrays of per-lane ``FaultSet`` lists.
+    """Flat ``(net ids, lanes, modes)`` arrays of per-lane fault groups.
 
-    ``None`` (or an empty set) is a golden lane.  Flips and stuck-ats of one
-    lane become that lane's triples, in ``FaultSet`` order, which is the
+    Each lane is ``None`` (a golden lane) or a sequence of ``(net, mode)``
+    pairs; a lane's pairs become its triples in group order, which is the
     input format of the compiled engines' ``evaluate_fault_arrays``.
     """
     rows, lanes, modes = [], [], []
-    for lane, fault_set in enumerate(fault_lanes):
-        if fault_set is None:
-            continue
-        for net in sorted(fault_set.flips):
+    for lane, group in enumerate(fault_lanes):
+        for net, mode in group or ():
             rows.append(net_id[net])
             lanes.append(lane)
-            modes.append(MODE_FLIP)
-        for net, value in fault_set.stuck_at.items():
-            rows.append(net_id[net])
-            lanes.append(lane)
-            modes.append(MODE_STUCK1 if value else MODE_STUCK0)
+            modes.append(mode)
     return (
         np.array(rows, dtype=np.intp),
         np.array(lanes, dtype=np.intp),
@@ -44,7 +37,7 @@ def _fault_triples(net_id, fault_lanes):
 
 @pytest.fixture
 def fault_triples():
-    """The ``FaultSet``-lanes-to-fault-triples converter of the engine tests."""
+    """The fault-group-lanes-to-fault-triples converter of the engine tests."""
     return _fault_triples
 
 

@@ -289,7 +289,7 @@ class TestDispatchProvenance:
         result = Session().run(exhaustive_spec(engine="parallel"))
         assert result.dispatch == {"exhaustive": "array-native"}
         oracle = Session().run(exhaustive_spec(engine="scalar"))
-        assert oracle.dispatch == {"exhaustive": "spec-stream"}
+        assert oracle.dispatch == {"exhaustive": "array-native"}
         assert (
             result.campaigns["exhaustive"].counters()
             == oracle.campaigns["exhaustive"].counters()

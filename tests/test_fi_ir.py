@@ -5,9 +5,10 @@ lowering kept here: the object job streams the scenarios used to generate
 (same ``random.Random(seed)`` draws, same order, same fault groups), pushed
 through a reference object-to-IR adapter.  The dispatch tests pin which
 execution path each engine takes (:attr:`FaultCampaign.last_dispatch`):
-both compiled engines run every campaign array-native -- kept outcomes and
-stuck-at-0/1 conflicts inside one group included -- with counters and
-outcomes equal to the scalar oracle, which reports the spec-stream path.
+every engine runs every campaign array-native -- kept outcomes and
+stuck-at-0/1 conflicts inside one group included -- and the compiled
+engines' counters and outcomes equal the scalar oracle's, which walks the
+same batches on the instrumented netlist.
 """
 
 from __future__ import annotations
@@ -388,10 +389,11 @@ STUCK_CONFLICTS = {
 
 def _assert_compiled_engines_match_oracle(structure, make_scenario):
     """Both compiled engines, counters-only and with kept outcomes, run
-    array-native and equal the scalar oracle; returns the oracle result."""
+    array-native and equal the scalar oracle (array-native as well);
+    returns the oracle result."""
     with FaultCampaign(structure, engine="scalar", keep_outcomes=True) as campaign:
         expected = campaign.run(make_scenario())
-        assert campaign.last_dispatch == "spec-stream"
+        assert campaign.last_dispatch == "array-native"
     for engine in ("parallel", "parallel-numpy"):
         for keep_outcomes in (False, True):
             with FaultCampaign(
@@ -406,8 +408,8 @@ def _assert_compiled_engines_match_oracle(structure, make_scenario):
 
 
 class TestStuckConflictSemantics:
-    """Within one cycle the last stuck-at on a net wins (``FaultSet``
-    semantics), on the flat fault arrays of both compiled engines."""
+    """Within one cycle the last stuck-at on a net wins (the oracle's fault
+    cells), on the flat fault arrays of both compiled engines."""
 
     @pytest.mark.parametrize("case", sorted(STUCK_CONFLICTS))
     def test_compiled_engines_match_oracle(self, protected_traffic_light, case):
@@ -447,7 +449,7 @@ class TestDispatchProvenance:
 
     def test_dispatch_is_observed_not_configured(self, protected_traffic_light):
         with pytest.raises(TypeError, match="dispatch"):
-            FaultCampaign(protected_traffic_light.structure, dispatch="spec-stream")
+            FaultCampaign(protected_traffic_light.structure, dispatch="array-native")
 
     def test_numpy_effect_sweep_is_array_native(self, protected_traffic_light):
         structure = protected_traffic_light.structure
@@ -462,7 +464,7 @@ class TestDispatchProvenance:
             lambda: RandomMultiFault(num_faults=2, trials=50, seed=1),
         )
 
-    def test_bignum_engine_is_array_native_scalar_is_spec_stream(
+    def test_every_engine_is_array_native(
         self, protected_traffic_light
     ):
         _assert_compiled_engines_match_oracle(

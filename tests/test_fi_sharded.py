@@ -49,7 +49,7 @@ class TestShardedEqualsSingleProcess:
     @pytest.mark.parametrize("seed", [7, 19])
     def test_random_fsm_exhaustive_counters(self, engine, seed):
         structure = _protect(random_fsm(seed, num_states=5))
-        # The scalar oracle replays one injection at a time; restrict it to
+        # The scalar oracle evaluates one trace per job; restrict it to
         # the diffusion region to keep the test fast -- it still exercises
         # every fault effect through the sharded wire format.
         target = "diffusion" if engine == "scalar" else "comb"
@@ -132,9 +132,10 @@ class TestShardedEqualsSingleProcess:
 EXECUTION_MODES = (1, 2)
 
 #: Scenario shapes of the equivalence matrix, built per structure: the
-#: exhaustive sweep, multi-fault groups (stuck-at pairs included), and the
+#: exhaustive sweep, multi-fault groups (stuck-at pairs included), the
 #: multi-cycle shapes -- persistent temporal faults, a multi-shot glitch
-#: schedule and laser spots held over a 2-cycle trace.
+#: schedule and laser spots held over a 2-cycle trace -- and a schedule whose
+#: faults collide on one net within a cycle, which pins the fault rule.
 MATRIX_SCENARIOS = {
     "exhaustive": lambda structure: ExhaustiveSingleFault(
         target_nets="diffusion", effects=ALL_EFFECTS
@@ -154,6 +155,18 @@ MATRIX_SCENARIOS = {
     ),
     "laser": lambda structure: LaserSpot(
         spot_trials=60, seed=3, effects=ALL_EFFECTS, cycles=2
+    ),
+    # Faults that meet on one net in one cycle: a flip and a stuck-at in
+    # both orders (the stuck-at wins) and two stuck-ats (the last one wins).
+    "conflicts": lambda structure: MultiShotGlitch(
+        glitches=[
+            (0, structure.diffusion_nets[0], "flip"),
+            (0, structure.diffusion_nets[0], "stuck0"),
+            (0, structure.diffusion_nets[1], "stuck1"),
+            (0, structure.diffusion_nets[1], "flip"),
+            (1, structure.diffusion_nets[2], "stuck1"),
+            (1, structure.diffusion_nets[2], "stuck0"),
+        ]
     ),
 }
 
@@ -193,8 +206,7 @@ class TestEquivalenceMatrix:
                 keep_outcomes=keep_outcomes,
             ) as campaign:
                 result = campaign.run(make(structure))
-                expected_dispatch = "spec-stream" if engine == "scalar" else "array-native"
-                assert campaign.last_dispatch == expected_dispatch
+                assert campaign.last_dispatch == "array-native"
             assert result.counters() == expected.counters()
             assert result.total_injections == expected.total_injections
             if keep_outcomes:

@@ -1,11 +1,12 @@
-"""Tests for the levelised simulator and its fault-injection hooks."""
+"""Tests for the levelised simulator and the fault cells of the instrumented netlist."""
 
 import pytest
 
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.gates import Gate, GateType
 from repro.netlist.netlist import Netlist
-from repro.netlist.simulate import FaultSet, NetlistSimulator, injectable_nets
+from repro.netlist.parallel import MODE_FLIP, MODE_STUCK0, MODE_STUCK1
+from repro.netlist.simulate import InstrumentedNetlist, NetlistSimulator, injectable_nets
 
 
 def xor_chain_netlist():
@@ -21,29 +22,9 @@ def xor_chain_netlist():
     return builder, {"a": a, "b": b, "x": x, "inv1": inv1, "inv2": inv2, "q": q[0]}
 
 
-class TestFaultSet:
-    def test_empty(self):
-        assert FaultSet(frozenset(), {}).is_empty
-
-    def test_flip(self):
-        faults = FaultSet.single_flip("n1")
-        assert faults.apply("n1", 0) == 1
-        assert faults.apply("n1", 1) == 0
-        assert faults.apply("other", 1) == 1
-
-    def test_stuck(self):
-        faults = FaultSet.stuck("n1", 0)
-        assert faults.apply("n1", 1) == 0
-        assert faults.apply("n1", 0) == 0
-
-    def test_stuck_takes_precedence_over_flip(self):
-        faults = FaultSet(flips=frozenset(["n1"]), stuck_at={"n1": 1})
-        assert faults.apply("n1", 0) == 1
-
-    def test_flips_of(self):
-        faults = FaultSet.flips_of(["a", "b"])
-        assert faults.apply("a", 0) == 1
-        assert faults.apply("b", 1) == 0
+def _group(oracle, *faults):
+    """``(net, mode)`` faults as the oracle's ``(row, mode)`` group."""
+    return [(oracle.net_id[net], mode) for net, mode in faults]
 
 
 class TestSimulator:
@@ -98,32 +79,124 @@ class TestSimulator:
         assert simulator.registers[nets["q"]] == 0
 
 
+class TestFaultCells:
+    """The fault rule lives in the instrumented netlist's gates: one
+    ``MUX2(XOR2(n, n__f), n__v, n__s)`` cell per faultable net."""
+
+    def test_rewrite_adds_two_gates_and_three_inputs_per_net(self):
+        builder, _ = xor_chain_netlist()
+        netlist = builder.netlist
+        oracle = InstrumentedNetlist(netlist)
+        faultable = len(netlist.primary_inputs) + len(netlist.gates)
+        assert len(oracle.net_id) == faultable
+        assert len(oracle.netlist.gates) == len(netlist.gates) + 2 * faultable
+        assert len(oracle.netlist.primary_inputs) == len(netlist.primary_inputs) + 3 * faultable
+        assert oracle.netlist.count(GateType.MUX2) == faultable
+
+    def test_no_faults_evaluates_like_the_plain_simulator(self):
+        builder, nets = xor_chain_netlist()
+        simulator = NetlistSimulator(builder.netlist)
+        oracle = InstrumentedNetlist(builder.netlist)
+        for a in (0, 1):
+            for q in (0, 1):
+                inputs, registers = {"a": a, "b": 1}, {nets["q"]: q}
+                assert oracle.evaluate(inputs, registers=registers) == simulator.evaluate(
+                    inputs, registers=registers
+                )
+
+    def test_flip_inverts_either_value(self):
+        builder, nets = xor_chain_netlist()
+        oracle = InstrumentedNetlist(builder.netlist)
+        for a in (0, 1):
+            flipped = oracle.evaluate({"a": a, "b": 0}, _group(oracle, (nets["x"], MODE_FLIP)))
+            assert flipped[nets["x"]] == 1 - a
+
+    def test_stuck_at_forces_either_value(self):
+        builder, nets = xor_chain_netlist()
+        oracle = InstrumentedNetlist(builder.netlist)
+        for a in (0, 1):
+            for mode, value in ((MODE_STUCK0, 0), (MODE_STUCK1, 1)):
+                stuck = oracle.evaluate({"a": a, "b": 0}, _group(oracle, (nets["x"], mode)))
+                assert stuck[nets["x"]] == value
+                assert stuck[nets["inv2"]] == value
+
+    @pytest.mark.parametrize("order", ["flip-first", "stuck-first"])
+    def test_stuck_at_beats_flip(self, order):
+        builder, nets = xor_chain_netlist()
+        oracle = InstrumentedNetlist(builder.netlist)
+        faults = [(nets["x"], MODE_FLIP), (nets["x"], MODE_STUCK1)]
+        if order == "stuck-first":
+            faults.reverse()
+        for a in (0, 1):
+            values = oracle.evaluate({"a": a, "b": 0}, _group(oracle, *faults))
+            assert values[nets["x"]] == 1
+
+    def test_last_stuck_at_wins(self):
+        builder, nets = xor_chain_netlist()
+        oracle = InstrumentedNetlist(builder.netlist)
+        x = nets["x"]
+        for first, last, value in ((MODE_STUCK0, MODE_STUCK1, 1), (MODE_STUCK1, MODE_STUCK0, 0)):
+            values = oracle.evaluate({"a": 1, "b": 1}, _group(oracle, (x, first), (x, last)))
+            assert values[x] == value
+
+    def test_repeated_flip_counts_once(self):
+        builder, nets = xor_chain_netlist()
+        oracle = InstrumentedNetlist(builder.netlist)
+        inv1 = nets["inv1"]
+        clean = oracle.evaluate({"a": 1, "b": 0})
+        for repeats in (1, 2, 3):
+            values = oracle.evaluate({"a": 1, "b": 0}, _group(oracle, *[(inv1, MODE_FLIP)] * repeats))
+            assert values[inv1] == 1 - clean[inv1]
+
+    def test_fault_on_state_d_net_is_captured(self):
+        """The flop reads its D net through the fault cell: a stuck-at on the
+        D net is what the register holds after the clock edge."""
+        builder, nets = xor_chain_netlist()
+        oracle = InstrumentedNetlist(builder.netlist)
+        d, q = nets["inv2"], nets["q"]
+        clean = oracle.trace({"a": 1, "b": 0}, [(), ()])
+        assert clean[q] == 1
+        stuck = oracle.trace({"a": 1, "b": 0}, [_group(oracle, (d, MODE_STUCK0)), ()])
+        assert stuck[q] == 0
+        # Held across both cycles, the D net's readers see it stuck as well,
+        # while its driver still computes the fault-free value.
+        held = _group(oracle, (d, MODE_STUCK0))
+        values = oracle.trace({"a": 1, "b": 0}, [held, held])
+        assert (values[oracle.read[d]], values[d]) == (0, 1)
+
+    def test_trace_requires_a_cycle(self):
+        builder, _ = xor_chain_netlist()
+        with pytest.raises(ValueError, match="cycle"):
+            InstrumentedNetlist(builder.netlist).trace({}, [])
+
+
 class TestFaultInjection:
     def test_flip_on_internal_net_propagates(self):
         builder, nets = xor_chain_netlist()
-        simulator = NetlistSimulator(builder.netlist)
-        clean = simulator.evaluate({"a": 1, "b": 0})
-        faulty = simulator.evaluate({"a": 1, "b": 0}, faults=FaultSet.single_flip(nets["inv1"]))
+        oracle = InstrumentedNetlist(builder.netlist)
+        clean = oracle.evaluate({"a": 1, "b": 0})
+        faulty = oracle.evaluate({"a": 1, "b": 0}, _group(oracle, (nets["inv1"], MODE_FLIP)))
         assert clean[nets["inv2"]] != faulty[nets["inv2"]]
 
     def test_flip_on_primary_input(self):
         builder, nets = xor_chain_netlist()
-        simulator = NetlistSimulator(builder.netlist)
-        faulty = simulator.evaluate({"a": 1, "b": 0}, faults=FaultSet.single_flip("a"))
+        oracle = InstrumentedNetlist(builder.netlist)
+        faulty = oracle.evaluate({"a": 1, "b": 0}, _group(oracle, ("a", MODE_FLIP)))
+        assert faulty["a"] == 0
         assert faulty[nets["x"]] == 0
 
     def test_stuck_at_on_register_output(self):
         builder, nets = xor_chain_netlist()
-        simulator = NetlistSimulator(builder.netlist)
-        values = simulator.evaluate({}, faults=FaultSet.stuck(nets["q"], 1))
+        oracle = InstrumentedNetlist(builder.netlist)
+        values = oracle.evaluate({}, _group(oracle, (nets["q"], MODE_STUCK1)))
         assert values[nets["q"]] == 1
 
     def test_double_flip_cancels_on_same_path(self):
         builder, nets = xor_chain_netlist()
-        simulator = NetlistSimulator(builder.netlist)
-        clean = simulator.evaluate({"a": 1, "b": 1})
-        faulty = simulator.evaluate(
-            {"a": 1, "b": 1}, faults=FaultSet.flips_of([nets["inv1"], nets["x"]])
+        oracle = InstrumentedNetlist(builder.netlist)
+        clean = oracle.evaluate({"a": 1, "b": 1})
+        faulty = oracle.evaluate(
+            {"a": 1, "b": 1}, _group(oracle, (nets["inv1"], MODE_FLIP), (nets["x"], MODE_FLIP))
         )
         # Flipping both the XOR output and the inverter output restores the value.
         assert clean[nets["inv2"]] == faulty[nets["inv2"]]

@@ -23,13 +23,12 @@ from repro.fi.executor import DEFAULT_NUMPY_LANE_WIDTH, ENGINE_INFO, FaultCampai
 from repro.fi.scenarios import ExhaustiveSingleFault, RandomMultiFault
 from repro.fsm.random_fsm import random_fsm
 from repro.fsmlib.opentitan import ibex_lsu_fsm
-from repro.netlist.parallel import CompiledNetlist
+from repro.netlist.parallel import MODE_FLIP, MODE_STUCK0, MODE_STUCK1, CompiledNetlist
 from repro.netlist.parallel_np import (
     NumpyCompiledNetlist,
     int_to_words,
     words_to_int,
 )
-from repro.netlist.simulate import FaultSet
 
 ALL_EFFECTS = (FaultEffect.TRANSIENT_FLIP, FaultEffect.STUCK_AT_0, FaultEffect.STUCK_AT_1)
 
@@ -41,16 +40,20 @@ def _protect(fsm):
 
 
 def _random_fault_lanes(rng, nets, num_lanes):
-    """Random per-lane fault sets: flips, stuck-ats, overlaps, empty lanes."""
+    """Random per-lane fault groups: flips, stuck-ats, overlaps, empty lanes."""
     lanes = []
     for _ in range(num_lanes):
         if rng.random() < 0.25:
             lanes.append(None)  # golden lane
             continue
         chosen = rng.sample(nets, rng.randrange(1, min(4, len(nets)) + 1))
-        flips = frozenset(net for net in chosen if rng.random() < 0.5)
-        stuck = {net: rng.randrange(2) for net in chosen if rng.random() < 0.5}
-        lanes.append(FaultSet(flips=flips, stuck_at=stuck))
+        flips = [(net, MODE_FLIP) for net in chosen if rng.random() < 0.5]
+        stuck = [
+            (net, (MODE_STUCK0, MODE_STUCK1)[rng.randrange(2)])
+            for net in chosen
+            if rng.random() < 0.5
+        ]
+        lanes.append(sorted(flips) + stuck)
     return lanes
 
 

@@ -1,16 +1,17 @@
 """Property-based equivalence of the bit-parallel engine and the scalar oracle.
 
 Hypothesis-style: seeded random netlists (random DAGs over every supported
-cell type, with flip-flop feedback) and random per-lane fault sets are thrown
-at the bignum and the word-sliced numpy bit-parallel evaluators -- with
-scalar-broadcast and with per-lane lane-word inputs, over one cycle and over
-multi-cycle traces -- and every net of every lane must match the scalar
-``NetlistSimulator`` evaluation with the same ``FaultSet``.  The engines take
-faults as flat ``(net id, lane, mode)`` triples; the ``fault_triples``
-fixture converts each lane's ``FaultSet`` into them.  Lane counts cross the
-64-lane word boundaries, and raw triples that no ``FaultSet`` lane list can
-produce (conflicting or repeated faults on one net and lane) are checked on
-both engines against each other and the oracle.  The numpy engine's private
+cell type, with flip-flop feedback) and random per-lane fault groups are
+thrown at the bignum and the word-sliced numpy bit-parallel evaluators --
+with scalar-broadcast and with per-lane lane-word inputs, over one cycle and
+over multi-cycle traces -- and every net of every lane must match the
+:class:`InstrumentedNetlist` oracle (the netlist with its fault cells as
+gates, evaluated by the plain ``NetlistSimulator``) under the same group.
+The engines take faults as flat ``(net id, lane, mode)`` triples; the
+``fault_triples`` fixture converts each lane's ``(net, mode)`` group into
+them.  Lane counts cross the 64-lane word boundaries, and raw triples with
+conflicting or repeated faults on one net and lane are checked on both
+engines against each other and the oracle.  The numpy engine's private
 row layout must leave every shared id unchanged.  A regression block pins
 the ``ibex_lsu_fsm`` campaign counters to the values produced by the
 pre-refactor scalar implementation on every campaign engine.
@@ -31,7 +32,7 @@ from repro.netlist.gates import Gate, GateType
 from repro.netlist.netlist import Netlist
 from repro.netlist.parallel import MODE_FLIP, MODE_STUCK0, MODE_STUCK1, CompiledNetlist
 from repro.netlist.parallel_np import NumpyCompiledNetlist
-from repro.netlist.simulate import FaultSet, NetlistSimulator, injectable_nets
+from repro.netlist.simulate import InstrumentedNetlist, injectable_nets
 
 _COMB_TYPES = [
     GateType.TIE0,
@@ -73,14 +74,19 @@ def random_netlist(rng: random.Random, name: str, min_flops: int = 0) -> Netlist
     return netlist
 
 
-def random_fault_set(rng: random.Random, nets) -> FaultSet:
+def random_fault_group(rng: random.Random, nets):
+    """``(net, mode)`` pairs: flips on some distinct nets, stuck-ats on others."""
     count = rng.randint(1, 4)
     chosen = rng.sample(nets, min(count, len(nets)))
     split = rng.randint(0, len(chosen))
-    return FaultSet(
-        flips=frozenset(chosen[:split]),
-        stuck_at={net: rng.randint(0, 1) for net in chosen[split:]},
-    )
+    return [(net, MODE_FLIP) for net in sorted(chosen[:split])] + [
+        (net, (MODE_STUCK0, MODE_STUCK1)[rng.randint(0, 1)]) for net in chosen[split:]
+    ]
+
+
+def oracle_rows(oracle: InstrumentedNetlist, group):
+    """One lane's ``(net, mode)`` group as the oracle's ``(row, mode)`` pairs."""
+    return [(oracle.net_id[net], mode) for net, mode in group or ()]
 
 
 def _no_faults():
@@ -93,22 +99,20 @@ class TestRandomNetlistEquivalence:
     def test_all_nets_match_lane_for_lane(self, seed, engine_cls, fault_triples):
         rng = random.Random(seed)
         netlist = random_netlist(rng, f"rand{seed}")
-        simulator = NetlistSimulator(netlist)
+        oracle = InstrumentedNetlist(netlist)
         compiled = engine_cls(netlist)
         targets = injectable_nets(netlist, include_inputs=True)
 
         inputs = {net: rng.randint(0, 1) for net in netlist.primary_inputs}
-        registers = {net: rng.randint(0, 1) for net in simulator.registers}
-        lanes = [None] + [random_fault_set(rng, targets) for _ in range(rng.randint(1, 33))]
+        registers = {net: rng.randint(0, 1) for net in netlist.flop_outputs()}
+        lanes = [None] + [random_fault_group(rng, targets) for _ in range(rng.randint(1, 33))]
 
         lane_values = compiled.evaluate_fault_arrays(
             inputs, *fault_triples(compiled.net_id, lanes), len(lanes), registers=registers
         )
         assert lane_values.num_lanes == len(lanes)
-        for lane, fault_set in enumerate(lanes):
-            reference = simulator.evaluate(
-                inputs, faults=fault_set or FaultSet(), registers=registers
-            )
+        for lane, group in enumerate(lanes):
+            reference = oracle.evaluate(inputs, oracle_rows(oracle, group), registers=registers)
             assert lane_values.lane_values(lane) == reference
 
     @pytest.mark.parametrize("seed", range(50))
@@ -124,6 +128,13 @@ class TestRandomNetlistEquivalence:
         assert vector.register_ids == bignum.register_ids
         assert vector.flop_d_ids == bignum.flop_d_ids
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_oracle_keeps_the_shared_ids(self, seed):
+        """The instrumented oracle numbers the faultable nets like the
+        compiled engines, so one lowered IR drives all three."""
+        netlist = random_netlist(random.Random(seed), f"oids{seed}", min_flops=seed % 2)
+        assert InstrumentedNetlist(netlist).net_id == CompiledNetlist(netlist).net_id
+
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     @pytest.mark.parametrize("num_lanes", [1, 64, 65, 130])
     @pytest.mark.parametrize("seed", range(60, 66))
@@ -132,14 +143,14 @@ class TestRandomNetlistEquivalence:
     ):
         rng = random.Random(seed * 1000 + num_lanes)
         netlist = random_netlist(rng, f"randwide{seed}", min_flops=1)
-        simulator = NetlistSimulator(netlist)
+        oracle = InstrumentedNetlist(netlist)
         compiled = engine_cls(netlist)
         targets = injectable_nets(netlist, include_inputs=True)
 
         inputs = {net: rng.randint(0, 1) for net in netlist.primary_inputs}
-        registers = {net: rng.randint(0, 1) for net in simulator.registers}
+        registers = {net: rng.randint(0, 1) for net in netlist.flop_outputs()}
         lanes = [
-            random_fault_set(rng, targets) if rng.random() < 0.8 else None
+            random_fault_group(rng, targets) if rng.random() < 0.8 else None
             for _ in range(num_lanes)
         ]
         lane_values = compiled.evaluate_fault_arrays(
@@ -147,10 +158,8 @@ class TestRandomNetlistEquivalence:
         )
         for net in compiled.net_id:
             assert lane_values.word(net) >> num_lanes == 0, net
-        for lane, fault_set in enumerate(lanes):
-            reference = simulator.evaluate(
-                inputs, faults=fault_set or FaultSet(), registers=registers
-            )
+        for lane, group in enumerate(lanes):
+            reference = oracle.evaluate(inputs, oracle_rows(oracle, group), registers=registers)
             assert lane_values.lane_values(lane) == reference
 
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
@@ -159,13 +168,14 @@ class TestRandomNetlistEquivalence:
         """With ``lane_words=True`` every lane may carry its own input/state."""
         rng = random.Random(seed)
         netlist = random_netlist(rng, f"randctx{seed}", min_flops=1)
-        simulator = NetlistSimulator(netlist)
+        oracle = InstrumentedNetlist(netlist)
+        registers = netlist.flop_outputs()
         compiled = engine_cls(netlist)
         targets = injectable_nets(netlist, include_inputs=True)
 
         num_lanes = rng.randint(2, 40)
         lanes = [
-            None if rng.random() < 0.3 else random_fault_set(rng, targets)
+            None if rng.random() < 0.3 else random_fault_group(rng, targets)
             for _ in range(num_lanes)
         ]
         per_lane_inputs = [
@@ -173,8 +183,7 @@ class TestRandomNetlistEquivalence:
             for _ in range(num_lanes)
         ]
         per_lane_registers = [
-            {net: rng.randint(0, 1) for net in simulator.registers}
-            for _ in range(num_lanes)
+            {net: rng.randint(0, 1) for net in registers} for _ in range(num_lanes)
         ]
         input_words = {
             net: sum(per_lane_inputs[k][net] << k for k in range(num_lanes))
@@ -182,7 +191,7 @@ class TestRandomNetlistEquivalence:
         }
         register_words = {
             net: sum(per_lane_registers[k][net] << k for k in range(num_lanes))
-            for net in simulator.registers
+            for net in registers
         }
         lane_values = compiled.evaluate_fault_arrays(
             input_words,
@@ -191,10 +200,10 @@ class TestRandomNetlistEquivalence:
             registers=register_words,
             lane_words=True,
         )
-        for lane, fault_set in enumerate(lanes):
-            reference = simulator.evaluate(
+        for lane, group in enumerate(lanes):
+            reference = oracle.evaluate(
                 per_lane_inputs[lane],
-                faults=fault_set or FaultSet(),
+                oracle_rows(oracle, group),
                 registers=per_lane_registers[lane],
             )
             assert lane_values.lane_values(lane) == reference
@@ -206,18 +215,18 @@ class TestRandomNetlistEquivalence:
         the final cycle's D-net codes (the next register state per lane)."""
         rng = random.Random(seed)
         netlist = random_netlist(rng, f"randreg{seed}", min_flops=1)
-        simulator = NetlistSimulator(netlist)
+        oracle = InstrumentedNetlist(netlist)
         compiled = engine_cls(netlist)
         flops = netlist.flops()
         targets = injectable_nets(netlist, include_inputs=True)
 
         inputs = {net: rng.randint(0, 1) for net in netlist.primary_inputs}
-        registers = {net: rng.randint(0, 1) for net in simulator.registers}
+        registers = {net: rng.randint(0, 1) for net in netlist.flop_outputs()}
         num_lanes = 9
         cycle_lanes = [
             [None]
             + [
-                random_fault_set(rng, targets) if rng.random() < 0.7 else None
+                random_fault_group(rng, targets) if rng.random() < 0.7 else None
                 for _ in range(num_lanes - 1)
             ]
             for _ in range(3)
@@ -232,11 +241,16 @@ class TestRandomNetlistEquivalence:
         for lane in range(num_lanes):
             state = dict(registers)
             for lanes in cycle_lanes:
-                reference = simulator.evaluate(
-                    inputs, faults=lanes[lane] or FaultSet(), registers=state
+                reference = oracle.evaluate(
+                    inputs, oracle_rows(oracle, lanes[lane]), registers=state
                 )
                 state = {flop.output: reference[flop.inputs[0]] for flop in flops}
             assert values.lane_values(lane) == reference
+            # The oracle's own multi-cycle driver ends on the same values.
+            traced = oracle.trace(
+                inputs, [oracle_rows(oracle, lanes[lane]) for lanes in cycle_lanes], registers
+            )
+            assert {net: traced[read] for net, read in oracle.read.items()} == reference
             expected = sum(state[q] << i for i, (q, _) in enumerate(compiled.flop_d_ids))
             assert codes[lane] == expected
 
@@ -246,17 +260,18 @@ class TestRandomNetlistEquivalence:
         a = netlist.add_input("a")
         netlist.add_gate(Gate(name="g", gate_type=GateType.BUF, inputs=[a], output="y"))
         compiled = engine_cls(netlist)
-        fault = FaultSet(flips=frozenset(["y"]), stuck_at={"y": 1})
+        fault = [("y", MODE_FLIP), ("y", MODE_STUCK1)]
         values = compiled.evaluate_fault_arrays(
             {"a": 0}, *fault_triples(compiled.net_id, [None, fault]), 2
         )
-        reference = NetlistSimulator(netlist).evaluate({"a": 0}, faults=fault)
+        oracle = InstrumentedNetlist(netlist)
+        reference = oracle.evaluate({"a": 0}, oracle_rows(oracle, fault))
         assert values.lane_value("y", 1) == reference["y"] == 1
         assert values.lane_value("y", 0) == 0
 
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     def test_last_stuck_at_wins_and_repeated_flip_is_one(self, engine_cls):
-        """Fault groups keep ``FaultSet`` semantics: of two stuck-ats on one
+        """Fault groups keep the oracle's fault rule: of two stuck-ats on one
         net in one lane the later one wins, and a repeated flip flips once."""
         netlist = Netlist("order")
         a = netlist.add_input("a")
@@ -283,21 +298,13 @@ class TestRandomNetlistEquivalence:
             compiled.step_cycles_fault_arrays({"a": 1}, [], 1)
 
 
-def _triple_fault_sets(names, rows, lanes, modes, num_lanes):
-    """The ``FaultSet`` of every lane that raw fault triples define.
-
-    Flips collect into a set (a repeated flip is one flip) and stuck-ats into
-    a dict in triple order (the last one on a net wins); ``FaultSet.apply``
-    then lets a stuck-at beat a flip on the same net.
-    """
-    flips = [set() for _ in range(num_lanes)]
-    stuck = [{} for _ in range(num_lanes)]
+def _lane_groups(rows, lanes, modes, num_lanes):
+    """The oracle fault group of every lane that raw fault triples define:
+    each lane's ``(row, mode)`` pairs in triple order."""
+    groups = [[] for _ in range(num_lanes)]
     for row, lane, mode in zip(rows.tolist(), lanes.tolist(), modes.tolist()):
-        if mode == MODE_FLIP:
-            flips[lane].add(names[row])
-        else:
-            stuck[lane][names[row]] = int(mode == MODE_STUCK1)
-    return [FaultSet(flips=frozenset(f), stuck_at=s) for f, s in zip(flips, stuck)]
+        groups[lane].append((row, mode))
+    return groups
 
 
 def _triple_arrays(entries):
@@ -337,22 +344,21 @@ def _edge_netlist() -> Netlist:
 
 
 class TestRawFaultTriples:
-    """Fault triples no ``FaultSet`` lane list can produce -- conflicting and
-    repeated faults on one (net, lane) -- and faults on every kind of net,
-    checked on both engines against each other and the scalar oracle."""
+    """Raw fault triples -- conflicting and repeated faults on one
+    (net, lane) -- and faults on every kind of net, checked on both engines
+    against each other and the scalar oracle (which shares their rows)."""
 
     @staticmethod
     def _check(netlist, triples, num_lanes, inputs, registers):
-        simulator = NetlistSimulator(netlist)
+        oracle = InstrumentedNetlist(netlist)
         bignum = CompiledNetlist(netlist)
         vector = NumpyCompiledNetlist(netlist)
-        names = {i: net for net, i in bignum.net_id.items()}
         ref = bignum.evaluate_fault_arrays(inputs, *triples, num_lanes, registers=registers)
         out = vector.evaluate_fault_arrays(inputs, *triples, num_lanes, registers=registers)
         for net in bignum.net_id:
             assert out.word(net) == ref.word(net), net
-        for lane, fault_set in enumerate(_triple_fault_sets(names, *triples, num_lanes)):
-            reference = simulator.evaluate(inputs, faults=fault_set, registers=registers)
+        for lane, group in enumerate(_lane_groups(*triples, num_lanes)):
+            reference = oracle.evaluate(inputs, group, registers=registers)
             assert out.lane_values(lane) == reference, lane
 
     @pytest.mark.parametrize("num_lanes", [64, 65, 130])
@@ -408,9 +414,8 @@ class TestRawFaultTriples:
         """A persistent triple handed to every cycle and a schedule that
         switches triples both match the scalar oracle cycle by cycle."""
         netlist = _edge_netlist()
-        simulator = NetlistSimulator(netlist)
+        oracle = InstrumentedNetlist(netlist)
         compiled = engine_cls(netlist)
-        names = {i: net for net, i in compiled.net_id.items()}
         net_id = compiled.net_id
         num_lanes = 66
         first = _triple_arrays(
@@ -426,11 +431,11 @@ class TestRawFaultTriples:
             values = compiled.step_cycles_fault_arrays(
                 inputs, schedule, num_lanes, registers={"q0": 0, "q1": 0}
             )
-            per_cycle = [_triple_fault_sets(names, *t, num_lanes) for t in schedule]
+            per_cycle = [_lane_groups(*t, num_lanes) for t in schedule]
             for lane in range(num_lanes):
                 state = {"q0": 0, "q1": 0}
-                for fault_sets in per_cycle:
-                    reference = simulator.evaluate(inputs, faults=fault_sets[lane], registers=state)
+                for groups in per_cycle:
+                    reference = oracle.evaluate(inputs, groups[lane], registers=state)
                     state = {flop.output: reference[flop.inputs[0]] for flop in netlist.flops()}
                 assert values.lane_values(lane) == reference, lane
 
@@ -458,21 +463,19 @@ class TestProtectedNetlistEquivalence:
         self, protected_traffic_light, engine_cls, fault_triples
     ):
         structure = protected_traffic_light.structure
-        simulator = NetlistSimulator(structure.netlist)
+        oracle = InstrumentedNetlist(structure.netlist)
         compiled = engine_cls(structure.netlist)
         rng = random.Random(99)
         targets = injectable_nets(structure.netlist, include_inputs=True)
         reset_code = structure.hardened.state_encoding[structure.hardened.fsm.reset_state]
         registers = {net: (reset_code >> i) & 1 for i, net in enumerate(structure.state_q)}
         inputs = {net: rng.randint(0, 1) for net in structure.netlist.primary_inputs}
-        lanes = [None] + [random_fault_set(rng, targets) for _ in range(64)]
+        lanes = [None] + [random_fault_group(rng, targets) for _ in range(64)]
         lane_values = compiled.evaluate_fault_arrays(
             inputs, *fault_triples(compiled.net_id, lanes), len(lanes), registers=registers
         )
-        for lane, fault_set in enumerate(lanes):
-            reference = simulator.evaluate(
-                inputs, faults=fault_set or FaultSet(), registers=registers
-            )
+        for lane, group in enumerate(lanes):
+            reference = oracle.evaluate(inputs, oracle_rows(oracle, group), registers=registers)
             assert lane_values.lane_values(lane) == reference
 
 

@@ -176,12 +176,7 @@ class TestHttpErrors:
         # stage: no such FSM in the registry.
         spec = {"fsm": {"name": "no_such_fsm_anywhere"}}
         reply = client.submit(spec)
-        import time
-
-        for _ in range(300):
-            if service.queue.get(reply["job_id"]).state == "failed":
-                break
-            time.sleep(0.05)
+        assert service.queue.wait_settled(reply["job_id"], timeout=15).state == "failed"
         with pytest.raises(ServiceError) as excinfo:
             client.result(reply["job_id"])
         assert excinfo.value.status == 500
@@ -202,14 +197,8 @@ class TestRestartRecovery:
         second = CampaignService(FileStore(store_dir), fleet_size=1)
         with second:
             assert second.recovered == {"loaded": 1, "requeued": 1}
-            import time
-
-            for _ in range(600):
-                state = second.job_status(job.job_id)["state"]
-                if state in ("done", "failed"):
-                    break
-                time.sleep(0.05)
-            assert state == "done"
+            assert second.queue.wait_settled(job.job_id, timeout=30).state == "done"
+            assert second.job_status(job.job_id)["state"] == "done"
             document, _state = second.job_result(job.job_id)
             assert document["campaigns"] == direct_result["campaigns"]
             recovered_job = second.queue.get(job.job_id)
@@ -219,12 +208,7 @@ class TestRestartRecovery:
         store_dir = tmp_path / "cache"
         with CampaignService(FileStore(store_dir), fleet_size=1) as first:
             job, _ = first.submit(spec_data)
-            import time
-
-            for _ in range(600):
-                if first.job_status(job.job_id)["state"] == "done":
-                    break
-                time.sleep(0.05)
+            assert first.queue.wait_settled(job.job_id, timeout=30).state == "done"
 
         with CampaignService(FileStore(store_dir), fleet_size=1) as second:
             # The old job id still answers, served from the store.

@@ -151,3 +151,39 @@ class TestSingleFlight:
         queue.transition(job, STATE_PLANNING)
         counts = queue.counts()
         assert counts[STATE_QUEUED] == 1 and counts[STATE_PLANNING] == 1
+
+
+class TestWaitSettled:
+    """Callers wait on the queue's terminal-state condition, not a sleep poll."""
+
+    def test_wakes_when_another_thread_settles_the_job(self):
+        import threading
+
+        queue = JobQueue(MemoryStore())
+        job, _ = queue.submit(SPEC_HASH, SPEC)
+        waiting = threading.Event()
+        settled = []
+
+        def waiter():
+            waiting.set()
+            settled.append(queue.wait_settled(job.job_id, timeout=30))
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        waiting.wait(10)
+        queue.transition(queue.next_job(timeout=1), STATE_RUNNING)
+        queue.transition(job, STATE_DONE)
+        thread.join(30)
+        assert not thread.is_alive()
+        assert settled[0] is job and settled[0].state == STATE_DONE
+
+    def test_returns_at_once_for_a_terminal_job(self):
+        queue = JobQueue(MemoryStore())
+        job, _ = queue.submit(SPEC_HASH, SPEC)
+        queue.transition(job, STATE_FAILED, error="boom")
+        assert queue.wait_settled(job.job_id).state == STATE_FAILED
+
+    def test_times_out_on_an_active_job(self):
+        queue = JobQueue(MemoryStore())
+        job, _ = queue.submit(SPEC_HASH, SPEC)
+        assert queue.wait_settled(job.job_id, timeout=0.01).state == STATE_QUEUED

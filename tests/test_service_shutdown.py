@@ -12,7 +12,6 @@ import re
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -103,11 +102,7 @@ class TestSigterm:
             assert job.state in ("done", "queued")
             if job.state == "queued":  # drained out: a restart finishes it
                 revived.scheduler.start()
-                for _ in range(600):
-                    if revived.queue.get(second["job_id"]).state == "done":
-                        break
-                    time.sleep(0.05)
-                assert revived.queue.get(second["job_id"]).state == "done"
+                assert revived.queue.wait_settled(second["job_id"], timeout=30).state == "done"
             document, state = revived.job_result(second["job_id"])
             assert state == "done" and document["campaigns"]
         finally:
