@@ -8,11 +8,9 @@ future distributed backend speak.
 """
 
 from repro.api.registry import (
-    ENGINE_REGISTRY,
     SCENARIO_REGISTRY,
     available_engines,
     available_scenarios,
-    register_engine,
     register_scenario,
 )
 from repro.api.session import ExperimentResult, Session
@@ -32,7 +30,6 @@ from repro.api.spec import (
 __all__ = [
     "SPEC_VERSION",
     "CampaignSpec",
-    "ENGINE_REGISTRY",
     "ExperimentResult",
     "ExperimentSpec",
     "FsmSpec",
@@ -45,7 +42,6 @@ __all__ = [
     "campaign_stage_keys",
     "canonical_json",
     "harden_stage_key",
-    "register_engine",
     "register_scenario",
     "stage_key",
 ]

@@ -1,30 +1,26 @@
-"""Scenario and engine registries behind the declarative API.
+"""Scenario resolution behind the declarative API.
 
 A :class:`~repro.api.spec.CampaignSpec` names its scenario and engine as
-strings; these registries turn the names into runnable objects:
+strings.  The **scenario registry** maps a scenario name to a builder
+``(spec, structure) -> {result_name: scenario}`` producing the pluggable
+scenario objects of :mod:`repro.fi.scenarios`
+(:class:`~repro.fi.scenarios.ExhaustiveSingleFault`,
+:class:`~repro.fi.scenarios.RandomMultiFault`, the per-effect and per-region
+sweeps, and :class:`~repro.fi.behavioral.BehavioralBitFlip` for the
+behavioural FT1/FT2 bit-flip campaign).  The builders encode the ``scfi fi``
+mode defaults (exhaustive/effects target the diffusion layer, random targets
+the whole comb cloud, effects mode defaults to all three effects), so spec
+replays are counter-identical to the matching ``scfi fi`` invocations.
 
-* the **scenario registry** maps a name to a builder
-  ``(spec, structure) -> {result_name: scenario}`` producing the pluggable
-  scenario objects of :mod:`repro.fi.scenarios`
-  (:class:`~repro.fi.scenarios.ExhaustiveSingleFault`,
-  :class:`~repro.fi.scenarios.RandomMultiFault`, the per-effect and
-  per-region sweeps).  The builders encode the ``scfi fi`` mode defaults
-  (exhaustive/effects target the diffusion layer, random targets the whole
-  comb cloud, effects mode defaults to all three effects), so spec replays
-  are counter-identical to the matching ``scfi fi`` invocations.
-* the **engine registry** wraps ``FaultCampaign.ENGINES`` with one factory
-  per engine name; :func:`register_engine` lets alternative executors (e.g. a
-  future distributed backend speaking the same plan/execute split) plug in
-  without touching the session code.
-
-``behavioral`` is registered as a scenario name for discoverability, but is
-executed pre-netlist by the session (it runs on the hardened behavioural
-model, not on the campaign executor).
+Engine names are the keys of ``FaultCampaign.ENGINES``;
+:func:`make_executor` builds the :class:`~repro.fi.executor.FaultCampaign`
+a spec names.  Alternative executors plug in through
+``Session(executor_factory=...)``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.core.structure import ScfiNetlist
 from repro.fi.behavioral import BehavioralBitFlip
@@ -41,12 +37,7 @@ from repro.fi.scenarios import (
 )
 from repro.api.spec import CampaignSpec
 
-#: Marker object registered for scenarios the session runs itself (behavioural
-#: campaigns never reach the netlist-level executor).
-BEHAVIORAL = "behavioral"
-
 ScenarioBuilder = Callable[[CampaignSpec, ScfiNetlist], Mapping[str, object]]
-EngineFactory = Callable[..., FaultCampaign]
 
 _FLIP_ONLY = (FaultEffect.TRANSIENT_FLIP,)
 _ALL_EFFECTS = tuple(FaultEffect)
@@ -198,81 +189,28 @@ SCENARIO_REGISTRY: Dict[str, ScenarioBuilder] = {
 
 def register_scenario(name: str, builder: ScenarioBuilder, *, overwrite: bool = False) -> None:
     """Publish a scenario builder under ``name`` for spec resolution."""
-    if not overwrite and (name in SCENARIO_REGISTRY or name == BEHAVIORAL):
+    if not overwrite and name in SCENARIO_REGISTRY:
         raise ValueError(f"scenario {name!r} is already registered (pass overwrite=True)")
     SCENARIO_REGISTRY[name] = builder
 
 
 def build_scenarios(spec: CampaignSpec, structure: ScfiNetlist) -> Mapping[str, object]:
     """Resolve a campaign spec's scenario name into runnable scenario objects."""
-    if spec.scenario == BEHAVIORAL:
-        raise ValueError(
-            "the 'behavioral' scenario runs pre-netlist on the hardened "
-            "behavioural model via Session.run, not against a campaign executor"
-        )
     try:
         builder = SCENARIO_REGISTRY[spec.scenario]
     except KeyError:
         raise ValueError(
             f"unknown scenario {spec.scenario!r}; registered: "
             + ", ".join(sorted(SCENARIO_REGISTRY))
-            + f" (plus {BEHAVIORAL!r} via Session.run)"
         ) from None
     return builder(spec, structure)
 
 
-def _campaign_factory(engine_name: str) -> EngineFactory:
-    def factory(
-        structure: ScfiNetlist,
-        lane_width: int,
-        workers: int,
-        keep_outcomes: bool,
-        pack_contexts: bool,
-    ) -> FaultCampaign:
-        return FaultCampaign(
-            structure,
-            engine=engine_name,
-            lane_width=lane_width,
-            workers=workers,
-            keep_outcomes=keep_outcomes,
-            pack_contexts=pack_contexts,
-        )
-
-    return factory
-
-
-#: name -> executor factory.  Seeded from ``FaultCampaign.ENGINES`` so a new
-#: executor engine is automatically spec-addressable.
-ENGINE_REGISTRY: Dict[str, EngineFactory] = {
-    name: _campaign_factory(name) for name in FaultCampaign.ENGINES
-}
-
-
-def register_engine(name: str, factory: EngineFactory, *, overwrite: bool = False) -> None:
-    """Publish an executor factory under ``name`` for spec resolution.
-
-    The factory must return a context-manager executor with the
-    :class:`~repro.fi.executor.FaultCampaign` ``run``/``run_sweep``
-    interface; it receives ``(structure, lane_width, workers, keep_outcomes,
-    pack_contexts)``.  A :class:`~repro.api.session.Session` re-enters the
-    same executor for later campaigns with the same arguments.
-    """
-    if not overwrite and name in ENGINE_REGISTRY:
-        raise ValueError(f"engine {name!r} is already registered (pass overwrite=True)")
-    ENGINE_REGISTRY[name] = factory
-
-
-def make_executor(spec: CampaignSpec, structure: ScfiNetlist, keep_outcomes: bool):
-    """Build the campaign executor a spec names, via the engine registry."""
-    try:
-        factory = ENGINE_REGISTRY[spec.engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {spec.engine!r}; registered: "
-            + ", ".join(available_engines())
-        ) from None
-    return factory(
+def make_executor(spec: CampaignSpec, structure: ScfiNetlist, keep_outcomes: bool) -> FaultCampaign:
+    """Build the campaign executor a spec names."""
+    return FaultCampaign(
         structure,
+        engine=spec.engine,
         lane_width=spec.lane_width,
         workers=spec.workers,
         keep_outcomes=keep_outcomes,
@@ -281,9 +219,9 @@ def make_executor(spec: CampaignSpec, structure: ScfiNetlist, keep_outcomes: boo
 
 
 def available_scenarios() -> List[str]:
-    """Scenario names a spec may use (including the pre-netlist behavioural one)."""
-    return sorted(set(SCENARIO_REGISTRY) | {BEHAVIORAL})
+    """Scenario names a spec may use."""
+    return sorted(SCENARIO_REGISTRY)
 
 
-def available_engines() -> List[str]:
-    return sorted(ENGINE_REGISTRY)
+def available_engines() -> Tuple[str, ...]:
+    return FaultCampaign.ENGINES

@@ -1,10 +1,14 @@
 """The :class:`Session` runner: executes :class:`~repro.api.spec.ExperimentSpec`.
 
 A session resolves a declarative spec through the registries (FSMs in
-:mod:`repro.fsmlib.registry`, scenarios and engines in
-:mod:`repro.api.registry`) and executes it as an explicit **staged pipeline**
+:mod:`repro.fsmlib.registry`, scenarios in :mod:`repro.api.registry`) and
+executes it as an explicit **staged pipeline**
 
     harden -> campaign -> report
+
+Every campaign takes one path: its scenario builder lowers it to scenario
+objects, which run on a :class:`~repro.fi.executor.FaultCampaign` (or the
+executor a ``Session(executor_factory=...)`` hook supplies).
 
 where every stage declares its inputs as a content hash
 (:meth:`~repro.api.spec.ExperimentSpec.stage_hashes`) and its output as a
@@ -43,7 +47,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.api.registry import BEHAVIORAL, build_scenarios, make_executor
+from repro.api.registry import build_scenarios, make_executor
 from repro.api.spec import (
     SPEC_VERSION,
     CampaignSpec,
@@ -56,7 +60,6 @@ from repro.api.spec import (
 )
 from repro.core.scfi import ScfiResult, protect_fsm
 from repro.core.structure import ScfiNetlist
-from repro.fi.behavioral import BehavioralCampaignResult, behavioral_fault_campaign
 from repro.fi.executor import ENGINE_INFO, CampaignResult
 from repro.store import CODEC_JSON, CODEC_PICKLE, ArtifactStore
 from repro.synth.serialize import (
@@ -81,10 +84,8 @@ ProgressCallback = Callable[[str, str], None]
 #: harden-stage input hash (``None`` without a store), which lets alternative
 #: executors -- the campaign service's persistent worker fleet keys its warm
 #: compiled netlists by exactly this hash -- know *which* hardened netlist
-#: they are executing against.  The default factory
-#: resolves through the engine registry (:func:`repro.api.registry.make_executor`),
-#: so the hook composes with :func:`repro.api.registry.register_engine` rather
-#: than replacing it.
+#: they are executing against.  Without a factory the session builds a
+#: :class:`~repro.fi.executor.FaultCampaign` (:func:`repro.api.registry.make_executor`).
 ExecutorFactory = Callable[[CampaignSpec, ScfiNetlist, bool, Optional[str]], Any]
 
 
@@ -132,7 +133,6 @@ class ExperimentResult:
     spec_hash: str
     scfi: ScfiResult
     campaigns: Dict[str, CampaignResult] = field(default_factory=dict)
-    behavioral: Optional[BehavioralCampaignResult] = None
     compare: Optional[Dict[str, Any]] = None
     timing: Optional[Dict[str, float]] = None
     #: Execution parameters overridden at run time (e.g. ``{"workers": 4}``
@@ -163,25 +163,21 @@ class ExperimentResult:
 
         Records the *effective* engine and lane budget: run-time overrides
         applied, a ``lane_width`` of ``None`` resolved through the engine's
-        registered default, and the engine's machine word width (``None`` for
-        the arbitrary-precision bignum and scalar engines, 64 for ``parallel-numpy``).
+        default, and the engine's machine word width (``None`` for the
+        arbitrary-precision bignum and scalar engines, 64 for ``parallel-numpy``).
         """
         campaign = self.spec.campaign
         if campaign is None:
             return None
-        if campaign.scenario == BEHAVIORAL:
-            return {"scenario": BEHAVIORAL, "engine": None, "engine_word_width": None,
-                    "lane_width": None, "workers": 1, "pack_contexts": None,
-                    "dispatch": None}
         engine = self.overrides.get("engine", campaign.engine)
-        info = ENGINE_INFO.get(engine)
+        info = ENGINE_INFO[engine]
         lane_width = campaign.lane_width
-        if lane_width is None and info is not None:
+        if lane_width is None:
             lane_width = info.default_lane_width
         return {
             "scenario": campaign.scenario,
             "engine": engine,
-            "engine_word_width": info.word_width if info is not None else None,
+            "engine_word_width": info.word_width,
             "lane_width": lane_width,
             "workers": self.overrides.get("workers", campaign.workers),
             "pack_contexts": campaign.pack_contexts,
@@ -199,7 +195,6 @@ class ExperimentResult:
             "provenance": self.provenance(),
             "harden": harden,
             "campaigns": {name: result.to_dict() for name, result in self.campaigns.items()},
-            "behavioral": self.behavioral.to_dict() if self.behavioral else None,
             "compare": self.compare,
         }
         if self.cache:
@@ -338,7 +333,7 @@ class Session:
         """
         report = report or ReportSpec()
         # Resolve the scenario first: spec validation behaves identically on
-        # cold and warm runs (and BEHAVIORAL is rejected before any lookup).
+        # cold and warm runs.
         scenarios = build_scenarios(campaign, structure)
 
         campaign_key = None
@@ -471,28 +466,23 @@ class Session:
 
         campaign = effective
         if campaign is not None:
-            if campaign.scenario == BEHAVIORAL:
-                result.behavioral = self._behavioral_stage(
-                    scfi, campaign, keys["campaign"], cache
-                )
-            else:
-                result.campaigns = self.run_campaign(
-                    scfi.structure,
-                    campaign,
-                    report=spec.report,
-                    cache_scope=keys["harden"],
-                    cache=cache,
-                    dispatch=result.dispatch,
-                )
-                if campaign.compare:
-                    stored_compare = report_doc.get("compare") if report_doc else None
-                    if stored_compare is not None:
-                        result.compare = stored_compare
-                        self._emit("compare", f"cache hit {keys['report'][:12]}")
-                    else:
-                        result.compare = self._cross_check(
-                            scfi.structure, campaign, result.campaigns
-                        )
+            result.campaigns = self.run_campaign(
+                scfi.structure,
+                campaign,
+                report=spec.report,
+                cache_scope=keys["harden"],
+                cache=cache,
+                dispatch=result.dispatch,
+            )
+            if campaign.compare:
+                stored_compare = report_doc.get("compare") if report_doc else None
+                if stored_compare is not None:
+                    result.compare = stored_compare
+                    self._emit("compare", f"cache hit {keys['report'][:12]}")
+                else:
+                    result.compare = self._cross_check(
+                        scfi.structure, campaign, result.campaigns
+                    )
 
         cache["report"] = report_record
         if store is not None and report_record["status"] != "hit":
@@ -502,44 +492,6 @@ class Session:
             _save_json_artifact(store, "report", keys["report"], doc)
         self._emit("done", spec_hash[:12])
         return result
-
-    def _behavioral_stage(
-        self,
-        scfi: ScfiResult,
-        campaign: CampaignSpec,
-        campaign_key: Optional[str],
-        cache: Dict[str, Dict[str, Any]],
-    ) -> BehavioralCampaignResult:
-        """Campaign stage for pre-netlist behavioural campaigns (no plan)."""
-        record = {
-            "key": campaign_key,
-            "status": "disabled" if self.store is None else "miss",
-        }
-        cache["campaign"] = record
-        if self.store is not None and campaign_key is not None:
-            doc = load_json_artifact(self.store, "campaign", campaign_key)
-            if doc is not None:
-                try:
-                    behavioral = BehavioralCampaignResult.from_dict(doc["behavioral"])
-                except (KeyError, TypeError, ValueError):
-                    self.store.delete("campaign", campaign_key)
-                else:
-                    record["status"] = "hit"
-                    self._emit("campaign", f"cache hit {campaign_key[:12]}")
-                    return behavioral
-        self._emit("campaign", BEHAVIORAL)
-        behavioral = behavioral_fault_campaign(
-            scfi.hardened,
-            num_faults=campaign.faults,
-            trials=campaign.trials,
-            seed=campaign.seed,
-        )
-        if self.store is not None and campaign_key is not None:
-            _save_json_artifact(
-                self.store, "campaign", campaign_key,
-                {"behavioral": behavioral.to_dict()},
-            )
-        return behavioral
 
     def _cross_check(
         self,

@@ -24,7 +24,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
-from repro.fi.executor import DEFAULT_ENGINE
+from repro.fi.executor import DEFAULT_ENGINE, ENGINE_INFO, FaultCampaign
 from repro.fi.model import FaultEffect
 
 #: Bumped whenever the on-disk spec format changes incompatibly.
@@ -201,14 +201,13 @@ class CampaignSpec:
     """Which fault campaign to run, on which engine.
 
     ``scenario`` resolves through :data:`repro.api.registry.SCENARIO_REGISTRY`
-    ("exhaustive", "random", "effects", "regions", "behavioral"); ``engine``
-    through :data:`repro.api.registry.ENGINE_REGISTRY` (wrapping
-    ``FaultCampaign.ENGINES``) and is checked against it on construction, so
-    a spec naming an unregistered engine fails to parse; omitting it selects
-    :data:`~repro.fi.executor.DEFAULT_ENGINE`.  ``target``/``effects``/
-    ``faults``/``trials``/``seed`` parameterize the scenario with the same
-    defaults the ``scfi fi`` modes use, so spec-driven runs
-    reproduce legacy counters bit for bit.  ``lane_width=None`` (the
+    ("exhaustive", "random", "effects", "regions", "bitflip", ...) when the
+    campaign runs.  ``engine`` is checked against ``FaultCampaign.ENGINES``
+    on construction, so a spec naming an unknown engine fails to parse;
+    omitting it selects :data:`~repro.fi.executor.DEFAULT_ENGINE`.
+    ``target``/``effects``/``faults``/``trials``/``seed`` parameterize the
+    scenario with the same defaults the ``scfi fi`` modes use, so spec-driven
+    runs reproduce legacy counters bit for bit.  ``lane_width=None`` (the
     default) resolves to the engine's own default lane budget at run time
     (256 for the bignum engine, 4096 for ``parallel-numpy``); pin it
     explicitly for hash-stable specs.
@@ -243,13 +242,10 @@ class CampaignSpec:
 
     def __post_init__(self) -> None:
         _check_types(self)
-        # Lazy: the registry imports this module.
-        from repro.api.registry import available_engines
-
-        if self.engine not in available_engines():
+        if self.engine not in FaultCampaign.ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r} "
-                f"(registered: {', '.join(available_engines())})"
+                f"(registered: {', '.join(FaultCampaign.ENGINES)})"
             )
         if self.effects is not None:
             object.__setattr__(self, "effects", tuple(self.effects))
@@ -368,17 +364,10 @@ class CampaignSpec:
 
         A pinned ``lane_width`` is returned as-is; otherwise the engine's
         default budget is resolved from the executor's engine table.
-        Engines registered outside that table resolve to an engine-tagged
-        marker, so their keys never collide with the built-ins'.
         """
         if self.lane_width is not None:
             return self.lane_width
-        from repro.fi.executor import ENGINE_INFO
-
-        info = ENGINE_INFO.get(self.engine)
-        if info is not None:
-            return info.default_lane_width
-        return f"engine-default:{self.engine}"
+        return ENGINE_INFO[self.engine].default_lane_width
 
 
 @dataclass(frozen=True)
@@ -416,21 +405,11 @@ def campaign_stage_keys(campaign: "CampaignSpec", keep_outcomes: bool, harden_ke
     """Input hash of the campaign stage for one campaign downstream of
     ``harden_key``.
 
-    Netlist campaigns hash an intermediate ``plan`` digest (harden key,
-    campaign shape, lane budget and packing) into the campaign key.  No plan
-    artifact is stored under it any more; it stays in the chain so campaign
-    and report keys keep their values and existing stores keep hitting.
-    Behavioural campaigns chain their campaign key straight onto the harden
-    key.
+    The key hashes an intermediate ``plan`` digest (harden key, campaign
+    shape, lane budget and packing).  No plan artifact is stored under it any
+    more; it stays in the chain so campaign and report keys keep their values
+    and existing stores keep hitting.
     """
-    # "behavioral" == repro.api.registry.BEHAVIORAL (registry imports this
-    # module, so the literal avoids a cycle).
-    if campaign.scenario == "behavioral":
-        return stage_key("campaign", {
-            "harden": harden_key,
-            "shape": campaign.shape_dict(),
-            "keep_outcomes": keep_outcomes,
-        })
     plan = stage_key("plan", {
         "harden": harden_key,
         "shape": campaign.shape_dict(),

@@ -6,7 +6,9 @@ engine/lane-width/workers -> campaign execution parameters) and run through
 :class:`~repro.api.session.Session`, exactly like ``scfi run`` and the
 library entry points.  ``--compare`` additionally replays on the cross-check
 engine (scalar oracle, or the parallel engine from ``--engine scalar``) and
-**exits non-zero** when the classification counters diverge.
+**exits non-zero** when the classification counters diverge.  Flags that
+make an invalid spec, and specs that fail to resolve or lower (e.g. more
+``--faults`` than target nets), exit 2 with a one-line error.
 
 Modes:
 
@@ -16,11 +18,12 @@ Modes:
 * ``effects``    -- the exhaustive sweep once per fault effect
   (transient flip, stuck-at-0, stuck-at-1);
 * ``regions``    -- per-target-region FT1/FT2/FT3 sweeps at netlist level;
-* ``behavioral`` -- fast pre-netlist input-fault sampling (Section 6.3);
 * ``temporal``   -- multi-cycle traces (``--cycles``) with transient or
   persistent faults (``--fault-duration``) and register feedback;
-* ``bitflip``    -- the behavioural FT1/FT2 campaign re-expressed as a
-  structural scenario on the shared engines;
+* ``bitflip``    -- the FT1/FT2 bit-flip sampling of Section 6.3, lowered to
+  netlist faults on the shared engines (its counters match the pre-netlist
+  reference :func:`~repro.fi.behavioral.behavioral_fault_campaign` trial
+  for trial);
 * ``glitch``     -- multi-shot ``(cycle, net, effect)`` schedules, spec-file
   driven via ``scfi run``;
 * ``laser``      -- spatially-adjacent multi-net fault groups sampled from a
@@ -43,6 +46,7 @@ from repro.api import (
     available_scenarios,
 )
 from repro.api.spec import EFFECT_NAMES
+from repro.cli.main import report_spec_error
 from repro.fi.executor import DEFAULT_ENGINE
 from repro.fsmlib import available_fsms
 
@@ -60,7 +64,9 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(description="Fault-injection campaigns on SCFI-protected FSMs")
+    parser = argparse.ArgumentParser(
+        prog="scfi fi", description="Fault-injection campaigns on SCFI-protected FSMs"
+    )
     parser.add_argument("--fsm", choices=available_fsms(), default="formal_fsm")
     parser.add_argument("-N", "--protection-level", type=int, default=2)
     parser.add_argument(
@@ -69,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_scenarios(),
         default="exhaustive",
         help="exhaustive single faults, random gate-level multi-fault sampling, "
-        "per-effect sweeps, per-region FT1/FT2/FT3 sweeps, or fast behavioural "
-        "input-fault sampling",
+        "per-effect sweeps, per-region FT1/FT2/FT3 sweeps, multi-cycle temporal "
+        "faults, FT1/FT2 bit-flip sampling (bitflip) or laser spots",
     )
     parser.add_argument(
         "--target",
@@ -122,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
         "the bignum parallel engine), assert identical classification counters "
         "and exit non-zero on divergence",
     )
-    parser.add_argument("--faults", type=int, default=2, help="simultaneous faults (random/behavioral)")
-    parser.add_argument("--trials", type=int, default=1000, help="trials (random/behavioral)")
+    parser.add_argument("--faults", type=int, default=2, help="simultaneous faults (random/bitflip)")
+    parser.add_argument("--trials", type=int, default=1000, help="trials (random/bitflip)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--cycles",
@@ -185,20 +191,6 @@ def spec_from_args(args) -> ExperimentSpec:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.lane_width is not None and args.lane_width < 1:
-        parser.error("--lane-width must be >= 1")
-    if args.faults < 1:
-        parser.error("--faults must be >= 1")
-    if args.mode == "behavioral":
-        for flag, given in (
-            ("--compare", args.compare),
-            ("--engine", args.engine != DEFAULT_ENGINE),
-            ("--workers", args.workers != 1),
-            ("--target", args.target is not None),
-            ("--effects", args.effects is not None),
-        ):
-            if given:
-                parser.error(f"{flag} applies to gate-level modes, not --mode behavioral")
     if args.mode == "regions" and args.target is not None:
         parser.error("--target applies to exhaustive/random/effects; regions sweep "
                      "the fixed FT1/FT2/FT3 net groups")
@@ -214,10 +206,14 @@ def main(argv=None) -> int:
     if args.spot_trials is not None and args.mode != "laser":
         parser.error(f"--spot-trials applies to --mode laser, not --mode {args.mode}")
 
-    result = Session().run(spec_from_args(args))
-    if result.behavioral is not None:
-        print(result.behavioral.format())
-        return 0
+    try:
+        spec = spec_from_args(args)
+    except ValueError as error:
+        parser.error(str(error))
+    try:
+        result = Session().run(spec)
+    except (ValueError, KeyError) as error:
+        return report_spec_error("fi", error)
 
     for name, campaign in result.campaigns.items():
         prefix = f"{name:<15} " if len(result.campaigns) > 1 else ""

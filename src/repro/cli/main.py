@@ -204,6 +204,15 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def report_spec_error(command: str, error: Exception) -> int:
+    """Print a spec that fails to resolve or lower as one ``scfi <command>:``
+    line; returns the usage-error exit code 2."""
+    # str() of a KeyError quotes its message; print the message itself.
+    message = error.args[0] if isinstance(error, KeyError) and error.args else error
+    print(f"scfi {command}: {message}", file=sys.stderr)
+    return 2
+
+
 def _run(args) -> int:
     try:
         spec = ExperimentSpec.load(args.spec)
@@ -227,14 +236,15 @@ def _run(args) -> int:
         if not args.quiet:
             print(f"[scfi] {stage}: {detail}", file=sys.stderr)
 
-    result = Session(progress=progress, store=store).run(
-        spec, workers=args.workers, engine=args.engine
-    )
+    try:
+        result = Session(progress=progress, store=store).run(
+            spec, workers=args.workers, engine=args.engine
+        )
+    except (ValueError, KeyError) as error:
+        return report_spec_error("run", error)
     if not args.quiet:
         for campaign in result.campaigns.values():
             print(f"[scfi] {campaign.format()}", file=sys.stderr)
-        if result.behavioral is not None:
-            print(f"[scfi] {result.behavioral.format()}", file=sys.stderr)
         if args.verbose and result.cache:
             for stage, record in result.cache.items():
                 key = record.get("key")

@@ -83,19 +83,6 @@ class BehavioralCampaignResult:
             "redirection_rate": self.redirection_rate,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "BehavioralCampaignResult":
-        """Restore from the :meth:`to_dict` form; rates are recomputed."""
-        return cls(
-            name=data["name"],
-            num_faults=data["num_faults"],
-            trials=data["trials"],
-            masked=data["masked"],
-            detected=data["detected"],
-            redirected=data["redirected"],
-            hijacked=data["hijacked"],
-        )
-
     def format(self) -> str:
         return (
             f"{self.name}: {self.trials} trials with {self.num_faults} fault(s) -> "

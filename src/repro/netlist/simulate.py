@@ -72,7 +72,8 @@ class NetlistSimulator:
         ``inputs`` maps primary-input nets to values; missing inputs default
         to zero and names that are not primary inputs are ignored.
         ``registers`` overrides the stored flip-flop outputs for this
-        evaluation only.
+        evaluation only; like :meth:`set_registers` it raises ``KeyError``
+        for a name that is not a flip-flop output.
         """
         values = self._no_inputs.copy()
         for net, value in inputs.items():
@@ -80,6 +81,9 @@ class NetlistSimulator:
                 values[net] = int(value) & 1
         values.update(self.registers)
         if registers:
+            unknown = registers.keys() - self.registers.keys()
+            if unknown:
+                raise KeyError(f"{min(unknown)!r} is not a flip-flop output")
             values.update({k: int(v) & 1 for k, v in registers.items()})
         for output, function, a, b, c in self._program:
             values[output] = function(values, a, b, c)

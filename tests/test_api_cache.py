@@ -120,17 +120,6 @@ class TestStageHashes:
         assert keys["campaign"] is None
         assert keys["harden"] is not None and keys["report"] is not None
 
-    def test_behavioral_spec_keys_its_campaign_on_the_harden_key(self):
-        spec = ExperimentSpec(
-            fsm=FsmSpec(name="traffic_light"),
-            campaign=CampaignSpec(scenario="behavioral", trials=10),
-        )
-        keys = spec.stage_hashes()
-        assert keys["campaign"] == campaign_stage_keys(spec.campaign, False, keys["harden"])
-        assert keys["campaign"] != ExperimentSpec(
-            fsm=spec.fsm, campaign=replace(spec.campaign, scenario="random")
-        ).stage_hashes()["campaign"]
-
     # -- the invalidation matrix: one mutated field, exactly the downstream
     # -- stages change key.
     @pytest.fixture
@@ -270,22 +259,19 @@ class TestWarmRunReplaysEverything:
         assert warm.spec_hash == cold.spec_hash  # override stays out of the hash
         assert warm.provenance()["workers"] == 2
 
-    def test_behavioral_campaign_is_cached(self, monkeypatch):
+    def test_bitflip_campaign_is_cached(self, monkeypatch):
         spec = ExperimentSpec(
             fsm=FsmSpec(name="traffic_light"),
-            campaign=CampaignSpec(scenario="behavioral", faults=2, trials=40),
+            campaign=CampaignSpec(scenario="bitflip", faults=2, trials=40),
         )
         store = MemoryStore()
         session = Session(store=store)
         cold = session.run(spec)
         _poison_compute(monkeypatch)
-        monkeypatch.setattr(
-            "repro.api.session.behavioral_fault_campaign",
-            lambda *a, **k: (_ for _ in ()).throw(AssertionError("re-sampled")),
-        )
         warm = session.run(spec)
         assert warm.cache["campaign"]["status"] == "hit"
-        assert warm.behavioral.to_dict() == cold.behavioral.to_dict()
+        assert warm.dispatch == {"bitflip": "cached"}
+        assert _counters(warm) == _counters(cold)
 
     def test_corrupted_campaign_artifact_is_recomputed_not_replayed(self):
         spec = ExperimentSpec.load(EXAMPLES / "experiment.json")

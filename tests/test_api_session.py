@@ -15,10 +15,9 @@ from repro.api import (
     Session,
     available_engines,
     available_scenarios,
-    register_engine,
     register_scenario,
 )
-from repro.api.registry import ENGINE_REGISTRY, SCENARIO_REGISTRY
+from repro.api.registry import SCENARIO_REGISTRY, make_executor
 from repro.core.scfi import ScfiOptions, protect_fsm
 from repro.fi.executor import DEFAULT_ENGINE, FaultCampaign
 from repro.fi.scenarios import ExhaustiveSingleFault
@@ -79,16 +78,18 @@ class TestSessionRun:
             "exhaustive"
         ].counters()
 
-    def test_behavioral_scenario_runs_pre_netlist(self):
+    def test_bitflip_scenario_runs_on_the_campaign_path(self):
         spec = ExperimentSpec(
             fsm=FsmSpec(name="traffic_light"),
-            campaign=CampaignSpec(scenario="behavioral", faults=1, trials=25, seed=3),
+            campaign=CampaignSpec(scenario="bitflip", faults=1, trials=25, seed=3),
         )
         result = Session().run(spec)
-        assert result.behavioral is not None
-        assert result.behavioral.trials == 25
-        assert not result.campaigns
-        assert result.provenance()["scenario"] == "behavioral"
+        assert set(result.campaigns) == {"bitflip"}
+        assert sum(result.campaigns["bitflip"].counters()) == 25
+        assert result.provenance()["scenario"] == "bitflip"
+        assert result.provenance()["engine"] == DEFAULT_ENGINE
+        assert not hasattr(result, "behavioral")
+        assert "behavioral" not in result.to_dict()
 
     def test_compare_records_agreement(self):
         result = Session().run(exhaustive_spec(compare=True))
@@ -120,11 +121,9 @@ class TestSessionRun:
         with pytest.raises(ValueError, match="engine"):
             Session().run(exhaustive_spec(engine="quantum"))
 
-    def test_behavioral_through_run_campaign_explains_itself(self, protected_traffic_light):
-        with pytest.raises(ValueError, match="Session.run"):
-            Session().run_campaign(
-                protected_traffic_light.structure, CampaignSpec(scenario="behavioral")
-            )
+    def test_behavioral_is_not_a_scenario(self):
+        with pytest.raises(ValueError, match="unknown scenario 'behavioral'"):
+            Session().run(exhaustive_spec(scenario="behavioral"))
 
 
 class TestExperimentResultDict:
@@ -218,9 +217,10 @@ class TestRegistries:
         assert set(available_engines()) == set(FaultCampaign.ENGINES)
 
     def test_default_scenarios(self):
-        assert {"exhaustive", "random", "effects", "regions", "behavioral"} <= set(
+        assert {"exhaustive", "random", "effects", "regions", "bitflip"} <= set(
             available_scenarios()
         )
+        assert "behavioral" not in available_scenarios()
 
     def test_register_fsm_visible_to_specs(self):
         register_fsm("api_test_fsm", traffic_light_fsm)
@@ -252,31 +252,13 @@ class TestRegistries:
         finally:
             del SCENARIO_REGISTRY["api_test_scenario"]
 
-    def test_register_engine_resolves(self):
-        calls = []
-
-        def factory(structure, lane_width, workers, keep_outcomes, pack_contexts):
-            calls.append((lane_width, workers))
-            return FaultCampaign(
-                structure,
-                engine="parallel",
-                lane_width=lane_width,
-                workers=workers,
-                keep_outcomes=keep_outcomes,
-                pack_contexts=pack_contexts,
-            )
-
-        register_engine("api_test_engine", factory)
-        try:
-            result = Session().run(exhaustive_spec(engine="api_test_engine", lane_width=32))
-            assert calls == [(32, 1)]
-            assert result.campaigns["exhaustive"].hijacked == 0
-        finally:
-            del ENGINE_REGISTRY["api_test_engine"]
-
-    def test_register_engine_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_engine("parallel", lambda *a, **k: None)
+    def test_make_executor_builds_the_named_engine(self, protected_traffic_light):
+        campaign = CampaignSpec(engine="parallel", lane_width=32)
+        structure = protected_traffic_light.structure
+        with make_executor(campaign, structure, keep_outcomes=False) as executor:
+            assert isinstance(executor, FaultCampaign)
+            assert executor.engine == "parallel"
+            assert executor.lane_width == 32
 
 
 class TestDispatchProvenance:
@@ -306,15 +288,15 @@ class TestDispatchProvenance:
         assert warm.cache["campaign"]["status"] == "hit"
         assert warm.dispatch == {"exhaustive": "cached"}
 
-    def test_behavioral_has_no_dispatch(self):
+    def test_bitflip_reports_array_native_dispatch(self):
         result = Session().run(
             ExperimentSpec(
                 fsm=FsmSpec(name="traffic_light"),
-                campaign=CampaignSpec(scenario="behavioral", trials=50),
+                campaign=CampaignSpec(scenario="bitflip", trials=50),
             )
         )
-        assert result.dispatch == {}
-        assert result.provenance()["dispatch"] is None
+        assert result.dispatch == {"bitflip": "array-native"}
+        assert result.provenance()["dispatch"] == {"bitflip": "array-native"}
 
     def test_laser_replays_golden_through_session(self):
         spec = ExperimentSpec.load(EXAMPLES / "laser_experiment.json")
@@ -373,9 +355,8 @@ class TestExecutorFactory:
         warm = Session(store=store, executor_factory=exploding_factory).run(spec)
         assert warm.cache["campaign"]["status"] == "hit"
 
-    def test_factory_absent_resolves_through_engine_registry(self):
-        # No factory: the default path must keep composing with
-        # register_engine (pinned elsewhere); here just check it still runs.
+    def test_factory_absent_builds_a_fault_campaign(self):
+        # No factory: the session builds the FaultCampaign the spec names.
         result = Session().run(self._spec())
         assert result.to_dict()["campaigns"]
 

@@ -10,9 +10,7 @@ from repro.api import (
     FsmSpec,
     ProtectSpec,
     ReportSpec,
-    register_engine,
 )
-from repro.api.registry import ENGINE_REGISTRY
 from repro.api.spec import SPEC_VERSION
 from repro.fi.executor import DEFAULT_ENGINE
 
@@ -137,16 +135,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown engine 'parallel-compiled'"):
             ExperimentSpec.from_dict(data)
 
-    def test_registered_engine_accepted(self):
-        register_engine("spec_test_engine", lambda *args, **kwargs: None)
-        try:
-            data = full_spec().to_dict()
-            data["campaign"]["engine"] = "spec_test_engine"
-            assert ExperimentSpec.from_dict(data).campaign.engine == "spec_test_engine"
-        finally:
-            del ENGINE_REGISTRY["spec_test_engine"]
-        with pytest.raises(ValueError, match="unknown engine"):
-            ExperimentSpec.from_dict(data)
 
     def test_default_engine_is_the_executor_default(self):
         assert CampaignSpec().engine == DEFAULT_ENGINE == "parallel-numpy"

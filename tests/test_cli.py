@@ -81,11 +81,11 @@ class TestFaultCampaignCli:
         assert exit_code == 0
         assert "injections" in captured.out
 
-    def test_behavioral_mode(self, capsys):
-        exit_code = fi_main(["--fsm", "traffic_light", "--mode", "behavioral", "--trials", "50"])
+    def test_bitflip_mode(self, capsys):
+        exit_code = fi_main(["--fsm", "traffic_light", "--mode", "bitflip", "--trials", "50"])
         captured = capsys.readouterr()
         assert exit_code == 0
-        assert "trials" in captured.out
+        assert "50 injections" in captured.out
 
     def test_random_mode(self, capsys):
         exit_code = fi_main(
@@ -123,11 +123,34 @@ class TestFaultCampaignCli:
         with pytest.raises(SystemExit):
             fi_main(["--fsm", "traffic_light", "--lane-width", "0"])
 
-    def test_rejects_gate_level_flags_in_behavioral_mode(self):
-        with pytest.raises(SystemExit):
-            fi_main(["--fsm", "traffic_light", "--mode", "behavioral", "--compare"])
-        with pytest.raises(SystemExit):
-            fi_main(["--fsm", "traffic_light", "--mode", "behavioral", "--target", "comb"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trials", "-1"], "trials must be >= 0"),
+            (["-N", "0"], "protection_level must be >= 1"),
+            (["--faults", "0"], "faults must be >= 1"),
+            (["--mode", "laser", "--spot-radius", "0"], "spot_radius must be a number > 0"),
+            (["--mode", "laser", "--spot-trials", "-5"], "spot_trials must be an integer >= 0"),
+        ],
+    )
+    def test_invalid_spec_flags_are_usage_errors(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as excinfo:
+            fi_main(["--fsm", "traffic_light", *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_unlowerable_fault_count_fails_cleanly(self, capsys):
+        exit_code = fi_main(
+            ["--fsm", "traffic_light", "--mode", "random", "--faults", "500"]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.strip().splitlines() == [
+            "scfi fi: num_faults=500 exceeds the 104 available target nets; "
+            "a truncated draw would silently weaken the campaign"
+        ]
 
     def test_rejects_target_in_regions_mode(self):
         with pytest.raises(SystemExit):
@@ -277,6 +300,29 @@ class TestScfiRunCli:
         assert len(lines) == 1  # one clean line: no progress, no traceback
         assert f"unknown engine {engine!r}" in lines[0]
         assert "parallel, parallel-numpy, scalar" in lines[0]
+
+    @pytest.mark.parametrize(
+        "fsm, campaign, message",
+        [
+            ("traffic_light", {"scenario": "meltdown"}, "scfi run: unknown scenario 'meltdown'"),
+            ("no_such_fsm", {}, "scfi run: unknown FSM 'no_such_fsm'"),
+            (
+                "traffic_light",
+                {"scenario": "random", "faults": 500},
+                "scfi run: num_faults=500 exceeds the 104 available target nets",
+            ),
+        ],
+    )
+    def test_run_unresolvable_spec_fails_cleanly(self, tmp_path, capsys, fsm, campaign, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"fsm": {"name": fsm}, "campaign": campaign}))
+        exit_code = scfi_main(["run", str(bad), "--quiet"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1  # one clean line, no traceback
+        assert lines[0].startswith(message)
 
     def test_run_rejects_bad_spec_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

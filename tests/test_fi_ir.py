@@ -221,8 +221,7 @@ class TestIrLoweringMatchesJobStream:
                 effects=ALL_EFFECTS, cycles=3, fault_duration="transient",
             ),
         }
-        # Every netlist-level registered scenario is covered (behavioral runs
-        # pre-netlist through Session.run, never against the executor).
+        # Every registered scenario is covered.
         assert {spec.scenario for spec in specs.values()} == set(SCENARIO_REGISTRY)
         with FaultCampaign(structure) as campaign:
             for name, spec in specs.items():

@@ -272,10 +272,12 @@ class TestWorkersValidation:
         action = next(a for a in parser._actions if a.dest == "engine")
         assert tuple(action.choices) == FaultCampaign.ENGINES
 
-    def test_cli_rejects_workers_for_behavioral(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            fi_main(["--fsm", "traffic_light", "--mode", "behavioral", "--workers", "2"])
-        assert excinfo.value.code == 2
+    def test_cli_bitflip_runs_sharded(self, capsys):
+        argv = ["--fsm", "traffic_light", "--mode", "bitflip", "--trials", "120"]
+        assert fi_main(argv) == 0
+        in_process = capsys.readouterr().out
+        assert fi_main(argv + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == in_process
 
     def test_cli_sharded_run_succeeds(self, capsys):
         exit_code = fi_main(["--fsm", "traffic_light", "--workers", "2"])

@@ -16,6 +16,7 @@ import multiprocessing
 
 import pytest
 
+from repro.api import CampaignSpec, ExperimentSpec, FsmSpec, Session
 from repro.cli.fault_campaign import main as fi_main
 from repro.core.scfi import ScfiOptions, protect_fsm
 from repro.fi.behavioral import (
@@ -32,7 +33,9 @@ from repro.fi.model import FaultEffect
 from repro.fi.executor import FaultCampaign
 from repro.fi.scenarios import ExhaustiveSingleFault, MultiShotGlitch, TemporalSingleFault
 from repro.fsm.random_fsm import random_fsm
+from repro.fsmlib import available_fsms
 from repro.fsmlib.opentitan import ibex_lsu_fsm
+from repro.store import MemoryStore
 
 ENGINES = ("parallel", "parallel-numpy", "scalar")
 
@@ -260,6 +263,26 @@ class TestBehavioralStructuralParity:
     def test_diffusion_target_rejected(self):
         with pytest.raises(ValueError, match="diffusion"):
             BehavioralBitFlip(num_faults=1, trials=10, targets=(TARGET_DIFFUSION,))
+
+    @pytest.mark.parametrize("fsm", available_fsms())
+    def test_bitflip_spec_matches_reference_on_every_fsm(self, fsm):
+        """A ``bitflip`` spec through ``Session.run`` counts exactly what the
+        pre-netlist reference counts on the same hardened FSM."""
+        session = Session(store=MemoryStore())
+        for faults in (1, 2, 3):
+            result = session.run(ExperimentSpec(
+                fsm=FsmSpec(name=fsm),
+                campaign=CampaignSpec(scenario="bitflip", faults=faults, trials=200, seed=faults),
+            ))
+            reference = behavioral_fault_campaign(
+                result.scfi.hardened, num_faults=faults, trials=200, seed=faults
+            )
+            assert result.campaigns["bitflip"].counters() == (
+                reference.masked,
+                reference.detected,
+                reference.redirected,
+                reference.hijacked,
+            ), (fsm, faults)
 
 
 class TestSweepSeedDecorrelation:

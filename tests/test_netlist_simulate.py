@@ -62,6 +62,15 @@ class TestSimulator:
         with pytest.raises(KeyError):
             simulator.set_registers({"not_a_flop": 1})
 
+    def test_evaluate_rejects_unknown_register_names(self):
+        builder, nets = xor_chain_netlist()
+        simulator = NetlistSimulator(builder.netlist)
+        assert nets["q"] != "q"
+        with pytest.raises(KeyError, match="'q' is not a flip-flop output"):
+            simulator.evaluate({}, registers={"q": 1})
+        with pytest.raises(KeyError, match="is not a flip-flop output"):
+            simulator.next_register_values({}, registers={nets["q"]: 1, nets["x"]: 0})
+
     def test_register_word_helpers(self):
         builder = NetlistBuilder("regs")
         d = builder.add_input("d", 4)

@@ -70,9 +70,21 @@ class TestEndToEnd:
         assert document["spec_hash"] == direct_result["spec_hash"]
         assert document["campaigns"] == direct_result["campaigns"]
         assert document["harden"] == direct_result["harden"]
-        assert document["behavioral"] == direct_result["behavioral"]
+        assert "behavioral" not in document
         assert document["service"]["result_tier"] == "computed"
         assert document["service"]["job_id"] == reply["job_id"]
+
+    def test_bitflip_spec_matches_direct_run(self, service_client):
+        client, _service = service_client
+        spec_data = {
+            "fsm": {"name": "traffic_light"},
+            "campaign": {"scenario": "bitflip", "faults": 2, "trials": 200, "seed": 3},
+        }
+        document = client.wait(client.submit(spec_data)["job_id"], timeout=60)
+        direct = Session().run(ExperimentSpec.from_dict(spec_data)).to_dict()
+        assert document["campaigns"] == direct["campaigns"]
+        assert document["provenance"]["scenario"] == "bitflip"
+        assert "behavioral" not in document
 
     def test_resubmission_is_a_result_tier_hit_with_zero_dispatch(
         self, service_client, spec_data

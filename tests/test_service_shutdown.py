@@ -51,13 +51,17 @@ def serve_process(tmp_path):
         stderr=subprocess.PIPE,
         text=True,
     )
-    line = process.stdout.readline()
-    match = re.search(r"http://\S+:(\d+)", line)
-    assert match, f"no listening line from scfi serve: {line!r}"
-    yield process, ServiceClient(f"http://127.0.0.1:{match.group(1)}")
-    if process.poll() is None:
-        process.kill()
-        process.wait(10)
+    try:
+        line = process.stdout.readline()
+        match = re.search(r"http://\S+:(\d+)", line)
+        assert match, f"no listening line from scfi serve: {line!r}"
+        yield process, ServiceClient(f"http://127.0.0.1:{match.group(1)}")
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(10)
+        process.stdout.close()
+        process.stderr.close()
 
 
 class TestSigterm:
