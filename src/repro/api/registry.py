@@ -7,10 +7,17 @@ scenario objects of :mod:`repro.fi.scenarios`
 (:class:`~repro.fi.scenarios.ExhaustiveSingleFault`,
 :class:`~repro.fi.scenarios.RandomMultiFault`, the per-effect and per-region
 sweeps, and :class:`~repro.fi.behavioral.BehavioralBitFlip` for the
-behavioural FT1/FT2 bit-flip campaign).  The builders encode the ``scfi fi``
-mode defaults (exhaustive/effects target the diffusion layer, random targets
-the whole comb cloud, effects mode defaults to all three effects), so spec
-replays are counter-identical to the matching ``scfi fi`` invocations.
+behavioural FT1/FT2 bit-flip campaign).  A ``None`` target takes the
+scenario's own default (exhaustive/effects/temporal target the diffusion
+layer, random the whole comb cloud) and effects mode defaults to all three
+effects, so spec replays are counter-identical to the matching ``scfi fi``
+invocations.
+
+The registry is also the one place that says which optional spec fields
+each built-in scenario takes (:data:`SCENARIO_FIELDS`) and its value rules;
+:func:`check_campaign` applies them when a ``CampaignSpec`` is built, so the
+builders run only on specs that already passed.  Scenarios added through
+:func:`register_scenario` get only the name check.
 
 Engine names are the keys of ``FaultCampaign.ENGINES``;
 :func:`make_executor` builds the :class:`~repro.fi.executor.FaultCampaign`
@@ -20,6 +27,7 @@ a spec names.  Alternative executors plug in through
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.core.structure import ScfiNetlist
@@ -43,47 +51,21 @@ _FLIP_ONLY = (FaultEffect.TRANSIENT_FLIP,)
 _ALL_EFFECTS = tuple(FaultEffect)
 
 
-def _reject_spot_fields(spec: CampaignSpec, name: str) -> None:
-    """Laser-spot geometry only parameterizes the 'laser' scenario."""
-    if spec.spot_radius is not None or spec.spot_trials is not None:
-        raise ValueError(
-            f"the {name!r} scenario does not take spot_radius/spot_trials; "
-            "use scenario='laser'"
-        )
-
-
-def _single_cycle_only(spec: CampaignSpec, name: str) -> None:
-    """Classic scenarios evaluate exactly one transition per injection."""
-    if spec.cycles != 1:
-        raise ValueError(
-            f"the {name!r} scenario is single-cycle; use scenario='temporal' "
-            f"(or 'glitch') for cycles={spec.cycles} traces"
-        )
-    if spec.glitch_schedule is not None:
-        raise ValueError(
-            f"the {name!r} scenario does not take a glitch_schedule; "
-            "use scenario='glitch'"
-        )
-    _reject_spot_fields(spec, name)
-
-
 def _build_exhaustive(spec: CampaignSpec, structure: ScfiNetlist) -> Dict[str, object]:
-    _single_cycle_only(spec, "exhaustive")
     return {
         "exhaustive": ExhaustiveSingleFault(
-            target_nets=spec.target if spec.target is not None else "diffusion",
+            target_nets=spec.target,
             effects=spec.resolved_effects(_FLIP_ONLY),
         )
     }
 
 
 def _build_random(spec: CampaignSpec, structure: ScfiNetlist) -> Dict[str, object]:
-    _single_cycle_only(spec, "random")
     return {
         "random": RandomMultiFault(
             num_faults=spec.faults,
             trials=spec.trials,
-            target_nets=spec.target if spec.target is not None else "comb",
+            target_nets=spec.target,
             seed=spec.seed,
             effects=spec.resolved_effects(_FLIP_ONLY),
         )
@@ -91,29 +73,20 @@ def _build_random(spec: CampaignSpec, structure: ScfiNetlist) -> Dict[str, objec
 
 
 def _build_effects(spec: CampaignSpec, structure: ScfiNetlist) -> Dict[str, object]:
-    _single_cycle_only(spec, "effects")
     return effect_sweep_scenarios(
         effects=spec.resolved_effects(_ALL_EFFECTS),
-        target_nets=spec.target if spec.target is not None else "diffusion",
+        target_nets=spec.target,
     )
 
 
 def _build_regions(spec: CampaignSpec, structure: ScfiNetlist) -> Dict[str, object]:
-    _single_cycle_only(spec, "regions")
-    if spec.target is not None:
-        raise ValueError("the 'regions' scenario sweeps the fixed FT1/FT2/FT3 "
-                         "net groups; 'target' must stay unset")
     return region_sweep_scenarios(structure, effects=spec.resolved_effects(_FLIP_ONLY))
 
 
 def _build_temporal(spec: CampaignSpec, structure: ScfiNetlist) -> Dict[str, object]:
-    if spec.glitch_schedule is not None:
-        raise ValueError("the 'temporal' scenario holds one fault per trace; "
-                         "use scenario='glitch' for a glitch_schedule")
-    _reject_spot_fields(spec, "temporal")
     return {
         "temporal": TemporalSingleFault(
-            target_nets=spec.target if spec.target is not None else "diffusion",
+            target_nets=spec.target,
             effects=spec.resolved_effects(_FLIP_ONLY),
             cycles=spec.cycles,
             duration=spec.fault_duration,
@@ -122,13 +95,6 @@ def _build_temporal(spec: CampaignSpec, structure: ScfiNetlist) -> Dict[str, obj
 
 
 def _build_glitch(spec: CampaignSpec, structure: ScfiNetlist) -> Dict[str, object]:
-    if not spec.glitch_schedule:
-        raise ValueError("the 'glitch' scenario needs a glitch_schedule of "
-                         "(cycle, net, effect) triples")
-    if spec.target is not None:
-        raise ValueError("the 'glitch' scenario targets the nets named in its "
-                         "glitch_schedule; 'target' must stay unset")
-    _reject_spot_fields(spec, "glitch")
     return {
         "glitch": MultiShotGlitch(
             glitches=tuple(
@@ -141,12 +107,6 @@ def _build_glitch(spec: CampaignSpec, structure: ScfiNetlist) -> Dict[str, objec
 
 
 def _build_bitflip(spec: CampaignSpec, structure: ScfiNetlist) -> Dict[str, object]:
-    _single_cycle_only(spec, "bitflip")
-    if spec.target is not None:
-        raise ValueError("the 'bitflip' scenario draws over the behavioural "
-                         "FT1/FT2 position groups; 'target' must stay unset")
-    if spec.effects is not None and tuple(spec.effects) != ("flip",):
-        raise ValueError("the 'bitflip' scenario models bit flips only")
     return {
         "bitflip": BehavioralBitFlip(
             num_faults=spec.faults,
@@ -157,10 +117,6 @@ def _build_bitflip(spec: CampaignSpec, structure: ScfiNetlist) -> Dict[str, obje
 
 
 def _build_laser(spec: CampaignSpec, structure: ScfiNetlist) -> Dict[str, object]:
-    if spec.glitch_schedule is not None:
-        raise ValueError("the 'laser' scenario derives its faults from the "
-                         "spot geometry; use scenario='glitch' for a "
-                         "glitch_schedule")
     return {
         "laser": LaserSpot(
             spot_radius=spec.spot_radius if spec.spot_radius is not None else 1.5,
@@ -186,24 +142,70 @@ SCENARIO_REGISTRY: Dict[str, ScenarioBuilder] = {
     "laser": _build_laser,
 }
 
+#: The optional :class:`CampaignSpec` fields each built-in scenario takes.
+#: Setting any other optional field away from its default is an error when
+#: the spec is built (:func:`check_campaign`).
+SCENARIO_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "exhaustive": ("target", "effects"),
+    "random": ("target", "effects"),
+    "effects": ("target", "effects"),
+    "regions": ("effects",),
+    "temporal": ("target", "effects", "cycles", "fault_duration"),
+    "glitch": ("cycles", "glitch_schedule"),
+    "bitflip": ("effects",),
+    "laser": ("target", "effects", "cycles", "fault_duration", "spot_radius", "spot_trials"),
+}
+
+#: Every optional field with its default.
+_OPTIONAL_DEFAULTS = {
+    f.name: f.default
+    for f in fields(CampaignSpec)
+    if f.name in ("target", "effects", "cycles", "fault_duration", "glitch_schedule",
+                  "spot_radius", "spot_trials")
+}
+
+
+def check_campaign(spec: CampaignSpec) -> None:
+    """Raise :class:`ValueError` unless ``spec`` names a registered scenario
+    and, for a built-in one, sets only the optional fields it takes: a
+    ``glitch`` campaign needs a schedule and ``bitflip`` flips bits only.
+
+    ``CampaignSpec`` calls this on construction, so a bad campaign fails
+    before anything is hardened or queued.
+    """
+    if spec.scenario not in SCENARIO_REGISTRY:
+        raise ValueError(
+            f"unknown scenario {spec.scenario!r}; registered: "
+            + ", ".join(sorted(SCENARIO_REGISTRY))
+        )
+    takes = SCENARIO_FIELDS.get(spec.scenario)
+    if takes is None:  # added through register_scenario: the name is all we know
+        return
+    for name, default in _OPTIONAL_DEFAULTS.items():
+        if name not in takes and getattr(spec, name) != default:
+            raise ValueError(
+                f"the {spec.scenario!r} scenario does not take {name!r} "
+                f"(takes: {', '.join(takes)})"
+            )
+    if spec.scenario == "glitch" and not spec.glitch_schedule:
+        raise ValueError("the 'glitch' scenario needs a glitch_schedule of "
+                         "(cycle, net, effect) triples")
+    if spec.scenario == "bitflip" and spec.effects not in (None, ("flip",)):
+        raise ValueError("the 'bitflip' scenario models bit flips only: "
+                         "effects must be ['flip'] or unset")
+
 
 def register_scenario(name: str, builder: ScenarioBuilder, *, overwrite: bool = False) -> None:
     """Publish a scenario builder under ``name`` for spec resolution."""
     if not overwrite and name in SCENARIO_REGISTRY:
         raise ValueError(f"scenario {name!r} is already registered (pass overwrite=True)")
     SCENARIO_REGISTRY[name] = builder
+    SCENARIO_FIELDS.pop(name, None)
 
 
 def build_scenarios(spec: CampaignSpec, structure: ScfiNetlist) -> Mapping[str, object]:
     """Resolve a campaign spec's scenario name into runnable scenario objects."""
-    try:
-        builder = SCENARIO_REGISTRY[spec.scenario]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {spec.scenario!r}; registered: "
-            + ", ".join(sorted(SCENARIO_REGISTRY))
-        ) from None
-    return builder(spec, structure)
+    return SCENARIO_REGISTRY[spec.scenario](spec, structure)
 
 
 def make_executor(spec: CampaignSpec, structure: ScfiNetlist, keep_outcomes: bool) -> FaultCampaign:

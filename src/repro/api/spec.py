@@ -10,10 +10,13 @@ frontend -- the CLIs, the library :class:`~repro.api.session.Session`, a
 future distributed scheduler -- can ship, persist and deduplicate experiments
 as data instead of threading keyword arguments through call chains.
 
-Names resolve through registries at *run* time (:mod:`repro.fsmlib.registry`
-for FSMs, :mod:`repro.api.registry` for scenarios and engines), so a spec
-written today keeps working when new FSMs, scenarios or engines are
-registered tomorrow.
+Scenario and engine names are checked when the spec is built: the scenario
+against :mod:`repro.api.registry`, which also says which optional campaign
+fields each built-in scenario takes, and the engine against
+``FaultCampaign.ENGINES``.  So a malformed campaign fails to parse, before
+anything is hardened or queued.  FSM names resolve through
+:mod:`repro.fsmlib.registry` at *run* time, so a spec may name an FSM that is
+registered after it was written.
 """
 
 from __future__ import annotations
@@ -26,15 +29,13 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.fi.executor import DEFAULT_ENGINE, ENGINE_INFO, FaultCampaign
 from repro.fi.model import FaultEffect
+from repro.fi.scenarios import FAULT_DURATIONS
 
 #: Bumped whenever the on-disk spec format changes incompatibly.
 SPEC_VERSION = 1
 
 #: Valid fault-effect wire names ("flip", "stuck0", "stuck1").
 EFFECT_NAMES = tuple(effect.value for effect in FaultEffect)
-
-#: Valid temporal fault durations for multi-cycle campaigns.
-FAULT_DURATIONS = ("transient", "persistent")
 
 
 def canonical_json(data: Any) -> str:
@@ -200,11 +201,15 @@ CampaignTarget = Union[None, str, Tuple[str, ...]]
 class CampaignSpec:
     """Which fault campaign to run, on which engine.
 
-    ``scenario`` resolves through :data:`repro.api.registry.SCENARIO_REGISTRY`
-    ("exhaustive", "random", "effects", "regions", "bitflip", ...) when the
-    campaign runs.  ``engine`` is checked against ``FaultCampaign.ENGINES``
-    on construction, so a spec naming an unknown engine fails to parse;
-    omitting it selects :data:`~repro.fi.executor.DEFAULT_ENGINE`.
+    ``scenario`` names an entry of
+    :data:`repro.api.registry.SCENARIO_REGISTRY` ("exhaustive", "random",
+    "effects", "regions", "bitflip", ...) and ``engine`` one of
+    ``FaultCampaign.ENGINES``; omitting the engine selects
+    :data:`~repro.fi.executor.DEFAULT_ENGINE`.  Both are checked on
+    construction, after the per-field checks, together with the registry's
+    rules for the scenario (:func:`~repro.api.registry.check_campaign`): an
+    optional field the scenario does not take must stay at its default.  A
+    spec breaking any of them fails to parse.
     ``target``/``effects``/``faults``/``trials``/``seed`` parameterize the
     scenario with the same defaults the ``scfi fi`` modes use, so spec-driven
     runs reproduce legacy counters bit for bit.  ``lane_width=None`` (the
@@ -310,6 +315,11 @@ class CampaignSpec:
             raise ValueError(f"spot_radius must be a number > 0, got {self.spot_radius!r}")
         if self.spot_trials is not None and self.spot_trials < 0:
             raise ValueError(f"spot_trials must be an integer >= 0, got {self.spot_trials!r}")
+        # Imported here because the registry imports this module; importing
+        # repro.api loads the registry first, so this is a dict lookup.
+        from repro.api.registry import check_campaign
+
+        check_campaign(self)
 
     def resolved_effects(self, default: Sequence[FaultEffect]) -> Tuple[FaultEffect, ...]:
         """The requested :class:`FaultEffect` tuple, or ``default`` when unset."""

@@ -6,9 +6,12 @@ engine/lane-width/workers -> campaign execution parameters) and run through
 :class:`~repro.api.session.Session`, exactly like ``scfi run`` and the
 library entry points.  ``--compare`` additionally replays on the cross-check
 engine (scalar oracle, or the parallel engine from ``--engine scalar``) and
-**exits non-zero** when the classification counters diverge.  Flags that
-make an invalid spec, and specs that fail to resolve or lower (e.g. more
-``--faults`` than target nets), exit 2 with a one-line error.
+**exits non-zero** when the classification counters diverge.  Which flags
+a mode takes is the scenario registry's rule, checked when the flags become
+a :class:`~repro.api.spec.CampaignSpec` (e.g. ``--cycles`` only for
+temporal/laser, ``--spot-radius`` only for laser).  Flags that make an
+invalid spec exit 2 with a usage error; specs that fail to resolve or lower
+(e.g. more ``--faults`` than target nets) exit 2 with a one-line error.
 
 Modes:
 
@@ -48,19 +51,8 @@ from repro.api import (
 from repro.api.spec import EFFECT_NAMES
 from repro.cli.main import report_spec_error
 from repro.fi.executor import DEFAULT_ENGINE
+from repro.fi.scenarios import FAULT_DURATIONS
 from repro.fsmlib import available_fsms
-
-
-def _positive_int(text: str) -> int:
-    """Argparse type for >= 1 integer flags (``--workers``): clean CLI errors
-    instead of deep ``ValueError`` tracebacks from the executor."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers",
-        type=_positive_int,
+        type=int,
         default=1,
         help="worker processes for campaign execution: planned batches are "
         "dispatched to a worker fleet and merged deterministically (default "
@@ -133,15 +125,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--cycles",
-        type=_positive_int,
+        type=int,
         default=1,
-        help="clock cycles per injection trace (temporal mode): the netlist "
+        help="clock cycles per injection trace (temporal/laser modes): the netlist "
         "is stepped with register feedback and classified on the final state "
         "(default 1 = the classic single-transition campaigns)",
     )
     parser.add_argument(
         "--fault-duration",
-        choices=["transient", "persistent"],
+        choices=FAULT_DURATIONS,
         default="transient",
         help="temporal/laser modes: inject during one cycle only (transient) "
         "or hold the fault for the whole trace (persistent stuck-at, the "
@@ -191,21 +183,6 @@ def spec_from_args(args) -> ExperimentSpec:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.mode == "regions" and args.target is not None:
-        parser.error("--target applies to exhaustive/random/effects; regions sweep "
-                     "the fixed FT1/FT2/FT3 net groups")
-    if args.mode == "glitch":
-        parser.error("the glitch scenario needs a (cycle, net, effect) schedule; "
-                     "describe it in a spec file and run it via 'scfi run'")
-    if args.cycles != 1 and args.mode not in ("temporal", "laser"):
-        parser.error(f"--cycles applies to --mode temporal/laser, not --mode {args.mode}")
-    if args.fault_duration != "transient" and args.mode not in ("temporal", "laser"):
-        parser.error(f"--fault-duration applies to --mode temporal/laser, not --mode {args.mode}")
-    if args.spot_radius is not None and args.mode != "laser":
-        parser.error(f"--spot-radius applies to --mode laser, not --mode {args.mode}")
-    if args.spot_trials is not None and args.mode != "laser":
-        parser.error(f"--spot-trials applies to --mode laser, not --mode {args.mode}")
-
     try:
         spec = spec_from_args(args)
     except ValueError as error:

@@ -221,9 +221,6 @@ def _run(args) -> int:
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as error:
         print(f"scfi run: cannot load spec {args.spec!r}: {error}", file=sys.stderr)
         return 2
-    if args.workers is not None and args.workers < 1:
-        print("scfi run: --workers must be >= 1", file=sys.stderr)
-        return 2
 
     cache_dir = _resolve_cache_dir(args)
     try:

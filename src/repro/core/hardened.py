@@ -155,9 +155,6 @@ class HardenedFsm:
     def state_width(self) -> int:
         return self.layout.state_width
 
-    def encode_state(self, name: str) -> int:
-        return self.state_encoding[name]
-
     def decode_state(self, code: int) -> Optional[str]:
         """The state carrying ``code``, or ``None`` for invalid codewords."""
         return self._code_to_state.get(code)
@@ -167,9 +164,6 @@ class HardenedFsm:
 
     def valid_codes(self) -> List[int]:
         return sorted(self._code_to_state)
-
-    def edge_transition(self, edge: CfgEdge) -> HardenedTransition:
-        return self.transitions[(edge.src, edge.index)]
 
     # ------------------------------------------------------------------
     # The hardened next-state function

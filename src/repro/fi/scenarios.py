@@ -403,7 +403,7 @@ class RandomMultiFault:
 #: Durations a temporal single-fault scenario understands: ``"transient"``
 #: injects at one cycle only, ``"persistent"`` holds the fault for the whole
 #: trace (the classic stuck-at model of laser/glitch attacks).
-FAULT_DURATIONS = ("persistent", "transient")
+FAULT_DURATIONS = ("transient", "persistent")
 
 
 @dataclass
@@ -434,12 +434,6 @@ class TemporalSingleFault(ExhaustiveSingleFault):
 
     def describe(self) -> str:
         return f"temporal {self.duration} single-fault ({self.cycles} cycles)"
-
-    def active_cycles(self) -> Tuple[int, ...]:
-        """The trace cycles during which every job's fault is active."""
-        if self.duration == "persistent":
-            return tuple(range(self.cycles))
-        return (self.inject_cycle,)
 
     def jobs_arrays(self, campaign: "FaultCampaign") -> JobArrays:
         contexts, net_rows, modes = self._cross_product(campaign)

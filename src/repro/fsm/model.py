@@ -185,15 +185,6 @@ class Fsm:
     def num_states(self) -> int:
         return len(self.states)
 
-    @property
-    def input_width(self) -> int:
-        """Total width of the control-signal vector ``X``."""
-        return sum(sig.width for sig in self.inputs)
-
-    @property
-    def output_width(self) -> int:
-        return sum(sig.width for sig in self.outputs)
-
     def input_signal(self, name: str) -> Signal:
         for sig in self.inputs:
             if sig.name == name:

@@ -111,7 +111,13 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             else:
                 self._reply(200, status)
             return
-        document, state = self.server.service.job_result(job_id)
+        try:
+            document, state = self.server.service.job_result(job_id)
+        except ValueError as error:
+            # A done record stored under looser spec rules no longer parses.
+            self._reply(500, {"error": f"stored spec no longer parses: {error}",
+                              "state": STATE_DONE})
+            return
         if document is not None:
             self._reply(200, document)
         elif state == "unknown":

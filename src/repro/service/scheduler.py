@@ -313,7 +313,8 @@ class CampaignService:
 
         ``document`` is the provenance-stamped result when the job is done,
         ``None`` otherwise (state tells the caller whether to keep polling,
-        report failure, or 404).
+        report failure, or 404).  Raises :class:`ValueError` for a done
+        record reloaded after a restart whose stored spec this build rejects.
         """
         job = self.queue.get(job_id)
         if job is None:

@@ -1,16 +1,20 @@
 """Spec round-trips: to_dict/from_dict identity, stable hashes, validation."""
 
 import json
+import re
 
 import pytest
 
 from repro.api import (
+    SCENARIO_REGISTRY,
     CampaignSpec,
     ExperimentSpec,
     FsmSpec,
     ProtectSpec,
     ReportSpec,
+    register_scenario,
 )
+from repro.api.registry import SCENARIO_FIELDS
 from repro.api.spec import SPEC_VERSION
 from repro.fi.executor import DEFAULT_ENGINE
 
@@ -156,6 +160,84 @@ class TestValidation:
         assert spec.campaign.trials == full_spec().campaign.trials
 
 
+#: (campaign section, error fragment): each rule the registry enforces when
+#: a spec is built.
+BAD_CAMPAIGNS = [
+    ({"scenario": "meltdown"}, "unknown scenario 'meltdown'"),
+    ({"scenario": "exhaustive", "cycles": 3}, "the 'exhaustive' scenario does not take 'cycles'"),
+    (
+        {"scenario": "exhaustive", "fault_duration": "persistent"},
+        "the 'exhaustive' scenario does not take 'fault_duration'",
+    ),
+    (
+        {"scenario": "random", "glitch_schedule": [[0, "n1", "flip"]]},
+        "the 'random' scenario does not take 'glitch_schedule'",
+    ),
+    ({"scenario": "effects", "spot_radius": 2.0}, "the 'effects' scenario does not take 'spot_radius'"),
+    ({"scenario": "regions", "target": "comb"}, "the 'regions' scenario does not take 'target'"),
+    (
+        {"scenario": "temporal", "cycles": 2, "glitch_schedule": [[0, "n1", "flip"]]},
+        "the 'temporal' scenario does not take 'glitch_schedule'",
+    ),
+    ({"scenario": "temporal", "spot_trials": 5}, "the 'temporal' scenario does not take 'spot_trials'"),
+    ({"scenario": "glitch", "cycles": 2}, "the 'glitch' scenario needs a glitch_schedule"),
+    ({"scenario": "glitch", "glitch_schedule": []}, "the 'glitch' scenario needs a glitch_schedule"),
+    (
+        {"scenario": "glitch", "glitch_schedule": [[0, "n1", "flip"]], "target": "comb"},
+        "the 'glitch' scenario does not take 'target'",
+    ),
+    (
+        {"scenario": "glitch", "glitch_schedule": [[0, "n1", "flip"]], "effects": ["stuck0"]},
+        "the 'glitch' scenario does not take 'effects'",
+    ),
+    ({"scenario": "bitflip", "cycles": 2}, "the 'bitflip' scenario does not take 'cycles'"),
+    ({"scenario": "bitflip", "target": "comb"}, "the 'bitflip' scenario does not take 'target'"),
+    ({"scenario": "bitflip", "effects": ["stuck0"]}, "the 'bitflip' scenario models bit flips only"),
+    (
+        {"scenario": "laser", "glitch_schedule": [[0, "n1", "flip"]]},
+        "the 'laser' scenario does not take 'glitch_schedule'",
+    ),
+]
+
+
+class TestScenarioRules:
+    """The scenario name and the registry's field rules are checked when the
+    spec is parsed: no FSM lookup, no harden."""
+
+    @pytest.mark.parametrize("campaign, message", BAD_CAMPAIGNS)
+    def test_bad_campaign_fails_to_parse(self, campaign, message):
+        document = {"fsm": {"name": "no_such_fsm"}, "campaign": campaign}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec.from_dict(document)
+
+    def test_every_built_in_scenario_has_field_rules(self):
+        assert set(SCENARIO_FIELDS) == set(SCENARIO_REGISTRY)
+
+    def test_each_scenario_parses_with_every_field_it_takes(self):
+        values = {
+            "target": "comb",
+            "effects": ("flip",),
+            "cycles": 2,
+            "fault_duration": "persistent",
+            "glitch_schedule": ((0, "n1", "flip"),),
+            "spot_radius": 2.0,
+            "spot_trials": 5,
+        }
+        for scenario, takes in SCENARIO_FIELDS.items():
+            spec = CampaignSpec(scenario=scenario, **{name: values[name] for name in takes})
+            assert CampaignSpec.from_dict(spec.to_dict()) == spec
+
+    def test_registered_scenario_gets_only_the_name_check(self):
+        register_scenario("spec_test_scenario", lambda spec, structure: {})
+        try:
+            spec = CampaignSpec(scenario="spec_test_scenario", cycles=3, spot_radius=1.0)
+            assert spec.cycles == 3
+        finally:
+            del SCENARIO_REGISTRY["spec_test_scenario"]
+        with pytest.raises(ValueError, match="unknown scenario 'spec_test_scenario'"):
+            CampaignSpec(scenario="spec_test_scenario")
+
+
 class TestTemporalSpecFields:
     """The ISSUE 7 temporal fields: round-trip, hash stability, validation."""
 
@@ -290,15 +372,14 @@ class TestLaserSpecFields:
         with pytest.raises(ValueError, match="spot_trials"):
             CampaignSpec(spot_trials=2.5)
 
-    def test_spot_fields_rejected_outside_laser_mode(self, protected_traffic_light):
-        from repro.api.registry import build_scenarios
-
-        structure = protected_traffic_light.structure
+    def test_spot_fields_rejected_outside_laser_mode(self):
         for scenario in ("exhaustive", "random", "effects", "regions", "temporal"):
-            spec = CampaignSpec(
-                scenario=scenario,
-                spot_radius=1.5,
-                cycles=2 if scenario == "temporal" else 1,
-            )
-            with pytest.raises(ValueError, match="spot_radius/spot_trials"):
-                build_scenarios(spec, structure)
+            for field, value in (("spot_radius", 1.5), ("spot_trials", 5)):
+                with pytest.raises(
+                    ValueError, match=f"the '{scenario}' scenario does not take '{field}'"
+                ):
+                    CampaignSpec(
+                        scenario=scenario,
+                        cycles=2 if scenario == "temporal" else 1,
+                        **{field: value},
+                    )

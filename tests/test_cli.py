@@ -131,6 +131,25 @@ class TestFaultCampaignCli:
             (["--faults", "0"], "faults must be >= 1"),
             (["--mode", "laser", "--spot-radius", "0"], "spot_radius must be a number > 0"),
             (["--mode", "laser", "--spot-trials", "-5"], "spot_trials must be an integer >= 0"),
+            # A flag its mode does not take, named by its spec field.
+            (["--cycles", "3"], "the 'exhaustive' scenario does not take 'cycles'"),
+            (
+                ["--mode", "random", "--fault-duration", "persistent"],
+                "the 'random' scenario does not take 'fault_duration'",
+            ),
+            (
+                ["--mode", "temporal", "--spot-radius", "2"],
+                "the 'temporal' scenario does not take 'spot_radius'",
+            ),
+            (
+                ["--mode", "effects", "--spot-trials", "5"],
+                "the 'effects' scenario does not take 'spot_trials'",
+            ),
+            (
+                ["--mode", "regions", "--target", "comb"],
+                "the 'regions' scenario does not take 'target'",
+            ),
+            (["--mode", "glitch"], "the 'glitch' scenario needs a glitch_schedule"),
         ],
     )
     def test_invalid_spec_flags_are_usage_errors(self, capsys, flags, message):
@@ -302,9 +321,35 @@ class TestScfiRunCli:
         assert "parallel, parallel-numpy, scalar" in lines[0]
 
     @pytest.mark.parametrize(
+        "campaign, flags, message",
+        [
+            ({"scenario": "meltdown"}, [], "unknown scenario 'meltdown'"),
+            ({"scenario": "exhaustive", "cycles": 3}, [], "does not take 'cycles'"),
+            (
+                {"scenario": "exhaustive", "fault_duration": "persistent"},
+                [],
+                "does not take 'fault_duration'",
+            ),
+            ({}, ["--workers", "0"], "workers must be >= 1"),
+        ],
+    )
+    def test_run_rejects_bad_campaign_before_hardening(
+        self, tmp_path, capsys, campaign, flags, message
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"fsm": {"name": "ibex_lsu"}, "campaign": campaign}))
+        exit_code = scfi_main(["run", str(bad), *flags])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1  # one clean line: no progress, no traceback
+        assert message in lines[0]
+        assert "[scfi] harden:" not in captured.err
+
+    @pytest.mark.parametrize(
         "fsm, campaign, message",
         [
-            ("traffic_light", {"scenario": "meltdown"}, "scfi run: unknown scenario 'meltdown'"),
             ("no_such_fsm", {}, "scfi run: unknown FSM 'no_such_fsm'"),
             (
                 "traffic_light",

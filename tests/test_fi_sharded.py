@@ -257,7 +257,7 @@ class TestWorkersValidation:
         with pytest.raises(SystemExit) as excinfo:
             fi_main(["--fsm", "traffic_light", "--workers", "many"])
         assert excinfo.value.code == 2
-        assert "not an integer" in capsys.readouterr().err
+        assert "invalid int value: 'many'" in capsys.readouterr().err
 
     def test_cli_rejects_unknown_engine(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

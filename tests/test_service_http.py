@@ -14,6 +14,7 @@ The acceptance properties of the service PR, pinned in-process:
 
 import json
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ import pytest
 from repro.api import ExperimentSpec, Session
 from repro.service import CampaignService, ServiceClient, ServiceError
 from repro.service.http import ServiceHTTPServer
+from repro.service.jobs import JOB_STAGE, STATE_DONE, Job, JobQueue, new_nonce
 from repro.store import FileStore, MemoryStore
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -37,21 +39,28 @@ def direct_result(spec_data):
     return Session().run(ExperimentSpec.from_dict(spec_data)).to_dict()
 
 
-@pytest.fixture
-def service_client():
-    """A started service + HTTP server on an ephemeral port, torn down after."""
-    service = CampaignService(MemoryStore(), fleet_size=2).start()
+@contextmanager
+def serving(service, drain_timeout=10):
+    """An HTTP server for ``service`` on an ephemeral port and a client for
+    it; the server and the service are torn down after."""
     server = ServiceHTTPServer(("127.0.0.1", 0), service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
     try:
-        yield client, service
+        yield ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
     finally:
         server.shutdown()
         server.server_close()
         thread.join(10)
-        service.close(drain_timeout=10)
+        service.close(drain_timeout=drain_timeout)
+
+
+@pytest.fixture
+def service_client():
+    """A started service + HTTP server on an ephemeral port, torn down after."""
+    service = CampaignService(MemoryStore(), fleet_size=2).start()
+    with serving(service) as client:
+        yield client, service
 
 
 class TestEndToEnd:
@@ -156,6 +165,21 @@ class TestHttpErrors:
         assert sum(service.health()["jobs"].values()) == 0  # no job record at all
         assert service.scheduler.jobs_failed == 0
 
+    @pytest.mark.parametrize(
+        "campaign, named",
+        [
+            ({"scenario": "meltdown"}, "'meltdown'"),
+            ({"scenario": "exhaustive", "cycles": 3}, "'cycles'"),
+        ],
+    )
+    def test_bad_campaign_is_400_and_stores_no_job(self, service_client, campaign, named):
+        client, service = service_client
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"fsm": {"name": "traffic_light"}, "campaign": campaign})
+        assert excinfo.value.status == 400
+        assert named in excinfo.value.document["error"]
+        assert [entry for entry in service.store.entries() if entry.stage == JOB_STAGE] == []
+
     def test_unknown_job_is_404(self, service_client):
         client, _service = service_client
         for method in (client.status, client.result):
@@ -166,21 +190,12 @@ class TestHttpErrors:
     def test_result_before_done_is_409(self, spec_data):
         # A service whose scheduler never starts: the job stays queued.
         service = CampaignService(MemoryStore(), fleet_size=1)
-        server = ServiceHTTPServer(("127.0.0.1", 0), service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
-        try:
+        with serving(service, drain_timeout=1) as client:
             reply = client.submit(spec_data)
             with pytest.raises(ServiceError) as excinfo:
                 client.result(reply["job_id"])
             assert excinfo.value.status == 409
             assert excinfo.value.document["state"] == "queued"
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(10)
-            service.close(drain_timeout=1)
 
     def test_failed_job_result_is_500_with_error(self, service_client):
         client, service = service_client
@@ -231,3 +246,20 @@ class TestRestartRecovery:
             twin, status = second.submit(spec_data)
             assert status == "cached"
             assert second.job_result(twin.job_id)[0]["service"]["result_tier"] == "hit"
+
+    def test_done_record_whose_spec_no_longer_parses_answers_json(self):
+        # A done record accepted before exhaustive campaigns rejected
+        # fault_duration: after a restart its spec cannot be re-parsed.
+        store = MemoryStore()
+        stale = {
+            "fsm": {"name": "traffic_light"},
+            "campaign": {"scenario": "exhaustive", "fault_duration": "persistent"},
+        }
+        job = Job(spec_hash="ab" * 32, nonce=new_nonce(), spec=stale, state=STATE_DONE)
+        JobQueue(store).persist(job)
+        with serving(CampaignService(store, fleet_size=1).start()) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.result(job.job_id)
+        assert excinfo.value.status == 500
+        assert excinfo.value.document["state"] == "done"
+        assert "'fault_duration'" in excinfo.value.document["error"]
