@@ -26,6 +26,11 @@ A further case tracks temporal campaigns: a 4-cycle persistent stuck-at sweep
 must cost at most ``BENCH_MAX_CYCLE_OVERHEAD`` times the
 1-cycle sweep (ideal 4.0x -- four evaluates per trace).
 
+The ``sampled_lowering`` case records two layers of a warm campaign with no
+floor: lowering a 3000-trial random 3-fault campaign (the block decoder
+against the per-trial ``random.Random`` loop kept here as the reference, with
+the IR asserted equal) and classifying the all-effects comb sweep.
+
 Shared CI runners are noisy, so every floor can be overridden per run via
 environment variables (``BENCH_MIN_SPEEDUP``,
 ``BENCH_MIN_CONTEXT_PACKING_SPEEDUP``, ``BENCH_MIN_WORKERS_SPEEDUP``,
@@ -42,14 +47,24 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import time
+
+import numpy as np
 
 import pytest
 
 from repro.core.scfi import ScfiOptions, protect_fsm
 from repro.fi.model import FaultEffect
 from repro.fi.executor import FaultCampaign
-from repro.fi.scenarios import ExhaustiveSingleFault, region_sweep_scenarios, scfi_fault_regions
+from repro.fi.scenarios import (
+    EFFECT_MODES,
+    ExhaustiveSingleFault,
+    JobArrays,
+    RandomMultiFault,
+    region_sweep_scenarios,
+    scfi_fault_regions,
+)
 from repro.fsmlib.opentitan import ibex_lsu_fsm
 
 
@@ -418,3 +433,106 @@ def test_bench_region_sweep_parallel(benchmark, once, ibex_structure):
     assert sweep["FT1_state"].hijacked == 0
     assert sweep["FT2_control"].hijacked == 0
     assert sweep["FT3_diffusion"].hijacked == 0
+
+
+def _reference_random_lowering(campaign, scenario) -> JobArrays:
+    """The IR of a :class:`RandomMultiFault`, drawn one ``random.Random``
+    call at a time and regrouped stably by context (the reference the block
+    decoder replays)."""
+    nets = scenario.resolved_nets(campaign)
+    modes = [EFFECT_MODES[effect] for effect in scenario.effects]
+    rng = random.Random(scenario.seed)
+    jobs = []
+    for _ in range(scenario.trials):
+        index = rng.randrange(len(campaign.contexts))
+        group = rng.sample(range(len(nets)), scenario.num_faults)
+        jobs.append((index, group, [
+            modes[rng.randrange(len(modes))] if len(modes) > 1 else modes[0] for _ in group
+        ]))
+    jobs.sort(key=lambda job: job[0])
+    rows = np.array([campaign.net_index[net] for net in nets], dtype=np.intp)
+    offsets = np.zeros(len(jobs) + 1, dtype=np.intp)
+    np.cumsum([len(group) for _, group, _ in jobs], out=offsets[1:])
+    return JobArrays(
+        contexts=np.array([index for index, _, _ in jobs], dtype=np.intp),
+        group_offsets=offsets,
+        net_rows=rows[[pick for _, group, _ in jobs for pick in group]],
+        modes=np.array([mode for _, _, group in jobs for mode in group], dtype=np.uint8),
+    )
+
+
+def test_bench_sampled_lowering(benchmark, once):
+    """Layer record of the warm op's former Python remainder (no floor).
+
+    Lowering: the 3000-trial random 3-fault campaign on the 16-state random
+    controller, block-decoded versus the reference per-trial loop, with the
+    IR asserted equal.  Classification: the time the all-effects comb sweep
+    spends in ``_classified_counts`` on a warm executor.
+    """
+    from repro.fsm.random_fsm import random_fsm
+
+    structure = protect_fsm(
+        random_fsm(5, num_states=16), ScfiOptions(protection_level=2, generate_verilog=False)
+    ).structure
+    campaign = FaultCampaign(structure, engine="parallel-numpy")
+    scenario = RandomMultiFault(num_faults=3, trials=3000, seed=1958455966)
+
+    def best_of(function, reps):
+        result = function()
+        best = float("inf")
+        for _ in range(reps):
+            start = time.perf_counter()
+            function()
+            best = min(best, time.perf_counter() - start)
+        return best, result
+
+    reference_s, reference = best_of(lambda: _reference_random_lowering(campaign, scenario), 5)
+    lower_s, arrays = best_of(lambda: campaign.lower_scenario(scenario), 5)
+    once(benchmark, campaign.lower_scenario, scenario)
+    for name in ("contexts", "group_offsets", "net_rows", "modes"):
+        assert np.array_equal(getattr(arrays, name), getattr(reference, name)), name
+    assert arrays.cycles is None
+
+    comb = ExhaustiveSingleFault(
+        target_nets="comb",
+        effects=(FaultEffect.TRANSIENT_FLIP, FaultEffect.STUCK_AT_0, FaultEffect.STUCK_AT_1),
+    )
+    spent = []
+    classified_counts = campaign._classified_counts
+
+    def timed(*args):
+        start = time.perf_counter()
+        try:
+            return classified_counts(*args)
+        finally:
+            spent[-1] += time.perf_counter() - start
+
+    campaign._classified_counts = timed
+    spent.append(0.0)
+    result = campaign.run(comb)  # warm: compiled netlist, trajectories, class table
+    classify_s = float("inf")
+    for _ in range(5):
+        spent.append(0.0)
+        campaign.run(comb)
+        classify_s = min(classify_s, spent[-1])
+
+    print()
+    print(f"  random-3 lowering: {lower_s * 1e3:7.2f} ms (reference loop "
+          f"{reference_s * 1e3:7.2f} ms, {reference_s / max(lower_s, 1e-9):.1f}x)")
+    print(f"  comb classification: {classify_s * 1e3:7.2f} ms over "
+          f"{result.total_injections} injections")
+
+    _write_bench_record("sampled_lowering", {
+        "netlist": structure.netlist.name,
+        "random3": {
+            "trials": scenario.trials,
+            "faults": int(arrays.num_faults),
+            "seconds": lower_s,
+            "reference_seconds": reference_s,
+        },
+        "comb_classification": {
+            "total_injections": result.total_injections,
+            "seconds": classify_s,
+        },
+        "usable_cpus": _usable_cpus(),
+    })

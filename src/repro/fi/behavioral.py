@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence
 
 from repro.core.hardened import HardenedFsm
 from repro.fi.activate import activating_inputs
-from repro.fi.scenarios import JobArrays, drawn_fault_groups
+from repro.fi.scenarios import JobArrays, Sample, drawn_fault_groups
 from repro.fsm.cfg import control_flow_edges
 from repro.netlist.parallel import MODE_FLIP
 
@@ -292,9 +292,8 @@ class BehavioralBitFlip:
         # Draw for draw the behavioural protocol: transition index, then the
         # fault positions -- so the stream matches behavioral_fault_campaign
         # at equal seeds.
-        positions = range(len(nets))
         return drawn_fault_groups(
             campaign, nets, self.trials, self.seed, (MODE_FLIP,),
-            lambda rng: rng.sample(positions, self.num_faults),
+            Sample(len(nets), self.num_faults),
             num_cycles=self.cycles,
         )

@@ -84,6 +84,11 @@ DEFAULT_LANE_WIDTH = 256
 #: of inflating per-op cost.
 DEFAULT_NUMPY_LANE_WIDTH = 4096
 
+#: Most entries of one dense (context, state code) class table.  Every
+#: registered FSM at N <= 4 stays below it; the largest table checked is a
+#: 40-state random FSM's at N = 4 (113 contexts x 2**11 codes, 231424).
+CLASS_TABLE_LIMIT = 1 << 20
+
 #: Engine a campaign runs on when the caller names none (specs, the library
 #: wrappers, the evaluation harnesses and the service fleet alike).
 DEFAULT_ENGINE = "parallel-numpy"
@@ -359,12 +364,12 @@ class FaultCampaign:
         self._successors = cfg_successor_map(self.hardened.fsm)
         self._error_states = frozenset([self.hardened.error_state])
         self.contexts: List[Tuple[CfgEdge, Dict[str, int]]] = transition_contexts(structure)
-        state_bits = len(structure.state_d)
-        #: Whether (context, state code) pairs pack into one uint64 key, so a
-        #: batch is classified vectorially (see :meth:`_classified_counts`).
-        self._packs_keys = 0 < state_bits < 64 and len(self.contexts) <= 1 << (
-            63 - state_bits
-        )
+        size = len(self.contexts) << len(structure.state_d)
+        #: Entries of one dense (context, state code) class table, or None
+        #: when codes are too wide to tabulate (see :meth:`_classified_counts`).
+        self._class_table_size = size if size <= CLASS_TABLE_LIMIT else None
+        # One lazily filled class table per trace length.
+        self._class_tables: Dict[int, np.ndarray] = {}
         self._compiled = None  # the engine form, built on first use
         self._state_d_ids: Optional[List[int]] = None
         # Per-context encoded inputs / register loads, built on first use.
@@ -701,30 +706,34 @@ class FaultCampaign:
     ) -> List[int]:
         """Per-classification counts of one batch.
 
-        When ``(context, code)`` pairs fit one uint64 key (state codes below
-        64 bits and few enough contexts), the batch is classified vectorially
-        and only the unique pairs go through the memoised scalar classifier;
-        wider codes are classified job by job.
+        A dense ``contexts x 2**state_bits`` table per trace length, flat
+        and keyed ``context << state_bits | code``, holds the class index of
+        every pair seen so far (-1 for pairs not seen yet), so a batch is one
+        gather, a fill of its new pairs from the memoised scalar classifier,
+        and a ``bincount``.  Codes too wide for a table of at most
+        :data:`CLASS_TABLE_LIMIT` entries are classified job by job.
         """
-        if not self._packs_keys:
+        if self._class_table_size is None:
             counts = [0] * len(_CLASSIFICATIONS)
             for index, code in zip(job_contexts.tolist(), map(int, codes)):
                 classification, _ = self._classify(index, cycles, code)
                 counts[_CLASSIFICATION_INDEX[classification]] += 1
             return counts
+        table = self._class_tables.get(cycles)
+        if table is None:
+            table = np.full(self._class_table_size, -1, dtype=np.int8)
+            self._class_tables[cycles] = table
         state_bits = len(self.structure.state_d)
-        keys = (job_contexts.astype(np.uint64) << np.uint64(state_bits)) | np.asarray(
-            codes, dtype=np.uint64
-        )
-        unique, inverse = np.unique(keys, return_inverse=True)
-        code_mask = (1 << state_bits) - 1
-        class_index = np.empty(unique.size, dtype=np.intp)
-        for i, key in enumerate(unique.tolist()):
-            index = key >> state_bits
-            classification, _ = self._classify(index, cycles, key & code_mask)
-            class_index[i] = _CLASSIFICATION_INDEX[classification]
-        counts = np.bincount(class_index[inverse], minlength=len(_CLASSIFICATIONS))
-        return counts.tolist()
+        keys = np.asarray(codes).astype(np.intp)
+        keys += job_contexts << state_bits
+        classes = table[keys]
+        if classes.min() < 0:
+            code_mask = (1 << state_bits) - 1
+            for key in set(keys[classes < 0].tolist()):
+                classification, _ = self._classify(key >> state_bits, cycles, key & code_mask)
+                table[key] = _CLASSIFICATION_INDEX[classification]
+            classes = table[keys]
+        return np.bincount(classes, minlength=len(_CLASSIFICATIONS)).tolist()
 
     # ------------------------------------------------------------------
     # Contexts, golden trajectories and classification

@@ -17,17 +17,19 @@ Every scenario builds its IR directly in ``jobs_arrays`` -- no per-job
 Python objects.  Regular scenarios (:class:`ExhaustiveSingleFault` and its
 temporal subclass, :class:`MultiShotGlitch`) synthesise it with
 ``repeat``/``tile``; sampled ones (:class:`RandomMultiFault`,
-:class:`LaserSpot`) collect the drawn ints in the historical
-``random.Random(seed)`` call order and regroup them stably by transition
-context, so plans, batch boundaries and counters match the historical
-object stream bit for bit.
+:class:`LaserSpot`, and the behavioural bit-flip re-expression) describe
+their fault group as a :data:`Pick` and :func:`drawn_fault_groups` replays
+the historical ``random.Random(seed)`` call sequence from blocks of raw
+generator words (:mod:`repro.fi.draws`), then regroups the trials stably by
+transition context, so plans, batch boundaries and counters match the
+historical object stream bit for bit.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -210,40 +212,100 @@ def _pool_rows(campaign: "FaultCampaign", nets: Sequence[str]) -> np.ndarray:
     return np.array([net_id[net] for net in nets], dtype=np.intp)
 
 
+@dataclass(frozen=True)
+class Sample:
+    """A drawn fault group: ``rng.sample(range(n), k)`` pool positions."""
+
+    n: int
+    k: int
+
+
+#: Elements of one block of the centres x pool distance matrix: small
+#: enough that its float temporaries come from the heap, not fresh mmaps.
+_SPOT_CHUNK = 1 << 13
+
+
+class Spot:
+    """A drawn laser spot: centre ``c = rng.randrange(centres)`` of a target
+    pool at coordinates ``(xs, ys)`` faults every pool position within
+    ``radius`` of it (itself included), in pool order.
+
+    A centre's members are listed when it is first drawn; :meth:`sizes`,
+    every centre's group size, is counted only when effect draws need it.
+    Both are kept for the lifetime of the object.
+    """
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, radius: float):
+        self.xs, self.ys, self.radius = xs, ys, radius
+        self.centres = xs.size
+        self._rows = max(1, _SPOT_CHUNK // max(xs.size, 1))
+        self._members: Dict[int, np.ndarray] = {}
+        self._sizes: Optional[np.ndarray] = None
+
+    def _inside(self, centres: Sequence[int]) -> Iterable[np.ndarray]:
+        """Each centre's membership mask over the pool, a block at a time."""
+        xs, ys, radius_sq = self.xs, self.ys, self.radius**2
+        for lo in range(0, len(centres), self._rows):
+            block = centres[lo : lo + self._rows]
+            yield from (xs - xs[block, None]) ** 2 + (ys - ys[block, None]) ** 2 <= radius_sq
+
+    def sizes(self) -> np.ndarray:
+        """The group size of every centre."""
+        if self._sizes is None:
+            self._sizes = np.array(
+                [np.count_nonzero(row) for row in self._inside(range(self.centres))],
+                dtype=np.intp,
+            )
+        return self._sizes
+
+    def groups(self, drawn: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The pool positions of each drawn centre's group, flat and centre
+        after centre, and the group sizes."""
+        centres, inverse = np.unique(drawn, return_inverse=True)
+        fresh = [centre for centre in centres.tolist() if centre not in self._members]
+        for centre, row in zip(fresh, self._inside(fresh)):
+            self._members[centre] = np.flatnonzero(row)
+        groups = [self._members[centre] for centre in centres.tolist()]
+        lengths = np.array([group.size for group in groups], dtype=np.intp)
+        counts = lengths[inverse]
+        flat = np.concatenate(groups) if groups else np.empty(0, dtype=np.intp)
+        offsets = np.cumsum(lengths) - lengths
+        starts = np.repeat(offsets[inverse] - (np.cumsum(counts) - counts), counts)
+        return flat[starts + np.arange(starts.size)], counts
+
+
+#: How a sampled scenario draws one trial's fault group.
+Pick = Union[Sample, Spot]
+
+
 def drawn_fault_groups(
     campaign: "FaultCampaign",
     nets: Sequence[str],
     trials: int,
     seed: int,
     effect_modes: Sequence[int],
-    pick: Callable[[random.Random], Sequence[int]],
+    pick: Pick,
     cycle: Optional[int] = None,
     num_cycles: int = 1,
 ) -> JobArrays:
     """``trials`` randomly drawn fault groups over the pool ``nets``, as IR.
 
-    Per trial the ``random.Random(seed)`` stream draws a context, then
-    ``pick(rng)`` draws the group's pool positions, then -- only with several
-    effects -- one effect per fault.  The groups are then regrouped stably by
-    context (lanes of one pass share it), which is exactly
-    ``sort(key=context)`` over the drawn jobs.  Every fault fires in
+    Per trial the ``random.Random(seed)`` stream draws a context, then the
+    group's pool positions as ``pick`` describes them (a :class:`Sample` or
+    a laser :class:`Spot`), then -- only with several effects -- one effect
+    per fault; :func:`~repro.fi.draws.replay_draws` decodes that stream from
+    blocks of raw generator words, bit for bit.  The groups are then
+    regrouped stably by context (lanes of one pass share it), which is
+    exactly ``sort(key=context)`` over the drawn jobs.  Every fault fires in
     ``cycle``, or in every cycle when it is ``None``.
     """
-    rng = random.Random(seed)
-    num_contexts, num_effects = len(campaign.contexts), len(effect_modes)
-    contexts: List[int] = []
-    sizes: List[int] = []
-    picks: List[int] = []
-    modes: List[int] = []
-    for _ in range(trials):
-        contexts.append(rng.randrange(num_contexts))
-        group = pick(rng)
-        sizes.append(len(group))
-        picks.extend(group)
-        if num_effects > 1:
-            modes.extend(effect_modes[rng.randrange(num_effects)] for _ in group)
-    order = np.argsort(np.array(contexts, dtype=np.intp), kind="stable")
-    size = np.array(sizes, dtype=np.intp)
+    from repro.fi.draws import replay_draws  # loads only when a campaign samples
+
+    draws = replay_draws(
+        random.Random(seed), trials, len(campaign.contexts), pick, len(effect_modes)
+    )
+    order = np.argsort(draws.contexts, kind="stable")
+    size = draws.sizes
     offsets = np.zeros(trials + 1, dtype=np.intp)
     np.cumsum(size[order], out=offsets[1:])
     total = int(offsets[-1])
@@ -251,45 +313,32 @@ def drawn_fault_groups(
     take = np.repeat((np.cumsum(size) - size)[order] - offsets[:-1], size[order])
     take += np.arange(total, dtype=np.intp)
     return JobArrays(
-        contexts=np.array(contexts, dtype=np.intp)[order],
+        contexts=draws.contexts.astype(np.intp)[order],
         group_offsets=offsets,
-        net_rows=_pool_rows(campaign, nets)[np.array(picks, dtype=np.intp)[take]],
-        modes=np.array(modes, dtype=np.uint8)[take]
-        if num_effects > 1
+        net_rows=_pool_rows(campaign, nets)[draws.picks[take]],
+        modes=np.asarray(effect_modes, dtype=np.uint8)[draws.effects[take]]
+        if draws.effects is not None
         else np.full(total, effect_modes[0], dtype=np.uint8),
         cycles=None if cycle is None else np.full(total, cycle, dtype=np.int64),
         num_cycles=num_cycles,
     )
 
 
-def _spot_members(
-    campaign: "FaultCampaign", nets: Sequence[str], radius: float
-) -> Callable[[int], np.ndarray]:
-    """Centre position -> pool positions of the nets inside its laser spot.
+def _laser_spot(campaign: "FaultCampaign", nets: Sequence[str], radius: float) -> Spot:
+    """The laser spots of the pool ``nets`` on ``campaign``'s placement.
 
-    The placement and each centre's members are computed once per (pool,
-    radius) and kept in ``campaign.lowering_cache``, so repeated runs on one
-    executor skip them.
+    Kept per (pool, radius) in ``campaign.lowering_cache`` with the spot
+    members drawn so far, so repeated runs on one executor skip the
+    placement and the distance rows.
     """
     key = ("laser-spot", tuple(nets), radius)
-    members = campaign.lowering_cache.get(key)
-    if members is not None:
-        return members
-    placement = net_placement(campaign.structure)
-    xs = np.array([placement[net][0] for net in nets])
-    ys = np.array([placement[net][1] for net in nets])
-    radius_sq = radius**2
-    table: Dict[int, np.ndarray] = {}
-
-    def members(center: int) -> np.ndarray:
-        group = table.get(center)
-        if group is None:
-            inside = (xs - xs[center]) ** 2 + (ys - ys[center]) ** 2 <= radius_sq
-            group = table[center] = np.flatnonzero(inside)
-        return group
-
-    campaign.lowering_cache[key] = members
-    return members
+    spot = campaign.lowering_cache.get(key)
+    if spot is None:
+        placement = net_placement(campaign.structure)
+        xs = np.array([placement[net][0] for net in nets])
+        ys = np.array([placement[net][1] for net in nets])
+        spot = campaign.lowering_cache[key] = Spot(xs, ys, radius)
+    return spot
 
 
 # ----------------------------------------------------------------------
@@ -393,10 +442,9 @@ class RandomMultiFault:
                 f"num_faults={self.num_faults} exceeds the {len(nets)} available "
                 f"target nets; a truncated draw would silently weaken the campaign"
             )
-        positions = range(len(nets))
         return drawn_fault_groups(
             campaign, nets, self.trials, self.seed, _effect_modes(self.effects),
-            lambda rng: rng.sample(positions, self.num_faults),
+            Sample(len(nets), self.num_faults),
         )
 
 
@@ -561,10 +609,9 @@ class LaserSpot:
         if not campaign.contexts:
             raise ValueError("the FSM has no reachable transitions")
         nets = self.resolved_nets(campaign)
-        spot = _spot_members(campaign, nets, float(self.spot_radius))
         return drawn_fault_groups(
             campaign, nets, self.spot_trials, self.seed, _effect_modes(self.effects),
-            lambda rng: spot(rng.randrange(len(nets))),
+            _laser_spot(campaign, nets, float(self.spot_radius)),
             # A transient spot fires in cycle 0; a persistent one in every cycle.
             cycle=None if self.duration == "persistent" else 0,
             num_cycles=self.cycles,

@@ -6,11 +6,14 @@ field -- never a bare ``TypeError`` from deep inside a constructor, and never
 a silent acceptance of a wrong type (``"compare": "no"`` is truthy).  A
 hypothesis fuzzer mixes valid and invalid field values; the content hashes
 of the committed spec documents and of a few hand-written ones are pinned to
-the values they had before the checks existed.
+the values they had before the checks existed.  Valid sampled campaigns
+(``random``, ``laser``, ``bitflip``) give the scalar oracle's counters on the
+numpy engine.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -18,7 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
 from repro.api.spec import CampaignSpec, ExperimentSpec, FsmSpec, ProtectSpec, ReportSpec
+from repro.core.scfi import ScfiOptions, protect_fsm
+from repro.fsm.random_fsm import random_fsm
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -173,6 +179,61 @@ def test_from_dict_returns_a_spec_or_raises_value_error(document):
     # A valid spec survives its JSON wire form with the same identity.
     wire = json.loads(json.dumps(spec.to_dict()))
     assert ExperimentSpec.from_dict(wire).content_hash() == spec.content_hash()
+
+
+# ----------------------------------------------------------------------
+# Valid sampled campaigns: the scalar oracle equals the numpy engine
+# ----------------------------------------------------------------------
+EFFECT_SETS = st.lists(
+    st.sampled_from(["flip", "stuck0", "stuck1"]), min_size=1, max_size=3, unique=True
+)
+TARGETS = st.sampled_from([None, "diffusion", "comb"])
+
+
+@st.composite
+def sampled_campaigns(draw):
+    """Valid ``random``, ``laser`` and ``bitflip`` campaign sections, small
+    enough for the scalar oracle."""
+    scenario = draw(st.sampled_from(["random", "laser", "bitflip"]))
+    fields = {"scenario": scenario, "seed": draw(st.integers(0, 2**31 - 1))}
+    if scenario == "laser":
+        fields.update(
+            spot_radius=draw(st.sampled_from([0.5, 1, 1.5, 2.5])),
+            spot_trials=draw(st.integers(0, 6)),
+            cycles=draw(st.integers(1, 3)),
+            fault_duration=draw(st.sampled_from(["transient", "persistent"])),
+        )
+    else:
+        fields.update(faults=draw(st.integers(1, 3)), trials=draw(st.integers(0, 12)))
+    if scenario != "bitflip":
+        fields.update(effects=draw(EFFECT_SETS), target=draw(TARGETS))
+    return fields
+
+
+@functools.lru_cache(maxsize=None)
+def _protected_random_fsm(seed: int, num_states: int):
+    return protect_fsm(
+        random_fsm(seed, num_states=num_states),
+        ScfiOptions(protection_level=2, generate_verilog=False),
+    ).structure
+
+
+@given(
+    fsm_seed=st.integers(0, 20),
+    num_states=st.sampled_from([4, 5]),
+    fields=sampled_campaigns(),
+)
+@settings(max_examples=30, deadline=None)
+def test_valid_sampled_campaigns_match_the_oracle(fsm_seed, num_states, fields):
+    """A valid sampled spec gives equal counters on the scalar oracle and on
+    the numpy engine (same draws, same groups, same classification)."""
+    structure = _protected_random_fsm(fsm_seed, num_states)
+    counters = {}
+    for engine in ("scalar", "parallel-numpy"):
+        spec = CampaignSpec.from_dict(dict(fields, engine=engine))
+        results = Session().run_campaign(structure, spec)
+        counters[engine] = {name: result.to_dict() for name, result in results.items()}
+    assert counters["scalar"] == counters["parallel-numpy"]
 
 
 # ----------------------------------------------------------------------

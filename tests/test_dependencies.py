@@ -1,7 +1,11 @@
-"""Every third-party import under ``src/repro`` is a declared dependency."""
+"""Every third-party import under ``src/repro`` is a declared dependency, and
+the cold path loads no heavy numpy submodule it does not use."""
 
 import ast
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +34,29 @@ def declared_dependencies():
 
 def test_imports_match_declared_dependencies():
     assert imported_packages() == declared_dependencies()
+
+
+#: Runs in a fresh interpreter: which heavy numpy submodules the cold CLI
+#: import and a sampled campaign load.
+COLD_PATH_PROBE = """
+import json, sys
+import repro.cli.main
+after_import = "numpy.random" in sys.modules
+from repro.api import ExperimentSpec, Session
+for campaign in ({"scenario": "random", "faults": 2, "trials": 50},
+                 {"scenario": "laser", "spot_trials": 10, "effects": ["flip", "stuck1"]}):
+    Session().run(ExperimentSpec.from_dict({"fsm": {"name": "traffic_light"}, "campaign": campaign}))
+print(json.dumps([after_import, "numpy.random" in sys.modules]))
+"""
+
+
+def test_sampled_campaigns_do_not_load_numpy_random():
+    """The campaign draws replay ``random.Random`` without ``numpy.random``
+    (which would add its modules and memory to every sampled campaign)."""
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_PATH_PROBE],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [False, False]
