@@ -467,7 +467,7 @@ def test_bench_sampled_lowering(benchmark, once):
     Lowering: the 3000-trial random 3-fault campaign on the 16-state random
     controller, block-decoded versus the reference per-trial loop, with the
     IR asserted equal.  Classification: the time the all-effects comb sweep
-    spends in ``_classified_counts`` on a warm executor.
+    spends in ``_classes`` on a warm executor (its simulated jobs only).
     """
     from repro.fsm.random_fsm import random_fsm
 
@@ -498,16 +498,16 @@ def test_bench_sampled_lowering(benchmark, once):
         effects=(FaultEffect.TRANSIENT_FLIP, FaultEffect.STUCK_AT_0, FaultEffect.STUCK_AT_1),
     )
     spent = []
-    classified_counts = campaign._classified_counts
+    classes = campaign._classes
 
     def timed(*args):
         start = time.perf_counter()
         try:
-            return classified_counts(*args)
+            return classes(*args)
         finally:
             spent[-1] += time.perf_counter() - start
 
-    campaign._classified_counts = timed
+    campaign._classes = timed
     spent.append(0.0)
     result = campaign.run(comb)  # warm: compiled netlist, trajectories, class table
     classify_s = float("inf")

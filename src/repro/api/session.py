@@ -365,14 +365,14 @@ class Session:
                     self._emit("campaign", f"cache hit {campaign_key[:12]}")
                     return results
 
-        results: Dict[str, CampaignResult] = {}
         # Leaving the block closes the executor, which stops a workers>1
         # fleet; a reused executor starts a new fleet on its next sharded run.
         with self._executor(campaign, structure, report.keep_outcomes, cache_scope) as executor:
-            for name, scenario in scenarios.items():
-                self._emit("campaign", name)
-                results[name] = executor.run(scenario)
-                if dispatch is not None:
+            results = executor.run_sweep(
+                scenarios, on_scenario=lambda name: self._emit("campaign", name)
+            )
+            if dispatch is not None:
+                for name in results:
                     dispatch[name] = getattr(executor, "last_dispatch", None)
         if cached:
             _save_json_artifact(

@@ -28,14 +28,33 @@ come from those codes.  :attr:`FaultCampaign.last_dispatch` therefore reads
 ``"array-native"`` on every engine (``"cached"`` marks store replays one
 layer up).
 
+On the compiled engines, equivalent single faults are collapsed before
+planning.  A single fault live in one cycle has only two behaviours there:
+with ``g`` its net's fault-free value, a stuck-at-g changes nothing and a
+flip acts exactly like a stuck-at-not-g.  So (rule (a)) a job whose one
+fault forces ``g`` in every cycle it is live -- a stuck-at-v on a net that
+is v in all of them -- takes no lane and gets its context's analytic golden
+code, and (rule (b)) jobs whose one fault is live in a single cycle ``c`` and
+forces the same value there share one lane across every scenario of one
+:meth:`FaultCampaign.run_sweep`.  The fault-free values come from one
+multi-context pass per trace cycle, checked against the analytic
+trajectories and cached per executor; the table of shared outcomes lives
+for one sweep.  Multi-fault groups (laser spots, random multi-fault trials,
+multi-shot schedules) and single faults live in several cycles that rule
+(a) does not settle keep their lanes.  The planner only sees the jobs that
+take a lane, and each collapsed job's class (and code) is expanded back in
+job order, so counters and kept outcomes are those of the full stream.  The
+``"scalar"`` oracle collapses nothing: it simulates every job, which keeps
+it an independent check of both rules.
+
 Batches run in-process (``workers=1``, the default) or on a
 :class:`~repro.fi.fleet.WorkerFleet`, the one process pool: an owned fleet of
 ``workers=N`` processes, or the shared fleet a
 :class:`~repro.service.worker.FleetCampaign` supplies.  Consecutive batches
 travel in contiguous chunks as small pickles (cut points plus IR slice);
-each worker builds its engine once and replies per batch with
-per-classification counts, plus the per-job codes when outcomes are kept.
-The parent merges replies in job order, so counters and kept outcomes are
+each worker builds its engine once and replies per batch with every job's
+class index, plus the per-job codes when outcomes are kept.  The parent
+merges replies in job order, so counters and kept outcomes are
 bit-identical to single-process runs on every engine.
 
 Fault targets are validated up front: a scenario naming a net the netlist
@@ -47,7 +66,9 @@ fault as masked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -68,7 +89,7 @@ from repro.fi.scenarios import (
     transition_contexts,
 )
 from repro.fsm.cfg import CfgEdge
-from repro.netlist.parallel import WORD_DTYPE, CompiledNetlist
+from repro.netlist.parallel import MODE_FLIP, MODE_STUCK1, WORD_DTYPE, CompiledNetlist
 from repro.netlist.parallel_np import NumpyCompiledNetlist
 from repro.netlist.simulate import InstrumentedNetlist
 
@@ -275,14 +296,42 @@ class CampaignResult:
 _CLASSIFICATIONS = tuple(Classification)
 _CLASSIFICATION_INDEX = {cls: i for i, cls in enumerate(_CLASSIFICATIONS)}
 
-#: Worker batch reply: per-classification counts in ``_CLASSIFICATIONS``
-#: order plus, for ``keep_outcomes`` campaigns, the per-job observed state
-#: codes.  Both sides index via ``_CLASSIFICATIONS``, so the format survives
-#: enum reordering or extension.
-_BatchReply = Tuple[Tuple[int, ...], Optional[Sequence[int]]]
+#: Batch reply: the class index (into ``_CLASSIFICATIONS``) of every job of
+#: the batch plus, for ``keep_outcomes`` campaigns, the per-job observed
+#: state codes.  Both sides index via ``_CLASSIFICATIONS``, so the format
+#: survives enum reordering or extension.
+_BatchReply = Tuple[np.ndarray, Optional[Sequence[int]]]
 
 #: The unit of execution and of the fleet wire: a batch and its IR slice.
 _Unit = Tuple[PlannedBatch, JobArrays]
+
+
+@dataclass
+class _Shared:
+    """Outcomes of the one-cycle faults simulated so far in one sweep, for
+    one trace length: slot ``c * contexts * nets + k * nets + n`` holds the
+    class index (``-1`` until simulated) and, with kept outcomes, the code of
+    a fault live in cycle ``c`` on net ``n`` of context ``k``."""
+
+    classes: np.ndarray
+    codes: Optional[np.ndarray]
+
+
+@dataclass
+class _Collapse:
+    """How one job stream splits into lanes and jobs a rule settles.
+
+    ``simulated`` lists the jobs that take a lane (``None``: every job).
+    ``masked`` and ``copies`` are masks over the jobs: masked jobs get their
+    context's golden outcome (rule (a)); copies, one ``slots`` entry each,
+    share an outcome per slot of ``shared`` (rule (b)).
+    """
+
+    simulated: Optional[np.ndarray]
+    masked: np.ndarray
+    copies: np.ndarray
+    slots: np.ndarray
+    shared: _Shared
 
 
 def _chunk_bounds(total: int, workers: int) -> List[Tuple[int, int]]:
@@ -366,10 +415,17 @@ class FaultCampaign:
         self.contexts: List[Tuple[CfgEdge, Dict[str, int]]] = transition_contexts(structure)
         size = len(self.contexts) << len(structure.state_d)
         #: Entries of one dense (context, state code) class table, or None
-        #: when codes are too wide to tabulate (see :meth:`_classified_counts`).
+        #: when codes are too wide to tabulate (see :meth:`_classes`).
         self._class_table_size = size if size <= CLASS_TABLE_LIMIT else None
         # One lazily filled class table per trace length.
         self._class_tables: Dict[int, np.ndarray] = {}
+        self._code_dtype = np.uint64 if len(structure.state_d) < 64 else object
+        # Fault-free net values per trace cycle, (cycles, contexts * nets);
+        # built on first use (see :meth:`_fault_free`).
+        self._fault_free_rows: Optional[np.ndarray] = None
+        # Per trace length, the outcomes of the one-cycle faults the running
+        # sweep simulated (see :meth:`_collapse`); None outside a sweep.
+        self._shared: Optional[Dict[int, _Shared]] = None
         self._compiled = None  # the engine form, built on first use
         self._state_d_ids: Optional[List[int]] = None
         # Per-context encoded inputs / register loads, built on first use.
@@ -513,13 +569,30 @@ class FaultCampaign:
                 raise ValueError(f"fault cycle {cycle} outside the {num_cycles}-cycle trace")
         return arrays
 
-    def run_sweep(self, scenarios: Mapping[str, object]) -> Dict[str, CampaignResult]:
-        """Execute several named scenarios.
+    def run_sweep(
+        self,
+        scenarios: Mapping[str, object],
+        on_scenario: Optional[Callable[[str], None]] = None,
+    ) -> Dict[str, CampaignResult]:
+        """Execute several named scenarios as one sweep.
 
         The compiled netlist, the lowering tables and the worker fleet are
-        shared across the scenarios.
+        shared across the scenarios, and so are the outcomes of one-cycle
+        single faults (rule (b) of :meth:`_collapse`): a fault equivalent to
+        one an earlier scenario of the sweep simulated takes no lane.  Those
+        outcomes are dropped when the sweep ends.  ``on_scenario(name)`` is
+        called before each scenario runs.
         """
-        return {name: self.run(scenario) for name, scenario in scenarios.items()}
+        self._shared = {}
+        try:
+            results = {}
+            for name, scenario in scenarios.items():
+                if on_scenario is not None:
+                    on_scenario(name)
+                results[name] = self.run(scenario)
+            return results
+        finally:
+            self._shared = None
 
     # ------------------------------------------------------------------
     # Plan phase
@@ -544,24 +617,44 @@ class FaultCampaign:
         analytic fault-free trajectory of its context; single-cycle
         scenarios are traces of one cycle.  Per-fault cycle annotations
         (transient shots, persistent spots, mixed schedules) select the
-        faults live in each cycle.  Plans depend only on the job contexts,
-        never on the trace length; each batch runs with its IR slice, in
-        process or on the fleet, and replies merge in job order.
+        faults live in each cycle.  On the compiled engines the jobs
+        :meth:`_collapse` settles take no lane; the rest are planned (plans
+        depend only on the job contexts, never on the trace length), each
+        batch runs with its IR, in process or on the fleet, and the per-job
+        replies expand back to every job in order.
         """
         cycles = arrays.num_cycles
-        jobs = arrays.to_jobs(self._net_names()) if self.keep_outcomes else None
         self.last_dispatch = "array-native"
-        batches = self.plan_jobs(arrays.contexts).batches
-        units = [(batch, arrays.slice(batch.start, batch.stop)) for batch in batches]
+        collapse = None
+        if not self._is_oracle:
+            shared = self._shared if self._shared is not None else {}
+            collapse = self._collapse(arrays, shared)
+        simulated = None if collapse is None else collapse.simulated
+        if simulated is None:
+            batches = self.plan_jobs(arrays.contexts).batches
+            spans: List[object] = [slice(batch.start, batch.stop) for batch in batches]
+            units = ((batch, arrays.slice(batch.start, batch.stop)) for batch in batches)
+        else:
+            batches = self.plan_jobs(arrays.contexts[simulated]).batches
+            spans = [simulated[batch.start : batch.stop] for batch in batches]
+            units = ((batch, arrays.take(jobs)) for batch, jobs in zip(batches, spans))
         if self.workers > 1 or self._fleet is not None:
-            replies = self._sharded_replies(cycles, units)
+            replies = self._sharded_replies(cycles, list(units))
         else:
             replies = (self._unit_reply(cycles, unit) for unit in units)
-        for done, (batch, reply) in enumerate(zip(batches, replies), 1):
-            batch_jobs = None if jobs is None else jobs[batch.start : batch.stop]
-            self._merge_reply(cycles, batch_jobs, reply, result)
+        classes = np.full(arrays.num_jobs, -1, dtype=np.int8)
+        codes = np.empty(arrays.num_jobs, dtype=self._code_dtype) if self.keep_outcomes else None
+        for done, (jobs, (batch_classes, batch_codes)) in enumerate(zip(spans, replies), 1):
+            classes[jobs] = batch_classes
+            if codes is not None:
+                if batch_codes is None:
+                    raise RuntimeError("worker returned no codes for a keep_outcomes campaign")
+                codes[jobs] = batch_codes
             if self._batch_progress is not None:
                 self._batch_progress(done, len(batches))
+        if collapse is not None:
+            self._expand(collapse, arrays, classes, codes)
+        self._merge(arrays, classes, codes, result)
 
     def _sharded_replies(self, cycles: int, units: List[_Unit]) -> Iterator[_BatchReply]:
         """Ship the units to the fleet as :func:`_chunk_bounds` tasks of
@@ -582,8 +675,8 @@ class FaultCampaign:
         parent or in a fleet worker alike.
 
         The engine returns the golden contexts' codes, checked against their
-        analytic trajectories, then one code per job.  The reply holds
-        per-classification counts, plus the job codes when outcomes are kept.
+        analytic trajectories, then one code per job.  The reply holds every
+        job's class index, plus the job codes when outcomes are kept.
         """
         batch, arrays = unit
         evaluate = self._oracle_codes if self._is_oracle else self._compiled_codes
@@ -591,31 +684,29 @@ class FaultCampaign:
         for lane, index in enumerate(batch.golden_contexts):
             self._check_golden(index, cycles, int(codes[lane]))
         codes = codes[len(batch.golden_contexts) :]
-        counts = tuple(self._classified_counts(cycles, arrays.contexts, codes))
-        return counts, codes if self.keep_outcomes else None
+        return self._classes(cycles, arrays.contexts, codes), codes if self.keep_outcomes else None
 
-    def _merge_reply(
+    def _merge(
         self,
-        cycles: int,
-        batch_jobs: Optional[Sequence[InjectionJob]],
-        reply: _BatchReply,
+        arrays: JobArrays,
+        classes: np.ndarray,
+        codes: Optional[np.ndarray],
         result: CampaignResult,
     ) -> None:
-        """Fold one batch reply into the result, preserving job order.
+        """Fold every job's class into the result, in job order.
 
-        Counters merge as-is; with ``keep_outcomes`` (``batch_jobs`` given)
-        the parent applies the same memoised classifier to the per-job codes
-        to build :class:`FaultOutcome` records.
+        With ``keep_outcomes`` (``codes`` given) the parent applies the
+        memoised classifier to the per-job codes to build
+        :class:`FaultOutcome` records.
         """
-        counts, codes = reply
-        if batch_jobs is None:
+        if codes is None:
+            counts = np.bincount(classes, minlength=len(_CLASSIFICATIONS)).tolist()
             for classification, count in zip(_CLASSIFICATIONS, counts):
                 if count:
                     result.tally_bulk(classification, count)
             return
-        if codes is None:
-            raise RuntimeError("worker returned no codes for a keep_outcomes campaign")
-        for (index, faults), code in zip(batch_jobs, map(int, codes)):
+        cycles = arrays.num_cycles
+        for (index, faults), code in zip(arrays.to_jobs(self._net_names()), codes.tolist()):
             classification, observed_state = self._classify(index, cycles, code)
             edge, _ = self.contexts[index]
             result.record(
@@ -629,6 +720,151 @@ class FaultCampaign:
                 )
             )
 
+    # ------------------------------------------------------------------
+    # Fault collapsing
+    # ------------------------------------------------------------------
+    def _collapse(self, arrays: JobArrays, shared: Dict[int, _Shared]) -> Optional[_Collapse]:
+        """Settle the single-fault jobs whose outcome is already known.
+
+        With ``g`` a net's fault-free value in a cycle, a flip forces ``not
+        g`` there and a stuck-at-v forces ``v``.  Rule (a): a job whose fault
+        forces ``g`` in every cycle it is live changes nothing, so it gets its
+        context's analytic golden code and no lane.  Rule (b): every other
+        job live in one cycle ``c`` forces ``not g`` there, so the jobs of one
+        (trace length, ``c``, context, net) slot behave alike: the first one
+        in the sweep takes a lane and the rest copy its outcome from
+        ``shared``.  Multi-fault groups, and single faults live in several
+        cycles that rule (a) does not settle, keep their lanes.  Returns
+        ``None`` when no job is single-fault.
+        """
+        single = np.flatnonzero(arrays.group_offsets[1:] - arrays.group_offsets[:-1] == 1)
+        if not single.size:
+            return None
+        # With every group a single fault, job i is fault i: read views.
+        every = single.size == arrays.num_jobs
+        jobs = slice(None) if every else single
+        faults = jobs if every else arrays.group_offsets[single]
+        cycles = arrays.num_cycles
+        table = self._fault_free(cycles)[:cycles]
+        index = np.int32 if max(table.size, arrays.num_jobs) < 2**31 else np.int64
+        cells = arrays.contexts[jobs].astype(index)
+        cells *= len(self.net_index)
+        cells += arrays.net_rows[faults]
+        fault_free = table[:, cells]
+        modes = arrays.modes[faults]
+        forced = np.where(modes == MODE_FLIP, fault_free ^ 1, modes == MODE_STUCK1)
+        if arrays.cycles is None:  # every fault is live in every cycle
+            shots, live = None, np.True_
+        else:
+            shots = arrays.cycles[faults]
+            live = (shots == EVERY_CYCLE) | (shots == np.arange(cycles)[:, None])
+        masked = np.all(~live | (forced == fault_free), axis=0)
+        if cycles == 1:
+            one_cycle = ~masked
+        elif shots is None:
+            one_cycle = np.zeros_like(masked)
+        else:
+            one_cycle = (shots != EVERY_CYCLE) & ~masked
+        slots = cells[one_cycle]
+        if cycles > 1 and shots is not None:
+            slots += shots[one_cycle] * table.shape[1]
+        shared_outcomes = shared.get(cycles)
+        if shared_outcomes is None:
+            codes = np.zeros(table.size, self._code_dtype) if self.keep_outcomes else None
+            shared_outcomes = _Shared(np.full(table.size, -1, dtype=np.int8), codes)
+            shared[cycles] = shared_outcomes
+        # The first job of every slot not filled yet leads it: it alone
+        # takes a lane.
+        order = np.arange(slots.size, dtype=index)
+        first = np.full(table.size, slots.size, dtype=index)
+        np.minimum.at(first, slots, order)
+        leaders = (first[slots] == order) & (shared_outcomes.classes[slots] < 0)
+        settled = masked | one_cycle
+        settled[one_cycle] = ~leaders
+        if not every:  # masks over the single-fault jobs -> over every job
+            spread = np.zeros((3, arrays.num_jobs), dtype=bool)
+            spread[:, single] = masked, one_cycle, settled
+            masked, one_cycle, settled = spread
+        return _Collapse(
+            simulated=np.flatnonzero(~settled) if settled.any() else None,
+            masked=masked,
+            copies=one_cycle,
+            slots=slots,
+            shared=shared_outcomes,
+        )
+
+    def _expand(
+        self,
+        collapse: _Collapse,
+        arrays: JobArrays,
+        classes: np.ndarray,
+        codes: Optional[np.ndarray],
+    ) -> None:
+        """Give the jobs :meth:`_collapse` settled their class (and code).
+
+        The simulated copies (the leaders, whose class is set) write their
+        outcome into the sweep's shared slots; then every copy reads its
+        slot, and every masked job gets its context's golden outcome.
+        """
+        shared = collapse.shared
+        copies = np.flatnonzero(collapse.copies)
+        leaders = classes[copies] >= 0
+        shared.classes[collapse.slots[leaders]] = classes[copies[leaders]]
+        classes[copies] = shared.classes[collapse.slots]
+        if codes is not None:
+            shared.codes[collapse.slots[leaders]] = codes[copies[leaders]]
+            codes[copies] = shared.codes[collapse.slots]
+        if collapse.masked.any():
+            masked = np.flatnonzero(collapse.masked)
+            golden_classes, golden_codes = self._golden_outcomes(arrays.num_cycles)
+            contexts = arrays.contexts[masked]
+            classes[masked] = golden_classes[contexts]
+            if codes is not None:
+                codes[masked] = golden_codes[contexts]
+
+    def _golden_outcomes(self, cycles: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Every context's class index and code of its fault-free trace."""
+        codes = [self._golden(index, cycles)[0] for index in range(len(self.contexts))]
+        classes = [
+            _CLASSIFICATION_INDEX[self._classify(index, cycles, code)[0]]
+            for index, code in enumerate(codes)
+        ]
+        return np.array(classes, dtype=np.int8), np.array(codes, dtype=self._code_dtype)
+
+    def _fault_free(self, cycles: int) -> np.ndarray:
+        """The fault-free value of every net of every context, per cycle.
+
+        Row ``c`` of the ``(cycles, contexts * nets)`` uint8 table holds, at
+        column ``k * nets + n``, the value the netlist drives on net ``n``
+        (a dense net id) in cycle ``c`` of context ``k``'s fault-free trace.
+        One pass per cycle runs every context on its own lane, and each
+        pass's state codes are checked against the analytic trajectory.
+        Built on first use; a longer trace rebuilds it.
+        """
+        table = self._fault_free_rows
+        if table is None or table.shape[0] < cycles:
+            compiled = self.compiled
+            num_contexts = len(self.contexts)
+            inputs, registers = self._lane_words(
+                np.arange(num_contexts, dtype=np.intp), np.empty(0, dtype=np.intp)
+            )
+            empty = np.empty(0, dtype=np.intp)
+            no_faults = [(empty, empty, np.empty(0, dtype=np.uint8))]
+            ids = np.arange(compiled.num_nets)
+            rows = []
+            for cycle in range(cycles):
+                values = compiled.step_cycles_fault_arrays(
+                    inputs, no_faults, num_contexts, registers=registers, lane_words=True
+                )
+                for index, code in enumerate(self._state_codes(values)):
+                    self._check_golden(index, cycle + 1, int(code))
+                bits = np.unpackbits(
+                    values.byte_rows_by_id(ids), axis=1, count=num_contexts, bitorder="little"
+                )
+                rows.append(bits.T.ravel())
+                registers = compiled.register_feedback(values)
+            table = self._fault_free_rows = np.stack(rows)
+        return table
     # ------------------------------------------------------------------
     # Batch evaluation
     # ------------------------------------------------------------------
@@ -671,6 +907,11 @@ class FaultCampaign:
             values = self.compiled.step_cycles_fault_arrays(
                 inputs, cycle_faults, num_lanes, registers=registers, lane_words=True
             )
+        return self._state_codes(values)
+
+    def _state_codes(self, values) -> Sequence[int]:
+        """Every lane's state-register D code: one uint64 array, or Python
+        ints for state codes of 64 bits or more."""
         state_d = self._state_d()
         codes = values.code_array_by_id(state_d)
         if codes is None:
@@ -701,24 +942,26 @@ class FaultCampaign:
             codes.append(oracle.read_word(values, self.structure.state_d))
         return codes
 
-    def _classified_counts(
+    def _classes(
         self, cycles: int, job_contexts: "np.ndarray", codes: Sequence[int]
-    ) -> List[int]:
-        """Per-classification counts of one batch.
+    ) -> np.ndarray:
+        """The class index of every job of one batch.
 
         A dense ``contexts x 2**state_bits`` table per trace length, flat
         and keyed ``context << state_bits | code``, holds the class index of
         every pair seen so far (-1 for pairs not seen yet), so a batch is one
-        gather, a fill of its new pairs from the memoised scalar classifier,
-        and a ``bincount``.  Codes too wide for a table of at most
+        gather and a fill of its new pairs from the memoised scalar
+        classifier.  Codes too wide for a table of at most
         :data:`CLASS_TABLE_LIMIT` entries are classified job by job.
         """
         if self._class_table_size is None:
-            counts = [0] * len(_CLASSIFICATIONS)
-            for index, code in zip(job_contexts.tolist(), map(int, codes)):
-                classification, _ = self._classify(index, cycles, code)
-                counts[_CLASSIFICATION_INDEX[classification]] += 1
-            return counts
+            return np.array(
+                [
+                    _CLASSIFICATION_INDEX[self._classify(index, cycles, code)[0]]
+                    for index, code in zip(job_contexts.tolist(), map(int, codes))
+                ],
+                dtype=np.int8,
+            )
         table = self._class_tables.get(cycles)
         if table is None:
             table = np.full(self._class_table_size, -1, dtype=np.int8)
@@ -733,7 +976,7 @@ class FaultCampaign:
                 classification, _ = self._classify(key >> state_bits, cycles, key & code_mask)
                 table[key] = _CLASSIFICATION_INDEX[classification]
             classes = table[keys]
-        return np.bincount(classes, minlength=len(_CLASSIFICATIONS)).tolist()
+        return classes
 
     # ------------------------------------------------------------------
     # Contexts, golden trajectories and classification

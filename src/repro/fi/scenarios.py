@@ -175,6 +175,27 @@ class JobArrays:
             num_cycles=self.num_cycles,
         )
 
+    def take(self, jobs: np.ndarray) -> "JobArrays":
+        """The IR of the jobs at the ascending indices ``jobs``.
+
+        A batch of the jobs a collapsed campaign still simulates gathers its
+        own groups, so the stream is never copied whole.
+        """
+        starts = self.group_offsets[jobs]
+        sizes = self.group_offsets[jobs + 1] - starts
+        offsets = np.zeros(jobs.size + 1, dtype=np.intp)
+        np.cumsum(sizes, out=offsets[1:])
+        faults = np.repeat(starts - offsets[:-1], sizes)
+        faults += np.arange(faults.size, dtype=np.intp)
+        return JobArrays(
+            contexts=self.contexts[jobs],
+            group_offsets=offsets,
+            net_rows=self.net_rows[faults],
+            modes=self.modes[faults],
+            cycles=None if self.cycles is None else self.cycles[faults],
+            num_cycles=self.num_cycles,
+        )
+
 
 def _effect_modes(effects: Sequence[FaultEffect]) -> List[int]:
     return [EFFECT_MODES[effect] for effect in effects]

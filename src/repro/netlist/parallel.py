@@ -249,7 +249,7 @@ class LaneValues:
         reads keep the plain loop.
         """
         if self.num_lanes * len(ids) >= _TRANSPOSE_THRESHOLD:
-            return lane_codes_from_byte_rows(self._byte_rows(ids), self.num_lanes)
+            return lane_codes_from_byte_rows(self.byte_rows_by_id(ids), self.num_lanes)
         words = [self._words[net_id] for net_id in ids]
         codes = []
         for lane in range(self.num_lanes):
@@ -264,9 +264,9 @@ class LaneValues:
         ``0 < len(ids) < 64`` (wider codes go through :meth:`read_words_by_id`)."""
         if not 0 < len(ids) < 64:
             return None
-        return lane_code_array(self._byte_rows(ids), self.num_lanes)
+        return lane_code_array(self.byte_rows_by_id(ids), self.num_lanes)
 
-    def _byte_rows(self, ids: Sequence[int]) -> np.ndarray:
+    def byte_rows_by_id(self, ids: Sequence[int]) -> np.ndarray:
         """The little-endian byte form of the selected lane words, one row each."""
         num_bytes = (self.num_lanes + 7) // 8
         return np.frombuffer(

@@ -151,8 +151,7 @@ class NumpyLaneValues:
         """
         if not ids:
             return [0] * self.num_lanes
-        rows = self._values[self._id_slot[np.asarray(ids, dtype=np.intp)]]
-        return lane_codes_from_byte_rows(rows.view(np.uint8), self.num_lanes)
+        return lane_codes_from_byte_rows(self.byte_rows_by_id(ids), self.num_lanes)
 
     def code_array_by_id(self, ids: Sequence[int]) -> Optional[np.ndarray]:
         """Per-lane codes as one uint64 array, or ``None`` for >64-bit codes.
@@ -163,8 +162,11 @@ class NumpyLaneValues:
         """
         if not 0 < len(ids) < 64:
             return None
-        rows = self._values[self._id_slot[np.asarray(ids, dtype=np.intp)]]
-        return lane_code_array(rows.view(np.uint8), self.num_lanes)
+        return lane_code_array(self.byte_rows_by_id(ids), self.num_lanes)
+
+    def byte_rows_by_id(self, ids: Sequence[int]) -> np.ndarray:
+        """The little-endian byte form of the selected lane words, one row each."""
+        return self._values[self._id_slot[np.asarray(ids, dtype=np.intp)]].view(np.uint8)
 
 
 #: One (level, opcode) gate group: opcode, its output rows ``lo:hi`` and the

@@ -256,13 +256,20 @@ class JobQueue:
     # -- scheduler side --------------------------------------------------
 
     def next_job(self, timeout: Optional[float] = None) -> Optional[Job]:
-        """Pop the oldest queued job, blocking up to ``timeout`` seconds."""
+        """Pop the oldest queued job, blocking up to ``timeout`` seconds or
+        until :meth:`wake`."""
         with self._available:
             if not self._pending:
                 self._available.wait(timeout)
             if not self._pending:
                 return None
             return self._jobs[self._pending.popleft()]
+
+    def wake(self) -> None:
+        """Return every blocked :meth:`next_job` call at once, with no job
+        unless one is queued."""
+        with self._available:
+            self._available.notify_all()
 
     def transition(self, job: Job, state: str, **fields) -> None:
         """Move a job to ``state`` (and set extra record fields).

@@ -106,6 +106,7 @@ class Scheduler:
         re-queues it on the next start.
         """
         self._stop.set()
+        self.queue.wake()
         thread = self._thread
         if thread is None:
             return

@@ -494,11 +494,11 @@ class TestDispatchProvenance:
                 assert not campaign._class_tables
 
 
-def _job_by_job_counts(campaign, cycles, contexts, codes):
-    counts = [0] * len(_CLASSIFICATIONS)
-    for index, code in zip(contexts.tolist(), codes.tolist()):
-        counts[_CLASSIFICATIONS.index(campaign._classify(index, cycles, code)[0])] += 1
-    return counts
+def _job_by_job_classes(campaign, cycles, contexts, codes):
+    return [
+        _CLASSIFICATIONS.index(campaign._classify(index, cycles, code)[0])
+        for index, code in zip(contexts.tolist(), codes.tolist())
+    ]
 
 
 class TestClassTable:
@@ -514,8 +514,8 @@ class TestClassTable:
             for size in (5, 40, 400):
                 contexts = np.sort(rng.integers(0, num_contexts, size)).astype(np.intp)
                 codes = rng.integers(0, codes_per_context, size).astype(np.uint64)
-                expected = _job_by_job_counts(campaign, 1, contexts, codes)
-                assert campaign._classified_counts(1, contexts, codes) == expected
+                expected = _job_by_job_classes(campaign, 1, contexts, codes)
+                assert campaign._classes(1, contexts, codes).tolist() == expected
                 filled = int(np.count_nonzero(campaign._class_tables[1] >= 0))
                 assert filled > seen  # this batch brought pairs not seen before
                 seen = filled

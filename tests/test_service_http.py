@@ -44,7 +44,10 @@ def serving(service, drain_timeout=10):
     """An HTTP server for ``service`` on an ephemeral port and a client for
     it; the server and the service are torn down after."""
     server = ServiceHTTPServer(("127.0.0.1", 0), service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll: ``shutdown()`` waits for the loop's next poll.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     try:
         yield ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
