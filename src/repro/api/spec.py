@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.fi.executor import DEFAULT_ENGINE, ENGINE_INFO, FaultCampaign
@@ -479,7 +480,15 @@ class ExperimentSpec:
         )
 
     def content_hash(self) -> str:
-        """SHA-256 over the canonical JSON form -- the spec's stable identity."""
+        """SHA-256 over the canonical JSON form -- the spec's stable identity.
+
+        Computed once per spec: the spec is frozen, so the digest cannot go
+        stale, and ``replace`` builds a new spec with a fresh memo.
+        """
+        return self._content_hash
+
+    @cached_property
+    def _content_hash(self) -> str:
         return hashlib.sha256(canonical_json(self.to_dict()).encode("utf-8")).hexdigest()
 
     def stage_hashes(self) -> Dict[str, Optional[str]]:
@@ -501,7 +510,13 @@ class ExperimentSpec:
         the hardened netlist; a worker-count change (counters are
         worker-independent by construction) recomputes only the report.
         ``campaign`` is ``None`` when the spec has no campaign section.
+        The keys are computed once per spec, like :meth:`content_hash`; each
+        call returns a fresh copy.
         """
+        return dict(self._stage_hashes)
+
+    @cached_property
+    def _stage_hashes(self) -> Dict[str, Optional[str]]:
         harden = harden_stage_key(self.fsm, self.protect, self.report.emit_verilog)
         campaign_key: Optional[str] = None
         if self.campaign is not None:

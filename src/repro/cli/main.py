@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     result.add_argument(
         "--wait",
         action="store_true",
-        help="poll until the job finishes instead of failing while in flight",
+        help="wait until the job finishes instead of failing while in flight",
     )
     result.add_argument(
         "--timeout", type=float, default=300.0, help="--wait: give up after this many seconds"
@@ -397,7 +397,7 @@ def _submit(args) -> int:
         return 2
     try:
         reply = _client(args).submit(spec_data)
-    except (ServiceError, OSError) as error:
+    except (ServiceError, OSError, ValueError) as error:
         print(f"scfi submit: {error}", file=sys.stderr)
         return 1
     print(json.dumps(reply, indent=2, sort_keys=True))
@@ -409,7 +409,7 @@ def _status(args) -> int:
 
     try:
         reply = _client(args).status(args.job_id)
-    except (ServiceError, OSError) as error:
+    except (ServiceError, OSError, ValueError) as error:
         print(f"scfi status: {error}", file=sys.stderr)
         return 1
     print(json.dumps(reply, indent=2, sort_keys=True))
@@ -419,13 +419,13 @@ def _status(args) -> int:
 def _result(args) -> int:
     from repro.service import ServiceError
 
-    client = _client(args)
     try:
+        client = _client(args)
         if args.wait:
             document = client.wait(args.job_id, timeout=args.timeout)
         else:
             document = client.result(args.job_id)
-    except (ServiceError, OSError, TimeoutError) as error:
+    except (ServiceError, OSError, ValueError) as error:
         print(f"scfi result: {error}", file=sys.stderr)
         return 1
     payload = json.dumps(document, indent=2)

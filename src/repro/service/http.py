@@ -9,26 +9,36 @@ repo's no-new-dependencies rule:
   answered from the result tier), ``400`` on a malformed spec.
 * ``GET /jobs/<id>`` -- job state + streamed progress; ``404`` unknown.
 * ``GET /jobs/<id>/result`` -- the provenance-stamped
-  ``ExperimentResult.to_dict()``; ``409`` while the job is still in flight,
-  ``500`` with the error for a failed job, ``404`` unknown.
+  ``ExperimentResult.to_dict()``, ``500`` with the error for a failed job,
+  ``404`` unknown.  On a job still in flight the request holds until the job
+  settles, for up to :data:`RESULT_HOLD_S` while the scheduler runs, and
+  then answers ``409``.
 * ``GET /healthz`` -- liveness plus queue/fleet/result-tier counters.
+
+Connections are kept alive (HTTP/1.1): one handler thread serves every
+request of a connection until the client closes it or it idles for
+:data:`IDLE_TIMEOUT_S`.  A body whose framing cannot be trusted (a transfer
+coding, or a ``Content-Length`` that is not a number or is over the bound)
+gets ``400`` and closes its connection.
 
 :func:`serve` is the blocking entry point behind ``scfi serve``: it starts a
 service over a :class:`~repro.store.FileStore`, installs SIGTERM/SIGINT
 handlers, and on either signal stops accepting, drains the in-flight job (or
 marks it failed-but-resumable past the drain timeout) and closes every fleet
 worker before returning.  :class:`ServiceClient` is the matching
-``urllib``-based client behind ``scfi submit``/``status``/``result``.
+``http.client``-based client behind ``scfi submit``/``status``/``result``;
+it keeps one connection per thread.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
 import signal
 import threading
-import urllib.error
-import urllib.request
+import time
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -42,22 +52,61 @@ _JOB_PATH = re.compile(r"^/jobs/([0-9a-f]{72})(/result)?$")
 #: tens of kilobytes; anything near this bound is not a spec).
 _MAX_BODY = 16 * 1024 * 1024
 
+#: How long ``GET /jobs/<id>/result`` holds on an active job before it
+#: answers 409; below :class:`ServiceClient`'s default 30 s timeout.
+RESULT_HOLD_S = 20.0
+
+#: A kept-alive connection idle this long is closed, freeing its thread.
+IDLE_TIMEOUT_S = 60.0
+
+_CONTENT_LENGTH = re.compile(r"[0-9]+")
+
 
 class _ServiceRequestHandler(BaseHTTPRequestHandler):
-    """One request; the service object hangs off the server."""
+    """One connection's requests; the service object hangs off the server."""
 
     server: "ServiceHTTPServer"
     protocol_version = "HTTP/1.1"
+    # A reply is two writes (head, body): without TCP_NODELAY the second
+    # waits for the client's delayed ACK.
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
 
     # -- plumbing --------------------------------------------------------
+
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except (ConnectionResetError, BrokenPipeError) as error:
+            self.close_connection = True
+            self.log_message("client %s went away: %s", self.client_address[0], error)
 
     def _reply(self, status: int, document: Dict[str, Any]) -> None:
         body = json.dumps(document, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection or self.server.listener_closed:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or ``None`` once a 400 has been sent.
+
+        A body of unknown length is left unread, so its connection closes
+        after the reply: its bytes cannot be told from the next request.
+        """
+        length = self.headers.get("Content-Length", "0")
+        if (
+            "Transfer-Encoding" in self.headers
+            or not _CONTENT_LENGTH.fullmatch(length)
+            or int(length) > _MAX_BODY
+        ):
+            self.close_connection = True
+            self._reply(400, {"error": "unreadable or oversized request body"})
+            return None
+        return self.rfile.read(int(length))
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         log = self.server.service_log
@@ -67,22 +116,21 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     # -- routes ----------------------------------------------------------
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        body = self._read_body()
+        if body is None:
+            return
         if self.path.rstrip("/") != "/jobs":
             self._reply(404, {"error": f"no such endpoint: POST {self.path}"})
             return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if not 0 < length <= _MAX_BODY:
-            self._reply(400, {"error": "missing, empty or oversized request body"})
+        if not body:
+            self._reply(400, {"error": "missing or empty request body"})
             return
         try:
-            spec_data = json.loads(self.rfile.read(length).decode("utf-8"))
+            spec_data = json.loads(body.decode("utf-8"))
             if not isinstance(spec_data, dict):
                 raise ValueError("spec document must be a JSON object")
             job, status = self.server.service.submit(spec_data)
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as error:
+        except (ValueError, KeyError, TypeError, RecursionError) as error:
             self._reply(400, {"error": f"bad spec: {error}"})
             return
         self._reply(
@@ -112,7 +160,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 self._reply(200, status)
             return
         try:
-            document, state = self.server.service.job_result(job_id)
+            document, state = self.server.service.job_result(job_id, hold=RESULT_HOLD_S)
         except ValueError as error:
             # A done record stored under looser spec rules no longer parses.
             self._reply(500, {"error": f"stored spec no longer parses: {error}",
@@ -131,7 +179,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                     "state": state,
                 },
             )
-        else:  # still queued/planning/running
+        else:  # still queued/planning/running after the hold
             self._reply(409, {"error": f"job is {state}, result not ready", "state": state})
 
 
@@ -150,6 +198,13 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _ServiceRequestHandler)
         self.service = service
         self.service_log = log
+        self.listener_closed = False
+
+    def server_close(self) -> None:
+        # Kept-alive connections outlive the listener: each closes after
+        # its next reply, so a client cannot keep a stopping server busy.
+        self.listener_closed = True
+        super().server_close()
 
 
 def serve(
@@ -211,11 +266,40 @@ class ServiceError(RuntimeError):
 
 
 class ServiceClient:
-    """Minimal ``urllib`` client for the service (used by ``scfi submit``)."""
+    """Minimal ``http.client`` client for the service (used by ``scfi submit``).
+
+    Each thread keeps one kept-alive connection.  A request on a reused
+    connection that the server has meanwhile closed is sent once more on a
+    fresh one, but only when no byte of a response has arrived.
+    ``timeout`` should exceed the server's :data:`RESULT_HOLD_S`, which a
+    result request may spend waiting.
+    """
+
+    #: A reused connection failing with one of these never reached the server.
+    _STALE = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
 
     def __init__(self, base_url: str = "http://127.0.0.1:8765", timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme != "http" or not url.hostname:
+            raise ValueError(f"service URL must be http://host[:port], got {base_url!r}")
+        self._address = (url.hostname, url.port)
+        self._prefix = url.path
+        self._local = threading.local()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(*self._address, timeout=self.timeout)
+            self._local.connection = connection
+        return connection
+
+    def close(self) -> None:
+        """Close the calling thread's connection; the next request reopens it."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
 
     def _request(
         self, method: str, path: str, body: Optional[Dict[str, Any]] = None
@@ -225,18 +309,27 @@ class ServiceClient:
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", data=data, headers=headers, method=method
-        )
+        connection = self._connection()
+        reused = connection.sock is not None
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.status, json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
             try:
-                document = json.loads(error.read().decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                document = {"error": str(error)}
-            return error.code, document
+                connection.request(method, self._prefix + path, body=data, headers=headers)
+                response = connection.getresponse()
+            except self._STALE:
+                if not reused:
+                    raise
+                connection.close()  # the next request opens a fresh connection
+                connection.request(method, self._prefix + path, body=data, headers=headers)
+                response = connection.getresponse()
+            payload = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        try:
+            document = json.loads(payload.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            document = {"error": f"HTTP {response.status} {response.reason}"}
+        return response.status, document
 
     def submit(self, spec_data: Dict[str, Any]) -> Dict[str, Any]:
         status, document = self._request("POST", "/jobs", spec_data)
@@ -251,36 +344,37 @@ class ServiceClient:
         return document
 
     def result(self, job_id: str) -> Dict[str, Any]:
-        """The stamped result document; raises :class:`ServiceError` with
-        status 409 while the job is still in flight."""
+        """The stamped result document.  The server holds the request while
+        the job is in flight; raises :class:`ServiceError` with status 409
+        if the job is still in flight after the hold."""
         status, document = self._request("GET", f"/jobs/{job_id}/result")
         if status != 200:
             raise ServiceError(status, document)
         return document
 
-    def wait(self, job_id: str, timeout: float = 300.0, poll: float = 0.2) -> Dict[str, Any]:
-        """Poll until the job reaches a terminal state; return its result."""
-        import time
+    def wait(self, job_id: str, timeout: float = 300.0) -> Dict[str, Any]:
+        """Return the job's result once it settles.
 
+        Each request holds on the server, so there is no client-side sleep;
+        ``timeout`` is checked between holds, so it may be overrun by up to
+        one :data:`RESULT_HOLD_S`.  Raises the 409 as :class:`ServiceError`
+        once the server reports its scheduler stopped: nothing there will
+        settle the job.
+        """
         deadline = time.monotonic() + timeout
         while True:
             status, document = self._request("GET", f"/jobs/{job_id}/result")
             if status == 200:
                 return document
-            if status != 409:
+            if status != 409 or self.health()["status"] != "ok":
                 raise ServiceError(status, document)
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {document.get('state')} after {timeout:.0f}s"
                 )
-            time.sleep(poll)
 
     def health(self) -> Dict[str, Any]:
         status, document = self._request("GET", "/healthz")
         if status != 200:
             raise ServiceError(status, document)
         return document
-
-
-# Re-exported for the CLI's convenience.
-STATE_TERMINAL = (STATE_DONE, STATE_FAILED)

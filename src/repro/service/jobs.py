@@ -34,6 +34,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.api.spec import ExperimentSpec
 from repro.store import CODEC_JSON, ArtifactStore
 
 #: Store stage that holds job records (sibling of harden/campaign/report).
@@ -85,13 +86,42 @@ class Job:
     recovered: bool = False
     result_source: Optional[str] = None
     progress: Dict[str, Any] = field(default_factory=dict)
-    #: The spec's report-stage key, where its result lives.  Set at submit,
-    #: not persisted: a reloaded record derives it from ``spec``.
-    report_key: Optional[str] = field(default=None, repr=False, compare=False)
+    #: ``spec`` parsed, carried from submit to the scheduler so the document
+    #: is parsed once.  Not persisted, and dropped when the job settles.
+    parsed: Optional[ExperimentSpec] = field(default=None, repr=False, compare=False)
+    _report_key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.state not in JOB_STATES:
             raise ValueError(f"unknown job state {self.state!r} (known: {JOB_STATES})")
+
+    def experiment(self) -> ExperimentSpec:
+        """The job's parsed spec.
+
+        A submitted job carries the spec ``submit`` parsed; a record reloaded
+        from the store parses ``spec`` here, on first use, and keeps it only
+        while the job is active.  Raises :class:`ValueError` for a stored
+        spec this build rejects.
+        """
+        parsed = self.parsed  # read once: settle() may drop it meanwhile
+        if parsed is None:
+            parsed = ExperimentSpec.from_dict(self.spec)
+            if self.active:
+                self.parsed = parsed
+        return parsed
+
+    @property
+    def report_key(self) -> str:
+        """The spec's report-stage key, where the job's result lives."""
+        if self._report_key is None:
+            self._report_key = self.experiment().stage_hashes()["report"]
+        return self._report_key
+
+    def settle(self) -> None:
+        """Keep only the report key of a settled job's parsed spec."""
+        if self.parsed is not None:
+            self._report_key = self.parsed.stage_hashes()["report"]
+            self.parsed = None
 
     @property
     def job_id(self) -> str:
@@ -162,8 +192,9 @@ class JobQueue:
         self._active_by_hash: Dict[str, str] = {}  # spec_hash -> active job_id
         self._pending: deque = deque()  # job ids awaiting the scheduler
         self._available = threading.Condition(self._lock)
-        #: Notified whenever a job reaches a terminal state.
+        #: Notified whenever a job reaches a terminal state, and on close().
         self._settled = threading.Condition(self._lock)
+        self._closed = False
 
     # -- persistence ----------------------------------------------------
 
@@ -226,12 +257,15 @@ class JobQueue:
         self._pending.append(job.job_id)
         self._available.notify()
 
-    def submit(self, spec_hash: str, spec: Dict[str, Any]) -> Tuple[Job, bool]:
+    def submit(
+        self, spec_hash: str, spec: Dict[str, Any], parsed: Optional[ExperimentSpec] = None
+    ) -> Tuple[Job, bool]:
         """Enqueue one spec; returns ``(job, coalesced)``.
 
         Single-flight: while a job for ``spec_hash`` is active, resubmissions
         return that job (``coalesced=True``) instead of scheduling a second
-        computation of the same spec.
+        computation of the same spec.  ``parsed`` is ``spec`` already parsed,
+        handed on to the scheduler.
         """
         with self._lock:
             active_id = self._active_by_hash.get(spec_hash)
@@ -240,7 +274,7 @@ class JobQueue:
                 if active is not None and active.active:
                     return active, True
                 del self._active_by_hash[spec_hash]
-            job = Job(spec_hash=spec_hash, nonce=new_nonce(), spec=spec)
+            job = Job(spec_hash=spec_hash, nonce=new_nonce(), spec=spec, parsed=parsed)
             self.persist(job)
             self._enqueue_locked(job)
             return job, False
@@ -249,6 +283,7 @@ class JobQueue:
         """Register an externally-created terminal job (e.g. a result-tier
         hit answered at submit time) so status/result queries can find it."""
         with self._lock:
+            job.settle()
             self.persist(job)
             self._jobs[job.job_id] = job
             self._settled.notify_all()
@@ -288,15 +323,26 @@ class JobQueue:
             if not job.active:
                 if self._active_by_hash.get(job.spec_hash) == job.job_id:
                     del self._active_by_hash[job.spec_hash]
+                job.settle()
                 self.persist(job)
                 self._settled.notify_all()
 
     def wait_settled(self, job_id: str, timeout: Optional[float] = None) -> Optional[Job]:
-        """Block until job ``job_id`` is in a terminal state or ``timeout``
-        seconds pass; return the job as it then stands (``None`` if unknown)."""
+        """Block until job ``job_id`` is in a terminal state, ``timeout``
+        seconds pass or the queue is closed; return the job as it then stands
+        (``None`` if unknown)."""
         with self._settled:
-            self._settled.wait_for(lambda: not getattr(self._jobs.get(job_id), "active", True), timeout)
+            self._settled.wait_for(
+                lambda: self._closed or not getattr(self._jobs.get(job_id), "active", True),
+                timeout,
+            )
         return self.get(job_id)
+
+    def close(self) -> None:
+        """Return every :meth:`wait_settled` call at once, now and from now on."""
+        with self._settled:
+            self._closed = True
+            self._settled.notify_all()
 
     # -- introspection ---------------------------------------------------
 

@@ -133,7 +133,7 @@ class Scheduler:
         self._emit("job", f"{job.job_id[:12]} planning")
         self._current_job = job
         try:
-            result = self.session.run(ExperimentSpec.from_dict(job.spec))
+            result = self.session.run(job.experiment())
         except ServiceShutdown:
             self.queue.transition(
                 job,
@@ -259,6 +259,7 @@ class CampaignService:
 
     def close(self, drain_timeout: float = 30.0) -> None:
         self.scheduler.stop(drain_timeout)
+        self.queue.close()
         self.fleet.close()
 
     def __enter__(self) -> "CampaignService":
@@ -274,23 +275,21 @@ class CampaignService:
         spec = ExperimentSpec.from_dict(spec_data)
         spec_hash = spec.content_hash()
         spec_doc = spec.to_dict()
-        report_key = spec.stage_hashes()["report"]
         with self._submit_lock:
             # Result tier first: an already-computed spec never creates work.
-            if self.results.get(report_key) is not None:
+            if self.results.get(spec.stage_hashes()["report"]) is not None:
                 job = Job(
                     spec_hash=spec_hash,
                     nonce=new_nonce(),
                     spec=spec_doc,
                     state=STATE_DONE,
                     result_source=RESULT_TIER_HIT,
-                    report_key=report_key,
+                    parsed=spec,
                 )
                 self.queue.record(job)
                 self._emit("submit", f"{job.job_id[:12]} result-tier hit")
                 return job, "cached"
-            job, coalesced = self.queue.submit(spec_hash, spec_doc)
-            job.report_key = report_key
+            job, coalesced = self.queue.submit(spec_hash, spec_doc, spec)
         if coalesced:
             self._emit("submit", f"{job.job_id[:12]} coalesced (single-flight)")
             return job, "coalesced"
@@ -309,21 +308,25 @@ class CampaignService:
         doc.pop("spec", None)
         return doc
 
-    def job_result(self, job_id: str) -> Tuple[Optional[Dict[str, Any]], str]:
+    def job_result(
+        self, job_id: str, hold: float = 0.0
+    ) -> Tuple[Optional[Dict[str, Any]], str]:
         """``(document, state)`` for one job's result.
 
         ``document`` is the provenance-stamped result when the job is done,
         ``None`` otherwise (state tells the caller whether to keep polling,
-        report failure, or 404).  Raises :class:`ValueError` for a done
-        record reloaded after a restart whose stored spec this build rejects.
+        report failure, or 404).  While the scheduler runs, an active job is
+        first waited on for up to ``hold`` seconds, or until :meth:`close`.
+        Raises :class:`ValueError` for a done record reloaded after a
+        restart whose stored spec this build rejects.
         """
         job = self.queue.get(job_id)
+        if job is not None and job.active and hold > 0 and self.scheduler.running:
+            job = self.queue.wait_settled(job_id, hold)
         if job is None:
             return None, "unknown"
         if job.state != STATE_DONE:
             return None, job.state
-        if job.report_key is None:  # a record reloaded after a restart
-            job.report_key = ExperimentSpec.from_dict(job.spec).stage_hashes()["report"]
         doc = self.results.get(job.report_key)
         if doc is None:  # store lost the result between done and fetch
             return None, "missing"

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -97,6 +98,51 @@ class TestContentHash:
         digest = full_spec().content_hash()
         assert len(digest) == 64
         int(digest, 16)
+
+
+def _fresh_hashes(spec: ExperimentSpec):
+    """``(content_hash, stage_hashes)`` computed past the spec's memo."""
+    return ExperimentSpec._content_hash.func(spec), ExperimentSpec._stage_hashes.func(spec)
+
+
+class TestHashMemo:
+    """A frozen spec computes its hashes once; the memo must always equal a
+    fresh computation, also on specs derived from a spec whose memo is full."""
+
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda spec: spec,
+            lambda spec: spec.with_overrides(seed=8),
+            lambda spec: spec.with_overrides(workers=3, engine="parallel"),
+            lambda spec: replace(spec, report=ReportSpec()),
+            lambda spec: replace(spec, protect=replace(spec.protect, error_bits=1)),
+            lambda spec: replace(spec, campaign=None),
+            lambda spec: ExperimentSpec.from_dict(spec.to_dict()),
+        ],
+    )
+    def test_memo_equals_a_fresh_computation(self, derive):
+        base = full_spec()
+        base_hashes = (base.content_hash(), base.stage_hashes())
+        spec = derive(base)
+        for _ in range(2):  # computed, then answered from the memo
+            assert (spec.content_hash(), spec.stage_hashes()) == _fresh_hashes(spec)
+        assert (spec.content_hash() == base_hashes[0]) == (spec == base)
+        assert (base.content_hash(), base.stage_hashes()) == base_hashes
+
+    def test_stage_hashes_returns_a_copy(self):
+        spec = full_spec()
+        keys = spec.stage_hashes()
+        keys["report"] = "0" * 64
+        assert spec.stage_hashes() == _fresh_hashes(spec)[1]
+        assert spec.stage_hashes() is not spec.stage_hashes()
+
+    def test_memo_is_not_a_spec_key(self):
+        spec = full_spec()
+        spec.content_hash()
+        spec.stage_hashes()
+        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+        assert "_content_hash" not in spec.to_dict()
 
 
 class TestValidation:

@@ -13,6 +13,8 @@ The acceptance properties of the service PR, pinned in-process:
 """
 
 import json
+import socket
+import struct
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -20,12 +22,16 @@ from pathlib import Path
 import pytest
 
 from repro.api import ExperimentSpec, Session
+from repro.fi.fleet import ServiceShutdown
 from repro.service import CampaignService, ServiceClient, ServiceError
-from repro.service.http import ServiceHTTPServer
+from repro.service.http import RESULT_HOLD_S, ServiceHTTPServer, _ServiceRequestHandler
 from repro.service.jobs import JOB_STAGE, STATE_DONE, Job, JobQueue, new_nonce
 from repro.store import FileStore, MemoryStore
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+#: A spec that only hardens: quick to run and never touches the fleet.
+HARDEN_ONLY = {"fsm": {"name": "traffic_light"}}
 
 
 @pytest.fixture(scope="module")
@@ -40,18 +46,22 @@ def direct_result(spec_data):
 
 
 @contextmanager
-def serving(service, drain_timeout=10):
-    """An HTTP server for ``service`` on an ephemeral port and a client for
-    it; the server and the service are torn down after."""
-    server = ServiceHTTPServer(("127.0.0.1", 0), service)
+def serving(service, drain_timeout=10, server=None):
+    """An HTTP server for ``service`` (``server`` if given) on an ephemeral
+    port and a client for it; the client, the server and the service are
+    torn down after."""
+    if server is None:
+        server = ServiceHTTPServer(("127.0.0.1", 0), service)
     # A short poll: ``shutdown()`` waits for the loop's next poll.
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
     )
     thread.start()
+    client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
     try:
-        yield ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
+        yield client
     finally:
+        client.close()
         server.shutdown()
         server.server_close()
         thread.join(10)
@@ -200,6 +210,14 @@ class TestHttpErrors:
             assert excinfo.value.status == 409
             assert excinfo.value.document["state"] == "queued"
 
+    def test_wait_on_a_stopped_scheduler_raises_the_409(self, spec_data):
+        service = CampaignService(MemoryStore(), fleet_size=1)  # never started
+        with serving(service, drain_timeout=1) as client:
+            reply = client.submit(spec_data)
+            with pytest.raises(ServiceError) as excinfo:
+                client.wait(reply["job_id"], timeout=60)
+            assert excinfo.value.status == 409
+
     def test_failed_job_result_is_500_with_error(self, service_client):
         client, service = service_client
         # Parses fine (the name is only a string) but fails at the harden
@@ -211,6 +229,160 @@ class TestHttpErrors:
             client.result(reply["job_id"])
         assert excinfo.value.status == 500
         assert excinfo.value.document["error"]
+
+
+class _CountingServer(ServiceHTTPServer):
+    """Counts accepted connections and handler tracebacks, and signals each
+    connection's close."""
+
+    def __init__(self, service, **kwargs):
+        super().__init__(("127.0.0.1", 0), service, **kwargs)
+        self.accepted = 0
+        self.tracebacks = 0
+        self.disconnected = threading.Semaphore(0)
+
+    def process_request(self, request, client_address):
+        self.accepted += 1
+        super().process_request(request, client_address)
+
+    def handle_error(self, request, client_address):
+        self.tracebacks += 1
+        super().handle_error(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.disconnected.release()
+
+
+def _holding(service):
+    """Count the service's result holds; the event is set on the first."""
+    holds, holding = [], threading.Event()
+    wait_settled = service.queue.wait_settled
+
+    def counted(job_id, timeout=None):
+        holds.append(timeout)
+        holding.set()
+        return wait_settled(job_id, timeout)
+
+    service.queue.wait_settled = counted
+    return holds, holding
+
+
+class TestKeepAlive:
+    def test_one_client_reuses_one_connection(self, spec_data):
+        service = CampaignService(MemoryStore(), fleet_size=1)  # scheduler never started
+        server = _CountingServer(service)
+        with serving(service, drain_timeout=1, server=server) as client:
+            assert client.health()["status"] == "stopped"
+            job_id = client.submit(spec_data)["job_id"]
+            assert client.status(job_id)["state"] == "queued"
+            with pytest.raises(ServiceError):
+                client.result(job_id)
+            client.health()
+            assert server.accepted == 1
+
+    def test_client_reconnects_after_the_server_closes_an_idle_connection(self):
+        class IdleAtOnce(_ServiceRequestHandler):
+            def handle_one_request(self):
+                super().handle_one_request()
+                self.connection.settimeout(0.001)  # no next request: close
+
+        service = CampaignService(MemoryStore(), fleet_size=1)
+        server = _CountingServer(service)
+        server.RequestHandlerClass = IdleAtOnce
+        with serving(service, drain_timeout=1, server=server) as client:
+            client.health()
+            assert server.disconnected.acquire(timeout=10)  # the server dropped it
+            assert client.health()["status"] == "stopped"
+            assert server.accepted == 2
+            assert server.tracebacks == 0
+
+    def test_connections_close_once_the_listener_has(self):
+        service = CampaignService(MemoryStore(), fleet_size=1)
+        server = _CountingServer(service)
+        with serving(service, drain_timeout=1, server=server) as client:
+            client.health()
+            server.shutdown()
+            server.server_close()
+            client.health()  # still answered on the kept-alive connection ...
+            assert server.disconnected.acquire(timeout=10)  # ... which then closes
+            with pytest.raises(ConnectionRefusedError):
+                client.health()
+
+    def test_client_reset_logs_one_line_and_no_traceback(self):
+        lines = []
+        service = CampaignService(MemoryStore(), fleet_size=1)
+        server = _CountingServer(service, log=lambda event, detail: lines.append(detail))
+        with serving(service, drain_timeout=1, server=server):
+            sock = socket.create_connection(server.server_address)
+            sock.sendall(b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 99\r\n\r\n{")
+            # Linger 0: close() resets the connection mid-body.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+            assert server.disconnected.acquire(timeout=10)
+        assert server.tracebacks == 0
+        assert len([line for line in lines if "went away" in line]) == 1
+
+
+class TestLongPoll:
+    def test_held_result_answers_200_when_the_job_settles(self):
+        service = CampaignService(MemoryStore(), fleet_size=1)
+        release = threading.Event()
+        run = service.scheduler.session.run
+
+        def gated_run(spec, **kwargs):
+            assert release.wait(30)
+            return run(spec, **kwargs)
+
+        service.scheduler.session.run = gated_run
+        holds, holding = _holding(service)
+        answers = []
+        try:
+            with serving(service.start()) as client:
+                job_id = client.submit(HARDEN_ONLY)["job_id"]
+
+                def poll():
+                    answers.append(client.result(job_id))
+                    client.close()
+
+                poller = threading.Thread(target=poll)
+                poller.start()
+                assert holding.wait(10)
+                release.set()
+                poller.join(30)
+                assert not poller.is_alive()
+        finally:
+            release.set()
+        # One request, held once, answered 200: no 409 in between.
+        assert holds == [RESULT_HOLD_S]
+        assert answers[0]["service"]["job_id"] == job_id
+
+    def test_close_releases_a_held_result(self, spec_data):
+        service = CampaignService(MemoryStore(), fleet_size=1)
+        running = threading.Event()
+
+        def run_until_stopped(spec, **kwargs):
+            running.set()
+            service.scheduler._stop.wait(30)
+            raise ServiceShutdown("drained")
+
+        service.scheduler.session.run = run_until_stopped
+        holds, holding = _holding(service)
+        service.start()
+        first, _ = service.submit(HARDEN_ONLY)
+        assert running.wait(10)
+        second, _ = service.submit(spec_data)  # queued behind the first
+        answers = []
+        waiter = threading.Thread(
+            target=lambda: answers.append(service.job_result(second.job_id, hold=60))
+        )
+        waiter.start()
+        assert holding.wait(10)
+        service.close(drain_timeout=10)
+        waiter.join(10)
+        assert not waiter.is_alive()
+        assert answers == [(None, "queued")]
+        assert service.queue.get(first.job_id).resumable
 
 
 class TestRestartRecovery:
