@@ -24,11 +24,21 @@ re-dispatched to healthy workers (a replacement is respawned with the config
 cache replayed) and late duplicate replies are dropped by id.  Tasks and
 replies are plain pickles on the worker queues, and :meth:`WorkerFleet.close`
 leaves no surviving process.
+
+Each message (a reply's payload, on the way back) is pickled by the thread
+that sends it, before it is queued, so a queue's feeder thread only writes
+bytes.  Left to the feeder, the pickling ran concurrently with the sender's
+own work, and on CPython 3.11 the parent then segfaulted in a later
+garbage-collection pass: in every run of the test files up to
+``test_fi_sharded.py`` under a 10 µs GIL switch interval and a collection
+after each test, and now and then without either.  The ``config`` message,
+which carries the netlist the parent keeps using, was the one that mattered.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import queue as queue_module
 import threading
 import time
@@ -65,7 +75,7 @@ def _fleet_worker_main(worker_id: int, task_queue, result_queue) -> None:
     """
     campaigns: Dict[str, FaultCampaign] = {}
     while True:
-        message = task_queue.get()
+        message = pickle.loads(task_queue.get())
         kind = message[0]
         if kind == "stop":
             break
@@ -79,7 +89,7 @@ def _fleet_worker_main(worker_id: int, task_queue, result_queue) -> None:
             elif kind == "task":
                 _, task_id, config_id, payload = message
                 reply = campaigns[config_id]._task_replies(payload)
-                result_queue.put(("result", worker_id, task_id, reply))
+                result_queue.put(("result", worker_id, task_id, pickle.dumps(reply)))
             else:  # pragma: no cover - protocol violation
                 raise ValueError(f"unknown fleet message kind {kind!r}")
         except Exception as error:  # noqa: BLE001 - forwarded to the dispatcher
@@ -165,7 +175,8 @@ class WorkerFleet:
         # A replacement starts cold: replay every cached config so any
         # redispatched task finds its executor (FIFO makes this safe).
         for config_id, (structure, params) in self._config_cache.items():
-            self._ship_config_locked(handle, config_id, structure, params)
+            message = pickle.dumps(("config", config_id, structure, params))
+            self._ship_config_locked(handle, config_id, message)
         return handle
 
     def live_handles(self) -> List[_WorkerHandle]:
@@ -198,7 +209,7 @@ class WorkerFleet:
         for handle in handles:
             if handle.alive:
                 try:
-                    handle.task_queue.put(("stop",))
+                    handle.task_queue.put(pickle.dumps(("stop",)))
                 except (OSError, ValueError):  # queue already broken
                     pass
         joined = threading.Event()
@@ -248,14 +259,8 @@ class WorkerFleet:
 
     # -- configuration ---------------------------------------------------
 
-    def _ship_config_locked(
-        self,
-        handle: _WorkerHandle,
-        config_id: str,
-        structure: ScfiNetlist,
-        params: Dict[str, Any],
-    ) -> None:
-        handle.task_queue.put(("config", config_id, structure, params))
+    def _ship_config_locked(self, handle: _WorkerHandle, config_id: str, message: bytes) -> None:
+        handle.task_queue.put(message)
         handle.configs.add(config_id)
         self._stats["configs_shipped"] += 1
 
@@ -272,9 +277,12 @@ class WorkerFleet:
             if self._closed:
                 raise FleetError("worker fleet is closed")
             self._config_cache.setdefault(config_id, (structure, dict(params)))
+            message = None
             for handle in self._handles:
                 if handle.alive and config_id not in handle.configs:
-                    self._ship_config_locked(handle, config_id, structure, params)
+                    if message is None:  # pickled once for every worker
+                        message = pickle.dumps(("config", config_id, structure, params))
+                    self._ship_config_locked(handle, config_id, message)
 
     # -- dispatch/collection ---------------------------------------------
 
@@ -306,7 +314,8 @@ class WorkerFleet:
         index_of = {task_id: index for index, task_id in enumerate(task_ids)}
 
         def dispatch(task_id: int, handle: _WorkerHandle, attempts: int) -> None:
-            handle.task_queue.put(("task", task_id, config_id, tasks[index_of[task_id]]))
+            message = ("task", task_id, config_id, tasks[index_of[task_id]])
+            handle.task_queue.put(pickle.dumps(message))
             outstanding[task_id] = (index_of[task_id], handle, attempts)
             with self._lock:
                 self._stats["tasks_dispatched"] += 1
@@ -339,7 +348,7 @@ class WorkerFleet:
             entry = outstanding.pop(task_id, None)
             if entry is None:
                 continue  # duplicate after a retry, or a cancelled run's task
-            results[entry[0]] = reply
+            results[entry[0]] = pickle.loads(reply)
             with self._lock:
                 self._stats["tasks_completed"] += 1
             while next_yield in results:

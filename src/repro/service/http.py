@@ -270,9 +270,9 @@ class ServiceClient:
 
     Each thread keeps one kept-alive connection.  A request on a reused
     connection that the server has meanwhile closed is sent once more on a
-    fresh one, but only when no byte of a response has arrived.
-    ``timeout`` should exceed the server's :data:`RESULT_HOLD_S`, which a
-    result request may spend waiting.
+    fresh one, but only when no byte of a response has arrived.  ``timeout``
+    bounds each request; a result request, which the server may hold for
+    :data:`RESULT_HOLD_S`, waits at least half as long again.
     """
 
     #: A reused connection failing with one of these never reached the server.
@@ -281,6 +281,7 @@ class ServiceClient:
     def __init__(self, base_url: str = "http://127.0.0.1:8765", timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        self._result_timeout = max(timeout, 1.5 * RESULT_HOLD_S)
         url = urllib.parse.urlsplit(self.base_url)
         if url.scheme != "http" or not url.hostname:
             raise ValueError(f"service URL must be http://host[:port], got {base_url!r}")
@@ -302,7 +303,11 @@ class ServiceClient:
             connection.close()
 
     def _request(
-        self, method: str, path: str, body: Optional[Dict[str, Any]] = None
+        self,
+        method: str,
+        path: str,
+        body: Optional[Dict[str, Any]] = None,
+        timeout: Optional[float] = None,
     ) -> Tuple[int, Dict[str, Any]]:
         data = None
         headers = {"Accept": "application/json"}
@@ -310,7 +315,10 @@ class ServiceClient:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
         connection = self._connection()
+        connection.timeout = self.timeout if timeout is None else timeout
         reused = connection.sock is not None
+        if reused and connection.sock.gettimeout() != connection.timeout:
+            connection.sock.settimeout(connection.timeout)
         try:
             try:
                 connection.request(method, self._prefix + path, body=data, headers=headers)
@@ -347,31 +355,41 @@ class ServiceClient:
         """The stamped result document.  The server holds the request while
         the job is in flight; raises :class:`ServiceError` with status 409
         if the job is still in flight after the hold."""
-        status, document = self._request("GET", f"/jobs/{job_id}/result")
+        status, document = self._request(
+            "GET", f"/jobs/{job_id}/result", timeout=self._result_timeout
+        )
         if status != 200:
             raise ServiceError(status, document)
         return document
 
     def wait(self, job_id: str, timeout: float = 300.0) -> Dict[str, Any]:
-        """Return the job's result once it settles.
+        """Return the job's result once it settles, or raise
+        :class:`TimeoutError` after ``timeout`` seconds.
 
         Each request holds on the server, so there is no client-side sleep;
-        ``timeout`` is checked between holds, so it may be overrun by up to
-        one :data:`RESULT_HOLD_S`.  Raises the 409 as :class:`ServiceError`
-        once the server reports its scheduler stopped: nothing there will
-        settle the job.
+        a hold that would outlast ``timeout`` is cut short by the socket
+        timeout.  Raises the 409 as :class:`ServiceError` once the server
+        reports its scheduler stopped: nothing there will settle the job.
         """
         deadline = time.monotonic() + timeout
+        state = "in flight"
         while True:
-            status, document = self._request("GET", f"/jobs/{job_id}/result")
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError(f"job {job_id} still {state} after {timeout:.0f}s")
+            try:
+                status, document = self._request(
+                    "GET", f"/jobs/{job_id}/result", timeout=min(self._result_timeout, left)
+                )
+            except TimeoutError:
+                if time.monotonic() < deadline:
+                    raise
+                continue
             if status == 200:
                 return document
             if status != 409 or self.health()["status"] != "ok":
                 raise ServiceError(status, document)
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {document.get('state')} after {timeout:.0f}s"
-                )
+            state = document.get("state", state)
 
     def health(self) -> Dict[str, Any]:
         status, document = self._request("GET", "/healthz")

@@ -32,10 +32,12 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.api.spec import ExperimentSpec
 from repro.store import CODEC_JSON, ArtifactStore
+
+if TYPE_CHECKING:
+    from repro.api.spec import ExperimentSpec
 
 #: Store stage that holds job records (sibling of harden/campaign/report).
 JOB_STAGE = "job"
@@ -86,42 +88,16 @@ class Job:
     recovered: bool = False
     result_source: Optional[str] = None
     progress: Dict[str, Any] = field(default_factory=dict)
+    #: The spec's report-stage key, where its result lives.  Set at submit,
+    #: not persisted: a reloaded record derives it from ``spec``.
+    report_key: Optional[str] = field(default=None, repr=False, compare=False)
     #: ``spec`` parsed, carried from submit to the scheduler so the document
     #: is parsed once.  Not persisted, and dropped when the job settles.
     parsed: Optional[ExperimentSpec] = field(default=None, repr=False, compare=False)
-    _report_key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.state not in JOB_STATES:
             raise ValueError(f"unknown job state {self.state!r} (known: {JOB_STATES})")
-
-    def experiment(self) -> ExperimentSpec:
-        """The job's parsed spec.
-
-        A submitted job carries the spec ``submit`` parsed; a record reloaded
-        from the store parses ``spec`` here, on first use, and keeps it only
-        while the job is active.  Raises :class:`ValueError` for a stored
-        spec this build rejects.
-        """
-        parsed = self.parsed  # read once: settle() may drop it meanwhile
-        if parsed is None:
-            parsed = ExperimentSpec.from_dict(self.spec)
-            if self.active:
-                self.parsed = parsed
-        return parsed
-
-    @property
-    def report_key(self) -> str:
-        """The spec's report-stage key, where the job's result lives."""
-        if self._report_key is None:
-            self._report_key = self.experiment().stage_hashes()["report"]
-        return self._report_key
-
-    def settle(self) -> None:
-        """Keep only the report key of a settled job's parsed spec."""
-        if self.parsed is not None:
-            self._report_key = self.parsed.stage_hashes()["report"]
-            self.parsed = None
 
     @property
     def job_id(self) -> str:
@@ -283,7 +259,6 @@ class JobQueue:
         """Register an externally-created terminal job (e.g. a result-tier
         hit answered at submit time) so status/result queries can find it."""
         with self._lock:
-            job.settle()
             self.persist(job)
             self._jobs[job.job_id] = job
             self._settled.notify_all()
@@ -323,7 +298,7 @@ class JobQueue:
             if not job.active:
                 if self._active_by_hash.get(job.spec_hash) == job.job_id:
                     del self._active_by_hash[job.spec_hash]
-                job.settle()
+                job.parsed = None
                 self.persist(job)
                 self._settled.notify_all()
 

@@ -133,7 +133,7 @@ class Scheduler:
         self._emit("job", f"{job.job_id[:12]} planning")
         self._current_job = job
         try:
-            result = self.session.run(job.experiment())
+            result = self.session.run(job.parsed or ExperimentSpec.from_dict(job.spec))
         except ServiceShutdown:
             self.queue.transition(
                 job,
@@ -275,21 +275,23 @@ class CampaignService:
         spec = ExperimentSpec.from_dict(spec_data)
         spec_hash = spec.content_hash()
         spec_doc = spec.to_dict()
+        report_key = spec.stage_hashes()["report"]
         with self._submit_lock:
             # Result tier first: an already-computed spec never creates work.
-            if self.results.get(spec.stage_hashes()["report"]) is not None:
+            if self.results.get(report_key) is not None:
                 job = Job(
                     spec_hash=spec_hash,
                     nonce=new_nonce(),
                     spec=spec_doc,
                     state=STATE_DONE,
                     result_source=RESULT_TIER_HIT,
-                    parsed=spec,
+                    report_key=report_key,
                 )
                 self.queue.record(job)
                 self._emit("submit", f"{job.job_id[:12]} result-tier hit")
                 return job, "cached"
             job, coalesced = self.queue.submit(spec_hash, spec_doc, spec)
+            job.report_key = report_key
         if coalesced:
             self._emit("submit", f"{job.job_id[:12]} coalesced (single-flight)")
             return job, "coalesced"
@@ -327,6 +329,8 @@ class CampaignService:
             return None, "unknown"
         if job.state != STATE_DONE:
             return None, job.state
+        if job.report_key is None:  # a record reloaded after a restart
+            job.report_key = ExperimentSpec.from_dict(job.spec).stage_hashes()["report"]
         doc = self.results.get(job.report_key)
         if doc is None:  # store lost the result between done and fetch
             return None, "missing"

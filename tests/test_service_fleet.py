@@ -113,6 +113,23 @@ class TestWarmNetlists:
             assert again.run(_scenario()).counters() == oracle
 
 
+class TestSenderSidePickling:
+    def test_queues_carry_only_bytes(self, structure, oracle):
+        """Every message and reply payload is pickled by the thread that sends
+        it, so a queue's feeder thread never pickles a live object."""
+        sent, received = [], []
+        with WorkerFleet(2) as fleet:
+            for handle in fleet.live_handles():
+                put = handle.task_queue.put
+                handle.task_queue.put = lambda message, put=put: put(sent.append(message) or message)
+            get = fleet._result_queue.get
+            fleet._result_queue.get = lambda *args, **kw: received.append(get(*args, **kw)) or received[-1]
+            assert FleetCampaign(fleet, SCOPE, structure).run(_scenario()).counters() == oracle
+        assert sent and all(isinstance(message, bytes) for message in sent)
+        replies = [message[3] for message in received if message[0] == "result"]
+        assert replies and all(isinstance(reply, bytes) for reply in replies)
+
+
 class TestFaultHandling:
     def test_sigkilled_worker_mid_batch_is_retried(self, structure, oracle):
         """Kill one worker after the first batch lands; the lost shards are

@@ -16,6 +16,7 @@ import json
 import socket
 import struct
 import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -24,6 +25,7 @@ import pytest
 from repro.api import ExperimentSpec, Session
 from repro.fi.fleet import ServiceShutdown
 from repro.service import CampaignService, ServiceClient, ServiceError
+from repro.service import http as service_http
 from repro.service.http import RESULT_HOLD_S, ServiceHTTPServer, _ServiceRequestHandler
 from repro.service.jobs import JOB_STAGE, STATE_DONE, Job, JobQueue, new_nonce
 from repro.store import FileStore, MemoryStore
@@ -356,6 +358,44 @@ class TestLongPoll:
         # One request, held once, answered 200: no 409 in between.
         assert holds == [RESULT_HOLD_S]
         assert answers[0]["service"]["job_id"] == job_id
+
+    def test_wait_gives_up_at_its_timeout_mid_hold(self):
+        service = CampaignService(MemoryStore(), fleet_size=1)
+        release = threading.Event()
+        run = service.scheduler.session.run
+        service.scheduler.session.run = lambda spec, **kw: release.wait(30) and run(spec, **kw)
+        _, holding = _holding(service)
+        try:
+            with serving(service.start()) as client:
+                job_id = client.submit(HARDEN_ONLY)["job_id"]
+                started = time.monotonic()
+                with pytest.raises(TimeoutError, match="still"):
+                    client.wait(job_id, timeout=0.2)
+                assert time.monotonic() - started < RESULT_HOLD_S / 2
+                assert holding.wait(10)  # the server did hold the request
+                release.set()
+        finally:
+            release.set()
+
+    def test_short_timeout_client_gets_the_409_after_the_hold(self, monkeypatch):
+        monkeypatch.setattr(service_http, "RESULT_HOLD_S", 2.0)
+        service = CampaignService(MemoryStore(), fleet_size=1)
+        release = threading.Event()
+        run = service.scheduler.session.run
+        service.scheduler.session.run = lambda spec, **kw: release.wait(30) and run(spec, **kw)
+        holds, _ = _holding(service)
+        try:
+            with serving(service.start()) as client:
+                short = ServiceClient(client.base_url, timeout=0.01)
+                job_id = client.submit(HARDEN_ONLY)["job_id"]
+                with pytest.raises(ServiceError) as caught:
+                    short.result(job_id)
+                short.close()
+                assert caught.value.status == 409
+                assert holds == [2.0]
+                release.set()
+        finally:
+            release.set()
 
     def test_close_releases_a_held_result(self, spec_data):
         service = CampaignService(MemoryStore(), fleet_size=1)

@@ -60,73 +60,20 @@ class TestJobModel:
 
 
 class TestParsedSpec:
-    """A job carries its parsed spec while active and keeps only the report
-    key once it settles; a reloaded record parses its spec on first use."""
+    """A job carries its parsed spec to the scheduler and drops it once it
+    settles; the record never stores it."""
 
-    def test_settling_drops_the_parsed_spec_and_keeps_the_report_key(self):
-        parsed = ExperimentSpec.from_dict(SPEC)
-        queue = JobQueue(MemoryStore())
-        job, _ = queue.submit(parsed.content_hash(), parsed.to_dict(), parsed)
-        assert job.experiment() is parsed
-        queue.transition(job, STATE_DONE)
-        assert job.parsed is None
-        assert job.report_key == parsed.stage_hashes()["report"]
-
-    def test_reloaded_record_parses_lazily(self):
+    def test_terminal_transition_drops_the_parsed_spec(self):
         parsed = ExperimentSpec.from_dict(SPEC)
         store = MemoryStore()
-        job, _ = JobQueue(store).submit(parsed.content_hash(), parsed.to_dict(), parsed)
-        reloaded = JobQueue(store).get(job.job_id)
-        assert reloaded.parsed is None
-        assert reloaded.experiment() == parsed
-        assert reloaded.experiment() is reloaded.experiment()  # kept while active
-        assert reloaded.report_key == parsed.stage_hashes()["report"]
-
-    def test_done_record_is_parsed_without_keeping_the_spec(self):
-        parsed = ExperimentSpec.from_dict(SPEC)
-        job = Job(spec_hash=parsed.content_hash(), nonce=new_nonce(),
-                  spec=parsed.to_dict(), state=STATE_DONE)
-        assert job.report_key == parsed.stage_hashes()["report"]
+        queue = JobQueue(store)
+        job, _ = queue.submit(parsed.content_hash(), parsed.to_dict(), parsed)
+        assert queue.next_job(timeout=0) is job and job.parsed is parsed
+        queue.transition(job, STATE_RUNNING)
+        assert job.parsed is parsed
+        assert JobQueue(store).get(job.job_id).parsed is None
+        queue.transition(job, STATE_DONE)
         assert job.parsed is None
-
-    def test_readers_racing_the_settle_always_get_a_spec(self):
-        """Result handlers read a job's spec while the scheduler thread may be
-        dropping it (``settle``); no reader may ever get ``None``."""
-        import sys
-        import threading
-
-        parsed = ExperimentSpec.from_dict(SPEC)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                queue = JobQueue(MemoryStore())
-                job, _ = queue.submit(parsed.content_hash(), parsed.to_dict(), parsed)
-                started = threading.Barrier(5)
-                seen = []
-
-                def read():
-                    started.wait(10)
-                    while job.parsed is not None:
-                        seen.append(job.experiment())
-
-                readers = [threading.Thread(target=read) for _ in range(4)]
-                for reader in readers:
-                    reader.start()
-                started.wait(10)
-                queue.transition(job, STATE_DONE)
-                for reader in readers:
-                    reader.join(30)
-                    assert not reader.is_alive()
-                assert None not in seen
-                assert job.report_key == parsed.stage_hashes()["report"]
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_unparsable_record_raises_value_error(self):
-        job = Job(spec_hash=SPEC_HASH, nonce=new_nonce(), spec={"fsm": 3}, state=STATE_DONE)
-        with pytest.raises(ValueError):
-            job.report_key
 
 
 class TestDurability:
