@@ -13,11 +13,12 @@ import argparse
 import sys
 
 from repro.api import ExperimentSpec, FsmSpec, ProtectSpec, ReportSpec, Session
+from repro.cli.main import report_spec_error
 from repro.fsmlib import available_fsms
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(description="Protect an FSM with SCFI")
+    parser = argparse.ArgumentParser(prog="scfi harden", description="Protect an FSM with SCFI")
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--fsm", choices=available_fsms(), help="benchmark FSM to protect")
     source.add_argument("--verilog", help="SystemVerilog file containing an FSM to protect")
@@ -49,8 +50,18 @@ def spec_from_args(args) -> ExperimentSpec:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    result = Session().run(spec_from_args(args))
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        spec = spec_from_args(args)
+    except OSError as error:
+        parser.error(f"cannot read --verilog {args.verilog!r}: {error.strerror or error}")
+    except ValueError as error:
+        parser.error(str(error))
+    try:
+        result = Session().run(spec)
+    except (ValueError, KeyError) as error:
+        return report_spec_error("harden", error)
     hardened = result.scfi.hardened
     fsm = result.scfi.fsm
     print(f"Protected {fsm.name!r} with SCFI at N={args.protection_level}")

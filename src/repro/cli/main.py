@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-age-days",
         type=float,
         default=None,
-        help="gc: additionally expire artifacts older than this many days",
+        help="gc: additionally expire artifacts older than this many days "
+        "(a finite number >= 0)",
     )
 
     serve = sub.add_parser(
@@ -148,7 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="wait until the job finishes instead of failing while in flight",
     )
     result.add_argument(
-        "--timeout", type=float, default=300.0, help="--wait: give up after this many seconds"
+        "--timeout",
+        type=float,
+        default=300.0,
+        help="--wait: give up after this many seconds (a finite number > 0)",
     )
     result.add_argument(
         "--out", default=None, help="write the result JSON here (atomically) instead of stdout"
@@ -294,7 +298,11 @@ def _cache(args) -> int:
             )
         print(f"[scfi] {count} artifact(s), {total} bytes in {cache_dir}", file=sys.stderr)
     elif args.action == "gc":
-        stats = store.gc(max_age_days=args.max_age_days)
+        try:
+            stats = store.gc(max_age_days=args.max_age_days)
+        except ValueError as error:
+            print(f"scfi cache gc: {error}", file=sys.stderr)
+            return 2
         print(
             "[scfi] gc: "
             + ", ".join(f"{name}={value}" for name, value in sorted(stats.items())),
@@ -335,6 +343,15 @@ def _cache(args) -> int:
 
 
 def _serve(args) -> int:
+    if args.fleet < 1:
+        print("scfi serve: --fleet must be >= 1", file=sys.stderr)
+        return 2
+    if not 0 <= args.port <= 65535:
+        print("scfi serve: --port must be in 0..65535", file=sys.stderr)
+        return 2
+    if not 0 <= args.drain_timeout < float("inf"):
+        print("scfi serve: --drain-timeout must be a finite number >= 0", file=sys.stderr)
+        return 2
     cache_dir = _resolve_cache_dir(args)
     if not cache_dir:
         print(
@@ -347,9 +364,6 @@ def _serve(args) -> int:
         store = open_store(cache_dir)
     except OSError as error:
         print(f"scfi serve: cannot open cache {cache_dir!r}: {error}", file=sys.stderr)
-        return 2
-    if args.fleet < 1:
-        print("scfi serve: --fleet must be >= 1", file=sys.stderr)
         return 2
 
     from repro.service import serve as run_service
@@ -395,6 +409,13 @@ def _submit(args) -> int:
     except (OSError, json.JSONDecodeError) as error:
         print(f"scfi submit: cannot load spec {args.spec!r}: {error}", file=sys.stderr)
         return 2
+    if not isinstance(spec_data, dict):
+        print(
+            f"scfi submit: cannot load spec {args.spec!r}: an experiment spec must be "
+            f"a JSON object, got {type(spec_data).__name__}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         reply = _client(args).submit(spec_data)
     except (ServiceError, OSError, ValueError) as error:
@@ -419,6 +440,9 @@ def _status(args) -> int:
 def _result(args) -> int:
     from repro.service import ServiceError
 
+    if not 0 < args.timeout < float("inf"):
+        print("scfi result: --timeout must be a finite number > 0", file=sys.stderr)
+        return 2
     try:
         client = _client(args)
         if args.wait:

@@ -12,7 +12,9 @@ from repro.fsmlib.opentitan import opentitan_module_models
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(description="Regenerate the SCFI evaluation artefacts")
+    parser = argparse.ArgumentParser(
+        prog="scfi report", description="Regenerate the SCFI evaluation artefacts"
+    )
     parser.add_argument(
         "artifact",
         choices=["table1", "figure8", "formal"],
@@ -29,7 +31,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.protection_level < 1:
+        parser.error("protection_level must be >= 1")
     if args.artifact == "table1":
         models = opentitan_module_models()
         if args.modules:

@@ -16,15 +16,18 @@ feedback, classified on its final state against the analytic fault-free
 trajectory of its transition context; a classic single-cycle campaign is a
 trace of one cycle.  The *plan* (:mod:`repro.fi.planner`) is cut points and
 golden-lane contexts.  Both compiled engines take a batch's flat fault arrays
-straight onto grouped lanes
-(:meth:`~repro.netlist.parallel.CompiledNetlist.step_cycles_fault_arrays`),
-with lane words gathered from one per-context bit matrix (a little-endian
-``packbits``, read as uint64 rows by numpy and as ints by the bignum
-engine); the ``"scalar"`` oracle walks the batch's IR slice one trace per job
-on the :class:`~repro.netlist.simulate.InstrumentedNetlist`, whose fault
-cells are gates.  Each returns the golden contexts' codes and one observed
-state code per job, and the golden check, the counters and kept outcomes
-come from those codes.  :attr:`FaultCampaign.last_dispatch` therefore reads
+straight onto grouped lanes through their one entry point
+(:meth:`~repro.netlist.parallel.CompiledNetlist.step_cycles_fault_arrays`).
+Every batch, a one-context batch included, gathers its lane words from one
+per-context bit matrix (a little-endian ``packbits``, read as uint64 rows by
+numpy and as ints by the bignum engine), and the state codes come back
+through the engines' one reader
+(:meth:`~repro.netlist.parallel.LaneValues.codes_by_id`); the ``"scalar"``
+oracle walks the batch's IR slice one trace per job on the
+:class:`~repro.netlist.simulate.InstrumentedNetlist`, whose fault cells are
+gates.  Each returns the golden contexts' codes and one observed state code
+per job, and the golden check, the counters and kept outcomes come from
+those codes.  :attr:`FaultCampaign.last_dispatch` therefore reads
 ``"array-native"`` on every engine (``"cached"`` marks store replays one
 layer up).
 
@@ -854,9 +857,9 @@ class FaultCampaign:
             rows = []
             for cycle in range(cycles):
                 values = compiled.step_cycles_fault_arrays(
-                    inputs, no_faults, num_contexts, registers=registers, lane_words=True
+                    inputs, no_faults, num_contexts, registers=registers
                 )
-                for index, code in enumerate(self._state_codes(values)):
+                for index, code in enumerate(values.codes_by_id(self._state_d())):
                     self._check_golden(index, cycle + 1, int(code))
                 bits = np.unpackbits(
                     values.byte_rows_by_id(ids), axis=1, count=num_contexts, bitorder="little"
@@ -896,27 +899,11 @@ class FaultCampaign:
                 cycle_faults.append(
                     (arrays.net_rows[live], lanes[live], arrays.modes[live])
                 )
-        if num_golden == 1:
-            # Every lane shares one context: broadcast its vectors.
-            encoded, registers = self._context_vectors(batch.golden_contexts[0])
-            values = self.compiled.step_cycles_fault_arrays(
-                encoded, cycle_faults, num_lanes, registers=registers
-            )
-        else:
-            inputs, registers = self._lane_words(batch.golden_contexts, arrays.contexts)
-            values = self.compiled.step_cycles_fault_arrays(
-                inputs, cycle_faults, num_lanes, registers=registers, lane_words=True
-            )
-        return self._state_codes(values)
-
-    def _state_codes(self, values) -> Sequence[int]:
-        """Every lane's state-register D code: one uint64 array, or Python
-        ints for state codes of 64 bits or more."""
-        state_d = self._state_d()
-        codes = values.code_array_by_id(state_d)
-        if codes is None:
-            codes = values.read_words_by_id(state_d)
-        return codes
+        inputs, registers = self._lane_words(batch.golden_contexts, arrays.contexts)
+        values = self.compiled.step_cycles_fault_arrays(
+            inputs, cycle_faults, num_lanes, registers=registers
+        )
+        return values.codes_by_id(self._state_d())
 
     def _oracle_codes(self, batch: PlannedBatch, cycles: int, arrays: JobArrays) -> List[int]:
         """Golden-context then job codes of one batch, one oracle trace each.

@@ -6,7 +6,7 @@ from repro.netlist.netlist import Netlist
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.simulate import InstrumentedNetlist, NetlistSimulator
 from repro.netlist.parallel import CompiledNetlist, LaneValues
-from repro.netlist.parallel_np import NumpyCompiledNetlist, NumpyLaneValues
+from repro.netlist.parallel_np import NumpyCompiledNetlist
 from repro.netlist.timing import TimingAnalyzer, TimingReport
 from repro.netlist.area import AreaReport, area_report
 
@@ -23,7 +23,6 @@ __all__ = [
     "CompiledNetlist",
     "LaneValues",
     "NumpyCompiledNetlist",
-    "NumpyLaneValues",
     "TimingAnalyzer",
     "TimingReport",
     "AreaReport",

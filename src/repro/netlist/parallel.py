@@ -19,21 +19,24 @@ to ``W`` *fault lanes* per pass using Python bignum bitwise operations:
   engine lifts the faulted rows into per-net ``(keep, xor)`` bignum pairs and
   applies ``word = (word & keep) ^ xor`` right after the driving op.
 
-Inputs and registers may be supplied either as scalar 0/1 values broadcast to
-every lane (the common single-context case) or, with ``lane_words=True``, as
-ready-made ``W``-bit lane words so that different lanes can simulate
-*different transition contexts* in the same pass -- that is what lets the
-campaign layer pack few-nets/many-transitions sweeps densely into lanes.
-:meth:`CompiledNetlist.step_cycles_fault_arrays` chains passes with register
-feedback for multi-cycle traces.
+Both compiled engines -- this one and the word-sliced numpy engine
+(:mod:`repro.netlist.parallel_np`) -- have one entry point,
+:meth:`CompiledNetlist.step_cycles_fault_arrays`, and one input form: inputs
+and registers arrive as lane words in the engine's own form (Python ints
+here, little-endian uint64 rows there), so different lanes can simulate
+*different transition contexts* in the same pass, and a trace of several
+cycles chains passes with register feedback.  Both hand back one reader,
+:class:`LaneValues`: each engine lowers selected lane words to little-endian
+byte rows, and every read -- one net's word, one lane's values, the per-lane
+state codes that classify a batch -- is built from those rows.
 
 One pass over the op list simulates up to ``W`` evaluations, which is where
 the 10-50x campaign speedups over the scalar simulator come from: the Python
 interpreter overhead per gate is paid once per *batch* instead of once per
-*injection*.  The op list, the fault scatter and the multi-cycle driver are
-shared with the word-sliced numpy engine (:mod:`repro.netlist.parallel_np`),
-so both engines apply faults on one path.  The scalar simulator remains the
-cross-check oracle (see ``tests/test_parallel_sim.py``).
+*injection*.  The op list, the fault scatter, the multi-cycle driver and the
+reader are shared by both engines, so both apply faults on one path.  The
+scalar simulator remains the cross-check oracle (see
+``tests/test_parallel_sim.py``).
 
 Compiled netlists are the per-worker unit of the process-sharded campaign
 executor (:mod:`repro.fi.executor`, ``workers=N``): every worker process
@@ -43,7 +46,7 @@ compiles its own instance once from the netlist its fleet config ships
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -76,11 +79,6 @@ _OPCODE = {
     GateType.XNOR2: _OP_XNOR2,
     GateType.MUX2: _OP_MUX2,
 }
-
-#: Below this many (lanes x bits) cells the plain shift loop beats the numpy
-#: transpose (array setup dominates); above it the byte-level path wins by an
-#: order of magnitude on wide batches.
-_TRANSPOSE_THRESHOLD = 512
 
 #: Lanes per machine word of the fault scatter (and of the numpy engine).
 WORD_BITS = 64
@@ -161,118 +159,62 @@ def fault_keep_xor(
     return keep.reshape(num_rows, num_words), xor.reshape(num_rows, num_words)
 
 
-def lane_code_array(rows: np.ndarray, num_lanes: int) -> np.ndarray:
-    """Per-lane codes of fewer than 64 bits from a byte-level bit matrix.
-
-    ``rows`` is laid out as in :func:`lane_codes_from_byte_rows`; the codes
-    come back as one uint64 array (one weighted column sum).
-    """
-    bits = np.unpackbits(rows, axis=1, count=num_lanes, bitorder="little")
-    weights = np.left_shift(np.uint64(1), np.arange(rows.shape[0], dtype=np.uint64))
-    return (bits * weights[:, None]).sum(axis=0, dtype=np.uint64)
-
-
-
-def lane_codes_from_byte_rows(rows, num_lanes: int) -> List[int]:
-    """Per-lane integers from a byte-level bit matrix (the shared transpose).
-
-    ``rows`` is a ``(num_bits, num_bytes)`` ``uint8`` array where bit ``i`` of
-    lane ``k`` lives in ``rows[i, k // 8]`` at bit position ``k % 8`` (i.e.
-    every row is the little-endian byte form of one net's lane word).  Returns
-    ``num_lanes`` integers assembling bit ``i`` of each lane LSB-first --
-    exactly what the O(lanes x bits) shift loop of
-    :meth:`LaneValues.read_words_by_id` used to produce, but vectorised: one
-    ``unpackbits`` plus either a weighted column sum (codes below 64 bits) or
-    a ``packbits`` re-pack (arbitrary width).  Shared by the bignum engine
-    and :mod:`repro.netlist.parallel_np`.
-    """
-    num_bits = rows.shape[0]
-    if num_bits == 0:
-        return [0] * num_lanes
-    if num_bits < 64:
-        return lane_code_array(rows, num_lanes).tolist()
-    bits = np.unpackbits(rows, axis=1, count=num_lanes, bitorder="little")
-    packed = np.packbits(bits.T, axis=1, bitorder="little")
-    stride = packed.shape[1]
-    data = packed.tobytes()
-    return [
-        int.from_bytes(data[lane * stride : (lane + 1) * stride], "little")
-        for lane in range(num_lanes)
-    ]
-
-
 class LaneValues:
-    """Per-net lane words produced by one
-    :meth:`CompiledNetlist.evaluate_fault_arrays` pass."""
+    """Per-net lane words of one compiled pass, read through their byte rows.
 
-    def __init__(self, net_id: Mapping[str, int], words: List[int], num_lanes: int):
-        self._net_id = net_id
-        self._words = words
+    Both engines hand back this reader.  ``words`` is the engine's own value
+    store (a list of bignums, or the numpy engine's ``(num_nets, num_words)``
+    uint64 matrix), and the engine's ``byte_rows`` method is the only code
+    that knows its layout: it lowers the lane words of selected dense net ids
+    to a ``(len(ids), num_bytes)`` uint8 matrix in which row ``i`` is the
+    little-endian byte form of net ``ids[i]``'s lane word, so lane ``k`` sits
+    in byte ``k // 8`` at bit ``k % 8``.  Every read below is built from those
+    rows; the engine's ``register_feedback`` reads ``words`` directly.
+    """
+
+    def __init__(self, engine: "CompiledNetlist", words, num_lanes: int):
+        self._engine = engine
+        self.words = words
         self.num_lanes = num_lanes
-
-    def word(self, net: str) -> int:
-        """The raw ``W``-bit lane word of one net (bit ``k`` = lane ``k``)."""
-        return self._words[self._net_id[net]]
-
-    def lane_value(self, net: str, lane: int) -> int:
-        """The scalar 0/1 value of ``net`` in one lane."""
-        return (self._words[self._net_id[net]] >> lane) & 1
-
-    def lane_values(self, lane: int) -> Dict[str, int]:
-        """All net values of one lane, in ``NetlistSimulator.evaluate`` format."""
-        return {net: (self._words[i] >> lane) & 1 for net, i in self._net_id.items()}
-
-    def read_word(self, bits: Sequence[str], lane: int) -> int:
-        """Assemble an integer from per-bit nets (LSB first) for one lane."""
-        code = 0
-        for i, bit in enumerate(bits):
-            code |= ((self._words[self._net_id[bit]] >> lane) & 1) << i
-        return code
-
-    def read_words(self, bits: Sequence[str]) -> List[int]:
-        """Per-lane integers assembled from per-bit nets (LSB first).
-
-        This is the batch classification primitive: one call transposes the
-        lane words of e.g. the state-register D nets into one next-state code
-        per lane.
-        """
-        return self.read_words_by_id([self._net_id[bit] for bit in bits])
-
-    def read_words_by_id(self, ids: Sequence[int]) -> List[int]:
-        """Like :meth:`read_words` but over pre-resolved dense net ids.
-
-        Wide batches go through the shared byte-level transpose
-        (:func:`lane_codes_from_byte_rows`): each bignum lane word is lowered
-        to its little-endian bytes once and the per-lane codes come out of two
-        vectorised bit passes, replacing the O(lanes x bits) shift loop that
-        used to dominate batch classification at large lane counts.  Tiny
-        reads keep the plain loop.
-        """
-        if self.num_lanes * len(ids) >= _TRANSPOSE_THRESHOLD:
-            return lane_codes_from_byte_rows(self.byte_rows_by_id(ids), self.num_lanes)
-        words = [self._words[net_id] for net_id in ids]
-        codes = []
-        for lane in range(self.num_lanes):
-            code = 0
-            for i, word in enumerate(words):
-                code |= ((word >> lane) & 1) << i
-            codes.append(code)
-        return codes
-
-    def code_array_by_id(self, ids: Sequence[int]) -> Optional[np.ndarray]:
-        """Per-lane codes as one uint64 array, or ``None`` unless
-        ``0 < len(ids) < 64`` (wider codes go through :meth:`read_words_by_id`)."""
-        if not 0 < len(ids) < 64:
-            return None
-        return lane_code_array(self.byte_rows_by_id(ids), self.num_lanes)
 
     def byte_rows_by_id(self, ids: Sequence[int]) -> np.ndarray:
         """The little-endian byte form of the selected lane words, one row each."""
-        num_bytes = (self.num_lanes + 7) // 8
-        return np.frombuffer(
-            b"".join(self._words[net_id].to_bytes(num_bytes, "little") for net_id in ids),
-            dtype=np.uint8,
-        ).reshape(len(ids), num_bytes)
+        return self._engine.byte_rows(self.words, ids, self.num_lanes)
+
+    def word(self, net: str) -> int:
+        """The raw ``W``-bit lane word of one net (bit ``k`` = lane ``k``)."""
+        return int.from_bytes(self.byte_rows_by_id([self._engine.net_id[net]]).tobytes(), "little")
+
+    def lane_value(self, net: str, lane: int) -> int:
+        """The scalar 0/1 value of ``net`` in one lane."""
+        return self._lane_column([self._engine.net_id[net]], lane)[0]
+
+    def lane_values(self, lane: int) -> Dict[str, int]:
+        """All net values of one lane, in ``NetlistSimulator.evaluate`` format."""
+        net_id = self._engine.net_id
+        return dict(zip(net_id, self._lane_column(list(net_id.values()), lane)))
+
+    def _lane_column(self, ids: Sequence[int], lane: int) -> List[int]:
+        rows = self.byte_rows_by_id(ids)
+        return ((rows[:, lane >> 3] >> (lane & 7)) & 1).tolist()
+
+    def codes_by_id(self, ids: Sequence[int]) -> Union[np.ndarray, List[int]]:
+        """Per-lane integers assembled from the selected nets, LSB first.
+
+        This is the batch classification primitive: one call transposes the
+        lane words of e.g. the state-register D nets into one code per lane.
+        Codes of fewer than 64 bits come back as one uint64 array (one
+        weighted column sum); wider codes as exact Python ints, re-packed
+        per lane.
+        """
+        bits = np.unpackbits(
+            self.byte_rows_by_id(ids), axis=1, count=self.num_lanes, bitorder="little"
+        )
+        if len(ids) < 64:
+            weights = np.left_shift(np.uint64(1), np.arange(len(ids), dtype=np.uint64))
+            return (bits * weights[:, None]).sum(axis=0, dtype=np.uint64)
+        packed = np.packbits(bits.T, axis=1, bitorder="little")
+        return [int.from_bytes(row, "little") for row in map(bytes, packed)]
 
 
 class CompiledNetlist:
@@ -281,7 +223,7 @@ class CompiledNetlist:
     Compilation assigns every net a dense integer id and flattens the
     combinational cloud into ``(opcode, out_id, in_ids...)`` tuples in
     topological order.  The compiled form is immutable and stateless: register
-    values are inputs to :meth:`evaluate_fault_arrays`, so one compiled
+    values are inputs to :meth:`step_cycles_fault_arrays`, so one compiled
     netlist can serve any number of concurrent campaigns.
     """
 
@@ -318,7 +260,65 @@ class CompiledNetlist:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def compile_fault_arrays(
+    def byte_rows(self, words: List[int], ids: Sequence[int], num_lanes: int) -> np.ndarray:
+        """The little-endian bytes of the selected bignum lane words, one row
+        each (the engine-specific half of :class:`LaneValues`)."""
+        num_bytes = (num_lanes + 7) // 8
+        return np.frombuffer(
+            b"".join(words[net_id].to_bytes(num_bytes, "little") for net_id in ids),
+            dtype=np.uint8,
+        ).reshape(len(ids), num_bytes)
+
+    def register_feedback(self, values: LaneValues) -> Dict[str, int]:
+        """Next-cycle register lane words captured from every flop's D net.
+
+        Feeding the returned mapping back as ``registers`` advances the
+        sequential state of every lane by one clock edge.
+        """
+        return {q_net: values.words[d_id] for q_net, d_id in self.flop_d_ids}
+
+    def step_cycles_fault_arrays(
+        self,
+        inputs: Mapping[str, object],
+        cycle_faults: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+        num_lanes: int,
+        registers: Optional[Mapping[str, object]] = None,
+    ) -> LaneValues:
+        """Evaluate ``len(cycle_faults)`` clock cycles with register feedback.
+
+        ``inputs`` and ``registers`` map nets to lane words in the engine's
+        own form (Python ints here, little-endian uint64 rows on the numpy
+        engine): bit ``k`` is the net's value in lane ``k``, so different
+        lanes can evaluate different input/state contexts in the same pass.
+        Missing nets are zero in every lane.
+
+        ``cycle_faults[t]`` is the flat ``(net ids, lanes, modes)`` fault
+        triple active during cycle ``t`` (empty arrays for a fault-free
+        cycle; see :func:`fault_keep_xor` for its semantics).  Inputs are
+        held constant across cycles while registers advance through each
+        cycle's captured D-net words.  A *transient* fault appears in exactly
+        one cycle's triple, a *persistent* stuck-at in all of them, and a
+        multi-shot glitch schedule in the cycles it names.  Each distinct
+        triple is compiled once and reused while the following cycles pass
+        the same triple object, so a persistent fault set handed to every
+        cycle is scattered once per trace.  Returns the lane values of the
+        final cycle, whose D nets hold the state each lane would enter after
+        the last clock edge.
+        """
+        if not cycle_faults:
+            raise ValueError("at least one cycle is required")
+        if num_lanes < 1:
+            raise ValueError("at least one lane is required")
+        values = compiled = previous = None
+        for triple in cycle_faults:
+            if triple is not previous:
+                compiled = self._compile_faults(*triple, num_lanes)
+                previous = triple
+            values = self._evaluate(inputs, compiled, num_lanes, registers or {})
+            registers = self.register_feedback(values)
+        return values
+
+    def _compile_faults(
         self,
         fault_rows: np.ndarray,
         fault_lanes: np.ndarray,
@@ -350,52 +350,19 @@ class CompiledNetlist:
             for net_id, i in zip(ids.tolist(), range(0, len(keep_data), stride))
         }
 
-    def evaluate_fault_arrays(
-        self,
-        inputs: Mapping[str, int],
-        fault_rows: np.ndarray,
-        fault_lanes: np.ndarray,
-        fault_modes: np.ndarray,
-        num_lanes: int,
-        registers: Optional[Mapping[str, int]] = None,
-        lane_words: bool = False,
-    ) -> LaneValues:
-        """Evaluate ``num_lanes`` lanes in one pass over the op list.
-
-        Faults arrive as flat ``(dense net id, lane, effect mode)`` triples
-        (see :func:`fault_keep_xor` for their semantics).  By default
-        ``inputs`` and ``registers`` are scalar 0/1 assignments broadcast to
-        every lane (missing inputs and registers default to zero).  With
-        ``lane_words=True`` they are instead ``W``-bit lane words (bit ``k`` =
-        the net's value in lane ``k``), which lets different lanes evaluate
-        different input/state contexts in the same pass.
-        """
-        if num_lanes < 1:
-            raise ValueError("at least one lane is required")
-        faults = self.compile_fault_arrays(fault_rows, fault_lanes, fault_modes, num_lanes)
-        return self.evaluate_compiled(
-            inputs, faults, num_lanes, registers=registers, lane_words=lane_words
-        )
-
-    def evaluate_compiled(
+    def _evaluate(
         self,
         inputs: Mapping[str, int],
         faults: Dict[int, Tuple[int, int]],
         num_lanes: int,
-        registers: Optional[Mapping[str, int]] = None,
-        lane_words: bool = False,
+        registers: Mapping[str, int],
     ) -> LaneValues:
-        """One pass with faults already compiled by :meth:`compile_fault_arrays`."""
+        """One pass over the op list with faults compiled by :meth:`_compile_faults`."""
         mask = (1 << num_lanes) - 1
-
         values = [0] * self.num_nets
-        registers = registers or {}
 
-        def source(net_id: int, value: int) -> None:
-            if lane_words:
-                word = int(value) & mask
-            else:
-                word = mask if value & 1 else 0
+        def source(net_id: int, word: int) -> None:
+            word &= mask
             entry = faults.get(net_id)
             if entry is not None:
                 word = (word & entry[0]) ^ entry[1]
@@ -439,60 +406,4 @@ class CompiledNetlist:
                 if entry is not None:
                     word = (word & entry[0]) ^ entry[1]
             values[out] = word
-        return LaneValues(self.net_id, values, num_lanes)
-
-    def register_feedback(self, values: LaneValues) -> Dict[str, int]:
-        """Next-cycle register lane words captured from every flop's D net.
-
-        Feeding the returned mapping back as ``registers`` (with
-        ``lane_words=True``) advances the sequential state of every lane by
-        one clock edge -- the primitive behind :meth:`step_cycles_fault_arrays`.
-        """
-        return {q_net: values._words[d_id] for q_net, d_id in self.flop_d_ids}
-
-    def step_cycles_fault_arrays(
-        self,
-        inputs: Mapping[str, object],
-        cycle_faults: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-        num_lanes: int,
-        registers: Optional[Mapping[str, object]] = None,
-        lane_words: bool = False,
-    ):
-        """Evaluate ``len(cycle_faults)`` clock cycles with register feedback.
-
-        ``cycle_faults[t]`` is the flat ``(net ids, lanes, modes)`` fault
-        triple active during cycle ``t`` (empty arrays for a fault-free
-        cycle).  Inputs are held constant across cycles while registers
-        advance through each cycle's captured D-net words.  A *transient*
-        fault appears in exactly one cycle's triple, a *persistent* stuck-at
-        in all of them, and a multi-shot glitch schedule in the cycles it
-        names.  Each distinct triple is compiled once and reused while the
-        following cycles pass the same triple object, so a persistent fault
-        set handed to every cycle is scattered once per trace.  Returns the
-        lane values of the final cycle, whose D nets hold the state each lane
-        would enter after the last clock edge.
-        """
-        if not cycle_faults:
-            raise ValueError("at least one cycle is required")
-        if num_lanes < 1:
-            raise ValueError("at least one lane is required")
-        if not lane_words:
-            # Broadcast scalar contexts to lane words once so every cycle --
-            # including the register-feedback cycles, whose register values
-            # are always lane words -- runs with ``lane_words=True``.
-            word = (1 << num_lanes) - 1
-            inputs = {net: (word if int(value) & 1 else 0) for net, value in inputs.items()}
-            if registers:
-                registers = {
-                    net: (word if int(value) & 1 else 0) for net, value in registers.items()
-                }
-        values = compiled = previous = None
-        for triple in cycle_faults:
-            if triple is not previous:
-                compiled = self.compile_fault_arrays(*triple, num_lanes)
-                previous = triple
-            values = self.evaluate_compiled(
-                inputs, compiled, num_lanes, registers=registers, lane_words=True
-            )
-            registers = self.register_feedback(values)
-        return values
+        return LaneValues(self, values, num_lanes)

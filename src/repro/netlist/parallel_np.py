@@ -28,19 +28,21 @@ Three compile/run-time structures make the wide case fast:
   bignum engine consumes the same scatter, so both engines apply faults
   with one rule, the one the scalar oracle's fault cells implement in gates
   (:class:`~repro.netlist.simulate.InstrumentedNetlist`).
-* **Byte-view transposes.**  ``read_words`` / ``read_words_by_id`` view the
-  selected rows as bytes and run the shared
-  :func:`~repro.netlist.parallel.lane_codes_from_byte_rows` transpose, so
-  batch classification costs two vectorised bit passes instead of an
-  O(lanes x bits) shift loop.
+* **Byte-view reads.**  The shared
+  :class:`~repro.netlist.parallel.LaneValues` reader asks the engine only
+  for byte rows: the selected rows of the value matrix viewed as bytes,
+  with no copy per net, from which batch classification gets every lane's
+  state code in two vectorised bit passes.
 
 Because lanes cost ``1/64`` of a machine word each instead of a bignum digit
 chain, lane counts are no longer tied to ``DEFAULT_LANE_WIDTH=256``: wide
 campaigns run thousands of lanes per pass (the executor defaults this
-engine to ``DEFAULT_NUMPY_LANE_WIDTH`` lanes).  Lane words entering and
-leaving the engine remain plain Python ints or little-endian ``uint64``
-arrays, so the campaign executor hands its packed per-context rows straight
-in and the bignum engine reads the same bytes as ints.
+engine to ``DEFAULT_NUMPY_LANE_WIDTH`` lanes).  The engine keeps the bignum
+engine's one entry point
+(:meth:`~repro.netlist.parallel.CompiledNetlist.step_cycles_fault_arrays`),
+with lane words entering as ``(num_words,)`` little-endian ``uint64`` rows:
+the campaign executor hands its packed per-context rows straight in, and
+register feedback passes rows of the previous pass's matrix.
 
 ``NumpyCompiledNetlist`` is cross-checked lane-for-lane against the bignum
 and scalar engines in ``tests/test_parallel_np.py`` and
@@ -70,103 +72,9 @@ from repro.netlist.parallel import (
     MODE_FLIP,
     MODE_STUCK0,
     CompiledNetlist,
+    LaneValues,
     fault_keep_xor,
-    lane_code_array,
-    lane_codes_from_byte_rows,
 )
-
-
-def int_to_words(value: int, num_words: int) -> np.ndarray:
-    """One bignum lane word as a ``(num_words,)`` little-endian uint64 array."""
-    return np.frombuffer(
-        int(value).to_bytes(num_words * 8, "little"), dtype=WORD_DTYPE
-    )
-
-
-def words_to_int(words: np.ndarray) -> int:
-    """The bignum form of one word-sliced lane word (inverse of
-    :func:`int_to_words`)."""
-    return int.from_bytes(np.ascontiguousarray(words, dtype=WORD_DTYPE).tobytes(), "little")
-
-
-class NumpyLaneValues:
-    """Per-net lane words of one :meth:`NumpyCompiledNetlist.evaluate_fault_arrays` pass.
-
-    Mirrors the :class:`~repro.netlist.parallel.LaneValues` read interface
-    over a ``(num_nets, num_words)`` uint64 array instead of per-net bignums;
-    ``word`` converts back to the bignum form so existing cross-checks compare
-    engines bit for bit.  The array's rows follow the engine's private
-    level-contiguous layout: ``net_slot`` maps net names and ``id_slot`` dense
-    net ids to rows, so callers keep using the shared ids.
-    """
-
-    def __init__(
-        self,
-        net_slot: Mapping[str, int],
-        id_slot: np.ndarray,
-        values: np.ndarray,
-        num_lanes: int,
-    ):
-        self._net_slot = net_slot
-        self._id_slot = id_slot
-        self._values = values
-        self.num_lanes = num_lanes
-
-    def word(self, net: str) -> int:
-        """The raw ``W``-bit lane word of one net (bit ``k`` = lane ``k``)."""
-        return words_to_int(self._values[self._net_slot[net]])
-
-    def lane_value(self, net: str, lane: int) -> int:
-        """The scalar 0/1 value of ``net`` in one lane."""
-        word = int(self._values[self._net_slot[net], lane // WORD_BITS])
-        return (word >> (lane % WORD_BITS)) & 1
-
-    def lane_values(self, lane: int) -> Dict[str, int]:
-        """All net values of one lane, in ``NetlistSimulator.evaluate`` format."""
-        column = (
-            self._values[:, lane // WORD_BITS] >> np.uint64(lane % WORD_BITS)
-        ) & np.uint64(1)
-        return {net: int(column[i]) for net, i in self._net_slot.items()}
-
-    def read_word(self, bits: Sequence[str], lane: int) -> int:
-        """Assemble an integer from per-bit nets (LSB first) for one lane."""
-        code = 0
-        for i, bit in enumerate(bits):
-            code |= self.lane_value(bit, lane) << i
-        return code
-
-    def read_words(self, bits: Sequence[str]) -> List[int]:
-        """Per-lane integers assembled from per-bit nets (LSB first)."""
-        if not bits:
-            return [0] * self.num_lanes
-        rows = self._values[[self._net_slot[bit] for bit in bits]]
-        return lane_codes_from_byte_rows(rows.view(np.uint8), self.num_lanes)
-
-    def read_words_by_id(self, ids: Sequence[int]) -> List[int]:
-        """Like :meth:`read_words` but over pre-resolved dense net ids.
-
-        The selected rows are viewed as bytes and transposed through the
-        shared :func:`~repro.netlist.parallel.lane_codes_from_byte_rows`
-        helper -- no per-lane Python loop.
-        """
-        if not ids:
-            return [0] * self.num_lanes
-        return lane_codes_from_byte_rows(self.byte_rows_by_id(ids), self.num_lanes)
-
-    def code_array_by_id(self, ids: Sequence[int]) -> Optional[np.ndarray]:
-        """Per-lane codes as one uint64 array, or ``None`` for >64-bit codes.
-
-        The vectorised campaign classifier consumes codes without ever
-        materialising per-lane Python ints; state registers wider than one
-        machine word fall back to :meth:`read_words_by_id`.
-        """
-        if not 0 < len(ids) < 64:
-            return None
-        return lane_code_array(self.byte_rows_by_id(ids), self.num_lanes)
-
-    def byte_rows_by_id(self, ids: Sequence[int]) -> np.ndarray:
-        """The little-endian byte form of the selected lane words, one row each."""
-        return self._values[self._id_slot[np.asarray(ids, dtype=np.intp)]].view(np.uint8)
 
 
 #: One (level, opcode) gate group: opcode, its output rows ``lo:hi`` and the
@@ -191,7 +99,7 @@ class NumpyCompiledNetlist(CompiledNetlist):
     ``register_ids`` and ``flop_d_ids`` keep the shared dense ids; the engine
     maps them to rows (``_slot``) internally.  The compiled form stays
     immutable and stateless; register values are inputs to
-    :meth:`evaluate_fault_arrays`.
+    :meth:`step_cycles_fault_arrays`.
     """
 
     def __init__(self, netlist: Netlist):
@@ -223,7 +131,6 @@ class NumpyCompiledNetlist(CompiledNetlist):
         #: Row range ``lo:hi`` of every level, level 0 (inputs/registers) first.
         self._level_bounds: List[Tuple[int, int]] = list(zip(edges[:-1], edges[1:]))
         slot = self._slot.tolist()
-        self._net_slot: Dict[str, int] = {net: slot[i] for net, i in self.net_id.items()}
         self._input_slots = [(net, slot[i]) for net, i in self.input_ids]
         self._register_slots = [(net, slot[i]) for net, i in self.register_ids]
         self._feedback_slots = [(q_net, slot[d_id]) for q_net, d_id in self.flop_d_ids]
@@ -242,7 +149,7 @@ class NumpyCompiledNetlist(CompiledNetlist):
     # ------------------------------------------------------------------
     # Fault compilation
     # ------------------------------------------------------------------
-    def compile_fault_arrays(
+    def _compile_faults(
         self,
         fault_rows: np.ndarray,
         fault_lanes: np.ndarray,
@@ -268,32 +175,30 @@ class NumpyCompiledNetlist(CompiledNetlist):
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def register_feedback(self, values: NumpyLaneValues) -> Dict[str, np.ndarray]:
+    def byte_rows(self, words: np.ndarray, ids: Sequence[int], num_lanes: int) -> np.ndarray:
+        """The selected rows of the value matrix viewed as little-endian bytes
+        (the engine-specific half of :class:`~repro.netlist.parallel.LaneValues`)."""
+        return words[self._slot[np.asarray(ids, dtype=np.intp)]].view(np.uint8)
+
+    def register_feedback(self, values: LaneValues) -> Dict[str, np.ndarray]:
         """Next-cycle register lane rows captured from every flop's D net.
 
         The returned rows are views into the pass's value matrix; each
         pass allocates a fresh matrix, so feeding them into the next cycle
         is safe without copying.
         """
-        return {q_net: values._values[row] for q_net, row in self._feedback_slots}
+        return {q_net: values.words[row] for q_net, row in self._feedback_slots}
 
-    def evaluate_compiled(
+    def _evaluate(
         self,
-        inputs: Mapping[str, object],
+        inputs: Mapping[str, np.ndarray],
         faults: Optional[_CompiledFaults],
         num_lanes: int,
-        registers: Optional[Mapping[str, object]] = None,
-        lane_words: bool = False,
-    ) -> NumpyLaneValues:
-        """One pass over the level groups with faults already compiled by
-        :meth:`compile_fault_arrays`.
-
-        The contract matches
-        :meth:`~repro.netlist.parallel.CompiledNetlist.evaluate_compiled`;
-        with ``lane_words=True`` the per-net lane words may be Python ints
-        *or* ready-made little-endian ``uint64`` arrays (the campaign
-        executor's packed per-context rows go straight in).
-        """
+        registers: Mapping[str, np.ndarray],
+    ) -> LaneValues:
+        """One pass over the level groups with faults compiled by
+        :meth:`_compile_faults`; lane words are ``(num_words,)`` little-endian
+        uint64 rows."""
         num_words = -(-num_lanes // WORD_BITS)
         mask = np.full(num_words, ~np.uint64(0), dtype=WORD_DTYPE)
         tail = num_lanes % WORD_BITS
@@ -301,21 +206,11 @@ class NumpyCompiledNetlist(CompiledNetlist):
             mask[-1] = (np.uint64(1) << np.uint64(tail)) - np.uint64(1)
 
         values = np.zeros((self.num_nets, num_words), dtype=WORD_DTYPE)
-        registers = registers or {}
-
-        def source(row: int, value: object) -> None:
-            if lane_words:
-                if isinstance(value, np.ndarray):
-                    values[row] = value.view(WORD_DTYPE) & mask
-                else:
-                    values[row] = int_to_words(int(value), num_words) & mask
-            elif int(value) & 1:
-                values[row] = mask
-
-        for net, row in self._input_slots:
-            source(row, inputs.get(net, 0))
-        for net, row in self._register_slots:
-            source(row, registers.get(net, 0))
+        for nets, rows in ((inputs, self._input_slots), (registers, self._register_slots)):
+            for net, row in rows:
+                word = nets.get(net)
+                if word is not None:
+                    np.bitwise_and(word, mask, out=values[row])
 
         # Faults patch a level as soon as it is written -- inputs and
         # registers right after sourcing, gate outputs at the end of their
@@ -367,4 +262,4 @@ class NumpyCompiledNetlist(CompiledNetlist):
             if faults is not None:
                 patch(depth)
 
-        return NumpyLaneValues(self._net_slot, self._slot, values, num_lanes)
+        return LaneValues(self, values, num_lanes)

@@ -29,7 +29,12 @@ RESULT_TIER_COMPUTED = "computed"
 
 
 class ResultTier:
-    """Report-key -> finished-result lookup over the artifact store."""
+    """Report-key -> finished-result lookup over the artifact store.
+
+    ``hits`` and ``misses`` count submissions: :meth:`probe`, the submit
+    path's lookup, is the only call that moves them, so fetching a job's
+    result (:meth:`get`) leaves them alone.
+    """
 
     def __init__(self, store: ArtifactStore) -> None:
         self.store = store
@@ -43,12 +48,16 @@ class ResultTier:
         payload is evicted the same way, so the tier degrades to a recompute,
         never to a wrong answer.
         """
-        doc = load_json_artifact(self.store, "report", report_key)
-        if doc is None:
+        return load_json_artifact(self.store, "report", report_key)
+
+    def probe(self, report_key: str) -> bool:
+        """Whether a submission of ``report_key`` is answered from the tier,
+        counted as one hit or one miss."""
+        if self.get(report_key) is None:
             self.misses += 1
-        else:
-            self.hits += 1
-        return doc
+            return False
+        self.hits += 1
+        return True
 
 
 def stamp_provenance(

@@ -278,7 +278,7 @@ class CampaignService:
         report_key = spec.stage_hashes()["report"]
         with self._submit_lock:
             # Result tier first: an already-computed spec never creates work.
-            if self.results.get(report_key) is not None:
+            if self.results.probe(report_key):
                 job = Job(
                     spec_hash=spec_hash,
                     nonce=new_nonce(),

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import time
 from dataclasses import dataclass, replace
@@ -57,6 +58,17 @@ def validate_address(stage: str, key: str) -> None:
         raise ValueError(f"invalid artifact stage {stage!r}")
     if not _KEY_RE.match(key or ""):
         raise ValueError(f"invalid artifact key {key!r} (expected a hex digest)")
+
+
+def expiry_cutoff(max_age_days: Optional[float]) -> Optional[float]:
+    """The creation time before which ``gc`` expires an artifact, or ``None``
+    for no expiry.  A negative or non-finite age raises :class:`ValueError`:
+    a negative one would expire every artifact, and NaN none."""
+    if max_age_days is None:
+        return None
+    if not math.isfinite(max_age_days) or max_age_days < 0:
+        raise ValueError(f"max_age_days must be a finite number >= 0, got {max_age_days!r}")
+    return time.time() - max_age_days * 86400.0
 
 
 @dataclass(frozen=True)
@@ -245,8 +257,8 @@ class MemoryStore:
         return removed
 
     def gc(self, max_age_days: Optional[float] = None) -> Dict[str, int]:
+        cutoff = expiry_cutoff(max_age_days)
         stats = {"scanned": 0, "kept": 0, "removed_corrupt": 0, "removed_expired": 0}
-        cutoff = None if max_age_days is None else time.time() - max_age_days * 86400.0
         for address in list(self.blobs):
             stats["scanned"] += 1
             try:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import time
 from pathlib import Path
 from typing import Dict, Iterator, Optional
 
@@ -33,6 +32,7 @@ from repro.store.base import (
     decode_artifact,
     decode_header,
     encode_artifact,
+    expiry_cutoff,
     validate_address,
 )
 
@@ -171,6 +171,7 @@ class FileStore:
 
     def gc(self, max_age_days: Optional[float] = None) -> Dict[str, int]:
         """Sweep corrupt entries, expired entries and leftover temp files."""
+        cutoff = expiry_cutoff(max_age_days)
         stats = {
             "scanned": 0,
             "kept": 0,
@@ -178,7 +179,6 @@ class FileStore:
             "removed_expired": 0,
             "removed_tmp": 0,
         }
-        cutoff = None if max_age_days is None else time.time() - max_age_days * 86400.0
         for path in list(self._entry_paths()):
             if path.name.endswith(_TMP_SUFFIX):
                 try:

@@ -1,6 +1,16 @@
-"""Shared fixtures for the SCFI reproduction test suite."""
+"""Shared fixtures for the SCFI reproduction test suite.
+
+The compiled-engine tests drive both engines through their one entry point,
+``step_cycles_fault_arrays``, which takes faults as flat ``(net id, lane,
+mode)`` triples and inputs/registers as lane words in the engine's own form.
+The ``fault_triples`` fixture builds the triples from per-lane fault groups,
+and the ``lane_words`` fixture builds each engine's lane words from scalar
+0/1 contexts.
+"""
 
 from __future__ import annotations
+
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -13,14 +23,15 @@ from repro.fsmlib import (
     traffic_light_fsm,
     uart_rx_fsm,
 )
+from repro.netlist.parallel import WORD_BITS, WORD_DTYPE
+from repro.netlist.parallel_np import NumpyCompiledNetlist
 
 
 def _fault_triples(net_id, fault_lanes):
     """Flat ``(net ids, lanes, modes)`` arrays of per-lane fault groups.
 
     Each lane is ``None`` (a golden lane) or a sequence of ``(net, mode)``
-    pairs; a lane's pairs become its triples in group order, which is the
-    input format of the compiled engines' ``evaluate_fault_arrays``.
+    pairs; a lane's pairs become its triples in group order.
     """
     rows, lanes, modes = [], [], []
     for lane, group in enumerate(fault_lanes):
@@ -39,6 +50,36 @@ def _fault_triples(net_id, fault_lanes):
 def fault_triples():
     """The fault-group-lanes-to-fault-triples converter of the engine tests."""
     return _fault_triples
+
+
+def _lane_words(compiled, contexts, num_lanes):
+    """Lane words in ``compiled``'s own form for scalar 0/1 contexts.
+
+    ``contexts`` is one ``{net: value}`` mapping shared by every lane, or a
+    sequence of ``num_lanes`` mappings, one per lane.  Bit ``k`` of a net's
+    word is its value in lane ``k``: a Python int for the bignum engine, a
+    little-endian uint64 row for the numpy engine.
+    """
+    if isinstance(contexts, Mapping):
+        contexts = [contexts] * num_lanes
+    nets = {net for context in contexts for net in context}
+    words = {
+        net: sum((int(context.get(net, 0)) & 1) << lane for lane, context in enumerate(contexts))
+        for net in nets
+    }
+    if isinstance(compiled, NumpyCompiledNetlist):
+        size = -(-num_lanes // WORD_BITS) * 8
+        return {
+            net: np.frombuffer(word.to_bytes(size, "little"), dtype=WORD_DTYPE)
+            for net, word in words.items()
+        }
+    return words
+
+
+@pytest.fixture
+def lane_words():
+    """The scalar-contexts-to-engine-lane-words converter of the engine tests."""
+    return _lane_words
 
 
 @pytest.fixture

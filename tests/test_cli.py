@@ -451,6 +451,16 @@ class TestScfiCacheCli:
         assert scfi_main(["cache", "ls", "--cache-dir", str(cache)]) == 0
         assert "0 artifact(s)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("age", ["-1", "nan", "inf"])
+    def test_cache_gc_rejects_a_negative_or_non_finite_age(self, tmp_path, capsys, age):
+        cache = tmp_path / "cache"
+        assert scfi_main(["run", str(EXAMPLE_SPEC), "--quiet", "--cache-dir", str(cache)]) == 0
+        capsys.readouterr()
+        assert scfi_main(["cache", "gc", "--cache-dir", str(cache), "--max-age-days", age]) == 2
+        assert "max_age_days must be a finite number >= 0" in capsys.readouterr().err
+        assert scfi_main(["cache", "ls", "--cache-dir", str(cache)]) == 0
+        assert "3 artifact(s)" in capsys.readouterr().err
+
     def test_cache_without_directory_fails_cleanly(self, capsys, monkeypatch):
         monkeypatch.delenv("SCFI_CACHE_DIR", raising=False)
         exit_code = scfi_main(["cache", "ls"])

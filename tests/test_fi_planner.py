@@ -22,7 +22,6 @@ from repro.fi.executor import FaultCampaign
 from repro.fi.planner import PlannedBatch, plan_batches
 from repro.fi.scenarios import ExhaustiveSingleFault, RandomMultiFault
 from repro.fsm.random_fsm import random_fsm
-from repro.netlist.parallel_np import words_to_int
 
 LANE_WIDTHS = (1, 2, 63, 64, 65, 4096)
 
@@ -114,7 +113,7 @@ def campaigns(structure):
 
 def _as_ints(words: Dict[str, object]) -> Dict[str, int]:
     return {
-        net: words_to_int(word) if isinstance(word, np.ndarray) else int(word)
+        net: int.from_bytes(word.tobytes(), "little") if isinstance(word, np.ndarray) else word
         for net, word in words.items()
     }
 

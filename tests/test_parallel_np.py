@@ -5,8 +5,9 @@ fault plumbing (ISSUE 6 tentpole).
 The property at the heart of this file: for ANY netlist, ANY lane count and
 ANY mix of flip/stuck-at fault lanes, ``NumpyCompiledNetlist`` produces
 bit-identical per-net lane words to ``CompiledNetlist`` through the shared
-``evaluate_fault_arrays`` entry (fault lanes converted to flat triples by the
-``fault_triples`` fixture).
+``step_cycles_fault_arrays`` entry (fault lanes converted to flat triples by
+the ``fault_triples`` fixture, scalar contexts to each engine's lane words by
+the ``lane_words`` fixture).
 Campaign-level counter equality across every engine then follows and is
 pinned separately, including on the
 ``ibex_lsu_fsm`` regression netlist.
@@ -24,11 +25,7 @@ from repro.fi.scenarios import ExhaustiveSingleFault, RandomMultiFault
 from repro.fsm.random_fsm import random_fsm
 from repro.fsmlib.opentitan import ibex_lsu_fsm
 from repro.netlist.parallel import MODE_FLIP, MODE_STUCK0, MODE_STUCK1, CompiledNetlist
-from repro.netlist.parallel_np import (
-    NumpyCompiledNetlist,
-    int_to_words,
-    words_to_int,
-)
+from repro.netlist.parallel_np import NumpyCompiledNetlist
 
 ALL_EFFECTS = (FaultEffect.TRANSIENT_FLIP, FaultEffect.STUCK_AT_0, FaultEffect.STUCK_AT_1)
 
@@ -57,25 +54,12 @@ def _random_fault_lanes(rng, nets, num_lanes):
     return lanes
 
 
-class TestWordHelpers:
-    @pytest.mark.parametrize("num_words", [1, 2, 5])
-    def test_int_words_roundtrip(self, num_words):
-        rng = random.Random(3)
-        for _ in range(50):
-            value = rng.getrandbits(num_words * 64)
-            assert words_to_int(int_to_words(value, num_words)) == value
-
-    def test_word_order_is_little_endian(self):
-        words = int_to_words(1 << 64, 2)
-        assert list(words) == [0, 1]
-
-
 class TestLaneForLaneEquality:
     """Property style: numpy lane words == bignum lane words on every net."""
 
     @pytest.mark.parametrize("seed", [1, 8, 21])
     @pytest.mark.parametrize("num_lanes", [1, 63, 64, 65, 200])
-    def test_random_netlist_random_faults(self, seed, num_lanes, fault_triples):
+    def test_random_netlist_random_faults(self, seed, num_lanes, fault_triples, lane_words):
         structure = _protect(random_fsm(seed, num_states=4))
         netlist = structure.netlist
         bignum = CompiledNetlist(netlist)
@@ -85,15 +69,24 @@ class TestLaneForLaneEquality:
         inputs = {net: rng.randrange(2) for net in netlist.primary_inputs}
         registers = {net: rng.randrange(2) for net in structure.state_q}
         triples = fault_triples(vector.net_id, _random_fault_lanes(rng, nets, num_lanes))
-        ref = bignum.evaluate_fault_arrays(inputs, *triples, num_lanes, registers=registers)
-        out = vector.evaluate_fault_arrays(inputs, *triples, num_lanes, registers=registers)
+        ref, out = (
+            engine.step_cycles_fault_arrays(
+                lane_words(engine, inputs, num_lanes),
+                [triples],
+                num_lanes,
+                registers=lane_words(engine, registers, num_lanes),
+            )
+            for engine in (bignum, vector)
+        )
         for net in nets:
             assert out.word(net) == ref.word(net), net
         state_ids = [vector.net_id[net] for net in structure.state_d]
-        assert out.read_words_by_id(state_ids) == ref.read_words_by_id(state_ids)
+        assert out.codes_by_id(state_ids).tolist() == ref.codes_by_id(state_ids).tolist()
 
     @pytest.mark.parametrize("engine_cls", [CompiledNetlist, NumpyCompiledNetlist])
-    def test_code_array_matches_read_words(self, engine_cls, fault_triples):
+    def test_codes_match_the_lane_values(self, engine_cls, fault_triples, lane_words):
+        """Codes below 64 bits come back as one uint64 array, wider codes as
+        exact Python ints, and both agree with the per-lane net values."""
         structure = _protect(random_fsm(5, num_states=4))
         compiled = engine_cls(structure.netlist)
         rng = random.Random(9)
@@ -101,17 +94,24 @@ class TestLaneForLaneEquality:
         inputs = {net: rng.randrange(2) for net in structure.netlist.primary_inputs}
         registers = {net: rng.randrange(2) for net in structure.state_q}
         triples = fault_triples(compiled.net_id, _random_fault_lanes(rng, nets, 90))
-        out = compiled.evaluate_fault_arrays(inputs, *triples, 90, registers=registers)
+        out = compiled.step_cycles_fault_arrays(
+            lane_words(compiled, inputs, 90),
+            [triples],
+            90,
+            registers=lane_words(compiled, registers, 90),
+        )
         ids = [compiled.net_id[net] for net in structure.state_d]
-        codes = out.code_array_by_id(ids)
-        assert codes is not None and codes.dtype == np.uint64
-        assert codes.tolist() == out.read_words_by_id(ids)
-        assert out.code_array_by_id([]) is None
-        # 64 bits or more: no uint64 array, exact Python ints instead.
+        codes = out.codes_by_id(ids)
+        assert codes.dtype == np.uint64
+        assert codes.tolist() == [
+            sum(out.lane_values(lane)[net] << i for i, net in enumerate(structure.state_d))
+            for lane in range(90)
+        ]
+        assert out.codes_by_id([]).tolist() == [0] * 90
+        # 64 bits or more: exact Python ints instead of a uint64 array.
         repeats = -(-64 // len(ids))
-        assert out.code_array_by_id(ids * repeats) is None
         width = len(ids)
-        assert out.read_words_by_id(ids * repeats) == [
+        assert out.codes_by_id(ids * repeats) == [
             sum(code << (width * k) for k in range(repeats)) for code in codes.tolist()
         ]
 

@@ -3,13 +3,14 @@
 Hypothesis-style: seeded random netlists (random DAGs over every supported
 cell type, with flip-flop feedback) and random per-lane fault groups are
 thrown at the bignum and the word-sliced numpy bit-parallel evaluators --
-with scalar-broadcast and with per-lane lane-word inputs, over one cycle and
-over multi-cycle traces -- and every net of every lane must match the
-:class:`InstrumentedNetlist` oracle (the netlist with its fault cells as
+with one context shared by every lane and with a context per lane, over one
+cycle and over multi-cycle traces -- and every net of every lane must match
+the :class:`InstrumentedNetlist` oracle (the netlist with its fault cells as
 gates, evaluated by the plain ``NetlistSimulator``) under the same group.
-The engines take faults as flat ``(net id, lane, mode)`` triples; the
-``fault_triples`` fixture converts each lane's ``(net, mode)`` group into
-them.  Lane counts cross the 64-lane word boundaries, and raw triples with
+Both engines run through ``step_cycles_fault_arrays``: the ``fault_triples``
+fixture converts each lane's ``(net, mode)`` group into flat ``(net id,
+lane, mode)`` triples, and the ``lane_words`` fixture turns scalar contexts
+into each engine's lane words.  Lane counts cross the 64-lane word boundaries, and raw triples with
 conflicting or repeated faults on one net and lane are checked on both
 engines against each other and the oracle.  The numpy engine's private
 row layout must leave every shared id unchanged.  A regression block pins
@@ -96,7 +97,7 @@ def _no_faults():
 class TestRandomNetlistEquivalence:
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     @pytest.mark.parametrize("seed", range(25))
-    def test_all_nets_match_lane_for_lane(self, seed, engine_cls, fault_triples):
+    def test_all_nets_match_lane_for_lane(self, seed, engine_cls, fault_triples, lane_words):
         rng = random.Random(seed)
         netlist = random_netlist(rng, f"rand{seed}")
         oracle = InstrumentedNetlist(netlist)
@@ -107,8 +108,12 @@ class TestRandomNetlistEquivalence:
         registers = {net: rng.randint(0, 1) for net in netlist.flop_outputs()}
         lanes = [None] + [random_fault_group(rng, targets) for _ in range(rng.randint(1, 33))]
 
-        lane_values = compiled.evaluate_fault_arrays(
-            inputs, *fault_triples(compiled.net_id, lanes), len(lanes), registers=registers
+        num_lanes = len(lanes)
+        lane_values = compiled.step_cycles_fault_arrays(
+            lane_words(compiled, inputs, num_lanes),
+            [fault_triples(compiled.net_id, lanes)],
+            num_lanes,
+            registers=lane_words(compiled, registers, num_lanes),
         )
         assert lane_values.num_lanes == len(lanes)
         for lane, group in enumerate(lanes):
@@ -139,7 +144,7 @@ class TestRandomNetlistEquivalence:
     @pytest.mark.parametrize("num_lanes", [1, 64, 65, 130])
     @pytest.mark.parametrize("seed", range(60, 66))
     def test_lane_counts_across_word_boundaries(
-        self, seed, num_lanes, engine_cls, fault_triples
+        self, seed, num_lanes, engine_cls, fault_triples, lane_words
     ):
         rng = random.Random(seed * 1000 + num_lanes)
         netlist = random_netlist(rng, f"randwide{seed}", min_flops=1)
@@ -153,8 +158,11 @@ class TestRandomNetlistEquivalence:
             random_fault_group(rng, targets) if rng.random() < 0.8 else None
             for _ in range(num_lanes)
         ]
-        lane_values = compiled.evaluate_fault_arrays(
-            inputs, *fault_triples(compiled.net_id, lanes), num_lanes, registers=registers
+        lane_values = compiled.step_cycles_fault_arrays(
+            lane_words(compiled, inputs, num_lanes),
+            [fault_triples(compiled.net_id, lanes)],
+            num_lanes,
+            registers=lane_words(compiled, registers, num_lanes),
         )
         for net in compiled.net_id:
             assert lane_values.word(net) >> num_lanes == 0, net
@@ -164,8 +172,10 @@ class TestRandomNetlistEquivalence:
 
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     @pytest.mark.parametrize("seed", range(40, 50))
-    def test_lane_word_inputs_evaluate_distinct_contexts(self, seed, engine_cls, fault_triples):
-        """With ``lane_words=True`` every lane may carry its own input/state."""
+    def test_lane_word_inputs_evaluate_distinct_contexts(
+        self, seed, engine_cls, fault_triples, lane_words
+    ):
+        """Every lane may carry its own input/state context."""
         rng = random.Random(seed)
         netlist = random_netlist(rng, f"randctx{seed}", min_flops=1)
         oracle = InstrumentedNetlist(netlist)
@@ -185,20 +195,11 @@ class TestRandomNetlistEquivalence:
         per_lane_registers = [
             {net: rng.randint(0, 1) for net in registers} for _ in range(num_lanes)
         ]
-        input_words = {
-            net: sum(per_lane_inputs[k][net] << k for k in range(num_lanes))
-            for net in netlist.primary_inputs
-        }
-        register_words = {
-            net: sum(per_lane_registers[k][net] << k for k in range(num_lanes))
-            for net in registers
-        }
-        lane_values = compiled.evaluate_fault_arrays(
-            input_words,
-            *fault_triples(compiled.net_id, lanes),
+        lane_values = compiled.step_cycles_fault_arrays(
+            lane_words(compiled, per_lane_inputs, num_lanes),
+            [fault_triples(compiled.net_id, lanes)],
             num_lanes,
-            registers=register_words,
-            lane_words=True,
+            registers=lane_words(compiled, per_lane_registers, num_lanes),
         )
         for lane, group in enumerate(lanes):
             reference = oracle.evaluate(
@@ -210,7 +211,7 @@ class TestRandomNetlistEquivalence:
 
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     @pytest.mark.parametrize("seed", range(25, 35))
-    def test_step_cycles_match_scalar_trace(self, seed, engine_cls, fault_triples):
+    def test_step_cycles_match_scalar_trace(self, seed, engine_cls, fault_triples, lane_words):
         """Multi-cycle traces: per-cycle fault lanes, register feedback, and
         the final cycle's D-net codes (the next register state per lane)."""
         rng = random.Random(seed)
@@ -232,12 +233,12 @@ class TestRandomNetlistEquivalence:
             for _ in range(3)
         ]
         values = compiled.step_cycles_fault_arrays(
-            inputs,
+            lane_words(compiled, inputs, num_lanes),
             [fault_triples(compiled.net_id, lanes) for lanes in cycle_lanes],
             num_lanes,
-            registers=registers,
+            registers=lane_words(compiled, registers, num_lanes),
         )
-        codes = values.read_words_by_id([d_id for _, d_id in compiled.flop_d_ids])
+        codes = values.codes_by_id([d_id for _, d_id in compiled.flop_d_ids])
         for lane in range(num_lanes):
             state = dict(registers)
             for lanes in cycle_lanes:
@@ -255,14 +256,14 @@ class TestRandomNetlistEquivalence:
             assert codes[lane] == expected
 
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
-    def test_stuck_at_beats_flip_on_same_net(self, engine_cls, fault_triples):
+    def test_stuck_at_beats_flip_on_same_net(self, engine_cls, fault_triples, lane_words):
         netlist = Netlist("prio")
         a = netlist.add_input("a")
         netlist.add_gate(Gate(name="g", gate_type=GateType.BUF, inputs=[a], output="y"))
         compiled = engine_cls(netlist)
         fault = [("y", MODE_FLIP), ("y", MODE_STUCK1)]
-        values = compiled.evaluate_fault_arrays(
-            {"a": 0}, *fault_triples(compiled.net_id, [None, fault]), 2
+        values = compiled.step_cycles_fault_arrays(
+            lane_words(compiled, {"a": 0}, 2), [fault_triples(compiled.net_id, [None, fault])], 2
         )
         oracle = InstrumentedNetlist(netlist)
         reference = oracle.evaluate({"a": 0}, oracle_rows(oracle, fault))
@@ -270,7 +271,7 @@ class TestRandomNetlistEquivalence:
         assert values.lane_value("y", 0) == 0
 
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
-    def test_last_stuck_at_wins_and_repeated_flip_is_one(self, engine_cls):
+    def test_last_stuck_at_wins_and_repeated_flip_is_one(self, engine_cls, lane_words):
         """Fault groups keep the oracle's fault rule: of two stuck-ats on one
         net in one lane the later one wins, and a repeated flip flips once."""
         netlist = Netlist("order")
@@ -284,7 +285,9 @@ class TestRandomNetlistEquivalence:
             [MODE_STUCK0, MODE_STUCK1, MODE_STUCK1, MODE_STUCK0, MODE_FLIP, MODE_FLIP],
             dtype=np.uint8,
         )
-        values = compiled.evaluate_fault_arrays({"a": 0}, rows, lanes, modes, 4)
+        values = compiled.step_cycles_fault_arrays(
+            lane_words(compiled, {"a": 0}, 4), [(rows, lanes, modes)], 4
+        )
         assert [values.lane_value("y", lane) for lane in range(4)] == [0, 1, 0, 1]
 
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
@@ -293,9 +296,9 @@ class TestRandomNetlistEquivalence:
         netlist.add_input("a")
         compiled = engine_cls(netlist)
         with pytest.raises(ValueError, match="lane"):
-            compiled.evaluate_fault_arrays({"a": 1}, *_no_faults(), 0)
+            compiled.step_cycles_fault_arrays({}, [_no_faults()], 0)
         with pytest.raises(ValueError, match="cycle"):
-            compiled.step_cycles_fault_arrays({"a": 1}, [], 1)
+            compiled.step_cycles_fault_arrays({}, [], 1)
 
 
 def _lane_groups(rows, lanes, modes, num_lanes):
@@ -349,12 +352,19 @@ class TestRawFaultTriples:
     against each other and the scalar oracle (which shares their rows)."""
 
     @staticmethod
-    def _check(netlist, triples, num_lanes, inputs, registers):
+    def _check(lane_words, netlist, triples, num_lanes, inputs, registers):
         oracle = InstrumentedNetlist(netlist)
         bignum = CompiledNetlist(netlist)
         vector = NumpyCompiledNetlist(netlist)
-        ref = bignum.evaluate_fault_arrays(inputs, *triples, num_lanes, registers=registers)
-        out = vector.evaluate_fault_arrays(inputs, *triples, num_lanes, registers=registers)
+        ref, out = (
+            engine.step_cycles_fault_arrays(
+                lane_words(engine, inputs, num_lanes),
+                [triples],
+                num_lanes,
+                registers=lane_words(engine, registers, num_lanes),
+            )
+            for engine in (bignum, vector)
+        )
         for net in bignum.net_id:
             assert out.word(net) == ref.word(net), net
         for lane, group in enumerate(_lane_groups(*triples, num_lanes)):
@@ -362,7 +372,7 @@ class TestRawFaultTriples:
             assert out.lane_values(lane) == reference, lane
 
     @pytest.mark.parametrize("num_lanes", [64, 65, 130])
-    def test_conflicts_and_every_net_kind(self, num_lanes):
+    def test_conflicts_and_every_net_kind(self, num_lanes, lane_words):
         netlist = _edge_netlist()
         net_id = CompiledNetlist(netlist).net_id
         cases = [
@@ -389,11 +399,13 @@ class TestRawFaultTriples:
         ]
         for inputs in ({"a": 0, "b": 1}, {"a": 1, "b": 0}):
             for registers in ({"q0": 0, "q1": 1}, {"q0": 1, "q1": 0}):
-                self._check(netlist, _triple_arrays(entries), num_lanes, inputs, registers)
+                self._check(
+                    lane_words, netlist, _triple_arrays(entries), num_lanes, inputs, registers
+                )
 
     @pytest.mark.parametrize("num_lanes", [1, 65, 130])
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_conflicting_triples(self, seed, num_lanes):
+    def test_random_conflicting_triples(self, seed, num_lanes, lane_words):
         rng = random.Random(seed * 7 + num_lanes)
         netlist = random_netlist(rng, f"rawrand{seed}", min_flops=1)
         net_id = CompiledNetlist(netlist).net_id
@@ -407,10 +419,10 @@ class TestRawFaultTriples:
         ]
         inputs = {net: rng.randint(0, 1) for net in netlist.primary_inputs}
         registers = {flop.output: rng.randint(0, 1) for flop in netlist.flops()}
-        self._check(netlist, _triple_arrays(entries), num_lanes, inputs, registers)
+        self._check(lane_words, netlist, _triple_arrays(entries), num_lanes, inputs, registers)
 
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
-    def test_trace_reuses_a_repeated_triple_object(self, engine_cls):
+    def test_trace_reuses_a_repeated_triple_object(self, engine_cls, lane_words):
         """A persistent triple handed to every cycle and a schedule that
         switches triples both match the scalar oracle cycle by cycle."""
         netlist = _edge_netlist()
@@ -429,7 +441,10 @@ class TestRawFaultTriples:
         inputs = {"a": 1, "b": 0}
         for schedule in ([first] * 4, [first, first, second, first]):
             values = compiled.step_cycles_fault_arrays(
-                inputs, schedule, num_lanes, registers={"q0": 0, "q1": 0}
+                lane_words(compiled, inputs, num_lanes),
+                schedule,
+                num_lanes,
+                registers=lane_words(compiled, {"q0": 0, "q1": 0}, num_lanes),
             )
             per_cycle = [_lane_groups(*t, num_lanes) for t in schedule]
             for lane in range(num_lanes):
@@ -442,7 +457,7 @@ class TestRawFaultTriples:
 
 class TestPickling:
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
-    def test_pickle_round_trip_preserves_evaluation(self, engine_cls):
+    def test_pickle_round_trip_preserves_evaluation(self, engine_cls, lane_words):
         """Compiled netlists survive pickling (spawn-pool safety)."""
         import pickle
 
@@ -450,9 +465,9 @@ class TestPickling:
         netlist = random_netlist(rng, "pickled")
         compiled = engine_cls(netlist)
         restored = pickle.loads(pickle.dumps(compiled))
-        inputs = {net: rng.randrange(2) for net in netlist.primary_inputs}
-        original = compiled.evaluate_fault_arrays(inputs, *_no_faults(), 1)
-        rebuilt = restored.evaluate_fault_arrays(inputs, *_no_faults(), 1)
+        inputs = lane_words(compiled, {net: rng.randrange(2) for net in netlist.primary_inputs}, 1)
+        original = compiled.step_cycles_fault_arrays(inputs, [_no_faults()], 1)
+        rebuilt = restored.step_cycles_fault_arrays(inputs, [_no_faults()], 1)
         for net in compiled.net_id:
             assert rebuilt.word(net) == original.word(net)
 
@@ -460,7 +475,7 @@ class TestPickling:
 class TestProtectedNetlistEquivalence:
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     def test_lanes_match_on_scfi_netlist(
-        self, protected_traffic_light, engine_cls, fault_triples
+        self, protected_traffic_light, engine_cls, fault_triples, lane_words
     ):
         structure = protected_traffic_light.structure
         oracle = InstrumentedNetlist(structure.netlist)
@@ -471,8 +486,11 @@ class TestProtectedNetlistEquivalence:
         registers = {net: (reset_code >> i) & 1 for i, net in enumerate(structure.state_q)}
         inputs = {net: rng.randint(0, 1) for net in structure.netlist.primary_inputs}
         lanes = [None] + [random_fault_group(rng, targets) for _ in range(64)]
-        lane_values = compiled.evaluate_fault_arrays(
-            inputs, *fault_triples(compiled.net_id, lanes), len(lanes), registers=registers
+        lane_values = compiled.step_cycles_fault_arrays(
+            lane_words(compiled, inputs, len(lanes)),
+            [fault_triples(compiled.net_id, lanes)],
+            len(lanes),
+            registers=lane_words(compiled, registers, len(lanes)),
         )
         for lane, group in enumerate(lanes):
             reference = oracle.evaluate(inputs, oracle_rows(oracle, group), registers=registers)

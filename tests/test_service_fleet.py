@@ -132,14 +132,23 @@ class TestSenderSidePickling:
 
 class TestFaultHandling:
     def test_sigkilled_worker_mid_batch_is_retried(self, structure, oracle):
-        """Kill one worker after the first batch lands; the lost shards are
-        re-dispatched and the counters still match the in-process run."""
+        """Kill a worker that holds undelivered tasks; the lost shards are
+        re-dispatched and the counters still match the in-process run.
+
+        The victim is stopped before the run, so no task the fleet hands it
+        can come back.  The fleet dispatches every task of a run round-robin
+        before it reads a reply, and the first task goes to the other
+        worker, so when the first batch lands the victim provably holds
+        undelivered tasks; that is when it is killed.
+        """
         with WorkerFleet(2) as fleet:
+            victim = fleet.live_handles()[-1].process
+            os.kill(victim.pid, signal.SIGSTOP)
             killed = []
 
-            def kill_one_worker(done, total):
+            def kill_victim(done, total):
                 if not killed:
-                    victim = fleet.live_handles()[-1].process
+                    assert fleet.stats()["tasks_dispatched"] >= 2
                     os.kill(victim.pid, signal.SIGKILL)
                     killed.append(victim.pid)
 
@@ -147,8 +156,8 @@ class TestFaultHandling:
                 fleet,
                 SCOPE,
                 structure,
-                lane_width=8,  # many batches so the kill lands mid-run
-                batch_progress=kill_one_worker,
+                lane_width=8,  # many batches: both workers get tasks
+                batch_progress=kill_victim,
             )
             assert campaign.run(_scenario()).counters() == oracle
             stats = fleet.stats()

@@ -126,6 +126,18 @@ class TestEndToEnd:
         assert document["service"]["result_tier"] == "hit"
         assert service.fleet.stats()["tasks_dispatched"] == dispatched_before
 
+    def test_each_submission_counts_once_in_the_result_tier(self, service_client):
+        """The submit probe alone counts: fetching results, of a computed job
+        or of a hit, moves neither counter."""
+        client, _service = service_client
+        first = client.submit(HARDEN_ONLY)
+        client.wait(first["job_id"], timeout=60)
+        client.result(first["job_id"])
+        again = client.submit(HARDEN_ONLY)
+        assert again["status"] == "cached"
+        client.result(again["job_id"])
+        assert client.health()["result_tier"] == {"hits": 1, "misses": 1}
+
     def test_concurrent_identical_specs_compute_once(self, service_client, spec_data):
         client, service = service_client
         replies = []

@@ -179,6 +179,13 @@ class TestStoreBackends:
         assert stats["removed_expired"] == 1
         assert list(store.entries()) == []
 
+    @pytest.mark.parametrize("age", [-1.0, -1e-9, float("nan"), float("inf"), float("-inf")])
+    def test_gc_rejects_a_negative_or_non_finite_age(self, store, age):
+        store.save("harden", KEY, b"fresh", "pickle")
+        with pytest.raises(ValueError, match="max_age_days"):
+            store.gc(max_age_days=age)
+        assert [artifact.key for artifact in store.entries()] == [KEY]
+
 
 class TestFileStore:
     def test_layout_is_sharded_by_key_prefix(self, tmp_path):
