@@ -37,18 +37,26 @@ with ``g`` its net's fault-free value, a stuck-at-g changes nothing and a
 flip acts exactly like a stuck-at-not-g.  So (rule (a)) a job whose one
 fault forces ``g`` in every cycle it is live -- a stuck-at-v on a net that
 is v in all of them -- takes no lane and gets its context's analytic golden
-code, and (rule (b)) jobs whose one fault is live in a single cycle ``c`` and
-forces the same value there share one lane across every scenario of one
-:meth:`FaultCampaign.run_sweep`.  The fault-free values come from one
-multi-context pass per trace cycle, checked against the analytic
-trajectories and cached per executor; the table of shared outcomes lives
-for one sweep.  Multi-fault groups (laser spots, random multi-fault trials,
-multi-shot schedules) and single faults live in several cycles that rule
-(a) does not settle keep their lanes.  The planner only sees the jobs that
-take a lane, and each collapsed job's class (and code) is expanded back in
-job order, so counters and kept outcomes are those of the full stream.  The
-``"scalar"`` oracle collapses nothing: it simulates every job, which keeps
-it an independent check of both rules.
+outcome.  Every other one-cycle fault is a flip of its net in its cycle
+``c``, and (rule (c)) a flip of a net inside a fanout-free region is a flip
+of the region's stem -- a net with more or fewer than one reader pin, or one
+a flop reads -- or is masked by the gate that reads it, whose side inputs
+keep their fault-free values; the classic fanout-free-region collapsing of
+test generation, applied per context.  Masked jobs get the golden outcome
+too, and (rule (b)) the jobs that land on one (cycle, context, stem) slot
+share one lane across every scenario of one :meth:`FaultCampaign.run_sweep`.
+The fault-free values come from one multi-context pass per trace cycle,
+checked against the analytic trajectories and cached per executor, and so
+is the stem slot of every (cycle, context, net) cell, built from them and
+the compiled op list on the first run with one-cycle jobs; the table of
+shared outcomes lives for one sweep.  Multi-fault groups (laser spots,
+random multi-fault trials, multi-shot schedules) and single faults live in
+several cycles that rule (a) does not settle keep their lanes.  The planner
+only sees the jobs that take a lane, and each collapsed job's class (and
+code) is expanded back in job order, so counters and kept outcomes are
+those of the full stream.  The ``"scalar"`` oracle collapses nothing: it
+simulates every job, which keeps it an independent check of all three
+rules.
 
 Batches run in-process (``workers=1``, the default) or on a
 :class:`~repro.fi.fleet.WorkerFleet`, the one process pool: an owned fleet of
@@ -69,6 +77,7 @@ fault as masked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import (
     TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
 )
@@ -92,7 +101,16 @@ from repro.fi.scenarios import (
     transition_contexts,
 )
 from repro.fsm.cfg import CfgEdge
-from repro.netlist.parallel import MODE_FLIP, MODE_STUCK1, WORD_DTYPE, CompiledNetlist
+from repro.netlist.parallel import (
+    _OP_AND2,
+    _OP_MUX2,
+    _OP_NAND2,
+    _OP_NOR2,
+    _OP_OR2,
+    MODE_STUCK0,
+    WORD_DTYPE,
+    CompiledNetlist,
+)
 from repro.netlist.parallel_np import NumpyCompiledNetlist
 from repro.netlist.simulate import InstrumentedNetlist
 
@@ -312,9 +330,11 @@ _Unit = Tuple[PlannedBatch, JobArrays]
 @dataclass
 class _Shared:
     """Outcomes of the one-cycle faults simulated so far in one sweep, for
-    one trace length: slot ``c * contexts * nets + k * nets + n`` holds the
-    class index (``-1`` until simulated) and, with kept outcomes, the code of
-    a fault live in cycle ``c`` on net ``n`` of context ``k``."""
+    one trace length.  Slot ``k`` holds context ``k``'s golden outcome, which
+    every job a rule masks reads.  Slot ``contexts + c * contexts * nets + k
+    * nets + s`` holds the class index (``-1`` until simulated) and, with
+    kept outcomes, the code of a flip of the stem ``s`` live in cycle ``c``
+    of context ``k``: every one-cycle fault that lands there shares it."""
 
     classes: np.ndarray
     codes: Optional[np.ndarray]
@@ -325,15 +345,16 @@ class _Collapse:
     """How one job stream splits into lanes and jobs a rule settles.
 
     ``simulated`` lists the jobs that take a lane (``None``: every job).
-    ``masked`` and ``copies`` are masks over the jobs: masked jobs get their
-    context's golden outcome (rule (a)); copies, one ``slots`` entry each,
-    share an outcome per slot of ``shared`` (rule (b)).
+    ``copies`` lists the jobs whose outcome is a slot of ``shared`` (``None``:
+    every job), ``slots`` their slots, and ``leaders`` / ``leader_slots`` the
+    simulated copies that fill a slot for the rest.
     """
 
     simulated: Optional[np.ndarray]
-    masked: np.ndarray
-    copies: np.ndarray
+    copies: Optional[np.ndarray]
     slots: np.ndarray
+    leaders: np.ndarray
+    leader_slots: np.ndarray
     shared: _Shared
 
 
@@ -345,6 +366,96 @@ def _chunk_bounds(total: int, workers: int) -> List[Tuple[int, int]]:
     """
     chunk = max(1, -(-total // (workers * 4)))
     return [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
+
+
+def _stem_slots(compiled: CompiledNetlist, fault_free: np.ndarray, num_contexts: int) -> np.ndarray:
+    """Rule (c)'s table: where a flip of each (cycle, context, net) cell lands.
+
+    A *stem* is a net with more or fewer than one reader pin, or a net a
+    flop reads.  Any other net ``n`` reaches the flops only through its one
+    reader gate, whose side inputs keep their fault-free values (nothing
+    else reads ``n``).  So a flip of ``n`` either flips the reader's output
+    ``o`` -- and is then exactly a flip of ``o`` -- or is masked there.  The
+    reader passes the flip on: XOR2, XNOR2, INV and BUF always; AND2 and
+    NAND2 when the other input is 1; OR2 and NOR2 when it is 0; MUX2 on a
+    data pin when the select picks that pin, and on the select pin when the
+    data inputs differ.  A stem no pin and no flop reads masks every flip.
+
+    ``fault_free`` is :meth:`FaultCampaign._fault_free`'s ``(cycles,
+    contexts * nets)`` table.  The result has its shape and holds, per cell,
+    the slot of a :class:`_Shared` table the flip lands on: ``contexts + c *
+    contexts * nets + k * nets + s`` for the stem ``s`` in cycle ``c`` of
+    context ``k``, or ``k``, the context's golden slot, when it is masked.
+    Every row walks to its stems at once, by pointer jumping: each net points
+    at itself (a live stem), at the masked sink (a dead stem, or a reader
+    that masks it) or at its reader's output, and every pass squares the
+    jumps until no pointer moves.
+    """
+    num_nets = compiled.num_nets
+    sink = num_nets  # the masked sink, and an all-zero value column
+    # The op list, flattened: op i is ``fields[heads[i]:]``, (opcode, output,
+    # arity operands).
+    ops = compiled.ops
+    arity = np.fromiter(map(len, ops), dtype=np.intp, count=len(ops)) - 2
+    fields = np.fromiter(chain.from_iterable(ops), dtype=np.intp)
+    heads = np.cumsum(arity + 2) - (arity + 2)
+    codes, outs = fields[heads], fields[heads + 1]
+    # One entry per reader pin: its gate, its position and the net it reads.
+    gates = np.repeat(np.arange(len(ops)), arity)
+    positions = np.arange(gates.size) - np.repeat(np.cumsum(arity) - arity, arity)
+    nets = fields[heads[gates] + 2 + positions]
+    pins = np.full((len(ops), 3), sink, dtype=np.intp)
+    pins[gates, positions] = nets
+    readers = np.bincount(nets, minlength=num_nets)
+    flop_read = np.zeros(num_nets, dtype=bool)
+    flop_read[[d_id for _, d_id in compiled.flop_d_ids]] = True
+    live = (readers > 0) | flop_read
+    # Every net with one reader pin and no flop reading it, its gate and pin.
+    chained = ~flop_read[nets] & (readers[nets] == 1)
+    nets, gates, positions = nets[chained], gates[chained], positions[chained]
+    codes = codes[gates]
+    # The reader passes the flip on where ``value[x] ^ value[y] != invert``.
+    x = np.full(nets.size, sink, dtype=np.intp)
+    y = np.full(nets.size, sink, dtype=np.intp)
+    invert = np.ones(nets.size, dtype=bool)
+    disjunctive = (codes == _OP_OR2) | (codes == _OP_NOR2)
+    gated = disjunctive | (codes == _OP_AND2) | (codes == _OP_NAND2)
+    x[gated] = pins[gates[gated], 1 - positions[gated]]
+    invert[gated] = disjunctive[gated]
+    data = (codes == _OP_MUX2) & (positions < 2)
+    x[data] = pins[gates[data], 2]
+    invert[data] = positions[data] == 0
+    select = (codes == _OP_MUX2) & (positions == 2)
+    x[select] = pins[gates[select], 0]
+    y[select] = pins[gates[select], 1]
+    invert[select] = False
+
+    rows = fault_free.shape[0] * num_contexts
+    width = num_nets + 1
+    values = np.zeros((rows, width), dtype=np.uint8)
+    values[:, :num_nets] = fault_free.reshape(rows, num_nets)
+    passes = (values[:, x] ^ values[:, y]) != invert
+    # Pointers index the flattened (rows, nets + 1) grid, so one jump is one
+    # plain gather.
+    pointers = np.empty((rows, width), dtype=np.intp)
+    pointers[:, :num_nets] = np.where(live, np.arange(num_nets), sink)
+    pointers[:, sink] = sink
+    pointers[:, nets] = np.where(passes, outs[gates], sink)
+    base = np.arange(0, rows * width, width, dtype=np.intp)[:, None]
+    pointers += base
+    pointers = pointers.ravel()
+    while True:
+        jumped = pointers[pointers]
+        if np.array_equal(jumped, pointers):
+            break
+        pointers = jumped
+    stems = pointers.reshape(rows, width)[:, :num_nets] - base
+    masked = stems == sink
+    row = np.arange(rows, dtype=np.intp)[:, None]
+    stems += row * num_nets + num_contexts
+    np.copyto(stems, row % num_contexts, where=masked)
+    index = np.int32 if num_contexts + fault_free.size < 2**31 else np.int64
+    return stems.astype(index).reshape(fault_free.shape)
 
 
 # ----------------------------------------------------------------------
@@ -422,10 +533,16 @@ class FaultCampaign:
         self._class_table_size = size if size <= CLASS_TABLE_LIMIT else None
         # One lazily filled class table per trace length.
         self._class_tables: Dict[int, np.ndarray] = {}
+        # Every context's golden (class index, code) per trace length.
+        self._golden_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._code_dtype = np.uint64 if len(structure.state_d) < 64 else object
         # Fault-free net values per trace cycle, (cycles, contexts * nets);
         # built on first use (see :meth:`_fault_free`).
         self._fault_free_rows: Optional[np.ndarray] = None
+        # Rule (c)'s shared-table slot per cell of that table, built when a
+        # run first has one-cycle jobs (see :meth:`_stems`).
+        self._stem_rows: Optional[np.ndarray] = None
+        self._order = np.arange(0, dtype=np.int32)  # see :meth:`_job_order`
         # Per trace length, the outcomes of the one-cycle faults the running
         # sweep simulated (see :meth:`_collapse`); None outside a sweep.
         self._shared: Optional[Dict[int, _Shared]] = None
@@ -546,7 +663,9 @@ class FaultCampaign:
         arrays = self.lower_scenario(scenario)
         if not arrays.num_jobs:
             return result
-        result.transitions_evaluated = int(np.count_nonzero(np.bincount(arrays.contexts)))
+        touched = np.zeros(len(self.contexts), dtype=bool)
+        touched[arrays.contexts] = True
+        result.transitions_evaluated = int(np.count_nonzero(touched))
         self._run_ir(arrays, result)
         return result
 
@@ -656,7 +775,7 @@ class FaultCampaign:
             if self._batch_progress is not None:
                 self._batch_progress(done, len(batches))
         if collapse is not None:
-            self._expand(collapse, arrays, classes, codes)
+            self._expand(collapse, classes, codes)
         self._merge(arrays, classes, codes, result)
 
     def _sharded_replies(self, cycles: int, units: List[_Unit]) -> Iterator[_BatchReply]:
@@ -703,8 +822,8 @@ class FaultCampaign:
         :class:`FaultOutcome` records.
         """
         if codes is None:
-            counts = np.bincount(classes, minlength=len(_CLASSIFICATIONS)).tolist()
-            for classification, count in zip(_CLASSIFICATIONS, counts):
+            for index, classification in enumerate(_CLASSIFICATIONS):
+                count = int(np.count_nonzero(classes == index))
                 if count:
                     result.tally_bulk(classification, count)
             return
@@ -732,107 +851,146 @@ class FaultCampaign:
         With ``g`` a net's fault-free value in a cycle, a flip forces ``not
         g`` there and a stuck-at-v forces ``v``.  Rule (a): a job whose fault
         forces ``g`` in every cycle it is live changes nothing, so it gets its
-        context's analytic golden code and no lane.  Rule (b): every other
-        job live in one cycle ``c`` forces ``not g`` there, so the jobs of one
-        (trace length, ``c``, context, net) slot behave alike: the first one
-        in the sweep takes a lane and the rest copy its outcome from
+        context's analytic golden outcome and no lane.  Every other job live
+        in one cycle ``c`` forces ``not g`` there: it is a flip of its net in
+        cycle ``c``.  Rule (c) walks that flip to the stem of the net's
+        fanout-free region (:func:`_stem_slots`): it is a flip of the stem
+        there, or masked, and then gets the golden outcome too.  Rule (b):
+        the jobs that land on one (trace length, ``c``, context, stem) slot
+        behave alike, so one of them, in the first run of the sweep that
+        has the slot, takes a lane and the rest copy its outcome from
         ``shared``.  Multi-fault groups, and single faults live in several
         cycles that rule (a) does not settle, keep their lanes.  Returns
         ``None`` when no job is single-fault.
         """
-        single = np.flatnonzero(arrays.group_offsets[1:] - arrays.group_offsets[:-1] == 1)
-        if not single.size:
-            return None
-        # With every group a single fault, job i is fault i: read views.
-        every = single.size == arrays.num_jobs
-        jobs = slice(None) if every else single
-        faults = jobs if every else arrays.group_offsets[single]
+        offsets = arrays.group_offsets
+        num_jobs = arrays.num_jobs
+        # CSR offsets never fall, so as many faults as jobs and no empty
+        # group means job i is fault i: read views.
+        if offsets[-1] == num_jobs and (offsets[1:] != offsets[:-1]).all():
+            single, jobs, faults = None, slice(None), slice(None)
+        else:
+            single = np.flatnonzero(offsets[1:] - offsets[:-1] == 1)
+            if not single.size:
+                return None
+            jobs, faults = single, offsets[single]
         cycles = arrays.num_cycles
         table = self._fault_free(cycles)[:cycles]
-        index = np.int32 if max(table.size, arrays.num_jobs) < 2**31 else np.int64
-        cells = arrays.contexts[jobs].astype(index)
-        cells *= len(self.net_index)
+        contexts = arrays.contexts[jobs]
+        cells = np.multiply(contexts, len(self.net_index), dtype=np.intp)
         cells += arrays.net_rows[faults]
-        fault_free = table[:, cells]
         modes = arrays.modes[faults]
-        forced = np.where(modes == MODE_FLIP, fault_free ^ 1, modes == MODE_STUCK1)
-        if arrays.cycles is None:  # every fault is live in every cycle
-            shots, live = None, np.True_
+        # Rule (a): a stuck-at-v, whose mode is MODE_STUCK0 + v, on a net
+        # that is v in every cycle the fault is live.
+        forced = table.take(cells, axis=1)
+        forced += MODE_STUCK0
+        holds = forced == modes
+        shots = None if arrays.cycles is None else arrays.cycles[faults]
+        if shots is not None and cycles > 1:
+            holds |= (shots != EVERY_CYCLE) & (shots != np.arange(cycles)[:, None])
+        masked = holds.all(axis=0)
+        # The copies: every one-cycle job, and every masked one.
+        copies = single
+        if cycles > 1:
+            pick = masked if shots is None else (shots != EVERY_CYCLE) | masked
+            pick = np.flatnonzero(pick)
+            copies = pick if copies is None else copies[pick]
+            cells, contexts, masked = cells[pick], contexts[pick], masked[pick]
+            if shots is not None:
+                cells += np.maximum(shots[pick], 0) * table.shape[1]
+        if cycles > 1 and shots is None:  # persistent faults: every copy is masked
+            slots = contexts
+        else:  # rule (c): the slot of the flip's stem, or the golden one
+            slots = cells
+            slots[...] = self._stems(cycles).ravel()[cells]
+            np.putmask(slots, masked, contexts)
+        outcomes = shared.get(cycles)
+        if outcomes is None:
+            outcomes = shared[cycles] = self._new_shared(cycles)
+        # Rule (b): one job of every slot not filled yet, the one whose index
+        # the scatter keeps, leads it and alone takes a lane.
+        owner = np.full(outcomes.classes.size, -1, dtype=np.int32)
+        owner[slots] = self._job_order(slots.size)
+        leaders = np.sort(owner[(owner >= 0) & (outcomes.classes < 0)]).astype(np.intp)
+        leader_slots = slots[leaders]
+        if copies is None:
+            simulated = leaders
         else:
-            shots = arrays.cycles[faults]
-            live = (shots == EVERY_CYCLE) | (shots == np.arange(cycles)[:, None])
-        masked = np.all(~live | (forced == fault_free), axis=0)
-        if cycles == 1:
-            one_cycle = ~masked
-        elif shots is None:
-            one_cycle = np.zeros_like(masked)
-        else:
-            one_cycle = (shots != EVERY_CYCLE) & ~masked
-        slots = cells[one_cycle]
-        if cycles > 1 and shots is not None:
-            slots += shots[one_cycle] * table.shape[1]
-        shared_outcomes = shared.get(cycles)
-        if shared_outcomes is None:
-            codes = np.zeros(table.size, self._code_dtype) if self.keep_outcomes else None
-            shared_outcomes = _Shared(np.full(table.size, -1, dtype=np.int8), codes)
-            shared[cycles] = shared_outcomes
-        # The first job of every slot not filled yet leads it: it alone
-        # takes a lane.
-        order = np.arange(slots.size, dtype=index)
-        first = np.full(table.size, slots.size, dtype=index)
-        np.minimum.at(first, slots, order)
-        leaders = (first[slots] == order) & (shared_outcomes.classes[slots] < 0)
-        settled = masked | one_cycle
-        settled[one_cycle] = ~leaders
-        if not every:  # masks over the single-fault jobs -> over every job
-            spread = np.zeros((3, arrays.num_jobs), dtype=bool)
-            spread[:, single] = masked, one_cycle, settled
-            masked, one_cycle, settled = spread
+            leaders = copies[leaders]
+            take = np.ones(num_jobs, dtype=bool)
+            take[copies] = False
+            take[leaders] = True
+            simulated = np.flatnonzero(take)
         return _Collapse(
-            simulated=np.flatnonzero(~settled) if settled.any() else None,
-            masked=masked,
-            copies=one_cycle,
+            simulated=simulated if simulated.size < num_jobs else None,
+            copies=copies,
             slots=slots,
-            shared=shared_outcomes,
+            leaders=leaders,
+            leader_slots=leader_slots,
+            shared=outcomes,
         )
+
+    def _job_order(self, count: int) -> np.ndarray:
+        """``np.arange(count)`` (int32), a view of one array kept and grown
+        across runs, so a run does not map fresh pages for it."""
+        if self._order.size < count:
+            self._order = np.arange(count, dtype=np.int32)
+        return self._order[:count]
+
+    def _new_shared(self, cycles: int) -> _Shared:
+        """An empty sharing table for one trace length: every context's
+        golden outcome, then one open slot per (cycle, context, net) cell."""
+        golden_classes, golden_codes = self._golden_outcomes(cycles)
+        size = golden_classes.size + cycles * len(self.contexts) * len(self.net_index)
+        classes = np.full(size, -1, dtype=np.int8)
+        classes[: golden_classes.size] = golden_classes
+        codes = None
+        if self.keep_outcomes:
+            codes = np.zeros(size, self._code_dtype)
+            codes[: golden_codes.size] = golden_codes
+        return _Shared(classes, codes)
 
     def _expand(
         self,
         collapse: _Collapse,
-        arrays: JobArrays,
         classes: np.ndarray,
         codes: Optional[np.ndarray],
     ) -> None:
         """Give the jobs :meth:`_collapse` settled their class (and code).
 
-        The simulated copies (the leaders, whose class is set) write their
-        outcome into the sweep's shared slots; then every copy reads its
-        slot, and every masked job gets its context's golden outcome.
+        The simulated copies (the leaders) write their outcome into the
+        sweep's shared slots; then every copy reads its slot, a context's
+        golden slot for every masked job.
         """
         shared = collapse.shared
-        copies = np.flatnonzero(collapse.copies)
-        leaders = classes[copies] >= 0
-        shared.classes[collapse.slots[leaders]] = classes[copies[leaders]]
+        copies = slice(None) if collapse.copies is None else collapse.copies
+        shared.classes[collapse.leader_slots] = classes[collapse.leaders]
         classes[copies] = shared.classes[collapse.slots]
         if codes is not None:
-            shared.codes[collapse.slots[leaders]] = codes[copies[leaders]]
+            shared.codes[collapse.leader_slots] = codes[collapse.leaders]
             codes[copies] = shared.codes[collapse.slots]
-        if collapse.masked.any():
-            masked = np.flatnonzero(collapse.masked)
-            golden_classes, golden_codes = self._golden_outcomes(arrays.num_cycles)
-            contexts = arrays.contexts[masked]
-            classes[masked] = golden_classes[contexts]
-            if codes is not None:
-                codes[masked] = golden_codes[contexts]
 
     def _golden_outcomes(self, cycles: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Every context's class index and code of its fault-free trace."""
-        codes = [self._golden(index, cycles)[0] for index in range(len(self.contexts))]
-        classes = [
-            _CLASSIFICATION_INDEX[self._classify(index, cycles, code)[0]]
-            for index, code in enumerate(codes)
-        ]
-        return np.array(classes, dtype=np.int8), np.array(codes, dtype=self._code_dtype)
+        """Every context's class index and code of its fault-free trace
+        (built once per trace length)."""
+        outcomes = self._golden_tables.get(cycles)
+        if outcomes is None:
+            codes = [self._golden(index, cycles)[0] for index in range(len(self.contexts))]
+            classes = [
+                _CLASSIFICATION_INDEX[self._classify(index, cycles, code)[0]]
+                for index, code in enumerate(codes)
+            ]
+            outcomes = np.array(classes, dtype=np.int8), np.array(codes, dtype=self._code_dtype)
+            self._golden_tables[cycles] = outcomes
+        return outcomes
+
+    def _stems(self, cycles: int) -> np.ndarray:
+        """Rule (c)'s :func:`_stem_slots` table over :meth:`_fault_free`'s
+        rows (built on first use, rebuilt with a longer trace's table)."""
+        fault_free = self._fault_free(cycles)
+        if self._stem_rows is None or self._stem_rows.shape != fault_free.shape:
+            self._stem_rows = _stem_slots(self.compiled, fault_free, len(self.contexts))
+        return self._stem_rows
 
     def _fault_free(self, cycles: int) -> np.ndarray:
         """The fault-free value of every net of every context, per cycle.

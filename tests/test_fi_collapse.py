@@ -3,19 +3,24 @@
 A single fault live in one cycle has two behaviours there: with ``g`` its
 net's fault-free value, a stuck-at-g changes nothing and a flip acts like a
 stuck-at-not-g.  The executor settles such jobs without a lane (rule (a):
-faults that force ``g`` in every live cycle get the golden outcome; rule (b):
-one-cycle faults forcing ``not g`` on one net of one context share a lane
-across one sweep).  These tests pin the collapsed counters and kept outcomes
-to the uncollapsed scalar oracle on random FSMs and ``ibex_lsu``, the
-fault-free net table to :class:`~repro.netlist.simulate.NetlistSimulator`,
-and the lane counts to the rules, including that the sharing table does not
-outlive its sweep.
+faults that force ``g`` in every live cycle get the golden outcome; rule (c):
+a one-cycle flip of a net inside a fanout-free region is a flip of the
+region's stem, or masked by the one gate that reads it; rule (b): one-cycle
+faults landing on one stem of one context in one cycle share a lane across
+one sweep).  These tests pin the collapsed counters and kept outcomes to the
+uncollapsed scalar oracle on random FSMs and ``ibex_lsu`` -- on drawn net
+pools and on whole combinational clouds, where stems and the nets of their
+regions share a pool -- the fault-free net table to
+:class:`~repro.netlist.simulate.NetlistSimulator`, and the lane counts to a
+stem walk kept here over simulator values, including that the sharing table
+does not outlive its sweep.
 """
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
-from typing import Dict, List
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 import pytest
@@ -23,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.scfi import ScfiOptions, protect_fsm
-from repro.fi.executor import FaultCampaign
+from repro.fi.executor import FaultCampaign, _stem_slots
 from repro.fi.model import FaultEffect
 from repro.fi.scenarios import (
     ExhaustiveSingleFault,
@@ -34,6 +39,9 @@ from repro.fi.scenarios import (
 )
 from repro.fsm.random_fsm import random_fsm
 from repro.fsmlib.opentitan import ibex_lsu_fsm
+from repro.netlist.gates import CELL_FUNCTIONS, Gate, GateType
+from repro.netlist.netlist import Netlist
+from repro.netlist.parallel import CompiledNetlist
 from repro.netlist.simulate import NetlistSimulator
 
 ALL_EFFECTS = tuple(FaultEffect)
@@ -76,6 +84,68 @@ def _sweep(nets: List[str], inject_cycle: int) -> Dict[str, object]:
     return sweep
 
 
+def _whole_cloud_sweep(nets: List[str]) -> Dict[str, object]:
+    """The all-effects comb sweep plus transient flips at every cycle of a
+    3-cycle trace: every shape rule (c) settles, over a whole pool."""
+    sweep: Dict[str, object] = dict(effect_sweep_scenarios(target_nets=nets))
+    for cycle in range(3):
+        sweep[f"transient-3@{cycle}"] = TemporalSingleFault(
+            target_nets=nets, cycles=3, duration="transient", inject_cycle=cycle
+        )
+    return sweep
+
+
+def _reference_stem(
+    readers: Dict[str, List[Tuple[Gate, int]]], values: Dict[str, int], net: str
+) -> Optional[str]:
+    """Where a flip of ``net`` lands under ``values``: the stem of its
+    fanout-free region, or ``None`` when it is masked.
+
+    ``readers`` maps each net to its ``(gate, pin)`` reader pins, flops
+    included.  A stem has more or fewer than one reader pin, or a flop reads
+    it, and a flip of a stem nothing reads is masked.  A flip of any other
+    net passes its reader gate when flipping that pin in the cell function
+    changes the gate's output, and is masked otherwise.
+    """
+    while len(readers.get(net, ())) == 1:
+        (gate, pin), = readers[net]
+        if gate.gate_type.is_sequential:
+            break
+        function = CELL_FUNCTIONS[gate.gate_type]
+        operands = [values[source] for source in gate.inputs]
+        flipped = list(operands)
+        flipped[pin] ^= 1
+        if function(operands, 0, 1, 2) == function(flipped, 0, 1, 2):
+            return None
+        net = gate.output
+    return net if readers.get(net) else None
+
+
+def _readers(netlist: Netlist) -> Dict[str, List[Tuple[Gate, int]]]:
+    """Every net's ``(gate, pin)`` reader pins, flops included."""
+    readers: Dict[str, List[Tuple[Gate, int]]] = {}
+    for gate in netlist.gates.values():
+        for pin, source in enumerate(gate.inputs):
+            readers.setdefault(source, []).append((gate, pin))
+    return readers
+
+
+def _reference_slots(campaign: FaultCampaign, nets: List[str]) -> Set[Tuple[int, str]]:
+    """The (context, stem) pairs one-cycle flips of ``nets`` land on."""
+    netlist = campaign.structure.netlist
+    readers = _readers(netlist)
+    simulator = NetlistSimulator(netlist)
+    slots: Set[Tuple[int, str]] = set()
+    for index in range(len(campaign.contexts)):
+        encoded, registers = campaign._context_vectors(index)
+        values = simulator.evaluate(encoded, registers)
+        for net in nets:
+            stem = _reference_stem(readers, values, net)
+            if stem is not None:
+                slots.add((index, stem))
+    return slots
+
+
 def _planned_lanes(campaign: FaultCampaign) -> List[int]:
     """Record the jobs every ``plan_jobs`` call on ``campaign`` plans."""
     lanes: List[int] = []
@@ -96,21 +166,30 @@ class TestCollapsedEqualsOracle:
         inject_cycle=st.integers(0, 2),
         lane_width=st.integers(1, 48),
     )
-    @example(fsm_key=None, data=None, inject_cycle=2, lane_width=5)
+    @example(fsm_key=None, data=16, inject_cycle=2, lane_width=5)
+    @example(fsm_key=None, data=1, inject_cycle=None, lane_width=48)
+    @example(fsm_key=48, data=1, inject_cycle=None, lane_width=5)
     @settings(max_examples=4, deadline=None)
     def test_counters_and_outcomes_match_scalar(self, fsm_key, data, inject_cycle, lane_width):
+        """An integer ``data`` takes every ``data``-th net of the comb pool
+        instead of drawing a few; ``inject_cycle=None`` runs the whole-pool
+        sweep of :func:`_whole_cloud_sweep`."""
         structure = _structure(fsm_key)
         with FaultCampaign(structure) as probe:
             pool = probe.injector.all_comb_nets()
-        if data is None:
-            nets = pool[::16]
+        if isinstance(data, int):
+            nets = pool[::data]
         else:
             nets = data.draw(
                 st.lists(st.sampled_from(pool), min_size=2, max_size=10, unique=True),
                 label="nets",
             )
-        sweep = _sweep(nets, inject_cycle)
-        with FaultCampaign(structure, engine="scalar", keep_outcomes=True) as oracle:
+        if inject_cycle is None:
+            sweep = _whole_cloud_sweep(nets)
+        else:
+            sweep = _sweep(nets, inject_cycle)
+        # Two oracle workers: a whole-cloud example is ~36k scalar traces.
+        with FaultCampaign(structure, engine="scalar", keep_outcomes=True, workers=2) as oracle:
             expected = oracle.run_sweep(sweep)
         for engine in COMPILED_ENGINES:
             for workers in (1, 2):
@@ -128,6 +207,64 @@ class TestCollapsedEqualsOracle:
                         assert results[name].counters() == reference.counters(), where
                         if keep_outcomes:
                             assert results[name].outcomes == reference.outcomes, where
+
+
+def _chained_netlist(rng: random.Random) -> Netlist:
+    """A random netlist of every cell, where a gate reads the newest net half
+    the time: long fanout-free chains, some ending in a flop that a gate
+    reads too."""
+    netlist = Netlist("chains")
+    nets = [netlist.add_input(f"in{i}") for i in range(3)] + ["q0", "q1"]
+    cells = [gate_type for gate_type in GateType if not gate_type.is_sequential]
+    for i in range(rng.randint(4, 40)):
+        gate_type = rng.choice(cells)
+        operands = [
+            nets[-1] if rng.random() < 0.5 else rng.choice(nets)
+            for _ in range(gate_type.num_inputs)
+        ]
+        netlist.add_gate(Gate(f"g{i}", gate_type, operands, f"n{i}"))
+        nets.append(f"n{i}")
+    for i in range(2):
+        netlist.add_gate(Gate(f"ff{i}", GateType.DFF, [rng.choice(nets[5:])], f"q{i}"))
+    netlist.validate()
+    return netlist
+
+
+class TestStemTable:
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_reference_walk(self, seed):
+        """Every (cycle, context, net) cell of a random netlist holds the
+        slot of the stem the reference walk reaches, or its context's golden
+        slot when the walk is masked."""
+        rng = random.Random(seed)
+        netlist = _chained_netlist(rng)
+        compiled = CompiledNetlist(netlist)
+        simulator = NetlistSimulator(netlist)
+        readers = _readers(netlist)
+        net_id = compiled.net_id
+        num_nets = len(net_id)
+        cycles, contexts = 2, 3
+        rows = []
+        for _ in range(cycles * contexts):
+            inputs = {net: rng.randint(0, 1) for net in netlist.primary_inputs}
+            registers = {flop.output: rng.randint(0, 1) for flop in netlist.flops()}
+            rows.append(simulator.evaluate(inputs, registers))
+        fault_free = np.zeros((cycles * contexts, num_nets), dtype=np.uint8)
+        for row, values in zip(fault_free, rows):
+            row[[net_id[net] for net in values]] = list(values.values())
+        table = _stem_slots(compiled, fault_free.reshape(cycles, -1), contexts)
+        assert table.shape == (cycles, contexts * num_nets)
+        assert table.dtype == np.int32
+        for row, values in enumerate(rows):
+            for net, cell in net_id.items():
+                stem = _reference_stem(readers, values, net)
+                if stem is None:
+                    expected = row % contexts
+                else:
+                    expected = contexts + row * num_nets + net_id[stem]
+                assert table.ravel()[row * num_nets + cell] == expected, (row, net, stem)
 
 
 class TestFaultFreeTable:
@@ -165,15 +302,18 @@ class TestFaultFreeTable:
 
 
 class TestLaneCounts:
-    def test_effect_sweep_simulates_each_context_net_once(self):
-        structure = _structure(5)
+    @pytest.mark.parametrize("fsm_key", [None, 5])
+    def test_effect_sweep_simulates_each_context_stem_once(self, fsm_key):
+        structure = _structure(fsm_key)
         with FaultCampaign(structure) as campaign:
             lanes = _planned_lanes(campaign)
             results = campaign.run_sweep(effect_sweep_scenarios(target_nets="comb"))
-            jobs = sum(result.total_injections for result in results.values())
-            # flip leads every (context, net) slot; each stuck-at is either
-            # golden (rule a) or a copy of the flip (rule b).
-            assert lanes == [jobs // 3, 0, 0]
+            expected = _reference_slots(campaign, campaign.injector.all_comb_nets())
+        jobs = sum(result.total_injections for result in results.values())
+        # The flips lead every (context, stem) slot they land on; each
+        # stuck-at is either golden (rule a) or a copy of its net's flip.
+        assert lanes == [len(expected), 0, 0]
+        assert len(expected) < jobs // 3
 
     def test_second_sweep_plans_as_many_lanes_as_the_first(self):
         """The sharing table lives for one sweep: a warm executor's second
