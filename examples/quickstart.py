@@ -3,8 +3,8 @@
 
 The example walks through the complete user-facing flow of the library:
 
-1. describe a finite-state machine with :class:`repro.fsm.FsmBuilder`;
-2. protect it with :func:`repro.protect_fsm` at a chosen protection level N;
+1. describe a finite-state machine with :class:`repro.fsm.model.FsmBuilder`;
+2. protect it with :func:`repro.core.scfi.protect_fsm` at a chosen protection level N;
 3. inspect what the pass produced (encodings, diffusion layout, area);
 4. simulate the hardened FSM next to the original one;
 5. inject a fault into the state register and into the diffusion layer and
@@ -15,7 +15,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import ScfiOptions, protect_fsm
+from repro.core.scfi import ScfiOptions, protect_fsm
 from repro.fsm.model import FsmBuilder
 from repro.fsm.simulate import FsmSimulator
 

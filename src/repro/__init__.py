@@ -13,23 +13,11 @@ The package is organised as a small EDA stack:
 * :mod:`repro.fi`       -- SYNFI-like fault injection and campaign analysis.
 * :mod:`repro.fsmlib`   -- OpenTitan-like benchmark FSMs.
 * :mod:`repro.eval`     -- harnesses regenerating the paper's tables and figures.
+
+Import names from the module that defines them (``repro.core.scfi.protect_fsm``,
+``repro.fsm.model.Fsm``): this package and ``core``, ``fi``, ``netlist``,
+``fsm`` and ``synth`` re-export nothing, so a cold ``scfi run`` loads only the
+modules it calls.
 """
-
-from repro.fsm.model import Fsm, Transition, Signal, Guard
-from repro.core.scfi import ScfiOptions, protect_fsm
-from repro.core.redundancy import RedundancyOptions, protect_fsm_redundant
-from repro.core.hardened import HardenedFsm
-
-__all__ = [
-    "Fsm",
-    "Transition",
-    "Signal",
-    "Guard",
-    "ScfiOptions",
-    "protect_fsm",
-    "RedundancyOptions",
-    "protect_fsm_redundant",
-    "HardenedFsm",
-]
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ from dataclasses import fields
 from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.core.structure import ScfiNetlist
-from repro.fi.behavioral import BehavioralBitFlip
 from repro.fi.model import FaultEffect
 from repro.fi.executor import FaultCampaign
 from repro.fi.scenarios import (
@@ -107,6 +106,8 @@ def _build_glitch(spec: CampaignSpec, structure: ScfiNetlist) -> Dict[str, objec
 
 
 def _build_bitflip(spec: CampaignSpec, structure: ScfiNetlist) -> Dict[str, object]:
+    from repro.fi.behavioral import BehavioralBitFlip  # loads only for bitflip campaigns
+
     return {
         "bitflip": BehavioralBitFlip(
             num_faults=spec.faults,

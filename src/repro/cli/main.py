@@ -20,11 +20,22 @@ result tier -- over the same store, and ``scfi submit``/``status``/``result``
 are the matching HTTP client commands.  The classic subcommands
 (``harden``, ``fi``, ``report``) delegate verbatim to their modules under
 :mod:`repro.cli`, which own their full flag surface.
+
+The ``scfi`` console script and ``python -m repro.cli.main`` enter through
+:func:`console_main`, which runs :func:`main` and then freezes the garbage
+collector.  Interpreter shutdown runs a full collection over every object the
+imports created (numpy's and the hardening stack's classes, functions and
+tables); frozen objects sit in the permanent generation, which that pass
+skips, so a cold ``scfi run`` exits without walking them.  Nothing else
+changes: atexit handlers, standard-stream flushes and reference-count frees
+all still run.  :func:`main` itself never freezes, so callers may run it
+in-process as often as they like.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -479,5 +490,16 @@ def main(argv=None) -> int:
     return handlers.get(args.command, _run)(args)
 
 
+def console_main() -> int:
+    """Process entry point: :func:`main`, then skip the exit-time collection.
+
+    Only for a process that ends right after (see the module docstring).
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(console_main())

@@ -1,31 +1,7 @@
-"""The SCFI contribution: diffusion-based fault-hardened next-state logic."""
+"""The SCFI contribution: diffusion-based fault-hardened next-state logic.
 
-from repro.core.mds import WordMatrix, default_mds_matrix, circulant, hadamard_like
-from repro.core.encoding import DistanceCode, generate_distance_code, minimum_width_for_code
-from repro.core.layout import BlockLayout, HardenedLayout, plan_layout
-from repro.core.modifier import ModifierSolver
-from repro.core.hardened import HardenedFsm, HardenedTransition
-from repro.core.scfi import ScfiOptions, ScfiResult, protect_fsm
-from repro.core.redundancy import RedundancyOptions, RedundancyResult, protect_fsm_redundant
-
-__all__ = [
-    "WordMatrix",
-    "default_mds_matrix",
-    "circulant",
-    "hadamard_like",
-    "DistanceCode",
-    "generate_distance_code",
-    "minimum_width_for_code",
-    "BlockLayout",
-    "HardenedLayout",
-    "plan_layout",
-    "ModifierSolver",
-    "HardenedFsm",
-    "HardenedTransition",
-    "ScfiOptions",
-    "ScfiResult",
-    "protect_fsm",
-    "RedundancyOptions",
-    "RedundancyResult",
-    "protect_fsm_redundant",
-]
+Import from the submodules: :mod:`~repro.core.scfi` (the pass),
+:mod:`~repro.core.hardened`, :mod:`~repro.core.layout`, :mod:`~repro.core.mds`,
+:mod:`~repro.core.encoding`, :mod:`~repro.core.modifier`,
+:mod:`~repro.core.structure` and the :mod:`~repro.core.redundancy` baseline.
+"""

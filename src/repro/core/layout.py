@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import List, Optional, Tuple
 
 from repro.core.mds import WordMatrix, default_mds_matrix
-from repro.linalg import BitMatrix, gf2_row_reduce
+from repro.linalg import BitMatrix, gf2_rank_rows, gf2_row_reduce
 
 #: Word width of the diffusion blocks (bytes, as in the paper).
 WORD_WIDTH = 8
@@ -38,6 +38,10 @@ STATE_SHARE_BITS = 8
 CONTROL_SHARE_BITS = 8
 #: Input bits reserved for the per-transition modifier (bytes 2-3).
 MODIFIER_BITS = BLOCK_BITS - STATE_SHARE_BITS - CONTROL_SHARE_BITS
+#: Block input columns of the state and control shares, as a bit mask.
+_SHARE_MASK = (1 << (STATE_SHARE_BITS + CONTROL_SHARE_BITS)) - 1
+#: Block input columns of the modifier, as a bit mask.
+_MODIFIER_MASK = ((1 << BLOCK_BITS) - 1) & ~_SHARE_MASK
 
 
 @dataclass
@@ -218,20 +222,16 @@ def _greedy_error_rows(
     the number of covered share columns (columns 0..15); remaining ties are
     broken towards the upper bits of each word, mirroring Figure 5.
     """
-    from repro.linalg import gf2_rank
-
-    share_columns = list(range(STATE_SHARE_BITS + CONTROL_SHARE_BITS))
-    modifier_cols = list(range(STATE_SHARE_BITS + CONTROL_SHARE_BITS, BLOCK_BITS))
+    packed = bit_matrix.packed_rows()
     candidates = [row for row in range(BLOCK_BITS) if row not in state_positions]
     chosen: List[int] = []
-    covered: set = set()
+    covered = 0  # mask of the share columns some chosen row already covers
 
     def keeps_full_rank(row: int) -> bool:
         rows = state_positions + chosen + [row]
-        if len(rows) > len(modifier_cols):
+        if len(rows) > MODIFIER_BITS:
             return False
-        sub = bit_matrix.submatrix(rows, modifier_cols)
-        return gf2_rank(sub) == len(rows)
+        return gf2_rank_rows((packed[r] for r in rows), _MODIFIER_MASK) == len(rows)
 
     for _ in range(error_bits):
         best_row = None
@@ -239,8 +239,7 @@ def _greedy_error_rows(
         for row in candidates:
             if row in chosen or not keeps_full_rank(row):
                 continue
-            row_bits = bit_matrix.row(row)
-            gain = sum(1 for col in share_columns if row_bits[col] and col not in covered)
+            gain = (packed[row] & _SHARE_MASK & ~covered).bit_count()
             preference = row % WORD_WIDTH  # prefer upper bits within a word on ties
             score = (gain, preference)
             if best_row is None or score > best_gain:
@@ -249,8 +248,7 @@ def _greedy_error_rows(
         if best_row is None:
             break
         chosen.append(best_row)
-        row_bits = bit_matrix.row(best_row)
-        covered.update(col for col in share_columns if row_bits[col])
+        covered |= packed[best_row] & _SHARE_MASK
     return chosen
 
 
@@ -262,9 +260,7 @@ def _spread_state_positions(bit_matrix: BitMatrix, slice_size: int) -> List[int]
     the already chosen ones -- the modifier must be able to steer every chosen
     bit independently.
     """
-    from repro.linalg import gf2_rank
-
-    modifier_cols = list(range(STATE_SHARE_BITS + CONTROL_SHARE_BITS, BLOCK_BITS))
+    packed = bit_matrix.packed_rows()
     interleaved = [
         word * WORD_WIDTH + offset
         for offset in range(WORD_WIDTH)
@@ -275,8 +271,7 @@ def _spread_state_positions(bit_matrix: BitMatrix, slice_size: int) -> List[int]
         if len(chosen) == slice_size:
             break
         candidate = chosen + [position]
-        sub = bit_matrix.submatrix(candidate, modifier_cols)
-        if gf2_rank(sub) == len(candidate):
+        if gf2_rank_rows((packed[r] for r in candidate), _MODIFIER_MASK) == len(candidate):
             chosen.append(position)
     return chosen
 

@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.fields import WordRing, SCFI_POLY
-from repro.linalg import BitMatrix, gf2_rank
+from repro.linalg import BitMatrix, gf2_rank_rows
 
 
 class WordMatrix:
@@ -86,15 +86,15 @@ class WordMatrix:
         ``size + 1``.
         """
         width = self.ring.width
-        bit_matrix = self.to_bit_matrix()
+        packed = self.to_bit_matrix().packed_rows()
+        word_mask = (1 << width) - 1
         indices = range(self.size)
         for order in range(1, self.size + 1):
             for rows in combinations(indices, order):
-                row_bits = [r * width + i for r in rows for i in range(width)]
+                selected = [packed[r * width + i] for r in rows for i in range(width)]
                 for cols in combinations(indices, order):
-                    col_bits = [c * width + i for c in cols for i in range(width)]
-                    sub = bit_matrix.submatrix(row_bits, col_bits)
-                    if gf2_rank(sub) != order * width:
+                    col_mask = sum(word_mask << (c * width) for c in cols)
+                    if gf2_rank_rows(selected, col_mask) != order * width:
                         return False
         return True
 

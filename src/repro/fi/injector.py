@@ -16,7 +16,7 @@ many injections per pass on the bit-parallel engines (and runs its
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional
 
 from repro.core.structure import ScfiNetlist
 from repro.fi.model import Fault, FaultOutcome, classify_observation
@@ -24,7 +24,9 @@ from repro.fi.scenarios import EFFECT_MODES
 from repro.fsm.cfg import CfgEdge, control_flow_edges
 from repro.fsm.model import Fsm
 from repro.netlist.simulate import InstrumentedNetlist, injectable_nets
-from repro.synth.lower import FsmNetlist
+
+if TYPE_CHECKING:  # only the reference injectors' annotations name it
+    from repro.synth.lower import FsmNetlist
 
 
 def cfg_successor_map(fsm: Fsm) -> Dict[str, frozenset]:

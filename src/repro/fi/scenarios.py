@@ -36,7 +36,6 @@ import numpy as np
 from repro.core.structure import ScfiNetlist
 from repro.fi.activate import activating_inputs
 from repro.fi.model import Fault, FaultEffect
-from repro.fi.placement import net_placement
 from repro.fsm.cfg import CfgEdge, control_flow_edges
 from repro.netlist.parallel import MODE_FLIP, MODE_STUCK0, MODE_STUCK1
 
@@ -355,6 +354,8 @@ def _laser_spot(campaign: "FaultCampaign", nets: Sequence[str], radius: float) -
     key = ("laser-spot", tuple(nets), radius)
     spot = campaign.lowering_cache.get(key)
     if spot is None:
+        from repro.fi.placement import net_placement  # loads only for laser campaigns
+
         placement = net_placement(campaign.structure)
         xs = np.array([placement[net][0] for net in nets])
         ys = np.array([placement[net][1] for net in nets])

@@ -12,10 +12,12 @@ which the FSM is only a part -- see DESIGN.md for the substitution rationale.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.fsm.model import Fsm, FsmBuilder
-from repro.synth.flow import ModuleModel
+
+if TYPE_CHECKING:
+    from repro.synth.flow import ModuleModel
 
 #: Whole-module unprotected areas reported in Table 1 of the paper (GE).
 OPENTITAN_MODULE_AREAS_GE: Dict[str, float] = {
@@ -385,6 +387,8 @@ def opentitan_fsms() -> List[Fsm]:
 
 def opentitan_module_models() -> List[ModuleModel]:
     """Module models (FSM + whole-module reference area) for Table 1 / Figure 8."""
+    from repro.synth.flow import ModuleModel  # the synthesis flow loads only here
+
     models = []
     for index, fsm in enumerate(opentitan_fsms()):
         models.append(

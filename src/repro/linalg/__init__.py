@@ -3,6 +3,7 @@
 from repro.linalg.bitmatrix import BitMatrix
 from repro.linalg.solve import (
     gf2_rank,
+    gf2_rank_rows,
     gf2_solve,
     gf2_inverse,
     gf2_null_space,
@@ -12,6 +13,7 @@ from repro.linalg.solve import (
 __all__ = [
     "BitMatrix",
     "gf2_rank",
+    "gf2_rank_rows",
     "gf2_solve",
     "gf2_inverse",
     "gf2_null_space",

@@ -164,6 +164,15 @@ class BitMatrix:
     def row(self, index: int) -> List[int]:
         return [int(v) for v in self._data[index]]
 
+    def packed_rows(self) -> List[int]:
+        """Every row as one Python int whose bit ``j`` is column ``j``."""
+        packed = np.packbits(self._data, axis=1, bitorder="little")
+        width = packed.shape[1]
+        buffer = packed.tobytes()
+        return [
+            int.from_bytes(buffer[r * width : (r + 1) * width], "little") for r in range(self.rows)
+        ]
+
     def column(self, index: int) -> List[int]:
         return [int(v) for v in self._data[:, index]]
 

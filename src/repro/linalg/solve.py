@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,10 +18,7 @@ def gf2_row_reduce(matrix: BitMatrix) -> Tuple[BitMatrix, List[int]]:
     The result is unpacked once at the end.
     """
     rows, cols = matrix.shape
-    packed = np.packbits(matrix.data, axis=1, bitorder="little")
-    width = packed.shape[1]
-    buffer = packed.tobytes()
-    data = [int.from_bytes(buffer[r * width : (r + 1) * width], "little") for r in range(rows)]
+    data = matrix.packed_rows()
     pivots: List[int] = []
     pivot_row = 0
     for col in range(cols):
@@ -39,6 +36,7 @@ def gf2_row_reduce(matrix: BitMatrix) -> Tuple[BitMatrix, List[int]]:
                 data[r] ^= pivot
         pivots.append(col)
         pivot_row += 1
+    width = (cols + 7) // 8
     buffer = b"".join(row.to_bytes(width, "little") for row in data)
     bits = np.frombuffer(buffer, dtype=np.uint8).reshape(rows, width)
     return BitMatrix(np.unpackbits(bits, axis=1, count=cols, bitorder="little")), pivots
@@ -48,6 +46,29 @@ def gf2_rank(matrix: BitMatrix) -> int:
     """Rank of ``matrix`` over GF(2)."""
     _, pivots = gf2_row_reduce(matrix)
     return len(pivots)
+
+
+def gf2_rank_rows(rows: Iterable[int], mask: int) -> int:
+    """Rank over GF(2) of packed rows restricted to the columns in ``mask``.
+
+    Each row is an int whose bit ``j`` is column ``j``
+    (:meth:`BitMatrix.packed_rows`), and ``mask`` selects the columns, so
+    ``gf2_rank_rows([packed[r] for r in rows], mask)`` equals
+    ``gf2_rank(matrix.submatrix(rows, cols))`` for the columns set in ``mask``
+    without building the submatrix.  Each row is reduced by the basis row
+    owning its top bit until it either vanishes or claims a new top bit.
+    """
+    basis: Dict[int, int] = {}
+    for row in rows:
+        row &= mask
+        while row:
+            top = row.bit_length() - 1
+            pivot = basis.get(top)
+            if pivot is None:
+                basis[top] = row
+                break
+            row ^= pivot
+    return len(basis)
 
 
 def gf2_solve(matrix: BitMatrix, rhs: Sequence[int]) -> Optional[List[int]]:

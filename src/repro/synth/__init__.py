@@ -1,26 +1,6 @@
-"""Synthesis flow: FSM lowering, redundancy generation, sizing, reporting."""
+"""Synthesis flow: FSM lowering, redundancy generation, sizing, reporting.
 
-from repro.synth.lower import FsmNetlist, lower_fsm, lower_fsm_redundant
-from repro.synth.sizing import SizingResult, size_for_period
-from repro.synth.flow import ModuleModel, SynthesisReport, synthesize_module
-from repro.synth.serialize import (
-    SCFI_CODEC_VERSION,
-    ScfiCodecError,
-    deserialize_scfi_result,
-    serialize_scfi_result,
-)
-
-__all__ = [
-    "FsmNetlist",
-    "lower_fsm",
-    "lower_fsm_redundant",
-    "SizingResult",
-    "size_for_period",
-    "ModuleModel",
-    "SynthesisReport",
-    "synthesize_module",
-    "SCFI_CODEC_VERSION",
-    "ScfiCodecError",
-    "deserialize_scfi_result",
-    "serialize_scfi_result",
-]
+Import from the submodules: :mod:`~repro.synth.lower`, :mod:`~repro.synth.sizing`,
+:mod:`~repro.synth.flow`, :mod:`~repro.synth.opt` and the hardening codec
+:mod:`~repro.synth.serialize`.
+"""

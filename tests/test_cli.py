@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,14 @@ from repro.fsmlib import FSM_REGISTRY
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE_SPEC = REPO / "examples" / "experiment.json"
+
+
+def _child_env():
+    """This environment for a child interpreter: the source tree on its path
+    and no ambient cache directory."""
+    env = {k: v for k, v in os.environ.items() if k != "SCFI_CACHE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 class TestHardenCli:
@@ -506,11 +515,34 @@ class TestServiceCli:
         assert "cannot load spec" in capsys.readouterr().err
 
 
+#: repro modules that a workers=1 effect sweep never calls into: the fleet
+#: (sharded runs), sampled draws, laser placement, the bitflip scenario, the
+#: redundancy baseline, the FSM simulator and the synthesis/timing flow.
+DEFERRED_MODULES = {
+    "repro.fi.fleet",
+    "repro.fi.draws",
+    "repro.fi.placement",
+    "repro.fi.behavioral",
+    "repro.core.redundancy",
+    "repro.fsm.simulate",
+    "repro.netlist.timing",
+    "repro.netlist.generic",
+    "repro.synth.lower",
+    "repro.synth.flow",
+    "repro.synth.sizing",
+}
+#: Ceiling on the repro modules that ``import repro.cli.main`` loads (56 while
+#: the package ``__init__``s re-exported their submodules).  The benchmark's
+#: ``cli.modules_loaded`` also counts the standard library and numpy, whose
+#: share depends on the interpreter, the numpy version and site-packages.
+COLD_IMPORT_REPRO_MODULES = 47
+
+
 class TestColdRunPath:
     def test_cold_run_skips_heavy_modules_and_replays_golden(self, tmp_path):
         """A fresh ``scfi run`` loads neither networkx nor numpy.ma -- nor,
-        at ``workers=1``, the worker fleet's ``multiprocessing``, the
-        shared-memory transport or ``tarfile`` -- and still reproduces the
+        at ``workers=1``, the worker fleet's ``multiprocessing``, ``tarfile``
+        or any module of :data:`DEFERRED_MODULES` -- and still reproduces the
         committed golden counters."""
         spec = tmp_path / "experiment.json"
         shutil.copy(EXAMPLE_SPEC, spec)
@@ -518,25 +550,98 @@ class TestColdRunPath:
         script = (
             "import json, sys\n"
             "from repro.cli.main import main\n"
+            "imported = sorted(sys.modules)\n"
             f"code = main(['run', {str(spec)!r}, '--quiet', '--out', {str(out)!r}])\n"
-            "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
+            "print(json.dumps({'code': code, 'imported': imported, 'modules': sorted(sys.modules)}))\n"
         )
-        env = {k: v for k, v in os.environ.items() if k != "SCFI_CACHE_DIR"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
+        )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.strip().splitlines()[-1])
         assert report["code"] == 0
+        imported = [m for m in report["imported"] if m == "repro" or m.startswith("repro.")]
+        assert len(imported) <= COLD_IMPORT_REPRO_MODULES, imported
         loaded = set(report["modules"])
         assert not {m for m in loaded if m == "networkx" or m.startswith("networkx.")}
         assert "numpy.ma" not in loaded
-        assert not loaded & {"multiprocessing", "repro.fi.shm_transport", "tarfile"}
+        assert not loaded & {"multiprocessing", "tarfile"}
+        assert not loaded & DEFERRED_MODULES
         golden = json.loads((REPO / "examples" / "experiment.golden.json").read_text())
         campaigns = json.loads(out.read_text())["campaigns"]
         assert set(campaigns) == set(golden["campaigns"])
         for name, expected in golden["campaigns"].items():
             for key, value in expected.items():
                 assert campaigns[name][key] == value, (name, key)
+
+
+def _entry_env():
+    """:func:`_child_env` with stdout block-buffered, as it is for a pipe by
+    default, so a process that exits without flushing loses its output."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _scfi_process(*args):
+    """Run ``python -m repro.cli.main`` -- the process entry point -- to exit."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli.main", *args],
+        capture_output=True, text=True, env=_entry_env(), timeout=120,
+    )
+
+
+class TestProcessEntry:
+    """What leaves a ``scfi`` process once its entry point skips the exit-time
+    garbage collection: stdout, exit codes, and no process left behind."""
+
+    def test_stdout_document_is_complete_and_equals_in_process_main(self, capsys):
+        assert scfi_main(["run", str(EXAMPLE_SPEC), "--quiet"]) == 0
+        in_process = capsys.readouterr().out
+        proc = _scfi_process("run", str(EXAMPLE_SPEC), "--quiet")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == in_process
+        assert json.loads(proc.stdout)["campaigns"]
+
+    def test_bad_spec_exits_2_with_one_error_line(self, tmp_path):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps({"fsm": {"name": "traffic_light"},
+                                    "campaign": {"scenario": "meltdown"}}))
+        proc = _scfi_process("run", str(spec))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("scfi run: "), proc.stderr
+        assert proc.stdout == ""
+
+    def test_sharded_run_leaves_no_process_behind(self, tmp_path):
+        """``--workers 2`` starts a fleet; once the process has exited, nothing
+        of its session (started fresh, so the fleet is in it) is alive."""
+        out = tmp_path / "result.json"
+        # Files, not pipes: a leftover process holding a pipe open would
+        # stall the read instead of failing the check below.
+        with open(tmp_path / "stderr.txt", "w+") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli.main", "run", str(EXAMPLE_SPEC),
+                 "--workers", "2", "--quiet", "--out", str(out)],
+                stdout=subprocess.DEVNULL, stderr=stderr, env=_entry_env(),
+                start_new_session=True,
+            )
+            try:
+                proc.wait(timeout=120)
+            finally:
+                # Kill whatever of the session is still alive, and note it.
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    leftover = False
+                else:
+                    leftover = True
+                    proc.wait()
+            stderr.seek(0)
+            assert proc.returncode == 0, stderr.read()
+        assert not leftover, "a process of the finished scfi run was still alive"
+        assert json.loads(out.read_text())["provenance"]["workers"] == 2
 
 
 def _shm_names():
@@ -588,13 +693,11 @@ class TestKilledWorker:
         re-run: ``scfi run --workers 2`` exits 0 with the golden counters,
         leaves no child process and no shared-memory segment."""
         out = tmp_path / "result.json"
-        env = {k: v for k, v in os.environ.items() if k != "SCFI_CACHE_DIR"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
         shm_before = _shm_names()
         proc = subprocess.run(
             [sys.executable, "-c", _KILL_ONE_WORKER, str(EXAMPLE_SPEC), str(out),
              str(tmp_path / "killed")],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=_child_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.strip().splitlines()[-1])

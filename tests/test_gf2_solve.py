@@ -3,7 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.linalg import BitMatrix, gf2_inverse, gf2_null_space, gf2_rank, gf2_row_reduce, gf2_solve
+from repro.linalg import (
+    BitMatrix,
+    gf2_inverse,
+    gf2_null_space,
+    gf2_rank,
+    gf2_rank_rows,
+    gf2_row_reduce,
+    gf2_solve,
+)
 from repro.linalg.solve import gf2_is_invertible
 
 
@@ -17,6 +25,23 @@ def random_matrix_strategy(max_dim=6):
             )
         )
     )
+
+
+@st.composite
+def selections(draw, max_rows=40, max_cols=70):
+    """A random matrix (rows up to 70 bits, so packed rows cross 64 bits)
+    plus a random row selection (repeats allowed) and column selection."""
+    rows = draw(st.integers(min_value=1, max_value=max_rows))
+    cols = draw(st.integers(min_value=1, max_value=max_cols))
+    values = draw(
+        st.lists(st.integers(min_value=0, max_value=(1 << cols) - 1), min_size=rows, max_size=rows)
+    )
+    data = [[(value >> col) & 1 for col in range(cols)] for value in values]
+    row_pick = draw(st.lists(st.integers(min_value=0, max_value=rows - 1), min_size=1, max_size=rows))
+    col_pick = sorted(
+        draw(st.sets(st.integers(min_value=0, max_value=cols - 1), min_size=1, max_size=cols))
+    )
+    return BitMatrix(data), row_pick, col_pick
 
 
 class TestRank:
@@ -34,6 +59,19 @@ class TestRank:
     def test_rank_bounded_by_dimensions(self, data):
         m = BitMatrix(data)
         assert 0 <= gf2_rank(m) <= min(m.rows, m.cols)
+
+    @given(case=selections())
+    @settings(max_examples=150, deadline=None)
+    def test_packed_rank_equals_submatrix_rank(self, case):
+        matrix, row_pick, col_pick = case
+        packed = matrix.packed_rows()
+        assert [[(row >> col) & 1 for col in range(matrix.cols)] for row in packed] == (
+            matrix.to_lists()
+        )
+        mask = sum(1 << col for col in col_pick)
+        expected = gf2_rank(matrix.submatrix(row_pick, col_pick))
+        assert gf2_rank_rows([packed[r] for r in row_pick], mask) == expected
+        assert gf2_rank_rows(packed, (1 << matrix.cols) - 1) == gf2_rank(matrix)
 
     @given(data=random_matrix_strategy())
     @settings(max_examples=50)

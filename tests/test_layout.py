@@ -1,5 +1,8 @@
 """Tests for the hardened-function bit-layout planner (Mix/Unmix planning)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.layout import (
@@ -9,7 +12,18 @@ from repro.core.layout import (
     STATE_SHARE_BITS,
     plan_layout,
 )
+from repro.core.hardened import HardenedFsm
+from repro.fsmlib.registry import get_fsm
 from repro.linalg import gf2_rank
+
+#: The registered FSMs whose layouts :data:`LAYOUT_DIGEST` pins.
+REGISTERED_FSMS = (
+    "adc_ctrl_fsm", "aes_control", "formal_fsm", "i2c_fsm", "ibex_controller", "ibex_lsu",
+    "otbn_controller", "pwrmgr_fsm", "spi_master", "traffic_light", "uart_rx",
+)
+#: SHA-256 of every block's input bits and output/modifier positions for each
+#: of those FSMs at N = 1..3, as planned with submatrix ranks (gf2_rank).
+LAYOUT_DIGEST = "9cce5b844de23d6ce3639e28c1ce0f5e36284d2b38545f5cb8e1ee59379c4c7f"
 
 
 class TestBlockCount:
@@ -111,3 +125,19 @@ class TestBlockInputAssembly:
         assert second.state_in_bits == [8, 9]
         assert first.control_in_bits == list(range(8))
         assert second.control_in_bits == [8, 9, 10, 11]
+
+
+class TestRegisteredLayouts:
+    def test_block_positions_match_the_pinned_digest(self):
+        """The packed-row rank tests plan the same positions as submatrix ranks did."""
+        doc = {}
+        for name in REGISTERED_FSMS:
+            for level in (1, 2, 3):
+                layout = HardenedFsm.from_fsm(get_fsm(name), level).layout
+                doc[f"{name}/N{level}"] = [
+                    [block.state_in_bits, block.control_in_bits, block.state_out_positions,
+                     block.state_out_bits, block.error_out_positions, block.modifier_in_positions]
+                    for block in layout.blocks
+                ]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == LAYOUT_DIGEST

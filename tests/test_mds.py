@@ -1,10 +1,13 @@
 """Tests for the MDS diffusion matrices."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.mds import WordMatrix, candidate_matrices, circulant, default_mds_matrix, hadamard_like
 from repro.fields import AES_POLY, SCFI_POLY, WordRing
+from repro.linalg import gf2_rank
 
 WORDS = st.lists(st.integers(min_value=0, max_value=255), min_size=4, max_size=4)
 
@@ -17,6 +20,21 @@ def ring():
 @pytest.fixture(scope="module")
 def mds(ring):
     return default_mds_matrix(ring)
+
+
+def reference_is_mds(matrix: WordMatrix) -> bool:
+    """Every square block submatrix invertible, checked on copied submatrices."""
+    width = matrix.ring.width
+    bit_matrix = matrix.to_bit_matrix()
+    indices = range(matrix.size)
+    for order in range(1, matrix.size + 1):
+        for rows in combinations(indices, order):
+            row_bits = [r * width + i for r in rows for i in range(width)]
+            for cols in combinations(indices, order):
+                col_bits = [c * width + i for c in cols for i in range(width)]
+                if gf2_rank(bit_matrix.submatrix(row_bits, col_bits)) != order * width:
+                    return False
+    return True
 
 
 class TestConstructors:
@@ -60,6 +78,17 @@ class TestDefaultMatrix:
         identity = WordMatrix(ring, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         assert not identity.is_mds()
         assert identity.branch_number() == 2
+
+    @pytest.mark.parametrize("modulus", [SCFI_POLY, AES_POLY, 0x11D], ids=hex)
+    def test_is_mds_matches_reference_on_every_candidate(self, modulus):
+        verdicts = [
+            (name, matrix.is_mds(), reference_is_mds(matrix))
+            for name, matrix in candidate_matrices(WordRing(modulus))
+        ]
+        assert [(name, ours) for name, ours, _ in verdicts] == [
+            (name, ref) for name, _, ref in verdicts
+        ]
+        assert {ours for _, ours, _ in verdicts} == {True, False}  # both verdicts occur
 
     def test_candidate_list_contains_an_mds_matrix(self, ring):
         assert any(matrix.is_mds() for _, matrix in candidate_matrices(ring))
