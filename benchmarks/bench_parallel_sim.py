@@ -509,7 +509,7 @@ def test_bench_sampled_lowering(benchmark, once):
 
     campaign._classes = timed
     spent.append(0.0)
-    result = campaign.run(comb)  # warm: compiled netlist, trajectories, class table
+    result = campaign.run(comb)  # warm: compiled netlist, trajectories, verdict table
     classify_s = float("inf")
     for _ in range(5):
         spent.append(0.0)

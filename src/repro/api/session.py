@@ -215,7 +215,7 @@ class Session:
     :data:`EXECUTOR_CACHE_LIMIT` warm executors (default or factory-built),
     one per structure, execution params and cache scope, so repeated
     campaigns on one structure reuse its compiled netlists, lowering tables
-    and classification memo.  With a store it also keeps as many hardened FSMs,
+    and verdict tables.  With a store it also keeps as many hardened FSMs,
     by harden-stage key, so a repeat harden returns the same structure.
     """
 

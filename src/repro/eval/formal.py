@@ -64,7 +64,6 @@ def run_formal_analysis(
     error_bits: int = 3,
     effects: Sequence[FaultEffect] = (FaultEffect.TRANSIENT_FLIP,),
     include_stuck_at: bool = False,
-    keep_outcomes: bool = False,
 ) -> FormalAnalysisResult:
     """Run the exhaustive diffusion-layer fault campaign of Section 6.4."""
     fsm = fsm or formal_analysis_fsm()
@@ -78,7 +77,7 @@ def run_formal_analysis(
             generate_verilog=False,
         ),
     )
-    with FaultCampaign(result.structure, keep_outcomes=keep_outcomes) as executor:
+    with FaultCampaign(result.structure) as executor:
         campaign = executor.run(ExhaustiveSingleFault(effects=effects))
     return FormalAnalysisResult(
         campaign=campaign,

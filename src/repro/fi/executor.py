@@ -2,11 +2,12 @@
 
 :class:`FaultCampaign` is bound to one :class:`ScfiNetlist` and owns the
 engine form of its netlist (bit-parallel: golden lanes first, then one fault
-group per lane), the per-edge activation contexts and the batch classifier.  Every
-scenario (:mod:`repro.fi.scenarios`) lowers itself to the group-aware
-:class:`~repro.fi.scenarios.JobArrays` IR first (its ``jobs_arrays``), and
-the IR is the only currency between the executor, the lane planner
-(:mod:`repro.fi.planner`), the three engines and the worker fleet.
+group per lane), the per-edge activation contexts and the verdict tables
+that classify batches.  Every scenario (:mod:`repro.fi.scenarios`) lowers
+itself to the group-aware :class:`~repro.fi.scenarios.JobArrays` IR first
+(its ``jobs_arrays``), and the IR is the only currency between the
+executor, the lane planner (:mod:`repro.fi.planner`), the three engines and
+the worker fleet.
 The object :data:`~repro.fi.scenarios.InjectionJob` stream is re-materialised
 from the IR (:meth:`JobArrays.to_jobs`) only for ``keep_outcomes`` records.
 
@@ -30,6 +31,10 @@ per job, and the golden check, the counters and kept outcomes come from
 those codes.  :attr:`FaultCampaign.last_dispatch` therefore reads
 ``"array-native"`` on every engine (``"cached"`` marks store replays one
 layer up).
+
+Only the S state codewords can end a trace in anything but detection, so a
+batch is classified by hashing its codes onto state indices (S for every
+invalid code) and one gather from its trace length's verdict table.
 
 On the compiled engines, equivalent single faults are collapsed before
 planning.  A single fault live in one cycle has only two behaviours there:
@@ -91,7 +96,6 @@ from repro.fi.model import (
     Fault,
     FaultEffect,
     FaultOutcome,
-    classify_observation,
 )
 from repro.fi.planner import CampaignPlan, PlannedBatch, plan_batches
 from repro.fi.scenarios import (
@@ -125,11 +129,6 @@ DEFAULT_LANE_WIDTH = 256
 #: machine word each, so wide passes amortise the per-batch overhead instead
 #: of inflating per-op cost.
 DEFAULT_NUMPY_LANE_WIDTH = 4096
-
-#: Most entries of one dense (context, state code) class table.  Every
-#: registered FSM at N <= 4 stays below it; the largest table checked is a
-#: 40-state random FSM's at N = 4 (113 contexts x 2**11 codes, 231424).
-CLASS_TABLE_LIMIT = 1 << 20
 
 #: Engine a campaign runs on when the caller names none (specs, the library
 #: wrappers, the evaluation harnesses and the service fleet alike).
@@ -315,7 +314,6 @@ class CampaignResult:
 #: Classification by wire index (workers ship the index, not the enum --
 #: pickling 10k enum members costs more than the netlist evaluation).
 _CLASSIFICATIONS = tuple(Classification)
-_CLASSIFICATION_INDEX = {cls: i for i, cls in enumerate(_CLASSIFICATIONS)}
 
 #: Batch reply: the class index (into ``_CLASSIFICATIONS``) of every job of
 #: the batch plus, for ``keep_outcomes`` campaigns, the per-job observed
@@ -366,6 +364,40 @@ def _chunk_bounds(total: int, workers: int) -> List[Tuple[int, int]]:
     """
     chunk = max(1, -(-total // (workers * 4)))
     return [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
+
+
+@dataclass(frozen=True)
+class _StateLookup:
+    """A perfect hash of the S state codewords: bucket ``code % modulus`` of
+    ``states`` / ``codes`` holds one codeword's state index and the codeword
+    (S and 0 in an empty bucket)."""
+
+    codewords: np.ndarray
+    modulus: object  # np.uint64, or an int for object codes
+    states: np.ndarray
+    codes: np.ndarray
+
+    @classmethod
+    def of(cls, codewords: np.ndarray) -> "_StateLookup":
+        """The lookup with the smallest modulus that keeps the codewords apart."""
+        values = codewords.tolist()
+        modulus = len(values)
+        while len({code % modulus for code in values}) < len(values):
+            modulus += 1
+        buckets = [code % modulus for code in values]
+        states = np.full(modulus, len(values), dtype=np.intp)
+        states[buckets] = np.arange(len(values))
+        codes = np.zeros(modulus, dtype=codewords.dtype)
+        codes[buckets] = codewords
+        return cls(codewords, codes.dtype.type(modulus), states, codes)
+
+    def index(self, codes: Sequence[int]) -> np.ndarray:
+        """Each code's state index, or S for a code that is no codeword.
+        Codes take the codewords' dtype first: numpy reads the oracle's list
+        of ints as int64, and NumPy < 2 takes ``int64 % uint64`` to float64."""
+        codes = np.asarray(codes, dtype=self.codes.dtype)
+        buckets = (codes % self.modulus).astype(np.intp)
+        return np.where(self.codes[buckets] == codes, self.states[buckets], self.codewords.size)
 
 
 def _stem_slots(compiled: CompiledNetlist, fault_free: np.ndarray, num_contexts: int) -> np.ndarray:
@@ -524,18 +556,16 @@ class FaultCampaign:
         self.injector = ScfiFaultInjector(structure)
         self._is_numpy = engine == "parallel-numpy"
         self._is_oracle = engine == "scalar"
-        self._successors = cfg_successor_map(self.hardened.fsm)
-        self._error_states = frozenset([self.hardened.error_state])
         self.contexts: List[Tuple[CfgEdge, Dict[str, int]]] = transition_contexts(structure)
-        size = len(self.contexts) << len(structure.state_d)
-        #: Entries of one dense (context, state code) class table, or None
-        #: when codes are too wide to tabulate (see :meth:`_classes`).
-        self._class_table_size = size if size <= CLASS_TABLE_LIMIT else None
-        # One lazily filled class table per trace length.
-        self._class_tables: Dict[int, np.ndarray] = {}
-        # Every context's golden (class index, code) per trace length.
-        self._golden_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._code_dtype = np.uint64 if len(structure.state_d) < 64 else object
+        # State index ``i`` names state ``_state_names[i]`` (the error state
+        # included); index S, past them, stands for every invalid code.
+        encoding = self.hardened.state_encoding
+        self._state_names: List[Optional[str]] = [*encoding, None]
+        self._lookup = _StateLookup.of(np.array(list(encoding.values()), self._code_dtype))
+        # One (contexts x S+1) verdict table per trace length, and every
+        # context's golden state index (see :meth:`_verdicts`).
+        self._verdict_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         # Fault-free net values per trace cycle, (cycles, contexts * nets);
         # built on first use (see :meth:`_fault_free`).
         self._fault_free_rows: Optional[np.ndarray] = None
@@ -557,10 +587,6 @@ class FaultCampaign:
         # Analytic fault-free trajectories per context: (state, code) at each
         # cycle, extended lazily as longer traces are requested.
         self._trajectories: Dict[int, List[Tuple[str, int]]] = {}
-        # Classification is a pure function of (context, cycles, observed code).
-        self._classify_cache: Dict[
-            Tuple[int, int, int], Tuple[Classification, Optional[str]]
-        ] = {}
         #: Tables scenarios derive from this netlist while lowering (the
         #: target-net pools, the laser-spot placement and spot members), kept
         #: across runs.
@@ -817,9 +843,9 @@ class FaultCampaign:
     ) -> None:
         """Fold every job's class into the result, in job order.
 
-        With ``keep_outcomes`` (``codes`` given) the parent applies the
-        memoised classifier to the per-job codes to build
-        :class:`FaultOutcome` records.
+        Counters count the class indices.  With ``keep_outcomes`` (``codes``
+        given) every job becomes a :class:`FaultOutcome` record of its class
+        and code, and the state its code names (``None`` for no codeword).
         """
         if codes is None:
             for index, classification in enumerate(_CLASSIFICATIONS):
@@ -827,9 +853,13 @@ class FaultCampaign:
                 if count:
                     result.tally_bulk(classification, count)
             return
-        cycles = arrays.num_cycles
-        for (index, faults), code in zip(arrays.to_jobs(self._net_names()), codes.tolist()):
-            classification, observed_state = self._classify(index, cycles, code)
+        names = self._state_names
+        for (index, faults), code, class_index, state in zip(
+            arrays.to_jobs(self._net_names()),
+            codes.tolist(),
+            classes.tolist(),
+            self._lookup.index(codes).tolist(),
+        ):
             edge, _ = self.contexts[index]
             result.record(
                 FaultOutcome.of_faults(
@@ -837,8 +867,8 @@ class FaultCampaign:
                     source_state=edge.src,
                     expected_state=edge.dst,
                     observed_code=code,
-                    observed_state=observed_state,
-                    classification=classification,
+                    observed_state=names[state],
+                    classification=_CLASSIFICATIONS[class_index],
                 )
             )
 
@@ -940,14 +970,15 @@ class FaultCampaign:
     def _new_shared(self, cycles: int) -> _Shared:
         """An empty sharing table for one trace length: every context's
         golden outcome, then one open slot per (cycle, context, net) cell."""
-        golden_classes, golden_codes = self._golden_outcomes(cycles)
-        size = golden_classes.size + cycles * len(self.contexts) * len(self.net_index)
+        table, golden = self._verdicts(cycles)
+        contexts = golden.size
+        size = contexts + cycles * contexts * len(self.net_index)
         classes = np.full(size, -1, dtype=np.int8)
-        classes[: golden_classes.size] = golden_classes
+        classes[:contexts] = table[np.arange(contexts) * len(self._state_names) + golden]
         codes = None
         if self.keep_outcomes:
             codes = np.zeros(size, self._code_dtype)
-            codes[: golden_codes.size] = golden_codes
+            codes[:contexts] = self._lookup.codewords[golden]
         return _Shared(classes, codes)
 
     def _expand(
@@ -969,20 +1000,6 @@ class FaultCampaign:
         if codes is not None:
             shared.codes[collapse.leader_slots] = codes[collapse.leaders]
             codes[copies] = shared.codes[collapse.slots]
-
-    def _golden_outcomes(self, cycles: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Every context's class index and code of its fault-free trace
-        (built once per trace length)."""
-        outcomes = self._golden_tables.get(cycles)
-        if outcomes is None:
-            codes = [self._golden(index, cycles)[0] for index in range(len(self.contexts))]
-            classes = [
-                _CLASSIFICATION_INDEX[self._classify(index, cycles, code)[0]]
-                for index, code in enumerate(codes)
-            ]
-            outcomes = np.array(classes, dtype=np.int8), np.array(codes, dtype=self._code_dtype)
-            self._golden_tables[cycles] = outcomes
-        return outcomes
 
     def _stems(self, cycles: int) -> np.ndarray:
         """Rule (c)'s :func:`_stem_slots` table over :meth:`_fault_free`'s
@@ -1090,41 +1107,48 @@ class FaultCampaign:
     def _classes(
         self, cycles: int, job_contexts: "np.ndarray", codes: Sequence[int]
     ) -> np.ndarray:
-        """The class index of every job of one batch.
+        """The class index of every job of one batch: one gather from the
+        trace length's verdict table (:meth:`_verdicts`) at each job's
+        context row and its code's state column."""
+        table, _ = self._verdicts(cycles)
+        keys = np.multiply(job_contexts, len(self._state_names), dtype=np.intp)
+        keys += self._lookup.index(codes)
+        return table[keys]
 
-        A dense ``contexts x 2**state_bits`` table per trace length, flat
-        and keyed ``context << state_bits | code``, holds the class index of
-        every pair seen so far (-1 for pairs not seen yet), so a batch is one
-        gather and a fill of its new pairs from the memoised scalar
-        classifier.  Codes too wide for a table of at most
-        :data:`CLASS_TABLE_LIMIT` entries are classified job by job.
+    def _verdicts(self, cycles: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The verdict table of one trace length and every context's golden
+        state index (built once per trace length).
+
+        Row ``k`` of the flat ``(contexts, S+1)`` table holds the class index
+        of every final state of context ``k``'s trace, with
+        :func:`~repro.fi.model.classify_observation`'s precedence: MASKED at
+        the analytic trajectory's final state, DETECTED at the error state
+        and at column S (any invalid code), REDIRECTED at the CFG successors
+        of the state one cycle earlier, HIJACK everywhere else.
         """
-        if self._class_table_size is None:
-            return np.array(
-                [
-                    _CLASSIFICATION_INDEX[self._classify(index, cycles, code)[0]]
-                    for index, code in zip(job_contexts.tolist(), map(int, codes))
-                ],
-                dtype=np.int8,
-            )
-        table = self._class_tables.get(cycles)
-        if table is None:
-            table = np.full(self._class_table_size, -1, dtype=np.int8)
-            self._class_tables[cycles] = table
-        state_bits = len(self.structure.state_d)
-        keys = np.asarray(codes).astype(np.intp)
-        keys += job_contexts << state_bits
-        classes = table[keys]
-        if classes.min() < 0:
-            code_mask = (1 << state_bits) - 1
-            for key in set(keys[classes < 0].tolist()):
-                classification, _ = self._classify(key >> state_bits, cycles, key & code_mask)
-                table[key] = _CLASSIFICATION_INDEX[classification]
-            classes = table[keys]
-        return classes
+        verdicts = self._verdict_tables.get(cycles)
+        if verdicts is None:
+            states = {name: i for i, name in enumerate(self._state_names[:-1])}
+            columns = len(self._state_names)
+            successors = np.zeros((columns - 1, columns), dtype=bool)
+            for state, targets in cfg_successor_map(self.hardened.fsm).items():
+                successors[states[state], [states[target] for target in targets]] = True
+            trajectories = [self._trajectory(index, cycles) for index in range(len(self.contexts))]
+            golden = np.array([states[t[cycles][0]] for t in trajectories], dtype=np.intp)
+            previous = np.array([states[t[cycles - 1][0]] for t in trajectories], dtype=np.intp)
+            verdict = _CLASSIFICATIONS.index
+            table = np.where(
+                successors[previous],
+                verdict(Classification.REDIRECTED),
+                verdict(Classification.HIJACK),
+            ).astype(np.int8)
+            table[:, [states[self.hardened.error_state], -1]] = verdict(Classification.DETECTED)
+            table[np.arange(golden.size), golden] = verdict(Classification.MASKED)
+            verdicts = self._verdict_tables[cycles] = (table.ravel(), golden)
+        return verdicts
 
     # ------------------------------------------------------------------
-    # Contexts, golden trajectories and classification
+    # Contexts and golden trajectories
     # ------------------------------------------------------------------
     def _context_vectors(self, index: int) -> Tuple[Dict[str, int], Dict[str, int]]:
         encoded = self._encoded_inputs.get(index)
@@ -1217,38 +1241,12 @@ class FaultCampaign:
                 trajectory.append((step.next_state, step.next_code))
         return trajectory
 
-    def _golden(self, index: int, cycles: int) -> Tuple[int, frozenset]:
-        """(analytic final code, CFG successors of the pre-final state)."""
-        trajectory = self._trajectory(index, cycles)
-        prev_state = trajectory[cycles - 1][0]
-        return trajectory[cycles][1], self._successors.get(prev_state, frozenset())
-
     def _check_golden(self, index: int, cycles: int, observed: int) -> None:
         """Assert one golden lane against the analytic trajectory code."""
-        golden, _ = self._golden(index, cycles)
+        golden = self._trajectory(index, cycles)[cycles][1]
         if observed != golden:
             edge, _ = self.contexts[index]
             raise RuntimeError(
                 f"golden lane diverged after {cycles} cycle(s) on edge "
                 f"{edge.src}->{edge.dst}: expected {golden:#x}, simulated {observed:#x}"
             )
-
-    def _classify(
-        self, index: int, cycles: int, observed: int
-    ) -> Tuple[Classification, Optional[str]]:
-        """Classify one trace's final code (memoised per context/length/code)."""
-        key = (index, cycles, observed)
-        cached = self._classify_cache.get(key)
-        if cached is None:
-            golden, successors = self._golden(index, cycles)
-            observed_state = self.hardened.decode_state(observed)
-            classification = classify_observation(
-                golden,
-                observed,
-                observed_state,
-                error_states=self._error_states,
-                cfg_successors=successors,
-            )
-            cached = (classification, observed_state)
-            self._classify_cache[key] = cached
-        return cached

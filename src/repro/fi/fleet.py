@@ -122,11 +122,10 @@ class WorkerFleet:
     queries from other threads).
     """
 
-    def __init__(self, size: int = 2, *, respawn: bool = True) -> None:
+    def __init__(self, size: int = 2) -> None:
         if size < 1:
             raise ValueError("fleet size must be >= 1")
         self.size = size
-        self.respawn = respawn
         methods = multiprocessing.get_all_start_methods()
         self._context = multiprocessing.get_context(
             "fork" if "fork" in methods else None
@@ -168,7 +167,7 @@ class WorkerFleet:
         return handle
 
     def _respawn_locked(self) -> Optional[_WorkerHandle]:
-        if not self.respawn or self._closed:
+        if self._closed:
             return None
         handle = self._spawn_locked()
         self._stats["workers_respawned"] += 1
@@ -297,7 +296,7 @@ class WorkerFleet:
         The heart of the fault handling: ``outstanding`` maps live task ids
         to ``(index, worker, attempts)``; on a result-queue timeout every
         outstanding task whose worker died is re-dispatched to a healthy
-        worker (respawning one when the policy allows), and late duplicate
+        worker (respawning one unless the fleet is closing), and late duplicate
         replies -- a worker that died *after* answering -- are dropped by id.
         A set ``cancel`` event raises :class:`ServiceShutdown` between replies.
         """

@@ -27,8 +27,7 @@ from repro.core.scfi import ScfiOptions, protect_fsm
 from repro.fi.behavioral import BehavioralBitFlip
 from repro.fi.injector import ScfiFaultInjector
 from repro.fi.model import Fault, FaultEffect
-from repro.fi import executor as executor_module
-from repro.fi.executor import _CLASSIFICATIONS, ENGINE_INFO, FaultCampaign
+from repro.fi.executor import ENGINE_INFO, FaultCampaign
 from repro.fi.scenarios import (
     EVERY_CYCLE,
     ExhaustiveSingleFault,
@@ -476,79 +475,3 @@ class TestDispatchProvenance:
             protected_traffic_light.structure,
             lambda: ExhaustiveSingleFault(target_nets="comb", effects=tuple(EFFECT_MODES)),
         )
-
-    def test_per_job_classification_matches_class_table(self, protected_traffic_light):
-        """Classifying job by job (the branch for codes too wide to tabulate)
-        gives the class table's counters."""
-        structure = protected_traffic_light.structure
-        scenario = RandomMultiFault(
-            num_faults=3, trials=200, seed=5, effects=tuple(EFFECT_MODES)
-        )
-        for engine in ("parallel", "parallel-numpy"):
-            with FaultCampaign(structure, engine=engine) as campaign:
-                expected = campaign.run(scenario)
-                assert set(campaign._class_tables) == {1}
-            with FaultCampaign(structure, engine=engine) as campaign:
-                campaign._class_table_size = None
-                assert campaign.run(scenario).counters() == expected.counters()
-                assert not campaign._class_tables
-
-
-def _job_by_job_classes(campaign, cycles, contexts, codes):
-    return [
-        _CLASSIFICATIONS.index(campaign._classify(index, cycles, code)[0])
-        for index, code in zip(contexts.tolist(), codes.tolist())
-    ]
-
-
-class TestClassTable:
-    """The dense (context, state code) class tables of the executor."""
-
-    def test_later_batches_fill_unseen_pairs(self, protected_traffic_light):
-        structure = protected_traffic_light.structure
-        codes_per_context = 1 << len(structure.state_d)
-        rng = np.random.default_rng(3)
-        with FaultCampaign(structure) as campaign:
-            num_contexts = len(campaign.contexts)
-            seen = 0
-            for size in (5, 40, 400):
-                contexts = np.sort(rng.integers(0, num_contexts, size)).astype(np.intp)
-                codes = rng.integers(0, codes_per_context, size).astype(np.uint64)
-                expected = _job_by_job_classes(campaign, 1, contexts, codes)
-                assert campaign._classes(1, contexts, codes).tolist() == expected
-                filled = int(np.count_nonzero(campaign._class_tables[1] >= 0))
-                assert filled > seen  # this batch brought pairs not seen before
-                seen = filled
-            assert campaign._class_tables[1].size == num_contexts * codes_per_context
-
-    def test_trace_lengths_keep_separate_tables(self, protected_traffic_light):
-        structure = protected_traffic_light.structure
-
-        def temporal(cycles):
-            return TemporalSingleFault(
-                target_nets="comb", effects=tuple(EFFECT_MODES), cycles=cycles,
-                duration="persistent",
-            )
-
-        with FaultCampaign(structure) as campaign:
-            shared = {cycles: campaign.run(temporal(cycles)).counters() for cycles in (1, 4)}
-            assert set(campaign._class_tables) == {1, 4}
-        assert shared[1] != shared[4]
-        for cycles in (1, 4):
-            with FaultCampaign(structure) as campaign:
-                campaign._class_table_size = None
-                assert campaign.run(temporal(cycles)).counters() == shared[cycles]
-
-    def test_shape_past_the_bound_is_classified_job_by_job(
-        self, protected_traffic_light, monkeypatch
-    ):
-        structure = protected_traffic_light.structure
-        scenario = RandomMultiFault(num_faults=2, trials=300, seed=2, effects=tuple(EFFECT_MODES))
-        with FaultCampaign(structure) as campaign:
-            expected = campaign.run(scenario).counters()
-            entries = len(campaign.contexts) << len(structure.state_d)
-        monkeypatch.setattr(executor_module, "CLASS_TABLE_LIMIT", entries - 1)
-        with FaultCampaign(structure) as campaign:
-            assert campaign._class_table_size is None
-            assert campaign.run(scenario).counters() == expected
-            assert not campaign._class_tables
