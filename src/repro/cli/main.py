@@ -21,38 +21,52 @@ are the matching HTTP client commands.  The classic subcommands
 (``harden``, ``fi``, ``report``) delegate verbatim to their modules under
 :mod:`repro.cli`, which own their full flag surface.
 
-The ``scfi`` console script and ``python -m repro.cli.main`` enter through
-:func:`console_main`, which runs :func:`main` and then freezes the garbage
-collector.  Interpreter shutdown runs a full collection over every object the
-imports created (numpy's and the hardening stack's classes, functions and
-tables); frozen objects sit in the permanent generation, which that pass
-skips, so a cold ``scfi run`` exits without walking them.  Nothing else
-changes: atexit handlers, standard-stream flushes and reference-count frees
-all still run.  :func:`main` itself never freezes, so callers may run it
-in-process as often as they like.
+The ``scfi`` console script and ``python -m repro.cli.main`` are the two
+process entries.  Each keeps the garbage collector off while this module
+imports the stack, then freezes what the imports made and turns the collector
+back on.  The imports create some 23 000 tracked objects but leave only about
+300 in garbage cycles, so the ~40 collections they would trigger find almost
+nothing; frozen objects sit in the permanent generation, which later
+collections skip.  The entry then runs :func:`console_main`, which runs
+:func:`main` and freezes again: interpreter shutdown runs a full collection
+over every object left, and frozen ones are skipped, so a cold ``scfi run``
+exits without walking them.  Nothing else changes: atexit handlers,
+standard-stream flushes and reference-count frees all still run.  Any other
+import of this module (tests, the service, tracing harnesses) leaves the
+collector as it found it, and :func:`main` itself never freezes, so callers
+may run it in-process as often as they like.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import os
 import sys
-import tempfile
-import time
 
-from repro.api import ExperimentSpec, Session, available_engines
-from repro.store import open_store
+#: Whether this import starts a ``scfi`` process: ``python -m repro.cli.main``
+#: runs this file as ``__main__``, and the console script, named ``scfi``,
+#: imports it first thing.
+_PROCESS_ENTRY = __name__ == "__main__" or (
+    bool(sys.argv) and os.path.splitext(os.path.basename(sys.argv[0]))[0] == "scfi"
+)
+if _PROCESS_ENTRY:
+    gc.disable()
+
+import argparse  # noqa: E402 - the collector is off for these imports
+import json  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from typing import Optional  # noqa: E402
+
+from repro.api import ExperimentSpec, Session, available_engines  # noqa: E402
+from repro.store import open_store  # noqa: E402
+
+if _PROCESS_ENTRY:
+    gc.freeze()
+    gc.enable()
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="scfi", description="SCFI reproduction: harden FSMs and run fault campaigns"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="execute a JSON experiment spec end to end")
+def _run_arguments(run: argparse.ArgumentParser) -> None:
     run.add_argument("spec", help="path to an ExperimentSpec JSON file")
     run.add_argument(
         "--workers",
@@ -92,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress the progress/summary lines on stderr",
     )
 
-    cache = sub.add_parser("cache", help="inspect, maintain and ship the artifact cache")
+
+def _cache_arguments(cache: argparse.ArgumentParser) -> None:
     cache.add_argument(
         "action",
         choices=("ls", "gc", "clear", "export", "import"),
@@ -121,9 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(a finite number >= 0)",
     )
 
-    serve = sub.add_parser(
-        "serve", help="run the campaign service (job queue + worker fleet) over HTTP"
-    )
+
+def _serve_arguments(serve: argparse.ArgumentParser) -> None:
     serve.add_argument(
         "--cache-dir",
         default=None,
@@ -148,11 +162,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress service log lines on stderr"
     )
 
-    submit = sub.add_parser("submit", help="submit an experiment spec to a running service")
+
+def _server_argument(client_cmd: argparse.ArgumentParser) -> None:
+    client_cmd.add_argument(
+        "--server",
+        default=None,
+        help="service base URL (defaults to $SCFI_SERVER or http://127.0.0.1:8765)",
+    )
+
+
+def _submit_arguments(submit: argparse.ArgumentParser) -> None:
     submit.add_argument("spec", help="path to an ExperimentSpec JSON file")
-    status = sub.add_parser("status", help="query a submitted job's state and progress")
+    _server_argument(submit)
+
+
+def _status_arguments(status: argparse.ArgumentParser) -> None:
     status.add_argument("job_id", help="job id returned by scfi submit")
-    result = sub.add_parser("result", help="fetch a finished job's result document")
+    _server_argument(status)
+
+
+def _result_arguments(result: argparse.ArgumentParser) -> None:
     result.add_argument("job_id", help="job id returned by scfi submit")
     result.add_argument(
         "--wait",
@@ -168,19 +197,48 @@ def build_parser() -> argparse.ArgumentParser:
     result.add_argument(
         "--out", default=None, help="write the result JSON here (atomically) instead of stdout"
     )
-    for client_cmd in (submit, status, result):
-        client_cmd.add_argument(
-            "--server",
-            default=None,
-            help="service base URL (defaults to $SCFI_SERVER or http://127.0.0.1:8765)",
-        )
+    _server_argument(result)
 
-    for name, help_text in (
-        ("harden", "protect an FSM (see scfi harden --help)"),
-        ("fi", "run a fault campaign (see scfi fi --help)"),
-        ("report", "regenerate paper artefacts (see scfi report --help)"),
-    ):
-        sub.add_parser(name, help=help_text, add_help=False)
+
+#: Every subcommand in ``--help`` order: its help line and the function that
+#: adds its arguments (``None`` for the delegates, which parse their own).
+_COMMANDS = {
+    "run": ("execute a JSON experiment spec end to end", _run_arguments),
+    "cache": ("inspect, maintain and ship the artifact cache", _cache_arguments),
+    "serve": ("run the campaign service (job queue + worker fleet) over HTTP", _serve_arguments),
+    "submit": ("submit an experiment spec to a running service", _submit_arguments),
+    "status": ("query a submitted job's state and progress", _status_arguments),
+    "result": ("fetch a finished job's result document", _result_arguments),
+    "harden": ("protect an FSM (see scfi harden --help)", None),
+    "fi": ("run a fault campaign (see scfi fi --help)", None),
+    "report": ("regenerate paper artefacts (see scfi report --help)", None),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``scfi`` argument parser.
+
+    With ``command`` naming a subcommand, only that subcommand's parser is
+    built: its help, usage and error messages read exactly as on the full
+    parser, which every other argv (``--help``, an unknown command) gets.
+    """
+    parser = argparse.ArgumentParser(
+        prog="scfi", description="SCFI reproduction: harden FSMs and run fault campaigns"
+    )
+    if command in _COMMANDS:
+        # The usage line lists every command, as the full parser's does.
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
+        )
+        commands = {command: _COMMANDS[command]}
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        commands = _COMMANDS
+    for name, (help_text, add_arguments) in commands.items():
+        if add_arguments is None:
+            sub.add_parser(name, help=help_text, add_help=False)
+        else:
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -217,6 +275,25 @@ def _write_atomic(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _emit(command: str, document: dict, out: Optional[str]) -> int:
+    """Print ``document`` as JSON, or write it to ``out`` atomically.
+
+    Returns 0, or the usage-error exit code 2 after one ``scfi <command>:``
+    line when ``out`` cannot be written (a missing directory, a directory).
+    """
+    payload = json.dumps(document, indent=2)
+    if not out:
+        print(payload)
+        return 0
+    try:
+        _write_atomic(out, payload + "\n")
+    except OSError as error:
+        reason = error.strerror or error
+        print(f"scfi {command}: cannot write result to {out!r}: {reason}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def report_spec_error(command: str, error: Exception) -> int:
@@ -266,12 +343,9 @@ def _run(args) -> int:
             for name, path in result.dispatch.items():
                 print(f"[scfi] dispatch {name}: {path}", file=sys.stderr)
 
-    payload = json.dumps(result.to_dict(), indent=2)
-    if args.out:
-        _write_atomic(args.out, payload + "\n")
-    else:
-        print(payload)
-
+    code = _emit("run", result.to_dict(), args.out)
+    if code:
+        return code
     if not result.compare_agrees:
         print(
             f"scfi run: engine cross-check diverged "
@@ -463,12 +537,7 @@ def _result(args) -> int:
     except (ServiceError, OSError, ValueError) as error:
         print(f"scfi result: {error}", file=sys.stderr)
         return 1
-    payload = json.dumps(document, indent=2)
-    if args.out:
-        _write_atomic(args.out, payload + "\n")
-    else:
-        print(payload)
-    return 0
+    return _emit("result", document, args.out)
 
 
 def main(argv=None) -> int:
@@ -479,7 +548,7 @@ def main(argv=None) -> int:
 
         delegate = importlib.import_module(_DELEGATES[argv[0]])
         return delegate.main(argv[1:])
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     handlers = {
         "cache": _cache,
         "serve": _serve,

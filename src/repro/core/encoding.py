@@ -12,24 +12,30 @@ protected design re-synthesises identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.fsm.encoding import hamming_distance
 
 
-@dataclass(frozen=True)
-class DistanceCode:
-    """A set of codewords with a guaranteed minimum pairwise Hamming distance."""
-
+class _CodeFields(NamedTuple):
     codewords: tuple
     width: int
     distance: int
 
-    def __post_init__(self) -> None:
-        for word in self.codewords:
-            if word >> self.width:
-                raise ValueError(f"codeword {word:#x} does not fit in {self.width} bits")
+
+class DistanceCode(_CodeFields):
+    """A set of codewords with a guaranteed minimum pairwise Hamming distance.
+
+    ``len()`` counts the codewords, not the three fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, codewords: tuple, width: int, distance: int) -> "DistanceCode":
+        for word in codewords:
+            if word >> width:
+                raise ValueError(f"codeword {word:#x} does not fit in {width} bits")
+        return super().__new__(cls, codewords, width, distance)
 
     def __len__(self) -> int:
         return len(self.codewords)

@@ -16,8 +16,7 @@ cross-checked by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.encoding import generate_distance_code
 from repro.core.layout import HardenedLayout, plan_layout
@@ -29,8 +28,7 @@ from repro.fsm.model import Fsm
 EdgeKey = Tuple[str, int]
 
 
-@dataclass(frozen=True)
-class HardenedTransition:
+class HardenedTransition(NamedTuple):
     """One CFG edge with its encoded control word and per-block modifiers."""
 
     edge: CfgEdge
@@ -44,15 +42,22 @@ class HardenedTransition:
         return (self.edge.src, self.edge.index)
 
 
-@dataclass
 class HardenedStepResult:
     """Outcome of one hardened cycle."""
 
-    previous_state: str
-    next_state: str
-    next_code: int
-    error_detected: bool
-    taken_edge: Optional[CfgEdge]
+    def __init__(
+        self,
+        previous_state: str,
+        next_state: str,
+        next_code: int,
+        error_detected: bool,
+        taken_edge: Optional[CfgEdge],
+    ):
+        self.previous_state = previous_state
+        self.next_state = next_state
+        self.next_code = next_code
+        self.error_detected = error_detected
+        self.taken_edge = taken_edge
 
 
 class HardenedFsm:

@@ -19,7 +19,6 @@ plans that layout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import List, Optional, Tuple
 
@@ -44,24 +43,33 @@ _SHARE_MASK = (1 << (STATE_SHARE_BITS + CONTROL_SHARE_BITS)) - 1
 _MODIFIER_MASK = ((1 << BLOCK_BITS) - 1) & ~_SHARE_MASK
 
 
-@dataclass
 class BlockLayout:
     """Input/output bit assignment of one diffusion block."""
 
-    index: int
-    #: Global encoded-state bit indices feeding input bits [0, 8).
-    state_in_bits: List[int]
-    #: Global encoded-control bit indices feeding input bits [8, 16).
-    control_in_bits: List[int]
-    #: Output bit positions carrying encoded-next-state bits, in the order of
-    #: the global state bits they produce.
-    state_out_positions: List[int]
-    #: Global encoded-state bit indices produced by ``state_out_positions``.
-    state_out_bits: List[int]
-    #: Output bit positions carrying error-detection bits (must read all-ones).
-    error_out_positions: List[int]
-    #: Block input positions (within [16, 32)) carrying effective modifier bits.
-    modifier_in_positions: List[int] = field(default_factory=list)
+    def __init__(
+        self,
+        index: int,
+        state_in_bits: List[int],
+        control_in_bits: List[int],
+        state_out_positions: List[int],
+        state_out_bits: List[int],
+        error_out_positions: List[int],
+        modifier_in_positions: List[int],
+    ):
+        self.index = index
+        #: Global encoded-state bit indices feeding input bits [0, 8).
+        self.state_in_bits = state_in_bits
+        #: Global encoded-control bit indices feeding input bits [8, 16).
+        self.control_in_bits = control_in_bits
+        #: Output bit positions carrying encoded-next-state bits, in the order
+        #: of the global state bits they produce.
+        self.state_out_positions = state_out_positions
+        #: Global encoded-state bit indices produced by ``state_out_positions``.
+        self.state_out_bits = state_out_bits
+        #: Output bit positions carrying error-detection bits (must read all-ones).
+        self.error_out_positions = error_out_positions
+        #: Block input positions (within [16, 32)) carrying effective modifier bits.
+        self.modifier_in_positions = modifier_in_positions
 
     @property
     def target_positions(self) -> List[int]:
@@ -74,16 +82,24 @@ class BlockLayout:
         return len(self.modifier_in_positions)
 
 
-@dataclass
 class HardenedLayout:
     """Complete layout of the hardened next-state function."""
 
-    state_width: int
-    control_width: int
-    error_bits_per_block: int
-    matrix: WordMatrix
-    blocks: List[BlockLayout] = field(default_factory=list)
-    bit_matrix: BitMatrix = None
+    def __init__(
+        self,
+        state_width: int,
+        control_width: int,
+        error_bits_per_block: int,
+        matrix: WordMatrix,
+        blocks: List[BlockLayout],
+        bit_matrix: BitMatrix,
+    ):
+        self.state_width = state_width
+        self.control_width = control_width
+        self.error_bits_per_block = error_bits_per_block
+        self.matrix = matrix
+        self.blocks = blocks
+        self.bit_matrix = bit_matrix
 
     @property
     def num_blocks(self) -> int:

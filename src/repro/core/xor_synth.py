@@ -13,16 +13,14 @@ code can execute directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.linalg import BitMatrix
 
 
-@dataclass(frozen=True)
-class XorOp:
+class XorOp(NamedTuple):
     """One 2-input XOR: ``signals[result] = signals[left] ^ signals[right]``."""
 
     result: int
@@ -30,7 +28,6 @@ class XorOp:
     right: int
 
 
-@dataclass
 class XorNetwork:
     """A straight-line XOR program computing ``matrix @ inputs``.
 
@@ -43,9 +40,10 @@ class XorNetwork:
             (index ``-1``) or an input/intermediate signal.
     """
 
-    num_inputs: int
-    ops: List[XorOp]
-    outputs: List[int]
+    def __init__(self, num_inputs: int, ops: List[XorOp], outputs: List[int]):
+        self.num_inputs = num_inputs
+        self.ops = ops
+        self.outputs = outputs
 
     @property
     def xor_count(self) -> int:

@@ -84,7 +84,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+    Sequence, Tuple,
 )
 
 import numpy as np
@@ -135,8 +136,7 @@ DEFAULT_NUMPY_LANE_WIDTH = 4096
 DEFAULT_ENGINE = "parallel-numpy"
 
 
-@dataclass(frozen=True)
-class EngineInfo:
+class EngineInfo(NamedTuple):
     """Static engine metadata recorded in experiment provenance.
 
     ``word_width`` is the machine word the engine slices lanes onto (``None``
@@ -325,7 +325,6 @@ _BatchReply = Tuple[np.ndarray, Optional[Sequence[int]]]
 _Unit = Tuple[PlannedBatch, JobArrays]
 
 
-@dataclass
 class _Shared:
     """Outcomes of the one-cycle faults simulated so far in one sweep, for
     one trace length.  Slot ``k`` holds context ``k``'s golden outcome, which
@@ -334,11 +333,11 @@ class _Shared:
     kept outcomes, the code of a flip of the stem ``s`` live in cycle ``c``
     of context ``k``: every one-cycle fault that lands there shares it."""
 
-    classes: np.ndarray
-    codes: Optional[np.ndarray]
+    def __init__(self, classes: np.ndarray, codes: Optional[np.ndarray]):
+        self.classes = classes
+        self.codes = codes
 
 
-@dataclass
 class _Collapse:
     """How one job stream splits into lanes and jobs a rule settles.
 
@@ -348,12 +347,21 @@ class _Collapse:
     simulated copies that fill a slot for the rest.
     """
 
-    simulated: Optional[np.ndarray]
-    copies: Optional[np.ndarray]
-    slots: np.ndarray
-    leaders: np.ndarray
-    leader_slots: np.ndarray
-    shared: _Shared
+    def __init__(
+        self,
+        simulated: Optional[np.ndarray],
+        copies: Optional[np.ndarray],
+        slots: np.ndarray,
+        leaders: np.ndarray,
+        leader_slots: np.ndarray,
+        shared: _Shared,
+    ):
+        self.simulated = simulated
+        self.copies = copies
+        self.slots = slots
+        self.leaders = leaders
+        self.leader_slots = leader_slots
+        self.shared = shared
 
 
 def _chunk_bounds(total: int, workers: int) -> List[Tuple[int, int]]:
@@ -366,8 +374,7 @@ def _chunk_bounds(total: int, workers: int) -> List[Tuple[int, int]]:
     return [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
 
 
-@dataclass(frozen=True)
-class _StateLookup:
+class _StateLookup(NamedTuple):
     """A perfect hash of the S state codewords: bucket ``code % modulus`` of
     ``states`` / ``codes`` holds one codeword's state index and the codeword
     (S and 0 in an empty bucket)."""

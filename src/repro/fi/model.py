@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 
 class FaultEffect(Enum):
@@ -45,8 +45,7 @@ class Classification(Enum):
     HIJACK = "hijack"
 
 
-@dataclass(frozen=True)
-class Fault:
+class Fault(NamedTuple):
     """One concrete fault: effect + spatial location (+ optional cycle)."""
 
     net: str

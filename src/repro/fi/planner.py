@@ -12,14 +12,12 @@ lane words themselves at execute time (see :mod:`repro.fi.executor`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class PlannedBatch:
+class PlannedBatch(NamedTuple):
     """One unit of bit-parallel work.
 
     ``[start, stop)`` slices the campaign's job list; the lanes of the pass
@@ -36,8 +34,7 @@ class PlannedBatch:
         return self.stop - self.start
 
 
-@dataclass(frozen=True)
-class CampaignPlan:
+class CampaignPlan(NamedTuple):
     """The planned batches of one job stream."""
 
     batches: Tuple[PlannedBatch, ...]

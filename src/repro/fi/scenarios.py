@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -76,8 +76,7 @@ def _require_trace(cycles: object, duration: str) -> None:
         raise ValueError(f"unknown fault duration {duration!r} (choose from {FAULT_DURATIONS})")
 
 
-@dataclass(frozen=True)
-class JobArrays:
+class JobArrays(NamedTuple):
     """A job stream lowered to group-aware flat arrays (the campaign IR).
 
     CSR layout: job ``i`` simulates transition context ``contexts[i]`` and
@@ -232,8 +231,7 @@ def _pool_rows(campaign: "FaultCampaign", nets: Sequence[str]) -> np.ndarray:
     return np.array([net_id[net] for net in nets], dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     """A drawn fault group: ``rng.sample(range(n), k)`` pool positions."""
 
     n: int

@@ -9,14 +9,12 @@ queries over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, List, NamedTuple, Set
 
 from repro.fsm.model import Fsm, Guard, Transition
 
 
-@dataclass(frozen=True)
-class CfgEdge:
+class CfgEdge(NamedTuple):
     """One control-flow edge of the FSM.
 
     ``kind`` is ``"explicit"`` for a declared transition, ``"stay"`` for the

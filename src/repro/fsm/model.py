@@ -11,8 +11,8 @@ Figure 4 shows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -105,13 +105,12 @@ class Guard:
         return f"Guard({body})"
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """A guarded transition ``src -> dst``; priority is positional."""
 
     src: str
     dst: str
-    guard: Guard = field(default_factory=Guard.true)
+    guard: Guard = Guard()
 
     def __repr__(self) -> str:
         return f"Transition({self.src} -> {self.dst}, {self.guard!r})"

@@ -10,14 +10,12 @@ documented in DESIGN.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict, Mapping, NamedTuple
 
 from repro.netlist.gates import DRIVE_STRENGTHS, GateType
 
 
-@dataclass(frozen=True)
-class CellSpec:
+class CellSpec(NamedTuple):
     """Area and timing characteristics of one cell type.
 
     ``area_ge`` / ``intrinsic_ps`` are for the X1 variant; stronger drives

@@ -25,8 +25,7 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, Iterator, Optional, Protocol, Tuple, runtime_checkable
+from typing import Dict, Iterator, NamedTuple, Optional, Protocol, Tuple, runtime_checkable
 
 #: Bumped whenever the envelope layout changes incompatibly; readers reject
 #: other formats (treated as corruption, i.e. a miss plus a rewrite).
@@ -71,8 +70,7 @@ def expiry_cutoff(max_age_days: Optional[float]) -> Optional[float]:
     return time.time() - max_age_days * 86400.0
 
 
-@dataclass(frozen=True)
-class Artifact:
+class Artifact(NamedTuple):
     """One stored artifact: its address, header metadata and (optionally) payload.
 
     ``payload`` is ``None`` for listing-only views (``scfi cache ls`` reads
@@ -88,7 +86,7 @@ class Artifact:
     payload: Optional[bytes] = None
 
     def without_payload(self) -> "Artifact":
-        return replace(self, payload=None)
+        return self._replace(payload=None)
 
 
 def encode_artifact(

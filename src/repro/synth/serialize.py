@@ -3,8 +3,9 @@
 A harden-stage artifact is the complete :class:`~repro.core.scfi.ScfiResult`
 -- hardened behavioural model, SCFI netlist, optional Verilog -- pickled with
 a small version tag.  Pickle is the right codec here: the object graph is
-plain dataclasses already shipped across process boundaries to the campaign
-worker pool, and the artifact store addresses entries by the stage's *input*
+dataclasses, named tuples and plain classes, all defined at module level and
+already shipped across process boundaries to the campaign worker pool, and
+the artifact store addresses entries by the stage's *input*
 hash while guarding the stored bytes with their own SHA-256, so pickle's
 byte-level nondeterminism across interpreter versions is irrelevant to cache
 identity.  The version tag is the compatibility gate: bump
@@ -18,8 +19,9 @@ import pickle
 
 from repro.core.scfi import ScfiResult
 
-#: Bump when the pickled ScfiResult graph changes incompatibly.
-SCFI_CODEC_VERSION = 1
+#: Bump when the pickled ScfiResult graph changes incompatibly (2: the FSM
+#: edges, encodings and layout records became named tuples and plain classes).
+SCFI_CODEC_VERSION = 2
 
 
 class ScfiCodecError(ValueError):

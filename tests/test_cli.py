@@ -1,5 +1,8 @@
 """Tests for the command-line entry points."""
 
+import argparse
+import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -13,6 +16,8 @@ import pytest
 
 from repro.cli.fault_campaign import main as fi_main
 from repro.cli.harden import main as harden_main
+import repro.cli.main as cli_main
+from repro.cli.main import build_parser
 from repro.cli.main import main as scfi_main
 from repro.cli.report import main as report_main
 from repro.fsmlib import FSM_REGISTRY
@@ -478,6 +483,102 @@ class TestScfiCacheCli:
         assert "no cache directory" in captured.err
 
 
+@pytest.fixture(params=["missing-directory", "directory"])
+def unwritable_out(request, tmp_path):
+    """An ``--out`` path that cannot be written: its directory is missing, or
+    it names a directory."""
+    if request.param == "directory":
+        target = tmp_path / "taken"
+        target.mkdir()
+        return target
+    return tmp_path / "absent" / "result.json"
+
+
+class TestUnwritableOut:
+    """``--out`` that cannot be written ends a finished run with one
+    ``scfi <command>: cannot write result to ...`` line and exit code 2,
+    and leaves no temp file behind."""
+
+    @staticmethod
+    def _assert_one_error_line(captured, command: str, out: Path, tmp_path: Path) -> None:
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(f"scfi {command}: cannot write result to {str(out)!r}: ")
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_run(self, capsys, tmp_path, unwritable_out):
+        rc = scfi_main(["run", str(EXAMPLE_SPEC), "--quiet", "--out", str(unwritable_out)])
+        assert rc == 2
+        self._assert_one_error_line(capsys.readouterr(), "run", unwritable_out, tmp_path)
+
+    def test_result(self, capsys, monkeypatch, tmp_path, unwritable_out):
+        class Client:
+            def result(self, job_id):
+                return {"job_id": job_id, "campaigns": {}}
+
+        monkeypatch.setattr(cli_main, "_client", lambda args: Client())
+        rc = scfi_main(["result", "0" * 72, "--out", str(unwritable_out)])
+        assert rc == 2
+        self._assert_one_error_line(capsys.readouterr(), "result", unwritable_out, tmp_path)
+
+
+def _parse(parser: argparse.ArgumentParser, argv):
+    """Exit code, stdout and stderr of ``parser.parse_args(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _commands(parser: argparse.ArgumentParser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+#: Subcommands that ``scfi`` itself parses (the rest are delegated).
+PARSED_COMMANDS = ("run", "cache", "serve", "submit", "status", "result")
+#: The parsed subcommands that take positionals, with those filled.
+FILLED_COMMANDS = (
+    ["run", "spec.json"], ["cache", "ls"], ["submit", "spec.json"], ["status", "job"],
+    ["result", "job"],
+)
+
+
+class TestParser:
+    """:func:`build_parser` builds only the subcommand ``argv[0]`` names, and
+    that parser reads exactly as the full one."""
+
+    def test_a_command_builds_only_its_own_parser(self):
+        everything = _commands(build_parser())
+        assert everything == list(PARSED_COMMANDS) + ["harden", "fi", "report"]
+        for command in PARSED_COMMANDS:
+            assert _commands(build_parser(command)) == [command]
+        for argv0 in (None, "--help", "bogus"):
+            assert _commands(build_parser(argv0)) == everything
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"]]
+        + [[command, "--help"] for command in PARSED_COMMANDS]
+        + [[command, "--bogus"] for command in PARSED_COMMANDS]
+        + [filled + ["--bogus"] for filled in FILLED_COMMANDS]
+        + [["run", "spec.json", "--engine", "nope"], ["serve", "--port", "x"],
+           ["cache", "nope"], ["result", "job", "--timeout", "soon"]],
+        ids=" ".join,
+    )
+    def test_one_command_parser_reads_as_the_full_parser(self, argv):
+        reply = _parse(build_parser(argv[0]), argv)
+        assert reply == _parse(build_parser(), argv)
+        code, out, err = reply
+        assert code == (0 if "--help" in argv else 2)
+        assert (out if code == 0 else err).startswith("usage: scfi ")
+
+
 class TestServiceCli:
     """Argument validation of the service subcommands (the end-to-end serve
     path is pinned in tests/test_service_shutdown.py)."""
@@ -536,6 +637,66 @@ DEFERRED_MODULES = {
 #: ``cli.modules_loaded`` also counts the standard library and numpy, whose
 #: share depends on the interpreter, the numpy version and site-packages.
 COLD_IMPORT_REPRO_MODULES = 47
+
+
+#: Ceiling on the dataclasses ``import repro.cli.main`` defines in ``repro.*``
+#: (39 while the cold path's immutable records and private holders were
+#: dataclasses too; CPython compiles every generated dataclass method at
+#: import).  The rest need ``fields``, ``asdict``, ``replace`` or
+#: ``__post_init__``.
+COLD_IMPORT_DATACLASSES = 19
+
+_COUNT_DATACLASSES = """
+import dataclasses, json, sys
+import repro.cli.main
+print(json.dumps(sorted({
+    f"{value.__module__}.{value.__qualname__}"
+    for name, module in list(sys.modules.items())
+    if name == "repro" or name.startswith("repro.")
+    for value in vars(module).values()
+    if isinstance(value, type) and dataclasses.is_dataclass(value)
+    and value.__module__.startswith("repro.")
+})))
+"""
+
+#: ``import repro.cli.main`` after setting the collector as ``sys.argv[1]``
+#: says (and, with ``sys.argv[2]``, ``sys.argv[0]``); prints the state after.
+_GC_AFTER_IMPORT = """
+import gc, json, sys
+if sys.argv[1] == "disabled":
+    gc.disable()
+if len(sys.argv) > 2:
+    sys.argv[0] = sys.argv[2]
+import repro.cli.main
+print(json.dumps({"enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}))
+"""
+
+
+def _child_report(script, *args):
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True,
+        env=_child_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestColdImport:
+    """What ``import repro.cli.main`` costs and changes, in fresh interpreters."""
+
+    def test_dataclass_ceiling(self):
+        defined = _child_report(_COUNT_DATACLASSES)
+        assert len(defined) <= COLD_IMPORT_DATACLASSES, defined
+
+    @pytest.mark.parametrize("state", ["enabled", "disabled"])
+    def test_library_import_leaves_the_collector_alone(self, state):
+        report = _child_report(_GC_AFTER_IMPORT, state)
+        assert report == {"enabled": state == "enabled", "frozen": 0}
+
+    def test_console_script_import_freezes_and_reenables_the_collector(self):
+        report = _child_report(_GC_AFTER_IMPORT, "enabled", os.path.join("bin", "scfi"))
+        assert report["enabled"] is True
+        assert report["frozen"] > 0
 
 
 class TestColdRunPath:
@@ -612,6 +773,15 @@ class TestProcessEntry:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("scfi run: "), proc.stderr
+        assert proc.stdout == ""
+
+    def test_unwritable_out_exits_2_with_one_error_line(self, tmp_path):
+        out = tmp_path / "absent" / "result.json"
+        proc = _scfi_process("run", str(EXAMPLE_SPEC), "--quiet", "--out", str(out))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("scfi run: cannot write result to ")
         assert proc.stdout == ""
 
     def test_sharded_run_leaves_no_process_behind(self, tmp_path):

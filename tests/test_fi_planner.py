@@ -193,6 +193,4 @@ class TestPlanJobs:
     def test_a_batch_is_only_cut_points(self):
         batch = PlannedBatch(3, 9, (1, 4))
         assert batch.num_jobs == 6
-        assert [f for f in PlannedBatch.__dataclass_fields__] == [
-            "start", "stop", "golden_contexts",
-        ]
+        assert PlannedBatch._fields == ("start", "stop", "golden_contexts")
