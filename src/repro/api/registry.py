@@ -21,14 +21,13 @@ builders run only on specs that already passed.  Scenarios added through
 
 Engine names are the keys of ``FaultCampaign.ENGINES``;
 :func:`make_executor` builds the :class:`~repro.fi.executor.FaultCampaign`
-a spec names.  Alternative executors plug in through
-``Session(executor_factory=...)``.
+a spec names, on the caller's worker fleet when it is given one.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Callable, Dict, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.structure import ScfiNetlist
 from repro.fi.model import FaultEffect
@@ -43,6 +42,9 @@ from repro.fi.scenarios import (
     region_sweep_scenarios,
 )
 from repro.api.spec import CampaignSpec
+
+if TYPE_CHECKING:
+    from repro.fi.fleet import WorkerFleet
 
 ScenarioBuilder = Callable[[CampaignSpec, ScfiNetlist], Mapping[str, object]]
 
@@ -209,8 +211,15 @@ def build_scenarios(spec: CampaignSpec, structure: ScfiNetlist) -> Mapping[str, 
     return SCENARIO_REGISTRY[spec.scenario](spec, structure)
 
 
-def make_executor(spec: CampaignSpec, structure: ScfiNetlist, keep_outcomes: bool) -> FaultCampaign:
-    """Build the campaign executor a spec names."""
+def make_executor(
+    spec: CampaignSpec,
+    structure: ScfiNetlist,
+    keep_outcomes: bool,
+    fleet: Optional["WorkerFleet"] = None,
+    scope: Optional[str] = None,
+) -> FaultCampaign:
+    """Build the campaign executor a spec names, on ``fleet`` when given
+    (``scope`` is the harden-stage key that names the netlist there)."""
     return FaultCampaign(
         structure,
         engine=spec.engine,
@@ -218,6 +227,8 @@ def make_executor(spec: CampaignSpec, structure: ScfiNetlist, keep_outcomes: boo
         workers=spec.workers,
         keep_outcomes=keep_outcomes,
         pack_contexts=spec.pack_contexts,
+        fleet=fleet,
+        scope=scope,
     )
 
 

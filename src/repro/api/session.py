@@ -6,10 +6,6 @@ executes it as an explicit **staged pipeline**
 
     harden -> campaign -> report
 
-Every campaign takes one path: its scenario builder lowers it to scenario
-objects, which run on a :class:`~repro.fi.executor.FaultCampaign` (or the
-executor a ``Session(executor_factory=...)`` hook supplies).
-
 where every stage declares its inputs as a content hash
 (:meth:`~repro.api.spec.ExperimentSpec.stage_hashes`) and its output as a
 serializable artifact.  Handing the session an
@@ -20,9 +16,19 @@ anything, and a worker-count override recomputes nothing but the report.
 Without a store the pipeline degenerates to the original monolithic run --
 stage by stage, nothing cached.
 
-Progress is reported through an optional callback -- cache hits included
-(``("harden", "cache hit 3f2a…")``) -- so long campaigns can drive CLIs,
-notebooks or service frontends alike::
+Every campaign takes one path: its scenario builder lowers it to scenario
+objects, which run on a :class:`~repro.fi.executor.FaultCampaign` that
+:func:`~repro.api.registry.make_executor` builds on a campaign-stage miss.
+``Session(fleet=...)`` shards every such executor on a caller-owned
+:class:`~repro.fi.fleet.WorkerFleet` (the campaign service's long-lived
+one), scoped by the harden-stage key so the fleet's workers keep each
+hardened netlist compiled across runs.
+
+Progress is reported through one optional ``(stage, detail)`` callback --
+cache hits included (``("harden", "cache hit 3f2a…")``), and the executor's
+``("campaign", name)`` before each scenario and ``("batch", (done, total))``
+after each merged batch -- so long campaigns can drive CLIs, notebooks or
+service frontends alike::
 
     from repro.api import ExperimentSpec, CampaignSpec, FsmSpec, Session
     from repro.store import open_store
@@ -45,7 +51,7 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.api.registry import build_scenarios, make_executor
 from repro.api.spec import (
@@ -60,7 +66,7 @@ from repro.api.spec import (
 )
 from repro.core.scfi import ScfiResult, protect_fsm
 from repro.core.structure import ScfiNetlist
-from repro.fi.executor import ENGINE_INFO, CampaignResult
+from repro.fi.executor import ENGINE_INFO, CampaignResult, FaultCampaign, ProgressCallback
 from repro.store import CODEC_JSON, CODEC_PICKLE, ArtifactStore
 from repro.synth.serialize import (
     ScfiCodecError,
@@ -68,25 +74,13 @@ from repro.synth.serialize import (
     serialize_scfi_result,
 )
 
+if TYPE_CHECKING:
+    from repro.fi.fleet import WorkerFleet
+
 #: Warm executors (and, with a store, hardened FSMs) one :class:`Session` keeps
 #: across runs.  A campaign suite touches a few structures; ``run_table1``
 #: walks many through one session, so the least recently used is dropped.
 EXECUTOR_CACHE_LIMIT = 4
-
-#: Progress callback: ``(stage, detail)`` -- e.g. ``("campaign", "exhaustive")``
-#: or, replaying a memoised stage, ``("campaign", "cache hit 3f2a…")``.
-ProgressCallback = Callable[[str, str], None]
-
-#: Campaign-executor factory: ``(campaign_spec, structure, keep_outcomes,
-#: cache_scope) -> context-manager executor`` with the
-#: :class:`~repro.fi.executor.FaultCampaign` ``run`` interface, which the
-#: session keeps warm and enters once per run.  ``cache_scope`` is the
-#: harden-stage input hash (``None`` without a store), which lets alternative
-#: executors -- the campaign service's persistent worker fleet keys its warm
-#: compiled netlists by exactly this hash -- know *which* hardened netlist
-#: they are executing against.  Without a factory the session builds a
-#: :class:`~repro.fi.executor.FaultCampaign` (:func:`repro.api.registry.make_executor`).
-ExecutorFactory = Callable[[CampaignSpec, ScfiNetlist, bool, Optional[str]], Any]
 
 
 def _lru_put(cache: "OrderedDict", key, value) -> None:
@@ -140,11 +134,6 @@ class ExperimentResult:
     #: the hash identifies the submitted experiment, not how it was placed --
     #: and folded into :meth:`provenance` instead.
     overrides: Dict[str, Any] = field(default_factory=dict)
-    #: Per-scenario dispatch provenance mirroring
-    #: :attr:`FaultCampaign.last_dispatch`: ``"array-native"`` (every engine
-    #: executes its batches from the job arrays), ``"cached"`` when the
-    #: counters were replayed from the store without executing anything.
-    dispatch: Dict[str, Optional[str]] = field(default_factory=dict)
     #: Per-stage cache provenance: ``{stage: {"key": <input hash>, "status":
     #: "hit" | "miss" | "skipped" | "disabled"}}``.  ``skipped`` marks a
     #: campaign that ran uncached although a store was present (no harden key
@@ -181,7 +170,6 @@ class ExperimentResult:
             "lane_width": lane_width,
             "workers": self.overrides.get("workers", campaign.workers),
             "pack_contexts": campaign.pack_contexts,
-            "dispatch": dict(self.dispatch) if self.dispatch else None,
         }
 
     def to_dict(self) -> Dict[str, Any]:
@@ -206,31 +194,34 @@ class Session:
     """Resolves and executes experiment specs as a staged pipeline.
 
     ``progress`` receives ``(stage, detail)`` pairs as the run advances
-    ("resolve", "harden", "campaign", "compare", "report", "done");
+    ("resolve", "harden", "campaign", "batch", "compare", "report", "done");
     memoised stages report ``"cache hit <key prefix>"`` details instead of
-    silently skipping.  ``store`` is an optional
-    :class:`~repro.store.ArtifactStore` that persists each stage's artifact
-    under its input hash; without one every run recomputes everything (the
-    pre-incremental behaviour).  Between runs a session keeps only up to
-    :data:`EXECUTOR_CACHE_LIMIT` warm executors (default or factory-built),
-    one per structure, execution params and cache scope, so repeated
-    campaigns on one structure reuse its compiled netlists, lowering tables
-    and verdict tables.  With a store it also keeps as many hardened FSMs,
-    by harden-stage key, so a repeat harden returns the same structure.
+    silently skipping, and a ``"batch"`` detail is ``(done, total)``.
+    ``store`` is an optional :class:`~repro.store.ArtifactStore` that
+    persists each stage's artifact under its input hash; without one every
+    run recomputes everything (the pre-incremental behaviour).  ``fleet`` is
+    an optional :class:`~repro.fi.fleet.WorkerFleet` every campaign shards
+    on, whatever its spec's ``workers``; the session never closes it.
+    Between runs a session keeps only up to :data:`EXECUTOR_CACHE_LIMIT`
+    warm executors, one per structure, execution params and cache scope, so
+    repeated campaigns on one structure reuse its compiled netlists,
+    lowering tables and verdict tables.  With a store it also keeps as many
+    hardened FSMs, by harden-stage key, so a repeat harden returns the same
+    structure.
     """
 
     def __init__(
         self,
         progress: Optional[ProgressCallback] = None,
         store: Optional[ArtifactStore] = None,
-        executor_factory: Optional[ExecutorFactory] = None,
+        fleet: Optional["WorkerFleet"] = None,
     ):
         self._progress = progress
         self.store = store
-        self._executor_factory = executor_factory
+        self.fleet = fleet
         # (id(structure), params, cache scope) -> (structure, executor), least
         # recently used first.  Holding the structure keeps its id unique.
-        self._executors: "OrderedDict[tuple, Tuple[ScfiNetlist, Any]]" = OrderedDict()
+        self._executors: "OrderedDict[tuple, Tuple[ScfiNetlist, FaultCampaign]]" = OrderedDict()
         # Harden-stage key -> hardened FSM, least recently used first.
         self._hardened: "OrderedDict[str, ScfiResult]" = OrderedDict()
 
@@ -240,15 +231,19 @@ class Session:
 
     def _executor(self, campaign: CampaignSpec, structure: ScfiNetlist, keep_outcomes: bool,
                   cache_scope: Optional[str]):
-        """The session's warm executor for this structure and execution params."""
-        key = (id(structure), campaign.engine, campaign.lane_width, campaign.workers,
+        """The session's warm executor for this structure and execution params.
+
+        On a fleet the fleet's size decides placement, so ``workers`` is no
+        part of the key there."""
+        workers = campaign.workers if self.fleet is None else None
+        key = (id(structure), campaign.engine, campaign.lane_width, workers,
                keep_outcomes, campaign.pack_contexts, cache_scope)
         entry = self._executors.get(key)
         if entry is None:
-            if self._executor_factory is None:
-                executor = make_executor(campaign, structure, keep_outcomes=keep_outcomes)
-            else:
-                executor = self._executor_factory(campaign, structure, keep_outcomes, cache_scope)
+            executor = make_executor(
+                campaign, structure, keep_outcomes=keep_outcomes,
+                fleet=self.fleet, scope=cache_scope,
+            )
             entry = (structure, executor)
         _lru_put(self._executors, key, entry)
         return entry[1]
@@ -314,7 +309,6 @@ class Session:
         *,
         cache_scope: Optional[str] = None,
         cache: Optional[Dict[str, Dict[str, Any]]] = None,
-        dispatch: Optional[Dict[str, Optional[str]]] = None,
     ) -> Dict[str, CampaignResult]:
         """The campaign stage against an already-hardened netlist.
 
@@ -327,9 +321,7 @@ class Session:
         memoisation only engages when both a store and a scope are present.
         On a campaign-stage hit the stored counters are replayed without
         building an executor.  ``cache`` (when given) receives the
-        ``"campaign"`` hit/miss record; ``dispatch`` (when given) receives
-        each scenario's execution-path provenance (:attr:`FaultCampaign.last_dispatch`, or
-        ``"cached"`` for counters replayed from the store).
+        ``"campaign"`` hit/miss record.
         """
         report = report or ReportSpec()
         # Resolve the scenario first: spec validation behaves identically on
@@ -359,21 +351,14 @@ class Session:
                     self.store.delete("campaign", campaign_key)
                 else:
                     record["status"] = "hit"
-                    if dispatch is not None:
-                        for name in results:
-                            dispatch[name] = "cached"
                     self._emit("campaign", f"cache hit {campaign_key[:12]}")
                     return results
 
-        # Leaving the block closes the executor, which stops a workers>1
-        # fleet; a reused executor starts a new fleet on its next sharded run.
+        # Leaving the block closes the executor, which stops an owned
+        # workers>1 fleet; a reused executor starts a new fleet on its next
+        # sharded run.  A borrowed fleet keeps running.
         with self._executor(campaign, structure, report.keep_outcomes, cache_scope) as executor:
-            results = executor.run_sweep(
-                scenarios, on_scenario=lambda name: self._emit("campaign", name)
-            )
-            if dispatch is not None:
-                for name in results:
-                    dispatch[name] = getattr(executor, "last_dispatch", None)
+            results = executor.run_sweep(scenarios, self._progress)
         if cached:
             _save_json_artifact(
                 self.store,
@@ -472,7 +457,6 @@ class Session:
                 report=spec.report,
                 cache_scope=keys["harden"],
                 cache=cache,
-                dispatch=result.dispatch,
             )
             if campaign.compare:
                 stored_compare = report_doc.get("compare") if report_doc else None

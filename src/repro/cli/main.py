@@ -321,8 +321,10 @@ def _run(args) -> int:
         print(f"scfi run: cannot open cache {cache_dir!r}: {error}", file=sys.stderr)
         return 2
 
-    def progress(stage: str, detail: str) -> None:
+    def progress(stage: str, detail) -> None:
         if not args.quiet:
+            if stage == "batch":
+                detail = "%d/%d" % detail
             print(f"[scfi] {stage}: {detail}", file=sys.stderr)
 
     try:
@@ -339,9 +341,6 @@ def _run(args) -> int:
                 key = record.get("key")
                 suffix = f" {key[:12]}" if key else ""
                 print(f"[scfi] cache {stage}: {record['status']}{suffix}", file=sys.stderr)
-        if args.verbose and result.dispatch:
-            for name, path in result.dispatch.items():
-                print(f"[scfi] dispatch {name}: {path}", file=sys.stderr)
 
     code = _emit("run", result.to_dict(), args.out)
     if code:

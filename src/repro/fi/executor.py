@@ -65,13 +65,17 @@ rules.
 
 Batches run in-process (``workers=1``, the default) or on a
 :class:`~repro.fi.fleet.WorkerFleet`, the one process pool: an owned fleet of
-``workers=N`` processes, or the shared fleet a
-:class:`~repro.service.worker.FleetCampaign` supplies.  Consecutive batches
-travel in contiguous chunks as small pickles (cut points plus IR slice);
-each worker builds its engine once and replies per batch with every job's
-class index, plus the per-job codes when outcomes are kept.  The parent
-merges replies in job order, so counters and kept outcomes are
-bit-identical to single-process runs on every engine.
+``workers=N`` processes, or a borrowed one (``fleet=``, as the campaign
+service passes its long-lived fleet, with the harden-stage ``scope`` that
+lets the fleet's workers keep the netlist warm across executors).
+Consecutive batches travel in contiguous chunks as small pickles (cut points
+plus IR slice); each worker builds its engine once and replies per batch
+with every job's class index, plus the per-job codes when outcomes are kept.
+The parent merges replies in job order, so counters and kept outcomes are
+bit-identical to single-process runs on every engine.  Progress takes one
+``(stage, detail)`` callback, the :class:`~repro.api.session.Session`'s own:
+``("campaign", name)`` before each scenario of a sweep and ``("batch",
+(done, total))`` after each merged batch.
 
 Fault targets are validated up front: a scenario naming a net the netlist
 does not contain, or emitting an IR row outside the netlist, raises
@@ -84,8 +88,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
-    Sequence, Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple,
+    Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -134,6 +138,11 @@ DEFAULT_NUMPY_LANE_WIDTH = 4096
 #: Engine a campaign runs on when the caller names none (specs, the library
 #: wrappers, the evaluation harnesses and the service fleet alike).
 DEFAULT_ENGINE = "parallel-numpy"
+
+#: Progress callback ``(stage, detail)``: :meth:`FaultCampaign.run_sweep`
+#: reports ``("campaign", name)`` before each scenario and
+#: ``("batch", (done, total))`` after each merged batch.
+ProgressCallback = Callable[[str, Any], None]
 
 
 class EngineInfo(NamedTuple):
@@ -524,6 +533,12 @@ class FaultCampaign:
     fleet is started on the first sharded run and reused across
     :meth:`run`/:meth:`run_sweep` calls; call :meth:`close` (or use the
     campaign as a context manager) to stop it.
+
+    ``fleet=`` instead shards every run on a fleet the caller owns, whose
+    size decides placement (``workers`` is then ignored), and :meth:`close`
+    leaves it running.  ``scope`` names the netlist there (its harden-stage
+    key), so executors of one scope and parameters share the workers' warm
+    twin; with ``None`` the config stays private to this executor.
     """
 
     ENGINES = tuple(sorted(ENGINE_INFO))
@@ -536,6 +551,8 @@ class FaultCampaign:
         keep_outcomes: bool = False,
         pack_contexts: bool = True,
         workers: int = 1,
+        fleet: Optional["WorkerFleet"] = None,
+        scope: Optional[str] = None,
     ):
         if engine not in self.ENGINES:
             raise ValueError(f"unknown engine {engine!r} (choose from {self.ENGINES})")
@@ -598,15 +615,14 @@ class FaultCampaign:
         #: target-net pools, the laser-spot placement and spot members), kept
         #: across runs.
         self.lowering_cache: Dict[object, object] = {}
-        #: Worker fleet of sharded runs: owned and started on the first one
-        #: when ``workers > 1``, or shared and supplied by a subclass.
-        self._fleet: Optional["WorkerFleet"] = None
+        #: Worker fleet of sharded runs: borrowed, or owned and started on
+        #: the first one when ``workers > 1``.
+        self._fleet = fleet
+        self._owns_fleet = fleet is None
         #: The key this executor's warm twin has in the fleet's workers.
-        self.config_id = "local"
-        # Sharded-run hooks: per-batch progress ``(done, total)`` reported as
-        # replies merge, and an event that cancels between fleet replies.
-        self._batch_progress = None
-        self._cancel = None
+        self.config_id: Optional[str] = None
+        if fleet is not None:
+            self.config_id = fleet.ensure_config(structure, self._worker_params(), scope)
 
     # ------------------------------------------------------------------
     # Worker-fleet lifecycle
@@ -626,12 +642,13 @@ class FaultCampaign:
             from repro.fi.fleet import WorkerFleet
 
             self._fleet = WorkerFleet(self.workers)
-            self._fleet.ensure_config(self.config_id, self.structure, self._worker_params())
+            self.config_id = self._fleet.ensure_config(self.structure, self._worker_params())
         return self._fleet
 
     def close(self) -> None:
-        """Stop the owned worker fleet (no-op for ``workers=1`` / unused fleets)."""
-        if self._fleet is not None:
+        """Stop the owned worker fleet (no-op without one; a borrowed fleet
+        keeps running)."""
+        if self._owns_fleet and self._fleet is not None:
             self._fleet.close()
             self._fleet = None
 
@@ -686,8 +703,11 @@ class FaultCampaign:
             )
 
     # ------------------------------------------------------------------
-    def run(self, scenario) -> CampaignResult:
-        """Execute one scenario: lower to the IR, plan, execute, merge."""
+    def run(self, scenario, progress: Optional[ProgressCallback] = None) -> CampaignResult:
+        """Execute one scenario: lower to the IR, plan, execute, merge.
+
+        ``progress`` receives ``("batch", (done, total))`` after each merged
+        batch."""
         result = CampaignResult(
             name=f"{scenario.describe()} ({self.structure.netlist.name})",
             keep_outcomes=self.keep_outcomes,
@@ -699,7 +719,7 @@ class FaultCampaign:
         touched = np.zeros(len(self.contexts), dtype=bool)
         touched[arrays.contexts] = True
         result.transitions_evaluated = int(np.count_nonzero(touched))
-        self._run_ir(arrays, result)
+        self._run_ir(arrays, result, progress)
         return result
 
     def lower_scenario(self, scenario) -> JobArrays:
@@ -725,9 +745,7 @@ class FaultCampaign:
         return arrays
 
     def run_sweep(
-        self,
-        scenarios: Mapping[str, object],
-        on_scenario: Optional[Callable[[str], None]] = None,
+        self, scenarios: Mapping[str, object], progress: Optional[ProgressCallback] = None
     ) -> Dict[str, CampaignResult]:
         """Execute several named scenarios as one sweep.
 
@@ -735,16 +753,17 @@ class FaultCampaign:
         shared across the scenarios, and so are the outcomes of one-cycle
         single faults (rule (b) of :meth:`_collapse`): a fault equivalent to
         one an earlier scenario of the sweep simulated takes no lane.  Those
-        outcomes are dropped when the sweep ends.  ``on_scenario(name)`` is
-        called before each scenario runs.
+        outcomes are dropped when the sweep ends.  ``progress`` receives
+        ``("campaign", name)`` before each scenario runs and, from
+        :meth:`run`, ``("batch", (done, total))`` after each merged batch.
         """
         self._shared = {}
         try:
             results = {}
             for name, scenario in scenarios.items():
-                if on_scenario is not None:
-                    on_scenario(name)
-                results[name] = self.run(scenario)
+                if progress is not None:
+                    progress("campaign", name)
+                results[name] = self.run(scenario, progress)
             return results
         finally:
             self._shared = None
@@ -764,7 +783,9 @@ class FaultCampaign:
     # ------------------------------------------------------------------
     # Execute phase
     # ------------------------------------------------------------------
-    def _run_ir(self, arrays: JobArrays, result: CampaignResult) -> None:
+    def _run_ir(
+        self, arrays: JobArrays, result: CampaignResult, progress: Optional[ProgressCallback]
+    ) -> None:
         """Execute a lowered job stream: one bounded trace per job.
 
         Every job steps the engine's netlist ``num_cycles`` times with
@@ -805,8 +826,8 @@ class FaultCampaign:
                 if batch_codes is None:
                     raise RuntimeError("worker returned no codes for a keep_outcomes campaign")
                 codes[jobs] = batch_codes
-            if self._batch_progress is not None:
-                self._batch_progress(done, len(batches))
+            if progress is not None:
+                progress("batch", (done, len(batches)))
         if collapse is not None:
             self._expand(collapse, classes, codes)
         self._merge(arrays, classes, codes, result)
@@ -816,7 +837,7 @@ class FaultCampaign:
         consecutive units; yield their replies in job order."""
         fleet = self._ensure_fleet()
         tasks = [(cycles, units[lo:hi]) for lo, hi in _chunk_bounds(len(units), fleet.size)]
-        for replies in fleet.run(self.config_id, tasks, cancel=self._cancel):
+        for replies in fleet.run(self.config_id, tasks):
             yield from replies
 
     def _task_replies(self, task) -> List[_BatchReply]:

@@ -3,19 +3,23 @@
 A :class:`WorkerFleet` is a fixed number of worker processes (``fork`` start
 method where available) plus the dispatch machinery that feeds them.  Each
 worker holds warm :class:`~repro.fi.executor.FaultCampaign` executors keyed
-by a **config id**: the first task for a config ships the
-:class:`~repro.core.structure.ScfiNetlist` and execution parameters once over
-the worker's queue, the worker compiles it, and every later task with that
-config id reuses the compiled netlist.
+by a **config id**, which :meth:`WorkerFleet.ensure_config` names: a hash of
+a *scope* (the harden-stage key of the netlist) and the execution parameters,
+or a fresh private id when no scope is given.  The first time a config is
+ensured, the :class:`~repro.core.structure.ScfiNetlist` and parameters ship
+once over each worker's queue and the worker compiles them; ensuring the
+same scope and parameters again ships nothing ("warm netlists").
 
 Two lifetimes use the same fleet.  ``FaultCampaign(workers=N)`` starts an
 owned fleet of ``N`` workers on its first sharded run and stops it in
-``close()``; the campaign service keeps one long-lived fleet that its
-:class:`~repro.service.worker.FleetCampaign` executors share.  Either way the
-executor hands :meth:`WorkerFleet.run` a list of tasks and merges the replies
-in task order; a worker evaluates a task with
+``close()``; ``FaultCampaign(fleet=...)`` borrows a fleet that outlives it,
+which is how the campaign service runs every job on its one long-lived
+fleet.  Either way the executor hands :meth:`WorkerFleet.run` a list of
+tasks and merges the replies in task order; a worker evaluates a task with
 :meth:`FaultCampaign._task_replies <repro.fi.executor.FaultCampaign._task_replies>`,
 so sharded counters are bit-identical to in-process runs by construction.
+:meth:`WorkerFleet.cancel` (a service shutdown drain) makes the running and
+every later :meth:`~WorkerFleet.run` raise :class:`ServiceShutdown`.
 
 Fault handling: task replies carry ids, the fleet tracks which worker owns
 which outstanding task, and a worker that dies mid-task (crash, OOM kill,
@@ -37,6 +41,8 @@ which carries the netlist the parent keeps using, was the one that mattered.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import multiprocessing
 import pickle
 import queue as queue_module
@@ -135,7 +141,9 @@ class WorkerFleet:
         self._handles: List[_WorkerHandle] = []
         self._next_worker_id = 0
         self._next_task_id = 0
+        self._next_private = 0
         self._closed = False
+        self._cancelled = False
         #: config_id -> (structure, params): replayed onto respawned workers.
         self._config_cache: Dict[str, Tuple[ScfiNetlist, Dict[str, Any]]] = {}
         self._stats = {
@@ -250,6 +258,11 @@ class WorkerFleet:
             except (OSError, EOFError, ValueError):  # pragma: no cover - queue broken
                 return
 
+    def cancel(self) -> None:
+        """Abort the running and every later :meth:`run` with
+        :class:`ServiceShutdown`, checked between replies."""
+        self._cancelled = True
+
     def __enter__(self) -> "WorkerFleet":
         return self
 
@@ -264,17 +277,26 @@ class WorkerFleet:
         self._stats["configs_shipped"] += 1
 
     def ensure_config(
-        self, config_id: str, structure: ScfiNetlist, params: Dict[str, Any]
-    ) -> None:
-        """Ship ``(structure, params)`` to every live worker lacking it.
+        self, structure: ScfiNetlist, params: Dict[str, Any], scope: Optional[str] = None
+    ) -> str:
+        """Ship ``(structure, params)`` to every live worker lacking it; return
+        the config id that :meth:`run` takes.
 
-        Idempotent per worker: a config id a worker already received is never
-        re-shipped, which is exactly the warm-netlist reuse -- the second job
-        against the same hardened netlist sends no netlist at all.
+        With a ``scope`` (the harden-stage key of ``structure``) the id is a
+        hash of the scope and ``params``, and a worker that already received
+        it is never shipped it again: the second job against the same
+        hardened netlist sends no netlist at all.  Without one the config is
+        private to the caller and never aliases another netlist's.
         """
         with self._lock:
             if self._closed:
                 raise FleetError("worker fleet is closed")
+            if scope is None:
+                self._next_private += 1
+                config_id = f"private-{self._next_private}"
+            else:
+                doc = json.dumps({"scope": scope, **params}, sort_keys=True)
+                config_id = hashlib.sha256(doc.encode("utf-8")).hexdigest()
             self._config_cache.setdefault(config_id, (structure, dict(params)))
             message = None
             for handle in self._handles:
@@ -282,15 +304,11 @@ class WorkerFleet:
                     if message is None:  # pickled once for every worker
                         message = pickle.dumps(("config", config_id, structure, params))
                     self._ship_config_locked(handle, config_id, message)
+        return config_id
 
     # -- dispatch/collection ---------------------------------------------
 
-    def run(
-        self,
-        config_id: str,
-        tasks: List[Any],
-        cancel: Optional[threading.Event] = None,
-    ) -> Iterator[Any]:
+    def run(self, config_id: str, tasks: List[Any]) -> Iterator[Any]:
         """Dispatch ``tasks`` round-robin; yield replies in task order.
 
         The heart of the fault handling: ``outstanding`` maps live task ids
@@ -298,7 +316,7 @@ class WorkerFleet:
         outstanding task whose worker died is re-dispatched to a healthy
         worker (respawning one unless the fleet is closing), and late duplicate
         replies -- a worker that died *after* answering -- are dropped by id.
-        A set ``cancel`` event raises :class:`ServiceShutdown` between replies.
+        After :meth:`cancel` it raises :class:`ServiceShutdown` between replies.
         """
         total = len(tasks)
         if total == 0:
@@ -331,7 +349,7 @@ class WorkerFleet:
 
         next_yield = 0
         while next_yield < total:
-            if cancel is not None and cancel.is_set():
+            if self._cancelled:
                 raise ServiceShutdown("fleet execution cancelled by shutdown")
             try:
                 message = self._result_queue.get(timeout=_PUMP_TIMEOUT)

@@ -1,12 +1,12 @@
 """repro.service -- the campaign service.
 
 A long-running front end over the staged pipeline: a durable job queue
-(:mod:`repro.service.jobs`), a persistent :class:`~repro.fi.fleet.WorkerFleet`
-whose workers keep compiled netlists warm (:mod:`repro.service.worker`), a
-scheduler wiring jobs through the ordinary
-:class:`~repro.api.session.Session` (:mod:`repro.service.scheduler`), a
-result tier over the report stage (:mod:`repro.service.results`) and a
-stdlib-only HTTP surface (:mod:`repro.service.http`).  Everything durable
+(:mod:`repro.service.jobs`), a scheduler wiring jobs through the ordinary
+:class:`~repro.api.session.Session` handed one persistent
+:class:`~repro.fi.fleet.WorkerFleet`, whose workers keep compiled netlists
+warm per harden-stage key (:mod:`repro.service.scheduler`), a result tier
+over the report stage (:mod:`repro.service.results`) and a stdlib-only HTTP
+surface (:mod:`repro.service.http`).  Everything durable
 lives in the same content-addressed :class:`~repro.store.ArtifactStore` the
 CLI caches into, so ``scfi serve`` and ``scfi run`` share one cache and one
 notion of identity.
@@ -40,7 +40,6 @@ from repro.service.http import (
 )
 from repro.service.scheduler import CampaignService, Scheduler
 from repro.fi.fleet import FleetError, FleetTaskError, ServiceShutdown, WorkerFleet
-from repro.service.worker import FleetCampaign, fleet_config_id
 
 __all__ = [
     "ACTIVE_STATES",
@@ -65,10 +64,8 @@ __all__ = [
     "ServiceError",
     "ServiceHTTPServer",
     "serve",
-    "FleetCampaign",
     "FleetError",
     "FleetTaskError",
     "ServiceShutdown",
     "WorkerFleet",
-    "fleet_config_id",
 ]

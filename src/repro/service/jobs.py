@@ -71,8 +71,9 @@ class Job:
     for jobs the scheduler actually ran, ``"result-tier"`` for submissions
     answered straight from the memoised result store without touching a
     worker -- the cache provenance the acceptance criteria ask for.
-    ``progress`` streams the pipeline position (stage/detail from the session,
-    per-batch ``batches_done``/``batches_total`` from the worker fleet).
+    ``progress`` streams the pipeline position from the session's one
+    progress callback: ``stage``/``detail``, and ``batches_done``/
+    ``batches_total`` after each merged batch of the campaign.
     """
 
     spec_hash: str

@@ -3,14 +3,14 @@
 The :class:`Scheduler` is a single background thread that pulls jobs off the
 durable :class:`~repro.service.jobs.JobQueue` and executes each one through
 one long-lived staged :class:`~repro.api.session.Session` -- the same
-harden/campaign/report chain ``scfi run`` uses, against the same store
--- with one substitution: the campaign executor is a
-:class:`~repro.service.worker.FleetCampaign` bound to the persistent worker
-fleet, keyed by the job's harden-stage hash so repeat netlists hit warm
-compiled state; the session outlives its jobs, so the next job on the same
-hardened FSM reuses the netlist and ``FleetCampaign`` the last one built.
-Session and fleet progress update the running job's in-memory record, which
-``GET /jobs/<id>`` reads.
+harden/campaign/report chain ``scfi run`` uses, against the same store --
+given the service's persistent worker fleet (``Session(fleet=...)``): every
+campaign executor is a :class:`~repro.fi.executor.FaultCampaign` sharding on
+that fleet, scoped by the job's harden-stage hash so repeat netlists hit
+warm compiled state.  The session outlives its jobs, so the next job on the
+same hardened FSM reuses the netlist and executor the last one built.  The
+session's one progress callback -- stages, scenarios and merged batches --
+updates the running job's in-memory record, which ``GET /jobs/<id>`` reads.
 
 A fully warm spec never touches the fleet at all: the session's campaign
 stage hits the store before any executor is built, and a spec whose report
@@ -20,8 +20,9 @@ answered at submit time without creating any scheduler work.
 :class:`CampaignService` wires queue + fleet + scheduler + result tier over
 one store and is what the HTTP frontend and the tests drive.  Shutdown is
 graceful and deterministic: stop accepting, drain the in-flight job up to a
-timeout, then cancel it -- marking it ``failed`` with ``resumable=True`` so
-the next server re-queues it -- and close every fleet worker.
+timeout, then cancel it through :meth:`~repro.fi.fleet.WorkerFleet.cancel`
+-- marking it ``failed`` with ``resumable=True`` so the next server
+re-queues it -- and close every fleet worker.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ import traceback
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.api.session import Session
-from repro.api.spec import CampaignSpec, ExperimentSpec
-from repro.core.structure import ScfiNetlist
+from repro.api.spec import ExperimentSpec
 from repro.fi.fleet import ServiceShutdown, WorkerFleet
 from repro.service.jobs import (
     STATE_DONE,
@@ -49,7 +49,6 @@ from repro.service.results import (
     ResultTier,
     stamp_provenance,
 )
-from repro.service.worker import FleetCampaign
 from repro.store import ArtifactStore
 
 #: Optional service-level logger: ``(event, detail)`` pairs.
@@ -71,17 +70,11 @@ class Scheduler:
         self.fleet = fleet
         self._log = log
         self._stop = threading.Event()
-        self._cancel = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._current_job: Optional[Job] = None
-        self._anon_scope = 0
         self.jobs_executed = 0
         self.jobs_failed = 0
-        self.session = Session(
-            progress=self._session_progress,
-            store=store,
-            executor_factory=self._fleet_executor,
-        )
+        self.session = Session(progress=self._session_progress, store=store, fleet=fleet)
 
     def _emit(self, event: str, detail: str = "") -> None:
         if self._log is not None:
@@ -100,7 +93,7 @@ class Scheduler:
     def stop(self, drain_timeout: float = 30.0) -> None:
         """Stop the loop: drain the in-flight job, then cancel if it overruns.
 
-        The cancel event aborts fleet collection between batches
+        Cancelling the fleet aborts collection between replies
         (:class:`~repro.fi.fleet.ServiceShutdown`), which the execute
         path turns into a ``failed`` + ``resumable`` job record -- recovery
         re-queues it on the next start.
@@ -112,7 +105,7 @@ class Scheduler:
             return
         thread.join(drain_timeout)
         if thread.is_alive():
-            self._cancel.set()
+            self.fleet.cancel()
             thread.join(drain_timeout)
         self._thread = None
 
@@ -166,46 +159,20 @@ class Scheduler:
 
     # -- session wiring ---------------------------------------------------
 
-    def _session_progress(self, stage: str, detail: str) -> None:
-        job = self._current_job
-        if job is not None:
-            job.progress["stage"] = stage
-            job.progress["detail"] = detail
-
-    def _batch_progress(self, done: int, total: int) -> None:
+    def _session_progress(self, stage: str, detail: Any) -> None:
+        """Fold the session's progress into the running job's record: the
+        stage and its detail, and ``(done, total)`` of each merged batch,
+        whose first moves the job to ``running``."""
         job = self._current_job
         if job is None:
             return
+        if stage != "batch":
+            job.progress["stage"] = stage
+            job.progress["detail"] = detail
+            return
         if job.state != STATE_RUNNING:
             self.queue.transition(job, STATE_RUNNING)
-        job.progress["batches_done"] = done
-        job.progress["batches_total"] = total
-
-    def _fleet_executor(self, campaign: CampaignSpec, structure: ScfiNetlist,
-                        keep_outcomes: bool, cache_scope: Optional[str]) -> FleetCampaign:
-        """An executor bound to the fleet, which the session keeps warm.
-
-        Only called by the session on a campaign-stage *miss* -- warm specs
-        never construct an executor, which is what makes "answered without
-        touching a worker" literally true.
-        """
-        if cache_scope is None:
-            # No harden hash (e.g. the --compare oracle replay, which is
-            # deliberately uncached): give the config a unique scope so it
-            # can never alias another netlist's warm executor.
-            self._anon_scope += 1
-            cache_scope = f"{'0' * 56}{self._anon_scope:08x}"
-        return FleetCampaign(
-            self.fleet,
-            cache_scope,
-            structure,
-            engine=campaign.engine,
-            lane_width=campaign.lane_width,
-            keep_outcomes=keep_outcomes,
-            pack_contexts=campaign.pack_contexts,
-            batch_progress=self._batch_progress,
-            cancel=self._cancel,
-        )
+        job.progress["batches_done"], job.progress["batches_total"] = detail
 
 
 class CampaignService:

@@ -270,7 +270,6 @@ class TestWarmRunReplaysEverything:
         _poison_compute(monkeypatch)
         warm = session.run(spec)
         assert warm.cache["campaign"]["status"] == "hit"
-        assert warm.dispatch == {"bitflip": "cached"}
         assert _counters(warm) == _counters(cold)
 
     def test_corrupted_campaign_artifact_is_recomputed_not_replayed(self):

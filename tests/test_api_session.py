@@ -261,42 +261,50 @@ class TestRegistries:
             assert executor.lane_width == 32
 
 
-class TestDispatchProvenance:
-    def test_dispatch_recorded_per_scenario(self):
-        result = Session().run(exhaustive_spec(engine="parallel-numpy"))
-        assert result.dispatch == {"exhaustive": "array-native"}
-        assert result.provenance()["dispatch"] == {"exhaustive": "array-native"}
+class TestCampaignProvenance:
+    """Whether counters were computed or replayed is the campaign stage's
+    cache record; the provenance describes how they were computed."""
 
-    def test_bignum_engine_reports_array_native(self):
+    def test_computed_campaign_records_its_cache_status(self):
+        result = Session().run(exhaustive_spec(engine="parallel-numpy"))
+        assert result.cache["campaign"]["status"] == "disabled"
+        assert "dispatch" not in result.provenance()
+
+    def test_bignum_engine_matches_the_oracle(self):
         result = Session().run(exhaustive_spec(engine="parallel"))
-        assert result.dispatch == {"exhaustive": "array-native"}
         oracle = Session().run(exhaustive_spec(engine="scalar"))
-        assert oracle.dispatch == {"exhaustive": "array-native"}
         assert (
             result.campaigns["exhaustive"].counters()
             == oracle.campaigns["exhaustive"].counters()
         )
 
-    def test_cached_replay_reports_cached(self, tmp_path):
+    def test_cached_replay_records_a_hit(self, tmp_path):
         from repro.store import open_store
 
         store = open_store(tmp_path / "cache")
         spec = exhaustive_spec()
         cold = Session(store=store).run(spec)
-        assert cold.dispatch == {"exhaustive": "array-native"}
+        assert cold.cache["campaign"]["status"] == "miss"
         warm = Session(store=store).run(spec)
         assert warm.cache["campaign"]["status"] == "hit"
-        assert warm.dispatch == {"exhaustive": "cached"}
+        assert warm.to_dict()["provenance"] == cold.to_dict()["provenance"]
 
-    def test_bitflip_reports_array_native_dispatch(self):
+    def test_bitflip_runs_through_the_executor(self, monkeypatch):
+        import repro.api.session as session_mod
+
+        built = []
+        original = session_mod.make_executor
+        monkeypatch.setattr(
+            session_mod, "make_executor", lambda *a, **k: built.append(1) or original(*a, **k)
+        )
         result = Session().run(
             ExperimentSpec(
                 fsm=FsmSpec(name="traffic_light"),
                 campaign=CampaignSpec(scenario="bitflip", trials=50),
             )
         )
-        assert result.dispatch == {"bitflip": "array-native"}
-        assert result.provenance()["dispatch"] == {"bitflip": "array-native"}
+        assert built == [1]
+        assert result.campaigns["bitflip"].total_injections == 50
 
     def test_laser_replays_golden_through_session(self):
         spec = ExperimentSpec.load(EXAMPLES / "laser_experiment.json")
@@ -308,8 +316,9 @@ class TestDispatchProvenance:
             assert emitted[key] == value, key
 
 
-class TestExecutorFactory:
-    """The injectable campaign-executor seam the campaign service plugs into."""
+class TestSessionFleet:
+    """``Session(fleet=...)``: every campaign executor shards on the caller's
+    fleet, scoped by the harden-stage key, and the session never closes it."""
 
     def _spec(self):
         return ExperimentSpec(
@@ -317,48 +326,70 @@ class TestExecutorFactory:
             campaign=CampaignSpec(scenario="effects", trials=20, seed=3),
         )
 
-    def test_factory_receives_spec_structure_and_scope(self, tmp_path):
-        from repro.api.registry import make_executor
+    def test_executor_borrows_the_fleet_scoped_by_the_harden_key(self, tmp_path, monkeypatch):
+        import repro.api.session as session_mod
+        from repro.fi.fleet import WorkerFleet
         from repro.store import open_store
 
         calls = []
+        original = session_mod.make_executor
 
-        def factory(campaign, structure, keep_outcomes, cache_scope):
-            calls.append((campaign, structure, keep_outcomes, cache_scope))
-            return make_executor(campaign, structure, keep_outcomes=keep_outcomes)
+        def recording(campaign, structure, keep_outcomes, fleet=None, scope=None):
+            calls.append((campaign, structure, keep_outcomes, fleet, scope))
+            return original(campaign, structure, keep_outcomes, fleet=fleet, scope=scope)
 
-        store = open_store(tmp_path / "cache")
-        session = Session(store=store, executor_factory=factory)
+        monkeypatch.setattr(session_mod, "make_executor", recording)
         spec = self._spec()
         baseline = Session().run(spec)
-        result = session.run(spec)
-        assert result.to_dict()["campaigns"] == baseline.to_dict()["campaigns"]
+        calls.clear()
+        with WorkerFleet(1) as fleet:
+            result = Session(store=open_store(tmp_path / "cache"), fleet=fleet).run(spec)
+            assert result.to_dict()["campaigns"] == baseline.to_dict()["campaigns"]
+            assert fleet.stats()["tasks_completed"] > 0
+            # Leaving the session's ``with`` block left the fleet running.
+            assert fleet.alive_count() == 1
         assert len(calls) == 1
-        campaign, structure, keep_outcomes, cache_scope = calls[0]
+        campaign, structure, keep_outcomes, passed_fleet, scope = calls[0]
         assert campaign.scenario == "effects"
         assert structure.netlist.name.startswith("traffic_light")
         assert keep_outcomes is False
-        # The scope is the harden-stage input hash -- the key the service's
-        # fleet uses to reuse warm compiled netlists.
-        assert cache_scope == spec.stage_hashes()["harden"]
+        assert passed_fleet is fleet
+        # The scope is the harden-stage input hash -- the key the fleet uses
+        # to reuse warm compiled netlists.
+        assert scope == spec.stage_hashes()["harden"]
 
-    def test_warm_campaign_stage_never_calls_the_factory(self, tmp_path):
+    def test_warm_campaign_stage_builds_no_executor(self, tmp_path, monkeypatch):
+        import repro.api.session as session_mod
+        from repro.fi.fleet import WorkerFleet
         from repro.store import open_store
 
         store = open_store(tmp_path / "cache")
         spec = self._spec()
         Session(store=store).run(spec)  # populate every stage
 
-        def exploding_factory(campaign, structure, keep_outcomes, cache_scope):
-            raise AssertionError("factory must not run on a campaign-stage hit")
+        def exploding(*args, **kwargs):
+            raise AssertionError("no executor may be built on a campaign-stage hit")
 
-        warm = Session(store=store, executor_factory=exploding_factory).run(spec)
+        monkeypatch.setattr(session_mod, "make_executor", exploding)
+        with WorkerFleet(1) as fleet:
+            warm = Session(store=store, fleet=fleet).run(spec)
+            assert fleet.stats()["configs_shipped"] == 0
         assert warm.cache["campaign"]["status"] == "hit"
 
-    def test_factory_absent_builds_a_fault_campaign(self):
-        # No factory: the session builds the FaultCampaign the spec names.
+    def test_no_fleet_builds_an_in_process_fault_campaign(self, monkeypatch):
+        import repro.api.session as session_mod
+
+        built = []
+        original = session_mod.make_executor
+
+        def recording(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(session_mod, "make_executor", recording)
         result = Session().run(self._spec())
         assert result.to_dict()["campaigns"]
+        assert len(built) == 1 and built[0]._fleet is None
 
 
 class TestExecutorReuse:
@@ -372,8 +403,8 @@ class TestExecutorReuse:
         built = []
         original = session_mod.make_executor
 
-        def counting(campaign, structure, keep_outcomes):
-            executor = original(campaign, structure, keep_outcomes=keep_outcomes)
+        def counting(campaign, structure, keep_outcomes, **kwargs):
+            executor = original(campaign, structure, keep_outcomes=keep_outcomes, **kwargs)
             built.append(executor)
             return executor
 

@@ -5,8 +5,8 @@ and its result is the report-stage artifact the session writes anyway -- so
 a cold job costs the three stage artifacts (harden, campaign, report) plus
 two job records.  The
 scheduler's one long-lived session keeps the hardened FSM and its
-``FleetCampaign`` warm, so the next job on the same FSM neither reloads the
-netlist from the store nor builds a new executor.
+fleet-bound executor warm, so the next job on the same FSM neither reloads
+the netlist from the store nor builds a new executor.
 
 Jobs are executed synchronously on the test thread (the scheduler thread is
 never started), so nothing here waits on a timer.
@@ -14,16 +14,16 @@ never started), so nothing here waits on a timer.
 
 import pytest
 
+import repro.api.session as session_mod
 from repro.service import CampaignService
-from repro.service import scheduler as scheduler_mod
 from repro.service.jobs import JOB_STAGE, STATE_QUEUED, STATE_RUNNING, JobQueue
 from repro.store import MemoryStore
 
 
-def random_spec(seed):
+def random_spec(seed, **campaign):
     return {
         "fsm": {"name": "traffic_light"},
-        "campaign": {"scenario": "random", "faults": 2, "trials": 200, "seed": seed},
+        "campaign": {"scenario": "random", "faults": 2, "trials": 200, "seed": seed, **campaign},
     }
 
 
@@ -94,26 +94,35 @@ class TestWrites:
 
 
 class TestWarmReuse:
+    @staticmethod
+    def _count(monkeypatch, name):
+        """Count calls of ``repro.api.session.<name>``."""
+        calls = []
+        original = getattr(session_mod, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(session_mod, name, counting)
+        return calls
+
     def test_second_job_on_the_same_fsm_reloads_and_builds_nothing(
         self, service, monkeypatch
     ):
-        import repro.api.session as session_mod
-
         compute(service, random_spec(1))
-        calls = {"deserialize": 0, "fleet_campaign": 0}
-        deserialize = session_mod.deserialize_scfi_result
-        fleet_campaign = scheduler_mod.FleetCampaign
-
-        def counting_deserialize(payload):
-            calls["deserialize"] += 1
-            return deserialize(payload)
-
-        def counting_fleet_campaign(*args, **kwargs):
-            calls["fleet_campaign"] += 1
-            return fleet_campaign(*args, **kwargs)
-
-        monkeypatch.setattr(session_mod, "deserialize_scfi_result", counting_deserialize)
-        monkeypatch.setattr(scheduler_mod, "FleetCampaign", counting_fleet_campaign)
+        calls = self._count(monkeypatch, "deserialize_scfi_result")
+        calls += self._count(monkeypatch, "make_executor")
         job_id = compute(service, random_spec(2))
-        assert calls == {"deserialize": 0, "fleet_campaign": 0}
+        assert calls == []
         assert service.job_status(job_id)["progress"]["cache"]["harden"] == "hit"
+
+    def test_jobs_differing_only_in_workers_share_one_executor(self, service, monkeypatch):
+        """On the fleet its size decides placement, so ``workers`` neither
+        builds another executor nor ships the netlist again."""
+        built = self._count(monkeypatch, "make_executor")
+        compute(service, random_spec(1, workers=1))
+        shipped = service.fleet.stats()["configs_shipped"]
+        compute(service, random_spec(2, workers=3))
+        assert built == ["make_executor"]
+        assert service.fleet.stats()["configs_shipped"] == shipped

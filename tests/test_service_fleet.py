@@ -2,12 +2,13 @@
 
 Three load-bearing properties:
 
-* **Invisibility** -- a campaign dispatched through the fleet produces
-  counters bit-identical to the plain in-process executor, on every engine,
-  because both sides run the same planner, task format and worker functions.
-* **Warmth** -- the netlist for a given config id is shipped to each worker
-  exactly once; a second campaign against the same hardened netlist ships
-  nothing.
+* **Invisibility** -- a campaign dispatched through the fleet
+  (``FaultCampaign(fleet=...)``) produces counters bit-identical to the plain
+  in-process executor, on every engine, because both sides run the same
+  planner, task format and worker functions.
+* **Warmth** -- the netlist for a given scope and parameters is shipped to
+  each worker exactly once; a second campaign against the same hardened
+  netlist ships nothing, and an unscoped one never shares a config.
 * **Fault handling** -- a worker SIGKILLed mid-batch is detected, its shards
   are re-dispatched to healthy workers (with a respawned replacement), and the
   final counters are still bit-identical; ``close()`` leaves no surviving
@@ -17,7 +18,6 @@ Three load-bearing properties:
 import multiprocessing
 import os
 import signal
-import threading
 
 import pytest
 
@@ -27,7 +27,6 @@ from repro.fi.fleet import FleetError, ServiceShutdown, WorkerFleet
 from repro.fi.model import FaultEffect
 from repro.fi.scenarios import ExhaustiveSingleFault
 from repro.fsm.random_fsm import random_fsm
-from repro.service.worker import FleetCampaign, fleet_config_id
 
 ALL_EFFECTS = (FaultEffect.TRANSIENT_FLIP, FaultEffect.STUCK_AT_0, FaultEffect.STUCK_AT_1)
 
@@ -54,63 +53,90 @@ def _scenario():
     return ExhaustiveSingleFault(target_nets="comb", effects=ALL_EFFECTS)
 
 
+def _on(fleet, structure, **kwargs):
+    """An executor borrowing ``fleet`` for the stand-in scope."""
+    return FaultCampaign(structure, fleet=fleet, scope=SCOPE, **kwargs)
+
+
+def _on_batch(callback):
+    """A progress callback handing each ``("batch", (done, total))`` event
+    to ``callback(done, total)``."""
+    return lambda stage, detail: callback(*detail) if stage == "batch" else None
+
+
 class TestFleetEqualsInProcess:
     @pytest.mark.parametrize("engine", ("parallel", "parallel-numpy"))
     def test_counters_bit_identical(self, structure, engine):
         single = FaultCampaign(structure, engine=engine).run(_scenario()).counters()
         with WorkerFleet(2) as fleet:
-            campaign = FleetCampaign(fleet, SCOPE, structure, engine=engine)
+            campaign = _on(fleet, structure, engine=engine)
             assert campaign.run(_scenario()).counters() == single
 
     def test_scalar_engine_shards_through_the_fleet(self, structure):
         scenario = ExhaustiveSingleFault(target_nets="diffusion", effects=ALL_EFFECTS)
         single = FaultCampaign(structure, engine="scalar").run(scenario).counters()
         with WorkerFleet(2) as fleet:
-            campaign = FleetCampaign(fleet, SCOPE, structure, engine="scalar")
+            campaign = _on(fleet, structure, engine="scalar")
             assert campaign.run(scenario).counters() == single
 
-    def test_batch_progress_streams(self, structure):
-        seen = []
+    def test_progress_streams_scenario_then_batches_in_order(self, structure):
+        events = []
         with WorkerFleet(2) as fleet:
-            campaign = FleetCampaign(
-                fleet,
-                SCOPE,
-                structure,
-                lane_width=8,  # narrow lanes force several batches
-                batch_progress=lambda done, total: seen.append((done, total)),
-            )
-            campaign.run(_scenario())
-        assert seen, "no batch progress streamed"
-        done_values = [done for done, _ in seen]
-        assert done_values == sorted(done_values)
-        assert seen[-1][0] == seen[-1][1]  # finishes complete
+            campaign = _on(fleet, structure, lane_width=8)  # several batches
+            campaign.run_sweep({"comb": _scenario()}, lambda *event: events.append(event))
+        assert events[0] == ("campaign", "comb")
+        batches = events[1:]
+        assert len(batches) > 1 and {stage for stage, _ in batches} == {"batch"}
+        total = batches[0][1][1]
+        assert [detail for _, detail in batches] == [(done, total) for done in range(1, total + 1)]
 
 
 class TestWarmNetlists:
     def test_config_shipped_once_per_worker(self, structure, oracle):
         with WorkerFleet(2) as fleet:
-            first = FleetCampaign(fleet, SCOPE, structure)
+            first = _on(fleet, structure)
             assert first.run(_scenario()).counters() == oracle
             shipped_after_first = fleet.stats()["configs_shipped"]
             assert shipped_after_first == 2  # once per worker
             # Same hardened netlist again: nothing is re-shipped.
-            second = FleetCampaign(fleet, SCOPE, structure)
+            second = _on(fleet, structure)
+            assert second.config_id == first.config_id
             assert second.run(_scenario()).counters() == oracle
             assert fleet.stats()["configs_shipped"] == shipped_after_first
 
-    def test_different_scope_is_a_different_config(self, structure):
-        params = dict(engine="parallel", lane_width=None, keep_outcomes=False, pack_contexts=True)
-        assert fleet_config_id(SCOPE, **params) != fleet_config_id("cd" * 32, **params)
-
-    def test_close_is_the_campaigns_detach_not_teardown(self, structure, oracle):
-        """Session wraps executors in ``with``; closing a FleetCampaign must
-        leave the fleet fully usable for the next job."""
+    def test_different_scope_ships_again(self, structure):
         with WorkerFleet(2) as fleet:
-            with FleetCampaign(fleet, SCOPE, structure) as campaign:
+            first = _on(fleet, structure)
+            other = FaultCampaign(structure, fleet=fleet, scope="cd" * 32)
+            assert other.config_id != first.config_id
+            assert fleet.stats()["configs_shipped"] == 4
+
+    def test_unscoped_config_stays_private(self, structure, oracle):
+        with WorkerFleet(2) as fleet:
+            first = FaultCampaign(structure, fleet=fleet)
+            second = FaultCampaign(structure, fleet=fleet)
+            assert first.config_id != second.config_id
+            assert fleet.stats()["configs_shipped"] == 4
+            assert second.run(_scenario()).counters() == oracle
+
+    def test_close_leaves_a_borrowed_fleet_running(self, structure, oracle):
+        """Session wraps executors in ``with``; closing one on a borrowed
+        fleet must leave the fleet fully usable for the next job."""
+        with WorkerFleet(2) as fleet:
+            with _on(fleet, structure) as campaign:
                 campaign.run(_scenario())
             assert fleet.alive_count() == 2
-            again = FleetCampaign(fleet, SCOPE, structure)
+            again = _on(fleet, structure)
             assert again.run(_scenario()).counters() == oracle
+
+    def test_close_stops_an_owned_fleet(self, structure, oracle):
+        with FaultCampaign(structure, workers=2) as campaign:
+            assert campaign.run(_scenario()).counters() == oracle
+            owned = campaign._fleet
+            assert owned.alive_count() == 2
+        assert campaign._fleet is None and owned.alive_count() == 0
+        with pytest.raises(FleetError, match="closed"):
+            owned.ensure_config(structure, {})
 
 
 class TestSenderSidePickling:
@@ -124,7 +150,7 @@ class TestSenderSidePickling:
                 handle.task_queue.put = lambda message, put=put: put(sent.append(message) or message)
             get = fleet._result_queue.get
             fleet._result_queue.get = lambda *args, **kw: received.append(get(*args, **kw)) or received[-1]
-            assert FleetCampaign(fleet, SCOPE, structure).run(_scenario()).counters() == oracle
+            assert _on(fleet, structure).run(_scenario()).counters() == oracle
         assert sent and all(isinstance(message, bytes) for message in sent)
         replies = [message[3] for message in received if message[0] == "result"]
         assert replies and all(isinstance(reply, bytes) for reply in replies)
@@ -152,14 +178,9 @@ class TestFaultHandling:
                     os.kill(victim.pid, signal.SIGKILL)
                     killed.append(victim.pid)
 
-            campaign = FleetCampaign(
-                fleet,
-                SCOPE,
-                structure,
-                lane_width=8,  # many batches: both workers get tasks
-                batch_progress=kill_victim,
-            )
-            assert campaign.run(_scenario()).counters() == oracle
+            # Narrow lanes make many batches: both workers get tasks.
+            campaign = _on(fleet, structure, lane_width=8)
+            assert campaign.run(_scenario(), _on_batch(kill_victim)).counters() == oracle
             stats = fleet.stats()
             assert killed and stats["workers_lost"] >= 1
             assert stats["workers_respawned"] >= 1
@@ -169,24 +190,20 @@ class TestFaultHandling:
         """A worker that died between jobs never receives a shard; the run
         completes on the survivors alone, counters unchanged."""
         with WorkerFleet(2) as fleet:
-            campaign = FleetCampaign(fleet, SCOPE, structure, lane_width=8)
+            campaign = _on(fleet, structure, lane_width=8)
             victim = fleet.live_handles()[0].process
             os.kill(victim.pid, signal.SIGKILL)
             victim.join()
             assert fleet.alive_count() == 1
             assert campaign.run(_scenario()).counters() == oracle
 
-    def test_cancel_event_aborts_with_service_shutdown(self, structure):
-        cancel = threading.Event()
+    def test_fleet_cancel_aborts_with_service_shutdown(self, structure):
         with WorkerFleet(2) as fleet:
-            campaign = FleetCampaign(
-                fleet,
-                SCOPE,
-                structure,
-                lane_width=8,
-                batch_progress=lambda done, total: cancel.set(),
-                cancel=cancel,
-            )
+            campaign = _on(fleet, structure, lane_width=8)
+            cancel = _on_batch(lambda done, total: fleet.cancel())
+            with pytest.raises(ServiceShutdown):
+                campaign.run(_scenario(), cancel)
+            # A cancelled fleet stays cancelled: the drain refuses new work.
             with pytest.raises(ServiceShutdown):
                 campaign.run(_scenario())
         assert multiprocessing.active_children() == []
@@ -195,13 +212,13 @@ class TestFaultHandling:
         fleet = WorkerFleet(1)
         fleet.close()
         with pytest.raises(FleetError, match="closed"):
-            FleetCampaign(fleet, SCOPE, structure)
+            _on(fleet, structure)
 
 
 class TestDeterministicClose:
     def test_no_surviving_processes(self, structure):
         fleet = WorkerFleet(2)
-        FleetCampaign(fleet, SCOPE, structure).run(_scenario())
+        _on(fleet, structure).run(_scenario())
         fleet.close()
         assert fleet.alive_count() == 0
         assert multiprocessing.active_children() == []
@@ -225,23 +242,14 @@ class TestDeterministicClose:
             process.terminate = recording_terminate
             process.close = recording_close
 
-        cancel = threading.Event()
         fleet = WorkerFleet(2)
         for handle in fleet.live_handles():
             watch(handle.process)
         # Kept outcomes put every observed code in the replies: far more
         # bytes than a pipe buffers once the cancelled run stops reading them.
-        campaign = FleetCampaign(
-            fleet,
-            SCOPE,
-            structure,
-            lane_width=8,
-            keep_outcomes=True,
-            batch_progress=lambda done, total: cancel.set(),
-            cancel=cancel,
-        )
+        campaign = _on(fleet, structure, lane_width=8, keep_outcomes=True)
         with pytest.raises(ServiceShutdown):
-            campaign.run(_scenario())
+            campaign.run(_scenario(), _on_batch(lambda done, total: fleet.cancel()))
         fleet.close()
         assert terminated == []
         assert exit_codes == [0, 0]

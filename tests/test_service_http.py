@@ -97,6 +97,11 @@ class TestEndToEnd:
         assert "behavioral" not in document
         assert document["service"]["result_tier"] == "computed"
         assert document["service"]["job_id"] == reply["job_id"]
+        # One progress channel still fills every key of the job status.
+        progress = client.status(reply["job_id"])["progress"]
+        assert progress["stage"] == "done"
+        assert progress["batches_done"] == progress["batches_total"] > 0
+        assert set(progress) == {"stage", "detail", "batches_done", "batches_total", "cache"}
 
     def test_bitflip_spec_matches_direct_run(self, service_client):
         client, _service = service_client
